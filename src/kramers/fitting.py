@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import least_squares, nnls
 
-from .hamiltonian import SpinSystem, energies_sweep, invert_zero_field
+from .hamiltonian import PAIR_HI, PAIR_LO, PAIRS, SpinSystem, energies_sweep, invert_zero_field
 from .magres import epr_resonance_fields
 from .spectra import SiteModel
 from .tensors import (
@@ -31,8 +31,6 @@ from .tensors import (
     rz,
     subsite_transform,
 )
-
-_PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
 
 KINDS = ("shb", "odmr", "epr")
 STATES = ("ground", "excited")
@@ -183,6 +181,81 @@ class FitProblem:
         return replace(self.site, ground=ground, excited=excited)
 
 
+@dataclass(frozen=True, eq=False)
+class _StateRows:
+    """The shb/odmr points of one electronic state, as index arrays.
+
+    ``idx`` are the points' positions in the data list; ``inverse`` maps
+    each point to its row of ``fields`` (the distinct field vectors, so
+    each field is diagonalized once).  ``labeled``/``unlabeled`` are
+    positions within ``idx``; ``lower``/``upper`` are the level labels of
+    the labeled ones.
+    """
+
+    state: str
+    idx: np.ndarray
+    fields: np.ndarray
+    inverse: np.ndarray
+    values: np.ndarray
+    labeled: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    unlabeled: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledData:
+    """A data list in the array form ``residuals`` works on.
+
+    ``fit`` compiles its data once instead of on every residual
+    evaluation; ``epr`` pairs each EPR point's position with its unit
+    sweep direction.
+    """
+
+    points: tuple[DataPoint, ...]
+    states: tuple[_StateRows, ...]
+    epr: tuple[tuple[int, np.ndarray], ...]
+
+
+def compile_data(data) -> CompiledData:
+    """Validate a list of DataPoints and precompute the arrays of ``residuals``."""
+    points = tuple(data)
+    if not points:
+        raise ValueError("no data points")
+    states = []
+    for state in STATES:
+        idx = np.array(
+            [n for n, p in enumerate(points) if p.kind != "epr" and p.state == state], dtype=int
+        )
+        if idx.size == 0:
+            continue
+        fields = np.array([points[n].field_mt for n in idx], dtype=float)
+        uniq, inverse = np.unique(fields, axis=0, return_inverse=True)
+        labels = [points[n].label for n in idx]
+        labeled = np.array([r for r, l in enumerate(labels) if l is not None], dtype=int)
+        states.append(_StateRows(
+            state=state,
+            idx=idx,
+            fields=uniq,
+            inverse=inverse,
+            values=np.array([points[n].value for n in idx]),
+            labeled=labeled,
+            lower=np.array([labels[r][0] for r in labeled]),
+            upper=np.array([labels[r][1] for r in labeled]),
+            unlabeled=np.array([r for r, l in enumerate(labels) if l is None], dtype=int),
+        ))
+    epr = []
+    for n, p in enumerate(points):
+        if p.kind != "epr":
+            continue
+        direction = np.asarray(p.field_mt, dtype=float)
+        norm = np.linalg.norm(direction)
+        if norm == 0:
+            raise ValueError("EPR point needs a nonzero direction")
+        epr.append((n, direction / norm))
+    return CompiledData(points, tuple(states), tuple(epr))
+
+
 def residuals(problem: FitProblem, params, data, full: bool = False):
     """Observed-minus-model residuals for every data point.
 
@@ -190,65 +263,43 @@ def residuals(problem: FitProblem, params, data, full: bool = False):
     the two magnetic subsites; unlabeled points against the nearest of all
     twelve subsite transitions.  EPR points compare resonance fields at
     nu_mw instead.  Points farther from any model transition than the gate
-    are flagged as outliers and contribute zero.
+    are flagged as outliers and contribute zero.  ``data`` is a list of
+    DataPoints or its ``compile_data`` form.
     """
-    data = list(data)
-    if not data:
-        raise ValueError("no data points")
+    if not isinstance(data, CompiledData):
+        data = compile_data(data)
     site = problem.realized_site(np.asarray(params, dtype=float))
-    res = np.zeros(len(data))
-    model = np.full(len(data), np.nan)
+    res = np.zeros(len(data.points))
+    model = np.full(len(data.points), np.nan)
     excluded: list[int] = []
 
-    pair_lo = np.array([i for i, _ in _PAIRS])
-    pair_hi = np.array([j for _, j in _PAIRS])
-    for state in STATES:
-        idx = np.array(
-            [n for n, p in enumerate(data) if p.kind != "epr" and p.state == state], dtype=int
-        )
-        if idx.size == 0:
-            continue
-        fields = np.array([data[n].field_mt for n in idx], dtype=float)
-        # many points share a field value; diagonalize each field once
-        uniq, inverse = np.unique(fields, axis=0, return_inverse=True)
-        sys1 = site.ground if state == "ground" else site.excited
-        energies = [energies_sweep(sys1, uniq), energies_sweep(sys1.with_subsite(2), uniq)]
-        values = np.array([data[n].value for n in idx])
-        labels = [data[n].label for n in idx]
+    for rows in data.states:
+        sys1 = site.ground if rows.state == "ground" else site.excited
+        energies = [energies_sweep(sys1, rows.fields), energies_sweep(sys1.with_subsite(2), rows.fields)]
+        idx, values = rows.idx, rows.values
 
-        def assign(rows: np.ndarray, cands: np.ndarray):
-            k = np.argmin(np.abs(cands - values[rows, None]), axis=1)
-            mv = cands[np.arange(rows.size), k]
-            r = values[rows] - mv
+        def assign(sel: np.ndarray, cands: np.ndarray):
+            k = np.argmin(np.abs(cands - values[sel, None]), axis=1)
+            mv = cands[np.arange(sel.size), k]
+            r = values[sel] - mv
             gated = np.abs(r) > problem.gate_freq_ghz
-            model[idx[rows]] = mv
-            res[idx[rows]] = np.where(gated, 0.0, r)
-            excluded.extend(int(n) for n in idx[rows[gated]])
+            model[idx[sel]] = mv
+            res[idx[sel]] = np.where(gated, 0.0, r)
+            excluded.extend(int(n) for n in idx[sel[gated]])
 
-        labeled = np.array([r for r, l in enumerate(labels) if l is not None], dtype=int)
-        if labeled.size:
-            li = np.array([labels[r][0] for r in labeled])
-            lj = np.array([labels[r][1] for r in labeled])
-            u = inverse[labeled]
-            assign(labeled, np.stack([e[u, lj] - e[u, li] for e in energies], axis=1))
-        unlabeled = np.array([r for r, l in enumerate(labels) if l is None], dtype=int)
-        if unlabeled.size:
-            u = inverse[unlabeled]
-            cands = np.concatenate(
-                [e[u][:, pair_hi] - e[u][:, pair_lo] for e in energies], axis=1
-            )
-            assign(unlabeled, cands)
+        if rows.labeled.size:
+            u = rows.inverse[rows.labeled]
+            assign(rows.labeled, np.stack([e[u, rows.upper] - e[u, rows.lower] for e in energies], axis=1))
+        if rows.unlabeled.size:
+            u = rows.inverse[rows.unlabeled]
+            cands = np.concatenate([e[u][:, PAIR_HI] - e[u][:, PAIR_LO] for e in energies], axis=1)
+            assign(rows.unlabeled, cands)
 
-    for n, p in enumerate(data):
-        if p.kind != "epr":
-            continue
-        direction = np.asarray(p.field_mt, dtype=float)
-        norm = np.linalg.norm(direction)
-        if norm == 0:
-            raise ValueError("EPR point needs a nonzero direction")
+    for n, direction in data.epr:
+        p = data.points[n]
         sys1 = site.ground if p.state == "ground" else site.excited
         found = epr_resonance_fields(
-            sys1, direction / norm, problem.nu_mw_ghz, p.value + problem.gate_field_mt
+            sys1, direction, problem.nu_mw_ghz, p.value + problem.gate_field_mt
         )
         if p.label is not None:
             found = [r for r in found if r.transition == tuple(p.label)]
@@ -269,8 +320,8 @@ def residuals(problem: FitProblem, params, data, full: bool = False):
     return res
 
 
-def _weighted(problem: FitProblem, data):
-    sigmas = np.array([p.sigma for p in data], dtype=float)
+def _weighted(problem: FitProblem, data: CompiledData):
+    sigmas = np.array([p.sigma for p in data.points], dtype=float)
     weights = np.where(np.isfinite(sigmas), 1.0 / sigmas, 0.0)
 
     def fun(x):
@@ -332,14 +383,13 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
     optimum wins (ties broken by lexicographically smaller parameters).
     """
     data = list(data)
-    if not data:
-        raise ValueError("no data points")
+    compiled = compile_data(data)
     names = problem.parameter_names()
     x0 = problem.initial_parameters()
-    fun, weights = _weighted(problem, data)
+    fun, weights = _weighted(problem, compiled)
 
     if len(names) == 0:
-        res, model, excl = residuals(problem, x0, data, full=True)
+        res, model, excl = residuals(problem, x0, compiled, full=True)
         rms, rms_field = _split_rms(data, res, excl)
         return FitResult(
             True, "no free parameters", tuple(names), x0,
@@ -366,7 +416,7 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
             )
         except Exception:
             continue
-        r, _, ex = residuals(problem, sol.x, data, full=True)
+        r, _, ex = residuals(problem, sol.x, compiled, full=True)
         restart_rms_list.append(_split_rms(data, r, ex)[0])
         if best is None or (sol.cost, tuple(sol.x)) < (best[0], best[1]):
             best = (sol.cost, tuple(sol.x), sol)
@@ -374,7 +424,7 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
     if best is None:
         raise RuntimeError("all restarts failed")
     sol = best[2]
-    res, model, excl = residuals(problem, sol.x, data, full=True)
+    res, model, excl = residuals(problem, sol.x, compiled, full=True)
     rms, rms_field = _split_rms(data, res, excl)
 
     # parameter covariance from the weighted Jacobian at the optimum
@@ -463,7 +513,7 @@ def reconstruct_levels(lines_ghz, tol_ghz: float = 2e-3) -> np.ndarray:
     levels = np.cumsum(np.concatenate(([0.0], best_d)))
     levels -= levels.mean()
     if best_rms > tol_ghz:
-        fitted = np.sort([levels[j] - levels[i] for i, j in _PAIRS])
+        fitted = np.sort([levels[j] - levels[i] for i, j in PAIRS])
         raise ValueError(
             f"no consistent 4-level solution within {tol_ghz * 1e3:.1f} MHz "
             f"(best RMS {best_rms * 1e3:.2f} MHz; closest splittings {fitted})"

@@ -13,6 +13,7 @@ GHz/mT internally.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +37,16 @@ _ID2 = np.eye(2, dtype=complex)
 # electron (S) and nuclear (I) spin operators on the 4-dim product space
 S_OPS = tuple(np.kron(s, _ID2) for s in _SIGMA_HALF)
 I_OPS = tuple(np.kron(_ID2, s) for s in _SIGMA_HALF)
+S_STACK = np.stack(S_OPS)
+I_STACK = np.stack(I_OPS)
+S_STACK.setflags(write=False)
+I_STACK.setflags(write=False)
+
+# the six transitions (lower, upper) between ascending levels, and their
+# index arrays for vectorized differences e[..., PAIR_HI] - e[..., PAIR_LO]
+PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
+PAIR_LO = np.array([i for i, _ in PAIRS])
+PAIR_HI = np.array([j for _, j in PAIRS])
 
 
 def physical_constants() -> tuple[float, float]:
@@ -74,6 +85,24 @@ class SpinSystem:
             g=subsite_transform(self.g),
             subsite=subsite,
         )
+
+    # Derived matrices, computed on first use.  Safe on a frozen instance:
+    # the tensor matrices are read-only and replace() builds a new object.
+    @cached_property
+    def hyperfine_matrix(self) -> np.ndarray:
+        """The field-independent term sum_kl A_kl I_k S_l (GHz), 4x4."""
+        A = self.A.matrix
+        h = sum(A[k, l] * (I_OPS[k] @ S_OPS[l]) for k in range(3) for l in range(3))
+        h.setflags(write=False)
+        return h
+
+    @cached_property
+    def zeeman_derivatives(self) -> np.ndarray:
+        """dH/dB_k for the three Cartesian components, shape (3, 4, 4), GHz/mT."""
+        d = np.einsum("kl,lab->kab", self.g.matrix * (self.mu_b * 1e-3), S_STACK)
+        d -= (self.mu_n * 1e-3 * self.g_n) * I_STACK
+        d.setflags(write=False)
+        return d
 
 
 def as_field(B) -> np.ndarray:
@@ -114,17 +143,10 @@ def build_hamiltonian(sys: SpinSystem, B) -> np.ndarray:
 def hamiltonian_batch(sys: SpinSystem, fields: np.ndarray) -> np.ndarray:
     """Hamiltonians for a stack of field vectors, shape (N, 3) mT -> (N, 4, 4)."""
     fields = np.asarray(fields, dtype=float)
-    A = sys.A.matrix
-    g = sys.g.matrix
-
-    h_hf = sum(A[k, l] * (I_OPS[k] @ S_OPS[l]) for k in range(3) for l in range(3))
-
     # effective electron field b_eff_l = sum_k B_k g_kl; magnetons GHz/T -> GHz/mT
-    s_stack = np.stack(S_OPS)
-    i_stack = np.stack(I_OPS)
-    h_el = np.einsum("nl,lab->nab", (fields @ g) * (sys.mu_b * 1e-3), s_stack)
-    h_nuc = np.einsum("nk,kab->nab", fields * (sys.mu_n * 1e-3 * sys.g_n), i_stack)
-    return h_hf[None, :, :] + h_el - h_nuc
+    h_el = np.einsum("nl,lab->nab", (fields @ sys.g.matrix) * (sys.mu_b * 1e-3), S_STACK)
+    h_nuc = np.einsum("nk,kab->nab", fields * (sys.mu_n * 1e-3 * sys.g_n), I_STACK)
+    return sys.hyperfine_matrix[None, :, :] + h_el - h_nuc
 
 
 def diagonalize(H: np.ndarray) -> EigenSystem:
@@ -226,12 +248,7 @@ class TransitionTable:
 def transition_frequencies(es: EigenSystem, B=(0.0, 0.0, 0.0)) -> TransitionTable:
     b = tuple(as_field(B))
     e = es.energies
-    entries = tuple(
-        TransitionEntry(i, j, float(e[j] - e[i]), b)
-        for i in range(4)
-        for j in range(i + 1, 4)
-    )
-    return TransitionTable(entries)
+    return TransitionTable(tuple(TransitionEntry(i, j, float(e[j] - e[i]), b) for i, j in PAIRS))
 
 
 def spin_half_states(axis=None) -> tuple[np.ndarray, np.ndarray]:
@@ -271,12 +288,8 @@ def basis_overlaps(es: EigenSystem, electron_axis=None, nuclear_axis=None) -> np
 
 
 def zeeman_hamiltonian_derivatives(sys: SpinSystem) -> np.ndarray:
-    """dH/dB_k for the three Cartesian components, shape (3, 4, 4), GHz/mT."""
-    g = sys.g.matrix
-    s_stack = np.stack(S_OPS)
-    d = np.einsum("kl,lab->kab", g * (sys.mu_b * 1e-3), s_stack)
-    d -= (sys.mu_n * 1e-3 * sys.g_n) * np.stack(I_OPS)
-    return d
+    """dH/dB_k for the three Cartesian components, shape (3, 4, 4), GHz/mT (read-only)."""
+    return sys.zeeman_derivatives
 
 
 def zeeman_gradient(sys: SpinSystem, B, i: int, j: int) -> np.ndarray:

@@ -16,18 +16,19 @@ import numpy as np
 
 from .hamiltonian import (
     I_OPS,
+    PAIR_HI,
+    PAIR_LO,
+    PAIRS,
     S_OPS,
     SpinSystem,
     as_field,
     eigensystem,
     energies_sweep,
 )
-from .output import parallel_map
 
 B_AXIS = (0.0, 0.0, 1.0)
 STRONG_MOMENT_FRACTION = 0.01
 EPR_FIELD_TOL_MT = 1e-3
-_PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
 
 PLANES = {
     "D1-D2": ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
@@ -76,7 +77,7 @@ def transition_moments(sys: SpinSystem, B, ac_axis=B_AXIS) -> dict[tuple[int, in
     op = _moment_operator(sys, ac_axis)
     return {
         (i, j): float(abs(es.states[:, j].conj() @ op @ es.states[:, i]) ** 2)
-        for i, j in _PAIRS
+        for i, j in PAIRS
     }
 
 
@@ -96,7 +97,7 @@ def odmr_lines(sys: SpinSystem, B=(0.0, 0.0, 0.0), ac_axis=B_AXIS) -> list[OdmrL
             moment=moments[(i, j)],
             strong=bool(max_moment > 0 and moments[(i, j)] >= STRONG_MOMENT_FRACTION * max_moment),
         )
-        for i, j in _PAIRS
+        for i, j in PAIRS
     ]
     lines.sort(key=lambda l: l.frequency_mhz)
     return lines
@@ -105,54 +106,73 @@ def odmr_lines(sys: SpinSystem, B=(0.0, 0.0, 0.0), ac_axis=B_AXIS) -> list[OdmrL
 def _branch_frequencies(sys: SpinSystem, direction: np.ndarray, mags: np.ndarray) -> np.ndarray:
     """Transition frequencies along a field ray, shape (n_mags, 6)."""
     e = energies_sweep(sys, mags[:, None] * direction[None, :])
-    return np.column_stack([e[:, j] - e[:, i] for i, j in _PAIRS])
+    return e[:, PAIR_HI] - e[:, PAIR_LO]
 
 
-def _bisect_branch(freq_at, lo: float, hi: float, flo: float, fhi: float) -> float:
-    """Bisection for freq_at(b) = 0 given a sign change on [lo, hi]."""
-    while hi - lo > EPR_FIELD_TOL_MT:
-        mid = 0.5 * (lo + hi)
-        fmid = freq_at(mid)
-        if (flo <= 0.0) == (fmid <= 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-    return 0.5 * (lo + hi)
+def _detunings(sys: SpinSystem, direction: np.ndarray, nu_mw_ghz: float,
+               mags: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Frequency minus nu_mw of branch ``cols[n]`` at field ``mags[n]``, one sweep for all."""
+    e = energies_sweep(sys, mags[:, None] * direction[None, :])
+    rows = np.arange(mags.size)
+    return e[rows, PAIR_HI[cols]] - e[rows, PAIR_LO[cols]] - nu_mw_ghz
 
 
-def _brackets(freq_at, grid: np.ndarray, values: np.ndarray, depth: int = 8) -> list[tuple[float, float, float, float]]:
-    """Sign-change brackets on a sampled branch, splitting non-monotone cells.
+def _sign_brackets(sys, direction, nu_mw_ghz, grid, values, depth: int = 8):
+    """Sign-change brackets on the sampled branches ``values`` (grid x 6).
 
-    Cells adjacent to a sampled local extremum are recursively halved (up to
-    ``depth`` levels) so near-tangent crossings are not missed.
+    A cell brackets a root when its end values differ in sign (<= 0 counts
+    as negative).  Both cells next to a sampled local extremum are halved
+    level by level (up to ``depth`` levels, down to the field tolerance) so
+    near-tangent crossings are not missed; each level evaluates the
+    midpoints of every pending cell of every branch in one sweep.  Returns
+    (lo, hi, flo, col) arrays ordered by branch, then field.
     """
-    out = []
+    neg = values <= 0.0
+    change = neg[:-1] != neg[1:]  # cell n spans grid[n]..grid[n + 1]
+    slopes = np.diff(values, axis=0)
+    # local extremum at interior sample n, when cell n brackets no root
+    extremum = np.zeros_like(change)
+    extremum[1:] = (slopes[:-1] * slopes[1:] < 0) & ~change[1:]
+    halve = extremum.copy()
+    halve[:-1] |= extremum[1:]
+    halve &= ~change
 
-    def scan(lo, hi, flo, fhi, d):
-        if (flo <= 0.0) != (fhi <= 0.0):
-            out.append((lo, hi, flo, fhi))
-            return
-        if d == 0 or hi - lo <= EPR_FIELD_TOL_MT:
-            return
+    cell, col = np.nonzero(change)
+    found = [(grid[cell], grid[cell + 1], values[cell, col], col)]
+    cell, col = np.nonzero(halve)
+    lo, hi, flo, fhi = grid[cell], grid[cell + 1], values[cell, col], values[cell + 1, col]
+    for _ in range(depth):
+        wide = hi - lo > EPR_FIELD_TOL_MT
+        lo, hi, flo, fhi, col = lo[wide], hi[wide], flo[wide], fhi[wide], col[wide]
+        if lo.size == 0:
+            break
         mid = 0.5 * (lo + hi)
-        fmid = freq_at(mid)
-        scan(lo, mid, flo, fmid, d - 1)
-        scan(mid, hi, fmid, fhi, d - 1)
+        fmid = _detunings(sys, direction, nu_mw_ghz, mid, col)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        flo, fhi = np.concatenate([flo, fmid]), np.concatenate([fmid, fhi])
+        col = np.concatenate([col, col])
+        root = (flo <= 0.0) != (fhi <= 0.0)
+        found.append((lo[root], hi[root], flo[root], col[root]))
+        lo, hi, flo, fhi, col = lo[~root], hi[~root], flo[~root], fhi[~root], col[~root]
 
-    slopes = np.diff(values)
-    for n in range(len(grid) - 1):
-        if (values[n] <= 0.0) != (values[n + 1] <= 0.0):
-            out.append((grid[n], grid[n + 1], values[n], values[n + 1]))
-        elif 0 < n < len(grid) - 1 and slopes[n - 1] * slopes[n] < 0:
-            # local extremum at sample n: look inside both adjacent cells
-            scan(grid[n - 1], grid[n], values[n - 1], values[n], depth)
-            scan(grid[n], grid[n + 1], values[n], values[n + 1], depth)
-    # deduplicate brackets found twice around an extremum
-    uniq = []
-    for b in sorted(out):
-        if not uniq or b[0] >= uniq[-1][1] - 1e-12:
-            uniq.append(b)
-    return uniq
+    lo, hi, flo, col = (np.concatenate(parts) for parts in zip(*found))
+    order = np.lexsort((lo, col))
+    return lo[order], hi[order], flo[order], col[order]
+
+
+def _bisect(sys, direction, nu_mw_ghz, lo, hi, flo, col) -> np.ndarray:
+    """Bisect every bracket to EPR_FIELD_TOL_MT; one sweep per step for all of them."""
+    lo, hi, flo = lo.copy(), hi.copy(), flo.copy()
+    active = hi - lo > EPR_FIELD_TOL_MT
+    while active.any():
+        a = np.nonzero(active)[0]
+        mid = 0.5 * (lo[a] + hi[a])
+        fmid = _detunings(sys, direction, nu_mw_ghz, mid, col[a])
+        same = (flo[a] <= 0.0) == (fmid <= 0.0)
+        lo[a[same]], flo[a[same]] = mid[same], fmid[same]
+        hi[a[~same]] = mid[~same]
+        active[a] = hi[a] - lo[a] > EPR_FIELD_TOL_MT
+    return 0.5 * (lo + hi)
 
 
 def epr_resonance_fields(
@@ -187,18 +207,12 @@ def epr_resonance_fields(
     for subsite in subsites:
         ssys = sys.with_subsite(subsite)
         freqs = _branch_frequencies(ssys, d, mags) - nu_mw_ghz
-        for col, (i, j) in enumerate(_PAIRS):
-
-            def freq_at(b, _col=col, _s=ssys):
-                e = energies_sweep(_s, np.array([b * d]))[0]
-                return e[_PAIRS[_col][1]] - e[_PAIRS[_col][0]] - nu_mw_ghz
-
-            for lo, hi, flo, fhi in _brackets(freq_at, mags, freqs[:, col]):
-                b_res = _bisect_branch(freq_at, lo, hi, flo, fhi)
-                if b_res <= 0.0 or b_res > b_max_mt:
-                    continue
-                moment = transition_moments(ssys, b_res * d, ac_axis)[(i, j)]
-                results.append(EprResonance(float(b_res), tuple(d), (i, j), subsite, moment))
+        lo, hi, flo, cols = _sign_brackets(ssys, d, nu_mw_ghz, mags, freqs)
+        for b_res, col in zip(_bisect(ssys, d, nu_mw_ghz, lo, hi, flo, cols), cols):
+            if b_res <= 0.0 or b_res > b_max_mt:
+                continue
+            moment = transition_moments(ssys, b_res * d, ac_axis)[PAIRS[col]]
+            results.append(EprResonance(float(b_res), tuple(d), PAIRS[col], subsite, moment))
     results.sort(key=lambda r: (r.field_mt, r.subsite, r.transition))
     return results
 
@@ -214,8 +228,8 @@ def epr_angular_map(
     """Resonance fields swept over a crystallographic plane.
 
     ``plane`` is one of D1-D2, b-D1, b-D2; the direction at angle theta is
-    cos(theta) e1 + sin(theta) e2.  Angle points are independent; the output
-    is ordered by angle, then field.
+    cos(theta) e1 + sin(theta) e2.  The output is ordered by angle, then
+    field.
     """
     if plane not in PLANES:
         raise ValueError(f"unknown plane {plane!r} (expected one of {sorted(PLANES)})")
@@ -229,4 +243,4 @@ def epr_angular_map(
         direction = np.cos(t) * e1 + np.sin(t) * e2
         return (theta_deg, epr_resonance_fields(sys, direction, nu_mw_ghz, b_max_mt, ac_axis=ac_axis))
 
-    return parallel_map(at_angle, angles)
+    return [at_angle(theta) for theta in angles]

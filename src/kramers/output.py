@@ -1,40 +1,16 @@
-"""Deterministic CSV / PGM writers and the thread-pool helper.
+"""Deterministic CSV / PGM writers.
 
 All numeric output is formatted with 9 significant digits, '.' decimal
 separator and ',' field separator, so identical inputs give byte-identical
-files on any platform.  The KRAMERS_THREADS environment variable caps
-parallelism (default 1 = serial); results are assembled in input order
-either way.
+files on any platform.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 VERSION = "0.1.0"
 STAMP = f"# kramers {VERSION}"
-
-
-def max_workers() -> int:
-    raw = os.environ.get("KRAMERS_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def parallel_map(fn, items):
-    """Order-preserving map, threaded when KRAMERS_THREADS > 1."""
-    items = list(items)
-    n = max_workers()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def format_number(x) -> str:

@@ -17,7 +17,6 @@ import numpy as np
 from scipy.linalg import expm, null_space
 
 from .hamiltonian import as_field, eigensystem
-from .output import parallel_map
 from .spectra import SiteModel, lorentzian_amplitude, optical_lines
 
 HOLE = "hole"
@@ -253,8 +252,8 @@ def shb_field_map(
 ) -> FieldMap:
     """Render hole patterns for a monotone list of field magnitudes.
 
-    Rows are computed independently (parallelizable) and assembled in field
-    order, so the output is deterministic for fixed inputs.
+    Rows are computed one field at a time and assembled in field order, so
+    the output is deterministic for fixed inputs.
     """
     d = np.asarray(direction, dtype=float).reshape(3)
     norm = np.linalg.norm(d)
@@ -269,9 +268,9 @@ def shb_field_map(
     lo, hi = detuning_range_ghz
     detunings = np.arange(lo, hi + 0.5 * detuning_step_ghz, detuning_step_ghz)
 
-    def row(mag: float) -> np.ndarray:
-        pattern = hole_pattern(site, mag * d, burn_detuning_ghz, rates, cutoff)
-        return render_pattern(pattern, detunings, hole_width_mhz)
-
-    amplitudes = np.vstack(parallel_map(row, mags))
+    amplitudes = np.vstack([
+        render_pattern(hole_pattern(site, mag * d, burn_detuning_ghz, rates, cutoff),
+                       detunings, hole_width_mhz)
+        for mag in mags
+    ])
     return FieldMap(tuple(d), mags, detunings, amplitudes)

@@ -189,6 +189,18 @@ class TestFitCommand:
         assert code == 2
         assert json.loads(err.strip())["code"] == "bad-data"
 
+    def test_zero_epr_direction_is_validation_error(self, tmp_path, capsys):
+        f = tmp_path / "data.csv"
+        f.write_text(
+            "kind,state,bx_mt,by_mt,bz_mt,value,sigma,label\n"
+            "shb,ground,10,0,0,0.9,0.002,1-2\n"
+            "epr,ground,0,0,0,300,,\n"
+        )
+        code, _, err = run(capsys, "fit", "--data", str(f), "--free", "ground", "--restarts", "1",
+                           "--out", str(tmp_path / "r.csv"), "--report", str(tmp_path / "r.txt"))
+        assert code == 2
+        assert "nonzero direction" in json.loads(err.strip())["message"]
+
     def test_sigma_defaults_by_kind(self, tmp_path):
         from kramers.cli import _read_data_csv
 

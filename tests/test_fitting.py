@@ -7,6 +7,7 @@ from kramers.fitting import (
     FitProblem,
     canonical_orientation,
     closest_subsite_representative,
+    compile_data,
     fit,
     invert_and_seed,
     reconstruct_levels,
@@ -126,6 +127,62 @@ class TestResiduals:
     def test_rejects_empty_data(self):
         with pytest.raises(ValueError):
             residuals(FitProblem(site=SITE_I), TRUTH_ANGLES, [])
+
+
+def mixed_data():
+    """Labeled and unlabeled ground points (shared fields), excited points,
+    EPR points with and without a label, and one far outlier."""
+    es = eigensystem(SITE_I.ground, (40.0, 0.0, 0.0))
+    nu = es.energies[2] - es.energies[1]
+    data = ground_data([(1, 0, 1)], step_mt=30.0, noise=1e-3, seed=4)
+    data += [
+        DataPoint("shb", "ground", (40.0, 0.0, 0.0), nu + 1e-4, 2e-3, None),
+        DataPoint("odmr", "ground", (0.0, 0.0, 0.0), 2.046, 0.5e-3),
+        DataPoint("odmr", "ground", (0.0, 0.0, 0.0), 40.0, 0.5e-3),  # gated outlier
+        DataPoint("shb", "excited", (0.0, 30.0, 5.0), 1.1, 2e-3, (1, 2)),
+        DataPoint("shb", "excited", (0.0, 30.0, 5.0), 2.3, 2e-3),
+        DataPoint("epr", "ground", (1.0, 0.0, 0.0), 150.0, 0.5),
+        DataPoint("epr", "excited", (0.0, 2.0, 1.0), 300.0, 0.5, (0, 3)),
+    ]
+    return data
+
+
+class TestCompiledData:
+    PROBLEM = FitProblem(site=SITE_I, fit_ground=True, fit_excited=True)
+
+    def assert_same(self, params, data):
+        plain = residuals(self.PROBLEM, params, data, full=True)
+        compiled = residuals(self.PROBLEM, params, compile_data(data), full=True)
+        np.testing.assert_array_equal(plain[0], compiled[0])
+        np.testing.assert_array_equal(plain[1], compiled[1])
+        assert plain[2] == compiled[2]
+        return plain
+
+    def test_mixed_data_bit_identical(self):
+        data = mixed_data()
+        rng = np.random.default_rng(8)
+        x0 = self.PROBLEM.initial_parameters()
+        for params in (x0, x0 + rng.uniform(-20, 20, x0.size)):
+            res, model, excluded = self.assert_same(params, data)
+            assert any(data[n].value == 40.0 for n in excluded)  # the gated outlier
+            assert np.isfinite(model[-2])  # the EPR point found a resonance
+
+    def test_single_state_bit_identical(self):
+        data = ground_data([(1, 0, 0), (0, 1, 0)], step_mt=25.0, noise=1e-3, seed=9)
+        self.assert_same(self.PROBLEM.initial_parameters(), data)
+
+    def test_compiled_form_reusable_across_parameters(self):
+        compiled = compile_data(mixed_data())
+        x0 = self.PROBLEM.initial_parameters()
+        first = residuals(self.PROBLEM, x0, compiled)
+        residuals(self.PROBLEM, x0 + 5.0, compiled)
+        np.testing.assert_array_equal(residuals(self.PROBLEM, x0, compiled), first)
+
+    def test_rejects_empty_data_and_zero_epr_direction(self):
+        with pytest.raises(ValueError, match="no data points"):
+            compile_data([])
+        with pytest.raises(ValueError, match="nonzero direction"):
+            compile_data([DataPoint("epr", "ground", (0.0, 0.0, 0.0), 100.0, 0.5)])
 
 
 class TestFit:

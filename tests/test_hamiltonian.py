@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,16 +7,21 @@ from kramers.hamiltonian import (
     EigenSystem,
     MU_B_GHZ_PER_T,
     MU_N_GHZ_PER_T,
+    PAIR_HI,
+    PAIR_LO,
+    PAIRS,
     SpinSystem,
     basis_overlaps,
     build_hamiltonian,
     diagonalize,
     eigensystem,
+    hamiltonian_batch,
     invert_zero_field,
     physical_constants,
     product_basis,
     transition_frequencies,
     zeeman_gradient,
+    zeeman_hamiltonian_derivatives,
     zero_field_levels,
 )
 from kramers.presets import SITE_I, SITE_II
@@ -109,6 +116,72 @@ class TestBuildHamiltonian:
             H = build_hamiltonian(random_system(rng), rng.uniform(-500, 500, 3))
             scale = max(1.0, np.abs(H).max())
             assert np.abs(np.linalg.eigvalsh(H) - charpoly_eigenvalues(H)).max() < 1e-10 * scale
+
+
+_HALF = (
+    np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex),
+    np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex),
+    np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex),
+)
+_S = np.stack([np.kron(s, np.eye(2, dtype=complex)) for s in _HALF])
+_I = np.stack([np.kron(np.eye(2, dtype=complex), s) for s in _HALF])
+
+
+def kron_hamiltonians(sys, fields):
+    """Reference assembly from Kronecker products, rebuilt on every call."""
+    A, g = sys.A.matrix, sys.g.matrix
+    h_hf = sum(A[k, l] * (_I[k] @ _S[l]) for k in range(3) for l in range(3))
+    h_el = np.einsum("nl,lab->nab", (fields @ g) * (sys.mu_b * 1e-3), _S)
+    h_nuc = np.einsum("nk,kab->nab", fields * (sys.mu_n * 1e-3 * sys.g_n), _I)
+    return h_hf[None, :, :] + h_el - h_nuc
+
+
+def kron_derivatives(sys):
+    d = np.einsum("kl,lab->kab", sys.g.matrix * (sys.mu_b * 1e-3), _S)
+    d -= (sys.mu_n * 1e-3 * sys.g_n) * _I
+    return d
+
+
+class TestCachedKernel:
+    FIELDS = np.random.default_rng(21).uniform(-800, 800, (500, 3))
+
+    @pytest.mark.parametrize("subsite", [1, 2])
+    @pytest.mark.parametrize("state", ["ground", "excited"])
+    def test_batch_equals_kronecker_formula_exactly(self, subsite, state):
+        for site in (SITE_I, SITE_II):
+            self.assert_matches_reference(getattr(site, state).with_subsite(subsite))
+
+    def assert_matches_reference(self, sys):
+        np.testing.assert_array_equal(hamiltonian_batch(sys, self.FIELDS), kron_hamiltonians(sys, self.FIELDS))
+        np.testing.assert_array_equal(zeeman_hamiltonian_derivatives(sys), kron_derivatives(sys))
+
+    def test_batch_rows_independent_of_batch_size(self):
+        fields = self.FIELDS[:50]
+        one_by_one = np.concatenate([hamiltonian_batch(SITE_I.ground, f[None, :]) for f in fields])
+        np.testing.assert_array_equal(one_by_one, hamiltonian_batch(SITE_I.ground, fields))
+
+    def test_replace_and_subsite_never_see_stale_cache(self):
+        sys = SITE_I.ground
+        hamiltonian_batch(sys, self.FIELDS)
+        zeeman_hamiltonian_derivatives(sys)  # both caches filled
+        variants = (
+            replace(sys, A=SITE_II.ground.A),
+            replace(sys, g=SITE_I.excited.g),
+            replace(sys, mu_b=14.0, mu_n=7.6e-3, g_n=0.5),
+            sys.with_subsite(2),
+        )
+        for other in (*variants, sys):
+            self.assert_matches_reference(other)
+
+    def test_cached_matrices_read_only(self):
+        with pytest.raises(ValueError):
+            SITE_I.ground.hyperfine_matrix[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            zeeman_hamiltonian_derivatives(SITE_I.ground)[0, 0, 0] = 1.0
+
+    def test_pair_table(self):
+        assert PAIRS == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        assert list(zip(PAIR_LO, PAIR_HI)) == list(PAIRS)
 
 
 class TestDiagonalize:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from kramers.hamiltonian import MU_B_GHZ_PER_T, SpinSystem, eigensystem
+from kramers.hamiltonian import PAIRS, MU_B_GHZ_PER_T, SpinSystem, eigensystem, energies_sweep
 from kramers.magres import (
+    EPR_FIELD_TOL_MT,
+    PLANES,
+    EprResonance,
     epr_angular_map,
     epr_resonance_fields,
     odmr_lines,
@@ -116,6 +119,105 @@ class TestEprResonances:
             epr_resonance_fields(SITE_I.ground, (1, 0, 0), -1.0, 100.0)
         with pytest.raises(ValueError):
             epr_resonance_fields(SITE_I.ground, (0, 0, 0), 9.7, 100.0)
+
+
+def recursive_brackets(freq_at, grid, values, depth=8):
+    """Sign-change brackets, recursively halving the cells beside sampled extrema."""
+    out = []
+
+    def scan(lo, hi, flo, fhi, d):
+        if (flo <= 0.0) != (fhi <= 0.0):
+            out.append((lo, hi, flo, fhi))
+            return
+        if d == 0 or hi - lo <= EPR_FIELD_TOL_MT:
+            return
+        mid = 0.5 * (lo + hi)
+        fmid = freq_at(mid)
+        scan(lo, mid, flo, fmid, d - 1)
+        scan(mid, hi, fmid, fhi, d - 1)
+
+    slopes = np.diff(values)
+    for n in range(len(grid) - 1):
+        if (values[n] <= 0.0) != (values[n + 1] <= 0.0):
+            out.append((grid[n], grid[n + 1], values[n], values[n + 1]))
+        elif 0 < n < len(grid) - 1 and slopes[n - 1] * slopes[n] < 0:
+            scan(grid[n - 1], grid[n], values[n - 1], values[n], depth)
+            scan(grid[n], grid[n + 1], values[n], values[n + 1], depth)
+    uniq = []
+    for b in sorted(out):
+        if not uniq or b[0] >= uniq[-1][1] - 1e-12:
+            uniq.append(b)
+    return uniq
+
+
+def scalar_resonances(sys, direction, nu, b_max):
+    """Reference: per-branch recursive bracketing and one-field-at-a-time bisection."""
+    d = np.asarray(direction, dtype=float)
+    d = d / np.linalg.norm(d)
+    mags = np.arange(0.0, b_max + 0.5, 1.0)
+    if mags[-1] < b_max:
+        mags = np.append(mags, b_max)
+    out = []
+    for subsite in (1, 2):
+        ssys = sys.with_subsite(subsite)
+        e = energies_sweep(ssys, mags[:, None] * d[None, :])
+        for i, j in PAIRS:
+
+            def freq_at(b):
+                eb = energies_sweep(ssys, np.array([b * d]))[0]
+                return eb[j] - eb[i] - nu
+
+            for lo, hi, flo, _ in recursive_brackets(freq_at, mags, (e[:, j] - e[:, i]) - nu):
+                while hi - lo > EPR_FIELD_TOL_MT:
+                    mid = 0.5 * (lo + hi)
+                    fmid = freq_at(mid)
+                    if (flo <= 0.0) == (fmid <= 0.0):
+                        lo, flo = mid, fmid
+                    else:
+                        hi = mid
+                b = 0.5 * (lo + hi)
+                if 0.0 < b <= b_max:
+                    moment = transition_moments(ssys, b * d)[(i, j)]
+                    out.append(EprResonance(float(b), tuple(d), (i, j), subsite, moment))
+    out.sort(key=lambda r: (r.field_mt, r.subsite, r.transition))
+    return out
+
+
+def tangent_frequency(pair, lo, hi):
+    """nu_mw between a D2-ray branch minimum in [lo, hi] mT and its lowest 1 mT sample."""
+    d = np.array([0.0, 1.0, 0.0])
+
+    def branch(mags):
+        e = energies_sweep(SITE_I.ground, mags[:, None] * d)
+        return e[:, pair[1]] - e[:, pair[0]]
+
+    return 0.5 * (branch(np.arange(lo, hi + 1.0)).min() + branch(np.arange(lo, hi, 1e-3)).min())
+
+
+class TestBatchedBracketing:
+    @pytest.mark.parametrize("plane,theta,nu,b_max", [
+        ("D1-D2", 30.0, 9.7, 1000.0),
+        ("b-D1", 60.0, 2.6612, 700.0),
+        ("b-D2", 30.0, 0.7017, 300.0),
+    ])
+    def test_matches_recursive_reference(self, plane, theta, nu, b_max):
+        e1, e2 = (np.asarray(v) for v in PLANES[plane])
+        t = np.radians(theta)
+        d = np.cos(t) * e1 + np.sin(t) * e2
+        for sys in (SITE_I.ground, SITE_II.excited):
+            batched = epr_resonance_fields(sys, d, nu, b_max)
+            assert batched == scalar_resonances(sys, d, nu, b_max)
+        assert {r.subsite for r in batched} == {1, 2}
+
+    # the grazing minimum lies after (60 mT) or before (23 mT) its lowest sample
+    @pytest.mark.parametrize("pair,cell", [((1, 2), 60.0), ((0, 2), 22.0)])
+    def test_near_tangent_crossing_matches_reference(self, pair, cell):
+        nu = tangent_frequency(pair, cell - 10.0, cell + 10.0)
+        batched = epr_resonance_fields(SITE_I.ground, (0, 1, 0), nu, 100.0)
+        assert batched == scalar_resonances(SITE_I.ground, (0, 1, 0), nu, 100.0)
+        # both roots of the grazing branch lie between two grid samples
+        grazing = [r.field_mt for r in batched if r.transition == pair and r.subsite == 1]
+        assert len(grazing) == 2 and cell < grazing[0] < grazing[1] < cell + 1.0
 
 
 class TestAngularMap:
