@@ -7,7 +7,11 @@ from measured transition data, and locates ZEFOZ (zero first-order Zeeman)
 field points.
 """
 
-from .config import ConfigError, RunConfig, load_config, parse_config
+# the one version string: set before the submodule imports because output.STAMP reads it
+# during package init; pyproject.toml reads it as the package version
+__version__ = "0.1.0"
+
+from .config import ConfigError, load_config, parse_config
 from .fitting import DataPoint, FitProblem, FitResult, fit, invert_and_seed, residuals
 from .hamiltonian import (
     EigenSystem,
@@ -49,5 +53,3 @@ from .tensors import (
     subsite_transform,
 )
 from .zefoz import ZefozCandidate, sensitivity, zefoz_search
-
-__version__ = "0.1.0"

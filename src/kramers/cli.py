@@ -9,7 +9,6 @@ via --schema and writes byte-identical outputs for identical inputs
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import json
 import sys as _sys
@@ -17,22 +16,19 @@ import sys as _sys
 import numpy as np
 
 from . import fitting, magres, shb, spectra, zefoz
-from .config import ConfigError, load_config
+from .config import (
+    ConfigError, check_points, grid, integer, integers, level_pair, load_config, load_rates, number,
+    number_list, samples, vector,
+)
 from .hamiltonian import eigensystem, transition_frequencies
 from .output import write_csv, write_pgm
 from .presets import get_site
 from .selftest import run_selftest
 
 
-class CliError(Exception):
-    def __init__(self, code: str, message: str, key: str = ""):
-        super().__init__(message)
-        self.record = {"code": code, "message": message, "key": key}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CliError("usage", message)
+        raise ConfigError("usage", message)
 
 
 SCHEMAS = {
@@ -53,83 +49,23 @@ SCHEMAS = {
     "selftest": "(no CSV output; prints one PASS/FAIL line per regression item)",
 }
 
-_DIRECTIONS = {"d1": (1.0, 0.0, 0.0), "d2": (0.0, 1.0, 0.0), "b": (0.0, 0.0, 1.0)}
 
-
-def _parse_vector(text: str) -> tuple[float, float, float]:
-    key = text.strip().lower()
-    if key in _DIRECTIONS:
-        return _DIRECTIONS[key]
-    parts = text.split(",")
-    try:
-        if len(parts) == 1 and float(parts[0]) == 0.0:
-            return (0.0, 0.0, 0.0)  # "--B 0" shorthand for zero field
-        if len(parts) != 3:
-            raise CliError(
-                "bad-vector", f"expected D1|D2|b or three comma-separated numbers, got {text!r}", text
-            )
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise CliError("bad-vector", f"non-numeric vector component in {text!r}", text)
-
-
-def _parse_range(text: str, key: str) -> np.ndarray:
-    """start:stop:step range or comma-separated list."""
-    try:
-        if ":" in text:
-            start, stop, step = (float(p) for p in text.split(":"))
-            if step <= 0:
-                raise ValueError("step must be positive")
-            return np.arange(start, stop + 0.5 * step, step)
-        return np.array([float(p) for p in text.split(",") if p.strip() != ""])
-    except ValueError as exc:
-        raise CliError("bad-range", f"{key}: {exc}", key)
-
-
-def _parse_floats(text: str, key: str) -> list[float]:
-    try:
-        return [float(p) for p in text.split(",") if p.strip() != ""]
-    except ValueError:
-        raise CliError("bad-value", f"{key} must be a comma-separated number list", key)
+def _typed(parse, key: str, *args, **kwargs):
+    """argparse ``type=``: a config parser whose errors name the option ``key``."""
+    return lambda text: parse(text, key, *args, **kwargs)
 
 
 def _resolve_site(args) -> spectra.SiteModel:
-    if getattr(args, "config", None):
-        return load_config(args.config).site
-    return get_site(getattr(args, "site", "I"))
+    if args.config:
+        return load_config(args.config)
+    try:
+        return get_site(args.site)
+    except KeyError as exc:
+        raise ConfigError("unknown-preset", str(exc.args[0]), "site")
 
 
-def _state_system(site, state: str):
-    return site.ground if state == "ground" else site.excited
-
-
-def _load_rates(path) -> shb.RateMatrix:
-    parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
-    if not read or not parser.has_section("rates"):
-        raise CliError("bad-rates", f"{path}: expected a [rates] section", "rates")
-    rates = np.zeros((4, 4))
-    pump_rate, duration = 100.0, 0.3
-    for key, raw in parser["rates"].items():
-        try:
-            value = float(raw)
-        except ValueError:
-            raise CliError("bad-rates", f"rates.{key} must be a number", f"rates.{key}")
-        if key == "pump_rate":
-            pump_rate = value
-        elif key == "duration_s":
-            duration = value
-        elif len(key) == 3 and key[0] == "r" and key[1:].isdigit():
-            k, l = int(key[1]) - 1, int(key[2]) - 1
-            if not (0 <= k < 4 and 0 <= l < 4 and k != l):
-                raise CliError("bad-rates", f"rates.{key}: levels must be 1..4 and distinct", f"rates.{key}")
-            rates[k, l] = rates[l, k] = value
-        else:
-            raise CliError("bad-rates", f"unknown key rates.{key}", f"rates.{key}")
-    return shb.RateMatrix(rates, pump_rate, duration)
-
-
-def _add_common(p: argparse.ArgumentParser, default_out: str):
+def _add_common(p: argparse.ArgumentParser, default_out: str, run):
+    p.set_defaults(run=run)
     p.add_argument("--site", default="I", help="built-in site preset (I or II)")
     p.add_argument("--config", help="config file overriding the preset")
     p.add_argument("--out", default=default_out, help="output CSV path (PGM derived for maps)")
@@ -137,101 +73,114 @@ def _add_common(p: argparse.ArgumentParser, default_out: str):
     p.add_argument("--schema", action="store_true", help="print the CSV schema and exit")
 
 
+def _add_field(p: argparse.ArgumentParser):
+    p.add_argument("--state", choices=("ground", "excited"), default="ground")
+    p.add_argument("--field", "--B", dest="field", type=_typed(vector, "field"), default="0,0,0",
+                   help="B vector in mT (crystal frame) or D1|D2|b")
+    p.add_argument("--magnitude", type=_typed(number, "magnitude"), help="scale a direction by this many mT")
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="kramers", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("levels", help="hyperfine level energies at a field")
-    _add_common(p, "levels.csv")
-    p.add_argument("--state", choices=("ground", "excited"), default="ground")
-    p.add_argument("--field", "--B", dest="field", default="0,0,0", help="B vector in mT (crystal frame) or D1|D2|b")
-    p.add_argument("--magnitude", type=float, default=None, help="scale a direction by this many mT")
+    _add_common(p, "levels.csv", _cmd_levels)
+    _add_field(p)
 
     p = sub.add_parser("transitions", help="all six transition frequencies at a field")
-    _add_common(p, "transitions.csv")
-    p.add_argument("--state", choices=("ground", "excited"), default="ground")
-    p.add_argument("--field", "--B", dest="field", default="0,0,0")
-    p.add_argument("--magnitude", type=float, default=None)
+    _add_common(p, "transitions.csv", _cmd_transitions)
+    _add_field(p)
 
     p = sub.add_parser("absorption", help="inhomogeneous absorption spectrum")
-    _add_common(p, "absorption.csv")
-    p.add_argument("--field", "--B", dest="field", default="0,0,0")
-    p.add_argument("--range", default="-5:5:0.005", help="detuning grid start:stop:step (GHz)")
+    _add_common(p, "absorption.csv", _cmd_absorption)
+    p.add_argument("--field", "--B", dest="field", type=_typed(vector, "field"), default="0,0,0")
+    p.add_argument("--range", type=_typed(grid, "range"), default="-5:5:0.005",
+                   help="detuning grid start:stop:step (GHz)")
     p.add_argument("--model", choices=spectra.INTENSITY_MODELS, default="overlap")
     p.add_argument("--peaks-out", help="also write detected peaks (local maxima + prominence rule)")
-    p.add_argument("--prominence", type=float, default=0.05,
+    p.add_argument("--prominence", type=_typed(number, "prominence", "nonneg"), default=0.05,
                    help="peak prominence threshold as a fraction of the maximum")
 
     p = sub.add_parser("shb-map", help="hole/antihole map over a field sweep")
-    _add_common(p, "shb-map.csv")
-    p.add_argument("--direction", default="D1")
-    p.add_argument("--magnitudes", default="0:150:1", help="field magnitudes mT, range or list")
-    p.add_argument("--burn", type=float, default=0.0, help="burn detuning (GHz)")
-    p.add_argument("--span", default="-5:5:0.002", help="probe detuning grid (GHz)")
-    p.add_argument("--width", type=float, default=shb.DEFAULT_HOLE_WIDTH_MHZ, help="hole width (MHz)")
+    _add_common(p, "shb-map.csv", _cmd_shb_map)
+    p.add_argument("--direction", type=_typed(vector, "direction", nonzero=True), default="D1")
+    p.add_argument("--magnitudes", type=_typed(samples, "magnitudes"), default="0:150:1",
+                   help="field magnitudes mT, range or list")
+    p.add_argument("--burn", type=_typed(number, "burn"), default=0.0, help="burn detuning (GHz)")
+    p.add_argument("--span", type=_typed(grid, "span"), default="-5:5:0.002", help="probe detuning grid (GHz)")
+    p.add_argument("--width", type=_typed(number, "width", "positive"), default=shb.DEFAULT_HOLE_WIDTH_MHZ,
+                   help="hole width (MHz)")
     p.add_argument("--rates", help="rate file with a [rates] section (rNM, pump_rate, duration_s)")
 
     p = sub.add_parser("odmr", help="spin transition lines with drive moments")
-    _add_common(p, "odmr.csv")
-    p.add_argument("--state", choices=("ground", "excited"), default="ground")
-    p.add_argument("--field", "--B", dest="field", default="0,0,0")
-    p.add_argument("--magnitude", type=float, default=None)
-    p.add_argument("--ac-axis", default="b", help="oscillating-field direction")
+    _add_common(p, "odmr.csv", _cmd_odmr)
+    _add_field(p)
+    p.add_argument("--ac-axis", type=_typed(vector, "ac-axis", nonzero=True), default="b",
+                   help="oscillating-field direction")
 
     p = sub.add_parser("epr-map", help="resonance fields over a crystallographic plane")
-    _add_common(p, "epr-map.csv")
+    _add_common(p, "epr-map.csv", _cmd_epr_map)
     p.add_argument("--state", choices=("ground", "excited"), default="ground")
     p.add_argument("--plane", choices=sorted(magres.PLANES), default="D1-D2")
-    p.add_argument("--step", type=float, default=5.0, help="angle step (degrees)")
-    p.add_argument("--freq", type=float, default=9.7, help="microwave frequency (GHz)")
-    p.add_argument("--bmax", type=float, default=1000.0, help="maximum field (mT)")
+    p.add_argument("--step", type=_typed(number, "step", "positive"), default=5.0, help="angle step (degrees)")
+    p.add_argument("--freq", type=_typed(number, "freq", "positive"), default=9.7,
+                   help="microwave frequency (GHz)")
+    p.add_argument("--bmax", type=_typed(number, "bmax", "positive"), default=1000.0, help="maximum field (mT)")
 
     p = sub.add_parser("fit", help="fit tensor orientation angles to transition data")
-    _add_common(p, "fit-residuals.csv")
+    _add_common(p, "fit-residuals.csv", _cmd_fit)
     p.add_argument("--data", required=True, help="CSV: kind,state,bx_mt,by_mt,bz_mt,value,sigma[,label]")
     p.add_argument("--free", default="ground", help="comma list: ground,excited,misalignment,eigenvalues")
-    p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--freq", type=float, default=9.7, help="microwave frequency for EPR points (GHz)")
+    p.add_argument("--restarts", type=_typed(integer, "restarts"), default=64)
+    p.add_argument("--seed", type=_typed(integer, "seed", minimum=0), default=0)
+    p.add_argument("--freq", type=_typed(number, "freq", "positive"), default=9.7,
+                   help="microwave frequency for EPR points (GHz)")
     p.add_argument("--report", default="fit-report.txt")
 
     p = sub.add_parser("invert", help="A eigenvalue magnitudes from zero-field lines")
-    _add_common(p, "invert.csv")
-    p.add_argument("--lines", required=True, help="zero-field splittings in MHz, comma list")
+    _add_common(p, "invert.csv", _cmd_invert)
+    p.add_argument("--lines", required=True, type=_typed(number_list, "lines", "positive"),
+                   help="zero-field splittings in MHz, comma list")
 
     p = sub.add_parser("ordering", help="rank level-ordering sign classes against peaks")
-    _add_common(p, "ordering.csv")
+    _add_common(p, "ordering.csv", _cmd_ordering)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--peaks", help="peak detunings in GHz, comma list")
+    group.add_argument("--peaks", type=_typed(number_list, "peaks"), help="peak detunings in GHz, comma list")
     group.add_argument("--peaks-file", help="CSV with a detuning_ghz column")
 
     p = sub.add_parser("zefoz", help="low-field-sensitivity points of one transition")
-    _add_common(p, "zefoz.csv")
+    _add_common(p, "zefoz.csv", _cmd_zefoz)
     p.add_argument("--state", choices=("ground", "excited"), default="ground")
-    p.add_argument("--transition", default="1,2", help="1-based level pair, e.g. 1,2")
-    p.add_argument("--radius", type=float, default=100.0, help="search ball radius (mT)")
-    p.add_argument("--grid", default="64,11", help="directions,magnitudes of the coarse scan")
-    p.add_argument("--refine-tol", type=float, default=zefoz.DEFAULT_REFINE_TOL_MHZ_PER_MT)
+    p.add_argument("--transition", type=_typed(level_pair, "transition"), default="1,2",
+                   help="1-based level pair, e.g. 1,2")
+    p.add_argument("--radius", type=_typed(number, "radius", "positive"), default=100.0,
+                   help="search ball radius (mT)")
+    p.add_argument("--grid", type=_typed(integers, "grid", 2), default="64,11",
+                   help="directions,magnitudes of the coarse scan")
+    p.add_argument("--refine-tol", type=_typed(number, "refine-tol", "positive"),
+                   default=zefoz.DEFAULT_REFINE_TOL_MHZ_PER_MT)
 
     p = sub.add_parser("selftest", help="run the embedded regression suite")
     p.add_argument("--schema", action="store_true")
+    p.set_defaults(run=lambda args: 0 if run_selftest() else 1)
 
     return top
 
 
 def _field_from_args(args) -> np.ndarray:
-    vec = np.asarray(_parse_vector(args.field), dtype=float)
-    if getattr(args, "magnitude", None) is not None:
+    vec = np.asarray(args.field, dtype=float)
+    if args.magnitude is not None:
         norm = np.linalg.norm(vec)
         if norm == 0:
-            raise CliError("bad-vector", "cannot scale a zero direction", "field")
+            raise ConfigError("bad-vector", "cannot scale a zero direction", "field")
         vec = vec / norm * args.magnitude
     return vec
 
 
 def _cmd_levels(args) -> int:
     site = _resolve_site(args)
-    es = eigensystem(_state_system(site, args.state), _field_from_args(args))
+    es = eigensystem(getattr(site, args.state), _field_from_args(args))
     rows = [(n + 1, e) for n, e in enumerate(es.energies)]
     write_csv(args.out, ["level", "energy_ghz"], rows, stamp=not args.no_stamp)
     for n, e in rows:
@@ -242,7 +191,7 @@ def _cmd_levels(args) -> int:
 def _cmd_transitions(args) -> int:
     site = _resolve_site(args)
     field = _field_from_args(args)
-    table = transition_frequencies(eigensystem(_state_system(site, args.state), field), field)
+    table = transition_frequencies(eigensystem(getattr(site, args.state), field), field)
     rows = [(t.lower + 1, t.upper + 1, t.frequency_ghz) for t in table.entries]
     write_csv(args.out, ["lower", "upper", "frequency_ghz"], rows, stamp=not args.no_stamp)
     for lo, up, f in rows:
@@ -252,10 +201,7 @@ def _cmd_transitions(args) -> int:
 
 def _cmd_absorption(args) -> int:
     site = _resolve_site(args)
-    lo, hi, step = (float(p) for p in args.range.split(":"))
-    detunings, amp = spectra.absorption_spectrum(
-        site, _parse_vector(args.field), (lo, hi, step), intensity_model=args.model
-    )
+    detunings, amp = spectra.absorption_spectrum(site, args.field, args.range, intensity_model=args.model)
     write_csv(args.out, ["detuning_ghz", "amplitude"], zip(detunings, amp), stamp=not args.no_stamp)
     print(f"wrote {len(detunings)} samples to {args.out}")
     if args.peaks_out:
@@ -270,14 +216,12 @@ def _cmd_absorption(args) -> int:
 
 def _cmd_shb_map(args) -> int:
     site = _resolve_site(args)
-    mags = _parse_range(args.magnitudes, "magnitudes")
-    if mags.size == 0:
-        raise CliError("bad-range", "magnitude list is empty", "magnitudes")
-    lo, hi, step = (float(p) for p in args.span.split(":"))
-    rates = _load_rates(args.rates) if args.rates else None
+    check_points("magnitudes,span", args.magnitudes.size, args.span.points)
+    rates = load_rates(args.rates) if args.rates else None
     fmap = shb.shb_field_map(
-        site, _parse_vector(args.direction), mags, args.burn, rates,
-        detuning_range_ghz=(lo, hi), detuning_step_ghz=step, hole_width_mhz=args.width,
+        site, args.direction, args.magnitudes, args.burn, rates,
+        detuning_range_ghz=(args.span.start, args.span.stop), detuning_step_ghz=args.span.step,
+        hole_width_mhz=args.width,
     )
     rows = (
         (b, d, fmap.amplitudes[nb, nd])
@@ -294,7 +238,7 @@ def _cmd_shb_map(args) -> int:
 def _cmd_odmr(args) -> int:
     site = _resolve_site(args)
     lines = magres.odmr_lines(
-        _state_system(site, args.state), _field_from_args(args), ac_axis=_parse_vector(args.ac_axis)
+        getattr(site, args.state), _field_from_args(args), ac_axis=args.ac_axis
     )
     rows = [
         (l.frequency_mhz, l.transition[0] + 1, l.transition[1] + 1, l.moment, l.strong)
@@ -309,8 +253,10 @@ def _cmd_odmr(args) -> int:
 
 def _cmd_epr_map(args) -> int:
     site = _resolve_site(args)
+    # angles x field samples per ray (the library samples each ray at 1 mT)
+    check_points("step,bmax", 180.0 / args.step + 1.0, args.bmax + 2.0)
     swept = magres.epr_angular_map(
-        _state_system(site, args.state), args.plane, args.step, args.freq, args.bmax
+        getattr(site, args.state), args.plane, args.step, args.freq, args.bmax
     )
     rows = [
         (angle, r.field_mt, r.transition[0] + 1, r.transition[1] + 1, r.subsite, r.moment)
@@ -328,29 +274,29 @@ def _read_data_csv(path) -> list[fitting.DataPoint]:
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
     if not rows:
-        raise CliError("bad-data", f"{path}: empty data file", "data")
+        raise ConfigError("bad-data", f"{path}: empty data file", "data")
     header = [c.strip().lower() for c in rows[0]]
     expected = ["kind", "state", "bx_mt", "by_mt", "bz_mt", "value", "sigma"]
     if header[: len(expected)] != expected:
-        raise CliError("bad-data", f"{path}: header must start with {','.join(expected)}", "data")
+        raise ConfigError("bad-data", f"{path}: header must start with {','.join(expected)}", "data")
     has_label = len(header) > len(expected) and header[len(expected)] == "label"
     for n, row in enumerate(rows[1:], start=2):
+        key = f"line {n}"
         try:
             kind, state = row[0].strip().lower(), row[1].strip().lower()
-            bx, by, bz, value = (float(x) for x in row[2:6])
+            bx, by, bz, value = (number(x, key, code="bad-data") for x in row[2:6])
             if row[6].strip():
-                sigma = float(row[6])
+                sigma = number(row[6], key, "positive", "bad-data")
             else:
                 # per-kind defaults: hole width scale for SHB, narrow ODMR
                 # lines, field accuracy for EPR
                 sigma = fitting.DEFAULT_SIGMA_MT if kind == "epr" else fitting.DEFAULT_SIGMA_GHZ.get(kind, 2e-3)
             label = None
             if has_label and len(row) > 7 and row[7].strip():
-                lo, up = (int(x) for x in row[7].replace("-", ",").split(","))
-                label = (lo - 1, up - 1)
+                label = level_pair(row[7], key, code="bad-data")
             points.append(fitting.DataPoint(kind, state, (bx, by, bz), value, sigma, label))
-        except (ValueError, IndexError) as exc:
-            raise CliError("bad-data", f"{path}:{n}: {exc}", f"line {n}")
+        except (ValueError, IndexError) as exc:  # short rows, unknown kind or state
+            raise ConfigError("bad-data", f"{path}:{n}: {exc}", key)
     return points
 
 
@@ -359,7 +305,7 @@ def _cmd_fit(args) -> int:
     free = {f.strip().lower() for f in args.free.split(",") if f.strip()}
     unknown = free - {"ground", "excited", "misalignment", "eigenvalues"}
     if unknown:
-        raise CliError("bad-value", f"unknown free-parameter group(s): {sorted(unknown)}", "free")
+        raise ConfigError("bad-value", f"unknown free-parameter group(s): {sorted(unknown)}", "free")
     data = _read_data_csv(args.data)
     problem = fitting.FitProblem(
         site=site,
@@ -409,9 +355,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_invert(args) -> int:
     site = _resolve_site(args)
-    lines_mhz = _parse_floats(args.lines, "lines")
-    lines_ghz = np.asarray(lines_mhz) * 1e-3
-    mags, _problem = fitting.invert_and_seed(lines_ghz, site)
+    mags, _problem = fitting.invert_and_seed(np.asarray(args.lines) * 1e-3, site)
     rows = [(n + 1, m) for n, m in enumerate(mags)]
     write_csv(args.out, ["axis", "magnitude_ghz"], rows, stamp=not args.no_stamp)
     for n, m in rows:
@@ -421,18 +365,17 @@ def _cmd_invert(args) -> int:
 
 def _cmd_ordering(args) -> int:
     site = _resolve_site(args)
-    if args.peaks:
-        peaks = _parse_floats(args.peaks, "peaks")
-    else:
+    peaks = args.peaks
+    if peaks is None:
         with open(args.peaks_file, newline="") as fh:
             rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
         if not rows or "detuning_ghz" not in rows[0]:
-            raise CliError("bad-data", f"{args.peaks_file}: need a detuning_ghz column", "peaks-file")
+            raise ConfigError("bad-data", f"{args.peaks_file}: need a detuning_ghz column", "peaks-file")
         col = rows[0].index("detuning_ghz")
-        try:
-            peaks = [float(r[col]) for r in rows[1:]]
-        except (ValueError, IndexError):
-            raise CliError("bad-data", f"{args.peaks_file}: non-numeric detuning entries", "peaks-file")
+        peaks = [number(r[col] if col < len(r) else "", "peaks-file", code="bad-data") for r in rows[1:]]
+    if len(peaks) < 4:
+        raise ConfigError("too-few-peaks", f"{len(peaks)} peak(s) given; the ordering search needs at least 4"
+                          " (try absorption --model uniform or a lower --prominence)", "peaks")
     ranked = spectra.ordering_search(site, peaks)
     rows = [
         (n + 1, r.ordering[0], r.ordering[1], r.rms_ghz * 1e3, r.offset_ghz, r.tied)
@@ -448,16 +391,10 @@ def _cmd_ordering(args) -> int:
 
 def _cmd_zefoz(args) -> int:
     site = _resolve_site(args)
-    try:
-        lo, up = (int(x) for x in args.transition.split(","))
-    except ValueError:
-        raise CliError("bad-value", "transition must be two comma-separated 1-based levels", "transition")
-    if not (1 <= lo < up <= 4):
-        raise CliError("bad-value", "transition levels must satisfy 1 <= lower < upper <= 4", "transition")
-    grid = tuple(int(x) for x in args.grid.split(","))
+    check_points("grid", *args.grid)
     candidates = zefoz.zefoz_search(
-        _state_system(site, args.state), (lo - 1, up - 1),
-        region=args.radius, grid=grid, refine_tol_mhz_per_mt=args.refine_tol,
+        getattr(site, args.state), args.transition,
+        region=args.radius, grid=args.grid, refine_tol_mhz_per_mt=args.refine_tol,
     )
     rows = [
         (*c.field_mt, c.transition[0] + 1, c.transition[1] + 1, c.grad_norm_mhz_per_mt,
@@ -483,30 +420,12 @@ _DASH_VALUE_OPTS = {
 
 def _fold_dash_values(argv: list[str]) -> list[str]:
     out = []
-    k = 0
-    while k < len(argv):
-        tok = argv[k]
-        if tok in _DASH_VALUE_OPTS and k + 1 < len(argv) and argv[k + 1].startswith("-"):
-            out.append(f"{tok}={argv[k + 1]}")
-            k += 2
+    for tok in argv:
+        if out and out[-1] in _DASH_VALUE_OPTS and tok.startswith("-"):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
-            k += 1
     return out
-
-
-_COMMANDS = {
-    "levels": _cmd_levels,
-    "transitions": _cmd_transitions,
-    "absorption": _cmd_absorption,
-    "shb-map": _cmd_shb_map,
-    "odmr": _cmd_odmr,
-    "epr-map": _cmd_epr_map,
-    "fit": _cmd_fit,
-    "invert": _cmd_invert,
-    "ordering": _cmd_ordering,
-    "zefoz": _cmd_zefoz,
-}
 
 
 def main(argv=None) -> int:
@@ -514,21 +433,18 @@ def main(argv=None) -> int:
         argv = _sys.argv[1:]
     try:
         args = _build_parser().parse_args(_fold_dash_values(list(argv)))
-        if getattr(args, "schema", False):
+        if args.schema:
             print(SCHEMAS[args.command])
             return 0
-        if args.command == "selftest":
-            return 0 if run_selftest() else 1
-        return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(json.dumps(exc.record), file=_sys.stderr)
-        return 2
+        return args.run(args)
     except ConfigError as exc:
-        print(json.dumps(exc.record()), file=_sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError) as exc:
-        print(json.dumps({"code": "error", "message": str(exc), "key": ""}), file=_sys.stderr)
-        return 2
+        record = exc.record()
+    except OSError as exc:
+        record = ConfigError("io-error", str(exc), str(exc.filename or "")).record()
+    except (ValueError, KeyError) as exc:
+        record = {"code": "error", "message": str(exc), "key": ""}
+    print(json.dumps(record), file=_sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

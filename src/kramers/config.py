@@ -1,45 +1,32 @@
-"""Flat sectioned key/value configuration for sites, tensors and constants.
+"""Input layer: validated parsers for every number that enters from outside.
 
-A config file either names a built-in preset or fully specifies the four
-tensors; unknown sections and keys are rejected before any computation.
+Command-line values, the site and rates INI files and the fit-data and
+peaks CSV files all go through the parsers below.  Every accepted number is
+finite and sign-checked, every grid is ordered and every command's sample
+count is capped by ``MAX_POINTS``; each rejection is a ``ConfigError`` with
+a machine-readable (code, message, key) record.
 
-Example::
-
-    [site]
-    preset = site-I
-
-    [constants]
-    mu_b_ghz_per_t = 13.996245
-
-or, fully explicit::
-
-    [site]
-    name = my-crystal
-    center_nm = 981.463
-    fwhm_mhz = 800
-
-    [ground.a]
-    unit = GHz
-    values = 0.484, 1.162, 5.254
-    angles_deg = 72.25, 92.11, 63.92
-
-    [ground.g]
-    unit = dimensionless
-    values = 0.31, 1.60, 6.53
-    angles_deg = 72.80, 91.30, 66.19
-
-    ... [excited.a], [excited.g] alike ...
+A site config file either names a built-in preset or fully specifies the
+four tensors (the README's Configuration section shows both forms); unknown
+sections and keys are rejected before any computation.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+import math
+from dataclasses import replace
+from typing import NamedTuple
+
+import numpy as np
 
 from .hamiltonian import G_N_DEFAULT, MU_B_GHZ_PER_T, MU_N_GHZ_PER_T, SpinSystem
 from .presets import get_site, principal
+from .shb import RateMatrix
 from .spectra import SiteModel
 from .tensors import assemble_tensor
+
+MAX_POINTS = 10**7  # samples one command may allocate (the defaults stay below 1e6)
 
 
 class ConfigError(Exception):
@@ -55,74 +42,159 @@ class ConfigError(Exception):
         return {"code": self.code, "message": self.message, "key": self.key}
 
 
+_SIGNS = {"any": (lambda x: True, ""), "positive": (lambda x: x > 0, " > 0"),
+          "nonneg": (lambda x: x >= 0, " >= 0")}
+
+
+def number(text: str, key: str, sign: str = "any", code: str = "bad-value") -> float:
+    """A finite float; ``sign`` is "any", "positive" or "nonneg"."""
+    accept, bound = _SIGNS[sign]
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and accept(value)):
+        raise ConfigError(code, f"{key}: expected a finite number{bound}, got {text!r}", key)
+    return value
+
+
+def integer(text: str, key: str, minimum: int = 1, code: str = "bad-value") -> int:
+    value = number(text, key, code=code)
+    if value != int(value) or value < minimum:
+        raise ConfigError(code, f"{key}: expected an integer >= {minimum}, got {text!r}", key)
+    return int(value)
+
+
+def number_list(text: str, key: str, sign: str = "any", code: str = "bad-value") -> list[float]:
+    """Comma-separated numbers; empty items are skipped."""
+    return [number(p, key, sign, code) for p in text.split(",") if p.strip()]
+
+
+def triple(text: str, key: str, code: str = "bad-value") -> tuple[float, float, float]:
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise ConfigError(code, f"{key}: expected three comma-separated numbers, got {text!r}", key)
+    return tuple(number(p, key, code=code) for p in parts)
+
+
+_DIRECTIONS = {"d1": (1.0, 0.0, 0.0), "d2": (0.0, 1.0, 0.0), "b": (0.0, 0.0, 1.0)}
+
+
+def vector(text: str, key: str, nonzero: bool = False) -> tuple[float, float, float]:
+    """A field or direction: D1|D2|b, three numbers, or 0 for the zero vector."""
+    vec = _DIRECTIONS.get(text.strip().lower())
+    if vec is None:
+        if "," not in text and number(text, key, code="bad-vector") == 0.0:
+            vec = (0.0, 0.0, 0.0)
+        else:
+            vec = triple(text, key, code="bad-vector")
+    if nonzero and not any(vec):
+        raise ConfigError("bad-vector", f"{key}: expected a nonzero direction", key)
+    return vec
+
+
+def integers(text: str, key: str, count: int, code: str = "bad-value") -> tuple[int, ...]:
+    """Exactly ``count`` comma-separated integers >= 1."""
+    values = tuple(integer(p, key, code=code) for p in text.split(","))
+    if len(values) != count:
+        raise ConfigError(code, f"{key}: expected {count} comma-separated integers, got {text!r}", key)
+    return values
+
+
+def level_pair(text: str, key: str, code: str = "bad-value") -> tuple[int, int]:
+    """A 1-based pair "lo,up" or "lo-up" with 1 <= lo < up <= 4, returned 0-based."""
+    lo, up = integers(text.replace("-", ","), key, 2, code)
+    if not lo < up <= 4:
+        raise ConfigError(code, f"{key}: expected levels 1 <= lower < upper <= 4, got {text!r}", key)
+    return lo - 1, up - 1
+
+
+def check_points(key: str, *counts: float) -> None:
+    """Reject a command whose sample count, the product of ``counts``, exceeds MAX_POINTS."""
+    total = math.prod(counts)
+    if not total <= MAX_POINTS:
+        raise ConfigError("too-large", f"{key}: {total:.3g} points exceed the limit of {MAX_POINTS}", key)
+
+
+class Grid(NamedTuple):
+    """start:stop:step with start <= stop and step > 0."""
+
+    start: float
+    stop: float
+    step: float
+
+    @property
+    def points(self) -> float:
+        """Length of np.arange(start, stop + 0.5 * step, step) before rounding up."""
+        return (self.stop + 0.5 * self.step - self.start) / self.step
+
+
+def grid(text: str, key: str) -> Grid:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ConfigError("bad-range", f"{key}: expected start:stop:step, got {text!r}", key)
+    start, stop = (number(p, key, code="bad-range") for p in parts[:2])
+    g = Grid(start, stop, number(parts[2], key, "positive", "bad-range"))
+    if not (stop >= start and g.points > 0):
+        raise ConfigError("bad-range", f"{key}: expected start <= stop (a non-empty grid), got {text!r}", key)
+    check_points(key, g.points)
+    return g
+
+
+def samples(text: str, key: str) -> np.ndarray:
+    """A start:stop:step grid or a non-empty, non-decreasing comma list."""
+    if ":" in text:
+        start, stop, step = grid(text, key)
+        return np.arange(start, stop + 0.5 * step, step)
+    values = number_list(text, key, code="bad-range")
+    if not values or any(b < a for a, b in zip(values, values[1:])):
+        raise ConfigError("bad-range", f"{key}: expected a non-empty non-decreasing list, got {text!r}", key)
+    return np.array(values)
+
+
+def _read_ini(text: str, known: dict[str, set[str]]) -> configparser.ConfigParser:
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError("parse-error", str(exc))
+    for section in parser.sections():
+        if section not in known:
+            raise ConfigError("unknown-section", f"unknown section [{section}]", section)
+        for key in parser[section]:
+            if key not in known[section]:
+                raise ConfigError("unknown-key", f"unknown key {key!r} in [{section}]", f"{section}.{key}")
+    return parser
+
+
 _TENSOR_SECTIONS = ("ground.a", "ground.g", "excited.a", "excited.g")
 _KNOWN_KEYS = {
     "site": {"preset", "name", "center_nm", "fwhm_mhz", "ordering_ground", "ordering_excited"},
     "constants": {"mu_b_ghz_per_t", "mu_n_ghz_per_t", "g_n"},
     **{s: {"unit", "values", "angles_deg"} for s in _TENSOR_SECTIONS},
 }
-_TENSOR_UNITS = {
-    "ground.a": {"ghz"},
-    "excited.a": {"ghz"},
-    "ground.g": {"dimensionless", "none", "1"},
-    "excited.g": {"dimensionless", "none", "1"},
-}
+_TENSOR_UNITS = {"a": {"ghz"}, "g": {"dimensionless", "none", "1"}}  # by the section's last letter
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    site: SiteModel
-    mu_b_ghz_per_t: float = MU_B_GHZ_PER_T
-    mu_n_ghz_per_t: float = MU_N_GHZ_PER_T
-    g_n: float = G_N_DEFAULT
+def parse_config(text: str) -> SiteModel:
+    """Parse and validate config text into a ready-to-use SiteModel."""
+    parser = _read_ini(text, _KNOWN_KEYS)
 
-
-def _float(section: str, key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError("bad-value", f"{section}.{key} must be a number, got {raw!r}", f"{section}.{key}")
-
-
-def _triple(section: str, key: str, raw: str) -> tuple[float, float, float]:
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 3:
-        raise ConfigError("bad-value", f"{section}.{key} must be three comma-separated numbers", f"{section}.{key}")
-    return tuple(_float(section, key, p) for p in parts)
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate config text into a ready-to-use RunConfig."""
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError("parse-error", str(exc))
-
-    for section in parser.sections():
-        if section not in _KNOWN_KEYS:
-            raise ConfigError("unknown-section", f"unknown section [{section}]", section)
-        for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
-                raise ConfigError("unknown-key", f"unknown key {key!r} in [{section}]", f"{section}.{key}")
-
-    constants = {
-        "mu_b_ghz_per_t": MU_B_GHZ_PER_T,
-        "mu_n_ghz_per_t": MU_N_GHZ_PER_T,
-        "g_n": G_N_DEFAULT,
+    constants = parser["constants"] if parser.has_section("constants") else {}
+    magnetons = {
+        name: number(constants[key], f"constants.{key}", sign) if key in constants else default
+        for name, key, default, sign in (
+            ("mu_b", "mu_b_ghz_per_t", MU_B_GHZ_PER_T, "positive"),
+            ("mu_n", "mu_n_ghz_per_t", MU_N_GHZ_PER_T, "positive"),
+            ("g_n", "g_n", G_N_DEFAULT, "any"),
+        )
     }
-    if parser.has_section("constants"):
-        for key in parser["constants"]:
-            constants[key] = _float("constants", key, parser["constants"][key])
-        if constants["mu_b_ghz_per_t"] <= 0 or constants["mu_n_ghz_per_t"] <= 0:
-            raise ConfigError("bad-value", "magnetons must be positive", "constants")
 
     site_section = parser["site"] if parser.has_section("site") else {}
     preset = site_section.get("preset")
-    tensor_sections_present = [s for s in _TENSOR_SECTIONS if parser.has_section(s)]
 
     if preset is not None:
-        if tensor_sections_present:
+        if any(parser.has_section(s) for s in _TENSOR_SECTIONS):
             raise ConfigError(
                 "conflict", "config may name a preset or specify tensors, not both",
                 "site.preset",
@@ -148,50 +220,59 @@ def parse_config(text: str) -> RunConfig:
                 if need not in sec:
                     raise ConfigError("missing-key", f"{section}.{need} is required", f"{section}.{need}")
             unit = sec["unit"].strip().lower()
-            if unit not in _TENSOR_UNITS[section]:
+            if unit not in _TENSOR_UNITS[section[-1]]:
                 raise ConfigError(
                     "bad-unit",
-                    f"{section}.unit must be one of {sorted(_TENSOR_UNITS[section])}, got {unit!r}",
+                    f"{section}.unit must be one of {sorted(_TENSOR_UNITS[section[-1]])}, got {unit!r}",
                     f"{section}.unit",
                 )
-            values = _triple(section, "values", sec["values"])
-            angles = _triple(section, "angles_deg", sec["angles_deg"])
+            values = triple(sec["values"], f"{section}.values")
+            angles = triple(sec["angles_deg"], f"{section}.angles_deg")
             tensors[section] = assemble_tensor(principal(values, angles))
 
-        g_n = constants["g_n"]
-        ground = SpinSystem(A=tensors["ground.a"], g=tensors["ground.g"], g_n=g_n)
-        excited = SpinSystem(A=tensors["excited.a"], g=tensors["excited.g"], g_n=g_n)
         site = SiteModel(
-            ground=ground,
-            excited=excited,
-            center_nm=_float("site", "center_nm", site_section["center_nm"]),
-            fwhm_mhz=_float("site", "fwhm_mhz", site_section["fwhm_mhz"]),
+            ground=SpinSystem(A=tensors["ground.a"], g=tensors["ground.g"]),
+            excited=SpinSystem(A=tensors["excited.a"], g=tensors["excited.g"]),
+            center_nm=number(site_section["center_nm"], "site.center_nm", "positive"),
+            fwhm_mhz=number(site_section["fwhm_mhz"], "site.fwhm_mhz", "positive"),
             label=site_section.get("name", "custom"),
         )
 
-    ordering = tuple(
-        int(_float("site", key, site_section[key])) if key in site_section else default
-        for key, default in (("ordering_ground", site.ordering[0]), ("ordering_excited", site.ordering[1]))
+    ordering = list(site.ordering)
+    for n, key in enumerate(("ordering_ground", "ordering_excited")):
+        if key in site_section:
+            value = number(site_section[key], f"site.{key}")
+            if value not in (1.0, -1.0):
+                raise ConfigError("bad-value", f"site.{key}: ordering classes must be +1 or -1", f"site.{key}")
+            ordering[n] = int(value)
+    if tuple(ordering) != site.ordering:
+        site = site.with_ordering(tuple(ordering))
+
+    return replace(
+        site, ground=replace(site.ground, **magnetons), excited=replace(site.excited, **magnetons)
     )
-    if ordering != site.ordering:
-        if any(c not in (1, -1) for c in ordering):
-            raise ConfigError("bad-value", "ordering classes must be +1 or -1", "site.ordering_ground")
-        site = site.with_ordering(ordering)
-
-    site = replace(
-        site,
-        ground=replace(
-            site.ground,
-            g_n=constants["g_n"], mu_b=constants["mu_b_ghz_per_t"], mu_n=constants["mu_n_ghz_per_t"],
-        ),
-        excited=replace(
-            site.excited,
-            g_n=constants["g_n"], mu_b=constants["mu_b_ghz_per_t"], mu_n=constants["mu_n_ghz_per_t"],
-        ),
-    )
-    return RunConfig(site=site, **constants)
 
 
-def load_config(path) -> RunConfig:
+def load_config(path) -> SiteModel:
     with open(path) as fh:
         return parse_config(fh.read())
+
+
+_RATE_KEYS = {"pump_rate", "duration_s"} | {f"r{k}{l}" for k in range(1, 5) for l in range(1, 5) if k != l}
+
+
+def load_rates(path) -> RateMatrix:
+    """A [rates] file: symmetric pair rates rNM (1/s), pump_rate and duration_s."""
+    with open(path) as fh:
+        parser = _read_ini(fh.read(), {"rates": _RATE_KEYS})
+    if not parser.has_section("rates"):
+        raise ConfigError("bad-rates", f"{path}: expected a [rates] section", "rates")
+    rates, settings = np.zeros((4, 4)), {}
+    for key, raw in parser["rates"].items():
+        value = number(raw, f"rates.{key}", "nonneg", "bad-rates")
+        if key in ("pump_rate", "duration_s"):
+            settings[key] = value
+        else:
+            k, l = int(key[1]) - 1, int(key[2]) - 1
+            rates[k, l] = rates[l, k] = value
+    return RateMatrix(rates, **settings)

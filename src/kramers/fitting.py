@@ -11,7 +11,6 @@ reported together with the restart spread and a Jacobian-based covariance.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +27,7 @@ from .tensors import (
     assemble_tensor,
     decompose_tensor,
     rx,
+    ry,
     rz,
     subsite_transform,
 )
@@ -64,12 +64,6 @@ class DataPoint:
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
         object.__setattr__(self, "field_mt", tuple(float(x) for x in self.field_mt))
-
-
-def _ry(angle_deg: float) -> np.ndarray:
-    a = math.radians(angle_deg)
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
 @dataclass(frozen=True)
@@ -148,7 +142,7 @@ class FitProblem:
             pos += 3
         mis = None
         if self.fit_misalignment:
-            mis = rx(params[pos]) @ _ry(params[pos + 1]) @ rz(params[pos + 2])
+            mis = rx(params[pos]) @ ry(params[pos + 1]) @ rz(params[pos + 2])
             pos += 3
         deltas: dict[str, np.ndarray] = {}
         if self.refine_eigenvalues:

@@ -43,7 +43,6 @@ class OdmrLine:
     transition: tuple[int, int]
     moment: float
     strong: bool
-    linewidth_mhz: float | None = None  # reporting only
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-VERSION = "0.1.0"
-STAMP = f"# kramers {VERSION}"
+from . import __version__
+
+STAMP = f"# kramers {__version__}"
 
 
 def format_number(x) -> str:

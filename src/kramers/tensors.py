@@ -150,6 +150,13 @@ def rx(angle_deg: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
+def ry(angle_deg: float) -> np.ndarray:
+    """Rotation about the y (crystal D2) axis."""
+    a = math.radians(angle_deg)
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
 def rotation_matrix(angles: EulerAngles) -> FrameRotation:
     """Compose the zxz rotation Rz(alpha) @ Rx(beta) @ Rz(gamma)."""
     m = rz(angles.alpha) @ rx(angles.beta) @ rz(angles.gamma)

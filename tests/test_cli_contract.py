@@ -1,0 +1,250 @@
+"""The CLI contract: every input exits 0, or exits 2 with exactly one JSON
+error record on stderr and no output file."""
+
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from kramers import magres
+from kramers.cli import main
+from kramers.config import MAX_POINTS, ConfigError, check_points, grid
+
+EXPLICIT_SITE = """
+[site]
+center_nm = 981.463
+fwhm_mhz = {fwhm}
+
+[ground.a]
+unit = GHz
+values = 0.484, 1.162, 5.254
+angles_deg = 72.25, 92.11, 63.92
+
+[ground.g]
+unit = dimensionless
+values = 0.31, 1.60, 6.53
+angles_deg = 72.80, 91.30, 66.19
+
+[excited.a]
+unit = GHz
+values = 1.4654, 1.8247, 7.1709
+angles_deg = 73.88, 84.76, 90.13
+
+[excited.g]
+unit = dimensionless
+values = 0.8, 1.0, 3.4
+angles_deg = 77, 84, -7
+"""
+
+INPUTS = {
+    "mu_b_nan.ini": "[site]\npreset = site-I\n[constants]\nmu_b_ghz_per_t = nan\n",
+    "ordering.ini": "[site]\npreset = site-I\nordering_ground = 1.9\n",
+    "fwhm_nan.ini": EXPLICIT_SITE.format(fwhm="nan"),
+    "rates_nan.ini": "[rates]\nr12 = nan\nr34 = 1000\n",
+}
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_one_record(code, err, expected=None):
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    record = json.loads(lines[0])
+    assert set(record) == {"code", "message", "key"}
+    if expected is not None:
+        assert record["code"] == expected, record
+    return record
+
+
+# Each of these exited 0 with a NaN or meaningless output, crashed with a
+# traceback, or exited 2 under the catch-all "error" code with a raw
+# numpy/Python message.
+DEFECTS = [
+    (["shb-map", "--span=-1:1:0"], "bad-range"),
+    (["absorption", "--range=-1:1:0"], "bad-range"),
+    (["shb-map", "--span=1:-1:0.01"], "bad-range"),
+    (["shb-map", "--span=-1:1"], "bad-range"),
+    (["zefoz", "--grid", "8"], "bad-value"),
+    (["zefoz", "--grid", "a,b"], "bad-value"),
+    (["levels", "--B", "nan,0,0"], "bad-vector"),
+    (["levels", "--config", "mu_b_nan.ini"], "bad-value"),
+    (["shb-map", "--width", "nan"], "bad-value"),
+    (["shb-map", "--magnitudes", "0:20:10", "--span=-1:1:0.01", "--rates", "rates_nan.ini"], "bad-rates"),
+    (["absorption", "--config", "fwhm_nan.ini"], "bad-value"),
+    (["shb-map", "--burn", "nan"], "bad-value"),
+    (["shb-map", "--width", "-5"], "bad-value"),
+    (["epr-map", "--freq", "nan"], "bad-value"),
+    (["zefoz", "--radius", "nan"], "bad-value"),
+    (["zefoz", "--radius", "-5"], "bad-value"),
+    (["zefoz", "--grid", "0,0"], "bad-value"),
+    (["absorption", "--prominence", "nan", "--peaks-out", "peaks.csv"], "bad-value"),
+    (["levels", "--config", "ordering.ini"], "bad-value"),
+    (["shb-map", "--magnitudes", "20,10"], "bad-range"),
+    (["shb-map", "--span=-5:5:1e-9"], "too-large"),
+    (["absorption", "--range=-5:5:1e-8"], "too-large"),
+    (["zefoz", "--grid", "100000,1000"], "too-large"),
+    (["levels", "--site", "XL"], "unknown-preset"),
+    (["fit", "--data", "data.csv", "--restarts", "0"], "bad-value"),
+    (["fit", "--data", "missing.csv"], "io-error"),
+    (["levels", "--config", "missing.ini"], "io-error"),
+    (["shb-map", "--rates", "missing.ini"], "io-error"),
+    (["ordering", "--peaks-file", "missing.csv"], "io-error"),
+    (["ordering", "--peaks", "1,2,3"], "too-few-peaks"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", DEFECTS, ids=[" ".join(a) for a, _ in DEFECTS])
+def test_defect_exits_2_with_one_record(argv, expected, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "data.csv").write_text("kind,state,bx_mt,by_mt,bz_mt,value,sigma\n")
+    before = set(os.listdir(tmp_path))
+    code, _, err = _run([*argv, "--out", "out.csv"])
+    record = _assert_one_record(code, err, expected)
+    if expected == "io-error":
+        assert record["key"].startswith("missing.")
+    assert set(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["epr-map", "--step", "1e-9"],
+    ["epr-map", "--bmax", "1e12"],
+])
+def test_epr_map_size_cap_rejects_before_allocating(argv, tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("epr_angular_map ran past the size cap")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(magres, "epr_angular_map", never)
+    code, _, err = _run(argv)
+    _assert_one_record(code, err, "too-large")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("text", ["-5:5:0.002", "0:150:1", "-4.5:4.5:0.005", "0:0:1", "0:1:0.3", "-1:1:0.7"])
+def test_grid_point_count_matches_arange(text):
+    g = grid(text, "span")
+    assert math.ceil(g.points) == np.arange(g.start, g.stop + 0.5 * g.step, g.step).size
+
+
+def test_point_cap():
+    # the largest default (shb-map: 151 fields x 5001 detunings) stays far below the cap
+    check_points("magnitudes,span", 151, grid("-5:5:0.002", "span").points)
+    for counts in ((MAX_POINTS + 1,), (180.0 / 1e-300, 1e308), (1e5, 1e3)):
+        with pytest.raises(ConfigError) as err:
+            check_points("step,bmax", *counts)
+        assert err.value.code == "too-large"
+
+
+def test_readme_pipeline_hint(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = _run(["absorption", "--site", "I", "--range=-4.5:4.5:0.005", "--peaks-out", "peaks.csv"])
+    assert code == 0
+    code, _, err = _run(["ordering", "--site", "I", "--peaks-file", "peaks.csv"])
+    record = _assert_one_record(code, err, "too-few-peaks")
+    assert "1 peak" in record["message"] and "--model uniform" in record["message"]
+    assert not (tmp_path / "ordering.csv").exists()
+
+    code, _, _ = _run(["absorption", "--site", "I", "--range=-4.5:4.5:0.005", "--model", "uniform",
+                       "--peaks-out", "peaks.csv"])
+    assert code == 0
+    code, stdout, _ = _run(["ordering", "--site", "I", "--peaks-file", "peaks.csv"])
+    assert code == 0
+    assert "best ordering" in stdout
+
+
+# --- generated argv ---------------------------------------------------------
+
+BAD = ["nan", "inf", "-1", "0", "abc", ""]
+BAD_GRIDS = ["1:-1:0.01", "-1:1", "-1:1:0", "1:2:3:4", "0:1:nan", ":"]
+
+
+def _values(*good, bad=BAD):
+    """Two draws in three from the valid values, so that valid runs are common."""
+    return st.one_of(st.sampled_from(good), st.sampled_from(good), st.sampled_from(bad))
+
+
+def _grids(*good):
+    return _values(*good, bad=BAD + BAD_GRIDS)
+
+
+FIELD = {"--state": st.sampled_from(["ground", "excited"]),
+         "--field": _values("0", "D1", "b", "10,0,5", "0,0,0", bad=["1,2", "1,nan,2", *BAD]),
+         "--magnitude": _values("5", "0.5")}
+
+# command -> (required options, optional options)
+COMMANDS = {
+    "levels": ({}, FIELD),
+    "transitions": ({}, FIELD),
+    "absorption": ({}, {"--field": FIELD["--field"],
+                        "--range": _grids("-1:1:0.01", "0:0.5:0.05"),
+                        "--model": st.sampled_from(["uniform", "overlap"]),
+                        "--prominence": _values("0.05", "0.5"),
+                        "--peaks-out": st.just("peaks.csv")}),
+    "shb-map": ({"--magnitudes": _values("0:20:10", "0,5", "5", bad=["5,0", *BAD, *BAD_GRIDS]),
+                 "--span": _grids("-0.5:0.5:0.05", "0:0.2:0.1")},
+                {"--direction": _values("D1", "b", "1,1,0", bad=["0,0,0", *BAD]),
+                 "--burn": _values("0.1"),
+                 "--width": _values("50")}),
+    "epr-map": ({"--step": _values("60", "90"), "--bmax": _values("200", "50")},
+                {"--state": st.sampled_from(["ground", "excited"]),
+                 "--plane": st.sampled_from(["D1-D2", "b-D1"]),
+                 "--freq": _values("9.7", "5")}),
+    "zefoz": ({"--grid": _values("1,1", "2,1", "1,2", bad=["8", "0,0", "a,b", "1,-1", *BAD])},
+              {"--transition": _values("1,2", "2,3", "0,5", "2,1", "1"),
+               "--radius": _values("5", "20"),
+               "--refine-tol": _values("1e-3")}),
+    "invert": ({"--lines": _values("2046,2385,2869,3208", "339,823,1162", "1,2,,3")}, {}),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    required, optional = COMMANDS[command]
+    options = draw(st.fixed_dictionaries(required, optional=optional))
+    argv = [command, "--out", "out.csv"]
+    for name, value in options.items():
+        # both spellings: "--opt=value", and "--opt value" where a value that
+        # starts with "-" may be read as an option name (a usage error)
+        argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_argv())
+def test_generated_argv_contract(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, _, err = _run(argv)
+            written = {name: open(name).read() for name in os.listdir(tmp) if name.endswith(".csv")}
+        finally:
+            os.chdir(cwd)
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 2), (argv, code, err)
+    if code == 2:
+        _assert_one_record(code, err)
+        assert not written
+    else:
+        assert written
+        for name, text in written.items():
+            assert "nan" not in text.lower(), (argv, name)

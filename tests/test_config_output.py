@@ -41,22 +41,21 @@ angles_deg = 77, 84, -7
 
 class TestConfig:
     def test_preset_roundtrip(self):
-        cfg = parse_config(PRESET_CONFIG)
-        assert np.array_equal(cfg.site.ground.A.matrix, SITE_I.ground.A.matrix)
-        assert cfg.site.fwhm_mhz == 800.0
+        site = parse_config(PRESET_CONFIG)
+        assert np.array_equal(site.ground.A.matrix, SITE_I.ground.A.matrix)
+        assert site.fwhm_mhz == 800.0
 
     def test_explicit_tensors_match_preset(self):
-        cfg = parse_config(EXPLICIT_CONFIG)
-        assert np.abs(cfg.site.ground.A.matrix - SITE_I.ground.A.matrix).max() < 1e-12
-        assert cfg.site.label == "my-crystal"
+        site = parse_config(EXPLICIT_CONFIG)
+        assert np.abs(site.ground.A.matrix - SITE_I.ground.A.matrix).max() < 1e-12
+        assert site.label == "my-crystal"
 
     def test_constants_override_propagates(self):
-        cfg = parse_config(PRESET_CONFIG + "\n[constants]\nmu_b_ghz_per_t = 14.0\ng_n = 1.0\n")
-        assert cfg.mu_b_ghz_per_t == 14.0
-        assert cfg.site.ground.mu_b == 14.0
-        assert cfg.site.ground.g_n == 1.0
+        site = parse_config(PRESET_CONFIG + "\n[constants]\nmu_b_ghz_per_t = 14.0\ng_n = 1.0\n")
+        assert site.ground.mu_b == 14.0
+        assert site.ground.g_n == 1.0
         # the override changes computed spectra at field
-        es_a = eigensystem(cfg.site.ground, (100.0, 0, 0))
+        es_a = eigensystem(site.ground, (100.0, 0, 0))
         es_b = eigensystem(SITE_I.ground, (100.0, 0, 0))
         assert np.abs(es_a.energies - es_b.energies).max() > 1e-6
 
@@ -95,14 +94,14 @@ class TestConfig:
         assert err.value.code == "bad-value"
 
     def test_ordering_override(self):
-        cfg = parse_config("[site]\npreset = site-I\nordering_ground = -1\n")
-        assert cfg.site.ordering == (-1, 1)
+        site = parse_config("[site]\npreset = site-I\nordering_ground = -1\n")
+        assert site.ordering == (-1, 1)
         # class flip changes the zero-field ground level set
         base = transition_frequencies(eigensystem(SITE_I.ground, (0, 0, 0))).frequencies()
-        flipped = transition_frequencies(eigensystem(cfg.site.ground, (0, 0, 0))).frequencies()
+        flipped = transition_frequencies(eigensystem(site.ground, (0, 0, 0))).frequencies()
         assert np.abs(np.sort(base) - np.sort(flipped)).max() < 1e-9  # frequencies equal
         lv_base = np.sort(eigensystem(SITE_I.ground, (0, 0, 0)).energies)
-        lv_flip = np.sort(eigensystem(cfg.site.ground, (0, 0, 0)).energies)
+        lv_flip = np.sort(eigensystem(site.ground, (0, 0, 0)).energies)
         assert np.abs(lv_base + lv_flip[::-1]).max() < 1e-9  # mirrored levels
 
 
