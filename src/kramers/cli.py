@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys as _sys
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import fitting, magres, shb, spectra, zefoz
 from .config import (
     ConfigError, check_points, grid, integer, integers, level_pair, load_config, load_rates, number,
-    number_list, samples, vector,
+    number_list, read_text, samples, vector,
 )
 from .hamiltonian import eigensystem, transition_frequencies
 from .output import write_csv, write_pgm
@@ -201,13 +202,14 @@ def _cmd_transitions(args) -> int:
 
 def _cmd_absorption(args) -> int:
     site = _resolve_site(args)
-    detunings, amp = spectra.absorption_spectrum(site, args.field, args.range, intensity_model=args.model)
+    try:
+        detunings, amp = spectra.absorption_spectrum(site, args.field, args.range, intensity_model=args.model)
+    except ValueError as exc:  # the step resolves the site's FWHM: known only now
+        raise ConfigError("bad-range", f"range: {exc}", "range")
     write_csv(args.out, ["detuning_ghz", "amplitude"], zip(detunings, amp), stamp=not args.no_stamp)
     print(f"wrote {len(detunings)} samples to {args.out}")
     if args.peaks_out:
-        from scipy.signal import find_peaks
-
-        peaks, _ = find_peaks(amp, prominence=args.prominence * amp.max())
+        peaks = spectra.find_peaks(amp, args.prominence * amp.max())
         write_csv(args.peaks_out, ["detuning_ghz"], [(detunings[k],) for k in peaks],
                   stamp=not args.no_stamp)
         print(f"wrote {len(peaks)} peaks to {args.peaks_out}")
@@ -223,10 +225,11 @@ def _cmd_shb_map(args) -> int:
         detuning_range_ghz=(args.span.start, args.span.stop), detuning_step_ghz=args.span.step,
         hole_width_mhz=args.width,
     )
+    detunings = fmap.detunings_ghz.tolist()
     rows = (
-        (b, d, fmap.amplitudes[nb, nd])
-        for nb, b in enumerate(fmap.magnitudes_mt)
-        for nd, d in enumerate(fmap.detunings_ghz)
+        (b, d, a)
+        for b, amplitudes in zip(fmap.magnitudes_mt.tolist(), fmap.amplitudes)
+        for d, a in zip(detunings, amplitudes.tolist())
     )
     write_csv(args.out, ["field_mt", "detuning_ghz", "amplitude"], rows, stamp=not args.no_stamp)
     pgm_path = args.out.rsplit(".", 1)[0] + ".pgm"
@@ -269,10 +272,15 @@ def _cmd_epr_map(args) -> int:
     return 0
 
 
+def _csv_rows(path) -> list[list[str]]:
+    """The non-empty rows of a UTF-8 CSV file, without '#' comment lines."""
+    reader = csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
+    return [r for r in reader if r and not r[0].lstrip().startswith("#")]
+
+
 def _read_data_csv(path) -> list[fitting.DataPoint]:
     points = []
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+    rows = _csv_rows(path)
     if not rows:
         raise ConfigError("bad-data", f"{path}: empty data file", "data")
     header = [c.strip().lower() for c in rows[0]]
@@ -332,7 +340,9 @@ def _cmd_fit(args) -> int:
         ),
         f"gated outliers: {list(result.excluded) or 'none'}",
         f"restart RMS spread (MHz): min {result.restart_rms_mhz[0]:.4f}, "
-        f"max {result.restart_rms_mhz[-1]:.4f} over {len(result.restart_rms_mhz)} restarts",
+        f"max {result.restart_rms_mhz[-1]:.4f} over {len(result.restart_rms_mhz)} restarts" + (
+            f", {len(result.restart_errors)} failed ({result.restart_errors[0]})" if result.restart_errors else ""
+        ),
     ]
     for name, value in zip(result.parameter_names, result.parameters):
         lines.append(f"  {name} = {value:.6f}")
@@ -367,8 +377,7 @@ def _cmd_ordering(args) -> int:
     site = _resolve_site(args)
     peaks = args.peaks
     if peaks is None:
-        with open(args.peaks_file, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+        rows = _csv_rows(args.peaks_file)
         if not rows or "detuning_ghz" not in rows[0]:
             raise ConfigError("bad-data", f"{args.peaks_file}: need a detuning_ghz column", "peaks-file")
         col = rows[0].index("detuning_ghz")

@@ -253,9 +253,17 @@ def parse_config(text: str) -> SiteModel:
     )
 
 
+def read_text(path, newline: str | None = None) -> str:
+    """A UTF-8 text file's contents; undecodable bytes are a ``bad-encoding`` error keyed by the file name."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError("bad-encoding", f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})", str(path))
+
+
 def load_config(path) -> SiteModel:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    return parse_config(read_text(path))
 
 
 _RATE_KEYS = {"pump_rate", "duration_s"} | {f"r{k}{l}" for k in range(1, 5) for l in range(1, 5) if k != l}
@@ -263,8 +271,7 @@ _RATE_KEYS = {"pump_rate", "duration_s"} | {f"r{k}{l}" for k in range(1, 5) for 
 
 def load_rates(path) -> RateMatrix:
     """A [rates] file: symmetric pair rates rNM (1/s), pump_rate and duration_s."""
-    with open(path) as fh:
-        parser = _read_ini(fh.read(), {"rates": _RATE_KEYS})
+    parser = _read_ini(read_text(path), {"rates": _RATE_KEYS})
     if not parser.has_section("rates"):
         raise ConfigError("bad-rates", f"{path}: expected a [rates] section", "rates")
     rates, settings = np.zeros((4, 4)), {}

@@ -14,9 +14,9 @@ import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares, nnls
 
 from .hamiltonian import PAIR_HI, PAIR_LO, PAIRS, SpinSystem, energies_sweep, invert_zero_field
+from .lazy import SciPyFunction
 from .magres import epr_resonance_fields
 from .spectra import SiteModel
 from .tensors import (
@@ -31,6 +31,9 @@ from .tensors import (
     rz,
     subsite_transform,
 )
+
+least_squares = SciPyFunction("scipy.optimize", "least_squares")
+nnls = SciPyFunction("scipy.optimize", "nnls")
 
 KINDS = ("shb", "odmr", "epr")
 STATES = ("ground", "excited")
@@ -366,7 +369,8 @@ class FitResult:
     model_values: np.ndarray
     excluded: tuple[int, ...]
     covariance: np.ndarray
-    restart_rms_mhz: tuple[float, ...]
+    restart_rms_mhz: tuple[float, ...]   # one per completed restart, ascending
+    restart_errors: tuple[str, ...] = ()  # one per failed restart, in seed order
 
 
 def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResult:
@@ -402,13 +406,15 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
 
     best = None
     restart_rms_list = []
+    errors = []
     for x_start in seeds:
         try:
             sol = least_squares(
                 fun, np.clip(x_start, lo, hi), bounds=(lo, hi),
                 method="trf", xtol=1e-8, ftol=1e-12, gtol=1e-14, max_nfev=250,
             )
-        except Exception:
+        except Exception as exc:  # a failed restart is counted, and the others go on
+            errors.append(f"{type(exc).__name__}: {exc}")
             continue
         r, _, ex = residuals(problem, sol.x, compiled, full=True)
         restart_rms_list.append(_split_rms(data, r, ex)[0])
@@ -416,16 +422,19 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
             best = (sol.cost, tuple(sol.x), sol)
 
     if best is None:
-        raise RuntimeError("all restarts failed")
+        raise RuntimeError(f"all {len(errors)} restarts failed (first: {errors[0]})")
     sol = best[2]
     res, model, excl = residuals(problem, sol.x, compiled, full=True)
     rms, rms_field = _split_rms(data, res, excl)
 
-    # parameter covariance from the weighted Jacobian at the optimum
+    # parameter covariance from the weighted Jacobian at the optimum; a
+    # parameter the data do not depend on (a zero column) is undetermined
     dof = max(1, len(data) - len(names))
     jtj = sol.jac.T @ sol.jac
     cov = np.linalg.pinv(jtj) * (2.0 * sol.cost / dof)
     cov = 0.5 * (cov + cov.T)
+    unconstrained = ~np.any(sol.jac, axis=0)
+    cov[unconstrained, unconstrained] = np.inf
 
     restart_rms = tuple(sorted(restart_rms_list))
     gate_mhz = problem.gate_freq_ghz * 1e3
@@ -444,7 +453,7 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
     return FitResult(
         success, message, tuple(names), sol.x,
         _canonical_report(problem, sol.x), rms, rms_field,
-        res, model, tuple(excl), cov, restart_rms,
+        res, model, tuple(excl), cov, restart_rms, tuple(errors),
     )
 
 

@@ -7,11 +7,17 @@ files on any platform.
 
 from __future__ import annotations
 
+import itertools
+import operator
+
 import numpy as np
 
 from . import __version__
 
 STAMP = f"# kramers {__version__}"
+FLOAT_FORMAT = ".9g"
+BLOCK_ROWS = 1 << 16  # rows formatted together: bounds the memory of a large CSV
+_FLOAT_TYPES = {float, np.float64}
 
 
 def format_number(x) -> str:
@@ -19,17 +25,40 @@ def format_number(x) -> str:
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return f"{float(x):.9g}"
+    return format(float(x), FLOAT_FORMAT)
+
+
+def _cells(values) -> list[str]:
+    """The text of each value: strings as they are, numbers by ``format_number``.
+
+    Values that are all floats are formatted once per distinct bit pattern,
+    which keeps -0.0 apart from 0.0; a large CSV repeats its grid columns
+    many times over.
+    """
+    if not set(map(type, values)) <= _FLOAT_TYPES:
+        return [v if isinstance(v, str) else format_number(v) for v in values]
+    distinct, inverse = np.unique(np.array(values, dtype=float).view(np.int64), return_inverse=True)
+    text = list(map(format, distinct.view(float).tolist(), itertools.repeat(FLOAT_FORMAT)))
+    return np.array(text, dtype=object)[inverse].tolist()
+
+
+def _row_blocks(rows):
+    """The CSV lines of each block of BLOCK_ROWS rows, as one string per block."""
+    rows = iter(rows)
+    while block := list(map(tuple, itertools.islice(rows, BLOCK_ROWS))):
+        widths = set(map(len, block))
+        if len(widths) == 1 and 0 not in widths:  # format column by column
+            columns = [_cells(list(map(operator.itemgetter(k), block))) for k in range(widths.pop())]
+            lines = map(",".join, zip(*columns))
+        else:
+            lines = (",".join(_cells(row)) for row in block)
+        yield "\n".join(lines) + "\n"
 
 
 def csv_text(header: list[str], rows, stamp: bool = True) -> str:
-    lines = []
-    if stamp:
-        lines.append(STAMP)
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(format_number(v) if not isinstance(v, str) else v for v in row))
-    return "\n".join(lines) + "\n"
+    head = [STAMP] if stamp else []
+    head.append(",".join(header))
+    return "\n".join(head) + "\n" + "".join(_row_blocks(rows))
 
 
 def write_csv(path, header: list[str], rows, stamp: bool = True) -> None:

@@ -14,10 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, null_space
 
 from .hamiltonian import as_field, eigensystem
+from .lazy import SciPyFunction
 from .spectra import SiteModel, lorentzian_amplitude, optical_lines
+
+expm = SciPyFunction("scipy.linalg", "expm")
+null_space = SciPyFunction("scipy.linalg", "null_space")
 
 HOLE = "hole"
 ANTIHOLE = "antihole"
@@ -179,6 +182,8 @@ def hole_pattern(
     cutoff: float = DEFAULT_CLASS_CUTOFF,
     pseudo_epsilon: float = DEFAULT_PSEUDO_EPSILON,
     intensity_model: str = "uniform",
+    *,
+    changes: dict | None = None,
 ) -> HolePattern:
     """Predict the hole/antihole spectrum for one burn configuration.
 
@@ -189,14 +194,22 @@ def hole_pattern(
     the probed ground level.  When a rate model is given, ground levels
     whose post-burn population falls more than ``pseudo_epsilon`` below
     thermal re-label their antiholes as pseudo-holes.
+
+    ``changes`` memoizes the relative population changes per pumped level;
+    they depend on ``rates`` alone, so calls with the same rates can share
+    one dict and solve the rate equations once per level.
     """
+    if changes is None:
+        changes = {}
     B = as_field(B)
     eg = eigensystem(site.ground, B).energies
     ee = eigensystem(site.excited, B).energies
     entries: list[HoleEntry] = []
     for cls in enumerate_classes(site, B, burn_detuning_ghz, cutoff, intensity_model):
         i, j = cls.ground_level, cls.excited_level
-        delta = _relative_population_changes(rates, i)
+        if i not in changes:
+            changes[i] = _relative_population_changes(rates, i)
+        delta = changes[i]
         for jp in range(4):
             hole_shift = ee[jp] - ee[j]
             entries.append(
@@ -253,7 +266,8 @@ def shb_field_map(
     """Render hole patterns for a monotone list of field magnitudes.
 
     Rows are computed one field at a time and assembled in field order, so
-    the output is deterministic for fixed inputs.
+    the output is deterministic for fixed inputs.  The rate equations are
+    solved once per pumped level for the whole map.
     """
     d = np.asarray(direction, dtype=float).reshape(3)
     norm = np.linalg.norm(d)
@@ -268,8 +282,9 @@ def shb_field_map(
     lo, hi = detuning_range_ghz
     detunings = np.arange(lo, hi + 0.5 * detuning_step_ghz, detuning_step_ghz)
 
+    changes: dict = {}
     amplitudes = np.vstack([
-        render_pattern(hole_pattern(site, mag * d, burn_detuning_ghz, rates, cutoff),
+        render_pattern(hole_pattern(site, mag * d, burn_detuning_ghz, rates, cutoff, changes=changes),
                        detunings, hole_width_mhz)
         for mag in mags
     ])

@@ -138,6 +138,34 @@ def absorption_spectrum(site: SiteModel, B, grid, intensity_model: str = "overla
     return detunings, amp
 
 
+def find_peaks(y, prominence: float) -> np.ndarray:
+    """Indices of the local maxima of ``y`` whose prominence is >= ``prominence``.
+
+    The definition is scipy.signal.find_peaks(y, prominence=prominence)[0]:
+    a peak is a run of equal samples with a strictly lower sample on each
+    side, so never an end sample, and is reported at the run's middle index
+    (the left one of two).  Its prominence is its height minus the higher of
+    the lowest samples on either side, each searched up to the first sample
+    that is not <= the peak (or the array's end).
+    """
+    y = np.asarray(y, dtype=float).ravel()
+    if y.size < 3:
+        return np.zeros(0, dtype=np.intp)
+    starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])  # runs of equal samples
+    ends = np.r_[starts[1:] - 1, y.size - 1]
+    top = y[starts]
+    runs = np.flatnonzero((top[:-2] < top[1:-1]) & (top[2:] < top[1:-1])) + 1
+    peaks = (starts[runs] + ends[runs]) // 2
+    keep = np.zeros(peaks.size, dtype=bool)
+    for n, k in enumerate(peaks):
+        stop = np.flatnonzero(~(y <= y[k]))  # samples that end the search (NaN too)
+        lo, hi = stop[stop < k], stop[stop > k]
+        left = y[lo[-1] + 1 if lo.size else 0 : k + 1].min()
+        right = y[k : hi[0] if hi.size else y.size].min()
+        keep[n] = y[k] - max(left, right) >= prominence
+    return peaks[keep]
+
+
 def _zero_field_line_positions(site: SiteModel, ordering) -> np.ndarray:
     """16 zero-field line detunings for an ordering class pair (positions only)."""
     vg = decompose_tensor(site.ground.A).values

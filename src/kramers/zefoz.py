@@ -14,9 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .hamiltonian import SpinSystem, zeeman_gradient
+from .lazy import SciPyFunction
+
+minimize = SciPyFunction("scipy.optimize", "minimize")
 
 DEFAULT_REGION_RADIUS_MT = 100.0
 DEFAULT_REFINE_TOL_MHZ_PER_MT = 1e-3

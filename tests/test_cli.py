@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kramers
 from conftest import read_csv
 from kramers.cli import main
 
@@ -274,3 +279,24 @@ class TestSelftestCommand:
         lines = [l for l in stdout.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) == 10
         assert all(l.startswith("PASS") for l in lines)
+
+
+def test_commands_that_need_no_scipy_do_not_import_it(tmp_path):
+    # one fresh interpreter runs several commands, then lists the SciPy modules it loaded
+    script = (
+        "import sys\n"
+        "import kramers.cli as cli\n"
+        "for argv in (['levels', '--B', '0'], ['transitions', '--B', '100,0,0'], ['odmr', '--B', '0'],\n"
+        "             ['absorption', '--model', 'uniform', '--peaks-out', 'peaks.csv'],\n"
+        "             ['ordering', '--peaks-file', 'peaks.csv'], ['epr-map', '--step', '90'],\n"
+        "             ['shb-map', '--magnitudes', '0,10', '--span=-1:1:0.1']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(kramers.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+

@@ -50,6 +50,7 @@ INPUTS = {
     "fwhm_nan.ini": EXPLICIT_SITE.format(fwhm="nan"),
     "rates_nan.ini": "[rates]\nr12 = nan\nr34 = 1000\n",
 }
+NOT_UTF8 = b"\xff\xfe[site]\npreset = site-I\n"  # a UTF-16 byte-order mark
 
 
 def _run(argv):
@@ -104,6 +105,11 @@ DEFECTS = [
     (["shb-map", "--rates", "missing.ini"], "io-error"),
     (["ordering", "--peaks-file", "missing.csv"], "io-error"),
     (["ordering", "--peaks", "1,2,3"], "too-few-peaks"),
+    (["absorption", "--range=0:1:0.5"], "bad-range"),
+    (["levels", "--config", "undecodable.ini"], "bad-encoding"),
+    (["shb-map", "--magnitudes", "0:20:10", "--span=-1:1:0.01", "--rates", "undecodable.ini"], "bad-encoding"),
+    (["fit", "--data", "undecodable.csv"], "bad-encoding"),
+    (["ordering", "--peaks-file", "undecodable.csv"], "bad-encoding"),
 ]
 
 
@@ -112,12 +118,18 @@ def test_defect_exits_2_with_one_record(argv, expected, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, text in INPUTS.items():
         (tmp_path / name).write_text(text)
+    for name in ("undecodable.ini", "undecodable.csv"):
+        (tmp_path / name).write_bytes(NOT_UTF8)
     (tmp_path / "data.csv").write_text("kind,state,bx_mt,by_mt,bz_mt,value,sigma\n")
     before = set(os.listdir(tmp_path))
     code, _, err = _run([*argv, "--out", "out.csv"])
     record = _assert_one_record(code, err, expected)
     if expected == "io-error":
         assert record["key"].startswith("missing.")
+    if expected == "bad-encoding":
+        assert record["key"].startswith("undecodable.")
+    if argv[0] == "absorption" and expected == "bad-range":
+        assert record["key"] == "range"
     assert set(os.listdir(tmp_path)) == before
 
 

@@ -1,10 +1,21 @@
 import numpy as np
 import pytest
 
+from kramers import output
 from kramers.config import ConfigError, parse_config
 from kramers.hamiltonian import eigensystem, transition_frequencies
-from kramers.output import csv_text, format_number, pgm_bytes
+from kramers.output import STAMP, csv_text, format_number, pgm_bytes
 from kramers.presets import SITE_I
+
+
+def row_csv(header, rows, stamp=True):
+    """The CSV text written one row at a time, each cell through format_number."""
+    lines = [STAMP] if stamp else []
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else format_number(v) for v in row))
+    return "\n".join(lines) + "\n"
+
 
 PRESET_CONFIG = """
 [site]
@@ -120,6 +131,43 @@ class TestOutput:
         assert a.splitlines()[0].startswith("# kramers")
         no_stamp = csv_text(["n", "x"], rows, stamp=False)
         assert no_stamp.splitlines()[0] == "n,x"
+
+    def test_block_writer_matches_row_formatter(self, monkeypatch):
+        values = [0, 7, -3, 10**12, True, False, np.bool_(True), np.int64(-5), "a", "",
+                  0.0, -0.0, np.float64(-0.0), float("nan"), np.float64("nan"), float("inf"),
+                  -np.inf, 1e-300, 1e300, 1e12, 1e9, 123456789.0, np.float32(0.1), 0.1, 2.5, -1e-16]
+        rng = np.random.default_rng(4)
+
+        def choice(n):
+            return [values[k] for k in rng.integers(0, len(values), n)]
+
+        floats = [-0.0, 0.0, 1e-300, -1e300, float("nan"), float("-inf"), 0.25, np.float64(0.25)]
+        tables = {
+            "mixed columns": [tuple(choice(3)) for _ in range(40)],
+            "float columns": [(floats[k % 8], floats[(3 * k) % 8], np.float64(k / 7)) for k in range(40)],
+            "one column": [(v,) for v in values],
+            "ragged rows": [tuple(choice(n)) for n in rng.integers(0, 4, 40)],
+            "empty rows": [(), ()],
+            "no rows": [],
+        }
+        for size in (output.BLOCK_ROWS, 3, 1):
+            monkeypatch.setattr(output, "BLOCK_ROWS", size)
+            for name, rows in tables.items():
+                for stamp in (True, False):
+                    assert csv_text(["a", "b", "c"], rows, stamp) == row_csv(["a", "b", "c"], rows, stamp), name
+
+    def test_shb_map_csv_matches_row_formatter(self, tmp_path):
+        from kramers.cli import main
+        from kramers.shb import shb_field_map
+
+        for stamp in ([], ["--no-stamp"]):
+            out = tmp_path / "map.csv"
+            main(["shb-map", "--magnitudes", "0:30:5", "--span=-1:1:0.01", "--out", str(out), *stamp])
+            fmap = shb_field_map(SITE_I, (1, 0, 0), np.arange(0.0, 32.5, 5.0),
+                                 detuning_range_ghz=(-1.0, 1.0), detuning_step_ghz=0.01)
+            rows = [(b, d, fmap.amplitudes[nb, nd])
+                    for nb, b in enumerate(fmap.magnitudes_mt) for nd, d in enumerate(fmap.detunings_ghz)]
+            assert out.read_text() == row_csv(["field_mt", "detuning_ghz", "amplitude"], rows, not stamp)
 
     def test_pgm_structure_and_midgray(self):
         amp = np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from kramers import fitting
 from kramers.fitting import (
     DataPoint,
     FitProblem,
@@ -305,6 +306,94 @@ class TestFit:
         result = fit(problem, data, restarts=1, seed=1)
         assert result.rms_mhz < 1e-3
         assert "excited" in result.canonical_angles
+
+
+def write_data_csv(path, points):
+    """The `fit --data` CSV of labeled shb points."""
+    lines = ["kind,state,bx_mt,by_mt,bz_mt,value,sigma,label"]
+    for p in points:
+        bx, by, bz = p.field_mt
+        lines.append(f"{p.kind},{p.state},{bx!r},{by!r},{bz!r},{float(p.value)!r},{p.sigma!r},"
+                     f"{p.label[0] + 1}-{p.label[1] + 1}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestCovarianceAndRestarts:
+    def _record_solutions(self, monkeypatch):
+        solutions = []
+        real = fitting.least_squares
+
+        def recording(*args, **kwargs):
+            solutions.append(real(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(fitting, "least_squares", recording)
+        return solutions
+
+    def test_constrained_fit_covariance_unchanged(self, monkeypatch):
+        # full-rank Jacobian: the scaled pseudo-inverse of J^T J, bit for bit
+        solutions = self._record_solutions(monkeypatch)
+        data = ground_data([(1, 0, 0), (0, 0, 1)], step_mt=10.0, noise=1e-3, seed=5, sigma=1e-3)
+        result = fit(FitProblem(site=SITE_I), data, restarts=2, seed=5)
+        sol = next(s for s in solutions if np.array_equal(s.x, result.parameters))
+        assert np.all(np.any(sol.jac, axis=0))
+        cov = np.linalg.pinv(sol.jac.T @ sol.jac) * (2.0 * sol.cost / (len(data) - 3))
+        assert np.array_equal(result.covariance, 0.5 * (cov + cov.T))
+        assert np.all(np.isfinite(result.covariance))
+
+    def test_unconstrained_parameter_has_infinite_variance(self, monkeypatch):
+        # ground-only data cannot see the excited angles: their Jacobian columns are zero
+        solutions = self._record_solutions(monkeypatch)
+        data = ground_data([(1, 0, 0), (0, 0, 1)], step_mt=25.0, noise=1e-3, seed=3)
+        problem = FitProblem(site=SITE_I, fit_ground=True, fit_excited=True)
+        result = fit(problem, data, restarts=1, seed=3)
+        var = np.diag(result.covariance)
+        assert np.all(np.isinf(var[3:])) and np.all(np.isfinite(var[:3]))
+        # the constrained block is what the pseudo-inverse gives for it
+        sol = solutions[-1]
+        cov = np.linalg.pinv(sol.jac.T @ sol.jac) * (2.0 * sol.cost / (len(data) - 6))
+        assert np.array_equal(result.covariance[:3, :3], 0.5 * (cov + cov.T)[:3, :3])
+
+    def test_cli_prints_inf_sigma(self, tmp_path, capsys):
+        from kramers.cli import main
+
+        write_data_csv(tmp_path / "data.csv", ground_data([(1, 0, 0), (0, 0, 1)], step_mt=25.0, noise=1e-3, seed=3))
+        report = tmp_path / "report.txt"
+        main(["fit", "--data", str(tmp_path / "data.csv"), "--free", "excited,ground", "--restarts", "1",
+              "--out", str(tmp_path / "r.csv"), "--report", str(report)])
+        sigmas = report.read_text().split("parameter sigmas: ")[1]
+        assert "excited_alpha=inf, excited_beta=inf, excited_gamma=inf" in sigmas
+        assert "ground_alpha=inf" not in sigmas
+
+    def test_failed_restart_is_counted_and_reported(self, monkeypatch, tmp_path, capsys):
+        from kramers.cli import main
+
+        real = fitting.least_squares
+        calls = []
+
+        def fails_on_second_seed(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ValueError("injected failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fitting, "least_squares", fails_on_second_seed)
+        data = ground_data([(1, 0, 0), (0, 1, 0)], step_mt=20.0, noise=2e-3, seed=9)
+        result = fit(perturbed_problem(10.0, seed=9), data, restarts=3, seed=9)
+        assert len(result.restart_rms_mhz) == 2
+        assert result.restart_errors == ("ValueError: injected failure",)
+
+        write_data_csv(tmp_path / "data.csv", data)
+        calls.clear()
+        report = tmp_path / "report.txt"
+        main(["fit", "--data", str(tmp_path / "data.csv"), "--restarts", "3", "--seed", "9",
+              "--out", str(tmp_path / "r.csv"), "--report", str(report)])
+        assert "over 2 restarts, 1 failed (ValueError: injected failure)" in report.read_text()
+
+    def test_no_failed_restarts_no_failure_text(self):
+        data = ground_data([(1, 0, 0), (0, 1, 0)], step_mt=20.0, noise=2e-3, seed=9)
+        result = fit(perturbed_problem(10.0, seed=9), data, restarts=2, seed=9)
+        assert result.restart_errors == ()
 
 
 class TestCanonicalization:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kramers.hamiltonian import zero_field_levels
 from kramers.presets import SITE_I, SITE_II
 from kramers.spectra import (
     absorption_spectrum,
+    find_peaks,
     flip_sign_class,
     optical_lines,
     ordering_search,
@@ -186,3 +189,43 @@ class TestOrderingSearch:
             noisy = peaks + rng.normal(0, 1e-3, peaks.size)
             ranked = ordering_search(SITE_II, noisy)
             assert ranked[0].ordering == (1, 1)
+
+
+def scipy_peaks(y, prominence):
+    from scipy.signal import find_peaks as reference
+
+    return reference(y, prominence=prominence)[0]
+
+
+# runs of a few levels: plateaus, ties between peaks, maxima at either end
+# and constant stretches; occasionally a NaN sample or arbitrary floats
+_RUNS = st.lists(st.tuples(st.integers(0, 4), st.integers(1, 4)), max_size=16).map(
+    lambda runs: np.repeat([float(v) for v, _ in runs], [n for _, n in runs]))
+_FLOATS = st.lists(st.floats(-1e3, 1e3), max_size=30).map(lambda v: np.array(v, dtype=float))
+
+
+@st.composite
+def _signals(draw):
+    y = draw(st.one_of(_RUNS, _RUNS, _FLOATS))
+    if y.size and draw(st.integers(0, 4)) == 0:
+        y[draw(st.integers(0, y.size - 1))] = np.nan
+    return y
+
+
+class TestFindPeaks:
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(_signals(), st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), st.floats(0, 500)))
+    def test_matches_scipy(self, y, prominence):
+        assert np.array_equal(find_peaks(y, prominence), scipy_peaks(y, prominence))
+
+    def test_plateau_reported_at_its_middle(self):
+        y = np.array([0, 2, 2, 2, 2, 1, 3, 3, 3, 0, 5, 5])
+        assert find_peaks(y, 0).tolist() == [2, 7]  # the right end run is no peak
+        assert find_peaks(y, 2).tolist() == [7]      # the first peak's prominence is 1
+
+    @pytest.mark.parametrize("site", [SITE_I, SITE_II], ids=["I", "II"])
+    @pytest.mark.parametrize("model", ["overlap", "uniform"])
+    def test_matches_scipy_on_absorption_spectra(self, site, model):
+        _, amp = absorption_spectrum(site, (0, 0, 0), (-5.0, 5.0, 0.005), intensity_model=model)
+        for fraction in (0.0, 0.01, 0.05, 0.2):
+            assert np.array_equal(find_peaks(amp, fraction), scipy_peaks(amp, fraction))
