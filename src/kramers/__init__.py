@@ -16,7 +16,6 @@ from .fitting import DataPoint, FitProblem, FitResult, fit, invert_and_seed, res
 from .hamiltonian import (
     EigenSystem,
     SpinSystem,
-    TransitionTable,
     ZeroFieldLevels,
     basis_overlaps,
     build_hamiltonian,

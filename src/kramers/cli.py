@@ -21,7 +21,7 @@ from .config import (
     ConfigError, check_points, grid, integer, integers, level_pair, load_config, load_rates, number,
     number_list, read_text, samples, vector,
 )
-from .hamiltonian import eigensystem, transition_frequencies
+from .hamiltonian import PAIRS, eigensystem, transition_frequencies
 from .output import write_csv, write_pgm
 from .presets import get_site
 from .selftest import run_selftest
@@ -192,8 +192,8 @@ def _cmd_levels(args) -> int:
 def _cmd_transitions(args) -> int:
     site = _resolve_site(args)
     field = _field_from_args(args)
-    table = transition_frequencies(eigensystem(getattr(site, args.state), field), field)
-    rows = [(t.lower + 1, t.upper + 1, t.frequency_ghz) for t in table.entries]
+    freqs = transition_frequencies(eigensystem(getattr(site, args.state), field))
+    rows = [(i + 1, j + 1, f) for (i, j), f in zip(PAIRS, freqs.tolist())]
     write_csv(args.out, ["lower", "upper", "frequency_ghz"], rows, stamp=not args.no_stamp)
     for lo, up, f in rows:
         print(f"{lo} -> {up}: {f * 1e3:9.3f} MHz")
@@ -256,8 +256,8 @@ def _cmd_odmr(args) -> int:
 
 def _cmd_epr_map(args) -> int:
     site = _resolve_site(args)
-    # angles x field samples per ray (the library samples each ray at 1 mT)
-    check_points("step,bmax", 180.0 / args.step + 1.0, args.bmax + 2.0)
+    # angles x field samples per ray
+    check_points("step,bmax", 180.0 / args.step + 1.0, args.bmax / magres.EPR_GRID_STEP_MT + 2.0)
     swept = magres.epr_angular_map(
         getattr(site, args.state), args.plane, args.step, args.freq, args.bmax
     )
@@ -323,7 +323,10 @@ def _cmd_fit(args) -> int:
         refine_eigenvalues="eigenvalues" in free,
         nu_mw_ghz=args.freq,
     )
-    result = fitting.fit(problem, data, restarts=args.restarts, seed=args.seed)
+    try:
+        result = fitting.fit(problem, data, restarts=args.restarts, seed=args.seed)
+    except RuntimeError as exc:  # every restart failed
+        raise ConfigError("fit-failed", str(exc))
 
     rows = [
         (n + 1, p.kind, p.state, p.value, p.sigma,

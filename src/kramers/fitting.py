@@ -400,14 +400,12 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
 
     lo, hi = problem.bounds()
     rng = np.random.default_rng(seed)
-    seeds = [x0]
-    for _ in range(max(0, restarts - 1)):
-        seeds.append(rng.uniform(lo, hi))
-
     best = None
     restart_rms_list = []
     errors = []
-    for x_start in seeds:
+    for n in range(max(1, restarts)):
+        # one seed drawn per restart: memory does not grow with ``restarts``
+        x_start = x0 if n == 0 else rng.uniform(lo, hi)
         try:
             sol = least_squares(
                 fun, np.clip(x_start, lo, hi), bounds=(lo, hi),
@@ -480,11 +478,9 @@ def _canonical_report(problem: FitProblem, params: np.ndarray) -> dict:
     return report
 
 
-# the six pairwise differences expressed in the gap basis (d1, d2, d3)
-_GAP_COMBOS = (
-    (1, 0, 0), (0, 1, 0), (0, 0, 1),
-    (1, 1, 0), (0, 1, 1), (1, 1, 1),
-)
+# the six pairwise differences expressed in the gap basis (d1, d2, d3):
+# E_j - E_i spans the gaps d_k with i <= k < j
+_GAP_COMBOS = tuple(tuple(int(i <= k < j) for k in range(3)) for i, j in PAIRS)
 
 
 def reconstruct_levels(lines_ghz, tol_ghz: float = 2e-3) -> np.ndarray:

@@ -34,11 +34,9 @@ _SIGMA_HALF = (
 )
 _ID2 = np.eye(2, dtype=complex)
 
-# electron (S) and nuclear (I) spin operators on the 4-dim product space
-S_OPS = tuple(np.kron(s, _ID2) for s in _SIGMA_HALF)
-I_OPS = tuple(np.kron(_ID2, s) for s in _SIGMA_HALF)
-S_STACK = np.stack(S_OPS)
-I_STACK = np.stack(I_OPS)
+# electron (S) and nuclear (I) spin operators on the 4-dim product space, (3, 4, 4)
+S_STACK = np.stack([np.kron(s, _ID2) for s in _SIGMA_HALF])
+I_STACK = np.stack([np.kron(_ID2, s) for s in _SIGMA_HALF])
 S_STACK.setflags(write=False)
 I_STACK.setflags(write=False)
 
@@ -92,7 +90,7 @@ class SpinSystem:
     def hyperfine_matrix(self) -> np.ndarray:
         """The field-independent term sum_kl A_kl I_k S_l (GHz), 4x4."""
         A = self.A.matrix
-        h = sum(A[k, l] * (I_OPS[k] @ S_OPS[l]) for k in range(3) for l in range(3))
+        h = sum(A[k, l] * (I_STACK[k] @ S_STACK[l]) for k in range(3) for l in range(3))
         h.setflags(write=False)
         return h
 
@@ -221,34 +219,9 @@ def invert_zero_field(levels) -> tuple[float, float, float]:
     return (a1, a2, a3)
 
 
-@dataclass(frozen=True)
-class TransitionEntry:
-    lower: int
-    upper: int
-    frequency_ghz: float
-    field_mt: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
-class TransitionTable:
-    """All six pairwise level differences, labeled by ascending level index."""
-
-    entries: tuple[TransitionEntry, ...]
-
-    def frequencies(self) -> np.ndarray:
-        return np.array([t.frequency_ghz for t in self.entries])
-
-    def frequency(self, lower: int, upper: int) -> float:
-        for t in self.entries:
-            if (t.lower, t.upper) == (lower, upper):
-                return t.frequency_ghz
-        raise KeyError((lower, upper))
-
-
-def transition_frequencies(es: EigenSystem, B=(0.0, 0.0, 0.0)) -> TransitionTable:
-    b = tuple(as_field(B))
-    e = es.energies
-    return TransitionTable(tuple(TransitionEntry(i, j, float(e[j] - e[i]), b) for i, j in PAIRS))
+def transition_frequencies(es: EigenSystem) -> np.ndarray:
+    """The six level differences E_j - E_i (GHz), in ``PAIRS`` order."""
+    return es.energies[PAIR_HI] - es.energies[PAIR_LO]
 
 
 def spin_half_states(axis=None) -> tuple[np.ndarray, np.ndarray]:
@@ -287,11 +260,6 @@ def basis_overlaps(es: EigenSystem, electron_axis=None, nuclear_axis=None) -> np
     return np.abs(basis.conj().T @ es.states) ** 2
 
 
-def zeeman_hamiltonian_derivatives(sys: SpinSystem) -> np.ndarray:
-    """dH/dB_k for the three Cartesian components, shape (3, 4, 4), GHz/mT (read-only)."""
-    return sys.zeeman_derivatives
-
-
 def zeeman_gradient(sys: SpinSystem, B, i: int, j: int) -> np.ndarray:
     """Hellmann-Feynman gradient of the (i, j) transition, GHz/mT.
 
@@ -300,15 +268,13 @@ def zeeman_gradient(sys: SpinSystem, B, i: int, j: int) -> np.ndarray:
     to a finite-difference fallback.
     """
     es = eigensystem(sys, B)
-    e = es.energies
-    for level in (i, j):
-        for other in range(4):
-            if other != level and abs(e[other] - e[level]) < DEGENERACY_GAP_GHZ:
-                raise ValueError(
-                    f"levels {level} and {other} are degenerate at this field; "
-                    "use finite differences instead of Hellmann-Feynman"
-                )
-    dh = zeeman_hamiltonian_derivatives(sys)
+    for group in es.degenerate_groups():
+        if len(group) > 1 and (i in group or j in group):
+            raise ValueError(
+                f"levels {group} are degenerate at this field; "
+                "use finite differences instead of Hellmann-Feynman"
+            )
+    dh = sys.zeeman_derivatives
     vi, vj = es.states[:, i], es.states[:, j]
     grad = np.array(
         [(vj.conj() @ dh[k] @ vj - vi.conj() @ dh[k] @ vi).real for k in range(3)]

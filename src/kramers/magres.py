@@ -14,21 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import (
-    I_OPS,
-    PAIR_HI,
-    PAIR_LO,
-    PAIRS,
-    S_OPS,
-    SpinSystem,
-    as_field,
-    eigensystem,
-    energies_sweep,
-)
+from .hamiltonian import PAIR_HI, PAIR_LO, PAIRS, SpinSystem, eigensystem, energies_sweep
 
 B_AXIS = (0.0, 0.0, 1.0)
 STRONG_MOMENT_FRACTION = 0.01
 EPR_FIELD_TOL_MT = 1e-3
+EPR_GRID_STEP_MT = 1.0  # field sampling of each ray before bracketing
+EPR_HALVING_DEPTH = 8  # halving levels around a sampled branch extremum
 
 PLANES = {
     "D1-D2": ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
@@ -60,14 +52,8 @@ def _moment_operator(sys: SpinSystem, ac_axis) -> np.ndarray:
     norm = np.linalg.norm(n)
     if norm == 0:
         raise ValueError("AC field axis must be nonzero")
-    n = n / norm
-    g = sys.g.matrix
-    op = np.zeros((4, 4), dtype=complex)
-    for k in range(3):
-        for l in range(3):
-            op += n[k] * g[k, l] * S_OPS[l]
-        op -= n[k] * (sys.mu_n / sys.mu_b) * sys.g_n * I_OPS[k]
-    return op
+    # n . dH/dB, in units of mu_B
+    return np.einsum("k,kab->ab", n / norm, sys.zeeman_derivatives) / (sys.mu_b * 1e-3)
 
 
 def transition_moments(sys: SpinSystem, B, ac_axis=B_AXIS) -> dict[tuple[int, int], float]:
@@ -102,12 +88,6 @@ def odmr_lines(sys: SpinSystem, B=(0.0, 0.0, 0.0), ac_axis=B_AXIS) -> list[OdmrL
     return lines
 
 
-def _branch_frequencies(sys: SpinSystem, direction: np.ndarray, mags: np.ndarray) -> np.ndarray:
-    """Transition frequencies along a field ray, shape (n_mags, 6)."""
-    e = energies_sweep(sys, mags[:, None] * direction[None, :])
-    return e[:, PAIR_HI] - e[:, PAIR_LO]
-
-
 def _detunings(sys: SpinSystem, direction: np.ndarray, nu_mw_ghz: float,
                mags: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Frequency minus nu_mw of branch ``cols[n]`` at field ``mags[n]``, one sweep for all."""
@@ -116,15 +96,15 @@ def _detunings(sys: SpinSystem, direction: np.ndarray, nu_mw_ghz: float,
     return e[rows, PAIR_HI[cols]] - e[rows, PAIR_LO[cols]] - nu_mw_ghz
 
 
-def _sign_brackets(sys, direction, nu_mw_ghz, grid, values, depth: int = 8):
+def _sign_brackets(sys, direction, nu_mw_ghz, grid, values):
     """Sign-change brackets on the sampled branches ``values`` (grid x 6).
 
     A cell brackets a root when its end values differ in sign (<= 0 counts
     as negative).  Both cells next to a sampled local extremum are halved
-    level by level (up to ``depth`` levels, down to the field tolerance) so
-    near-tangent crossings are not missed; each level evaluates the
-    midpoints of every pending cell of every branch in one sweep.  Returns
-    (lo, hi, flo, col) arrays ordered by branch, then field.
+    level by level (up to EPR_HALVING_DEPTH levels, down to the field
+    tolerance) so near-tangent crossings are not missed; each level
+    evaluates the midpoints of every pending cell of every branch in one
+    sweep.  Returns (lo, hi, flo, col) arrays ordered by branch, then field.
     """
     neg = values <= 0.0
     change = neg[:-1] != neg[1:]  # cell n spans grid[n]..grid[n + 1]
@@ -140,7 +120,7 @@ def _sign_brackets(sys, direction, nu_mw_ghz, grid, values, depth: int = 8):
     found = [(grid[cell], grid[cell + 1], values[cell, col], col)]
     cell, col = np.nonzero(halve)
     lo, hi, flo, fhi = grid[cell], grid[cell + 1], values[cell, col], values[cell + 1, col]
-    for _ in range(depth):
+    for _ in range(EPR_HALVING_DEPTH):
         wide = hi - lo > EPR_FIELD_TOL_MT
         lo, hi, flo, fhi, col = lo[wide], hi[wide], flo[wide], fhi[wide], col[wide]
         if lo.size == 0:
@@ -179,14 +159,13 @@ def epr_resonance_fields(
     direction,
     nu_mw_ghz: float,
     b_max_mt: float,
-    grid_step_mt: float = 1.0,
     ac_axis=B_AXIS,
     subsites=(1, 2),
 ) -> list[EprResonance]:
     """All field magnitudes in (0, b_max] where a transition meets nu_mw.
 
     Each of the six transition branches of each requested subsite is sampled
-    at ``grid_step_mt`` (<= 1 mT), bracketed, and bisected to 1e-3 mT.
+    every EPR_GRID_STEP_MT, bracketed, and bisected to EPR_FIELD_TOL_MT.
     """
     if nu_mw_ghz <= 0:
         raise ValueError("microwave frequency must be positive")
@@ -197,15 +176,15 @@ def epr_resonance_fields(
     if norm == 0:
         raise ValueError("direction must be a nonzero vector")
     d = d / norm
-    step = min(grid_step_mt, 1.0)
-    mags = np.arange(0.0, b_max_mt + 0.5 * step, step)
+    mags = np.arange(0.0, b_max_mt + 0.5 * EPR_GRID_STEP_MT, EPR_GRID_STEP_MT)
     if mags[-1] < b_max_mt:
         mags = np.append(mags, b_max_mt)
 
     results = []
     for subsite in subsites:
         ssys = sys.with_subsite(subsite)
-        freqs = _branch_frequencies(ssys, d, mags) - nu_mw_ghz
+        e = energies_sweep(ssys, mags[:, None] * d[None, :])
+        freqs = e[:, PAIR_HI] - e[:, PAIR_LO] - nu_mw_ghz
         lo, hi, flo, cols = _sign_brackets(ssys, d, nu_mw_ghz, mags, freqs)
         for b_res, col in zip(_bisect(ssys, d, nu_mw_ghz, lo, hi, flo, cols), cols):
             if b_res <= 0.0 or b_res > b_max_mt:

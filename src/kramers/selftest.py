@@ -52,8 +52,7 @@ D1 = np.array([1.0, 0.0, 0.0])
 
 
 def zero_field_transitions_mhz(sys) -> np.ndarray:
-    table = transition_frequencies(eigensystem(sys, (0.0, 0.0, 0.0)))
-    return table.frequencies() * 1e3
+    return transition_frequencies(eigensystem(sys, (0.0, 0.0, 0.0))) * 1e3
 
 
 def _contains(computed, targets, tol_mhz) -> tuple[bool, str]:

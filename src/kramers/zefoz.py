@@ -29,11 +29,12 @@ EXACT = "exact-ZEFOZ"
 NEAR = "near-ZEFOZ"
 
 
-def sensitivity(sys: SpinSystem, B, i: int, j: int, step_mt: float = CURVATURE_STEP_MT):
+def sensitivity(sys: SpinSystem, B, i: int, j: int):
     """(gradient MHz/mT, curvature matrix MHz/mT^2) of transition (i, j).
 
     Curvature is computed from central differences of the analytic gradient
-    with one step of Richardson extrapolation and symmetrized.
+    (steps CURVATURE_STEP_MT and half of it) with one step of Richardson
+    extrapolation and symmetrized.
     """
     B = np.asarray(B, dtype=float).reshape(3)
     grad = zeeman_gradient(sys, B, i, j) * 1e3
@@ -48,8 +49,8 @@ def sensitivity(sys: SpinSystem, B, i: int, j: int, step_mt: float = CURVATURE_S
             cols.append((gp - gm) / (2.0 * h))
         return np.column_stack(cols) * 1e3
 
-    c1 = curv_fd(step_mt)
-    c2 = curv_fd(step_mt / 2.0)
+    c1 = curv_fd(CURVATURE_STEP_MT)
+    c2 = curv_fd(CURVATURE_STEP_MT / 2.0)
     curv = (4.0 * c2 - c1) / 3.0
     return grad, 0.5 * (curv + curv.T)
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from kramers import magres
+from kramers import fitting, magres
 from kramers.cli import main
 from kramers.config import MAX_POINTS, ConfigError, check_points, grid
 
@@ -49,6 +49,8 @@ INPUTS = {
     "ordering.ini": "[site]\npreset = site-I\nordering_ground = 1.9\n",
     "fwhm_nan.ini": EXPLICIT_SITE.format(fwhm="nan"),
     "rates_nan.ini": "[rates]\nr12 = nan\nr34 = 1000\n",
+    "points.csv": "kind,state,bx_mt,by_mt,bz_mt,value,sigma\n"
+                  + "".join(f"shb,ground,{b},0,0,0.5,\n" for b in (10, 20, 30)),
 }
 NOT_UTF8 = b"\xff\xfe[site]\npreset = site-I\n"  # a UTF-16 byte-order mark
 
@@ -110,12 +112,17 @@ DEFECTS = [
     (["shb-map", "--magnitudes", "0:20:10", "--span=-1:1:0.01", "--rates", "undecodable.ini"], "bad-encoding"),
     (["fit", "--data", "undecodable.csv"], "bad-encoding"),
     (["ordering", "--peaks-file", "undecodable.csv"], "bad-encoding"),
+    (["fit", "--data", "points.csv", "--restarts", "2"], "fit-failed"),  # every restart raises
 ]
 
 
 @pytest.mark.parametrize("argv,expected", DEFECTS, ids=[" ".join(a) for a, _ in DEFECTS])
 def test_defect_exits_2_with_one_record(argv, expected, tmp_path, monkeypatch):
+    def failing_restart(*args, **kwargs):
+        raise ValueError("injected failure")
+
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(fitting, "least_squares", failing_restart)  # only the fit-failed row gets this far
     for name, text in INPUTS.items():
         (tmp_path / name).write_text(text)
     for name in ("undecodable.ini", "undecodable.csv"):
@@ -130,6 +137,8 @@ def test_defect_exits_2_with_one_record(argv, expected, tmp_path, monkeypatch):
         assert record["key"].startswith("undecodable.")
     if argv[0] == "absorption" and expected == "bad-range":
         assert record["key"] == "range"
+    if expected == "fit-failed":
+        assert record["message"] == "all 2 restarts failed (first: ValueError: injected failure)"
     assert set(os.listdir(tmp_path)) == before
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -389,6 +391,50 @@ class TestCovarianceAndRestarts:
         main(["fit", "--data", str(tmp_path / "data.csv"), "--restarts", "3", "--seed", "9",
               "--out", str(tmp_path / "r.csv"), "--report", str(report)])
         assert "over 2 restarts, 1 failed (ValueError: injected failure)" in report.read_text()
+
+    def test_restart_seeds_drawn_one_at_a_time(self, monkeypatch):
+        # a huge restart count allocates nothing up front, and the seeds are a normal run's
+        class Stop(BaseException):
+            pass
+
+        def recorder(stop_at, then=None):
+            starts = []
+
+            def least_squares(fun, x0, **kwargs):
+                starts.append(np.array(x0))
+                if len(starts) == stop_at:
+                    raise Stop
+                if then is None:
+                    raise ValueError("injected failure")
+                return then(fun, x0, **kwargs)
+
+            return starts, least_squares
+
+        data = ground_data([(1, 0, 0)], step_mt=25.0)
+        problem = perturbed_problem(10.0, seed=9)
+        real = fitting.least_squares
+
+        starts, stub = recorder(stop_at=4)
+        monkeypatch.setattr(fitting, "least_squares", stub)
+        with pytest.raises(Stop):
+            fit(problem, data, restarts=10**5, seed=9)
+        normal, recording = recorder(stop_at=None, then=real)
+        monkeypatch.setattr(fitting, "least_squares", recording)
+        assert len(fit(problem, data, restarts=4, seed=9).restart_rms_mhz) == 4
+        np.testing.assert_array_equal(np.array(starts), np.array(normal))
+
+        # traced after the calls above, so one-time import and cache costs are paid
+        starts, stub = recorder(stop_at=1)
+        monkeypatch.setattr(fitting, "least_squares", stub)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                fit(problem, data, restarts=10**5, seed=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(starts) == 1
+        assert peak < 1e6
 
     def test_no_failed_restarts_no_failure_text(self):
         data = ground_data([(1, 0, 0), (0, 1, 0)], step_mt=20.0, noise=2e-3, seed=9)

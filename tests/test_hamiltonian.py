@@ -1,8 +1,10 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kramers
 from kramers.hamiltonian import (
     EigenSystem,
     MU_B_GHZ_PER_T,
@@ -21,7 +23,6 @@ from kramers.hamiltonian import (
     product_basis,
     transition_frequencies,
     zeeman_gradient,
-    zeeman_hamiltonian_derivatives,
     zero_field_levels,
 )
 from kramers.presets import SITE_I, SITE_II
@@ -153,7 +154,7 @@ class TestCachedKernel:
 
     def assert_matches_reference(self, sys):
         np.testing.assert_array_equal(hamiltonian_batch(sys, self.FIELDS), kron_hamiltonians(sys, self.FIELDS))
-        np.testing.assert_array_equal(zeeman_hamiltonian_derivatives(sys), kron_derivatives(sys))
+        np.testing.assert_array_equal(sys.zeeman_derivatives, kron_derivatives(sys))
 
     def test_batch_rows_independent_of_batch_size(self):
         fields = self.FIELDS[:50]
@@ -163,7 +164,7 @@ class TestCachedKernel:
     def test_replace_and_subsite_never_see_stale_cache(self):
         sys = SITE_I.ground
         hamiltonian_batch(sys, self.FIELDS)
-        zeeman_hamiltonian_derivatives(sys)  # both caches filled
+        sys.zeeman_derivatives  # both caches filled
         variants = (
             replace(sys, A=SITE_II.ground.A),
             replace(sys, g=SITE_I.excited.g),
@@ -177,11 +178,22 @@ class TestCachedKernel:
         with pytest.raises(ValueError):
             SITE_I.ground.hyperfine_matrix[0, 0] = 1.0
         with pytest.raises(ValueError):
-            zeeman_hamiltonian_derivatives(SITE_I.ground)[0, 0, 0] = 1.0
+            SITE_I.ground.zeeman_derivatives[0, 0, 0] = 1.0
 
     def test_pair_table(self):
         assert PAIRS == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
         assert list(zip(PAIR_LO, PAIR_HI)) == list(PAIRS)
+
+    def test_spin_operators_built_only_in_hamiltonian(self):
+        # every other module reaches spin operators through H0 and D
+        names = ("np.kron", "S_STACK", "I_STACK", "S_OPS", "I_OPS")
+        package = Path(kramers.__file__).parent
+        modules = sorted(package.glob("*.py"))
+        assert package / "hamiltonian.py" in modules
+        for path in modules:
+            if path.name != "hamiltonian.py":
+                text = path.read_text()
+                assert [n for n in names if n in text] == [], path.name
 
 
 class TestDiagonalize:
@@ -276,30 +288,29 @@ class TestInvertZeroField:
 
 class TestTransitionFrequencies:
     def test_site_i_ground_zero_field(self):
-        table = transition_frequencies(eigensystem(SITE_I.ground, (0, 0, 0)))
-        mhz = np.sort(table.frequencies()) * 1e3
+        mhz = np.sort(transition_frequencies(eigensystem(SITE_I.ground, (0, 0, 0)))) * 1e3
         expected = [339.0, 823.0, 2046.0, 2385.0, 2869.0, 3208.0]
         assert np.abs(mhz - expected).max() < 1.0
 
     def test_site_ii_ground_zero_field(self):
-        table = transition_frequencies(eigensystem(SITE_II.ground, (0, 0, 0)))
-        mhz = table.frequencies() * 1e3
+        mhz = transition_frequencies(eigensystem(SITE_II.ground, (0, 0, 0))) * 1e3
         for target in (528.0, 655.0, 2370.0, 2496.0, 3025.0):
             assert np.abs(mhz - target).min() < 2.0
 
     def test_six_entries_nonnegative_labeled(self):
-        table = transition_frequencies(eigensystem(SITE_I.excited, (37.0, -12.0, 5.0)))
-        assert len(table.entries) == 6
-        assert all(t.frequency_ghz >= 0 for t in table.entries)
-        assert [(t.lower, t.upper) for t in table.entries] == [
-            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
-        ]
+        es = eigensystem(SITE_I.excited, (37.0, -12.0, 5.0))
+        freqs = transition_frequencies(es)
+        assert freqs.shape == (6,)
+        assert np.all(freqs >= 0)
+        # entry n is the (lower, upper) = PAIRS[n] difference
+        assert PAIRS == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        assert freqs.tolist() == [float(es.energies[j] - es.energies[i]) for i, j in PAIRS]
 
     def test_degenerate_pair_zero_entry_retained(self):
         es = diagonalize(np.zeros((4, 4), dtype=complex))
-        table = transition_frequencies(es)
-        assert len(table.entries) == 6
-        assert all(t.frequency_ghz == 0.0 for t in table.entries)
+        freqs = transition_frequencies(es)
+        assert freqs.shape == (6,)
+        assert np.all(freqs == 0.0)
 
 
 class TestBasisOverlaps:

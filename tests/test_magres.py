@@ -6,6 +6,7 @@ from kramers.magres import (
     EPR_FIELD_TOL_MT,
     PLANES,
     EprResonance,
+    _moment_operator,
     epr_angular_map,
     epr_resonance_fields,
     odmr_lines,
@@ -65,6 +66,30 @@ class TestOdmrLines:
         for l in lines:
             assert l.moment >= 0
             assert l.strong == (l.moment >= 0.01 * max_moment)
+
+
+_HALF = (
+    np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex),
+    np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex),
+    np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex),
+)
+_S = [np.kron(s, np.eye(2)) for s in _HALF]
+_I = [np.kron(np.eye(2), s) for s in _HALF]
+
+
+class TestMomentOperator:
+    @pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.3, -1.2, 0.7)],
+                             ids=["b", "D1", "oblique"])
+    @pytest.mark.parametrize("subsite", [1, 2])
+    @pytest.mark.parametrize("site", [SITE_I, SITE_II], ids=["I", "II"])
+    def test_equals_explicit_dipole_formula(self, site, subsite, axis):
+        for sys in (site.ground.with_subsite(subsite), site.excited.with_subsite(subsite)):
+            n = np.asarray(axis) / np.linalg.norm(axis)
+            g = sys.g.matrix
+            # sum_kl n_k g_kl S_l - (mu_n / mu_B) g_n n.I
+            reference = sum(n[k] * g[k, l] * _S[l] for k in range(3) for l in range(3))
+            reference = reference - (sys.mu_n / sys.mu_b) * sys.g_n * sum(n[k] * _I[k] for k in range(3))
+            assert np.abs(_moment_operator(sys, axis) - reference).max() < 1e-15
 
 
 class TestEprResonances:
