@@ -292,7 +292,11 @@ def _read_data_csv(path) -> list[fitting.DataPoint]:
         key = f"line {n}"
         try:
             kind, state = row[0].strip().lower(), row[1].strip().lower()
-            bx, by, bz, value = (number(x, key, code="bad-data") for x in row[2:6])
+            bx, by, bz = (number(x, key, code="bad-data") for x in row[2:5])
+            # an EPR value is a resonance field along the row's direction
+            value = number(row[5], key, "positive" if kind == "epr" else "any", "bad-data")
+            if kind == "epr" and not any((bx, by, bz)):
+                raise ConfigError("bad-data", f"{path}:{n}: an EPR point needs a nonzero direction", key)
             if row[6].strip():
                 sigma = number(row[6], key, "positive", "bad-data")
             else:

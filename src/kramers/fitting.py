@@ -41,6 +41,13 @@ STATES = ("ground", "excited")
 DEFAULT_SIGMA_GHZ = {"shb": 2e-3, "odmr": 0.5e-3}
 DEFAULT_SIGMA_MT = 0.5
 
+# a residual is clipped at its gate: a frequency point at GATE_FREQ_GHZ, an
+# EPR point at GATE_FIELD_MT
+GATE_FREQ_GHZ = 0.5
+GATE_FIELD_MT = 50.0
+MISALIGNMENT_BOUND_DEG = 5.0
+EIGENVALUE_BOUND_GHZ = 0.05
+
 
 @dataclass(frozen=True)
 class DataPoint:
@@ -71,7 +78,7 @@ class DataPoint:
 
 @dataclass(frozen=True)
 class FitProblem:
-    """Free-parameter selection and gates for one fitting run.
+    """Free-parameter selection for one fitting run.
 
     The parameter vector is, in order and only where enabled: ground A
     Euler angles (deg), excited A Euler angles (deg), misalignment xyz
@@ -85,10 +92,6 @@ class FitProblem:
     fit_misalignment: bool = False
     refine_eigenvalues: bool = False
     nu_mw_ghz: float = 9.7
-    gate_freq_ghz: float = 0.5
-    gate_field_mt: float = 50.0
-    misalignment_bound_deg: float = 5.0
-    eigenvalue_bound_ghz: float = 0.05
 
     def parameter_names(self) -> list[str]:
         names = []
@@ -121,11 +124,11 @@ class FitProblem:
         lo, hi = [], []
         for name in self.parameter_names():
             if name.startswith("mis"):
-                lo.append(-self.misalignment_bound_deg)
-                hi.append(self.misalignment_bound_deg)
+                lo.append(-MISALIGNMENT_BOUND_DEG)
+                hi.append(MISALIGNMENT_BOUND_DEG)
             elif "_d" in name:
-                lo.append(-self.eigenvalue_bound_ghz)
-                hi.append(self.eigenvalue_bound_ghz)
+                lo.append(-EIGENVALUE_BOUND_GHZ)
+                hi.append(EIGENVALUE_BOUND_GHZ)
             else:
                 lo.append(-180.0)
                 hi.append(180.0)
@@ -206,12 +209,16 @@ class CompiledData:
 
     ``fit`` compiles its data once instead of on every residual
     evaluation; ``epr`` pairs each EPR point's position with its unit
-    sweep direction.
+    sweep direction.  ``gates`` and ``weights`` (1/sigma, 0 for an
+    infinite sigma) have one entry per point.
     """
 
     points: tuple[DataPoint, ...]
     states: tuple[_StateRows, ...]
     epr: tuple[tuple[int, np.ndarray], ...]
+    is_epr: np.ndarray
+    gates: np.ndarray
+    weights: np.ndarray
 
 
 def compile_data(data) -> CompiledData:
@@ -249,26 +256,37 @@ def compile_data(data) -> CompiledData:
         norm = np.linalg.norm(direction)
         if norm == 0:
             raise ValueError("EPR point needs a nonzero direction")
+        if not p.value > 0:
+            raise ValueError("EPR resonance field must be positive")
         epr.append((n, direction / norm))
-    return CompiledData(points, tuple(states), tuple(epr))
+    is_epr = np.array([p.kind == "epr" for p in points])
+    sigmas = np.array([p.sigma for p in points], dtype=float)
+    return CompiledData(
+        points, tuple(states), tuple(epr), is_epr,
+        gates=np.where(is_epr, GATE_FIELD_MT, GATE_FREQ_GHZ),
+        weights=np.where(np.isfinite(sigmas), 1.0 / sigmas, 0.0),
+    )
 
 
 def residuals(problem: FitProblem, params, data, full: bool = False):
-    """Observed-minus-model residuals for every data point.
+    """Observed-minus-model residuals for every data point, clipped at the gates.
 
     Labeled points compare against their own transition on the nearer of
     the two magnetic subsites; unlabeled points against the nearest of all
-    twelve subsite transitions.  EPR points compare resonance fields at
-    nu_mw instead.  Points farther from any model transition than the gate
-    are flagged as outliers and contribute zero.  ``data`` is a list of
-    DataPoints or its ``compile_data`` form.
+    twelve subsite transitions.  EPR points compare against the nearest
+    resonance field at nu_mw, searched up to value + GATE_FIELD_MT; a point
+    with no resonance there is beyond its gate.  Each residual is clipped
+    to +/- its gate (GATE_FREQ_GHZ, or GATE_FIELD_MT for EPR), so a gated
+    point costs a constant (gate/sigma)^2 and discarding data never lowers
+    the cost.  ``data`` is a list of DataPoints or its ``compile_data``
+    form.  With ``full`` it returns (residuals, model values, sorted
+    indices of the gated points); a point without a model value has NaN.
     """
     if not isinstance(data, CompiledData):
         data = compile_data(data)
     site = problem.realized_site(np.asarray(params, dtype=float))
-    res = np.zeros(len(data.points))
+    raw = np.full(len(data.points), np.inf)
     model = np.full(len(data.points), np.nan)
-    excluded: list[int] = []
 
     for rows in data.states:
         sys1 = site.ground if rows.state == "ground" else site.excited
@@ -277,12 +295,7 @@ def residuals(problem: FitProblem, params, data, full: bool = False):
 
         def assign(sel: np.ndarray, cands: np.ndarray):
             k = np.argmin(np.abs(cands - values[sel, None]), axis=1)
-            mv = cands[np.arange(sel.size), k]
-            r = values[sel] - mv
-            gated = np.abs(r) > problem.gate_freq_ghz
-            model[idx[sel]] = mv
-            res[idx[sel]] = np.where(gated, 0.0, r)
-            excluded.extend(int(n) for n in idx[sel[gated]])
+            model[idx[sel]] = cands[np.arange(sel.size), k]
 
         if rows.labeled.size:
             u = rows.inverse[rows.labeled]
@@ -291,40 +304,24 @@ def residuals(problem: FitProblem, params, data, full: bool = False):
             u = rows.inverse[rows.unlabeled]
             cands = np.concatenate([e[u][:, PAIR_HI] - e[u][:, PAIR_LO] for e in energies], axis=1)
             assign(rows.unlabeled, cands)
+        raw[idx] = values - model[idx]
 
     for n, direction in data.epr:
         p = data.points[n]
         sys1 = site.ground if p.state == "ground" else site.excited
-        found = epr_resonance_fields(
-            sys1, direction, problem.nu_mw_ghz, p.value + problem.gate_field_mt
-        )
+        found = epr_resonance_fields(sys1, direction, problem.nu_mw_ghz, p.value + GATE_FIELD_MT)
         if p.label is not None:
             found = [r for r in found if r.transition == tuple(p.label)]
-        if not found:
-            excluded.append(n)
-            continue
-        fields = np.array([r.field_mt for r in found])
-        k = int(np.argmin(np.abs(fields - p.value)))
-        model[n] = fields[k]
-        r = p.value - fields[k]
-        if abs(r) > problem.gate_field_mt:
-            excluded.append(n)
-            r = 0.0
-        res[n] = r
+        if found:
+            fields = np.array([r.field_mt for r in found])
+            model[n] = fields[np.argmin(np.abs(fields - p.value))]
+            raw[n] = p.value - model[n]
 
+    res = np.clip(raw, -data.gates, data.gates)
     if full:
-        return res, model, sorted(set(excluded))
+        gated = ~(np.abs(raw) <= data.gates)
+        return res, model, np.flatnonzero(gated).tolist()
     return res
-
-
-def _weighted(problem: FitProblem, data: CompiledData):
-    sigmas = np.array([p.sigma for p in data.points], dtype=float)
-    weights = np.where(np.isfinite(sigmas), 1.0 / sigmas, 0.0)
-
-    def fun(x):
-        return residuals(problem, x, data) * weights
-
-    return fun, weights
 
 
 def closest_subsite_representative(
@@ -379,24 +376,27 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
     Restart seeds are the problem's own starting angles plus uniformly
     sampled angle triples; each seed is refined locally and the best local
     optimum wins (ties broken by lexicographically smaller parameters).
+    The result is a success when at most half of the points are gated.
     """
-    data = list(data)
     compiled = compile_data(data)
+    total = len(compiled.points)
     names = problem.parameter_names()
     x0 = problem.initial_parameters()
-    fun, weights = _weighted(problem, compiled)
+
+    def fun(x):
+        return residuals(problem, x, compiled) * compiled.weights
 
     if len(names) == 0:
         res, model, excl = residuals(problem, x0, compiled, full=True)
-        rms, rms_field = _split_rms(data, res, excl)
+        rms, rms_field = _split_rms(compiled, res, excl)
         return FitResult(
-            True, "no free parameters", tuple(names), x0,
+            *_status(len(excl), total), tuple(names), x0,
             _canonical_report(problem, x0), rms, rms_field,
             res, model, tuple(excl), np.zeros((0, 0)), (rms,),
         )
 
-    if len(data) < len(names):
-        raise ValueError(f"{len(data)} points cannot determine {len(names)} parameters")
+    if total < len(names):
+        raise ValueError(f"{total} points cannot determine {len(names)} parameters")
 
     lo, hi = problem.bounds()
     rng = np.random.default_rng(seed)
@@ -415,7 +415,7 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
             errors.append(f"{type(exc).__name__}: {exc}")
             continue
         r, _, ex = residuals(problem, sol.x, compiled, full=True)
-        restart_rms_list.append(_split_rms(data, r, ex)[0])
+        restart_rms_list.append(_split_rms(compiled, r, ex)[0])
         if best is None or (sol.cost, tuple(sol.x)) < (best[0], best[1]):
             best = (sol.cost, tuple(sol.x), sol)
 
@@ -423,44 +423,42 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
         raise RuntimeError(f"all {len(errors)} restarts failed (first: {errors[0]})")
     sol = best[2]
     res, model, excl = residuals(problem, sol.x, compiled, full=True)
-    rms, rms_field = _split_rms(data, res, excl)
+    rms, rms_field = _split_rms(compiled, res, excl)
 
-    # parameter covariance from the weighted Jacobian at the optimum; a
-    # parameter the data do not depend on (a zero column) is undetermined
-    dof = max(1, len(data) - len(names))
+    # parameter covariance from the weighted Jacobian at the optimum, scaled
+    # by the chi-square of the points that are not gated (a gated point's
+    # constant cost says nothing about the scatter); a parameter the data
+    # do not depend on (a zero column) is undetermined
+    chi2 = 2.0 * sol.cost - np.sum(np.square(compiled.weights * compiled.gates)[excl])
+    dof = max(1, total - len(excl) - len(names))
     jtj = sol.jac.T @ sol.jac
-    cov = np.linalg.pinv(jtj) * (2.0 * sol.cost / dof)
+    cov = np.linalg.pinv(jtj) * (chi2 / dof)
     cov = 0.5 * (cov + cov.T)
     unconstrained = ~np.any(sol.jac, axis=0)
     cov[unconstrained, unconstrained] = np.inf
 
-    restart_rms = tuple(sorted(restart_rms_list))
-    gate_mhz = problem.gate_freq_ghz * 1e3
-    if len(excl) == len(data):
-        success = False
-        message = "all data points flagged as outliers; model nowhere near the data"
-    elif rms <= gate_mhz:
-        success = True
-        message = "converged"
-    else:
-        success = False
-        message = (
-            f"no restart reached RMS below the gate ({rms:.3f} MHz > {gate_mhz:.1f} MHz); "
-            f"{len(excl)} gated outliers"
-        )
     return FitResult(
-        success, message, tuple(names), sol.x,
+        *_status(len(excl), total), tuple(names), sol.x,
         _canonical_report(problem, sol.x), rms, rms_field,
-        res, model, tuple(excl), cov, restart_rms, tuple(errors),
+        res, model, tuple(excl), cov, tuple(sorted(restart_rms_list)), tuple(errors),
     )
 
 
-def _split_rms(data, res, excluded) -> tuple[float, float | None]:
-    keep = [n for n in range(len(data)) if n not in excluded]
-    freq = [res[n] for n in keep if data[n].kind != "epr"]
-    fld = [res[n] for n in keep if data[n].kind == "epr"]
-    rms = float(np.sqrt(np.mean(np.square(freq)))) * 1e3 if freq else 0.0
-    rms_field = float(np.sqrt(np.mean(np.square(fld)))) if fld else None
+def _status(gated: int, total: int) -> tuple[bool, str]:
+    """(success, message): a fit that gates more than half of its points fails."""
+    if 2 * gated <= total:
+        return True, f"converged, {gated} of {total} gated"
+    return False, f"{gated} of {total} gated: more than half of the points are outliers"
+
+
+def _split_rms(data: CompiledData, res, excluded) -> tuple[float, float | None]:
+    """RMS of the points that are not gated: frequencies in MHz, EPR fields in mT."""
+    kept = np.ones(res.size, dtype=bool)
+    kept[excluded] = False
+    freq = res[kept & ~data.is_epr]
+    fld = res[kept & data.is_epr]
+    rms = float(np.sqrt(np.mean(np.square(freq)))) * 1e3 if freq.size else 0.0
+    rms_field = float(np.sqrt(np.mean(np.square(fld)))) if fld.size else None
     return rms, rms_field
 
 

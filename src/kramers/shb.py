@@ -57,9 +57,6 @@ class HolePattern:
     burn_detuning_ghz: float = 0.0
     field_mt: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
-    def total_weight(self, polarity: str) -> float:
-        return sum(e.weight for e in self.entries if e.polarity == polarity)
-
 
 @dataclass(frozen=True)
 class RateMatrix:

@@ -51,6 +51,10 @@ INPUTS = {
     "rates_nan.ini": "[rates]\nr12 = nan\nr34 = 1000\n",
     "points.csv": "kind,state,bx_mt,by_mt,bz_mt,value,sigma\n"
                   + "".join(f"shb,ground,{b},0,0,0.5,\n" for b in (10, 20, 30)),
+    "epr_negative.csv": "kind,state,bx_mt,by_mt,bz_mt,value,sigma\n"
+                        + "".join(f"shb,ground,{b},0,0,0.9,\n" for b in (10, 20, 30)) + "epr,ground,1,0,0,-100,\n",
+    "epr_no_direction.csv": "kind,state,bx_mt,by_mt,bz_mt,value,sigma\n"
+                            + "".join(f"shb,ground,{b},0,0,0.9,\n" for b in (10, 20, 30)) + "epr,ground,0,0,0,300,\n",
 }
 NOT_UTF8 = b"\xff\xfe[site]\npreset = site-I\n"  # a UTF-16 byte-order mark
 
@@ -113,6 +117,8 @@ DEFECTS = [
     (["fit", "--data", "undecodable.csv"], "bad-encoding"),
     (["ordering", "--peaks-file", "undecodable.csv"], "bad-encoding"),
     (["fit", "--data", "points.csv", "--restarts", "2"], "fit-failed"),  # every restart raises
+    (["fit", "--data", "epr_negative.csv"], "bad-data"),
+    (["fit", "--data", "epr_no_direction.csv"], "bad-data"),
 ]
 
 
@@ -137,6 +143,8 @@ def test_defect_exits_2_with_one_record(argv, expected, tmp_path, monkeypatch):
         assert record["key"].startswith("undecodable.")
     if argv[0] == "absorption" and expected == "bad-range":
         assert record["key"] == "range"
+    if expected == "bad-data":
+        assert record["key"] == "line 5"
     if expected == "fit-failed":
         assert record["message"] == "all 2 restarts failed (first: ValueError: injected failure)"
     assert set(os.listdir(tmp_path)) == before

@@ -89,7 +89,7 @@ class TestResiduals:
             params = rng.uniform(-180, 180, 3)
             r, model, excluded = residuals(FitProblem(site=SITE_I), params, data, full=True)
             assert len(data) - 1 in excluded
-            assert r[len(data) - 1] == 0.0
+            assert r[len(data) - 1] == fitting.GATE_FREQ_GHZ  # clipped, not dropped
 
     def test_unlabeled_points_use_nearest_transition(self):
         es = eigensystem(SITE_I.ground, (40.0, 0.0, 0.0))
@@ -125,7 +125,7 @@ class TestResiduals:
         problem = FitProblem(site=SITE_I, nu_mw_ghz=0.05)
         r, model, excluded = residuals(problem, TRUTH_ANGLES, [point], full=True)
         assert excluded == [0]
-        assert r[0] == 0.0
+        assert r[0] == fitting.GATE_FIELD_MT  # beyond its gate, at the gate's cost
 
     def test_rejects_empty_data(self):
         with pytest.raises(ValueError):
@@ -186,6 +186,9 @@ class TestCompiledData:
             compile_data([])
         with pytest.raises(ValueError, match="nonzero direction"):
             compile_data([DataPoint("epr", "ground", (0.0, 0.0, 0.0), 100.0, 0.5)])
+        for value in (-100.0, -10.0, 0.0):
+            with pytest.raises(ValueError, match="must be positive"):
+                compile_data([DataPoint("epr", "ground", (1.0, 0.0, 0.0), value, 0.5)])
 
 
 class TestFit:
@@ -263,6 +266,33 @@ class TestFit:
         assert "outliers" in result.message
         assert set(result.excluded) == {0, 1, 2, 3}
 
+    def test_gating_data_never_lowers_the_cost(self):
+        # transitions 1-2, 2-3, 3-4 along D1 and b: a fit that gated the
+        # whole D1 half once cost less than the true orientation
+        rng = np.random.default_rng(0)
+        data = []
+        for d in (np.array([1.0, 0, 0]), np.array([0.0, 0, 1.0])):
+            mags = np.arange(25.0, 150.1, 25.0)
+            e = energies_sweep(SITE_I.ground, mags[:, None] * d[None, :])
+            for row, m in enumerate(mags):
+                for (i, j) in ((0, 1), (1, 2), (2, 3)):
+                    nu = e[row, j] - e[row, i] + rng.normal(0, 1e-3)
+                    data.append(DataPoint("shb", "ground", tuple(m * d), nu, 2e-3, (i, j)))
+        for seed in range(4):
+            result = fit(FitProblem(site=SITE_I), data, restarts=4, seed=seed)
+            assert (result.success, result.message) == (True, "converged, 0 of 36 gated")
+
+    @pytest.mark.parametrize("fit_ground", [True, False], ids=["free", "no-free-parameters"])
+    def test_ok_while_at_most_half_gated(self, fit_ground):
+        good = ground_data([(1, 0, 0)], step_mt=50.0)
+        far = DataPoint("shb", "ground", (10.0, 0.0, 0.0), 50.0, 2e-3, (0, 1))
+        problem = FitProblem(site=SITE_I, fit_ground=fit_ground)
+        ok = fit(problem, good[:4] + [far] * 4, restarts=1, seed=0)
+        assert (ok.success, ok.message) == (True, "converged, 4 of 8 gated")
+        failed = fit(problem, good[:3] + [far] * 5, restarts=1, seed=0)
+        assert not failed.success
+        assert failed.message.startswith("5 of 8 gated") and "outliers" in failed.message
+
     def test_misalignment_recovery(self):
         # data from a model tilted 2 deg about D1; only the misalignment free
         tilt_problem = FitProblem(site=SITE_I, fit_ground=False, fit_misalignment=True)
@@ -291,7 +321,7 @@ class TestFit:
         lo, hi = problem.bounds()
         assert lo.size == 15
         assert hi[names.index("mis_x")] == 5.0
-        assert hi[names.index("ground_dA1")] == problem.eigenvalue_bound_ghz
+        assert hi[names.index("ground_dA1")] == fitting.EIGENVALUE_BOUND_GHZ
 
     def test_excited_state_fit(self):
         rng = np.random.default_rng(60)
@@ -355,6 +385,16 @@ class TestCovarianceAndRestarts:
         sol = solutions[-1]
         cov = np.linalg.pinv(sol.jac.T @ sol.jac) * (2.0 * sol.cost / (len(data) - 6))
         assert np.array_equal(result.covariance[:3, :3], 0.5 * (cov + cov.T)[:3, :3])
+
+    def test_gated_point_leaves_covariance_unchanged(self):
+        # a gated point's constant cost is not scatter: it does not scale the covariance
+        data = ground_data([(1, 0, 0), (0, 1, 0), (0, 0, 1)], step_mt=25.0, noise=1e-3, seed=5, sigma=1e-3)
+        base = fit(FitProblem(site=SITE_I), data, restarts=1, seed=5)
+        far = DataPoint("shb", "ground", (10.0, 0.0, 0.0), 50.0, 0.1, (0, 1))
+        gated = fit(FitProblem(site=SITE_I), data + [far], restarts=1, seed=5)
+        assert gated.excluded == (len(data),)
+        np.testing.assert_allclose(gated.parameters, base.parameters, rtol=0, atol=1e-4)
+        np.testing.assert_allclose(gated.covariance, base.covariance, rtol=1e-4)
 
     def test_cli_prints_inf_sigma(self, tmp_path, capsys):
         from kramers.cli import main
