@@ -42,12 +42,10 @@ from .shb import (
 from .spectra import OpticalLine, SiteModel, absorption_spectrum, optical_lines, ordering_search
 from .tensors import (
     EulerAngles,
-    FrameRotation,
     PrincipalTensor,
     SymmetricTensor3,
     assemble_tensor,
     decompose_tensor,
-    lab_transform,
     rotation_matrix,
     subsite_transform,
 )

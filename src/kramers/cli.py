@@ -42,7 +42,8 @@ SCHEMAS = {
     "odmr": "frequency_mhz,lower,upper,moment,strong -- 1-based pair, moment dimensionless",
     "epr-map": "angle_deg,field_mt,lower,upper,subsite,moment",
     "fit": "index,kind,state,value,sigma,model,residual,excluded -- residual table;"
-           " frequencies GHz, EPR fields mT",
+           " frequencies GHz, EPR fields mT; model is nan for an EPR point with no"
+           " resonance up to value + 50 mT",
     "invert": "axis,magnitude_ghz          -- |A1|,|A2|,|A3| from zero-field lines",
     "ordering": "rank,ground_class,excited_class,rms_mhz,offset_ghz,tied",
     "zefoz": "bx_mt,by_mt,bz_mt,lower,upper,grad_norm_mhz_per_mt,"
@@ -331,6 +332,8 @@ def _cmd_fit(args) -> int:
         result = fitting.fit(problem, data, restarts=args.restarts, seed=args.seed)
     except RuntimeError as exc:  # every restart failed
         raise ConfigError("fit-failed", str(exc))
+    except ValueError as exc:  # no points, or fewer points than free parameters
+        raise ConfigError("bad-data", str(exc), "data")
 
     rows = [
         (n + 1, p.kind, p.state, p.value, p.sigma,
@@ -345,7 +348,7 @@ def _cmd_fit(args) -> int:
         f"rms: {result.rms_mhz:.4f} MHz" + (
             f" / {result.rms_field_mt:.4f} mT (EPR)" if result.rms_field_mt is not None else ""
         ),
-        f"gated outliers: {list(result.excluded) or 'none'}",
+        f"gated outliers: {[n + 1 for n in result.excluded] or 'none'}",
         f"restart RMS spread (MHz): min {result.restart_rms_mhz[0]:.4f}, "
         f"max {result.restart_rms_mhz[-1]:.4f} over {len(result.restart_rms_mhz)} restarts" + (
             f", {len(result.restart_errors)} failed ({result.restart_errors[0]})" if result.restart_errors else ""

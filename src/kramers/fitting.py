@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .hamiltonian import PAIR_HI, PAIR_LO, PAIRS, SpinSystem, energies_sweep, invert_zero_field
+from .hamiltonian import PAIR_HI, PAIR_LO, PAIRS, energies_sweep, invert_zero_field
 from .lazy import SciPyFunction
 from .magres import epr_resonance_fields
 from .spectra import SiteModel
 from .tensors import (
-    CRYSTAL,
     EulerAngles,
     PrincipalTensor,
     SymmetricTensor3,
@@ -47,6 +47,16 @@ GATE_FREQ_GHZ = 0.5
 GATE_FIELD_MT = 50.0
 MISALIGNMENT_BOUND_DEG = 5.0
 EIGENVALUE_BOUND_GHZ = 0.05
+# largest RMS misfit (GHz) of the zero-field lines a level ladder may leave
+LEVEL_TOL_GHZ = 2e-3
+
+# each 3-wide block of a fit parameter vector, by kind: the name suffixes of
+# its entries and the +/- bound on them
+_BLOCK_KINDS = {
+    "angles": (("alpha", "beta", "gamma"), 180.0),
+    "misalignment": (("x", "y", "z"), MISALIGNMENT_BOUND_DEG),
+    "deltas": (("dA1", "dA2", "dA3"), EIGENVALUE_BOUND_GHZ),
+}
 
 
 @dataclass(frozen=True)
@@ -83,7 +93,8 @@ class FitProblem:
     The parameter vector is, in order and only where enabled: ground A
     Euler angles (deg), excited A Euler angles (deg), misalignment xyz
     rotations (deg, bounded to +/-5), ground eigenvalue deltas (GHz),
-    excited eigenvalue deltas (GHz).
+    excited eigenvalue deltas (GHz).  ``blocks`` lays it out once, and
+    the names, starting values, bounds and realized site all read it.
     """
 
     site: SiteModel
@@ -93,92 +104,68 @@ class FitProblem:
     refine_eigenvalues: bool = False
     nu_mw_ghz: float = 9.7
 
-    def parameter_names(self) -> list[str]:
-        names = []
-        if self.fit_ground:
-            names += ["ground_alpha", "ground_beta", "ground_gamma"]
-        if self.fit_excited:
-            names += ["excited_alpha", "excited_beta", "excited_gamma"]
+    @cached_property
+    def blocks(self) -> tuple[tuple[str, str], ...]:
+        """The parameter vector as (kind, owner) blocks of three, in order.
+
+        The owner of an angle or delta block is the state whose A it sets;
+        that of the misalignment block is "mis".
+        """
+        states = [state for state, on in zip(STATES, (self.fit_ground, self.fit_excited)) if on]
+        blocks = [("angles", state) for state in states]
         if self.fit_misalignment:
-            names += ["mis_x", "mis_y", "mis_z"]
+            blocks.append(("misalignment", "mis"))
         if self.refine_eigenvalues:
-            if self.fit_ground:
-                names += ["ground_dA1", "ground_dA2", "ground_dA3"]
-            if self.fit_excited:
-                names += ["excited_dA1", "excited_dA2", "excited_dA3"]
-        return names
+            blocks += [("deltas", state) for state in states]
+        return tuple(blocks)
+
+    @cached_property
+    def base_principal(self) -> dict[str, PrincipalTensor]:
+        """The decomposed A of each state of the base site."""
+        return {state: decompose_tensor(getattr(self.site, state).A) for state in STATES}
+
+    def parameter_names(self) -> list[str]:
+        return [f"{owner}_{suffix}" for kind, owner in self.blocks for suffix in _BLOCK_KINDS[kind][0]]
 
     def initial_parameters(self) -> np.ndarray:
-        x = []
-        if self.fit_ground:
-            x += list(decompose_tensor(self.site.ground.A).orientation.as_tuple())
-        if self.fit_excited:
-            x += list(decompose_tensor(self.site.excited.A).orientation.as_tuple())
-        if self.fit_misalignment:
-            x += [0.0, 0.0, 0.0]
-        if self.refine_eigenvalues:
-            x += [0.0, 0.0, 0.0] * (int(self.fit_ground) + int(self.fit_excited))
-        return np.array(x)
+        x = [
+            self.base_principal[owner].orientation.as_tuple() if kind == "angles" else (0.0, 0.0, 0.0)
+            for kind, owner in self.blocks
+        ]
+        return np.array(x, dtype=float).reshape(-1)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = [], []
-        for name in self.parameter_names():
-            if name.startswith("mis"):
-                lo.append(-MISALIGNMENT_BOUND_DEG)
-                hi.append(MISALIGNMENT_BOUND_DEG)
-            elif "_d" in name:
-                lo.append(-EIGENVALUE_BOUND_GHZ)
-                hi.append(EIGENVALUE_BOUND_GHZ)
-            else:
-                lo.append(-180.0)
-                hi.append(180.0)
-        return np.array(lo), np.array(hi)
+        hi = np.repeat([_BLOCK_KINDS[kind][1] for kind, _ in self.blocks], 3)
+        return -hi, hi
 
     def realized_site(self, params: np.ndarray) -> SiteModel:
         """Apply a parameter vector to the base site model."""
         params = np.asarray(params, dtype=float)
-        pos = 0
-        ground, excited = self.site.ground, self.site.excited
-        updates: dict[str, tuple] = {}
-        if self.fit_ground:
-            updates["ground"] = (params[pos], params[pos + 1], params[pos + 2])
-            pos += 3
-        if self.fit_excited:
-            updates["excited"] = (params[pos], params[pos + 1], params[pos + 2])
-            pos += 3
-        mis = None
-        if self.fit_misalignment:
-            mis = rx(params[pos]) @ ry(params[pos + 1]) @ rz(params[pos + 2])
-            pos += 3
-        deltas: dict[str, np.ndarray] = {}
-        if self.refine_eigenvalues:
-            for key in ("ground", "excited"):
-                if (key == "ground" and self.fit_ground) or (key == "excited" and self.fit_excited):
-                    deltas[key] = params[pos : pos + 3]
-                    pos += 3
-
-        def rebuild(sys: SpinSystem, key: str) -> SpinSystem:
-            p = decompose_tensor(sys.A)
-            values = np.array(p.values) + deltas.get(key, 0.0)
-            angles = EulerAngles(*updates[key]) if key in updates else p.orientation
-            A = assemble_tensor(PrincipalTensor(tuple(values), angles))
-            return replace(sys, A=A)
-
-        if "ground" in updates or "ground" in deltas:
-            ground = rebuild(ground, "ground")
-        if "excited" in updates or "excited" in deltas:
-            excited = rebuild(excited, "excited")
-        if mis is not None:
-            # crystal axes as seen from the misaligned lab frame
-            def tilt(sys: SpinSystem) -> SpinSystem:
-                return replace(
+        angles, deltas, mis = {}, {}, None
+        for n, (kind, owner) in enumerate(self.blocks):
+            x = params[3 * n : 3 * n + 3]
+            if kind == "angles":
+                angles[owner] = x
+            elif kind == "deltas":
+                deltas[owner] = x
+            else:
+                mis = rx(x[0]) @ ry(x[1]) @ rz(x[2])
+        systems = {}
+        for state in STATES:
+            sys = getattr(self.site, state)
+            if state in angles:
+                values = np.array(self.base_principal[state].values) + deltas.get(state, 0.0)
+                A = assemble_tensor(PrincipalTensor(tuple(values), EulerAngles(*angles[state])))
+                sys = replace(sys, A=A)
+            if mis is not None:
+                # crystal axes as seen from the misaligned lab frame
+                sys = replace(
                     sys,
-                    A=SymmetricTensor3(mis @ sys.A.matrix @ mis.T, CRYSTAL),
-                    g=SymmetricTensor3(mis @ sys.g.matrix @ mis.T, CRYSTAL),
+                    A=SymmetricTensor3(mis @ sys.A.matrix @ mis.T),
+                    g=SymmetricTensor3(mis @ sys.g.matrix @ mis.T),
                 )
-
-            ground, excited = tilt(ground), tilt(excited)
-        return replace(self.site, ground=ground, excited=excited)
+            systems[state] = sys
+        return replace(self.site, **systems)
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,7 +468,7 @@ def _canonical_report(problem: FitProblem, params: np.ndarray) -> dict:
 _GAP_COMBOS = tuple(tuple(int(i <= k < j) for k in range(3)) for i, j in PAIRS)
 
 
-def reconstruct_levels(lines_ghz, tol_ghz: float = 2e-3) -> np.ndarray:
+def reconstruct_levels(lines_ghz) -> np.ndarray:
     """Four zero-field levels (sum 0) consistent with measured splittings.
 
     Measured lines are assigned injectively to the six pairwise differences
@@ -490,7 +477,7 @@ def reconstruct_levels(lines_ghz, tol_ghz: float = 2e-3) -> np.ndarray:
     wins.  An incomplete line set can admit several exact ladders; ties are
     broken in favour of the largest central gap (the doublet-dominant
     structure of a large-|A3| hyperfine tensor), then lexicographically.
-    Raises if even the best assignment misses by more than tol.
+    Raises if even the best assignment misses by more than LEVEL_TOL_GHZ.
     """
     lines = np.sort(np.asarray(lines_ghz, dtype=float).ravel())
     if lines.size < 3:
@@ -509,17 +496,17 @@ def reconstruct_levels(lines_ghz, tol_ghz: float = 2e-3) -> np.ndarray:
     best_rms, best_d = best[0], np.array(best[2])
     levels = np.cumsum(np.concatenate(([0.0], best_d)))
     levels -= levels.mean()
-    if best_rms > tol_ghz:
+    if best_rms > LEVEL_TOL_GHZ:
         fitted = np.sort([levels[j] - levels[i] for i, j in PAIRS])
         raise ValueError(
-            f"no consistent 4-level solution within {tol_ghz * 1e3:.1f} MHz "
+            f"no consistent 4-level solution within {LEVEL_TOL_GHZ * 1e3:.1f} MHz "
             f"(best RMS {best_rms * 1e3:.2f} MHz; closest splittings {fitted})"
         )
     return levels
 
 
 def invert_and_seed(
-    lines_ghz, site: SiteModel, state: str = "ground", tol_ghz: float = 2e-3
+    lines_ghz, site: SiteModel, state: str = "ground"
 ) -> tuple[tuple[float, float, float], FitProblem]:
     """Fix A eigenvalue magnitudes from zero-field lines and seed a fit.
 
@@ -529,13 +516,11 @@ def invert_and_seed(
     """
     if state not in STATES:
         raise ValueError(f"unknown state {state!r}")
-    levels = reconstruct_levels(lines_ghz, tol_ghz)
+    levels = reconstruct_levels(lines_ghz)
     mags = invert_zero_field(levels)
     sys = site.ground if state == "ground" else site.excited
-    p = decompose_tensor(sys.A)
-    signs = [1.0 if v >= 0 else -1.0 for v in p.values]
-    values = tuple(s * m for s, m in zip(signs, mags))
-    new_sys = replace(sys, A=assemble_tensor(PrincipalTensor(values, p.orientation)))
+    signs = [1.0 if v >= 0 else -1.0 for v in decompose_tensor(sys.A).values]
+    new_sys = sys.with_principal(tuple(s * m for s, m in zip(signs, mags)))
     new_site = replace(
         site,
         ground=new_sys if state == "ground" else site.ground,

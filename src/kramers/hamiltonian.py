@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensors import CRYSTAL, SymmetricTensor3, subsite_transform
+from .tensors import EulerAngles, PrincipalTensor, SymmetricTensor3, assemble_tensor, decompose_tensor, subsite_transform
 
 # CODATA-derived magneton frequencies; the spin Hamiltonian only fixes
 # mu_B ~ 14 GHz/T, the precise values are configurable per SpinSystem.
@@ -69,8 +69,6 @@ class SpinSystem:
     mu_n: float = MU_N_GHZ_PER_T
 
     def __post_init__(self):
-        if self.A.frame != CRYSTAL or self.g.frame != CRYSTAL:
-            raise ValueError("SpinSystem tensors must be in the crystal frame")
         if self.subsite not in (1, 2):
             raise ValueError("subsite must be 1 or 2")
 
@@ -83,6 +81,16 @@ class SpinSystem:
             g=subsite_transform(self.g),
             subsite=subsite,
         )
+
+    def with_principal(self, values=None, orientation: EulerAngles | None = None) -> "SpinSystem":
+        """This system with A's principal values and/or orientation replaced.
+
+        The part not given is kept from A's decomposition.
+        """
+        p = decompose_tensor(self.A)
+        values = p.values if values is None else tuple(values)
+        orientation = p.orientation if orientation is None else orientation
+        return replace(self, A=assemble_tensor(PrincipalTensor(values, orientation)))
 
     # Derived matrices, computed on first use.  Safe on a frozen instance:
     # the tensor matrices are read-only and replace() builds a new object.

@@ -20,7 +20,7 @@ from .hamiltonian import (
 from .presets import SITE_I, SITE_II, principal, site_parameters
 from .shb import PSEUDO_HOLE, RateMatrix, hole_pattern
 from .spectra import optical_lines, ordering_search
-from .tensors import assemble_tensor
+from .tensors import EulerAngles, assemble_tensor
 
 # measured zero-field spin-resonance sets (MHz)
 ODMR_LINES_SITE_I = (2046.0, 2385.0, 2869.0, 3208.0)
@@ -171,16 +171,9 @@ def check_overlap_swap():
 
 
 def check_bell_overlaps():
-    from dataclasses import replace
-
-    from .tensors import EulerAngles, PrincipalTensor, decompose_tensor
-
     worst = 0.0
     for sys in (SITE_I.ground, SITE_I.excited, SITE_II.ground, SITE_II.excited):
-        values = decompose_tensor(sys.A).values
-        principal_frame = replace(
-            sys, A=assemble_tensor(PrincipalTensor(values, EulerAngles(0, 0, 0)))
-        )
+        principal_frame = sys.with_principal(orientation=EulerAngles(0, 0, 0))
         es = eigensystem(principal_frame, (0.0, 0.0, 0.0))
         o = np.sort(basis_overlaps(es), axis=0)
         err = max(

@@ -28,7 +28,7 @@ PSEUDO_HOLE = "pseudo-hole"
 
 THERMAL_POPULATION = 0.25  # kT >> hyperfine splittings at a few kelvin
 DEFAULT_CLASS_CUTOFF = 1e-3
-DEFAULT_PSEUDO_EPSILON = 0.10
+PSEUDO_EPSILON = 0.10
 DEFAULT_HOLE_WIDTH_MHZ = 5.0
 
 
@@ -97,19 +97,19 @@ def enumerate_classes(
     B,
     burn_detuning_ghz: float,
     cutoff: float = DEFAULT_CLASS_CUTOFF,
-    intensity_model: str = "uniform",
 ) -> list[ClassAssignment]:
     """All (ground, excited) classes with weight >= cutoff at a burn frequency.
 
     A class burned on line (i, j) is centered at burn - line detuning inside
     the inhomogeneous profile; its weight is the Lorentzian envelope
-    amplitude there times the line strength (both normalized to peak 1).
+    amplitude there times the line strength of the uniform intensity model
+    (both normalized to peak 1).
     """
     if not 0.0 < cutoff <= 1.0:
         raise ValueError("cutoff must be in (0, 1]")
     fwhm_ghz = site.fwhm_mhz * 1e-3
     out = []
-    for line in optical_lines(site, B, intensity_model):
+    for line in optical_lines(site, B, intensity_model="uniform"):
         offset = burn_detuning_ghz - line.detuning_ghz
         w = float(lorentzian_amplitude(offset, fwhm_ghz)) * line.strength
         if w >= cutoff:
@@ -177,8 +177,6 @@ def hole_pattern(
     burn_detuning_ghz: float = 0.0,
     rates: RateMatrix | None = None,
     cutoff: float = DEFAULT_CLASS_CUTOFF,
-    pseudo_epsilon: float = DEFAULT_PSEUDO_EPSILON,
-    intensity_model: str = "uniform",
     *,
     changes: dict | None = None,
 ) -> HolePattern:
@@ -189,7 +187,7 @@ def hole_pattern(
     (Ee_j' - Ee_j) + (Eg_i - Eg_i') for every other ground level i'.  Entry
     weights combine the class weight with the relative population change of
     the probed ground level.  When a rate model is given, ground levels
-    whose post-burn population falls more than ``pseudo_epsilon`` below
+    whose post-burn population falls more than ``PSEUDO_EPSILON`` below
     thermal re-label their antiholes as pseudo-holes.
 
     ``changes`` memoizes the relative population changes per pumped level;
@@ -202,7 +200,7 @@ def hole_pattern(
     eg = eigensystem(site.ground, B).energies
     ee = eigensystem(site.excited, B).energies
     entries: list[HoleEntry] = []
-    for cls in enumerate_classes(site, B, burn_detuning_ghz, cutoff, intensity_model):
+    for cls in enumerate_classes(site, B, burn_detuning_ghz, cutoff):
         i, j = cls.ground_level, cls.excited_level
         if i not in changes:
             changes[i] = _relative_population_changes(rates, i)
@@ -218,7 +216,7 @@ def hole_pattern(
                 detuning = (ee[jp] - ee[j]) + (eg[i] - eg[ip])
                 if delta[ip] >= 0.0:
                     polarity, w = ANTIHOLE, delta[ip]
-                elif -delta[ip] > pseudo_epsilon:
+                elif -delta[ip] > PSEUDO_EPSILON:
                     polarity, w = PSEUDO_HOLE, -delta[ip]
                 else:
                     continue  # sub-threshold depletion: negligible amplitude

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hamiltonian import SpinSystem, eigensystem, zero_field_levels
-from .tensors import PrincipalTensor, assemble_tensor, decompose_tensor
+from .tensors import decompose_tensor
 
 INTENSITY_MODELS = ("overlap", "uniform")
 
@@ -27,11 +27,6 @@ def flip_sign_class(values) -> tuple[float, float, float]:
     """
     v = tuple(float(x) for x in values)
     return (-v[0], v[1], v[2])
-
-
-def _with_values(sys: SpinSystem, values) -> SpinSystem:
-    p = decompose_tensor(sys.A)
-    return replace(sys, A=assemble_tensor(PrincipalTensor(tuple(values), p.orientation)))
 
 
 @dataclass(frozen=True)
@@ -60,9 +55,9 @@ class SiteModel:
         cg, ce = ordering
         ground, excited = self.ground, self.excited
         if cg != self.ordering[0]:
-            ground = _with_values(ground, flip_sign_class(decompose_tensor(ground.A).values))
+            ground = ground.with_principal(flip_sign_class(decompose_tensor(ground.A).values))
         if ce != self.ordering[1]:
-            excited = _with_values(excited, flip_sign_class(decompose_tensor(excited.A).values))
+            excited = excited.with_principal(flip_sign_class(decompose_tensor(excited.A).values))
         return replace(self, ground=ground, excited=excited, ordering=(cg, ce))
 
     def with_subsite(self, subsite: int) -> "SiteModel":

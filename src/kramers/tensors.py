@@ -1,9 +1,7 @@
-"""Symmetric 3x3 interaction tensors and the frames they live in.
+"""Symmetric 3x3 interaction tensors in the crystal (D1, D2, b) frame.
 
 Hyperfine (A) and electronic Zeeman (g) tensors are parametrized by three
-signed principal values and zxz Euler angles, and can be expressed in the
-tensor's own principal axes, in the crystal (D1, D2, b) frame, or in the
-laboratory frame after an optional small misalignment rotation.
+signed principal values and zxz Euler angles.
 
 Conventions:
     R(alpha, beta, gamma) = Rz(alpha) @ Rx(beta) @ Rz(gamma)   (active)
@@ -18,12 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PRINCIPAL = "principal"
-CRYSTAL = "crystal"
-LAB = "lab"
-_FRAMES = (PRINCIPAL, CRYSTAL, LAB)
-
-_ROTATION_TOL = 1e-12
 # relative eigenvalue spacing below which the principal-axis pairing is
 # not unique and decompose_tensor flags the result
 _DEGENERACY_RTOL = 1e-8
@@ -91,10 +83,9 @@ class PrincipalTensor:
 
 @dataclass(frozen=True, eq=False)
 class SymmetricTensor3:
-    """A real symmetric 3x3 matrix tagged with the frame it is written in."""
+    """A real symmetric 3x3 matrix."""
 
     matrix: np.ndarray
-    frame: str = CRYSTAL
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -102,8 +93,6 @@ class SymmetricTensor3:
             raise ValueError("expected a 3x3 matrix")
         if np.abs(m - m.T).max() > 1e-9 * max(1.0, np.abs(m).max()):
             raise ValueError("matrix is not symmetric")
-        if self.frame not in _FRAMES:
-            raise ValueError(f"unknown frame {self.frame!r}")
         # rebuild from the upper triangle so symmetry is exact by construction
         sym = np.triu(m) + np.triu(m, 1).T
         sym.setflags(write=False)
@@ -111,29 +100,6 @@ class SymmetricTensor3:
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
-
-
-@dataclass(frozen=True, eq=False)
-class FrameRotation:
-    """A proper rotation with a provenance tag (euler | subsite | lab-misalignment)."""
-
-    matrix: np.ndarray
-    provenance: str = "euler"
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError("expected a 3x3 matrix")
-        if np.abs(m @ m.T - np.eye(3)).max() > _ROTATION_TOL:
-            raise ValueError("matrix is not orthogonal to 1e-12")
-        if abs(np.linalg.det(m) - 1.0) > _ROTATION_TOL:
-            raise ValueError("matrix is not a proper rotation (det != +1)")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
 
 
 def rz(angle_deg: float) -> np.ndarray:
@@ -157,17 +123,16 @@ def ry(angle_deg: float) -> np.ndarray:
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
-def rotation_matrix(angles: EulerAngles) -> FrameRotation:
+def rotation_matrix(angles: EulerAngles) -> np.ndarray:
     """Compose the zxz rotation Rz(alpha) @ Rx(beta) @ Rz(gamma)."""
-    m = rz(angles.alpha) @ rx(angles.beta) @ rz(angles.gamma)
-    return FrameRotation(m, provenance="euler")
+    return rz(angles.alpha) @ rx(angles.beta) @ rz(angles.gamma)
 
 
 def assemble_tensor(p: PrincipalTensor) -> SymmetricTensor3:
     """Rotate diag(principal values) into the crystal frame."""
-    r = rotation_matrix(p.orientation).matrix
+    r = rotation_matrix(p.orientation)
     m = r @ np.diag(p.values) @ r.T
-    return SymmetricTensor3(m, frame=CRYSTAL)
+    return SymmetricTensor3(m)
 
 
 def _euler_from_rotation(r: np.ndarray) -> EulerAngles:
@@ -222,17 +187,9 @@ def subsite_transform(t: SymmetricTensor3) -> SymmetricTensor3:
     the (1,3) and (2,3) entries; implemented as the exact sign flip so the
     transform is an exact involution.
     """
-    if t.frame != CRYSTAL:
-        raise ValueError("subsite transform is defined in the crystal frame")
     m = np.array(t.matrix)
     m[0, 2] = -m[0, 2]
     m[2, 0] = -m[2, 0]
     m[1, 2] = -m[1, 2]
     m[2, 1] = -m[2, 1]
-    return SymmetricTensor3(m, frame=CRYSTAL)
-
-
-def lab_transform(t: SymmetricTensor3, mis: FrameRotation) -> SymmetricTensor3:
-    """Rotate a crystal-frame tensor into the (possibly misaligned) lab frame."""
-    m = mis.matrix @ t.matrix @ mis.matrix.T
-    return SymmetricTensor3(m, frame=LAB)
+    return SymmetricTensor3(m)

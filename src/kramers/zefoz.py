@@ -126,14 +126,13 @@ def zefoz_search(
     grid=(64, 11),
     refine_tol_mhz_per_mt: float = DEFAULT_REFINE_TOL_MHZ_PER_MT,
     n_seeds: int = 12,
-    dedup_mt: float = DEDUP_DISTANCE_MT,
 ) -> list[ZefozCandidate]:
     """Ranked ZEFOZ candidates of one transition inside a field region.
 
     ``region`` is a ball radius in mT (default 100), a 3x2 box of field
     bounds, or None for the default ball.  The ``n_seeds`` scan points with
     the smallest gradient norm start local descents; refined minima are
-    deduplicated within ``dedup_mt`` and ranked by ascending gradient norm.
+    deduplicated within DEDUP_DISTANCE_MT and ranked by ascending gradient norm.
     """
     i, j = transition
     points, inside = _scan_points(region, grid)
@@ -173,7 +172,7 @@ def zefoz_search(
     )
     kept: list[np.ndarray] = []
     for m in ranked:
-        if all(np.linalg.norm(m - k) > dedup_mt for k in kept):
+        if all(np.linalg.norm(m - k) > DEDUP_DISTANCE_MT for k in kept):
             kept.append(m)
 
     out = []
@@ -184,7 +183,7 @@ def zefoz_search(
         _, curv = sensitivity(sys, b, i, j)
         eigs = tuple(float(x) for x in np.linalg.eigvalsh(curv))
         classification = EXACT if g < refine_tol_mhz_per_mt else NEAR
-        stationary = bool(g < refine_tol_mhz_per_mt or _is_interior_min(b, inside, dedup_mt))
+        stationary = bool(g < refine_tol_mhz_per_mt or _is_interior_min(b, inside, DEDUP_DISTANCE_MT))
         out.append(
             ZefozCandidate(tuple(float(x) for x in b), (i, j), g, eigs, classification, stationary)
         )

@@ -206,6 +206,37 @@ class TestFitCommand:
         assert code == 2
         assert "nonzero direction" in json.loads(err.strip())["message"]
 
+    def _fit_gated_rows(self, tmp_path, capsys):
+        """`fit --free ""` on 4 rows: two good SHB points, then an SHB point
+        40 GHz off and an EPR point with no resonance up to 10 + 50 mT."""
+        from kramers.hamiltonian import eigensystem
+        from kramers.presets import SITE_I
+
+        e = eigensystem(SITE_I.ground, (10.0, 0.0, 0.0)).energies
+        f = tmp_path / "data.csv"
+        f.write_text(
+            "kind,state,bx_mt,by_mt,bz_mt,value,sigma,label\n"
+            f"shb,ground,10,0,0,{float(e[1] - e[0])!r},0.002,1-2\n"
+            f"shb,ground,10,0,0,{float(e[2] - e[1])!r},0.002,2-3\n"
+            "shb,ground,10,0,0,40,0.002,3-4\n"
+            "epr,ground,1,0,0,10,,1-2\n"
+        )
+        out, report = tmp_path / "r.csv", tmp_path / "r.txt"
+        code, _, _ = run(capsys, "fit", "--data", str(f), "--free", "", "--out", str(out), "--report", str(report))
+        assert code == 0
+        return read_csv(out), report.read_text()
+
+    def test_report_gated_indices_match_csv(self, tmp_path, capsys):
+        table, report = self._fit_gated_rows(tmp_path, capsys)
+        assert "gated outliers: [3, 4]\n" in report
+        assert table["index"][table["excluded"] == 1].tolist() == [3, 4]
+
+    def test_epr_point_without_resonance_has_nan_model(self, tmp_path, capsys):
+        table, _ = self._fit_gated_rows(tmp_path, capsys)
+        assert np.isnan(table["model"][3])
+        assert table["excluded"][3] == 1
+        assert table["residual"][3] == 50.0
+
     def test_sigma_defaults_by_kind(self, tmp_path):
         from kramers.cli import _read_data_csv
 

@@ -51,6 +51,7 @@ INPUTS = {
     "rates_nan.ini": "[rates]\nr12 = nan\nr34 = 1000\n",
     "points.csv": "kind,state,bx_mt,by_mt,bz_mt,value,sigma\n"
                   + "".join(f"shb,ground,{b},0,0,0.5,\n" for b in (10, 20, 30)),
+    "two_points.csv": "kind,state,bx_mt,by_mt,bz_mt,value,sigma\nshb,ground,10,0,0,0.9,\nshb,ground,20,0,0,1.1,\n",
     "epr_negative.csv": "kind,state,bx_mt,by_mt,bz_mt,value,sigma\n"
                         + "".join(f"shb,ground,{b},0,0,0.9,\n" for b in (10, 20, 30)) + "epr,ground,1,0,0,-100,\n",
     "epr_no_direction.csv": "kind,state,bx_mt,by_mt,bz_mt,value,sigma\n"
@@ -119,6 +120,8 @@ DEFECTS = [
     (["fit", "--data", "points.csv", "--restarts", "2"], "fit-failed"),  # every restart raises
     (["fit", "--data", "epr_negative.csv"], "bad-data"),
     (["fit", "--data", "epr_no_direction.csv"], "bad-data"),
+    (["fit", "--data", "two_points.csv", "--free", "ground"], "bad-data"),  # 2 points, 3 parameters
+    (["fit", "--data", "data.csv"], "bad-data"),  # a header and no points
 ]
 
 
@@ -144,7 +147,7 @@ def test_defect_exits_2_with_one_record(argv, expected, tmp_path, monkeypatch):
     if argv[0] == "absorption" and expected == "bad-range":
         assert record["key"] == "range"
     if expected == "bad-data":
-        assert record["key"] == "line 5"
+        assert record["key"] == ("data" if argv[2] in ("two_points.csv", "data.csv") else "line 5")
     if expected == "fit-failed":
         assert record["message"] == "all 2 restarts failed (first: ValueError: injected failure)"
     assert set(os.listdir(tmp_path)) == before

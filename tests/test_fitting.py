@@ -1,3 +1,5 @@
+import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -21,8 +23,12 @@ from kramers.presets import SITE_I, SITE_II
 from kramers.tensors import (
     EulerAngles,
     PrincipalTensor,
+    SymmetricTensor3,
     assemble_tensor,
     decompose_tensor,
+    rx,
+    ry,
+    rz,
 )
 
 PAIRS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
@@ -189,6 +195,106 @@ class TestCompiledData:
         for value in (-100.0, -10.0, 0.0):
             with pytest.raises(ValueError, match="must be positive"):
                 compile_data([DataPoint("epr", "ground", (1.0, 0.0, 0.0), value, 0.5)])
+
+
+def explicit_realized_site(problem, params):
+    """The site a parameter vector stands for, built by walking the four
+    flags and decomposing each base A on every call: the reference for
+    ``FitProblem.realized_site``."""
+    params = np.asarray(params, dtype=float)
+    states = [s for s, on in (("ground", problem.fit_ground), ("excited", problem.fit_excited)) if on]
+    pos, angles, deltas, mis = 0, {}, {}, None
+    for state in states:
+        angles[state] = params[pos : pos + 3]
+        pos += 3
+    if problem.fit_misalignment:
+        mis = rx(params[pos]) @ ry(params[pos + 1]) @ rz(params[pos + 2])
+        pos += 3
+    if problem.refine_eigenvalues:
+        for state in states:
+            deltas[state] = params[pos : pos + 3]
+            pos += 3
+    systems = {}
+    for state in ("ground", "excited"):
+        sys1 = getattr(problem.site, state)
+        if state in angles:
+            p = decompose_tensor(sys1.A)
+            values = np.array(p.values) + deltas.get(state, 0.0)
+            A = assemble_tensor(PrincipalTensor(tuple(values), EulerAngles(*angles[state])))
+            sys1 = replace(sys1, A=A)
+        if mis is not None:
+            sys1 = replace(
+                sys1,
+                A=SymmetricTensor3(mis @ sys1.A.matrix @ mis.T),
+                g=SymmetricTensor3(mis @ sys1.g.matrix @ mis.T),
+            )
+        systems[state] = sys1
+    return systems
+
+
+# (fit_ground, fit_excited, fit_misalignment, refine_eigenvalues), with ids
+# such as "GE-V" naming the groups that are on
+FLAGS = list(itertools.product((False, True), repeat=4))
+FLAG_IDS = ["".join(c if on else "-" for c, on in zip("GEMV", f)) for f in FLAGS]
+
+
+class TestParameterLayout:
+    @pytest.mark.parametrize("flags", FLAGS, ids=FLAG_IDS)
+    @pytest.mark.parametrize("site", [SITE_I, SITE_II], ids=["I", "II"])
+    def test_realized_site_bit_identical_to_explicit_path(self, site, flags):
+        ground, excited, mis, eigen = flags
+        problem = FitProblem(site=site, fit_ground=ground, fit_excited=excited,
+                             fit_misalignment=mis, refine_eigenvalues=eigen)
+        lo, hi = problem.bounds()
+        rng = np.random.default_rng(sum(f << k for k, f in enumerate(flags)))
+        for x in [problem.initial_parameters()] + [rng.uniform(lo, hi) for _ in range(10)]:
+            realized = problem.realized_site(x)
+            expected = explicit_realized_site(problem, x)
+            for state in ("ground", "excited"):
+                got, want = getattr(realized, state), expected[state]
+                assert np.array_equal(got.A.matrix, want.A.matrix)
+                assert np.array_equal(got.g.matrix, want.g.matrix)
+
+    def test_names_start_and_bounds_follow_the_blocks(self):
+        problem = FitProblem(site=SITE_I, fit_ground=True, fit_excited=True,
+                             fit_misalignment=True, refine_eigenvalues=True)
+        assert problem.parameter_names() == [
+            "ground_alpha", "ground_beta", "ground_gamma",
+            "excited_alpha", "excited_beta", "excited_gamma",
+            "mis_x", "mis_y", "mis_z",
+            "ground_dA1", "ground_dA2", "ground_dA3",
+            "excited_dA1", "excited_dA2", "excited_dA3",
+        ]
+        x0 = problem.initial_parameters()
+        assert tuple(x0[:3]) == decompose_tensor(SITE_I.ground.A).orientation.as_tuple()
+        assert tuple(x0[3:6]) == decompose_tensor(SITE_I.excited.A).orientation.as_tuple()
+        assert not x0[6:].any()
+        lo, hi = problem.bounds()
+        np.testing.assert_array_equal(hi, np.repeat(
+            [180.0, 180.0, fitting.MISALIGNMENT_BOUND_DEG, fitting.EIGENVALUE_BOUND_GHZ,
+             fitting.EIGENVALUE_BOUND_GHZ], 3))
+        np.testing.assert_array_equal(lo, -hi)
+        empty = FitProblem(site=SITE_I, fit_ground=False)
+        assert empty.parameter_names() == [] and empty.initial_parameters().shape == (0,)
+
+    def test_residuals_make_no_decompose_call(self, monkeypatch):
+        problem = FitProblem(site=SITE_I, fit_ground=True, fit_excited=True,
+                             fit_misalignment=True, refine_eigenvalues=True)
+        data = compile_data(mixed_data())
+        x0 = problem.initial_parameters()  # as fit does before its first residual call
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return decompose_tensor(t)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("kramers") and hasattr(module, "decompose_tensor"):
+                monkeypatch.setattr(module, "decompose_tensor", counting)
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            residuals(problem, x0 + rng.uniform(-0.01, 0.01, x0.size), data)
+        assert calls == []
 
 
 class TestFit:

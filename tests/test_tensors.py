@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 
 from kramers.tensors import (
-    CRYSTAL,
     EulerAngles,
-    FrameRotation,
     PrincipalTensor,
     SymmetricTensor3,
     assemble_tensor,
     decompose_tensor,
-    lab_transform,
     rotation_matrix,
     rx,
     rz,
@@ -31,16 +28,16 @@ def random_angles(rng):
 
 class TestRotationMatrix:
     def test_zero_angles_is_identity(self):
-        r = rotation_matrix(EulerAngles(0, 0, 0)).matrix
+        r = rotation_matrix(EulerAngles(0, 0, 0))
         assert np.array_equal(r, np.eye(3))
 
     def test_alpha_180_is_rz_pi(self):
-        r = rotation_matrix(EulerAngles(180, 0, 0)).matrix
+        r = rotation_matrix(EulerAngles(180, 0, 0))
         # Rz(pi) flips x and y
         assert np.allclose(r, np.diag([-1.0, -1.0, 1.0]), atol=1e-15)
 
     def test_orthogonality_of_specific_triple(self):
-        r = rotation_matrix(EulerAngles(72.25, 92.11, 63.92)).matrix
+        r = rotation_matrix(EulerAngles(72.25, 92.11, 63.92))
         assert np.abs(r @ r.T - np.eye(3)).max() < 1e-12
 
     def test_orthogonality_and_det_1000_random(self):
@@ -48,12 +45,12 @@ class TestRotationMatrix:
         for _ in range(1000):
             r = rotation_matrix(
                 EulerAngles(rng.uniform(-360, 360), rng.uniform(-360, 360), rng.uniform(-360, 360))
-            ).matrix
+            )
             assert np.abs(r @ r.T - np.eye(3)).max() < 1e-12
             assert abs(np.linalg.det(r) - 1.0) < 1e-12
 
     def test_composition_matches_factors(self):
-        r = rotation_matrix(EulerAngles(10, 20, 30)).matrix
+        r = rotation_matrix(EulerAngles(10, 20, 30))
         assert np.allclose(r, rz(10) @ rx(20) @ rz(30), atol=1e-15)
 
 
@@ -72,7 +69,7 @@ class TestEulerNormalization:
             assert 0 <= wrapped.beta <= 180
             assert -180 < wrapped.gamma <= 180
             m_raw = rz(raw[0]) @ rx(raw[1]) @ rz(raw[2])
-            m_norm = rotation_matrix(wrapped).matrix
+            m_norm = rotation_matrix(wrapped)
             assert np.abs(m_raw - m_norm).max() < 1e-12
 
     def test_rejects_non_finite(self):
@@ -135,8 +132,8 @@ class TestDecomposeTensor:
             values[2] += 0.6
             angles = EulerAngles(rng.uniform(-179, 179), rng.uniform(1, 179), rng.uniform(-179, 179))
             p = decompose_tensor(assemble_tensor(PrincipalTensor(tuple(values), angles)))
-            r_in = rotation_matrix(angles).matrix
-            r_out = rotation_matrix(p.orientation).matrix
+            r_in = rotation_matrix(angles)
+            r_out = rotation_matrix(p.orientation)
             # orientation equivalent up to axis sign pairs: compare conjugations
             d = np.diag(values)
             assert np.abs(r_in @ d @ r_in.T - r_out @ d @ r_out.T).max() < 1e-9
@@ -167,39 +164,8 @@ class TestSubsiteTransform:
         twice = subsite_transform(subsite_transform(t))
         assert np.array_equal(twice.matrix, t.matrix)
 
-    def test_requires_crystal_frame(self):
-        t = SymmetricTensor3(np.eye(3), frame="lab")
-        with pytest.raises(ValueError):
-            subsite_transform(t)
-
-
-class TestLabTransform:
-    def test_identity_is_noop(self):
-        t = SymmetricTensor3(A_I_GROUND_REF)
-        out = lab_transform(t, FrameRotation(np.eye(3), "lab-misalignment"))
-        assert np.array_equal(out.matrix, t.matrix)
-        assert out.frame == "lab"
-
-    def test_eigenvalues_preserved(self):
-        t = SymmetricTensor3(A_I_GROUND_REF)
-        out = lab_transform(t, FrameRotation(rz(5.0), "lab-misalignment"))
-        assert np.abs(np.sort(out.eigenvalues()) - np.sort(t.eigenvalues())).max() < 1e-12
-
-    def test_trace_preserved(self):
-        t = SymmetricTensor3(A_I_GROUND_REF)
-        out = lab_transform(t, FrameRotation(rx(3.0), "lab-misalignment"))
-        assert abs(out.trace() - t.trace()) < 1e-12
-
 
 class TestValidation:
-    def test_frame_rotation_rejects_improper(self):
-        with pytest.raises(ValueError):
-            FrameRotation(np.diag([1.0, 1.0, -1.0]))  # det = -1
-
-    def test_frame_rotation_rejects_non_orthogonal(self):
-        with pytest.raises(ValueError):
-            FrameRotation(np.eye(3) + 1e-6)
-
     def test_symmetric_tensor_rejects_asymmetric(self):
         m = np.eye(3)
         m[0, 1] = 0.5
