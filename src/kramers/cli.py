@@ -32,6 +32,22 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError("usage", message)
 
 
+class _SchemaRequested(Exception):
+    """--schema was given: print this command's schema and exit 0."""
+
+
+class _SchemaAction(argparse.Action):
+    """``--schema`` acts when argparse meets it, as ``--help`` does, so a
+    subcommand's required options need not be given with it."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, nargs=0, default=argparse.SUPPRESS, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        # a subcommand's parser is named "kramers <command>"
+        raise _SchemaRequested(SCHEMAS[parser.prog.rpartition(" ")[2]])
+
+
 SCHEMAS = {
     "levels": "level,energy_ghz            -- level is 1-based, energies ascending, GHz",
     "transitions": "lower,upper,frequency_ghz  -- 1-based level pair, frequency in GHz",
@@ -72,7 +88,7 @@ def _add_common(p: argparse.ArgumentParser, default_out: str, run):
     p.add_argument("--config", help="config file overriding the preset")
     p.add_argument("--out", default=default_out, help="output CSV path (PGM derived for maps)")
     p.add_argument("--no-stamp", action="store_true", help="omit the version comment line")
-    p.add_argument("--schema", action="store_true", help="print the CSV schema and exit")
+    p.add_argument("--schema", action=_SchemaAction, help="print the CSV schema and exit")
 
 
 def _add_field(p: argparse.ArgumentParser):
@@ -164,7 +180,7 @@ def _build_parser() -> _Parser:
                    default=zefoz.DEFAULT_REFINE_TOL_MHZ_PER_MT)
 
     p = sub.add_parser("selftest", help="run the embedded regression suite")
-    p.add_argument("--schema", action="store_true")
+    p.add_argument("--schema", action=_SchemaAction, help="print the CSV schema and exit")
     p.set_defaults(run=lambda args: 0 if run_selftest() else 1)
 
     return top
@@ -354,6 +370,12 @@ def _cmd_fit(args) -> int:
             f", {len(result.restart_errors)} failed ({result.restart_errors[0]})" if result.restart_errors else ""
         ),
     ]
+    runs = len(result.restart_iterations)
+    lines.append(
+        f"LM work: {result.iterations} iterations, {result.evaluations} evaluations; per restart "
+        f"mean {result.iterations / runs:.1f} / max {max(result.restart_iterations)} iterations, "
+        f"mean {result.evaluations / runs:.1f} / max {max(result.restart_evaluations)} evaluations"
+    )
     for name, value in zip(result.parameter_names, result.parameters):
         lines.append(f"  {name} = {value:.6f}")
     for state, rep in result.canonical_angles.items():
@@ -365,7 +387,7 @@ def _cmd_fit(args) -> int:
     if result.covariance.size:
         sigmas = np.sqrt(np.clip(np.diag(result.covariance), 0, None))
         lines.append("parameter sigmas: " + ", ".join(
-            f"{n}={s:.4g}" for n, s in zip(result.parameter_names, sigmas)))
+            f"{n}={s:.4g}" for n, s in zip(result.covariance_names, sigmas)))
     report = "\n".join(lines) + "\n"
     with open(args.report, "w") as fh:
         fh.write(report)
@@ -452,10 +474,10 @@ def main(argv=None) -> int:
         argv = _sys.argv[1:]
     try:
         args = _build_parser().parse_args(_fold_dash_values(list(argv)))
-        if args.schema:
-            print(SCHEMAS[args.command])
-            return 0
         return args.run(args)
+    except _SchemaRequested as schema:
+        print(schema)
+        return 0
     except ConfigError as exc:
         record = exc.record()
     except OSError as exc:

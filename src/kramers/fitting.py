@@ -1,11 +1,19 @@
 """Least-squares fitting of hyperfine-tensor orientations to transition data.
 
 The g tensors and the A eigenvalue magnitudes (obtained analytically from
-zero-field splittings) stay fixed; the free parameters are the Euler angles
+zero-field splittings) stay fixed; the free parameters are the orientation
 of the ground and/or excited A tensor, optionally a small lab-misalignment
-rotation and eigenvalue refinements.  A local least-squares refiner is
-restarted from uniformly sampled angle seeds and the best optimum is
-reported together with the restart spread and a Jacobian-based covariance.
+rotation and eigenvalue refinements.  Restarts begin at the problem's own
+angles and at uniformly sampled Euler triples, and one Levenberg-Marquardt
+with Moré's (1978) column scaling advances a chunk of them in lockstep:
+each iteration diagonalizes (restarts x distinct fields x 2 subsites) in
+one stacked ``eigh``.  An orientation is a rotation R, stepped by a
+body-frame rotation vector and re-anchored after every accepted step
+(Absil, Mahony & Sepulchre 2008, ch. 4), so it has no Euler box and no
+double cover.  Every Jacobian column comes from the eigenvectors of that
+same ``eigh`` by Hellmann-Feynman.  The best optimum is reported as
+canonical Euler angles, with the restart spread and a covariance over
+small body-frame rotations.
 """
 
 from __future__ import annotations
@@ -13,12 +21,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .hamiltonian import PAIR_HI, PAIR_LO, PAIRS, energies_sweep, invert_zero_field
+from .hamiltonian import PAIR_HI, PAIR_LO, PAIRS, hamiltonian_stack, invert_zero_field, spin_expectations
 from .lazy import SciPyFunction
-from .magres import epr_resonance_fields
+from .magres import EPR_FIELD_TOL_MT, epr_resonance_fields
 from .spectra import SiteModel
 from .tensors import (
     EulerAngles,
@@ -26,13 +35,14 @@ from .tensors import (
     SymmetricTensor3,
     assemble_tensor,
     decompose_tensor,
+    principal_axes_orientation,
+    rotation_matrix,
     rx,
     ry,
     rz,
     subsite_transform,
 )
 
-least_squares = SciPyFunction("scipy.optimize", "least_squares")
 nnls = SciPyFunction("scipy.optimize", "nnls")
 
 KINDS = ("shb", "odmr", "epr")
@@ -50,13 +60,33 @@ EIGENVALUE_BOUND_GHZ = 0.05
 # largest RMS misfit (GHz) of the zero-field lines a level ladder may leave
 LEVEL_TOL_GHZ = 2e-3
 
+# Levenberg-Marquardt: restarts advanced together, the evaluations one
+# restart may spend, and its stopping rules (a relative cost change, or a
+# step in degrees or GHz)
+RESTART_CHUNK = 32
+MAX_EVALUATIONS = 250
+COST_RTOL = 1e-12
+STEP_TOL = 1e-6
+
 # each 3-wide block of a fit parameter vector, by kind: the name suffixes of
-# its entries and the +/- bound on them
+# its entries, those of its covariance coordinates, and the +/- bound on
+# them (for angles, only the box the restart seeds are drawn from)
 _BLOCK_KINDS = {
-    "angles": (("alpha", "beta", "gamma"), 180.0),
-    "misalignment": (("x", "y", "z"), MISALIGNMENT_BOUND_DEG),
-    "deltas": (("dA1", "dA2", "dA3"), EIGENVALUE_BOUND_GHZ),
+    "angles": (("alpha", "beta", "gamma"), ("rot1", "rot2", "rot3"), 180.0),
+    "misalignment": (("x", "y", "z"), ("x", "y", "z"), MISALIGNMENT_BOUND_DEG),
+    "deltas": (("dA1", "dA2", "dA3"), ("dA1", "dA2", "dA3"), EIGENVALUE_BOUND_GHZ),
 }
+
+_DEG = np.pi / 180.0
+# generators of the rotations about x, y, z: rx(t) = exp(t K_x) for t in radians
+_GENERATORS = np.array([
+    [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
+    [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+    [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+])
+# subsite 2 is the C2-about-b image of subsite 1: its levels at B are those
+# of subsite 1 at C2 B
+_C2 = np.array([-1.0, -1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -95,6 +125,8 @@ class FitProblem:
     rotations (deg, bounded to +/-5), ground eigenvalue deltas (GHz),
     excited eigenvalue deltas (GHz).  ``blocks`` lays it out once, and
     the names, starting values, bounds and realized site all read it.
+    The fit moves each orientation by a rotation vector instead, whose
+    coordinates ``covariance_names`` lists.
     """
 
     site: SiteModel
@@ -109,7 +141,7 @@ class FitProblem:
         """The parameter vector as (kind, owner) blocks of three, in order.
 
         The owner of an angle or delta block is the state whose A it sets;
-        that of the misalignment block is "mis".
+        that of the misalignment block is "mis".  Angle blocks come first.
         """
         states = [state for state, on in zip(STATES, (self.fit_ground, self.fit_excited)) if on]
         blocks = [("angles", state) for state in states]
@@ -127,6 +159,12 @@ class FitProblem:
     def parameter_names(self) -> list[str]:
         return [f"{owner}_{suffix}" for kind, owner in self.blocks for suffix in _BLOCK_KINDS[kind][0]]
 
+    def covariance_names(self) -> list[str]:
+        """Names of the covariance coordinates: an orientation's are small
+        rotations (deg) about the principal axes of its A, ``<state>_rotK``
+        about the axis of A_K; the others are the parameters themselves."""
+        return [f"{owner}_{suffix}" for kind, owner in self.blocks for suffix in _BLOCK_KINDS[kind][1]]
+
     def initial_parameters(self) -> np.ndarray:
         x = [
             self.base_principal[owner].orientation.as_tuple() if kind == "angles" else (0.0, 0.0, 0.0)
@@ -135,7 +173,8 @@ class FitProblem:
         return np.array(x, dtype=float).reshape(-1)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        hi = np.repeat([_BLOCK_KINDS[kind][1] for kind, _ in self.blocks], 3)
+        """The box restart seeds are drawn from; the fit keeps all but the angles in it."""
+        hi = np.repeat([_BLOCK_KINDS[kind][2] for kind, _ in self.blocks], 3)
         return -hi, hi
 
     def realized_site(self, params: np.ndarray) -> SiteModel:
@@ -172,9 +211,10 @@ class FitProblem:
 class _StateRows:
     """The shb/odmr points of one electronic state, as index arrays.
 
-    ``idx`` are the points' positions in the data list; ``inverse`` maps
-    each point to its row of ``fields`` (the distinct field vectors, so
-    each field is diagonalized once).  ``labeled``/``unlabeled`` are
+    ``idx`` are the points' positions in the data list; ``inverse[r, s]``
+    is the row of ``fields`` whose levels are those of point r on subsite
+    s + 1 (``fields`` holds each distinct field and C2 image, up to sign,
+    once, so each is diagonalized once).  ``labeled``/``unlabeled`` are
     positions within ``idx``; ``lower``/``upper`` are the level labels of
     the labeled ones.
     """
@@ -192,12 +232,12 @@ class _StateRows:
 
 @dataclass(frozen=True, eq=False)
 class CompiledData:
-    """A data list in the array form ``residuals`` works on.
+    """A data list in the array form ``evaluate`` works on.
 
-    ``fit`` compiles its data once instead of on every residual
-    evaluation; ``epr`` pairs each EPR point's position with its unit
-    sweep direction.  ``gates`` and ``weights`` (1/sigma, 0 for an
-    infinite sigma) have one entry per point.
+    ``fit`` compiles its data once instead of on every evaluation; ``epr``
+    pairs each EPR point's position with its unit sweep direction.
+    ``gates`` and ``weights`` (1/sigma, 0 for an infinite sigma) have one
+    entry per point.
     """
 
     points: tuple[DataPoint, ...]
@@ -209,7 +249,7 @@ class CompiledData:
 
 
 def compile_data(data) -> CompiledData:
-    """Validate a list of DataPoints and precompute the arrays of ``residuals``."""
+    """Validate a list of DataPoints and precompute the arrays of ``evaluate``."""
     points = tuple(data)
     if not points:
         raise ValueError("no data points")
@@ -221,18 +261,23 @@ def compile_data(data) -> CompiledData:
         if idx.size == 0:
             continue
         fields = np.array([points[n].field_mt for n in idx], dtype=float)
-        uniq, inverse = np.unique(fields, axis=0, return_inverse=True)
+        images = np.concatenate([fields, fields * _C2])
+        # the levels at -B are those at B (time reversal), and so are the
+        # derivatives: keep each field with its first nonzero component positive
+        first = images[np.arange(len(images)), np.argmax(images != 0, axis=1)]
+        uniq, inverse = np.unique(images * np.where(first < 0, -1.0, 1.0)[:, None] + 0.0, axis=0,
+                                  return_inverse=True)
         labels = [points[n].label for n in idx]
         labeled = np.array([r for r, l in enumerate(labels) if l is not None], dtype=int)
         states.append(_StateRows(
             state=state,
             idx=idx,
             fields=uniq,
-            inverse=inverse,
+            inverse=inverse.reshape(2, -1).T,
             values=np.array([points[n].value for n in idx]),
             labeled=labeled,
-            lower=np.array([labels[r][0] for r in labeled]),
-            upper=np.array([labels[r][1] for r in labeled]),
+            lower=np.array([labels[r][0] for r in labeled], dtype=int),
+            upper=np.array([labels[r][1] for r in labeled], dtype=int),
             unlabeled=np.array([r for r, l in enumerate(labels) if l is None], dtype=int),
         ))
     epr = []
@@ -255,60 +300,377 @@ def compile_data(data) -> CompiledData:
     )
 
 
-def residuals(problem: FitProblem, params, data, full: bool = False):
-    """Observed-minus-model residuals for every data point, clipped at the gates.
+def _rotations(omega: np.ndarray) -> np.ndarray:
+    """exp([omega]x) for rotation vectors (..., 3) in radians, by Rodrigues' formula."""
+    theta = np.linalg.norm(omega, axis=-1)[..., None, None]
+    k = np.einsum("...i,ijk->...jk", omega, _GENERATORS)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = np.where(theta > 0, np.sin(theta) / theta, 1.0)
+        b = np.where(theta > 0, (1.0 - np.cos(theta)) / theta**2, 0.5)
+    return np.eye(3) + a * k + b * (k @ k)
+
+
+def _points(problem: FitProblem, params) -> tuple[np.ndarray, np.ndarray]:
+    """A (B, P) stack of parameter vectors as the fit's points: the
+    rotation of each angle block, (B, n_angle_blocks, 3, 3), and the
+    other coordinates, (B, P - 3 n_angle_blocks)."""
+    x = np.asarray(params, dtype=float).reshape(len(params), -1, 3)
+    n_angles = sum(kind == "angles" for kind, _ in problem.blocks)
+    rotations = np.array([
+        [rotation_matrix(EulerAngles(*angles)) for angles in row[:n_angles]] for row in x
+    ]).reshape(len(x), n_angles, 3, 3)
+    return rotations, x[:, n_angles:].reshape(len(x), -1)
+
+
+def start_point(problem: FitProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The point one restart starts from, for its seed ``x``.
+
+    ``fit`` calls it once per restart, in seed order; an exception fails
+    that restart alone.
+    """
+    if not np.all(np.isfinite(x)):
+        raise ValueError("restart seed is not finite")
+    rotations, flat = _points(problem, x[None])
+    return rotations[0], flat[0]
+
+
+def _parameters(problem: FitProblem, rotations: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Parameter vectors (B, P) of fit points: canonical Euler angles of each rotation."""
+    angles = [[principal_axes_orientation(r).as_tuple() for r in row] for row in rotations]
+    return np.concatenate([np.array(angles, dtype=float).reshape(len(flat), -1), flat], axis=1)
+
+
+def _realize(problem: FitProblem, rotations: np.ndarray, flat: np.ndarray, jac: bool) -> dict:
+    """Each state's realized (A, g) for a batch of points, (B, 3, 3) each,
+    with dA and dg (B, P, 3, 3) over the tangent coordinates when ``jac``.
+
+    A fitted orientation is R diag(a + delta) R^T; moving R to R exp([w]x)
+    gives dA/dw_k = R [K_k, diag] R^T, and dA/d delta_i = r_i r_i^T for the
+    axis r_i.  The misalignment M = rx ry rz turns A into M A M^T and g
+    into M g M^T; dM/d theta_i = Omega_i M, so the derivatives are the
+    commutators [Omega_i, A] and [Omega_i, g].  Angles are in degrees.
+    """
+    B, P = len(flat), 3 * len(problem.blocks)
+    n_angles = rotations.shape[1]
+    where = {(kind, owner): n for n, (kind, owner) in enumerate(problem.blocks)}
+
+    def coords(n):
+        return flat[:, 3 * (n - n_angles) : 3 * (n - n_angles) + 3]
+
+    mis = where.get(("misalignment", "mis"))
+    if mis is not None:
+        steps = [_rotations(coords(mis)[:, k, None] * _DEG * np.eye(3)[k]) for k in range(3)]
+        M = steps[0] @ steps[1] @ steps[2]
+        axes = [np.broadcast_to(np.eye(3)[0], (B, 3)), steps[0][:, :, 1], (steps[0] @ steps[1])[:, :, 2]]
+        omegas = [np.einsum("bi,ijk->bjk", a, _GENERATORS) * _DEG for a in axes]
+
+    out = {}
+    for state in STATES:
+        base = getattr(problem.site, state)
+        dA = np.zeros((B, P, 3, 3)) if jac else None
+        dg = None
+        if ("angles", state) in where:
+            n = where[("angles", state)]
+            R, Rt = rotations[:, n], rotations[:, n].swapaxes(1, 2)
+            d = np.array(problem.base_principal[state].values)
+            if ("deltas", state) in where:
+                d = d + coords(where[("deltas", state)])
+            d = np.broadcast_to(d, (B, 3))
+            A = (R * d[:, None, :]) @ Rt
+            if jac:
+                # [K_k, diag(d)]_ij = (K_k)_ij (d_j - d_i)
+                comm = _GENERATORS * (d[:, None, None, :] - d[:, None, :, None])
+                dA[:, 3 * n : 3 * n + 3] = R[:, None] @ comm @ Rt[:, None] * _DEG
+                if ("deltas", state) in where:
+                    m = where[("deltas", state)]
+                    dA[:, 3 * m : 3 * m + 3] = Rt[:, :, :, None] * Rt[:, :, None, :]
+        else:
+            A = np.broadcast_to(base.A.matrix, (B, 3, 3))
+        g = np.broadcast_to(base.g.matrix, (B, 3, 3))
+        if mis is not None:
+            Mt = M.swapaxes(1, 2)
+            A, g = M @ A @ Mt, M @ g @ Mt
+            if jac:
+                dA = M[:, None] @ dA @ Mt[:, None]
+                dg = np.zeros((B, P, 3, 3))
+                for k, om in enumerate(omegas):
+                    dA[:, 3 * mis + k] = om @ A - A @ om
+                    dg[:, 3 * mis + k] = om @ g - g @ om
+        out[state] = (A, g, dA, dg)
+    return out
+
+
+def _derivative_mix(fields: np.ndarray, dA: np.ndarray, dg, mu_b: float) -> np.ndarray:
+    """dH/d theta in the basis of SPIN_OPERATORS, (B, F, 15, P) for fields (F, 3) or (B, F, 3).
+
+    dH/dA_kl = I_k S_l and dH/dg_kl = mu_B B_k S_l; without dg, F is 1.
+    """
+    B, P = dA.shape[:2]
+    mix = np.zeros((B, 1 if dg is None else fields.shape[-2], 15, P))
+    mix[..., :9, :] = dA.reshape(B, 1, P, 9).swapaxes(-1, -2)
+    if dg is not None:
+        fields = np.broadcast_to(fields, (B,) + fields.shape[-2:]) * (mu_b * 1e-3)
+        mix[..., 9:12, :] = np.einsum("bfk,bpkl->bflp", fields, dg)
+    return mix
+
+
+class Evaluation(NamedTuple):
+    """Residuals of a batch of B fit points over N data points.
+
+    ``residuals`` (B, N) are observed minus model, clipped at the gates;
+    ``model`` is NaN where a point has no model value; ``gated`` flags
+    the points beyond their gates.  ``jacobian`` (B, N, P), when asked
+    for, is d residual / d tangent coordinate, zero on a gated row.
+    """
+
+    residuals: np.ndarray
+    model: np.ndarray
+    gated: np.ndarray
+    jacobian: np.ndarray | None = None
+
+
+def evaluate(problem: FitProblem, rotations, flat, data: CompiledData, jac: bool = False) -> Evaluation:
+    """Residuals (and their Jacobian) at a batch of fit points.
 
     Labeled points compare against their own transition on the nearer of
     the two magnetic subsites; unlabeled points against the nearest of all
     twelve subsite transitions.  EPR points compare against the nearest
-    resonance field at nu_mw, searched up to value + GATE_FIELD_MT; a point
-    with no resonance there is beyond its gate.  Each residual is clipped
-    to +/- its gate (GATE_FREQ_GHZ, or GATE_FIELD_MT for EPR), so a gated
-    point costs a constant (gate/sigma)^2 and discarding data never lowers
-    the cost.  ``data`` is a list of DataPoints or its ``compile_data``
-    form.  With ``full`` it returns (residuals, model values, sorted
-    indices of the gated points); a point without a model value has NaN.
+    resonance field at nu_mw, searched up to value + GATE_FIELD_MT and
+    refined by Newton steps; a point with no resonance there is beyond its
+    gate.  Each residual is clipped to +/- its gate.  All shb/odmr
+    levels of all points come from one stacked ``eigh`` per state, and
+    the Jacobian from its eigenvectors: an EPR field moves by
+    dB/d theta = -(d nu/d theta) / (d nu/dB) at the resonance.
+    """
+    rotations, flat = np.asarray(rotations, dtype=float), np.asarray(flat, dtype=float)
+    B, N, P = len(flat), len(data.points), 3 * len(problem.blocks)
+    tensors = _realize(problem, rotations, flat, jac)
+    raw = np.full((B, N), np.inf)
+    model = np.full((B, N), np.nan)
+    J = np.zeros((B, N, P)) if jac else None
+    batch = np.arange(B)[:, None]
+
+    for rows in data.states:
+        A, g, dA, dg = tensors[rows.state]
+        base = getattr(problem.site, rows.state)
+        H = hamiltonian_stack(A[:, None], g[:, None], rows.fields, base.g_n, base.mu_b, base.mu_n)
+        if jac:
+            w, v = np.linalg.eigh(H)
+        else:
+            w = np.linalg.eigvalsh(H)
+        values = rows.values
+        # the chosen (field row, upper, lower) of every point of this state
+        row = np.empty((B, rows.idx.size), dtype=int)
+        upper, lower = np.empty_like(row), np.empty_like(row)
+        if rows.labeled.size:
+            lab = rows.labeled
+            u = rows.inverse[lab]
+            cands = w[:, u, rows.upper[:, None]] - w[:, u, rows.lower[:, None]]
+            k = np.argmin(np.abs(cands - values[lab, None]), axis=2)
+            row[:, lab], upper[:, lab], lower[:, lab] = u[np.arange(lab.size), k], rows.upper, rows.lower
+        if rows.unlabeled.size:
+            un = rows.unlabeled
+            u = rows.inverse[un]
+            e = w[:, u]
+            cands = (e[..., PAIR_HI] - e[..., PAIR_LO]).reshape(B, un.size, 12)
+            subsite, pair = np.divmod(np.argmin(np.abs(cands - values[un, None]), axis=2), 6)
+            row[:, un], upper[:, un], lower[:, un] = u[np.arange(un.size), subsite], PAIR_HI[pair], PAIR_LO[pair]
+        model[:, rows.idx] = w[batch, row, upper] - w[batch, row, lower]
+        raw[:, rows.idx] = values - model[:, rows.idx]
+        if jac:
+            dE = spin_expectations(v, _derivative_mix(rows.fields, dA, dg, base.mu_b))
+            J[:, rows.idx] = dE[batch, row, lower] - dE[batch, row, upper]
+
+    if data.epr:
+        _epr_residuals(problem, tensors, data, raw, model, J)
+    res = np.clip(raw, -data.gates, data.gates)
+    gated = ~(np.abs(raw) <= data.gates)
+    if jac:
+        J[gated] = 0.0
+    return Evaluation(res, model, gated, J)
+
+
+def _epr_residuals(problem: FitProblem, tensors: dict, data: CompiledData, raw, model, J) -> None:
+    """Fill the EPR points' entries of ``raw``, ``model`` and ``J`` in place."""
+    found = []  # (restart, point, field, direction image, upper, lower)
+    for n, direction in data.epr:
+        p = data.points[n]
+        A, g = tensors[p.state][:2]
+        base = getattr(problem.site, p.state)
+        for b in range(len(A)):
+            sys1 = replace(base, A=SymmetricTensor3(A[b]), g=SymmetricTensor3(g[b]))
+            hits = epr_resonance_fields(sys1, direction, problem.nu_mw_ghz, p.value + GATE_FIELD_MT)
+            if p.label is not None:
+                hits = [r for r in hits if r.transition == tuple(p.label)]
+            if hits:
+                r = min(hits, key=lambda r: abs(r.field_mt - p.value))
+                image = direction if r.subsite == 1 else direction * _C2
+                found.append((b, n, r.field_mt, image, r.transition[1], r.transition[0]))
+    if not found:
+        return
+    b, n, field, image, upper, lower = (np.array(c) for c in zip(*found))
+    for state in STATES:
+        sel = np.flatnonzero([data.points[m].state == state for m in n])
+        if not sel.size:
+            continue
+        A, g, dA, dg = tensors[state]
+        base = getattr(problem.site, state)
+        bs, pts, img, up, lo = b[sel], n[sel], image[sel], upper[sel], lower[sel]
+        k = np.arange(sel.size)
+        fields = field[sel]
+        # two Newton steps from the bisection midpoint, each kept only
+        # within the bisection tolerance; the derivatives come from the last
+        for _ in range(2):
+            w, v = np.linalg.eigh(hamiltonian_stack(A[bs], g[bs], fields[:, None] * img,
+                                                    base.g_n, base.mu_b, base.mu_n))
+            x = spin_expectations(v)
+            # dE_n/dB_k = mu_B sum_l g_kl <S_l> - mu_n g_n <I_k>
+            grad = (base.mu_b * 1e-3) * x[..., 9:12] @ g[bs].swapaxes(1, 2)
+            grad -= (base.mu_n * 1e-3 * base.g_n) * x[..., 12:]
+            slope = np.einsum("ki,ki->k", grad[k, up] - grad[k, lo], img)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                shift = (w[k, up] - w[k, lo] - problem.nu_mw_ghz) / slope
+            fields = np.where(np.abs(shift) <= EPR_FIELD_TOL_MT, fields - shift, fields)
+        model[bs, pts] = fields
+        raw[bs, pts] = np.array([data.points[m].value for m in pts]) - fields
+        if J is not None:
+            mix = _derivative_mix((fields[:, None] * img)[:, None], dA[bs],
+                                  None if dg is None else dg[bs], base.mu_b)
+            dE = x @ mix[:, 0]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rows = (dE[k, up] - dE[k, lo]) / slope[:, None]
+            J[bs, pts] = np.where(np.isfinite(rows), rows, 0.0)
+
+
+def residuals(problem: FitProblem, params, data, full: bool = False):
+    """Observed-minus-model residuals for every data point, clipped at the gates.
+
+    ``evaluate`` at one parameter vector (see there for the model).  A
+    gated point costs a constant (gate/sigma)^2, so discarding data never
+    lowers the cost.  ``data`` is a list of DataPoints or its
+    ``compile_data`` form.  With ``full`` it returns (residuals, model
+    values, sorted indices of the gated points); a point without a model
+    value has NaN.
     """
     if not isinstance(data, CompiledData):
         data = compile_data(data)
-    site = problem.realized_site(np.asarray(params, dtype=float))
-    raw = np.full(len(data.points), np.inf)
-    model = np.full(len(data.points), np.nan)
-
-    for rows in data.states:
-        sys1 = site.ground if rows.state == "ground" else site.excited
-        energies = [energies_sweep(sys1, rows.fields), energies_sweep(sys1.with_subsite(2), rows.fields)]
-        idx, values = rows.idx, rows.values
-
-        def assign(sel: np.ndarray, cands: np.ndarray):
-            k = np.argmin(np.abs(cands - values[sel, None]), axis=1)
-            model[idx[sel]] = cands[np.arange(sel.size), k]
-
-        if rows.labeled.size:
-            u = rows.inverse[rows.labeled]
-            assign(rows.labeled, np.stack([e[u, rows.upper] - e[u, rows.lower] for e in energies], axis=1))
-        if rows.unlabeled.size:
-            u = rows.inverse[rows.unlabeled]
-            cands = np.concatenate([e[u][:, PAIR_HI] - e[u][:, PAIR_LO] for e in energies], axis=1)
-            assign(rows.unlabeled, cands)
-        raw[idx] = values - model[idx]
-
-    for n, direction in data.epr:
-        p = data.points[n]
-        sys1 = site.ground if p.state == "ground" else site.excited
-        found = epr_resonance_fields(sys1, direction, problem.nu_mw_ghz, p.value + GATE_FIELD_MT)
-        if p.label is not None:
-            found = [r for r in found if r.transition == tuple(p.label)]
-        if found:
-            fields = np.array([r.field_mt for r in found])
-            model[n] = fields[np.argmin(np.abs(fields - p.value))]
-            raw[n] = p.value - model[n]
-
-    res = np.clip(raw, -data.gates, data.gates)
+    ev = evaluate(problem, *_points(problem, np.asarray(params, dtype=float)[None]), data)
     if full:
-        gated = ~(np.abs(raw) <= data.gates)
-        return res, model, np.flatnonzero(gated).tolist()
-    return res
+        return ev.residuals[0], ev.model[0], np.flatnonzero(ev.gated[0]).tolist()
+    return ev.residuals[0]
+
+
+class _Run(NamedTuple):
+    """Where the restarts of one chunk ended, and what each spent."""
+
+    rotations: np.ndarray
+    flat: np.ndarray
+    cost: np.ndarray
+    residuals: np.ndarray
+    gated: np.ndarray
+    iterations: np.ndarray
+    evaluations: np.ndarray
+
+
+def _levenberg_marquardt(problem: FitProblem, data: CompiledData, rotations, flat) -> _Run:
+    """Minimize the weighted cost from a batch of starting points, in lockstep.
+
+    Moré's (1978) trust-region form: D holds the largest column norms of
+    J seen so far (one per rotation block, so a turn is measured by its
+    angle), and each step solves (J^T J + lambda D^2) p = -J^T r with
+    lambda = 0 (Gauss-Newton) when that step stays within the radius, else
+    the lambda that puts ||D p|| on it; the first radius is ||r||.  All
+    trial points of a chunk are evaluated in one ``evaluate``.  A step
+    rotates each orientation by exp([w]x) in its body frame and keeps the
+    other coordinates in their box.  A restart stops when its next step
+    would change its cost by less than COST_RTOL (relative, as predicted),
+    when that step is below STEP_TOL, or after MAX_EVALUATIONS evaluations.
+    """
+    rotations, flat = np.array(rotations, dtype=float), np.array(flat, dtype=float)
+    B, P, n_angles = len(flat), 3 * len(problem.blocks), rotations.shape[1]
+    lo, hi = (bound[3 * n_angles :] for bound in problem.bounds())
+    weights = data.weights
+
+    ev = evaluate(problem, rotations, flat, data, jac=True)
+    r, J = ev.residuals * weights, ev.jacobian * weights[:, None]
+    cost = np.einsum("bn,bn->b", r, r)
+    res, gated = ev.residuals, ev.gated
+    scale = np.zeros((B, P))
+    radius = np.full(B, np.nan)
+    iterations, evaluations = np.zeros(B, dtype=int), np.ones(B, dtype=int)
+    active = cost > 0
+    while active.any():
+        a = np.flatnonzero(active)
+        Ja, ra = J[a], r[a]
+        scale[a] = np.maximum(scale[a], np.linalg.norm(Ja, axis=1))
+        turns = scale[a, : 3 * n_angles].reshape(a.size, n_angles, 3)
+        d = np.concatenate([np.repeat(turns.max(axis=2), 3, axis=1), scale[a, 3 * n_angles :]], axis=1)
+        d = np.where(d > 0, d, 1.0)
+        radius[a] = np.where(np.isnan(radius[a]), np.sqrt(cost[a]), radius[a])
+        scaled_step, lam = _trust_region_step(Ja / d[:, None, :], ra, radius[a])
+        step = scaled_step / d
+
+        trial_flat = np.clip(flat[a] + step[:, 3 * n_angles :], lo, hi)
+        taken = np.concatenate([step[:, : 3 * n_angles], trial_flat - flat[a]], axis=1)
+        lin = ra + np.einsum("bnp,bp->bn", Ja, taken)
+        predicted = cost[a] - np.einsum("bn,bn->b", lin, lin)
+        # converged: the step would change little, so it is not evaluated
+        go = (predicted > COST_RTOL * cost[a]) & (np.linalg.norm(taken, axis=1) > STEP_TOL)
+        active[a[~go]] = False
+        a, d, lam, predicted, taken, trial_flat = a[go], d[go], lam[go], predicted[go], taken[go], trial_flat[go]
+        if not a.size:
+            break
+
+        turn = _rotations(taken[:, : 3 * n_angles].reshape(a.size, n_angles, 3) * _DEG)
+        trial_rot = rotations[a] @ turn
+        trial = evaluate(problem, trial_rot, trial_flat, data, jac=True)
+        evaluations[a] += 1
+        r_t = trial.residuals * weights
+        cost_t = np.einsum("bn,bn->b", r_t, r_t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(np.isfinite(cost_t), (cost[a] - cost_t) / predicted, -np.inf)
+        size = np.linalg.norm(taken * d, axis=1)
+        radius[a] = np.where(ratio < 0.25, 0.25 * size,
+                             np.where((ratio > 0.75) | (lam == 0), np.maximum(radius[a], 2.0 * size), radius[a]))
+
+        accept = ratio > 1e-4
+        ok = a[accept]
+        rotations[ok], flat[ok] = trial_rot[accept], trial_flat[accept]
+        r[ok], J[ok], cost[ok] = r_t[accept], trial.jacobian[accept] * weights[:, None], cost_t[accept]
+        res[ok], gated[ok] = trial.residuals[accept], trial.gated[accept]
+        iterations[ok] += 1
+        active[a[(cost[a] == 0) | (evaluations[a] >= MAX_EVALUATIONS)]] = False
+    return _Run(rotations, flat, cost, res, gated, iterations, evaluations)
+
+
+def _trust_region_step(J: np.ndarray, r: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, lambda): the least ||r + J p|| with ||p|| <= radius, for a batch.
+
+    From the eigensystem of J^T J: the minimum-norm Gauss-Newton step when
+    it fits (lambda = 0), else the lambda of (J^T J + lambda) p = -J^T r
+    that brings ||p|| within 10% of the radius, by Newton steps on
+    1/||p(lambda)||, which approach it from below (Hebden; Moré 1978).
+    """
+    curv, q = np.linalg.eigh(J.swapaxes(1, 2) @ J)
+    # directions flat to rounding are dropped, as a pseudo-inverse drops them
+    c = np.where(curv > 1e-14 * curv[:, -1:], np.einsum("bpi,bnp,bn->bi", q, J, r), 0.0)
+
+    def step(lam):
+        denominator = np.where(c != 0, curv + lam[:, None], 1.0)
+        t = c / denominator
+        return t, np.linalg.norm(t, axis=1), np.sum(t * t / denominator, axis=1)
+
+    lam = np.zeros(len(r))
+    t, norm, slope = step(lam)
+    outside = norm > radius
+    lam[outside] = np.maximum(np.linalg.norm(c, axis=1) / radius - curv[:, -1], 0.0)[outside]
+    for _ in range(20):
+        t, norm, slope = step(lam)
+        far = outside & (norm > 1.1 * radius)
+        if not far.any():
+            break
+        lam[far] += ((norm / radius - 1.0) * norm**2 / slope)[far]
+    return -np.einsum("bpi,bi->bp", q, t), lam
 
 
 def closest_subsite_representative(
@@ -352,26 +714,37 @@ class FitResult:
     residuals: np.ndarray
     model_values: np.ndarray
     excluded: tuple[int, ...]
+    covariance_names: tuple[str, ...]
     covariance: np.ndarray
     restart_rms_mhz: tuple[float, ...]   # one per completed restart, ascending
     restart_errors: tuple[str, ...] = ()  # one per failed restart, in seed order
+    # LM iterations (accepted steps) and evaluations, one per restart in seed order
+    restart_iterations: tuple[int, ...] = ()
+    restart_evaluations: tuple[int, ...] = ()
+
+    @property
+    def iterations(self) -> int:
+        return sum(self.restart_iterations)
+
+    @property
+    def evaluations(self) -> int:
+        return sum(self.restart_evaluations)
 
 
 def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResult:
     """Multistart weighted least squares over the problem's free parameters.
 
     Restart seeds are the problem's own starting angles plus uniformly
-    sampled angle triples; each seed is refined locally and the best local
-    optimum wins (ties broken by lexicographically smaller parameters).
-    The result is a success when at most half of the points are gated.
+    sampled parameter vectors, drawn one chunk of RESTART_CHUNK at a time
+    (the same stream as one at a time); each chunk is refined by
+    ``_levenberg_marquardt`` and the best local optimum wins (ties broken by
+    lexicographically smaller parameters).  The result is a success when
+    at most half of the points are gated.
     """
     compiled = compile_data(data)
     total = len(compiled.points)
     names = problem.parameter_names()
     x0 = problem.initial_parameters()
-
-    def fun(x):
-        return residuals(problem, x, compiled) * compiled.weights
 
     if len(names) == 0:
         res, model, excl = residuals(problem, x0, compiled, full=True)
@@ -379,7 +752,7 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
         return FitResult(
             *_status(len(excl), total), tuple(names), x0,
             _canonical_report(problem, x0), rms, rms_field,
-            res, model, tuple(excl), np.zeros((0, 0)), (rms,),
+            res, model, tuple(excl), (), np.zeros((0, 0)), (rms,), (), (0,), (1,),
         )
 
     if total < len(names):
@@ -388,47 +761,72 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
     lo, hi = problem.bounds()
     rng = np.random.default_rng(seed)
     best = None
-    restart_rms_list = []
-    errors = []
-    for n in range(max(1, restarts)):
-        # one seed drawn per restart: memory does not grow with ``restarts``
-        x_start = x0 if n == 0 else rng.uniform(lo, hi)
-        try:
-            sol = least_squares(
-                fun, np.clip(x_start, lo, hi), bounds=(lo, hi),
-                method="trf", xtol=1e-8, ftol=1e-12, gtol=1e-14, max_nfev=250,
-            )
-        except Exception as exc:  # a failed restart is counted, and the others go on
-            errors.append(f"{type(exc).__name__}: {exc}")
-            continue
-        r, _, ex = residuals(problem, sol.x, compiled, full=True)
-        restart_rms_list.append(_split_rms(compiled, r, ex)[0])
-        if best is None or (sol.cost, tuple(sol.x)) < (best[0], best[1]):
-            best = (sol.cost, tuple(sol.x), sol)
+    restart_rms_list, errors, iterations, evaluations = [], [], [], []
+    restarts = max(1, restarts)
+    for first in range(0, restarts, RESTART_CHUNK):
+        count = min(RESTART_CHUNK, restarts - first)
+        # only one chunk of seeds at a time: memory does not grow with ``restarts``
+        seeds = rng.uniform(lo, hi, size=(count - (first == 0), len(names)))
+        if first == 0:
+            seeds = np.concatenate([x0[None], seeds])
+        starts, started = [], np.ones(count, dtype=bool)
+        for n, x in enumerate(seeds):
+            try:
+                starts.append(start_point(problem, x))
+            except Exception as exc:  # a failed restart is counted, and the others go on
+                errors.append(f"{type(exc).__name__}: {exc}")
+                started[n] = False
+        spent = np.zeros((2, count), dtype=int)  # iterations, evaluations
+        if starts:
+            run = _levenberg_marquardt(problem, compiled, *(np.array(c) for c in zip(*starts)))
+            spent[:, started] = run.iterations, run.evaluations
+            for m, x in enumerate(_parameters(problem, run.rotations, run.flat)):
+                restart_rms_list.append(_split_rms(compiled, run.residuals[m], run.gated[m])[0])
+                if best is None or (run.cost[m], tuple(x)) < best:
+                    best = (run.cost[m], tuple(x))
+        iterations += spent[0].tolist()
+        evaluations += spent[1].tolist()
 
     if best is None:
         raise RuntimeError(f"all {len(errors)} restarts failed (first: {errors[0]})")
-    sol = best[2]
-    res, model, excl = residuals(problem, sol.x, compiled, full=True)
+    x = np.array(best[1])
+    ev = evaluate(problem, *_points(problem, x[None]), compiled, jac=True)
+    res, model, gated = ev.residuals[0], ev.model[0], ev.gated[0]
+    excl = np.flatnonzero(gated).tolist()
     rms, rms_field = _split_rms(compiled, res, excl)
 
-    # parameter covariance from the weighted Jacobian at the optimum, scaled
-    # by the chi-square of the points that are not gated (a gated point's
-    # constant cost says nothing about the scatter); a parameter the data
-    # do not depend on (a zero column) is undetermined
-    chi2 = 2.0 * sol.cost - np.sum(np.square(compiled.weights * compiled.gates)[excl])
+    # covariance from the SVD of the weighted Jacobian at the optimum (J^T J
+    # would square its condition number), scaled by the chi-square of the
+    # points that are not gated (a gated point's constant cost says nothing
+    # about the scatter).  A direction the data do not depend on (a singular
+    # value zero to rounding, e.g. of a zero column) leaves every coordinate
+    # along it undetermined.
+    jac = ev.jacobian[0] * compiled.weights[:, None]
+    weighted = res * compiled.weights
+    chi2 = weighted @ weighted - np.sum(np.square(compiled.weights * compiled.gates)[excl])
     dof = max(1, total - len(excl) - len(names))
-    jtj = sol.jac.T @ sol.jac
-    cov = np.linalg.pinv(jtj) * (chi2 / dof)
-    cov = 0.5 * (cov + cov.T)
-    unconstrained = ~np.any(sol.jac, axis=0)
-    cov[unconstrained, unconstrained] = np.inf
+    cov, null = _scaled_inverse(jac, chi2 / dof)
+    undetermined = np.any(np.abs(null) > np.sqrt(np.finfo(float).eps), axis=0)
+    cov[undetermined, undetermined] = np.inf
 
     return FitResult(
-        *_status(len(excl), total), tuple(names), sol.x,
-        _canonical_report(problem, sol.x), rms, rms_field,
-        res, model, tuple(excl), cov, tuple(sorted(restart_rms_list)), tuple(errors),
+        *_status(len(excl), total), tuple(names), x,
+        _canonical_report(problem, x), rms, rms_field,
+        res, model, tuple(excl), tuple(problem.covariance_names()), cov,
+        tuple(sorted(restart_rms_list)), tuple(errors), tuple(iterations), tuple(evaluations),
     )
+
+
+def _scaled_inverse(jac: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """(scale (J^T J)^+, the null directions of J as rows), from the SVD of J.
+
+    A singular value at most max(N, P) eps times the largest is zero.
+    """
+    _, s, vt = np.linalg.svd(jac, full_matrices=False)
+    null = s <= max(jac.shape) * np.finfo(float).eps * s.max(initial=0.0)
+    inverse = np.where(null, 0.0, 1.0 / np.where(null, 1.0, s * s))
+    cov = (vt.T * inverse) @ vt * scale
+    return 0.5 * (cov + cov.T), vt[null]
 
 
 def _status(gated: int, total: int) -> tuple[bool, str]:
@@ -439,7 +837,10 @@ def _status(gated: int, total: int) -> tuple[bool, str]:
 
 
 def _split_rms(data: CompiledData, res, excluded) -> tuple[float, float | None]:
-    """RMS of the points that are not gated: frequencies in MHz, EPR fields in mT."""
+    """RMS of the points that are not gated: frequencies in MHz, EPR fields in mT.
+
+    ``excluded`` holds the gated points' indices or a boolean mask of them.
+    """
     kept = np.ones(res.size, dtype=bool)
     kept[excluded] = False
     freq = res[kept & ~data.is_epr]

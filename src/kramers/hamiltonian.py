@@ -40,6 +40,21 @@ I_STACK = np.stack([np.kron(_ID2, s) for s in _SIGMA_HALF])
 S_STACK.setflags(write=False)
 I_STACK.setflags(write=False)
 
+# the operators whose expectation values are Hellmann-Feynman derivatives:
+# I_k S_l = kron(sigma_l / 2, sigma_k / 2) in row-major (k, l) order
+# (dH/dA_kl), then S_l and I_k, (15, 4, 4)
+SPIN_OPERATORS = np.concatenate([
+    np.stack([np.kron(_SIGMA_HALF[l], _SIGMA_HALF[k]) for k in range(3) for l in range(3)]),
+    S_STACK,
+    I_STACK,
+])
+SPIN_OPERATORS.setflags(write=False)
+# <psi|O|psi> = sum_ab conj(psi_a) psi_b O_ab is real: with the products
+# viewed as interleaved (re, im) floats, it is one real matrix product
+_EXPECTATION_WEIGHTS = np.empty((32, 15))
+_EXPECTATION_WEIGHTS[0::2] = SPIN_OPERATORS.reshape(15, 16).real.T
+_EXPECTATION_WEIGHTS[1::2] = -SPIN_OPERATORS.reshape(15, 16).imag.T
+
 # the six transitions (lower, upper) between ascending levels, and their
 # index arrays for vectorized differences e[..., PAIR_HI] - e[..., PAIR_LO]
 PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
@@ -153,6 +168,32 @@ def hamiltonian_batch(sys: SpinSystem, fields: np.ndarray) -> np.ndarray:
     h_el = np.einsum("nl,lab->nab", (fields @ sys.g.matrix) * (sys.mu_b * 1e-3), S_STACK)
     h_nuc = np.einsum("nk,kab->nab", fields * (sys.mu_n * 1e-3 * sys.g_n), I_STACK)
     return sys.hyperfine_matrix[None, :, :] + h_el - h_nuc
+
+
+def hamiltonian_stack(A, g, fields, g_n: float, mu_b: float, mu_n: float) -> np.ndarray:
+    """Hamiltonians for stacks of A and g tensors (..., 3, 3) and fields (..., 3) mT.
+
+    The three stacks broadcast against each other, so one call can cover
+    many tensor pairs times many fields; returns (..., 4, 4).
+    """
+    A, g, fields = (np.asarray(x, dtype=float) for x in (A, g, fields))
+    h = np.tensordot(A.reshape(A.shape[:-2] + (9,)), SPIN_OPERATORS[:9], axes=1)
+    b_eff = np.einsum("...k,...kl->...l", fields, g) * (mu_b * 1e-3)
+    h = h + np.tensordot(b_eff, S_STACK, axes=1)
+    return h - np.tensordot(fields * (mu_n * 1e-3 * g_n), I_STACK, axes=1)
+
+
+def spin_expectations(states: np.ndarray, mix: np.ndarray | None = None) -> np.ndarray:
+    """<n|O|n> for every O of SPIN_OPERATORS: eigenvector columns (..., 4, 4) -> (..., 4, 15).
+
+    With ``mix`` (..., 15, P) it gives sum_o <n|O_o|n> mix[o, p] instead,
+    (..., 4, P): Hellmann-Feynman derivatives, when ``mix`` holds dH/dp in
+    the operator basis.
+    """
+    v = np.ascontiguousarray(np.swapaxes(states, -1, -2))
+    rho = v.conj()[..., :, :, None] * v[..., :, None, :]
+    weights = _EXPECTATION_WEIGHTS if mix is None else _EXPECTATION_WEIGHTS @ mix
+    return rho.reshape(rho.shape[:-2] + (16,)).view(np.float64) @ weights
 
 
 def diagonalize(H: np.ndarray) -> EigenSystem:

@@ -170,14 +170,23 @@ def decompose_tensor(t: SymmetricTensor3) -> PrincipalTensor:
     gaps = np.abs(w[:, None] - w[None, :])[np.triu_indices(3, 1)]
     ambiguous = bool(gaps.min() < _DEGENERACY_RTOL * scale)
 
+    return PrincipalTensor(tuple(w), principal_axes_orientation(v), ambiguous=ambiguous)
+
+
+def principal_axes_orientation(axes: np.ndarray) -> EulerAngles:
+    """zxz angles of orthonormal principal axes (the columns of ``axes``).
+
+    The axes' signs are fixed as in :func:`decompose_tensor`: the
+    largest-magnitude component of the first two axes is positive and the
+    third gives det = +1.  Axes differing only in sign give the same angles.
+    """
+    v = np.array(axes, dtype=float)
     for k in range(2):
         if v[np.argmax(np.abs(v[:, k])), k] < 0:
             v[:, k] = -v[:, k]
     if np.linalg.det(v) < 0:
         v[:, 2] = -v[:, 2]
-
-    angles = _euler_from_rotation(v)
-    return PrincipalTensor(tuple(w), angles, ambiguous=ambiguous)
+    return _euler_from_rotation(v)
 
 
 def subsite_transform(t: SymmetricTensor3) -> SymmetricTensor3:

@@ -9,7 +9,7 @@ import pytest
 
 import kramers
 from conftest import read_csv
-from kramers.cli import main
+from kramers.cli import SCHEMAS, main
 
 
 def run(capsys, *argv):
@@ -41,6 +41,13 @@ class TestLevels:
         code, stdout, _ = run(capsys, "levels", "--schema")
         assert code == 0
         assert "energy_ghz" in stdout
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_schema_needs_no_other_argument(command, capsys):
+    # fit, invert and ordering have required options; --schema alone still answers
+    code, stdout, err = run(capsys, command, "--schema")
+    assert (code, stdout, err) == (0, SCHEMAS[command] + "\n", "")
 
 
 class TestTransitions:
@@ -314,13 +321,23 @@ class TestSelftestCommand:
 
 def test_commands_that_need_no_scipy_do_not_import_it(tmp_path):
     # one fresh interpreter runs several commands, then lists the SciPy modules it loaded
+    from kramers.hamiltonian import PAIRS, eigensystem
+    from kramers.presets import SITE_I
+
+    rows = ["kind,state,bx_mt,by_mt,bz_mt,value,sigma,label"]
+    for field in ((20.0, 0.0, 0.0), (0.0, 0.0, 40.0), (30.0, 30.0, 0.0)):
+        e = eigensystem(SITE_I.ground, field).energies
+        rows += [f"shb,ground,{field[0]},{field[1]},{field[2]},{float(e[j] - e[i])!r},0.002,{i + 1}-{j + 1}"
+                 for i, j in PAIRS]
+    (tmp_path / "fit-data.csv").write_text("\n".join(rows) + "\n")
     script = (
         "import sys\n"
         "import kramers.cli as cli\n"
         "for argv in (['levels', '--B', '0'], ['transitions', '--B', '100,0,0'], ['odmr', '--B', '0'],\n"
         "             ['absorption', '--model', 'uniform', '--peaks-out', 'peaks.csv'],\n"
         "             ['ordering', '--peaks-file', 'peaks.csv'], ['epr-map', '--step', '90'],\n"
-        "             ['shb-map', '--magnitudes', '0,10', '--span=-1:1:0.1']):\n"
+        "             ['shb-map', '--magnitudes', '0,10', '--span=-1:1:0.1'],\n"
+        "             ['fit', '--data', 'fit-data.csv', '--restarts', '2']):\n"
         "    assert cli.main(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )

@@ -131,7 +131,7 @@ def test_defect_exits_2_with_one_record(argv, expected, tmp_path, monkeypatch):
         raise ValueError("injected failure")
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(fitting, "least_squares", failing_restart)  # only the fit-failed row gets this far
+    monkeypatch.setattr(fitting, "start_point", failing_restart)  # only the fit-failed row gets this far
     for name, text in INPUTS.items():
         (tmp_path / name).write_text(text)
     for name in ("undecodable.ini", "undecodable.csv"):

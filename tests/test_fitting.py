@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kramers import fitting
 from kramers.fitting import (
@@ -18,7 +20,8 @@ from kramers.fitting import (
     reconstruct_levels,
     residuals,
 )
-from kramers.hamiltonian import energies_sweep, eigensystem
+from kramers.hamiltonian import PAIR_HI, PAIR_LO, energies_sweep, eigensystem
+from kramers.magres import epr_resonance_fields
 from kramers.presets import SITE_I, SITE_II
 from kramers.tensors import (
     EulerAngles,
@@ -331,7 +334,9 @@ class TestFit:
         assert result.rms_mhz == pytest.approx(np.sqrt(np.mean(raw**2)) * 1e3)
 
     def test_single_direction_covariance_larger(self):
-        # ill-conditioning shows in the Jacobian covariance
+        # ill-conditioning shows in the Jacobian covariance: one field
+        # direction leaves a rotation undetermined, and every coordinate
+        # along it gets an infinite variance
         noise, sigma = 1e-3, 1e-3
         d2 = fit(
             FitProblem(site=SITE_I),
@@ -346,9 +351,12 @@ class TestFit:
         var1 = np.diag(d1.covariance)
         var2 = np.diag(d2.covariance)
         assert var1.max() > var2.max()
+        assert np.all(np.isfinite(var2))
         for cov in (d1.covariance, d2.covariance):
-            assert np.abs(cov - cov.T).max() < 1e-12
-            assert np.linalg.eigvalsh(cov).min() > -1e-12
+            finite = np.isfinite(np.diag(cov))
+            cov = cov[np.ix_(finite, finite)]
+            assert np.abs(cov - cov.T).max(initial=0.0) < 1e-12
+            assert np.linalg.eigvalsh(cov).min(initial=0.0) > -1e-12
 
     def test_restart_statistics_reported(self):
         data = ground_data([(1, 0, 0), (0, 1, 0)], step_mt=20.0, noise=2e-3, seed=9)
@@ -446,6 +454,118 @@ class TestFit:
         assert "excited" in result.canonical_angles
 
 
+# every free group on: columns 0-5 turn the ground and excited A about
+# their principal axes, 6-8 tilt the lab frame, 9-14 shift the eigenvalues
+FULL_FLAGS = dict(fit_ground=True, fit_excited=True, fit_misalignment=True, refine_eigenvalues=True)
+SEPARATION_GHZ = 0.02  # levels, and a point's candidate transitions, at least this far apart
+
+
+def fit_point(site, angles_g, angles_e, mis, deltas):
+    """A FitProblem with every group free, and one parameter vector of it."""
+    problem = FitProblem(site=site, **FULL_FLAGS)
+    return problem, np.array([*angles_g, *angles_e, *mis, *deltas], dtype=float)
+
+
+def central_differences(problem, x, data, h_deg=1e-3, h_ghz=1e-6):
+    """d model / d coordinate by central differences, (N, 15): an angle
+    column turns its A by a body-frame rotation (rx, ry, rz about the
+    principal axes); the others shift the parameter."""
+    rotations, flat = fitting._points(problem, x[None])
+    columns = []
+    for c in range(3 * len(problem.blocks)):
+        h = h_ghz if c >= 9 else h_deg
+
+        def model(step):
+            rot, fl = rotations.copy(), flat.copy()
+            if c < 6:
+                rot[0, c // 3] = rotations[0, c // 3] @ (rx, ry, rz)[c % 3](step)
+            else:
+                fl[0, c - 6] += step
+            return fitting.evaluate(problem, rot, fl, data).model[0]
+
+        columns.append((model(h) - model(-h)) / (2 * h))
+    return np.stack(columns, axis=1)
+
+
+sites = st.sampled_from([SITE_I, SITE_II])
+angle = st.floats(-180.0, 180.0)
+angles = st.tuples(angle, st.floats(5.0, 175.0), angle)
+tilt = st.tuples(*[st.floats(-3.0, 3.0)] * 3)
+shifts = st.tuples(*[st.floats(-0.03, 0.03)] * 6)
+directions = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(lambda d: np.linalg.norm(d) > 0.3)
+
+
+class TestAnalyticJacobian:
+    """Every Jacobian column against a central difference of the model."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(sites, angles, angles, tilt, shifts, directions, st.floats(5.0, 150.0),
+           st.sampled_from(fitting.STATES))
+    def test_frequency_columns(self, site, angles_g, angles_e, mis, deltas, direction, magnitude, unlabeled_state):
+        problem, x = fit_point(site, angles_g, angles_e, mis, deltas)
+        field = tuple(magnitude * direction / np.linalg.norm(direction))
+        realized = problem.realized_site(x)
+        # in the D1-D2 plane or along b the subsites see the same levels
+        symmetric = direction[2] == 0 or not direction[:2].any()
+        data = []
+        for state in fitting.STATES:
+            sys1 = getattr(realized, state)
+            freqs = np.array([
+                (e[PAIR_HI] - e[PAIR_LO])
+                for e in (energies_sweep(sys1.with_subsite(s), np.array([field]))[0] for s in (1, 2))
+            ])  # (subsite, pair)
+            if symmetric:
+                freqs = freqs[:1]
+            # adjacent levels apart, and each point's chosen transition
+            # nearer than every other candidate by a margin
+            assume(freqs[:, [0, 3, 5]].min() > SEPARATION_GHZ)
+            assume(np.all(np.abs(freqs[1:] - freqs[0]) > SEPARATION_GHZ))
+            for (i, j), f in zip(zip(PAIR_LO, PAIR_HI), freqs[0]):
+                data.append(DataPoint("shb", state, field, f, 2e-3, (int(i), int(j))))
+            if state == unlabeled_state:
+                assume(np.all(np.abs(freqs.ravel()[1:] - freqs[0, 0]) > SEPARATION_GHZ))
+                data.append(DataPoint("shb", state, field, freqs[0, 0] + 1e-4, 2e-3))
+        compiled = compile_data(data)
+        ev = fitting.evaluate(problem, *fitting._points(problem, x[None]), compiled, jac=True)
+        assert not ev.gated.any()
+        fd = central_differences(problem, x, compiled)
+        for c, name in enumerate(problem.covariance_names()):
+            # eigenvalues round at ~1e-14 GHz: over the 2e-6 GHz span of an
+            # eigenvalue shift that is ~1e-8
+            atol = 1e-7 if c >= 9 else 1e-9
+            np.testing.assert_allclose(ev.jacobian[0][:, c], -fd[:, c], rtol=1e-5, atol=atol, err_msg=name)
+
+    @settings(max_examples=10, deadline=None)
+    @given(sites, angles, angles, tilt, shifts, directions, st.sampled_from(fitting.STATES), st.data())
+    def test_epr_field_columns(self, site, angles_g, angles_e, mis, deltas, direction, state, draw):
+        problem, x = fit_point(site, angles_g, angles_e, mis, deltas)
+        sys1 = getattr(problem.realized_site(x), state)
+        hits = epr_resonance_fields(sys1, direction, problem.nu_mw_ghz, 600.0)
+        assume(hits)
+        hit = draw.draw(st.sampled_from(hits))
+        # the nearest resonance of its transition by a margin, and not at a turning point
+        same = [r.field_mt for r in hits if r.transition == hit.transition and r is not hit]
+        assume(all(abs(f - hit.field_mt) > 5.0 for f in same) and hit.field_mt > 5.0)
+        point = DataPoint("epr", state, tuple(direction), hit.field_mt, 0.5, hit.transition)
+        compiled = compile_data([point])
+        ev = fitting.evaluate(problem, *fitting._points(problem, x[None]), compiled, jac=True)
+        assert abs(ev.residuals[0, 0]) < fitting.GATE_FIELD_MT / 1e4  # the same resonance
+        fd = central_differences(problem, x, compiled)
+        for c, name in enumerate(problem.covariance_names()):
+            np.testing.assert_allclose(ev.jacobian[0][0, c], -fd[0, c], rtol=1e-4, atol=1e-6, err_msg=name)
+
+    def test_epr_model_is_a_resonance(self):
+        # the Newton-refined field meets nu_mw to far better than the bisection tolerance
+        problem = FitProblem(site=SITE_I)
+        hit = epr_resonance_fields(SITE_I.ground, (1.0, 0.0, 0.0), 9.7, 300.0)[0]
+        point = DataPoint("epr", "ground", (1.0, 0.0, 0.0), hit.field_mt, 0.5, hit.transition)
+        model = residuals(problem, problem.initial_parameters(), [point], full=True)[1][0]
+        sys1 = SITE_I.ground.with_subsite(hit.subsite)
+        e = energies_sweep(sys1, np.array([[model, 0.0, 0.0]]))[0]
+        i, j = hit.transition
+        assert abs(e[j] - e[i] - 9.7) < 1e-9
+
+
 def write_data_csv(path, points):
     """The `fit --data` CSV of labeled shb points."""
     lines = ["kind,state,bx_mt,by_mt,bz_mt,value,sigma,label"]
@@ -457,40 +577,45 @@ def write_data_csv(path, points):
 
 
 class TestCovarianceAndRestarts:
-    def _record_solutions(self, monkeypatch):
-        solutions = []
-        real = fitting.least_squares
+    @staticmethod
+    def weighted_jacobian(problem, result, data):
+        """The analytic weighted Jacobian (over the covariance coordinates)
+        and weighted residuals at the reported parameters."""
+        compiled = compile_data(data)
+        ev = fitting.evaluate(problem, *fitting._points(problem, result.parameters[None]), compiled, jac=True)
+        return ev.jacobian[0] * compiled.weights[:, None], result.residuals * compiled.weights
 
-        def recording(*args, **kwargs):
-            solutions.append(real(*args, **kwargs))
-            return solutions[-1]
+    @staticmethod
+    def svd_inverse(jac, scale):
+        """scale (J^T J)^+ from the SVD of J, singular values zero to rounding dropped."""
+        _, s, vt = np.linalg.svd(jac, full_matrices=False)
+        kept = s > max(jac.shape) * np.finfo(float).eps * s.max()
+        cov = (vt.T * np.where(kept, 1.0 / np.where(kept, s * s, 1.0), 0.0)) @ vt * scale
+        return 0.5 * (cov + cov.T)
 
-        monkeypatch.setattr(fitting, "least_squares", recording)
-        return solutions
-
-    def test_constrained_fit_covariance_unchanged(self, monkeypatch):
-        # full-rank Jacobian: the scaled pseudo-inverse of J^T J, bit for bit
-        solutions = self._record_solutions(monkeypatch)
+    def test_constrained_fit_covariance_unchanged(self):
+        # full-rank Jacobian: the scaled inverse of J^T J, bit for bit
         data = ground_data([(1, 0, 0), (0, 0, 1)], step_mt=10.0, noise=1e-3, seed=5, sigma=1e-3)
-        result = fit(FitProblem(site=SITE_I), data, restarts=2, seed=5)
-        sol = next(s for s in solutions if np.array_equal(s.x, result.parameters))
-        assert np.all(np.any(sol.jac, axis=0))
-        cov = np.linalg.pinv(sol.jac.T @ sol.jac) * (2.0 * sol.cost / (len(data) - 3))
-        assert np.array_equal(result.covariance, 0.5 * (cov + cov.T))
+        problem = FitProblem(site=SITE_I)
+        result = fit(problem, data, restarts=2, seed=5)
+        jac, r = self.weighted_jacobian(problem, result, data)
+        assert np.all(np.any(jac, axis=0))
+        assert np.array_equal(result.covariance, self.svd_inverse(jac, (r @ r) / (len(data) - 3)))
         assert np.all(np.isfinite(result.covariance))
+        assert result.covariance_names == ("ground_rot1", "ground_rot2", "ground_rot3")
 
-    def test_unconstrained_parameter_has_infinite_variance(self, monkeypatch):
+    def test_unconstrained_parameter_has_infinite_variance(self):
         # ground-only data cannot see the excited angles: their Jacobian columns are zero
-        solutions = self._record_solutions(monkeypatch)
         data = ground_data([(1, 0, 0), (0, 0, 1)], step_mt=25.0, noise=1e-3, seed=3)
         problem = FitProblem(site=SITE_I, fit_ground=True, fit_excited=True)
         result = fit(problem, data, restarts=1, seed=3)
         var = np.diag(result.covariance)
         assert np.all(np.isinf(var[3:])) and np.all(np.isfinite(var[:3]))
         # the constrained block is what the pseudo-inverse gives for it
-        sol = solutions[-1]
-        cov = np.linalg.pinv(sol.jac.T @ sol.jac) * (2.0 * sol.cost / (len(data) - 6))
-        assert np.array_equal(result.covariance[:3, :3], 0.5 * (cov + cov.T)[:3, :3])
+        jac, r = self.weighted_jacobian(problem, result, data)
+        assert not np.any(jac[:, 3:])
+        cov = self.svd_inverse(jac, (r @ r) / (len(data) - 6))
+        assert np.array_equal(result.covariance[:3, :3], cov[:3, :3])
 
     def test_gated_point_leaves_covariance_unchanged(self):
         # a gated point's constant cost is not scatter: it does not scale the covariance
@@ -510,13 +635,13 @@ class TestCovarianceAndRestarts:
         main(["fit", "--data", str(tmp_path / "data.csv"), "--free", "excited,ground", "--restarts", "1",
               "--out", str(tmp_path / "r.csv"), "--report", str(report)])
         sigmas = report.read_text().split("parameter sigmas: ")[1]
-        assert "excited_alpha=inf, excited_beta=inf, excited_gamma=inf" in sigmas
-        assert "ground_alpha=inf" not in sigmas
+        assert "excited_rot1=inf, excited_rot2=inf, excited_rot3=inf" in sigmas
+        assert "ground_rot1=inf" not in sigmas
 
     def test_failed_restart_is_counted_and_reported(self, monkeypatch, tmp_path, capsys):
         from kramers.cli import main
 
-        real = fitting.least_squares
+        real = fitting.start_point
         calls = []
 
         def fails_on_second_seed(*args, **kwargs):
@@ -525,7 +650,7 @@ class TestCovarianceAndRestarts:
                 raise ValueError("injected failure")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(fitting, "least_squares", fails_on_second_seed)
+        monkeypatch.setattr(fitting, "start_point", fails_on_second_seed)
         data = ground_data([(1, 0, 0), (0, 1, 0)], step_mt=20.0, noise=2e-3, seed=9)
         result = fit(perturbed_problem(10.0, seed=9), data, restarts=3, seed=9)
         assert len(result.restart_rms_mhz) == 2
@@ -546,32 +671,32 @@ class TestCovarianceAndRestarts:
         def recorder(stop_at, then=None):
             starts = []
 
-            def least_squares(fun, x0, **kwargs):
-                starts.append(np.array(x0))
+            def start_point(problem, x):
+                starts.append(np.array(x))
                 if len(starts) == stop_at:
                     raise Stop
                 if then is None:
                     raise ValueError("injected failure")
-                return then(fun, x0, **kwargs)
+                return then(problem, x)
 
-            return starts, least_squares
+            return starts, start_point
 
         data = ground_data([(1, 0, 0)], step_mt=25.0)
         problem = perturbed_problem(10.0, seed=9)
-        real = fitting.least_squares
+        real = fitting.start_point
 
         starts, stub = recorder(stop_at=4)
-        monkeypatch.setattr(fitting, "least_squares", stub)
+        monkeypatch.setattr(fitting, "start_point", stub)
         with pytest.raises(Stop):
             fit(problem, data, restarts=10**5, seed=9)
         normal, recording = recorder(stop_at=None, then=real)
-        monkeypatch.setattr(fitting, "least_squares", recording)
+        monkeypatch.setattr(fitting, "start_point", recording)
         assert len(fit(problem, data, restarts=4, seed=9).restart_rms_mhz) == 4
         np.testing.assert_array_equal(np.array(starts), np.array(normal))
 
         # traced after the calls above, so one-time import and cache costs are paid
         starts, stub = recorder(stop_at=1)
-        monkeypatch.setattr(fitting, "least_squares", stub)
+        monkeypatch.setattr(fitting, "start_point", stub)
         tracemalloc.start()
         try:
             with pytest.raises(Stop):
@@ -581,6 +706,28 @@ class TestCovarianceAndRestarts:
             tracemalloc.stop()
         assert len(starts) == 1
         assert peak < 1e6
+
+    def test_work_counts_are_positive_and_add_up(self, monkeypatch):
+        data = ground_data([(1, 0, 0), (0, 1, 0)], step_mt=20.0, noise=2e-3, seed=9)
+        runs = []
+        real = fitting._levenberg_marquardt
+
+        def recording(*args):
+            runs.append(real(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(fitting, "_levenberg_marquardt", recording)
+        monkeypatch.setattr(fitting, "RESTART_CHUNK", 3)  # 5 restarts: two chunks
+        result = fit(perturbed_problem(10.0, seed=9), data, restarts=5, seed=9)
+        assert len(result.restart_iterations) == len(result.restart_evaluations) == 5
+        assert all(n > 0 for n in result.restart_iterations)
+        # the initial evaluation, then one per step; an accepted step is an iteration
+        assert all(e > i for i, e in zip(result.restart_iterations, result.restart_evaluations))
+        assert result.iterations == sum(result.restart_iterations)
+        assert result.evaluations == sum(result.restart_evaluations)
+        assert [len(r.iterations) for r in runs] == [3, 2]
+        assert result.restart_iterations == tuple(int(n) for r in runs for n in r.iterations)
+        assert result.restart_evaluations == tuple(int(n) for r in runs for n in r.evaluations)
 
     def test_no_failed_restarts_no_failure_text(self):
         data = ground_data([(1, 0, 0), (0, 1, 0)], step_mt=20.0, noise=2e-3, seed=9)
