@@ -11,9 +11,10 @@ one stacked ``eigh``.  An orientation is a rotation R, stepped by a
 body-frame rotation vector and re-anchored after every accepted step
 (Absil, Mahony & Sepulchre 2008, ch. 4), so it has no Euler box and no
 double cover.  Every Jacobian column comes from the eigenvectors of that
-same ``eigh`` by Hellmann-Feynman.  The best optimum is reported as
-canonical Euler angles, with the restart spread and a covariance over
-small body-frame rotations.
+same ``eigh`` by Hellmann-Feynman.  Misalignment and eigenvalue shifts
+stay in their box.  The best optimum is reported as canonical Euler
+angles, with the restart spread and a covariance over small body-frame
+rotations (inf for a coordinate the data do not depend on).
 """
 
 from __future__ import annotations
@@ -25,7 +26,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hamiltonian import PAIR_HI, PAIR_LO, PAIRS, hamiltonian_stack, invert_zero_field, spin_expectations
+from .hamiltonian import (
+    PAIR_HI,
+    PAIR_LO,
+    PAIRS,
+    hamiltonian_stack,
+    invert_zero_field,
+    spin_expectations,
+    zeeman_derivative_stack,
+)
 from .lazy import SciPyFunction
 from .magres import EPR_FIELD_TOL_MT, epr_resonance_fields
 from .spectra import SiteModel
@@ -33,7 +42,6 @@ from .tensors import (
     EulerAngles,
     PrincipalTensor,
     SymmetricTensor3,
-    assemble_tensor,
     decompose_tensor,
     principal_axes_orientation,
     rotation_matrix,
@@ -60,9 +68,10 @@ EIGENVALUE_BOUND_GHZ = 0.05
 # largest RMS misfit (GHz) of the zero-field lines a level ladder may leave
 LEVEL_TOL_GHZ = 2e-3
 
-# Levenberg-Marquardt: restarts advanced together, the evaluations one
-# restart may spend, and its stopping rules (a relative cost change, or a
-# step in degrees or GHz)
+# Levenberg-Marquardt: restarts advanced together (a chunk's arrays grow
+# with restarts x points x parameters; 32 restarts of a 600-point fit of
+# one orientation peak near 15 MB), the evaluations one restart may spend,
+# and its stopping rules (a relative cost change, or a step in degrees or GHz)
 RESTART_CHUNK = 32
 MAX_EVALUATIONS = 250
 COST_RTOL = 1e-12
@@ -124,7 +133,8 @@ class FitProblem:
     Euler angles (deg), excited A Euler angles (deg), misalignment xyz
     rotations (deg, bounded to +/-5), ground eigenvalue deltas (GHz),
     excited eigenvalue deltas (GHz).  ``blocks`` lays it out once, and
-    the names, starting values, bounds and realized site all read it.
+    the names, starting values and bounds read it; ``realized_site`` is
+    the fit's own realization (``_realize``) at one parameter vector.
     The fit moves each orientation by a rotation vector instead, whose
     coordinates ``covariance_names`` lists.
     """
@@ -178,33 +188,13 @@ class FitProblem:
         return -hi, hi
 
     def realized_site(self, params: np.ndarray) -> SiteModel:
-        """Apply a parameter vector to the base site model."""
-        params = np.asarray(params, dtype=float)
-        angles, deltas, mis = {}, {}, None
-        for n, (kind, owner) in enumerate(self.blocks):
-            x = params[3 * n : 3 * n + 3]
-            if kind == "angles":
-                angles[owner] = x
-            elif kind == "deltas":
-                deltas[owner] = x
-            else:
-                mis = rx(x[0]) @ ry(x[1]) @ rz(x[2])
-        systems = {}
-        for state in STATES:
-            sys = getattr(self.site, state)
-            if state in angles:
-                values = np.array(self.base_principal[state].values) + deltas.get(state, 0.0)
-                A = assemble_tensor(PrincipalTensor(tuple(values), EulerAngles(*angles[state])))
-                sys = replace(sys, A=A)
-            if mis is not None:
-                # crystal axes as seen from the misaligned lab frame
-                sys = replace(
-                    sys,
-                    A=SymmetricTensor3(mis @ sys.A.matrix @ mis.T),
-                    g=SymmetricTensor3(mis @ sys.g.matrix @ mis.T),
-                )
-            systems[state] = sys
-        return replace(self.site, **systems)
+        """The base site with a parameter vector applied: the A and g
+        tensors the residuals at ``params`` see (``_realize``)."""
+        realized = _realize(self, *_points(self, np.asarray(params, dtype=float)[None]), jac=False)
+        return replace(self.site, **{
+            state: replace(getattr(self.site, state), A=SymmetricTensor3(A[0]), g=SymmetricTensor3(g[0]))
+            for state, (A, g, _, _) in realized.items()
+        })
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,8 +318,6 @@ def start_point(problem: FitProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     ``fit`` calls it once per restart, in seed order; an exception fails
     that restart alone.
     """
-    if not np.all(np.isfinite(x)):
-        raise ValueError("restart seed is not finite")
     rotations, flat = _points(problem, x[None])
     return rotations[0], flat[0]
 
@@ -349,6 +337,10 @@ def _realize(problem: FitProblem, rotations: np.ndarray, flat: np.ndarray, jac: 
     axis r_i.  The misalignment M = rx ry rz turns A into M A M^T and g
     into M g M^T; dM/d theta_i = Omega_i M, so the derivatives are the
     commutators [Omega_i, A] and [Omega_i, g].  Angles are in degrees.
+    A and M are built with the arithmetic of ``tensors.assemble_tensor``
+    and ``rx``/``ry``/``rz``, and A is made symmetric as
+    ``SymmetricTensor3`` makes it, so at Euler angles the realized tensors
+    are those of the tensors module bit for bit.
     """
     B, P = len(flat), 3 * len(problem.blocks)
     n_angles = rotations.shape[1]
@@ -359,9 +351,11 @@ def _realize(problem: FitProblem, rotations: np.ndarray, flat: np.ndarray, jac: 
 
     mis = where.get(("misalignment", "mis"))
     if mis is not None:
-        steps = [_rotations(coords(mis)[:, k, None] * _DEG * np.eye(3)[k]) for k in range(3)]
-        M = steps[0] @ steps[1] @ steps[2]
-        axes = [np.broadcast_to(np.eye(3)[0], (B, 3)), steps[0][:, :, 1], (steps[0] @ steps[1])[:, :, 2]]
+        # rx, ry, rz of each point, (B, 3, 3, 3)
+        steps = np.array([[turn(t) for turn, t in zip((rx, ry, rz), row)] for row in coords(mis)])
+        steps = steps.reshape(B, 3, 3, 3)
+        M = steps[:, 0] @ steps[:, 1] @ steps[:, 2]
+        axes = [np.broadcast_to(np.eye(3)[0], (B, 3)), steps[:, 0, :, 1], (steps[:, 0] @ steps[:, 1])[:, :, 2]]
         omegas = [np.einsum("bi,ijk->bjk", a, _GENERATORS) * _DEG for a in axes]
 
     out = {}
@@ -377,6 +371,7 @@ def _realize(problem: FitProblem, rotations: np.ndarray, flat: np.ndarray, jac: 
                 d = d + coords(where[("deltas", state)])
             d = np.broadcast_to(d, (B, 3))
             A = (R * d[:, None, :]) @ Rt
+            A = np.triu(A) + np.triu(A, 1).swapaxes(1, 2)
             if jac:
                 # [K_k, diag(d)]_ij = (K_k)_ij (d_j - d_i)
                 comm = _GENERATORS * (d[:, None, None, :] - d[:, None, :, None])
@@ -453,7 +448,7 @@ def evaluate(problem: FitProblem, rotations, flat, data: CompiledData, jac: bool
     for rows in data.states:
         A, g, dA, dg = tensors[rows.state]
         base = getattr(problem.site, rows.state)
-        H = hamiltonian_stack(A[:, None], g[:, None], rows.fields, base.g_n, base.mu_b, base.mu_n)
+        H = hamiltonian_stack(A, g, rows.fields, base.g_n, base.mu_b, base.mu_n)
         if jac:
             w, v = np.linalg.eigh(H)
         else:
@@ -518,16 +513,15 @@ def _epr_residuals(problem: FitProblem, tensors: dict, data: CompiledData, raw, 
         bs, pts, img, up, lo = b[sel], n[sel], image[sel], upper[sel], lower[sel]
         k = np.arange(sel.size)
         fields = field[sel]
+        # dH/dB along each sweep direction, (K, 4, 4)
+        sweep = np.einsum("kc,kcab->kab", img, zeeman_derivative_stack(g[bs], base.g_n, base.mu_b, base.mu_n))
         # two Newton steps from the bisection midpoint, each kept only
         # within the bisection tolerance; the derivatives come from the last
         for _ in range(2):
-            w, v = np.linalg.eigh(hamiltonian_stack(A[bs], g[bs], fields[:, None] * img,
-                                                    base.g_n, base.mu_b, base.mu_n))
-            x = spin_expectations(v)
-            # dE_n/dB_k = mu_B sum_l g_kl <S_l> - mu_n g_n <I_k>
-            grad = (base.mu_b * 1e-3) * x[..., 9:12] @ g[bs].swapaxes(1, 2)
-            grad -= (base.mu_n * 1e-3 * base.g_n) * x[..., 12:]
-            slope = np.einsum("ki,ki->k", grad[k, up] - grad[k, lo], img)
+            w, v = np.linalg.eigh(hamiltonian_stack(A[bs], g[bs], (fields[:, None] * img)[:, None],
+                                                    base.g_n, base.mu_b, base.mu_n)[:, 0])
+            slopes = np.einsum("kan,kab,kbn->kn", v.conj(), sweep, v).real  # dE_n/dB
+            slope = slopes[k, up] - slopes[k, lo]
             with np.errstate(divide="ignore", invalid="ignore"):
                 shift = (w[k, up] - w[k, lo] - problem.nu_mw_ghz) / slope
             fields = np.where(np.abs(shift) <= EPR_FIELD_TOL_MT, fields - shift, fields)
@@ -536,7 +530,7 @@ def _epr_residuals(problem: FitProblem, tensors: dict, data: CompiledData, raw, 
         if J is not None:
             mix = _derivative_mix((fields[:, None] * img)[:, None], dA[bs],
                                   None if dg is None else dg[bs], base.mu_b)
-            dE = x @ mix[:, 0]
+            dE = spin_expectations(v, mix[:, 0])
             with np.errstate(divide="ignore", invalid="ignore"):
                 rows = (dE[k, up] - dE[k, lo]) / slope[:, None]
             J[bs, pts] = np.where(np.isfinite(rows), rows, 0.0)
@@ -582,9 +576,12 @@ def _levenberg_marquardt(problem: FitProblem, data: CompiledData, rotations, fla
     the lambda that puts ||D p|| on it; the first radius is ||r||.  All
     trial points of a chunk are evaluated in one ``evaluate``.  A step
     rotates each orientation by exp([w]x) in its body frame and keeps the
-    other coordinates in their box.  A restart stops when its next step
-    would change its cost by less than COST_RTOL (relative, as predicted),
-    when that step is below STEP_TOL, or after MAX_EVALUATIONS evaluations.
+    other coordinates in their box: a coordinate it would carry past a
+    bound is put on the bound and the step is solved again for the rest,
+    so a restart that stops on a bound stops at a minimum there.  A
+    restart stops when its next step would change its cost by less than
+    COST_RTOL (relative, as predicted), when that step is below STEP_TOL,
+    or after MAX_EVALUATIONS evaluations.
     """
     rotations, flat = np.array(rotations, dtype=float), np.array(flat, dtype=float)
     B, P, n_angles = len(flat), 3 * len(problem.blocks), rotations.shape[1]
@@ -607,9 +604,11 @@ def _levenberg_marquardt(problem: FitProblem, data: CompiledData, rotations, fla
         d = np.concatenate([np.repeat(turns.max(axis=2), 3, axis=1), scale[a, 3 * n_angles :]], axis=1)
         d = np.where(d > 0, d, 1.0)
         radius[a] = np.where(np.isnan(radius[a]), np.sqrt(cost[a]), radius[a])
-        scaled_step, lam = _trust_region_step(Ja / d[:, None, :], ra, radius[a])
+        scaled_bounds = ((bound - flat[a]) * d[:, 3 * n_angles :] for bound in (lo, hi))
+        scaled_step, lam = _trust_region_step(Ja / d[:, None, :], ra, radius[a], *scaled_bounds)
         step = scaled_step / d
 
+        # the step already keeps to the box; the clip only absorbs rounding
         trial_flat = np.clip(flat[a] + step[:, 3 * n_angles :], lo, hi)
         taken = np.concatenate([step[:, : 3 * n_angles], trial_flat - flat[a]], axis=1)
         lin = ra + np.einsum("bnp,bp->bn", Ja, taken)
@@ -643,7 +642,32 @@ def _levenberg_marquardt(problem: FitProblem, data: CompiledData, rotations, fla
     return _Run(rotations, flat, cost, res, gated, iterations, evaluations)
 
 
-def _trust_region_step(J: np.ndarray, r: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _trust_region_step(J, r, radius, lower, upper) -> tuple[np.ndarray, np.ndarray]:
+    """(p, lambda): ``_unbounded_step`` with the last coordinates of p kept
+    within [lower, upper], for a batch.
+
+    A coordinate that the step carries past a bound is put on that bound,
+    and the step is solved again for the coordinates still free, until none
+    is past its bound.
+    """
+    B, P = J.shape[0], J.shape[2]
+    first = P - lower.shape[1]
+    fixed = np.zeros((B, P), dtype=bool)
+    pinned = np.zeros((B, P))
+    for _ in range(P - first + 1):
+        free = np.where(fixed[:, None, :], 0.0, J)
+        p, lam = _unbounded_step(free, r + np.einsum("bnp,bp->bn", J, pinned), radius)
+        p = np.where(fixed, pinned, p)
+        tail = p[:, first:]
+        past = ~fixed[:, first:] & ((tail < lower) | (tail > upper))
+        if not past.any():
+            break
+        pinned[:, first:] = np.where(past, np.clip(tail, lower, upper), pinned[:, first:])
+        fixed[:, first:] |= past
+    return p, lam
+
+
+def _unbounded_step(J: np.ndarray, r: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(p, lambda): the least ||r + J p|| with ||p|| <= radius, for a batch.
 
     From the eigensystem of J^T J: the minimum-norm Gauss-Newton step when
@@ -798,16 +822,16 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
     # covariance from the SVD of the weighted Jacobian at the optimum (J^T J
     # would square its condition number), scaled by the chi-square of the
     # points that are not gated (a gated point's constant cost says nothing
-    # about the scatter).  A direction the data do not depend on (a singular
-    # value zero to rounding, e.g. of a zero column) leaves every coordinate
-    # along it undetermined.
+    # about the scatter).  A coordinate the data do not depend on (a zero
+    # column) is undetermined; any other direction with a singular value
+    # zero to rounding is left out by the pseudo-inverse.
     jac = ev.jacobian[0] * compiled.weights[:, None]
     weighted = res * compiled.weights
     chi2 = weighted @ weighted - np.sum(np.square(compiled.weights * compiled.gates)[excl])
     dof = max(1, total - len(excl) - len(names))
-    cov, null = _scaled_inverse(jac, chi2 / dof)
-    undetermined = np.any(np.abs(null) > np.sqrt(np.finfo(float).eps), axis=0)
-    cov[undetermined, undetermined] = np.inf
+    cov = _scaled_inverse(jac, chi2 / dof)
+    unconstrained = ~np.any(jac, axis=0)
+    cov[unconstrained, unconstrained] = np.inf
 
     return FitResult(
         *_status(len(excl), total), tuple(names), x,
@@ -817,8 +841,8 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
     )
 
 
-def _scaled_inverse(jac: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """(scale (J^T J)^+, the null directions of J as rows), from the SVD of J.
+def _scaled_inverse(jac: np.ndarray, scale: float) -> np.ndarray:
+    """scale (J^T J)^+, from the SVD of J.
 
     A singular value at most max(N, P) eps times the largest is zero.
     """
@@ -826,7 +850,7 @@ def _scaled_inverse(jac: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarr
     null = s <= max(jac.shape) * np.finfo(float).eps * s.max(initial=0.0)
     inverse = np.where(null, 0.0, 1.0 / np.where(null, 1.0, s * s))
     cov = (vt.T * inverse) @ vt * scale
-    return 0.5 * (cov + cov.T), vt[null]
+    return 0.5 * (cov + cov.T)
 
 
 def _status(gated: int, total: int) -> tuple[bool, str]:
@@ -851,6 +875,7 @@ def _split_rms(data: CompiledData, res, excluded) -> tuple[float, float | None]:
 
 
 def _canonical_report(problem: FitProblem, params: np.ndarray) -> dict:
+    """Each fitted state's A as canonical angles, subsite and principal values."""
     site = problem.realized_site(params)
     report = {}
     if problem.fit_ground:

@@ -112,16 +112,14 @@ class SpinSystem:
     @cached_property
     def hyperfine_matrix(self) -> np.ndarray:
         """The field-independent term sum_kl A_kl I_k S_l (GHz), 4x4."""
-        A = self.A.matrix
-        h = sum(A[k, l] * (I_STACK[k] @ S_STACK[l]) for k in range(3) for l in range(3))
+        h = _hyperfine(self.A.matrix)
         h.setflags(write=False)
         return h
 
     @cached_property
     def zeeman_derivatives(self) -> np.ndarray:
         """dH/dB_k for the three Cartesian components, shape (3, 4, 4), GHz/mT."""
-        d = np.einsum("kl,lab->kab", self.g.matrix * (self.mu_b * 1e-3), S_STACK)
-        d -= (self.mu_n * 1e-3 * self.g_n) * I_STACK
+        d = zeeman_derivative_stack(self.g.matrix, self.g_n, self.mu_b, self.mu_n)
         d.setflags(write=False)
         return d
 
@@ -163,24 +161,40 @@ def build_hamiltonian(sys: SpinSystem, B) -> np.ndarray:
 
 def hamiltonian_batch(sys: SpinSystem, fields: np.ndarray) -> np.ndarray:
     """Hamiltonians for a stack of field vectors, shape (N, 3) mT -> (N, 4, 4)."""
-    fields = np.asarray(fields, dtype=float)
-    # effective electron field b_eff_l = sum_k B_k g_kl; magnetons GHz/T -> GHz/mT
-    h_el = np.einsum("nl,lab->nab", (fields @ sys.g.matrix) * (sys.mu_b * 1e-3), S_STACK)
-    h_nuc = np.einsum("nk,kab->nab", fields * (sys.mu_n * 1e-3 * sys.g_n), I_STACK)
-    return sys.hyperfine_matrix[None, :, :] + h_el - h_nuc
+    return _add_zeeman(sys.hyperfine_matrix, sys.g.matrix, np.asarray(fields, dtype=float),
+                       sys.g_n, sys.mu_b, sys.mu_n)
 
 
 def hamiltonian_stack(A, g, fields, g_n: float, mu_b: float, mu_n: float) -> np.ndarray:
-    """Hamiltonians for stacks of A and g tensors (..., 3, 3) and fields (..., 3) mT.
+    """Hamiltonians for stacks of A and g tensors (..., 3, 3), each at the
+    fields (..., N, 3) mT; returns (..., N, 4, 4).
 
-    The three stacks broadcast against each other, so one call can cover
-    many tensor pairs times many fields; returns (..., 4, 4).
+    The leading axes broadcast, so one call can cover many tensor pairs
+    times many fields.  For one A and g it is ``hamiltonian_batch``, bit
+    for bit.
     """
     A, g, fields = (np.asarray(x, dtype=float) for x in (A, g, fields))
-    h = np.tensordot(A.reshape(A.shape[:-2] + (9,)), SPIN_OPERATORS[:9], axes=1)
-    b_eff = np.einsum("...k,...kl->...l", fields, g) * (mu_b * 1e-3)
-    h = h + np.tensordot(b_eff, S_STACK, axes=1)
-    return h - np.tensordot(fields * (mu_n * 1e-3 * g_n), I_STACK, axes=1)
+    return _add_zeeman(_hyperfine(A), g, fields, g_n, mu_b, mu_n)
+
+
+def zeeman_derivative_stack(g, g_n: float, mu_b: float, mu_n: float) -> np.ndarray:
+    """dH/dB_k (GHz/mT) for a stack of g tensors (..., 3, 3) -> (..., 3, 4, 4)."""
+    d = np.einsum("...kl,lab->...kab", np.asarray(g, dtype=float) * (mu_b * 1e-3), S_STACK)
+    d -= (mu_n * 1e-3 * g_n) * I_STACK
+    return d
+
+
+def _hyperfine(A: np.ndarray) -> np.ndarray:
+    """sum_kl A_kl I_k S_l for a stack of A (..., 3, 3) -> (..., 4, 4)."""
+    return sum(A[..., k, l, None, None] * (I_STACK[k] @ S_STACK[l]) for k in range(3) for l in range(3))
+
+
+def _add_zeeman(h0, g, fields, g_n: float, mu_b: float, mu_n: float) -> np.ndarray:
+    """The field-independent h0 (..., 4, 4) plus the Zeeman terms at fields (..., N, 3)."""
+    # effective electron field b_eff_l = sum_k B_k g_kl; magnetons GHz/T -> GHz/mT
+    h_el = np.einsum("...nl,lab->...nab", (fields @ g) * (mu_b * 1e-3), S_STACK)
+    h_nuc = np.einsum("...nk,kab->...nab", fields * (mu_n * 1e-3 * g_n), I_STACK)
+    return h0[..., None, :, :] + h_el - h_nuc
 
 
 def spin_expectations(states: np.ndarray, mix: np.ndarray | None = None) -> np.ndarray:

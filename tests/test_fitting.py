@@ -203,7 +203,8 @@ class TestCompiledData:
 def explicit_realized_site(problem, params):
     """The site a parameter vector stands for, built by walking the four
     flags and decomposing each base A on every call: the reference for
-    ``FitProblem.realized_site``."""
+    ``FitProblem.realized_site``, which is the fit's own ``_realize`` at
+    one parameter vector."""
     params = np.asarray(params, dtype=float)
     states = [s for s, on in (("ground", problem.fit_ground), ("excited", problem.fit_excited)) if on]
     pos, angles, deltas, mis = 0, {}, {}, None
@@ -334,29 +335,39 @@ class TestFit:
         assert result.rms_mhz == pytest.approx(np.sqrt(np.mean(raw**2)) * 1e3)
 
     def test_single_direction_covariance_larger(self):
-        # ill-conditioning shows in the Jacobian covariance: one field
-        # direction leaves a rotation undetermined, and every coordinate
-        # along it gets an infinite variance
+        # ill-conditioning shows in the Jacobian covariance.  One field
+        # direction leaves one direction of the orientation exactly
+        # undetermined: J has a singular value zero to rounding there (it
+        # is no zero column, so no sigma is inf), the pseudo-inverse leaves
+        # that direction out, and the covariance is PSD of rank 2
         noise, sigma = 1e-3, 1e-3
-        d2 = fit(
-            FitProblem(site=SITE_I),
-            ground_data([(1, 0, 0), (0, 0, 1)], step_mt=10.0, noise=noise, seed=5, sigma=sigma),
-            restarts=1, seed=5,
-        )
-        d1 = fit(
-            FitProblem(site=SITE_I),
-            ground_data([(1, 0, 0)], step_mt=10.0, noise=noise, seed=5, sigma=sigma),
-            restarts=1, seed=5,
-        )
-        var1 = np.diag(d1.covariance)
-        var2 = np.diag(d2.covariance)
+        problem = FitProblem(site=SITE_I)
+        fits = {}
+        for n, directions in ((2, [(1, 0, 0), (0, 0, 1)]), (1, [(1, 0, 0)])):
+            data = ground_data(directions, step_mt=10.0, noise=noise, seed=5, sigma=sigma)
+            fits[n] = fit(problem, data, restarts=1, seed=5)
+            jac, r = TestCovarianceAndRestarts.weighted_jacobian(problem, fits[n], data)
+            # the scaled pseudo-inverse of J^T J, bit for bit, before any inf
+            pinv = TestCovarianceAndRestarts.svd_inverse(jac, (r @ r) / (len(data) - 3))
+            assert np.array_equal(fits[n].covariance, pinv)
+            fits[n, "svd"] = np.linalg.svd(jac, full_matrices=False)
+        var1 = np.diag(fits[1].covariance)
+        var2 = np.diag(fits[2].covariance)
         assert var1.max() > var2.max()
-        assert np.all(np.isfinite(var2))
-        for cov in (d1.covariance, d2.covariance):
-            finite = np.isfinite(np.diag(cov))
-            cov = cov[np.ix_(finite, finite)]
-            assert np.abs(cov - cov.T).max(initial=0.0) < 1e-12
-            assert np.linalg.eigvalsh(cov).min(initial=0.0) > -1e-12
+        assert np.all(np.isfinite(var1)) and np.all(np.isfinite(var2))
+        for cov in (fits[1].covariance, fits[2].covariance):
+            assert cov.shape == (3, 3)
+            assert np.abs(cov - cov.T).max() < 1e-12
+        assert np.linalg.eigvalsh(fits[2].covariance).min() > -1e-12
+        s2 = fits[2, "svd"][1]
+        assert s2[-1] > 1e-8 * s2[0]  # two directions determine every rotation
+        _, s1, vt1 = fits[1, "svd"]
+        assert s1[-1] < 1e-13 * s1[0] < s1[1]
+        # rank 2: an eigenvalue zero to rounding (1e-12 of the largest) along
+        # J's null direction, and the other two positive
+        w, v = np.linalg.eigh(fits[1].covariance)
+        assert abs(w[0]) < 1e-12 * w[-1] and w[1] > 0
+        assert abs(v[:, 0] @ vt1[-1]) == pytest.approx(1.0, abs=1e-8)
 
     def test_restart_statistics_reported(self):
         data = ground_data([(1, 0, 0), (0, 1, 0)], step_mt=20.0, noise=2e-3, seed=9)
@@ -424,6 +435,55 @@ class TestFit:
         assert result.rms_mhz < 0.1
         assert result.parameters[0] == pytest.approx(2.0, abs=0.05)
         assert np.abs(result.parameters).max() <= 5.0  # bound respected
+
+    @staticmethod
+    def model_data(problem, truth):
+        """Noise-free labeled ground SHB points of the site ``truth`` realizes,
+        along D1, b and (0, 1, 1)/sqrt(2)."""
+        site = problem.realized_site(np.array(truth, dtype=float))
+        data = []
+        for d in (np.array([1.0, 0, 0]), np.array([0.0, 0, 1.0]), np.array([0.0, 1.0, 1.0]) / np.sqrt(2)):
+            mags = np.arange(20.0, 150.1, 20.0)
+            e = energies_sweep(site.ground, mags[:, None] * d[None, :])
+            for row, m in enumerate(mags):
+                for (i, j) in PAIRS:
+                    data.append(DataPoint("shb", "ground", tuple(m * d), e[row, j] - e[row, i], 2e-3, (i, j)))
+        return data
+
+    BOUNDED = [
+        (dict(fit_ground=False, fit_misalignment=True), (0, 0, 0), (5.0, 1.0, -0.5)),
+        (dict(fit_ground=False, fit_misalignment=True), (0, 0, 0), (4.9, -2.0, 0.5)),
+        (dict(refine_eigenvalues=True), tuple(TRUTH_ANGLES), (0.05, -0.05, 0.02)),
+    ]
+
+    @pytest.mark.parametrize("flags, angles, truth", BOUNDED, ids=["mis-at-bound", "mis-near-bound", "deltas-at-bound"])
+    def test_recovery_at_and_near_a_bound(self, flags, angles, truth):
+        problem = FitProblem(site=SITE_I, **flags)
+        truth = np.array([*angles, *truth][-len(problem.parameter_names()):], dtype=float)
+        result = fit(problem, self.model_data(problem, truth), restarts=1, seed=2)
+        assert result.rms_mhz < 1e-3
+        np.testing.assert_allclose(result.parameters[-3:], truth[-3:], rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("flags, angles, truth, coordinate", [
+        (dict(fit_ground=False, fit_misalignment=True), (0, 0, 0), (6.0, 1.0, -0.5), 0),
+        (dict(refine_eigenvalues=True), tuple(TRUTH_ANGLES), (0.05, -0.06, 0.02), 4),
+    ], ids=["misalignment", "deltas"])
+    def test_fit_past_a_bound_stops_at_the_constrained_minimum(self, flags, angles, truth, coordinate):
+        # the truth lies past one bound: the fit must end on that bound, with
+        # the cost flat in every other coordinate and falling only outward
+        problem = FitProblem(site=SITE_I, **flags)
+        truth = np.array([*angles, *truth][-len(problem.parameter_names()):], dtype=float)
+        data = compile_data(self.model_data(problem, truth))
+        result = fit(problem, data.points, restarts=1, seed=2)
+        lo, hi = problem.bounds()
+        bound = hi[coordinate] if truth[coordinate] > hi[coordinate] else lo[coordinate]
+        assert result.parameters[coordinate] == bound
+        ev = fitting.evaluate(problem, *fitting._points(problem, result.parameters[None]), data, jac=True)
+        # half the gradient of the cost; the residuals are observed minus model
+        grad = ev.jacobian[0].T @ (ev.residuals[0] * data.weights**2)
+        assert np.sign(grad[coordinate]) == -np.sign(bound)
+        free = np.arange(grad.size) != coordinate
+        assert np.abs(grad[free]).max() < 1e-4 * abs(grad[coordinate])
 
     def test_parameter_names_and_bounds(self):
         problem = FitProblem(

@@ -18,10 +18,12 @@ from kramers.hamiltonian import (
     diagonalize,
     eigensystem,
     hamiltonian_batch,
+    hamiltonian_stack,
     invert_zero_field,
     physical_constants,
     product_basis,
     transition_frequencies,
+    zeeman_derivative_stack,
     zeeman_gradient,
     zero_field_levels,
 )
@@ -173,6 +175,24 @@ class TestCachedKernel:
         )
         for other in (*variants, sys):
             self.assert_matches_reference(other)
+
+    def test_stack_is_the_batch_for_each_system(self):
+        # one assembly: a stack of systems gives, row by row, each system's
+        # own hamiltonian_batch and zeeman_derivatives, bit for bit
+        systems = [getattr(site, state).with_subsite(sub) for site in (SITE_I, SITE_II)
+                   for state in ("ground", "excited") for sub in (1, 2)]
+        A = np.array([s.A.matrix for s in systems])
+        g = np.array([s.g.matrix for s in systems])
+        sys = systems[0]
+        stacked = hamiltonian_stack(A, g, self.FIELDS, sys.g_n, sys.mu_b, sys.mu_n)
+        derivatives = zeeman_derivative_stack(g, sys.g_n, sys.mu_b, sys.mu_n)
+        for n, one in enumerate(systems):
+            np.testing.assert_array_equal(stacked[n], hamiltonian_batch(one, self.FIELDS))
+            np.testing.assert_array_equal(derivatives[n], one.zeeman_derivatives)
+        # per-system fields broadcast as (..., N, 3)
+        per_system = hamiltonian_stack(A, g, self.FIELDS[: len(systems), None], sys.g_n, sys.mu_b, sys.mu_n)
+        for n, one in enumerate(systems):
+            np.testing.assert_array_equal(per_system[n], hamiltonian_batch(one, self.FIELDS[n : n + 1]))
 
     def test_cached_matrices_read_only(self):
         with pytest.raises(ValueError):
