@@ -338,9 +338,9 @@ def _realize(problem: FitProblem, rotations: np.ndarray, flat: np.ndarray, jac: 
     into M g M^T; dM/d theta_i = Omega_i M, so the derivatives are the
     commutators [Omega_i, A] and [Omega_i, g].  Angles are in degrees.
     A and M are built with the arithmetic of ``tensors.assemble_tensor``
-    and ``rx``/``ry``/``rz``, and A is made symmetric as
-    ``SymmetricTensor3`` makes it, so at Euler angles the realized tensors
-    are those of the tensors module bit for bit.
+    and ``rx``/``ry``/``rz``, and every realized tensor is made symmetric
+    as ``SymmetricTensor3`` makes it, so at Euler angles the realized
+    tensors are those of the tensors module bit for bit.
     """
     B, P = len(flat), 3 * len(problem.blocks)
     n_angles = rotations.shape[1]
@@ -370,8 +370,7 @@ def _realize(problem: FitProblem, rotations: np.ndarray, flat: np.ndarray, jac: 
             if ("deltas", state) in where:
                 d = d + coords(where[("deltas", state)])
             d = np.broadcast_to(d, (B, 3))
-            A = (R * d[:, None, :]) @ Rt
-            A = np.triu(A) + np.triu(A, 1).swapaxes(1, 2)
+            A = _symmetric((R * d[:, None, :]) @ Rt)
             if jac:
                 # [K_k, diag(d)]_ij = (K_k)_ij (d_j - d_i)
                 comm = _GENERATORS * (d[:, None, None, :] - d[:, None, :, None])
@@ -384,7 +383,7 @@ def _realize(problem: FitProblem, rotations: np.ndarray, flat: np.ndarray, jac: 
         g = np.broadcast_to(base.g.matrix, (B, 3, 3))
         if mis is not None:
             Mt = M.swapaxes(1, 2)
-            A, g = M @ A @ Mt, M @ g @ Mt
+            A, g = _symmetric(M @ A @ Mt), _symmetric(M @ g @ Mt)
             if jac:
                 dA = M[:, None] @ dA @ Mt[:, None]
                 dg = np.zeros((B, P, 3, 3))
@@ -393,6 +392,11 @@ def _realize(problem: FitProblem, rotations: np.ndarray, flat: np.ndarray, jac: 
                     dg[:, 3 * mis + k] = om @ g - g @ om
         out[state] = (A, g, dA, dg)
     return out
+
+
+def _symmetric(m: np.ndarray) -> np.ndarray:
+    """A stack of matrices rebuilt from their upper triangles, as ``SymmetricTensor3`` does."""
+    return np.triu(m) + np.triu(m, 1).swapaxes(-1, -2)
 
 
 def _derivative_mix(fields: np.ndarray, dA: np.ndarray, dg, mu_b: float) -> np.ndarray:
