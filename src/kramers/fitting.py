@@ -7,10 +7,11 @@ rotation and eigenvalue refinements.  Restarts begin at the problem's own
 angles and at uniformly sampled Euler triples, and one Levenberg-Marquardt
 with Moré's (1978) column scaling advances a chunk of them in lockstep:
 each iteration diagonalizes (restarts x distinct fields x 2 subsites) in
-one stacked ``eigh``.  An orientation is a rotation R, stepped by a
-body-frame rotation vector and re-anchored after every accepted step
-(Absil, Mahony & Sepulchre 2008, ch. 4), so it has no Euler box and no
-double cover.  Every Jacobian column comes from the eigenvectors of that
+one stacked ``eigh``, and searches (restarts x EPR points x 2 subsites)
+in one ``magres.resonance_search`` per state.  An orientation is a
+rotation R, stepped by a body-frame rotation vector and re-anchored after
+every accepted step (Absil, Mahony & Sepulchre 2008, ch. 4), so it has no
+Euler box and no double cover.  Every Jacobian column comes from the eigenvectors of that
 same ``eigh`` by Hellmann-Feynman.  Misalignment and eigenvalue shifts
 stay in their box.  The best optimum is reported as canonical Euler
 angles, with the restart spread and a covariance over small body-frame
@@ -30,13 +31,13 @@ from .hamiltonian import (
     PAIR_HI,
     PAIR_LO,
     PAIRS,
+    field_slopes,
     hamiltonian_stack,
     invert_zero_field,
     spin_expectations,
-    zeeman_derivative_stack,
 )
 from .lazy import SciPyFunction
-from .magres import EPR_FIELD_TOL_MT, epr_resonance_fields
+from .magres import EPR_FIELD_TOL_MT, resonance_search, unit_direction
 from .spectra import SiteModel
 from .tensors import (
     EulerAngles,
@@ -48,6 +49,7 @@ from .tensors import (
     rx,
     ry,
     rz,
+    subsite_matrices,
     subsite_transform,
 )
 
@@ -225,14 +227,16 @@ class CompiledData:
     """A data list in the array form ``evaluate`` works on.
 
     ``fit`` compiles its data once instead of on every evaluation; ``epr``
-    pairs each EPR point's position with its unit sweep direction.
+    holds each EPR point's position, its unit sweep direction, and that
+    direction as the resonance search normalizes it (once more, which can
+    move the last bit).
     ``gates`` and ``weights`` (1/sigma, 0 for an infinite sigma) have one
     entry per point.
     """
 
     points: tuple[DataPoint, ...]
     states: tuple[_StateRows, ...]
-    epr: tuple[tuple[int, np.ndarray], ...]
+    epr: tuple[tuple[int, np.ndarray, np.ndarray], ...]
     is_epr: np.ndarray
     gates: np.ndarray
     weights: np.ndarray
@@ -280,7 +284,8 @@ def compile_data(data) -> CompiledData:
             raise ValueError("EPR point needs a nonzero direction")
         if not p.value > 0:
             raise ValueError("EPR resonance field must be positive")
-        epr.append((n, direction / norm))
+        direction = direction / norm
+        epr.append((n, direction, unit_direction(direction)))
     is_epr = np.array([p.kind == "epr" for p in points])
     sigmas = np.array([p.sigma for p in points], dtype=float)
     return CompiledData(
@@ -490,47 +495,49 @@ def evaluate(problem: FitProblem, rotations, flat, data: CompiledData, jac: bool
 
 
 def _epr_residuals(problem: FitProblem, tensors: dict, data: CompiledData, raw, model, J) -> None:
-    """Fill the EPR points' entries of ``raw``, ``model`` and ``J`` in place."""
-    found = []  # (restart, point, field, direction image, upper, lower)
-    for n, direction in data.epr:
-        p = data.points[n]
-        A, g = tensors[p.state][:2]
-        base = getattr(problem.site, p.state)
-        for b in range(len(A)):
-            sys1 = replace(base, A=SymmetricTensor3(A[b]), g=SymmetricTensor3(g[b]))
-            hits = epr_resonance_fields(sys1, direction, problem.nu_mw_ghz, p.value + GATE_FIELD_MT)
-            if p.label is not None:
-                hits = [r for r in hits if r.transition == tuple(p.label)]
-            if hits:
-                r = min(hits, key=lambda r: abs(r.field_mt - p.value))
-                image = direction if r.subsite == 1 else direction * _C2
-                found.append((b, n, r.field_mt, image, r.transition[1], r.transition[0]))
-    if not found:
-        return
-    b, n, field, image, upper, lower = (np.array(c) for c in zip(*found))
+    """Fill the EPR points' entries of ``raw``, ``model`` and ``J`` in place.
+
+    One ``resonance_search`` per state covers its points x restarts x both
+    subsites; each point takes the resonance nearest its value (of its own
+    transition, when labeled), ties going to the lower field, then subsite 1.
+    """
     for state in STATES:
-        sel = np.flatnonzero([data.points[m].state == state for m in n])
-        if not sel.size:
+        epr = [entry for entry in data.epr if data.points[entry[0]].state == state]
+        if not epr:
             continue
+        idx, directions, rays = (np.array(c) for c in zip(*epr))
+        values = np.array([data.points[n].value for n in idx])
+        lower, upper = np.array([data.points[n].label or (-1, -1) for n in idx]).T
         A, g, dA, dg = tensors[state]
         base = getattr(problem.site, state)
-        bs, pts, img, up, lo = b[sel], n[sel], image[sel], upper[sel], lower[sel]
-        k = np.arange(sel.size)
-        fields = field[sel]
-        # dH/dB along each sweep direction, (K, 4, 4)
-        sweep = np.einsum("kc,kcab->kab", img, zeeman_derivative_stack(g[bs], base.g_n, base.mu_b, base.mu_n))
+        # ray (point, restart, subsite); subsite 2 has the C2-flipped tensors
+        ray, field, col = resonance_search(
+            np.stack([A, subsite_matrices(A)], axis=1), np.stack([g, subsite_matrices(g)], axis=1),
+            rays[:, None, None], (values + GATE_FIELD_MT)[:, None, None],
+            problem.nu_mw_ghz, base.g_n, base.mu_b, base.mu_n,
+        )
+        point, bs, sub = np.unravel_index(ray, (idx.size, len(A), 2))
+        keep = (lower[point] < 0) | ((PAIR_LO[col] == lower[point]) & (PAIR_HI[col] == upper[point]))
+        if not keep.any():
+            continue
+        point, bs, sub, field, col = point[keep], bs[keep], sub[keep], field[keep], col[keep]
+        order = np.lexsort((PAIR_HI[col], PAIR_LO[col], sub, field, np.abs(field - values[point]), bs, point))
+        _, first = np.unique((point * len(A) + bs)[order], return_index=True)
+        point, bs, sub, fields, col = (x[order[first]] for x in (point, bs, sub, field, col))
+        img = np.where(sub[:, None] == 0, directions[point], directions[point] * _C2)
+        pts, up, lo, k = idx[point], PAIR_HI[col], PAIR_LO[col], np.arange(point.size)
         # two Newton steps from the bisection midpoint, each kept only
         # within the bisection tolerance; the derivatives come from the last
         for _ in range(2):
             w, v = np.linalg.eigh(hamiltonian_stack(A[bs], g[bs], (fields[:, None] * img)[:, None],
                                                     base.g_n, base.mu_b, base.mu_n)[:, 0])
-            slopes = np.einsum("kan,kab,kbn->kn", v.conj(), sweep, v).real  # dE_n/dB
+            slopes = field_slopes(v, g[bs], img, base.g_n, base.mu_b, base.mu_n)  # dE_n/dB
             slope = slopes[k, up] - slopes[k, lo]
             with np.errstate(divide="ignore", invalid="ignore"):
                 shift = (w[k, up] - w[k, lo] - problem.nu_mw_ghz) / slope
             fields = np.where(np.abs(shift) <= EPR_FIELD_TOL_MT, fields - shift, fields)
         model[bs, pts] = fields
-        raw[bs, pts] = np.array([data.points[m].value for m in pts]) - fields
+        raw[bs, pts] = values[point] - fields
         if J is not None:
             mix = _derivative_mix((fields[:, None] * img)[:, None], dA[bs],
                                   None if dg is None else dg[bs], base.mu_b)

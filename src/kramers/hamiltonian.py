@@ -184,6 +184,16 @@ def zeeman_derivative_stack(g, g_n: float, mu_b: float, mu_n: float) -> np.ndarr
     return d
 
 
+def field_slopes(states: np.ndarray, g, directions, g_n: float, mu_b: float, mu_n: float) -> np.ndarray:
+    """dE_n/dB (GHz/mT) along unit field directions, by Hellmann-Feynman.
+
+    ``states`` (K, 4, 4) are the eigenvector columns of K Hamiltonians with
+    g tensors ``g`` (K, 3, 3); ``directions`` is (K, 3).  Returns (K, 4).
+    """
+    sweep = np.einsum("kc,kcab->kab", directions, zeeman_derivative_stack(g, g_n, mu_b, mu_n))
+    return np.einsum("kan,kab,kbn->kn", states.conj(), sweep, states).real
+
+
 def _hyperfine(A: np.ndarray) -> np.ndarray:
     """sum_kl A_kl I_k S_l for a stack of A (..., 3, 3) -> (..., 4, 4)."""
     return sum(A[..., k, l, None, None] * (I_STACK[k] @ S_STACK[l]) for k in range(3) for l in range(3))

@@ -4,8 +4,15 @@ ODMR lines are the six spin-transition frequencies of one manifold with
 magnetic-dipole transition moments for an oscillating field along a chosen
 axis (default: crystal b, the geometry of the drive coil).  EPR resonances
 are the field magnitudes along a fixed direction where any transition
-matches the microwave frequency, found by bracketing and bisection on each
-transition branch; both magnetic subsites are included.
+matches the microwave frequency; both magnetic subsites are included.
+
+One search finds them for every caller (``resonance_search``): it takes a
+stack of rays, each an (A, g) pair swept along a unit direction up to its
+own b_max; subsite 2 is a ray of its own, with the C2-flipped tensors.
+``epr_angular_map`` searches all angles x 2 rays at once, the fit all
+restarts x EPR points x 2.  Each branch is sampled on a field grid and its
+sign changes bisected; beside a sampled branch extremum, a descent guided
+by the Hellmann-Feynman slope d nu/dB catches grazing crossings.
 """
 
 from __future__ import annotations
@@ -14,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import PAIR_HI, PAIR_LO, PAIRS, SpinSystem, eigensystem, energies_sweep
+from .hamiltonian import PAIR_HI, PAIR_LO, PAIRS, SpinSystem, eigensystem, field_slopes, hamiltonian_stack
 
 B_AXIS = (0.0, 0.0, 1.0)
 STRONG_MOMENT_FRACTION = 0.01
 EPR_FIELD_TOL_MT = 1e-3
 EPR_GRID_STEP_MT = 1.0  # field sampling of each ray before bracketing
 EPR_HALVING_DEPTH = 8  # halving levels around a sampled branch extremum
+RAY_SAMPLES = 1024  # field samples of the rays searched together
 
 PLANES = {
     "D1-D2": ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
@@ -88,65 +96,124 @@ def odmr_lines(sys: SpinSystem, B=(0.0, 0.0, 0.0), ac_axis=B_AXIS) -> list[OdmrL
     return lines
 
 
-def _detunings(sys: SpinSystem, direction: np.ndarray, nu_mw_ghz: float,
-               mags: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Frequency minus nu_mw of branch ``cols[n]`` at field ``mags[n]``, one sweep for all."""
-    e = energies_sweep(sys, mags[:, None] * direction[None, :])
-    rows = np.arange(mags.size)
-    return e[rows, PAIR_HI[cols]] - e[rows, PAIR_LO[cols]] - nu_mw_ghz
+def unit_direction(direction) -> np.ndarray:
+    """A nonzero field direction as the unit vector an EPR search ray takes."""
+    d = np.asarray(direction, dtype=float).reshape(3)
+    norm = np.linalg.norm(d)
+    if norm == 0:
+        raise ValueError("direction must be a nonzero vector")
+    return d / norm
 
 
-def _sign_brackets(sys, direction, nu_mw_ghz, grid, values):
-    """Sign-change brackets on the sampled branches ``values`` (grid x 6).
+def resonance_search(A, g, directions, b_max, nu_mw_ghz: float, g_n: float, mu_b: float,
+                     mu_n: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every resonance on a stack of rays, as (ray, field_mt, col) arrays.
 
-    A cell brackets a root when its end values differ in sign (<= 0 counts
-    as negative).  Both cells next to a sampled local extremum are halved
-    level by level (up to EPR_HALVING_DEPTH levels, down to the field
-    tolerance) so near-tangent crossings are not missed; each level
-    evaluates the midpoints of every pending cell of every branch in one
-    sweep.  Returns (lo, hi, flo, col) arrays ordered by branch, then field.
+    A ray is a system with tensors A and g (..., 3, 3) swept along a unit
+    direction (..., 3) over (0, b_max] mT (...); the four broadcast to the
+    ray shape, and ``ray`` is a flat index into it.  Branch ``col`` (of
+    PAIRS) meets nu_mw at ``field_mt``.  Each ray's branches are sampled
+    every EPR_GRID_STEP_MT, bracketed (``_brackets``) and bisected to
+    EPR_FIELD_TOL_MT.  Rays go through in groups of about RAY_SAMPLES field
+    samples, so memory does not grow with the number of rays, and a long
+    ray keeps its branch values but not its Hamiltonians.  Results come ray
+    by ray, then by branch and field.
     """
+    shape = np.broadcast_shapes(np.shape(A)[:-2], np.shape(g)[:-2], np.shape(directions)[:-1],
+                                np.shape(b_max))
+    A, g = np.broadcast_to(A, shape + (3, 3)), np.broadcast_to(g, shape + (3, 3))
+    directions = np.broadcast_to(directions, shape + (3,))
+
+    def detunings(ray, mags, slopes=False):
+        """nu - nu_mw of the six branches (K, 6) of ray ``ray[k]`` at field
+        ``mags[k]``; with ``slopes``, also their Hellmann-Feynman d nu/dB."""
+        at = np.unravel_index(ray, shape)
+        H = hamiltonian_stack(A[at], g[at], (mags[:, None] * directions[at])[:, None], g_n, mu_b, mu_n)[:, 0]
+        if not slopes:
+            e = np.linalg.eigvalsh(H)
+            return e[:, PAIR_HI] - e[:, PAIR_LO] - nu_mw_ghz
+        e, v = np.linalg.eigh(H)
+        s = field_slopes(v, g[at], directions[at], g_n, mu_b, mu_n)
+        return e[:, PAIR_HI] - e[:, PAIR_LO] - nu_mw_ghz, s[:, PAIR_HI] - s[:, PAIR_LO]
+
+    b_max = np.broadcast_to(b_max, shape).ravel()
+    found, group, size = [(np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int))], [], 0
+    for r, b in enumerate(b_max):
+        mags = np.arange(0.0, b + 0.5 * EPR_GRID_STEP_MT, EPR_GRID_STEP_MT)
+        group.append((r, np.append(mags, b) if mags[-1] < b else mags))
+        size += group[-1][1].size
+        if size < RAY_SAMPLES and r < b_max.size - 1:
+            continue
+        ray = np.concatenate([np.full(m.size, q) for q, m in group])
+        mags = np.concatenate([m for _, m in group])
+        values = np.concatenate([detunings(ray[n : n + RAY_SAMPLES], mags[n : n + RAY_SAMPLES])
+                                 for n in range(0, mags.size, RAY_SAMPLES)])
+        lo, hi, flo, col, ray = _brackets(detunings, ray, mags, values)
+        fields = _bisect(detunings, ray, lo, hi, flo, col)
+        keep = (fields > 0.0) & (fields <= b_max[ray])
+        found.append((ray[keep], fields[keep], col[keep]))
+        group, size = [], 0
+    ray, fields, col = (np.concatenate(parts) for parts in zip(*found))
+    return ray, fields, col
+
+
+def _brackets(detunings, ray, mags, values):
+    """Sign-change brackets on the sampled branches ``values`` (S x 6) of
+    rays ``ray`` at fields ``mags``, as (lo, hi, flo, col, ray) arrays
+    ordered by ray, branch, then field.
+
+    A cell between two samples of one ray brackets a root when its end
+    values differ in sign (<= 0 counts as negative).  A cell beside a
+    sampled local extremum may hide a grazing crossing, so a descent halves
+    it level by level (up to EPR_HALVING_DEPTH levels, down to the field
+    tolerance): each level evaluates the midpoint of the part that holds
+    the extremum and keeps the half its Hellmann-Feynman slope points to.
+    When the midpoint changes sign, both halves are brackets: those that
+    halving every half would find, where the cell holds one extremum.
+    """
+    same = (ray[:-1] == ray[1:])[:, None]  # cell n spans samples n, n + 1 of one ray
     neg = values <= 0.0
-    change = neg[:-1] != neg[1:]  # cell n spans grid[n]..grid[n + 1]
+    change = (neg[:-1] != neg[1:]) & same
     slopes = np.diff(values, axis=0)
     # local extremum at interior sample n, when cell n brackets no root
     extremum = np.zeros_like(change)
-    extremum[1:] = (slopes[:-1] * slopes[1:] < 0) & ~change[1:]
+    extremum[1:] = (slopes[:-1] * slopes[1:] < 0) & ~change[1:] & same[:-1] & same[1:]
     halve = extremum.copy()
     halve[:-1] |= extremum[1:]
     halve &= ~change
 
     cell, col = np.nonzero(change)
-    found = [(grid[cell], grid[cell + 1], values[cell, col], col)]
+    found = [(mags[cell], mags[cell + 1], values[cell, col], col, ray[cell])]
     cell, col = np.nonzero(halve)
-    lo, hi, flo, fhi = grid[cell], grid[cell + 1], values[cell, col], values[cell + 1, col]
+    lo, hi, flo, ray = mags[cell], mags[cell + 1], values[cell, col], ray[cell]
     for _ in range(EPR_HALVING_DEPTH):
         wide = hi - lo > EPR_FIELD_TOL_MT
-        lo, hi, flo, fhi, col = lo[wide], hi[wide], flo[wide], fhi[wide], col[wide]
+        lo, hi, flo, col, ray = lo[wide], hi[wide], flo[wide], col[wide], ray[wide]
         if lo.size == 0:
             break
         mid = 0.5 * (lo + hi)
-        fmid = _detunings(sys, direction, nu_mw_ghz, mid, col)
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        flo, fhi = np.concatenate([flo, fmid]), np.concatenate([fmid, fhi])
-        col = np.concatenate([col, col])
-        root = (flo <= 0.0) != (fhi <= 0.0)
-        found.append((lo[root], hi[root], flo[root], col[root]))
-        lo, hi, flo, fhi, col = lo[~root], hi[~root], flo[~root], fhi[~root], col[~root]
+        fmid, slope = (x[np.arange(col.size), col] for x in detunings(ray, mid, slopes=True))
+        root = (flo <= 0.0) != (fmid <= 0.0)
+        found.append((lo[root], mid[root], flo[root], col[root], ray[root]))
+        found.append((mid[root], hi[root], fmid[root], col[root], ray[root]))
+        # the extremum lies left of mid where the branch climbs away from zero
+        left = (fmid > 0.0) == (slope > 0.0)
+        lo, hi, flo = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fmid)
+        lo, hi, flo, col, ray = lo[~root], hi[~root], flo[~root], col[~root], ray[~root]
 
-    lo, hi, flo, col = (np.concatenate(parts) for parts in zip(*found))
-    order = np.lexsort((lo, col))
-    return lo[order], hi[order], flo[order], col[order]
+    lo, hi, flo, col, ray = (np.concatenate(parts) for parts in zip(*found))
+    order = np.lexsort((lo, col, ray))
+    return lo[order], hi[order], flo[order], col[order], ray[order]
 
 
-def _bisect(sys, direction, nu_mw_ghz, lo, hi, flo, col) -> np.ndarray:
-    """Bisect every bracket to EPR_FIELD_TOL_MT; one sweep per step for all of them."""
+def _bisect(detunings, ray, lo, hi, flo, col) -> np.ndarray:
+    """Bisect every bracket to EPR_FIELD_TOL_MT; one evaluation per step for all of them."""
     lo, hi, flo = lo.copy(), hi.copy(), flo.copy()
     active = hi - lo > EPR_FIELD_TOL_MT
     while active.any():
         a = np.nonzero(active)[0]
         mid = 0.5 * (lo[a] + hi[a])
-        fmid = _detunings(sys, direction, nu_mw_ghz, mid, col[a])
+        fmid = detunings(ray[a], mid)[np.arange(a.size), col[a]]
         same = (flo[a] <= 0.0) == (fmid <= 0.0)
         lo[a[same]], flo[a[same]] = mid[same], fmid[same]
         hi[a[~same]] = mid[~same]
@@ -154,45 +221,34 @@ def _bisect(sys, direction, nu_mw_ghz, lo, hi, flo, col) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def epr_resonance_fields(
-    sys: SpinSystem,
-    direction,
-    nu_mw_ghz: float,
-    b_max_mt: float,
-    ac_axis=B_AXIS,
-    subsites=(1, 2),
-) -> list[EprResonance]:
-    """All field magnitudes in (0, b_max] where a transition meets nu_mw.
-
-    Each of the six transition branches of each requested subsite is sampled
-    every EPR_GRID_STEP_MT, bracketed, and bisected to EPR_FIELD_TOL_MT.
-    """
+def _resonances(sys: SpinSystem, directions, nu_mw_ghz: float, b_max_mt: float) -> list[list[EprResonance]]:
+    """The resonances of both subsites of ``sys`` along each direction: one
+    ``resonance_search`` over directions x 2 rays, one sorted list each."""
     if nu_mw_ghz <= 0:
         raise ValueError("microwave frequency must be positive")
     if b_max_mt <= 0:
         raise ValueError("b_max must be positive")
-    d = np.asarray(direction, dtype=float).reshape(3)
-    norm = np.linalg.norm(d)
-    if norm == 0:
-        raise ValueError("direction must be a nonzero vector")
-    d = d / norm
-    mags = np.arange(0.0, b_max_mt + 0.5 * EPR_GRID_STEP_MT, EPR_GRID_STEP_MT)
-    if mags[-1] < b_max_mt:
-        mags = np.append(mags, b_max_mt)
+    directions = np.array([unit_direction(d) for d in directions])
+    systems = (sys.with_subsite(1), sys.with_subsite(2))
+    ray, fields, cols = resonance_search(
+        np.stack([s.A.matrix for s in systems]), np.stack([s.g.matrix for s in systems]),
+        directions[:, None], b_max_mt, nu_mw_ghz, sys.g_n, sys.mu_b, sys.mu_n,
+    )
+    out = [[] for _ in directions]
+    for r, b_res, col in zip(ray, fields, cols):
+        n, s = divmod(int(r), 2)
+        moment = transition_moments(systems[s], b_res * directions[n])[PAIRS[col]]
+        out[n].append(EprResonance(float(b_res), tuple(directions[n]), PAIRS[col], s + 1, moment))
+    for resonances in out:
+        resonances.sort(key=lambda r: (r.field_mt, r.subsite, r.transition))
+    return out
 
-    results = []
-    for subsite in subsites:
-        ssys = sys.with_subsite(subsite)
-        e = energies_sweep(ssys, mags[:, None] * d[None, :])
-        freqs = e[:, PAIR_HI] - e[:, PAIR_LO] - nu_mw_ghz
-        lo, hi, flo, cols = _sign_brackets(ssys, d, nu_mw_ghz, mags, freqs)
-        for b_res, col in zip(_bisect(ssys, d, nu_mw_ghz, lo, hi, flo, cols), cols):
-            if b_res <= 0.0 or b_res > b_max_mt:
-                continue
-            moment = transition_moments(ssys, b_res * d, ac_axis)[PAIRS[col]]
-            results.append(EprResonance(float(b_res), tuple(d), PAIRS[col], subsite, moment))
-    results.sort(key=lambda r: (r.field_mt, r.subsite, r.transition))
-    return results
+
+def epr_resonance_fields(sys: SpinSystem, direction, nu_mw_ghz: float, b_max_mt: float) -> list[EprResonance]:
+    """All field magnitudes in (0, b_max] where a transition of either
+    subsite meets nu_mw, ordered by field, subsite, then transition, with
+    the moments of a drive along b (``transition_moments``)."""
+    return _resonances(sys, [direction], nu_mw_ghz, b_max_mt)[0]
 
 
 def epr_angular_map(
@@ -201,13 +257,12 @@ def epr_angular_map(
     angle_step_deg: float,
     nu_mw_ghz: float,
     b_max_mt: float,
-    ac_axis=B_AXIS,
 ) -> list[tuple[float, list[EprResonance]]]:
     """Resonance fields swept over a crystallographic plane.
 
     ``plane`` is one of D1-D2, b-D1, b-D2; the direction at angle theta is
     cos(theta) e1 + sin(theta) e2.  The output is ordered by angle, then
-    field.
+    as ``epr_resonance_fields``.
     """
     if plane not in PLANES:
         raise ValueError(f"unknown plane {plane!r} (expected one of {sorted(PLANES)})")
@@ -215,10 +270,5 @@ def epr_angular_map(
         raise ValueError("angle step must be positive")
     e1, e2 = (np.asarray(v) for v in PLANES[plane])
     angles = np.arange(0.0, 180.0 + 0.5 * angle_step_deg, angle_step_deg)
-
-    def at_angle(theta_deg: float):
-        t = np.radians(theta_deg)
-        direction = np.cos(t) * e1 + np.sin(t) * e2
-        return (theta_deg, epr_resonance_fields(sys, direction, nu_mw_ghz, b_max_mt, ac_axis=ac_axis))
-
-    return [at_angle(theta) for theta in angles]
+    directions = [np.cos(t) * e1 + np.sin(t) * e2 for t in np.radians(angles)]
+    return list(zip(angles, _resonances(sys, directions, nu_mw_ghz, b_max_mt)))

@@ -19,6 +19,8 @@ import numpy as np
 # relative eigenvalue spacing below which the principal-axis pairing is
 # not unique and decompose_tensor flags the result
 _DEGENERACY_RTOL = 1e-8
+# the entry signs of Rz(pi) conjugation: (1,3) and (2,3) flip
+_C2_SIGNS = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
 
 
 def _wrap_half_open(angle: float) -> float:
@@ -189,6 +191,12 @@ def principal_axes_orientation(axes: np.ndarray) -> EulerAngles:
     return _euler_from_rotation(v)
 
 
+def subsite_matrices(m: np.ndarray) -> np.ndarray:
+    """``subsite_transform`` for a stack of symmetric matrices (..., 3, 3), bit for bit."""
+    # + 0.0 turns the -0.0 of a flipped zero into the +0.0 SymmetricTensor3 stores
+    return np.asarray(m, dtype=float) * _C2_SIGNS + 0.0
+
+
 def subsite_transform(t: SymmetricTensor3) -> SymmetricTensor3:
     """Conjugate a crystal-frame tensor by the C2 rotation about b.
 
@@ -196,9 +204,4 @@ def subsite_transform(t: SymmetricTensor3) -> SymmetricTensor3:
     the (1,3) and (2,3) entries; implemented as the exact sign flip so the
     transform is an exact involution.
     """
-    m = np.array(t.matrix)
-    m[0, 2] = -m[0, 2]
-    m[2, 0] = -m[2, 0]
-    m[1, 2] = -m[1, 2]
-    m[2, 1] = -m[2, 1]
-    return SymmetricTensor3(m)
+    return SymmetricTensor3(subsite_matrices(t.matrix))

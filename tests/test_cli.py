@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -288,6 +289,61 @@ class TestDeterminism:
         out = tmp_path / "t.csv"
         run(capsys, "transitions", "--no-stamp", "--out", str(out))
         assert not out.read_text().startswith("#")
+
+
+# a small fit of SHB and EPR points: labeled and unlabeled EPR points along
+# D1, and one along an unnormalized (0, 1, 1)
+PINNED_FIT_DATA = """kind,state,bx_mt,by_mt,bz_mt,value,sigma,label
+shb,ground,30,0,0,2.613215463,0.002,1-2
+shb,ground,30,0,0,2.813806702,0.002,1-3
+shb,ground,30,0,0,5.322133505,0.002,1-4
+shb,ground,30,0,0,0.200591239,0.002,2-3
+shb,ground,30,0,0,2.708918042,0.002,2-4
+shb,ground,30,0,0,2.508326803,0.002,3-4
+shb,ground,0,0,60,0.825217952,0.002,1-2
+shb,ground,0,0,60,2.924524185,0.002,1-3
+shb,ground,0,0,60,3.288391188,0.002,1-4
+shb,ground,0,0,60,2.099306234,0.002,2-3
+shb,ground,0,0,60,2.463173236,0.002,2-4
+shb,ground,0,0,60,0.363867003,0.002,3-4
+shb,ground,40,0,40,2.650310874,0.002,1-2
+shb,ground,40,0,40,3.527104065,0.002,1-3
+shb,ground,40,0,40,6.095664221,0.002,1-4
+shb,ground,40,0,40,0.876793192,0.002,2-3
+shb,ground,40,0,40,3.445353348,0.002,2-4
+shb,ground,40,0,40,2.568560156,0.002,3-4
+epr,ground,1,0,0,80.9,0.5,1-4
+epr,ground,1,0,0,80.4,0.5,
+epr,ground,0,1,1,300,0.5,
+"""
+
+
+class TestPinnedBytes:
+    """sha256 of outputs whose bytes stay fixed while their code is reworked.
+
+    The hashes were recorded with numpy 2.4 on x86-64; another numpy or
+    BLAS may round the last digit of a printed value differently.
+    """
+
+    def test_epr_map_csv(self, tmp_path, capsys):
+        # the epr-map run of the benchmark's epr-angular part
+        out = tmp_path / "epr-map.csv"
+        code, _, _ = run(capsys, "epr-map", "--site", "I", "--plane", "b-D1", "--step", "15", "--freq", "9.7",
+                         "--bmax", "1000", "--no-stamp", "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "5695255c0a8973cba79b6652d0dd7def723e08d92c0dd63880287530d6e98085")
+
+    def test_fit_residual_csv_and_report(self, tmp_path, capsys):
+        data, out, report = tmp_path / "data.csv", tmp_path / "fit.csv", tmp_path / "report.txt"
+        data.write_text(PINNED_FIT_DATA)
+        code, _, _ = run(capsys, "fit", "--data", str(data), "--free", "ground", "--restarts", "2", "--seed", "0",
+                         "--no-stamp", "--out", str(out), "--report", str(report))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "61a24e28606b8ace9d6b9384463ac5f1f4cadc7f2cb8e5332d63a00c0c5fe8b3")
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+            "e6ee628f22a99dcc98c2ffc1bd620f2a343dd3c763ad1d6c926fa3bef0a36538")
 
 
 class TestConfigIntegration:

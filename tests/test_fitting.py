@@ -626,6 +626,66 @@ class TestAnalyticJacobian:
         assert abs(e[j] - e[i] - 9.7) < 1e-9
 
 
+class TestEprStack:
+    """EPR points: one resonance search per state for all restarts, on the fit's own tensors."""
+
+    PROBLEM = FitProblem(site=SITE_I, **FULL_FLAGS)
+
+    @staticmethod
+    def epr_data():
+        hit = epr_resonance_fields(SITE_I.ground, (1, 0, 0), 9.7, 300.0)[0]
+        excited = epr_resonance_fields(SITE_I.excited, (1, 0, 0), 9.7, 300.0)[2]
+        return [
+            DataPoint("shb", "ground", (30.0, 0.0, 10.0), 2.6, 2e-3, (0, 1)),
+            DataPoint("epr", "ground", (1.0, 0.0, 0.0), hit.field_mt + 0.3, 0.5, hit.transition),
+            DataPoint("epr", "ground", (0.0, 1.0, 1.0), 240.0, 0.5),
+            # the 1-2 branch stays far below 9.7 GHz up to 55 mT: no resonance
+            DataPoint("epr", "ground", (0.0, 0.0, 1.0), 5.0, 0.5, (0, 1)),
+            DataPoint("epr", "excited", (2.0, 1.0, 0.5), 200.0, 0.5),
+            DataPoint("epr", "excited", (1.0, 0.0, 0.0), excited.field_mt - 0.2, 0.5, excited.transition),
+        ]
+
+    def test_stack_equals_single_points_with_one_search_per_state(self, monkeypatch):
+        data = compile_data(self.epr_data())
+        rng = np.random.default_rng(21)
+        x0 = self.PROBLEM.initial_parameters()
+        xs = np.array([x0] + [x0 + np.r_[rng.uniform(-20, 20, 6), rng.uniform(-3, 3, 3), rng.uniform(-0.02, 0.02, 6)]
+                              for _ in range(4)])
+        searches = []
+
+        def counted(*args, **kwargs):
+            searches.append(args[0].shape)
+            return search(*args, **kwargs)
+
+        search = fitting.resonance_search
+        monkeypatch.setattr(fitting, "resonance_search", counted)
+        stack = fitting.evaluate(self.PROBLEM, *fitting._points(self.PROBLEM, xs), data, jac=True)
+        assert searches == [(5, 2, 3, 3)] * 2  # one per state, for all 5 points at once
+        assert stack.gated[:, 3].all() and np.isnan(stack.model[:, 3]).all()
+        assert np.isfinite(stack.model[0, [1, 2, 4, 5]]).all()
+        for b, x in enumerate(xs):
+            one = fitting.evaluate(self.PROBLEM, *fitting._points(self.PROBLEM, x[None]), data, jac=True)
+            for got, want in zip(one, stack):
+                np.testing.assert_array_equal(got[0], want[b])
+        assert len(searches) == 2 + 2 * len(xs)
+
+    def test_subsite_two_site_refines_and_differentiates_its_own_resonance(self):
+        # the fit's tensors are its first subsite whatever the site's subsite tag
+        problem = FitProblem(site=SITE_I.with_subsite(2), **FULL_FLAGS)
+        x = problem.initial_parameters()
+        direction = (0.3, 0.5, 0.8)
+        hits = epr_resonance_fields(SITE_I.ground, direction, 9.7, 600.0)
+        assert {hits[0].subsite, hits[-1].subsite} == {1, 2}
+        for hit in (hits[0], hits[-1]):
+            data = compile_data([DataPoint("epr", "ground", direction, hit.field_mt + 0.1, 0.5, hit.transition)])
+            ev = fitting.evaluate(problem, *fitting._points(problem, x[None]), data, jac=True)
+            sys1 = SITE_I.ground.with_subsite(hit.subsite)
+            e = energies_sweep(sys1, ev.model[0, 0] * np.array([direction]) / np.linalg.norm(direction))[0]
+            assert abs(e[hit.transition[1]] - e[hit.transition[0]] - 9.7) < 1e-9
+            fd = central_differences(problem, x, data)
+            np.testing.assert_allclose(ev.jacobian[0], -fd, rtol=1e-4, atol=1e-6)
+
+
 def write_data_csv(path, points):
     """The `fit --data` CSV of labeled shb points."""
     lines = ["kind,state,bx_mt,by_mt,bz_mt,value,sigma,label"]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,7 +116,7 @@ class TestEprResonances:
         sys = SpinSystem(
             A=SymmetricTensor3(np.zeros((3, 3))), g=SymmetricTensor3(g * np.eye(3)), g_n=0.987
         )
-        out = epr_resonance_fields(sys, (0, 0, 1), nu, 500.0, subsites=(1,))
+        out = [r for r in epr_resonance_fields(sys, (0, 0, 1), nu, 500.0) if r.subsite == 1]
         # electron-flip branches resonate at nu/(mu_B g -+ mu_n g_n) and two
         # branches exactly at nu/(mu_B g)
         mu_b_mt = MU_B_GHZ_PER_T * 1e-3
@@ -244,6 +246,35 @@ class TestBatchedBracketing:
         grazing = [r.field_mt for r in batched if r.transition == pair and r.subsite == 1]
         assert len(grazing) == 2 and cell < grazing[0] < grazing[1] < cell + 1.0
 
+    # both planes pass D2 at 90 degrees, where the branch grazes nu between two samples
+    @pytest.mark.parametrize("plane,pair,cell", [("b-D2", (1, 2), 60.0), ("D1-D2", (0, 2), 22.0)])
+    def test_plane_map_matches_reference_at_every_angle(self, plane, pair, cell):
+        nu = tangent_frequency(pair, cell - 10.0, cell + 10.0)
+        e1, e2 = (np.asarray(v) for v in PLANES[plane])
+        swept = epr_angular_map(SITE_I.ground, plane, 15.0, nu, 100.0)
+        assert len(swept) == 13
+        for theta, batched in swept:
+            t = np.radians(theta)
+            assert batched == scalar_resonances(SITE_I.ground, np.cos(t) * e1 + np.sin(t) * e2, nu, 100.0)
+        grazing = [r.field_mt for r in dict(swept)[90.0] if r.transition == pair and r.subsite == 1]
+        assert len(grazing) == 2 and cell < grazing[0] < grazing[1] < cell + 1.0
+
+
+class TestSearchMemory:
+    def test_long_ray_memory_is_bounded(self):
+        # a 20,000 mT ray has 20,001 field samples, whose Hamiltonians and
+        # eigenvalue work space take about 17 MB at once; the search keeps
+        # their branch values and diagonalizes RAY_SAMPLES at a time
+        epr_resonance_fields(SITE_I.ground, (1, 0, 0), 9.7, 100.0)  # warm caches
+        tracemalloc.start()
+        try:
+            out = epr_resonance_fields(SITE_I.ground, (1, 0, 0), 9.7, 20000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out
+        assert peak < 8e6
+
 
 class TestAngularMap:
     def test_d1_d2_map_180_periodic(self):
@@ -269,8 +300,8 @@ class TestAngularMap:
         for theta in (20.0, 55.0):
             t = np.radians(theta)
             d = np.array([np.cos(t), 0.0, np.sin(t)])  # b-D1 plane
-            r2 = epr_resonance_fields(SITE_I.ground, d, 9.7, 1000.0, subsites=(2,))
-            r1 = epr_resonance_fields(SITE_I.ground, c2 @ d, 9.7, 1000.0, subsites=(1,))
+            r2 = [r for r in epr_resonance_fields(SITE_I.ground, d, 9.7, 1000.0) if r.subsite == 2]
+            r1 = [r for r in epr_resonance_fields(SITE_I.ground, c2 @ d, 9.7, 1000.0) if r.subsite == 1]
             f2 = np.sort([r.field_mt for r in r2])
             f1 = np.sort([r.field_mt for r in r1])
             assert len(f1) == len(f2)
