@@ -31,13 +31,14 @@ from .hamiltonian import (
     PAIR_HI,
     PAIR_LO,
     PAIRS,
-    field_slopes,
+    field_gradients,
     hamiltonian_stack,
     invert_zero_field,
     spin_expectations,
+    unit_direction,
 )
 from .lazy import SciPyFunction
-from .magres import EPR_FIELD_TOL_MT, resonance_search, unit_direction
+from .magres import EPR_FIELD_TOL_MT, resonance_search
 from .spectra import SiteModel
 from .tensors import (
     EulerAngles,
@@ -531,7 +532,7 @@ def _epr_residuals(problem: FitProblem, tensors: dict, data: CompiledData, raw, 
         for _ in range(2):
             w, v = np.linalg.eigh(hamiltonian_stack(A[bs], g[bs], (fields[:, None] * img)[:, None],
                                                     base.g_n, base.mu_b, base.mu_n)[:, 0])
-            slopes = field_slopes(v, g[bs], img, base.g_n, base.mu_b, base.mu_n)  # dE_n/dB
+            slopes = (field_gradients(v, g[bs], base.g_n, base.mu_b, base.mu_n) @ img[..., None])[..., 0]
             slope = slopes[k, up] - slopes[k, lo]
             with np.errstate(divide="ignore", invalid="ignore"):
                 shift = (w[k, up] - w[k, lo] - problem.nu_mw_ghz) / slope
@@ -639,9 +640,7 @@ def _levenberg_marquardt(problem: FitProblem, data: CompiledData, rotations, fla
         cost_t = np.einsum("bn,bn->b", r_t, r_t)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(np.isfinite(cost_t), (cost[a] - cost_t) / predicted, -np.inf)
-        size = np.linalg.norm(taken * d, axis=1)
-        radius[a] = np.where(ratio < 0.25, 0.25 * size,
-                             np.where((ratio > 0.75) | (lam == 0), np.maximum(radius[a], 2.0 * size), radius[a]))
+        radius[a] = _trust_radius(radius[a], ratio, np.linalg.norm(taken * d, axis=1), lam)
 
         accept = ratio > 1e-4
         ok = a[accept]
@@ -651,6 +650,11 @@ def _levenberg_marquardt(problem: FitProblem, data: CompiledData, rotations, fla
         iterations[ok] += 1
         active[a[(cost[a] == 0) | (evaluations[a] >= MAX_EVALUATIONS)]] = False
     return _Run(rotations, flat, cost, res, gated, iterations, evaluations)
+
+
+def _trust_radius(radius, ratio, size, lam) -> np.ndarray:
+    """Moré's radius after a step of length ``size`` whose cost fell ``ratio`` times the predicted fall."""
+    return np.where(ratio < 0.25, 0.25 * size, np.where((ratio > 0.75) | (lam == 0), np.maximum(radius, 2.0 * size), radius))
 
 
 def _trust_region_step(J, r, radius, lower, upper) -> tuple[np.ndarray, np.ndarray]:

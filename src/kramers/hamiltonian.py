@@ -119,7 +119,8 @@ class SpinSystem:
     @cached_property
     def zeeman_derivatives(self) -> np.ndarray:
         """dH/dB_k for the three Cartesian components, shape (3, 4, 4), GHz/mT."""
-        d = zeeman_derivative_stack(self.g.matrix, self.g_n, self.mu_b, self.mu_n)
+        d = np.einsum("kl,lab->kab", self.g.matrix * (self.mu_b * 1e-3), S_STACK)
+        d -= (self.mu_n * 1e-3 * self.g_n) * I_STACK
         d.setflags(write=False)
         return d
 
@@ -132,6 +133,15 @@ def as_field(B) -> np.ndarray:
     return b
 
 
+def unit_direction(direction) -> np.ndarray:
+    """A nonzero direction (3,) as a unit vector."""
+    d = np.asarray(direction, dtype=float).reshape(3)
+    norm = np.linalg.norm(d)
+    if norm == 0:
+        raise ValueError("direction must be a nonzero vector")
+    return d / norm
+
+
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Sorted energies (GHz) and eigenvectors in the product basis.
@@ -142,16 +152,6 @@ class EigenSystem:
 
     energies: np.ndarray
     states: np.ndarray
-
-    def degenerate_groups(self, gap_ghz: float = DEGENERACY_GAP_GHZ) -> list[list[int]]:
-        """Group level indices whose consecutive spacing is below ``gap_ghz``."""
-        groups: list[list[int]] = [[0]]
-        for n in range(1, len(self.energies)):
-            if self.energies[n] - self.energies[n - 1] < gap_ghz:
-                groups[-1].append(n)
-            else:
-                groups.append([n])
-        return groups
 
 
 def build_hamiltonian(sys: SpinSystem, B) -> np.ndarray:
@@ -177,21 +177,21 @@ def hamiltonian_stack(A, g, fields, g_n: float, mu_b: float, mu_n: float) -> np.
     return _add_zeeman(_hyperfine(A), g, fields, g_n, mu_b, mu_n)
 
 
-def zeeman_derivative_stack(g, g_n: float, mu_b: float, mu_n: float) -> np.ndarray:
-    """dH/dB_k (GHz/mT) for a stack of g tensors (..., 3, 3) -> (..., 3, 4, 4)."""
-    d = np.einsum("...kl,lab->...kab", np.asarray(g, dtype=float) * (mu_b * 1e-3), S_STACK)
-    d -= (mu_n * 1e-3 * g_n) * I_STACK
-    return d
+def field_gradients(states: np.ndarray, g, g_n: float, mu_b: float, mu_n: float) -> np.ndarray:
+    """dE_n/dB_k (GHz/mT) by Hellmann-Feynman: the eigenvector columns
+    (..., 4, 4) of Hamiltonians with g tensors (..., 3, 3) -> (..., 4, 3),
+    from dH/dB_k = mu_B sum_l g_kl S_l - mu_n g_n I_k."""
+    mix = np.zeros(np.shape(g)[:-2] + (15, 3))
+    mix[..., 9:12, :] = np.swapaxes(g, -1, -2) * (mu_b * 1e-3)
+    mix[..., 12:, :] = np.eye(3) * (-mu_n * 1e-3 * g_n)
+    return spin_expectations(states, mix)
 
 
-def field_slopes(states: np.ndarray, g, directions, g_n: float, mu_b: float, mu_n: float) -> np.ndarray:
-    """dE_n/dB (GHz/mT) along unit field directions, by Hellmann-Feynman.
-
-    ``states`` (K, 4, 4) are the eigenvector columns of K Hamiltonians with
-    g tensors ``g`` (K, 3, 3); ``directions`` is (K, 3).  Returns (K, 4).
-    """
-    sweep = np.einsum("kc,kcab->kab", directions, zeeman_derivative_stack(g, g_n, mu_b, mu_n))
-    return np.einsum("kan,kab,kbn->kn", states.conj(), sweep, states).real
+def degenerate_levels(energies: np.ndarray, gap_ghz: float = DEGENERACY_GAP_GHZ) -> np.ndarray:
+    """Which of the ascending levels (..., 4) lie within ``gap_ghz`` of a
+    neighbour, where Hellmann-Feynman derivatives are not defined."""
+    gaps = np.diff(energies, axis=-1, prepend=-np.inf, append=np.inf)
+    return np.minimum(gaps[..., :-1], gaps[..., 1:]) < gap_ghz
 
 
 def _hyperfine(A: np.ndarray) -> np.ndarray:
@@ -301,11 +301,7 @@ def spin_half_states(axis=None) -> tuple[np.ndarray, np.ndarray]:
     """(up, down) spinors quantized along ``axis`` (default: crystal b = z)."""
     if axis is None:
         return (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
-    n = np.asarray(axis, dtype=float).reshape(3)
-    norm = np.linalg.norm(n)
-    if norm == 0:
-        raise ValueError("quantization axis must be nonzero")
-    n = n / norm
+    n = unit_direction(axis)
     theta = np.arccos(np.clip(n[2], -1.0, 1.0))
     phi = np.arctan2(n[1], n[0])
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
@@ -333,6 +329,17 @@ def basis_overlaps(es: EigenSystem, electron_axis=None, nuclear_axis=None) -> np
     return np.abs(basis.conj().T @ es.states) ** 2
 
 
+def transition_gradients(sys: SpinSystem, fields, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(gradient GHz/mT (..., 3), degenerate (...)) of the (i, j) transition
+    at the fields (..., 3), from one stacked ``eigh``; ``degenerate`` flags
+    where level i or j lies within DEGENERACY_GAP_GHZ of a neighbour."""
+    fields = np.asarray(fields, dtype=float)
+    w, v = np.linalg.eigh(hamiltonian_batch(sys, fields.reshape(-1, 3)))
+    grad = field_gradients(v, sys.g.matrix, sys.g_n, sys.mu_b, sys.mu_n)
+    degenerate = degenerate_levels(w)[:, [i, j]].any(axis=1)
+    return (grad[:, j] - grad[:, i]).reshape(fields.shape), degenerate.reshape(fields.shape[:-1])
+
+
 def zeeman_gradient(sys: SpinSystem, B, i: int, j: int) -> np.ndarray:
     """Hellmann-Feynman gradient of the (i, j) transition, GHz/mT.
 
@@ -340,16 +347,8 @@ def zeeman_gradient(sys: SpinSystem, B, i: int, j: int) -> np.ndarray:
     than the degeneracy threshold; otherwise a ValueError points the caller
     to a finite-difference fallback.
     """
-    es = eigensystem(sys, B)
-    for group in es.degenerate_groups():
-        if len(group) > 1 and (i in group or j in group):
-            raise ValueError(
-                f"levels {group} are degenerate at this field; "
-                "use finite differences instead of Hellmann-Feynman"
-            )
-    dh = sys.zeeman_derivatives
-    vi, vj = es.states[:, i], es.states[:, j]
-    grad = np.array(
-        [(vj.conj() @ dh[k] @ vj - vi.conj() @ dh[k] @ vi).real for k in range(3)]
-    )
+    grad, degenerate = transition_gradients(sys, as_field(B), i, j)
+    if degenerate:
+        raise ValueError(f"levels {i} or {j} are degenerate at this field; "
+                         "use finite differences instead of Hellmann-Feynman")
     return grad

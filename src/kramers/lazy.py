@@ -2,8 +2,8 @@
 
 Importing kramers loads no SciPy module, so a command that never calls
 SciPy does not pay for its import.  The modules bind each entry point they
-use once, as a module attribute (``fitting.nnls``, ``zefoz.minimize``,
-``shb.expm``, ...), so tests can replace it there.
+use once, as a module attribute (``fitting.nnls``, ``shb.expm``,
+``shb.null_space``), so tests can replace it there.
 """
 
 from __future__ import annotations

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import PAIR_HI, PAIR_LO, PAIRS, SpinSystem, eigensystem, field_slopes, hamiltonian_stack
+from .hamiltonian import (PAIR_HI, PAIR_LO, PAIRS, EigenSystem, SpinSystem, eigensystem, field_gradients,
+                          hamiltonian_stack, unit_direction)
 
 B_AXIS = (0.0, 0.0, 1.0)
 STRONG_MOMENT_FRACTION = 0.01
@@ -56,17 +57,17 @@ class EprResonance:
 
 def _moment_operator(sys: SpinSystem, ac_axis) -> np.ndarray:
     """Dimensionless magnetic-dipole operator (g.S - (mu_n/mu_B) g_n I) . n_ac."""
-    n = np.asarray(ac_axis, dtype=float).reshape(3)
-    norm = np.linalg.norm(n)
-    if norm == 0:
-        raise ValueError("AC field axis must be nonzero")
     # n . dH/dB, in units of mu_B
-    return np.einsum("k,kab->ab", n / norm, sys.zeeman_derivatives) / (sys.mu_b * 1e-3)
+    return np.einsum("k,kab->ab", unit_direction(ac_axis), sys.zeeman_derivatives) / (sys.mu_b * 1e-3)
 
 
 def transition_moments(sys: SpinSystem, B, ac_axis=B_AXIS) -> dict[tuple[int, int], float]:
     """|<f| M |i>|^2 for the six transitions at a field."""
-    es = eigensystem(sys, B)
+    return _moments(sys, eigensystem(sys, B), ac_axis)
+
+
+def _moments(sys: SpinSystem, es: EigenSystem, ac_axis) -> dict[tuple[int, int], float]:
+    """``transition_moments`` from the eigensystem at the field."""
     op = _moment_operator(sys, ac_axis)
     return {
         (i, j): float(abs(es.states[:, j].conj() @ op @ es.states[:, i]) ** 2)
@@ -81,7 +82,7 @@ def odmr_lines(sys: SpinSystem, B=(0.0, 0.0, 0.0), ac_axis=B_AXIS) -> list[OdmrL
     flagged ``strong`` (the observability heuristic).
     """
     es = eigensystem(sys, B)
-    moments = transition_moments(sys, B, ac_axis)
+    moments = _moments(sys, es, ac_axis)
     max_moment = max(moments.values())
     lines = [
         OdmrLine(
@@ -94,15 +95,6 @@ def odmr_lines(sys: SpinSystem, B=(0.0, 0.0, 0.0), ac_axis=B_AXIS) -> list[OdmrL
     ]
     lines.sort(key=lambda l: l.frequency_mhz)
     return lines
-
-
-def unit_direction(direction) -> np.ndarray:
-    """A nonzero field direction as the unit vector an EPR search ray takes."""
-    d = np.asarray(direction, dtype=float).reshape(3)
-    norm = np.linalg.norm(d)
-    if norm == 0:
-        raise ValueError("direction must be a nonzero vector")
-    return d / norm
 
 
 def resonance_search(A, g, directions, b_max, nu_mw_ghz: float, g_n: float, mu_b: float,
@@ -133,7 +125,7 @@ def resonance_search(A, g, directions, b_max, nu_mw_ghz: float, g_n: float, mu_b
             e = np.linalg.eigvalsh(H)
             return e[:, PAIR_HI] - e[:, PAIR_LO] - nu_mw_ghz
         e, v = np.linalg.eigh(H)
-        s = field_slopes(v, g[at], directions[at], g_n, mu_b, mu_n)
+        s = (field_gradients(v, g[at], g_n, mu_b, mu_n) @ directions[at][..., None])[..., 0]
         return e[:, PAIR_HI] - e[:, PAIR_LO] - nu_mw_ghz, s[:, PAIR_HI] - s[:, PAIR_LO]
 
     b_max = np.broadcast_to(b_max, shape).ravel()

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import as_field, eigensystem
+from .hamiltonian import EigenSystem, as_field, eigensystem, unit_direction
 from .lazy import SciPyFunction
-from .spectra import SiteModel, lorentzian_amplitude, optical_lines
+from .spectra import SiteModel, _optical_lines, lorentzian_amplitude
 
 expm = SciPyFunction("scipy.linalg", "expm")
 null_space = SciPyFunction("scipy.linalg", "null_space")
@@ -105,12 +105,17 @@ def enumerate_classes(
     amplitude there times the line strength of the uniform intensity model
     (both normalized to peak 1).
     """
+    return _classes(site, eigensystem(site.ground, B), eigensystem(site.excited, B), burn_detuning_ghz, cutoff)
+
+
+def _classes(site: SiteModel, es_g: EigenSystem, es_e: EigenSystem, burn: float, cutoff: float) -> list[ClassAssignment]:
+    """``enumerate_classes`` from the ground and excited eigensystems at the field."""
     if not 0.0 < cutoff <= 1.0:
         raise ValueError("cutoff must be in (0, 1]")
     fwhm_ghz = site.fwhm_mhz * 1e-3
     out = []
-    for line in optical_lines(site, B, intensity_model="uniform"):
-        offset = burn_detuning_ghz - line.detuning_ghz
+    for line in _optical_lines(es_g, es_e, "uniform"):
+        offset = burn - line.detuning_ghz
         w = float(lorentzian_amplitude(offset, fwhm_ghz)) * line.strength
         if w >= cutoff:
             out.append(ClassAssignment(line.ground_level, line.excited_level, offset, w))
@@ -197,10 +202,10 @@ def hole_pattern(
     if changes is None:
         changes = {}
     B = as_field(B)
-    eg = eigensystem(site.ground, B).energies
-    ee = eigensystem(site.excited, B).energies
+    es_g, es_e = eigensystem(site.ground, B), eigensystem(site.excited, B)
+    eg, ee = es_g.energies, es_e.energies
     entries: list[HoleEntry] = []
-    for cls in enumerate_classes(site, B, burn_detuning_ghz, cutoff):
+    for cls in _classes(site, es_g, es_e, burn_detuning_ghz, cutoff):
         i, j = cls.ground_level, cls.excited_level
         if i not in changes:
             changes[i] = _relative_population_changes(rates, i)
@@ -264,11 +269,7 @@ def shb_field_map(
     the output is deterministic for fixed inputs.  The rate equations are
     solved once per pumped level for the whole map.
     """
-    d = np.asarray(direction, dtype=float).reshape(3)
-    norm = np.linalg.norm(d)
-    if norm == 0:
-        raise ValueError("field direction must be nonzero")
-    d = d / norm
+    d = unit_direction(direction)
     mags = np.asarray(magnitudes_mt, dtype=float).ravel()
     if mags.size == 0:
         raise ValueError("empty magnitude list")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hamiltonian import SpinSystem, eigensystem, zero_field_levels
+from .hamiltonian import EigenSystem, SpinSystem, eigensystem, zero_field_levels
 from .tensors import decompose_tensor
 
 INTENSITY_MODELS = ("overlap", "uniform")
@@ -85,8 +85,11 @@ def optical_lines(site: SiteModel, B=(0.0, 0.0, 0.0), intensity_model: str = "ov
     """
     if intensity_model not in INTENSITY_MODELS:
         raise ValueError(f"unknown intensity model {intensity_model!r}")
-    es_g = eigensystem(site.ground, B)
-    es_e = eigensystem(site.excited, B)
+    return _optical_lines(eigensystem(site.ground, B), eigensystem(site.excited, B), intensity_model)
+
+
+def _optical_lines(es_g: EigenSystem, es_e: EigenSystem, intensity_model: str) -> list[OpticalLine]:
+    """``optical_lines`` from the ground and excited eigensystems at the field."""
     if intensity_model == "overlap":
         raw = np.abs(es_e.states.conj().T @ es_g.states) ** 2  # [j, i]
         raw = raw / raw.max()

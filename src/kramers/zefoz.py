@@ -1,12 +1,14 @@
 """Search for field points where a transition's first-order Zeeman
 sensitivity vanishes (ZEFOZ) or is locally minimal.
 
-The gradient is the Hellmann-Feynman expression; the curvature is a
-Richardson-refined central difference of that gradient.  Candidates are
-found by a coarse scan of the gradient norm over the requested region,
-local descent from the most promising scan points, deduplication and
-ranking by gradient norm.  Kramers symmetry makes candidates come in +/-B
-pairs; only the canonical half-space representative is reported.
+The gradient g(B) is Hellmann-Feynman (``hamiltonian.transition_gradients``);
+the curvature is a Richardson-refined central difference of it, its
+13-field stencil in one stacked ``eigh``.  A scan of |g| over the region,
+SCAN_CHUNK points per ``eigh``, picks seeds for a lockstep
+Levenberg-Marquardt on g(B) with the curvature as Jacobian, its trial
+points projected onto the region.  Minima are deduplicated and ranked by
+|g|.  Kramers symmetry makes candidates come in +/-B pairs; only the
+canonical half-space representative is reported.
 """
 
 from __future__ import annotations
@@ -15,44 +17,45 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import SpinSystem, zeeman_gradient
-from .lazy import SciPyFunction
-
-minimize = SciPyFunction("scipy.optimize", "minimize")
+from .fitting import COST_RTOL, MAX_EVALUATIONS, STEP_TOL, _trust_radius, _unbounded_step
+from .hamiltonian import SpinSystem, transition_gradients
 
 DEFAULT_REGION_RADIUS_MT = 100.0
 DEFAULT_REFINE_TOL_MHZ_PER_MT = 1e-3
 DEDUP_DISTANCE_MT = 0.1
 CURVATURE_STEP_MT = 0.1
+SCAN_CHUNK = 4096  # scan points per stacked eigh
 
 EXACT = "exact-ZEFOZ"
 NEAR = "near-ZEFOZ"
 
+# the stencil of one point B: B itself, B +/- h e_k, then B +/- (h/2) e_k
+_STENCIL = CURVATURE_STEP_MT * np.concatenate([np.zeros((1, 3)), np.eye(3), -np.eye(3), np.eye(3) / 2, -np.eye(3) / 2])
+_MARGINS = DEDUP_DISTANCE_MT * np.concatenate([np.eye(3), -np.eye(3)])
+
+
+def _stencil(sys: SpinSystem, fields: np.ndarray, i: int, j: int):
+    """(gradient MHz/mT, curvature MHz/mT^2, degenerate) at the fields (..., 3);
+    a point is degenerate when any field of its stencil is."""
+    grads, degenerate = transition_gradients(sys, fields[..., None, :] + _STENCIL, i, j)
+    c1 = (grads[..., 1:4, :] - grads[..., 4:7, :]) / (2.0 * CURVATURE_STEP_MT) * 1e3
+    c2 = (grads[..., 7:10, :] - grads[..., 10:13, :]) / CURVATURE_STEP_MT * 1e3
+    curv = (4.0 * c2 - c1) / 3.0
+    return grads[..., 0, :] * 1e3, 0.5 * (curv + np.swapaxes(curv, -1, -2)), degenerate.any(axis=-1)
+
 
 def sensitivity(sys: SpinSystem, B, i: int, j: int):
-    """(gradient MHz/mT, curvature matrix MHz/mT^2) of transition (i, j).
+    """(gradient MHz/mT, curvature matrix MHz/mT^2) of transition (i, j) at
+    a field B (3,) or at each of a stack (..., 3).
 
     Curvature is computed from central differences of the analytic gradient
     (steps CURVATURE_STEP_MT and half of it) with one step of Richardson
-    extrapolation and symmetrized.
+    extrapolation and symmetrized.  Degenerate levels raise ValueError.
     """
-    B = np.asarray(B, dtype=float).reshape(3)
-    grad = zeeman_gradient(sys, B, i, j) * 1e3
-
-    def curv_fd(h: float) -> np.ndarray:
-        cols = []
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = h
-            gp = zeeman_gradient(sys, B + e, i, j)
-            gm = zeeman_gradient(sys, B - e, i, j)
-            cols.append((gp - gm) / (2.0 * h))
-        return np.column_stack(cols) * 1e3
-
-    c1 = curv_fd(CURVATURE_STEP_MT)
-    c2 = curv_fd(CURVATURE_STEP_MT / 2.0)
-    curv = (4.0 * c2 - c1) / 3.0
-    return grad, 0.5 * (curv + curv.T)
+    grad, curv, degenerate = _stencil(sys, np.asarray(B, dtype=float), i, j)
+    if degenerate.any():
+        raise ValueError(f"levels {i} or {j} are degenerate near this field: no Hellmann-Feynman gradient")
+    return grad, curv
 
 
 @dataclass(frozen=True)
@@ -74,8 +77,10 @@ def fibonacci_directions(n: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def _scan_points(region, grid) -> tuple[np.ndarray, object]:
-    """(points, inside-region predicate) for a ball or box region."""
+def _region(region, grid):
+    """(count, points, project) for a ball or box region: the number of scan
+    points, the scan points at given indices (n,) -> (n, 3), and the
+    projection of fields (..., 3) onto the region."""
     if region is None:
         region = DEFAULT_REGION_RADIUS_MT
     if np.isscalar(region):
@@ -83,40 +88,85 @@ def _scan_points(region, grid) -> tuple[np.ndarray, object]:
         n_dir, n_mag = grid if isinstance(grid, tuple) else (int(grid), 11)
         dirs = fibonacci_directions(max(1, n_dir))
         mags = np.linspace(0.0, radius, n_mag)
-        pts = [np.zeros(3)]
-        for m in mags:
-            if m == 0.0:
-                continue
-            pts.extend(m * d for d in dirs)
-        points = np.array(pts)
+        mags = np.concatenate([[0.0], mags[mags != 0.0]])
 
-        def inside(b):
-            return np.linalg.norm(b) <= radius + 1e-9
+        def points(idx):  # B = 0, then every direction at each magnitude
+            m, d = np.divmod(idx + len(dirs) - 1, len(dirs))
+            return mags[m][:, None] * dirs[d]
 
-        return points, inside
+        def project(b):
+            norm = np.linalg.norm(b, axis=-1, keepdims=True)
+            return b * np.divide(radius, norm, out=np.ones_like(norm), where=norm > radius)
+
+        return 1 + (mags.size - 1) * len(dirs), points, project
 
     box = np.asarray(region, dtype=float).reshape(3, 2)
-    if isinstance(grid, tuple):
-        counts = [int(g) for g in grid]
-    else:
-        counts = [int(grid)] * 3
-    axes = [
-        np.linspace(lo, hi, max(1, n)) if hi > lo else np.array([lo])
-        for (lo, hi), n in zip(box, counts)
-    ]
-    points = np.array([[x, y, z] for x in axes[0] for y in axes[1] for z in axes[2]])
+    counts = [int(g) for g in grid] if isinstance(grid, tuple) else [int(grid)] * 3
+    axes = [np.linspace(lo, hi, max(1, n)) if hi > lo else np.array([lo]) for (lo, hi), n in zip(box, counts)]
+    shape = tuple(a.size for a in axes)
 
-    def inside(b):
-        return bool(np.all(b >= box[:, 0] - 1e-9) and np.all(b <= box[:, 1] + 1e-9))
+    def points(idx):  # the grid in x-major order
+        return np.column_stack([a[k] for a, k in zip(axes, np.unravel_index(idx, shape))])
 
-    return points, inside
+    return int(np.prod(shape)), points, lambda b: np.clip(b, box[:, 0], box[:, 1])
 
 
 def _canonical_half_space(b: np.ndarray) -> np.ndarray:
-    for x in b:
-        if abs(x) > 1e-9:
-            return -b if x < 0 else b
-    return np.zeros(3)
+    """Each field (K, 3) or its reverse, whichever has its first component beyond 1e-9 positive; 0 if none."""
+    lead = np.take_along_axis(b, np.argmax(np.abs(b) > 1e-9, axis=1)[:, None], axis=1)
+    return np.where(np.abs(lead) > 1e-9, np.where(lead < 0, -b, b), 0.0)
+
+
+def _seeds(sys: SpinSystem, i: int, j: int, count: int, points, n: int) -> np.ndarray:
+    """The n scan points of least gradient norm (ties to the earlier point),
+    without the degenerate ones; the scan goes SCAN_CHUNK points at a time."""
+    norms, idx = np.zeros(0), np.zeros(0, dtype=int)
+    for start in range(0, count, SCAN_CHUNK):
+        chunk = np.arange(start, min(start + SCAN_CHUNK, count))
+        grad, degenerate = transition_gradients(sys, points(chunk), i, j)
+        norms = np.append(norms, np.where(degenerate, np.inf, np.linalg.norm(grad, axis=1)))
+        idx = np.append(idx, chunk)
+        best = np.lexsort((idx, norms))[:n]
+        norms, idx = norms[best], idx[best]
+    return points(idx[np.isfinite(norms)])
+
+
+def _descend(sys: SpinSystem, i: int, j: int, b: np.ndarray, project) -> np.ndarray:
+    """Minimize |g(B)| from the seeds b (K, 3) in lockstep: the fit's
+    trust-region step (the first Gauss-Newton), projected onto the region,
+    with the cost fall predicted for the projected step.  Seeds stop as the
+    fit's restarts do (COST_RTOL, STEP_TOL, MAX_EVALUATIONS)."""
+    g, J, bad = _stencil(sys, b, i, j)
+    cost = np.where(bad, np.inf, np.einsum("kc,kc->k", g, g))
+    radius, evaluations = np.full(len(b), np.inf), np.ones(len(b), dtype=int)
+    active = np.isfinite(cost) & (cost > 0)
+    while active.any():
+        a = np.flatnonzero(active)
+        p, lam = _unbounded_step(J[a], g[a], radius[a])
+        trial = project(b[a] + p)
+        lin = g[a] + np.einsum("kcd,kd->kc", J[a], trial - b[a])
+        predicted = cost[a] - np.einsum("kc,kc->k", lin, lin)
+        size = np.linalg.norm(trial - b[a], axis=1)
+        active[a[size <= STEP_TOL]] = False
+        # no fall predicted (the projection bent the step, or the minimum is
+        # near): a shorter step is tried instead of evaluating this one
+        short = predicted <= COST_RTOL * cost[a]
+        radius[a[short]] = 0.25 * size[short]
+        go = (size > STEP_TOL) & ~short
+        a, lam, predicted, size, trial = a[go], lam[go], predicted[go], size[go], trial[go]
+        if not a.size:
+            continue
+
+        g_t, J_t, bad_t = _stencil(sys, trial, i, j)
+        evaluations[a] += 1
+        cost_t = np.where(bad_t, np.inf, np.einsum("kc,kc->k", g_t, g_t))
+        ratio = np.where(np.isfinite(cost_t), (cost[a] - cost_t) / predicted, -np.inf)
+        radius[a] = _trust_radius(radius[a], ratio, size, lam)
+        accept = ratio > 1e-4
+        ok = a[accept]
+        b[ok], g[ok], J[ok], cost[ok] = trial[accept], g_t[accept], J_t[accept], cost_t[accept]
+        active[a[(cost[a] == 0) | (evaluations[a] >= MAX_EVALUATIONS)]] = False
+    return b
 
 
 def zefoz_search(
@@ -132,72 +182,23 @@ def zefoz_search(
     ``region`` is a ball radius in mT (default 100), a 3x2 box of field
     bounds, or None for the default ball.  The ``n_seeds`` scan points with
     the smallest gradient norm start local descents; refined minima are
-    deduplicated within DEDUP_DISTANCE_MT and ranked by ascending gradient norm.
+    deduplicated within DEDUP_DISTANCE_MT and ranked by ascending gradient
+    norm.  A candidate is ``stationary`` when it is exact, or when the
+    region holds every point DEDUP_DISTANCE_MT away from it along the axes.
     """
     i, j = transition
-    points, inside = _scan_points(region, grid)
-    if points.size == 0:
-        return []
+    count, points, project = _region(region, grid)
+    seeds = _seeds(sys, i, j, count, points, max(1, n_seeds))
+    minima = _canonical_half_space(_descend(sys, i, j, seeds, project))
+    grad, curv, degenerate = _stencil(sys, minima, i, j)
+    norms = np.linalg.norm(grad, axis=1)
+    kept: list[int] = []
+    for k in sorted(np.flatnonzero(~degenerate), key=lambda k: (norms[k], tuple(minima[k]))):
+        if all(np.linalg.norm(minima[k] - minima[q]) > DEDUP_DISTANCE_MT for q in kept):
+            kept.append(k)
 
-    def grad_norm(b) -> float:
-        try:
-            return float(np.linalg.norm(zeeman_gradient(sys, b, i, j))) * 1e3
-        except ValueError:
-            return np.inf  # degenerate levels: not a usable candidate
-
-    norms = np.array([grad_norm(b) for b in points])
-    order = np.argsort(norms, kind="stable")
-    seeds = [points[k] for k in order[: max(1, n_seeds)] if np.isfinite(norms[k])]
-
-    minima: list[np.ndarray] = []
-    single_point = len(points) == 1
-    for s in seeds:
-        if single_point:
-            minima.append(s)
-            continue
-
-        def penalized(b):
-            g = grad_norm(b)
-            return g if inside(b) else g + 1e6
-
-        sol = minimize(
-            penalized, s, method="Nelder-Mead",
-            options={"xatol": 1e-4, "fatol": 1e-12, "maxiter": 400},
-        )
-        minima.append(np.asarray(sol.x))
-
-    ranked = sorted(
-        (_canonical_half_space(m) for m in minima),
-        key=lambda b: (grad_norm(b), tuple(b)),
-    )
-    kept: list[np.ndarray] = []
-    for m in ranked:
-        if all(np.linalg.norm(m - k) > DEDUP_DISTANCE_MT for k in kept):
-            kept.append(m)
-
-    out = []
-    for b in kept:
-        g = grad_norm(b)
-        if not np.isfinite(g):
-            continue
-        _, curv = sensitivity(sys, b, i, j)
-        eigs = tuple(float(x) for x in np.linalg.eigvalsh(curv))
-        classification = EXACT if g < refine_tol_mhz_per_mt else NEAR
-        stationary = bool(g < refine_tol_mhz_per_mt or _is_interior_min(b, inside, DEDUP_DISTANCE_MT))
-        out.append(
-            ZefozCandidate(tuple(float(x) for x in b), (i, j), g, eigs, classification, stationary)
-        )
-    out.sort(key=lambda c: c.grad_norm_mhz_per_mt)
-    return out
-
-
-def _is_interior_min(b: np.ndarray, inside, margin: float) -> bool:
-    """A refined point on the region boundary is a constrained, not a
-    stationary, minimum."""
-    for k in range(3):
-        for s in (-1.0, 1.0):
-            e = np.zeros(3)
-            e[k] = s * margin
-            if not inside(b + e):
-                return False
-    return True
+    exact = norms < refine_tol_mhz_per_mt
+    interior = np.all(project(minima[:, None] + _MARGINS) == minima[:, None] + _MARGINS, axis=(1, 2))
+    return [ZefozCandidate(tuple(float(x) for x in minima[k]), (i, j), float(norms[k]),
+                           tuple(float(x) for x in np.linalg.eigvalsh(curv[k])),
+                           EXACT if exact[k] else NEAR, bool(exact[k] or interior[k])) for k in kept]

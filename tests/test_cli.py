@@ -393,7 +393,8 @@ def test_commands_that_need_no_scipy_do_not_import_it(tmp_path):
         "             ['absorption', '--model', 'uniform', '--peaks-out', 'peaks.csv'],\n"
         "             ['ordering', '--peaks-file', 'peaks.csv'], ['epr-map', '--step', '90'],\n"
         "             ['shb-map', '--magnitudes', '0,10', '--span=-1:1:0.1'],\n"
-        "             ['fit', '--data', 'fit-data.csv', '--restarts', '2']):\n"
+        "             ['fit', '--data', 'fit-data.csv', '--restarts', '2'],\n"
+        "             ['zefoz', '--transition', '1,2', '--radius', '100']):\n"
         "    assert cli.main(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )

@@ -15,6 +15,7 @@ from kramers.hamiltonian import (
     SpinSystem,
     basis_overlaps,
     build_hamiltonian,
+    degenerate_levels,
     diagonalize,
     eigensystem,
     hamiltonian_batch,
@@ -23,7 +24,7 @@ from kramers.hamiltonian import (
     physical_constants,
     product_basis,
     transition_frequencies,
-    zeeman_derivative_stack,
+    transition_gradients,
     zeeman_gradient,
     zero_field_levels,
 )
@@ -178,17 +179,15 @@ class TestCachedKernel:
 
     def test_stack_is_the_batch_for_each_system(self):
         # one assembly: a stack of systems gives, row by row, each system's
-        # own hamiltonian_batch and zeeman_derivatives, bit for bit
+        # own hamiltonian_batch, bit for bit
         systems = [getattr(site, state).with_subsite(sub) for site in (SITE_I, SITE_II)
                    for state in ("ground", "excited") for sub in (1, 2)]
         A = np.array([s.A.matrix for s in systems])
         g = np.array([s.g.matrix for s in systems])
         sys = systems[0]
         stacked = hamiltonian_stack(A, g, self.FIELDS, sys.g_n, sys.mu_b, sys.mu_n)
-        derivatives = zeeman_derivative_stack(g, sys.g_n, sys.mu_b, sys.mu_n)
         for n, one in enumerate(systems):
             np.testing.assert_array_equal(stacked[n], hamiltonian_batch(one, self.FIELDS))
-            np.testing.assert_array_equal(derivatives[n], one.zeeman_derivatives)
         # per-system fields broadcast as (..., N, 3)
         per_system = hamiltonian_stack(A, g, self.FIELDS[: len(systems), None], sys.g_n, sys.mu_b, sys.mu_n)
         for n, one in enumerate(systems):
@@ -225,7 +224,7 @@ class TestDiagonalize:
 
     def test_identity_fourfold_degenerate(self):
         es = diagonalize(np.eye(4, dtype=complex))
-        assert es.degenerate_groups() == [[0, 1, 2, 3]]
+        assert degenerate_levels(es.energies).all()
 
     def test_residuals_and_orthonormality(self):
         rng = np.random.default_rng(13)
@@ -401,6 +400,40 @@ class TestZeemanGradient:
         sys = isotropic_system(2.0)
         with pytest.raises(ValueError, match="finite differences"):
             zeeman_gradient(sys, (0.0, 0.0, 0.0), 1, 2)  # triplet degenerate at B=0
+
+    @pytest.mark.parametrize("site", [SITE_I, SITE_II], ids=["I", "II"])
+    @pytest.mark.parametrize("state", ["ground", "excited"])
+    def test_stacked_gradient_matches_central_differences(self, site, state):
+        sys = getattr(site, state)
+        fields = np.random.default_rng(41).uniform(-150.0, 150.0, (20, 3))
+        h = 1e-3
+        for n, (i, j) in enumerate(PAIRS):
+            grad, degenerate = transition_gradients(sys, fields, i, j)
+            assert grad.shape == (20, 3) and not degenerate.any()
+            for k in range(3):
+                nu = [[transition_frequencies(eigensystem(sys, b + s * h * np.eye(3)[k]))[n] for b in fields]
+                      for s in (1.0, -1.0)]
+                np.testing.assert_allclose(grad[:, k], (np.array(nu[0]) - np.array(nu[1])) / (2 * h),
+                                           rtol=0, atol=1e-8)
+
+    def test_degeneracy_mask_matches_value_errors(self):
+        # the stacked mask flags exactly the fields where zeeman_gradient raises
+        directions = np.random.default_rng(42).normal(size=(3, 3))
+        magnitudes = (0.0, 1e-7, 1e-5, 3e-5, 1e-4, 1e-2, 1.0, 50.0)
+        fields = np.array([m * d / np.linalg.norm(d) for m in magnitudes for d in directions])
+        masks = []
+        for sys in (isotropic_system(2.0), isotropic_system(0.0), SITE_I.ground):
+            for i, j in PAIRS:
+                _, degenerate = transition_gradients(sys, fields, i, j)
+                for b, flagged in zip(fields, degenerate):
+                    try:
+                        zeeman_gradient(sys, b, i, j)
+                        raised = False
+                    except ValueError:
+                        raised = True
+                    assert raised == flagged, (b, i, j)
+                masks.append(degenerate)
+        assert np.any(masks) and not np.all(masks)
 
 
 class TestSymmetryProperties:

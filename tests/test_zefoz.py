@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,16 @@ class TestSensitivity:
         expected = 13.996245 * g  # MHz/mT
         assert np.linalg.norm(grad) == pytest.approx(expected, rel=1e-3)
 
+    def test_stack_equals_per_point(self):
+        fields = np.random.default_rng(43).uniform(-120.0, 120.0, (7, 3))
+        for sys in (SITE_I.ground, SITE_I.excited):
+            grad, curv = sensitivity(sys, fields, 1, 2)
+            assert grad.shape == (7, 3) and curv.shape == (7, 3, 3)
+            for n, b in enumerate(fields):
+                one_grad, one_curv = sensitivity(sys, b, 1, 2)
+                np.testing.assert_array_equal(grad[n], one_grad)
+                np.testing.assert_array_equal(curv[n], one_curv)
+
     def test_degenerate_transition_rejected(self):
         sys = isotropic_system(2.0, 2.0)
         with pytest.raises(ValueError):
@@ -89,6 +101,15 @@ class TestAnalyticOracle:
         # curvature of sqrt(a^2 + c^2 B^2) at 0 is (c^2/a) I, in MHz/mT^2
         expected = (self.c**2 / self.a) * 1e3
         assert np.abs(np.array(best.curvature_eigs_mhz_per_mt2) - expected).max() < 1e-6 * expected + 1e-6
+
+    def test_boundary_minimum_on_box_face(self):
+        # |grad nu| = c^2 |B| / nu rises with |B|, so on this box the least
+        # sensitivity sits on the face B_D1 = 10 mT, at (10, 0, 0)
+        box = ((10.0, 30.0), (-5.0, 5.0), (-5.0, 5.0))
+        best = zefoz_search(self.sys, (0, 2), region=box, grid=(5, 4, 4))[0]
+        assert np.linalg.norm(np.array(best.field_mt) - (10.0, 0.0, 0.0)) < 1e-3
+        assert best.classification == NEAR
+        assert not best.stationary
 
 
 class TestSearch:
@@ -150,6 +171,17 @@ class TestSearch:
         candidates = zefoz_search(SITE_I.ground, (0, 3), region=box, grid=(1, 1, 1))
         assert len(candidates) == 1
         assert candidates[0].classification == EXACT
+
+    def test_scan_memory_does_not_grow_with_grid(self):
+        def peak(grid):
+            tracemalloc.start()
+            try:
+                zefoz_search(SITE_I.ground, (1, 2), 100.0, grid=grid)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak((2000, 50)) <= 1.5 * peak((200, 50))
 
 
 class TestDirections:
