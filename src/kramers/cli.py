@@ -21,7 +21,7 @@ from .config import (
     ConfigError, check_points, grid, integer, integers, level_pair, load_config, load_rates, number,
     number_list, read_text, samples, vector,
 )
-from .hamiltonian import PAIRS, eigensystem, transition_frequencies
+from .hamiltonian import PAIR_HI, PAIR_LO, PAIRS, eigensystem, transition_frequencies
 from .output import write_csv, write_pgm
 from .presets import get_site
 from .selftest import run_selftest
@@ -187,7 +187,7 @@ def _build_parser() -> _Parser:
 
 
 def _field_from_args(args) -> np.ndarray:
-    vec = np.asarray(args.field, dtype=float)
+    vec = np.asarray(args.field)
     if args.magnitude is not None:
         norm = np.linalg.norm(vec)
         if norm == 0:
@@ -198,10 +198,9 @@ def _field_from_args(args) -> np.ndarray:
 
 def _cmd_levels(args) -> int:
     site = _resolve_site(args)
-    es = eigensystem(getattr(site, args.state), _field_from_args(args))
-    rows = [(n + 1, e) for n, e in enumerate(es.energies)]
-    write_csv(args.out, ["level", "energy_ghz"], rows, stamp=not args.no_stamp)
-    for n, e in rows:
+    energies = eigensystem(getattr(site, args.state), _field_from_args(args)).energies
+    write_csv(args.out, ["level", "energy_ghz"], [np.arange(1, 5), energies], stamp=not args.no_stamp)
+    for n, e in enumerate(energies, start=1):
         print(f"level {n}: {e:+.6f} GHz")
     return 0
 
@@ -210,10 +209,10 @@ def _cmd_transitions(args) -> int:
     site = _resolve_site(args)
     field = _field_from_args(args)
     freqs = transition_frequencies(eigensystem(getattr(site, args.state), field))
-    rows = [(i + 1, j + 1, f) for (i, j), f in zip(PAIRS, freqs.tolist())]
-    write_csv(args.out, ["lower", "upper", "frequency_ghz"], rows, stamp=not args.no_stamp)
-    for lo, up, f in rows:
-        print(f"{lo} -> {up}: {f * 1e3:9.3f} MHz")
+    write_csv(args.out, ["lower", "upper", "frequency_ghz"], [PAIR_LO + 1, PAIR_HI + 1, freqs],
+              stamp=not args.no_stamp)
+    for (i, j), f in zip(PAIRS, freqs.tolist()):
+        print(f"{i + 1} -> {j + 1}: {f * 1e3:9.3f} MHz")
     return 0
 
 
@@ -223,12 +222,11 @@ def _cmd_absorption(args) -> int:
         detunings, amp = spectra.absorption_spectrum(site, args.field, args.range, intensity_model=args.model)
     except ValueError as exc:  # the step resolves the site's FWHM: known only now
         raise ConfigError("bad-range", f"range: {exc}", "range")
-    write_csv(args.out, ["detuning_ghz", "amplitude"], zip(detunings, amp), stamp=not args.no_stamp)
+    write_csv(args.out, ["detuning_ghz", "amplitude"], [detunings, amp], stamp=not args.no_stamp)
     print(f"wrote {len(detunings)} samples to {args.out}")
     if args.peaks_out:
         peaks = spectra.find_peaks(amp, args.prominence * amp.max())
-        write_csv(args.peaks_out, ["detuning_ghz"], [(detunings[k],) for k in peaks],
-                  stamp=not args.no_stamp)
+        write_csv(args.peaks_out, ["detuning_ghz"], [detunings[peaks]], stamp=not args.no_stamp)
         print(f"wrote {len(peaks)} peaks to {args.peaks_out}")
     return 0
 
@@ -242,13 +240,8 @@ def _cmd_shb_map(args) -> int:
         detuning_range_ghz=(args.span.start, args.span.stop), detuning_step_ghz=args.span.step,
         hole_width_mhz=args.width,
     )
-    detunings = fmap.detunings_ghz.tolist()
-    rows = (
-        (b, d, a)
-        for b, amplitudes in zip(fmap.magnitudes_mt.tolist(), fmap.amplitudes)
-        for d, a in zip(detunings, amplitudes.tolist())
-    )
-    write_csv(args.out, ["field_mt", "detuning_ghz", "amplitude"], rows, stamp=not args.no_stamp)
+    write_csv(args.out, ["field_mt", "detuning_ghz", "amplitude"],
+              [fmap.magnitudes_mt, fmap.detunings_ghz, fmap.amplitudes.ravel()], stamp=not args.no_stamp, grid=2)
     pgm_path = args.out.rsplit(".", 1)[0] + ".pgm"
     write_pgm(pgm_path, fmap.amplitudes, stamp=not args.no_stamp)
     print(f"wrote {fmap.amplitudes.shape[0]}x{fmap.amplitudes.shape[1]} map to {args.out} and {pgm_path}")
@@ -260,14 +253,13 @@ def _cmd_odmr(args) -> int:
     lines = magres.odmr_lines(
         getattr(site, args.state), _field_from_args(args), ac_axis=args.ac_axis
     )
-    rows = [
-        (l.frequency_mhz, l.transition[0] + 1, l.transition[1] + 1, l.moment, l.strong)
-        for l in lines
-    ]
-    write_csv(args.out, ["frequency_mhz", "lower", "upper", "moment", "strong"], rows,
-              stamp=not args.no_stamp)
-    for f, lo, up, m, strong in rows:
-        print(f"{f:9.3f} MHz  ({lo}->{up})  moment {m:.4f}{'  strong' if strong else ''}")
+    pairs = np.array([l.transition for l in lines]).reshape(-1, 2) + 1
+    write_csv(args.out, ["frequency_mhz", "lower", "upper", "moment", "strong"],
+              [np.array([l.frequency_mhz for l in lines]), *pairs.T, np.array([l.moment for l in lines]),
+               np.array([l.strong for l in lines])], stamp=not args.no_stamp)
+    for l in lines:
+        lo, up = l.transition
+        print(f"{l.frequency_mhz:9.3f} MHz  ({lo + 1}->{up + 1})  moment {l.moment:.4f}{'  strong' if l.strong else ''}")
     return 0
 
 
@@ -278,14 +270,14 @@ def _cmd_epr_map(args) -> int:
     swept = magres.epr_angular_map(
         getattr(site, args.state), args.plane, args.step, args.freq, args.bmax
     )
-    rows = [
-        (angle, r.field_mt, r.transition[0] + 1, r.transition[1] + 1, r.subsite, r.moment)
-        for angle, resonances in swept
-        for r in resonances
-    ]
+    found = [r for _, resonances in swept for r in resonances]
+    angles = np.repeat([angle for angle, _ in swept], [len(resonances) for _, resonances in swept])
+    pairs = np.array([r.transition for r in found]).reshape(-1, 2) + 1
     write_csv(args.out, ["angle_deg", "field_mt", "lower", "upper", "subsite", "moment"],
-              rows, stamp=not args.no_stamp)
-    print(f"wrote {len(rows)} resonances to {args.out}")
+              [angles, np.array([r.field_mt for r in found]), *pairs.T,
+               np.array([r.subsite for r in found]), np.array([r.moment for r in found])],
+              stamp=not args.no_stamp)
+    print(f"wrote {len(found)} resonances to {args.out}")
     return 0
 
 
@@ -351,13 +343,11 @@ def _cmd_fit(args) -> int:
     except ValueError as exc:  # no points, or fewer points than free parameters
         raise ConfigError("bad-data", str(exc), "data")
 
-    rows = [
-        (n + 1, p.kind, p.state, p.value, p.sigma,
-         result.model_values[n], result.residuals[n], n in result.excluded)
-        for n, p in enumerate(data)
-    ]
+    excluded = np.isin(np.arange(len(data)), result.excluded)
     write_csv(args.out, ["index", "kind", "state", "value", "sigma", "model", "residual", "excluded"],
-              rows, stamp=not args.no_stamp)
+              [np.arange(1, len(data) + 1), [p.kind for p in data], [p.state for p in data],
+               np.array([p.value for p in data]), np.array([p.sigma for p in data]),
+               result.model_values, result.residuals, excluded], stamp=not args.no_stamp)
 
     lines = [
         f"status: {'ok' if result.success else 'fit-failed'} ({result.message})",
@@ -398,9 +388,8 @@ def _cmd_fit(args) -> int:
 def _cmd_invert(args) -> int:
     site = _resolve_site(args)
     mags, _problem = fitting.invert_and_seed(np.asarray(args.lines) * 1e-3, site)
-    rows = [(n + 1, m) for n, m in enumerate(mags)]
-    write_csv(args.out, ["axis", "magnitude_ghz"], rows, stamp=not args.no_stamp)
-    for n, m in rows:
+    write_csv(args.out, ["axis", "magnitude_ghz"], [np.arange(1, 4), np.array(mags)], stamp=not args.no_stamp)
+    for n, m in enumerate(mags, start=1):
         print(f"|A{n}| = {m:.6f} GHz")
     return 0
 
@@ -418,12 +407,11 @@ def _cmd_ordering(args) -> int:
         raise ConfigError("too-few-peaks", f"{len(peaks)} peak(s) given; the ordering search needs at least 4"
                           " (try absorption --model uniform or a lower --prominence)", "peaks")
     ranked = spectra.ordering_search(site, peaks)
-    rows = [
-        (n + 1, r.ordering[0], r.ordering[1], r.rms_ghz * 1e3, r.offset_ghz, r.tied)
-        for n, r in enumerate(ranked)
-    ]
+    classes = np.array([r.ordering for r in ranked]).reshape(-1, 2)
     write_csv(args.out, ["rank", "ground_class", "excited_class", "rms_mhz", "offset_ghz", "tied"],
-              rows, stamp=not args.no_stamp)
+              [np.arange(1, len(ranked) + 1), *classes.T, np.array([r.rms_ghz * 1e3 for r in ranked]),
+               np.array([r.offset_ghz for r in ranked]), np.array([r.tied for r in ranked])],
+              stamp=not args.no_stamp)
     best = ranked[0]
     print(f"best ordering classes (ground, excited) = {best.ordering}, "
           f"rms {best.rms_ghz * 1e3:.3f} MHz{'  [TIED]' if best.tied else ''}")
@@ -437,14 +425,14 @@ def _cmd_zefoz(args) -> int:
         getattr(site, args.state), args.transition,
         region=args.radius, grid=args.grid, refine_tol_mhz_per_mt=args.refine_tol,
     )
-    rows = [
-        (*c.field_mt, c.transition[0] + 1, c.transition[1] + 1, c.grad_norm_mhz_per_mt,
-         *c.curvature_eigs_mhz_per_mt2, c.classification, c.stationary)
-        for c in candidates
-    ]
+    fields = np.array([c.field_mt for c in candidates]).reshape(-1, 3)
+    pairs = np.array([c.transition for c in candidates]).reshape(-1, 2) + 1
+    curvatures = np.array([c.curvature_eigs_mhz_per_mt2 for c in candidates]).reshape(-1, 3)
     write_csv(args.out, ["bx_mt", "by_mt", "bz_mt", "lower", "upper", "grad_norm_mhz_per_mt",
                          "curv_eig1", "curv_eig2", "curv_eig3", "classification", "stationary"],
-              rows, stamp=not args.no_stamp)
+              [*fields.T, *pairs.T, np.array([c.grad_norm_mhz_per_mt for c in candidates]), *curvatures.T,
+               [c.classification for c in candidates], np.array([c.stationary for c in candidates])],
+              stamp=not args.no_stamp)
     for c in candidates[:5]:
         print(f"B = ({c.field_mt[0]:8.3f}, {c.field_mt[1]:8.3f}, {c.field_mt[2]:8.3f}) mT  "
               f"|grad| = {c.grad_norm_mhz_per_mt:.3e} MHz/mT  {c.classification}")

@@ -37,7 +37,6 @@ from .hamiltonian import (
     spin_expectations,
     unit_direction,
 )
-from .lazy import SciPyFunction
 from .magres import EPR_FIELD_TOL_MT, resonance_search
 from .spectra import SiteModel
 from .tensors import (
@@ -53,8 +52,6 @@ from .tensors import (
     subsite_matrices,
     subsite_transform,
 )
-
-nnls = SciPyFunction("scipy.optimize", "nnls")
 
 KINDS = ("shb", "odmr", "epr")
 STATES = ("ground", "excited")
@@ -712,21 +709,6 @@ def _unbounded_step(J: np.ndarray, r: np.ndarray, radius: np.ndarray) -> tuple[n
     return -np.einsum("bpi,bi->bp", q, t), lam
 
 
-def closest_subsite_representative(
-    tensor: SymmetricTensor3, reference: SymmetricTensor3
-) -> SymmetricTensor3:
-    """The subsite labelling of ``tensor`` nearest to ``reference``.
-
-    Fits from subsite-degenerate field geometries determine the tensor only
-    up to the C2-about-b reflection; comparisons against a known truth pick
-    the representative with the smaller elementwise matrix distance.
-    """
-    flipped = subsite_transform(tensor)
-    d_direct = np.abs(tensor.matrix - reference.matrix).max()
-    d_flipped = np.abs(flipped.matrix - reference.matrix).max()
-    return tensor if d_direct <= d_flipped else flipped
-
-
 def canonical_orientation(tensor: SymmetricTensor3) -> tuple[EulerAngles, int]:
     """Angles of the subsite representative with the smaller Euler triple.
 
@@ -906,7 +888,9 @@ def _canonical_report(problem: FitProblem, params: np.ndarray) -> dict:
 
 # the six pairwise differences expressed in the gap basis (d1, d2, d3):
 # E_j - E_i spans the gaps d_k with i <= k < j
-_GAP_COMBOS = tuple(tuple(int(i <= k < j) for k in range(3)) for i, j in PAIRS)
+_GAP_COMBOS = np.array([[int(i <= k < j) for k in range(3)] for i, j in PAIRS], dtype=float)
+# the 8 sets of gaps a least-squares candidate leaves free; the rest are 0
+_FREE_GAPS = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
 
 
 def reconstruct_levels(lines_ghz) -> np.ndarray:
@@ -917,24 +901,34 @@ def reconstruct_levels(lines_ghz) -> np.ndarray:
     non-negative level gaps by least squares and the best-fitting assignment
     wins.  An incomplete line set can admit several exact ladders; ties are
     broken in favour of the largest central gap (the doublet-dominant
-    structure of a large-|A3| hyperfine tensor), then lexicographically.
-    Raises if even the best assignment misses by more than LEVEL_TOL_GHZ.
+    structure of a large-|A3| hyperfine tensor), then lexicographically,
+    all compared to 1e-12 GHz.  Raises if even the best assignment misses
+    by more than LEVEL_TOL_GHZ.
+
+    The non-negative least squares is solved by enumerating active sets
+    (Lawson & Hanson 1974, ch. 23): the minimum-norm least-squares gaps of
+    every assignment with every set of gaps held at 0, in one batched
+    ``pinv``; the non-negative candidate of least residual is each
+    assignment's solution.
     """
     lines = np.sort(np.asarray(lines_ghz, dtype=float).ravel())
     if lines.size < 3:
         raise ValueError("need at least 3 zero-field splittings")
     if lines.size > 6:
         raise ValueError("a four-level system has at most 6 distinct splittings")
-    best = None  # (rms, -central gap, gaps tuple)
-    for combo in itertools.permutations(range(6), lines.size):
-        C = np.array([_GAP_COMBOS[m] for m in combo], dtype=float)
-        d, rnorm = nnls(C, lines)
-        rms = rnorm / np.sqrt(lines.size)
-        key = (round(rms / 1e-12) * 1e-12, -d[1], tuple(d))
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    best_rms, best_d = best[0], np.array(best[2])
+    assignments = np.array(list(itertools.permutations(range(6), lines.size)))
+    # (assignment, free set, line, gap)
+    C = _GAP_COMBOS[assignments][:, None] * _FREE_GAPS[None, :, None, :]
+    d = np.einsum("afgn,n->afg", np.linalg.pinv(C), lines)
+    rms = np.linalg.norm(np.einsum("afng,afg->afn", C, d) - lines, axis=-1) / np.sqrt(lines.size)
+    rms = np.where(np.all(d >= 0.0, axis=-1), rms, np.inf)
+    pick = np.argmin(rms, axis=1)  # each assignment's non-negative least squares
+    rows = np.arange(len(assignments))
+    d, rms = d[rows, pick], rms[rows, pick]
+    # key (rms, -central gap, gaps), each to 1e-12 GHz, least first
+    rms, key = np.round(rms / 1e-12) * 1e-12, np.round(d / 1e-12)
+    best = np.lexsort((*key.T[::-1], -key[:, 1], rms))[0]
+    best_rms, best_d = rms[best], d[best]
     levels = np.cumsum(np.concatenate(([0.0], best_d)))
     levels -= levels.mean()
     if best_rms > LEVEL_TOL_GHZ:

@@ -8,7 +8,6 @@ files on any platform.
 from __future__ import annotations
 
 import itertools
-import operator
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from . import __version__
 STAMP = f"# kramers {__version__}"
 FLOAT_FORMAT = ".9g"
 BLOCK_ROWS = 1 << 16  # rows formatted together: bounds the memory of a large CSV
-_FLOAT_TYPES = {float, np.float64}
 
 
 def format_number(x) -> str:
@@ -28,42 +26,52 @@ def format_number(x) -> str:
     return format(float(x), FLOAT_FORMAT)
 
 
-def _cells(values) -> list[str]:
-    """The text of each value: strings as they are, numbers by ``format_number``.
+def _cells(column) -> list[str]:
+    """The text of each value of a column, by the rule of ``format_number``."""
+    a = np.asarray(column)
+    if a.dtype.kind == "U":
+        return a.tolist()
+    if a.dtype == bool:
+        return np.where(a, "1", "0").tolist()
+    if a.dtype.kind in "iu":
+        return list(map(str, a.tolist()))
+    return list(map(format, a.astype(float).tolist(), itertools.repeat(FLOAT_FORMAT)))
 
-    Values that are all floats are formatted once per distinct bit pattern,
-    which keeps -0.0 apart from 0.0; a large CSV repeats its grid columns
-    many times over.
+
+def _blocks(columns, grid: int):
+    """The CSV lines of at most BLOCK_ROWS rows at a time, one string per block."""
+    axes = [_cells(c) for c in columns[:grid]]
+    values = columns[grid:]
+    inner = axes.pop() if axes else None
+    # one line prefix per point of the outer axes; [""] without them
+    prefixes = ["".join(p) for p in itertools.product(*([t + "," for t in a] for a in axes))]
+    run = len(inner) if inner is not None else len(values[0])
+    if any(len(v) != run * len(prefixes) for v in values):
+        raise ValueError("CSV columns differ in length")
+    for n, prefix in enumerate(prefixes):
+        for start in range(0, run, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, run)
+            cells = [_cells(v[n * run + start:n * run + stop]) for v in values]
+            if inner is not None:
+                cells.insert(0, inner[start:stop])
+            yield prefix + ("\n" + prefix).join(map(",".join, zip(*cells))) + "\n"
+
+
+def csv_text(header: list[str], columns, stamp: bool = True, grid: int = 0) -> str:
+    """The CSV text of ``columns``: numpy arrays or lists of str, one per header name.
+
+    With ``grid`` = k, the first k columns are axes: the rows run over
+    their outer product, the last axis fastest, and every other column
+    holds one value per row.  Each axis value is formatted once.
     """
-    if not set(map(type, values)) <= _FLOAT_TYPES:
-        return [v if isinstance(v, str) else format_number(v) for v in values]
-    distinct, inverse = np.unique(np.array(values, dtype=float).view(np.int64), return_inverse=True)
-    text = list(map(format, distinct.view(float).tolist(), itertools.repeat(FLOAT_FORMAT)))
-    return np.array(text, dtype=object)[inverse].tolist()
-
-
-def _row_blocks(rows):
-    """The CSV lines of each block of BLOCK_ROWS rows, as one string per block."""
-    rows = iter(rows)
-    while block := list(map(tuple, itertools.islice(rows, BLOCK_ROWS))):
-        widths = set(map(len, block))
-        if len(widths) == 1 and 0 not in widths:  # format column by column
-            columns = [_cells(list(map(operator.itemgetter(k), block))) for k in range(widths.pop())]
-            lines = map(",".join, zip(*columns))
-        else:
-            lines = (",".join(_cells(row)) for row in block)
-        yield "\n".join(lines) + "\n"
-
-
-def csv_text(header: list[str], rows, stamp: bool = True) -> str:
     head = [STAMP] if stamp else []
     head.append(",".join(header))
-    return "\n".join(head) + "\n" + "".join(_row_blocks(rows))
+    return "\n".join(head) + "\n" + "".join(_blocks(columns, grid))
 
 
-def write_csv(path, header: list[str], rows, stamp: bool = True) -> None:
+def write_csv(path, header: list[str], columns, stamp: bool = True, grid: int = 0) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(csv_text(header, rows, stamp))
+        fh.write(csv_text(header, columns, stamp, grid))
 
 
 def pgm_bytes(amplitudes: np.ndarray, stamp: bool = True) -> bytes:

@@ -16,11 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import EigenSystem, as_field, eigensystem, unit_direction
-from .lazy import SciPyFunction
 from .spectra import SiteModel, _optical_lines, lorentzian_amplitude
-
-expm = SciPyFunction("scipy.linalg", "expm")
-null_space = SciPyFunction("scipy.linalg", "null_space")
 
 HOLE = "hole"
 ANTIHOLE = "antihole"
@@ -138,12 +134,55 @@ def _generator(rates: RateMatrix, pumped_level: int) -> np.ndarray:
     return m
 
 
+# numerator coefficients of the degree-13 diagonal Pade approximant of exp,
+# and the 1-norm up to which it is accurate to double precision (Higham,
+# SIAM J. Matrix Anal. Appl. 26, 1179, 2005, table 2.3)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+           129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+           40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring the degree-13 Pade approximant."""
+    a = np.asarray(a, dtype=float)
+    ident = np.eye(len(a))
+    norm = np.abs(a).sum(axis=0).max()
+    if norm == 0:  # a burn of zero duration leaves the populations exactly as they were
+        return ident
+    s = max(0, int(np.ceil(np.log2(norm / _THETA13))))
+    a = a / 2.0**s
+    b = _PADE13
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the null space of ``a``.
+
+    A singular value counts as zero at or below max(M, N) * eps * its
+    largest one, the rank rule of ``scipy.linalg.null_space``.
+    """
+    _, s, vh = np.linalg.svd(a)
+    rank = int(np.sum(s > max(a.shape) * np.finfo(float).eps * s.max()))
+    return vh[rank:].conj().T
+
+
 def populations_after_burn(rates: RateMatrix, pumped_level: int, duration_s=None) -> np.ndarray:
     """Ground populations after burning, starting from the thermal 1/4 each.
 
     Propagates the linear rate equations with the matrix exponential;
     ``duration_s=inf`` returns the stationary distribution of the pumped
-    generator.  The four populations always sum to 1.
+    generator, and raises if it has none or more than one (rates that
+    split the levels into separate closed sets).  The four populations
+    always sum to 1.
     """
     if pumped_level not in range(4):
         raise ValueError("pumped level must be 0..3")
@@ -151,13 +190,14 @@ def populations_after_burn(rates: RateMatrix, pumped_level: int, duration_s=None
     p0 = np.full(4, THERMAL_POPULATION)
     t = rates.duration_s if duration_s is None else float(duration_s)
     if np.isinf(t):
-        ns = null_space(m)
-        if ns.shape[1] == 0:
-            raise ValueError("no stationary distribution")
+        ns = _null_space(m)
+        if ns.shape[1] != 1:
+            raise ValueError(f"no stationary distribution: the pumped generator has a "
+                             f"{ns.shape[1]}-dimensional null space")
         p = ns[:, 0]
         p = p / p.sum()
         return p
-    return expm(m * t) @ p0
+    return _expm(m * t) @ p0
 
 
 def _relative_population_changes(

@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 
+from kramers.tensors import SymmetricTensor3, subsite_transform
+
 
 def read_csv(path):
     """Read one of the package's CSV outputs into {column: array}.
@@ -20,3 +22,16 @@ def read_csv(path):
         except ValueError:
             out[name] = np.array(col)
     return out
+
+
+def closest_subsite_representative(tensor: SymmetricTensor3, reference: SymmetricTensor3) -> SymmetricTensor3:
+    """The subsite labelling of ``tensor`` nearest to ``reference``.
+
+    Fits from subsite-degenerate field geometries determine the tensor only
+    up to the C2-about-b reflection; comparisons against a known truth pick
+    the representative with the smaller elementwise matrix distance.
+    """
+    flipped = subsite_transform(tensor)
+    d_direct = np.abs(tensor.matrix - reference.matrix).max()
+    d_flipped = np.abs(flipped.matrix - reference.matrix).max()
+    return tensor if d_direct <= d_flipped else flipped

@@ -13,10 +13,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import closest_subsite_representative
 from kramers.fitting import (
     DataPoint,
     FitProblem,
-    closest_subsite_representative,
     fit,
 )
 from kramers.hamiltonian import (

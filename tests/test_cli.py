@@ -376,7 +376,7 @@ class TestSelftestCommand:
 
 
 def test_commands_that_need_no_scipy_do_not_import_it(tmp_path):
-    # one fresh interpreter runs several commands, then lists the SciPy modules it loaded
+    # one fresh interpreter runs every subcommand, then lists the SciPy modules it loaded
     from kramers.hamiltonian import PAIRS, eigensystem
     from kramers.presets import SITE_I
 
@@ -386,16 +386,35 @@ def test_commands_that_need_no_scipy_do_not_import_it(tmp_path):
         rows += [f"shb,ground,{field[0]},{field[1]},{field[2]},{float(e[j] - e[i])!r},0.002,{i + 1}-{j + 1}"
                  for i, j in PAIRS]
     (tmp_path / "fit-data.csv").write_text("\n".join(rows) + "\n")
+    rates = "[rates]\nr12 = 20\nr13 = 1.5\nr14 = 0.6\nr23 = 0.6\nr24 = 1.5\nr34 = 20\npump_rate = 100\n"
+    (tmp_path / "rates.ini").write_text(rates + "duration_s = 0.3\n")
+    (tmp_path / "rates-inf.ini").write_text(rates + "duration_s = inf\n")
+    commands = [
+        (["levels", "--B", "0"], 0), (["transitions", "--B", "100,0,0"], 0), (["odmr", "--B", "0"], 0),
+        (["absorption", "--model", "uniform", "--peaks-out", "peaks.csv"], 0),
+        (["ordering", "--peaks-file", "peaks.csv"], 0), (["epr-map", "--step", "90"], 0),
+        (["shb-map", "--magnitudes", "0,10", "--span=-1:1:0.1"], 0),
+        (["shb-map", "--magnitudes", "0,10", "--span=-1:1:0.1", "--rates", "rates.ini"], 0),
+        # the CLI reads only finite numbers: an infinite burn is a bad-rates error
+        (["shb-map", "--magnitudes", "0,10", "--span=-1:1:0.1", "--rates", "rates-inf.ini"], 2),
+        (["fit", "--data", "fit-data.csv", "--restarts", "2"], 0),
+        (["invert", "--lines", "2046,2385,2869,3208"], 0),
+        (["zefoz", "--transition", "1,2", "--radius", "100"], 0), (["selftest"], 0),
+    ]
+    assert {argv[0] for argv, _ in commands} == set(SCHEMAS)
     script = (
         "import sys\n"
+        "import numpy as np\n"
         "import kramers.cli as cli\n"
-        "for argv in (['levels', '--B', '0'], ['transitions', '--B', '100,0,0'], ['odmr', '--B', '0'],\n"
-        "             ['absorption', '--model', 'uniform', '--peaks-out', 'peaks.csv'],\n"
-        "             ['ordering', '--peaks-file', 'peaks.csv'], ['epr-map', '--step', '90'],\n"
-        "             ['shb-map', '--magnitudes', '0,10', '--span=-1:1:0.1'],\n"
-        "             ['fit', '--data', 'fit-data.csv', '--restarts', '2'],\n"
-        "             ['zefoz', '--transition', '1,2', '--radius', '100']):\n"
-        "    assert cli.main(argv) == 0, argv\n"
+        "from kramers import shb\n"
+        "from kramers.config import load_rates\n"
+        "from kramers.presets import SITE_I\n"
+        f"for argv, code in {commands!r}:\n"
+        "    assert cli.main(argv) == code, argv\n"
+        "# the stationary populations of the infinite burn, through the library\n"
+        "rates = load_rates('rates.ini')\n"
+        "shb.shb_field_map(SITE_I, (1.0, 0.0, 0.0), [0.0, 10.0], 0.0,\n"
+        "                  shb.RateMatrix(rates.rates, rates.pump_rate, np.inf), (-1.0, 1.0), 0.1)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(kramers.__file__).parents[1])
@@ -404,4 +423,3 @@ def test_commands_that_need_no_scipy_do_not_import_it(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
-

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -124,37 +126,60 @@ class TestOutput:
         assert format_number(True) == "1"
 
     def test_csv_deterministic_and_stamped(self):
-        rows = [(1, 2.5), (2, 3.25)]
-        a = csv_text(["n", "x"], rows)
-        b = csv_text(["n", "x"], rows)
+        columns = [np.array([1, 2]), np.array([2.5, 3.25])]
+        a = csv_text(["n", "x"], columns)
+        b = csv_text(["n", "x"], columns)
         assert a == b
         assert a.splitlines()[0].startswith("# kramers")
-        no_stamp = csv_text(["n", "x"], rows, stamp=False)
+        no_stamp = csv_text(["n", "x"], columns, stamp=False)
         assert no_stamp.splitlines()[0] == "n,x"
 
     def test_block_writer_matches_row_formatter(self, monkeypatch):
-        values = [0, 7, -3, 10**12, True, False, np.bool_(True), np.int64(-5), "a", "",
-                  0.0, -0.0, np.float64(-0.0), float("nan"), np.float64("nan"), float("inf"),
-                  -np.inf, 1e-300, 1e300, 1e12, 1e9, 123456789.0, np.float32(0.1), 0.1, 2.5, -1e-16]
+        # each column kind, and grids of axes, against format_number cell by cell
+        kinds = {
+            "int": np.array([0, 7, -3, 10**12, -5]),
+            "bool": np.array([True, False]),
+            "str": ["a", "", "b"],
+            "float": np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 1e300, 1e12, 1e9,
+                               123456789.0, 0.1, 2.5, -1e-16]),
+            "float32": np.array([0.1, -0.0, 3.5], dtype=np.float32),
+        }
         rng = np.random.default_rng(4)
 
-        def choice(n):
-            return [values[k] for k in rng.integers(0, len(values), n)]
+        def column(kind, n):
+            values = kinds[kind]
+            picked = [values[k] for k in rng.integers(0, len(values), n)]
+            return picked if kind == "str" else np.array(picked, dtype=values.dtype)
 
-        floats = [-0.0, 0.0, 1e-300, -1e300, float("nan"), float("-inf"), 0.25, np.float64(0.25)]
         tables = {
-            "mixed columns": [tuple(choice(3)) for _ in range(40)],
-            "float columns": [(floats[k % 8], floats[(3 * k) % 8], np.float64(k / 7)) for k in range(40)],
-            "one column": [(v,) for v in values],
-            "ragged rows": [tuple(choice(n)) for n in rng.integers(0, 4, 40)],
-            "empty rows": [(), ()],
-            "no rows": [],
+            "mixed columns": [column(kind, 40) for kind in ("int", "str", "float", "bool", "float32")],
+            "one column": [kinds["float"]],
+            "no rows": [np.zeros(0), []],
+        }
+        grids = {
+            "two axes": [column("float", 4), column("float", 5), column("float", 20), column("bool", 20)],
+            "three axes": [column("int", 2), column("float", 3), column("float", 4), column("float", 24)],
+            "empty axis": [column("float", 3), np.zeros(0), np.zeros(0)],
         }
         for size in (output.BLOCK_ROWS, 3, 1):
             monkeypatch.setattr(output, "BLOCK_ROWS", size)
-            for name, rows in tables.items():
-                for stamp in (True, False):
-                    assert csv_text(["a", "b", "c"], rows, stamp) == row_csv(["a", "b", "c"], rows, stamp), name
+            for stamp in (True, False):
+                for name, columns in tables.items():
+                    header = [f"c{k}" for k in range(len(columns))]
+                    rows = list(zip(*columns))
+                    assert csv_text(header, columns, stamp) == row_csv(header, rows, stamp), name
+                for name, columns in grids.items():
+                    axes = len(columns) - 1 - (name == "two axes")
+                    header = [f"c{k}" for k in range(len(columns))]
+                    rows = [(*point, *values) for point, values in
+                            zip(itertools.product(*columns[:axes]), zip(*columns[axes:]))]
+                    assert csv_text(header, columns, stamp, grid=axes) == row_csv(header, rows, stamp), name
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError):
+            csv_text(["a", "b"], [np.zeros(2), np.zeros(3)])
+        with pytest.raises(ValueError):
+            csv_text(["a", "b", "c"], [np.zeros(2), np.zeros(3), np.zeros(5)], grid=2)
 
     def test_shb_map_csv_matches_row_formatter(self, tmp_path):
         from kramers.cli import main

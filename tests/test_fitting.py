@@ -8,12 +8,12 @@ from dataclasses import replace
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import closest_subsite_representative
 from kramers import fitting
 from kramers.fitting import (
     DataPoint,
     FitProblem,
     canonical_orientation,
-    closest_subsite_representative,
     compile_data,
     fit,
     invert_and_seed,
@@ -552,7 +552,49 @@ angle = st.floats(-180.0, 180.0)
 angles = st.tuples(angle, st.floats(5.0, 175.0), angle)
 tilt = st.tuples(*[st.floats(-3.0, 3.0)] * 3)
 shifts = st.tuples(*[st.floats(-0.03, 0.03)] * 6)
-directions = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(lambda d: np.linalg.norm(d) > 0.3)
+azimuths = st.floats(-180.0, 180.0)
+
+
+def unit_vector(azimuth_deg, elevation_deg):
+    a, e = np.radians(azimuth_deg), np.radians(elevation_deg)
+    return np.array([np.cos(e) * np.cos(a), np.cos(e) * np.sin(a), np.sin(e)])
+
+
+# at least 10 degrees out of the D1-D2 plane and off b, where the two subsites differ
+oblique = st.tuples(azimuths, st.floats(10.0, 80.0), st.sampled_from([1.0, -1.0])).map(
+    lambda t: unit_vector(t[0], t[2] * t[1]))
+# and in that plane or along b, where they see the same levels
+directions = st.one_of(oblique, azimuths.map(lambda a: unit_vector(a, 0.0)),
+                       st.sampled_from([np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]))
+
+
+def separated_field(realized, direction, magnitude, unlabeled_state):
+    """The field along ``direction`` nearest ``magnitude`` mT, of it and 5, 10, ...,
+    150 mT, where adjacent levels are apart and each point's chosen transition
+    is nearer than every other candidate by a margin; with each state's
+    (subsite, pair) frequencies there.  None if there is no such field.
+    """
+    # in the D1-D2 plane or along b the subsites see the same levels
+    symmetric = direction[2] == 0 or not direction[:2].any()
+    mags = np.unique(np.concatenate([[magnitude], np.arange(5.0, 150.1, 5.0)]))
+    mags = mags[np.argsort(np.abs(mags - magnitude), kind="stable")]
+    fields = mags[:, None] * direction / np.linalg.norm(direction)
+    ok = np.ones(mags.size, dtype=bool)
+    freqs = {}
+    for state in fitting.STATES:
+        sys1 = getattr(realized, state)
+        e = np.stack([energies_sweep(sys1.with_subsite(s), fields) for s in (1, 2)], axis=1)
+        f = (e[..., PAIR_HI] - e[..., PAIR_LO])[:, :1 if symmetric else 2]  # (field, subsite, pair)
+        ok &= f[:, :, [0, 3, 5]].min(axis=(1, 2)) > SEPARATION_GHZ
+        ok &= np.all(np.abs(f[:, 1:] - f[:, :1]) > SEPARATION_GHZ, axis=(1, 2))
+        if state == unlabeled_state:
+            flat = f.reshape(mags.size, -1)
+            ok &= np.all(np.abs(flat[:, 1:] - flat[:, :1]) > SEPARATION_GHZ, axis=1)
+        freqs[state] = f
+    if not ok.any():
+        return None
+    k = int(np.argmax(ok))
+    return tuple(fields[k]), {state: f[k] for state, f in freqs.items()}
 
 
 class TestAnalyticJacobian:
@@ -563,28 +605,15 @@ class TestAnalyticJacobian:
            st.sampled_from(fitting.STATES))
     def test_frequency_columns(self, site, angles_g, angles_e, mis, deltas, direction, magnitude, unlabeled_state):
         problem, x = fit_point(site, angles_g, angles_e, mis, deltas)
-        field = tuple(magnitude * direction / np.linalg.norm(direction))
-        realized = problem.realized_site(x)
-        # in the D1-D2 plane or along b the subsites see the same levels
-        symmetric = direction[2] == 0 or not direction[:2].any()
+        separated = separated_field(problem.realized_site(x), direction, magnitude, unlabeled_state)
+        assume(separated is not None)
+        field, freqs = separated
         data = []
         for state in fitting.STATES:
-            sys1 = getattr(realized, state)
-            freqs = np.array([
-                (e[PAIR_HI] - e[PAIR_LO])
-                for e in (energies_sweep(sys1.with_subsite(s), np.array([field]))[0] for s in (1, 2))
-            ])  # (subsite, pair)
-            if symmetric:
-                freqs = freqs[:1]
-            # adjacent levels apart, and each point's chosen transition
-            # nearer than every other candidate by a margin
-            assume(freqs[:, [0, 3, 5]].min() > SEPARATION_GHZ)
-            assume(np.all(np.abs(freqs[1:] - freqs[0]) > SEPARATION_GHZ))
-            for (i, j), f in zip(zip(PAIR_LO, PAIR_HI), freqs[0]):
+            for (i, j), f in zip(zip(PAIR_LO, PAIR_HI), freqs[state][0]):
                 data.append(DataPoint("shb", state, field, f, 2e-3, (int(i), int(j))))
             if state == unlabeled_state:
-                assume(np.all(np.abs(freqs.ravel()[1:] - freqs[0, 0]) > SEPARATION_GHZ))
-                data.append(DataPoint("shb", state, field, freqs[0, 0] + 1e-4, 2e-3))
+                data.append(DataPoint("shb", state, field, freqs[state][0, 0] + 1e-4, 2e-3))
         compiled = compile_data(data)
         ev = fitting.evaluate(problem, *fitting._points(problem, x[None]), compiled, jac=True)
         assert not ev.gated.any()
@@ -596,7 +625,7 @@ class TestAnalyticJacobian:
             np.testing.assert_allclose(ev.jacobian[0][:, c], -fd[:, c], rtol=1e-5, atol=atol, err_msg=name)
 
     @settings(max_examples=10, deadline=None)
-    @given(sites, angles, angles, tilt, shifts, directions, st.sampled_from(fitting.STATES), st.data())
+    @given(sites, angles, angles, tilt, shifts, oblique, st.sampled_from(fitting.STATES), st.data())
     def test_epr_field_columns(self, site, angles_g, angles_e, mis, deltas, direction, state, draw):
         problem, x = fit_point(site, angles_g, angles_e, mis, deltas)
         sys1 = getattr(problem.realized_site(x), state)
@@ -908,6 +937,44 @@ class TestInvertAndSeed:
     def test_reconstruct_needs_three_lines(self):
         with pytest.raises(ValueError):
             reconstruct_levels([1.0, 2.0])
+
+    def test_tied_ladders_break_to_the_least_gaps(self):
+        # gaps (0.6, 1.4, 0.75) and (0.15, 1.4, 0.6), and their mirror images,
+        # all fit these lines exactly with the same central gap
+        levels = reconstruct_levels([2.15, 0.6, 2.0, 1.4])
+        np.testing.assert_allclose(np.diff(levels), [0.15, 1.4, 0.6], rtol=0, atol=1e-12)
+
+    @staticmethod
+    def scipy_levels(lines_ghz):
+        """Levels by one SciPy NNLS per assignment, or None past LEVEL_TOL_GHZ."""
+        from scipy.optimize import nnls
+
+        lines = np.sort(np.asarray(lines_ghz, dtype=float))
+        best = None
+        for combo in itertools.permutations(range(6), lines.size):
+            d, rnorm = nnls(fitting._GAP_COMBOS[list(combo)], lines)
+            key = (round(rnorm / np.sqrt(lines.size) / 1e-12) * 1e-12, -d[1], tuple(d))
+            best = key if best is None or key < best else best
+        levels = np.cumsum([0.0, *best[2]])
+        return None if best[0] > fitting.LEVEL_TOL_GHZ else levels - levels.mean()
+
+    def test_levels_match_scipy_nnls(self):
+        # every line set the tests, selftest and the CLI examples invert
+        from kramers.hamiltonian import zero_field_levels
+        from kramers.selftest import ODMR_LINES_SITE_I, ODMR_LINES_SITE_II, ODMR_PSEUDO_SITE_I
+
+        exact = zero_field_levels(0.3, 1.4, 6.2).sorted()
+        line_sets = [np.array(ODMR_LINES_SITE_I) * 1e-3, np.array(ODMR_LINES_SITE_II) * 1e-3,
+                     np.array([*ODMR_PSEUDO_SITE_I, 1162.0]) * 1e-3, np.array([0.5, 0.9, 1.7, 2.9]),
+                     np.sort([exact[j] - exact[i] for i, j in PAIRS])]
+        for lines in line_sets:
+            reference = self.scipy_levels(lines)
+            if reference is None:
+                with pytest.raises(ValueError, match="closest"):
+                    reconstruct_levels(lines)
+            else:
+                # measured: equal to 9e-16 GHz, a few units in the last place
+                np.testing.assert_allclose(reconstruct_levels(lines), reference, rtol=0, atol=1e-14)
 
 
 class TestDataPoint:

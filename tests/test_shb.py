@@ -9,6 +9,9 @@ from kramers.shb import (
     HOLE,
     PSEUDO_HOLE,
     RateMatrix,
+    _expm,
+    _generator,
+    _null_space,
     enumerate_classes,
     hole_pattern,
     populations_after_burn,
@@ -142,7 +145,6 @@ class TestPopulations:
         assert p[0] < 0.9 * 0.25
 
         from scipy.integrate import solve_ivp
-        from kramers.shb import _generator
 
         m = _generator(rates, 2)
         sol = solve_ivp(
@@ -182,6 +184,75 @@ class TestPopulations:
         r[0, 1] = -1.0
         with pytest.raises(ValueError):
             RateMatrix(r)
+
+
+def benchmark_rates(base: float) -> RateMatrix:
+    """One of perfbench's four rate variants: pair rates proportional to the
+    zero-field |<m|S_D1|n>|^2 of site I, the largest equal to ``base`` (1/s),
+    at 6 digits."""
+    weights = {(0, 1): 1.0, (0, 2): 0.0737165, (0, 3): 0.03024555, (1, 2): 0.03024555,
+               (1, 3): 0.0737165, (2, 3): 1.0}
+    return RateMatrix.symmetric({pair: float(f"{base * w:.6g}") for pair, w in weights.items()},
+                                pump_rate=100.0, duration_s=0.3)
+
+
+def random_generator(rng) -> np.ndarray:
+    r = rng.uniform(0.0, 1.0, (4, 4)) * 10.0 ** rng.uniform(-3, 3)
+    np.fill_diagonal(r, 0.0)
+    return _generator(RateMatrix(r, pump_rate=rng.uniform(0.0, 300.0)), int(rng.integers(0, 4)))
+
+
+class TestScipyReference:
+    """The rate-equation exponential and null space against SciPy's."""
+
+    @pytest.mark.parametrize("base", [2.0, 20.0, 200.0, 2000.0])
+    def test_expm_on_benchmark_rates(self, base):
+        from scipy import linalg as scipy_linalg
+
+        rates = benchmark_rates(base)
+        for level in range(4):
+            mt = _generator(rates, level) * rates.duration_s
+            reference = scipy_linalg.expm(mt)
+            # measured at most 1.7e-13 (base 2000, ||Mt||_1 = 1385)
+            assert np.abs(_expm(mt) - reference).max() <= 5e-13 * np.abs(reference).max()
+
+    def test_expm_on_random_generators(self):
+        from scipy import linalg as scipy_linalg
+
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            m = random_generator(rng)
+            mt = m * 10.0 ** rng.uniform(-4, 3) / np.abs(m).sum(axis=0).max()  # ||Mt||_1 <= 1e3
+            reference = scipy_linalg.expm(mt)
+            assert np.abs(_expm(mt) - reference).max() <= 5e-13 * np.abs(reference).max()
+
+    def test_expm_of_zero_and_diagonal(self):
+        assert np.array_equal(_expm(np.zeros((4, 4))), np.eye(4))
+        d = np.array([-3.0, -0.5, 0.0, 2.0])
+        assert np.allclose(_expm(np.diag(d)), np.diag(np.exp(d)), rtol=1e-14, atol=0)
+
+    def test_null_space(self):
+        from scipy import linalg as scipy_linalg
+
+        rng = np.random.default_rng(12)
+        generators = [_generator(benchmark_rates(base), level) for base in (2.0, 2000.0) for level in range(4)]
+        generators += [random_generator(rng) for _ in range(100)]
+        generators += [np.zeros((4, 4)), _generator(RateMatrix(np.zeros((4, 4)), pump_rate=100.0), 1)]
+        for m in generators:
+            ours, reference = _null_space(m), scipy_linalg.null_space(m)
+            assert ours.shape == reference.shape
+            # the same subspace: equal orthogonal projectors
+            assert np.abs(ours @ ours.T - reference @ reference.T).max() < 1e-12
+
+    @pytest.mark.parametrize("pairs, pump, dimension", [
+        ({}, 100.0, 3),                          # pumped into three absorbing levels
+        ({(0, 1): 5.0, (2, 3): 5.0}, 0.0, 2),    # two closed pairs, no pump
+    ])
+    def test_reducible_generator_has_no_stationary_distribution(self, pairs, pump, dimension):
+        rates = RateMatrix.symmetric(pairs, pump_rate=pump)
+        assert _null_space(_generator(rates, 0)).shape[1] == dimension
+        with pytest.raises(ValueError, match="no stationary distribution"):
+            populations_after_burn(rates, 0, duration_s=np.inf)
 
 
 class TestFieldMap:
