@@ -187,7 +187,7 @@ def _build_parser() -> _Parser:
 
 
 def _field_from_args(args) -> np.ndarray:
-    vec = np.asarray(args.field)
+    vec = np.asarray(args.field, dtype=float)
     if args.magnitude is not None:
         norm = np.linalg.norm(vec)
         if norm == 0:

@@ -560,10 +560,13 @@ def unit_vector(azimuth_deg, elevation_deg):
     return np.array([np.cos(e) * np.cos(a), np.cos(e) * np.sin(a), np.sin(e)])
 
 
-# at least 10 degrees out of the D1-D2 plane and off b, where the two subsites differ
-oblique = st.tuples(azimuths, st.floats(10.0, 80.0), st.sampled_from([1.0, -1.0])).map(
+# every direction on the sphere
+sphere = st.tuples(azimuths, st.floats(-90.0, 90.0)).map(lambda t: unit_vector(*t))
+# out of the D1-D2 plane, where the two subsites differ: ``separated_field``
+# decides at which fields they differ enough
+oblique = st.tuples(azimuths, st.floats(2.0, 90.0), st.sampled_from([1.0, -1.0])).map(
     lambda t: unit_vector(t[0], t[2] * t[1]))
-# and in that plane or along b, where they see the same levels
+# and exactly in that plane or along b, where they see the same levels
 directions = st.one_of(oblique, azimuths.map(lambda a: unit_vector(a, 0.0)),
                        st.sampled_from([np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]))
 
@@ -625,7 +628,7 @@ class TestAnalyticJacobian:
             np.testing.assert_allclose(ev.jacobian[0][:, c], -fd[:, c], rtol=1e-5, atol=atol, err_msg=name)
 
     @settings(max_examples=10, deadline=None)
-    @given(sites, angles, angles, tilt, shifts, oblique, st.sampled_from(fitting.STATES), st.data())
+    @given(sites, angles, angles, tilt, shifts, sphere, st.sampled_from(fitting.STATES), st.data())
     def test_epr_field_columns(self, site, angles_g, angles_e, mis, deltas, direction, state, draw):
         problem, x = fit_point(site, angles_g, angles_e, mis, deltas)
         sys1 = getattr(problem.realized_site(x), state)
