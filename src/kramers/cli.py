@@ -234,6 +234,10 @@ def _cmd_absorption(args) -> int:
 def _cmd_shb_map(args) -> int:
     site = _resolve_site(args)
     check_points("magnitudes,span", args.magnitudes.size, args.span.points)
+    half_width = 0.5e-3 * args.width  # GHz
+    if not 0.0 < half_width * half_width < np.inf:  # the Lorentzian would read 0/0 or inf/inf
+        raise ConfigError("bad-value", f"width: {args.width:g} MHz has no finite nonzero squared half-width",
+                          "width")
     rates = load_rates(args.rates) if args.rates else None
     fmap = shb.shb_field_map(
         site, args.direction, args.magnitudes, args.burn, rates,
@@ -406,7 +410,10 @@ def _cmd_ordering(args) -> int:
     if len(peaks) < 4:
         raise ConfigError("too-few-peaks", f"{len(peaks)} peak(s) given; the ordering search needs at least 4"
                           " (try absorption --model uniform or a lower --prominence)", "peaks")
-    ranked = spectra.ordering_search(site, peaks)
+    try:
+        ranked = spectra.ordering_search(site, peaks)
+    except ValueError as exc:  # peaks so far apart that the fit overflows
+        raise ConfigError("bad-value", str(exc), "peaks")
     classes = np.array([r.ordering for r in ranked]).reshape(-1, 2)
     write_csv(args.out, ["rank", "ground_class", "excited_class", "rms_mhz", "offset_ghz", "tied"],
               [np.arange(1, len(ranked) + 1), *classes.T, np.array([r.rms_ghz * 1e3 for r in ranked]),
@@ -421,6 +428,8 @@ def _cmd_ordering(args) -> int:
 def _cmd_zefoz(args) -> int:
     site = _resolve_site(args)
     check_points("grid", *args.grid)
+    if not (2.0 * args.radius) * (2.0 * args.radius) < np.inf:  # squared distances between minima
+        raise ConfigError("bad-value", f"radius: {args.radius:g} mT: twice it has no finite square", "radius")
     candidates = zefoz.zefoz_search(
         getattr(site, args.state), args.transition,
         region=args.radius, grid=args.grid, refine_tol_mhz_per_mt=args.refine_tol,

@@ -251,7 +251,7 @@ class ZeroFieldLevels:
     """The four analytic zero-field energies, tagged by their +/- branch.
 
     Branch order: (-A3 - (A1+A2), -A3 + (A1+A2), A3 - (A1-A2), A3 + (A1-A2)),
-    each divided by 4.
+    each divided by 4.  From stacks of eigenvalues, each energy is a stack.
     """
 
     energies: tuple[float, float, float, float]
@@ -259,11 +259,13 @@ class ZeroFieldLevels:
     BRANCHES = ("-A3-(A1+A2)", "-A3+(A1+A2)", "A3-(A1-A2)", "A3+(A1-A2)")
 
     def sorted(self) -> np.ndarray:
-        return np.sort(np.asarray(self.energies))
+        """The energies ascending: (4,), or (..., 4) for stacks."""
+        return np.sort(np.stack(self.energies, axis=-1), axis=-1)
 
 
 def zero_field_levels(a1: float, a2: float, a3: float) -> ZeroFieldLevels:
-    """Closed-form B = 0 energies from the hyperfine eigenvalues (GHz)."""
+    """Closed-form B = 0 energies from the hyperfine eigenvalues (GHz),
+    numbers or arrays of one shape."""
     s, d = a1 + a2, a1 - a2
     return ZeroFieldLevels(
         (0.25 * (-a3 - s), 0.25 * (-a3 + s), 0.25 * (a3 - d), 0.25 * (a3 + d))
@@ -271,23 +273,26 @@ def zero_field_levels(a1: float, a2: float, a3: float) -> ZeroFieldLevels:
 
 
 def invert_zero_field(levels) -> tuple[float, float, float]:
-    """Recover (|A1|, |A2|, |A3|) from four sorted zero-field energies.
+    """Recover (|A1|, |A2|, |A3|) from four sorted zero-field energies, or
+    from each row of a stack (..., 4) of them.
 
     Uses |A1+A2| = 2(E2-E1), |A2-A1| = 2(E4-E3) and
     |A3| = (E3+E4) - (E1+E2), resolved so that |A3| >= |A2| >= |A1|.
     """
-    e = np.asarray(levels, dtype=float).reshape(4)
-    scale = max(np.abs(e).max(), 1e-30)
+    e = np.asarray(levels, dtype=float)
+    e = e if e.ndim > 1 else e.reshape(4)
+    scale = np.maximum(np.abs(e).max(axis=-1, keepdims=True), 1e-30)
     if np.any(np.diff(e) < -1e-12 * scale):
         raise ValueError("levels must be sorted ascending")
-    if abs(e.sum()) > 1e-6 * scale:
-        raise ValueError(f"levels must sum to ~0 (got {e.sum():g})")
-    d1 = e[1] - e[0]
-    d3 = e[3] - e[2]
-    a3 = (e[2] + e[3]) - (e[0] + e[1])
+    total = e.sum(axis=-1, keepdims=True)
+    if np.any(np.abs(total) > 1e-6 * scale):
+        raise ValueError(f"levels must sum to ~0 (got {total[np.abs(total) > 1e-6 * scale][0]:g})")
+    d1 = e[..., 1] - e[..., 0]
+    d3 = e[..., 3] - e[..., 2]
+    a3 = (e[..., 2] + e[..., 3]) - (e[..., 0] + e[..., 1])
     a2 = d1 + d3
     a1 = abs(d1 - d3)
-    if a3 < 0 or a2 < 0:
+    if np.any(a3 < 0) or np.any(a2 < 0):
         raise ValueError("inconsistent level set: negative magnitudes")
     return (a1, a2, a3)
 

@@ -26,35 +26,45 @@ def format_number(x) -> str:
     return format(float(x), FLOAT_FORMAT)
 
 
-def _cells(column) -> list[str]:
-    """The text of each value of a column, by the rule of ``format_number``."""
-    a = np.asarray(column)
+def _cells(a: np.ndarray) -> list:
+    """The values of a column as its cells take them: floats, or for str,
+    bool and int columns their text by the rule of ``format_number``."""
     if a.dtype.kind == "U":
         return a.tolist()
     if a.dtype == bool:
         return np.where(a, "1", "0").tolist()
     if a.dtype.kind in "iu":
         return list(map(str, a.tolist()))
-    return list(map(format, a.astype(float).tolist(), itertools.repeat(FLOAT_FORMAT)))
+    return a.astype(float).tolist()
+
+
+def _placeholder(a: np.ndarray) -> str:
+    """The %-format of a column's cells: text as is, floats as format(x, FLOAT_FORMAT)."""
+    return "%s" if a.dtype.kind in "Ubiu" else "%" + FLOAT_FORMAT
 
 
 def _blocks(columns, grid: int):
-    """The CSV lines of at most BLOCK_ROWS rows at a time, one string per block."""
-    axes = [_cells(c) for c in columns[:grid]]
+    """The CSV lines of at most BLOCK_ROWS rows at a time, one string per
+    block: one %-format of a template that holds the axis text ('%'
+    escaped) and a placeholder per value cell."""
+    columns = [np.asarray(c) for c in columns]
+    axes = [[(_placeholder(a) % v).replace("%", "%%") for v in _cells(a)] for a in columns[:grid]]
     values = columns[grid:]
-    inner = axes.pop() if axes else None
-    # one line prefix per point of the outer axes; [""] without them
+    cells = ",".join(map(_placeholder, values))
+    # each line after its outer-axis prefix: an inner-axis value, then the value cells
+    lines = [t + "," + cells if values else t for t in axes.pop()] if axes else None
     prefixes = ["".join(p) for p in itertools.product(*([t + "," for t in a] for a in axes))]
-    run = len(inner) if inner is not None else len(values[0])
+    run = len(lines) if lines is not None else len(values[0])
     if any(len(v) != run * len(prefixes) for v in values):
         raise ValueError("CSV columns differ in length")
     for n, prefix in enumerate(prefixes):
-        for start in range(0, run, BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, run)
-            cells = [_cells(v[n * run + start:n * run + stop]) for v in values]
-            if inner is not None:
-                cells.insert(0, inner[start:stop])
-            yield prefix + ("\n" + prefix).join(map(",".join, zip(*cells))) + "\n"
+        for start in range(n * run, (n + 1) * run, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, (n + 1) * run)
+            block = lines[start - n * run:stop - n * run] if lines is not None else [cells] * (stop - start)
+            flat = [None] * ((stop - start) * len(values))
+            for k, v in enumerate(values):
+                flat[k::len(values)] = _cells(v[start:stop])
+            yield (prefix + ("\n" + prefix).join(block) + "\n") % tuple(flat)
 
 
 def csv_text(header: list[str], columns, stamp: bool = True, grid: int = 0) -> str:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import EigenSystem, as_field, eigensystem, unit_direction
-from .spectra import SiteModel, _optical_lines, lorentzian_amplitude
+from .hamiltonian import as_field, hamiltonian_batch, unit_direction
+from .spectra import SiteModel, lorentzian_amplitude
 
 HOLE = "hole"
 ANTIHOLE = "antihole"
@@ -26,6 +26,7 @@ THERMAL_POPULATION = 0.25  # kT >> hyperfine splittings at a few kelvin
 DEFAULT_CLASS_CUTOFF = 1e-3
 PSEUDO_EPSILON = 0.10
 DEFAULT_HOLE_WIDTH_MHZ = 5.0
+FIELD_CHUNK = 4096  # fields of a map per stacked eigh
 
 
 @dataclass(frozen=True)
@@ -101,20 +102,31 @@ def enumerate_classes(
     amplitude there times the line strength of the uniform intensity model
     (both normalized to peak 1).
     """
-    return _classes(site, eigensystem(site.ground, B), eigensystem(site.excited, B), burn_detuning_ghz, cutoff)
+    (eg,), (ee,) = _energies(site, as_field(B)[None])
+    return _classes(site, eg, ee, burn_detuning_ghz, cutoff)
 
 
-def _classes(site: SiteModel, es_g: EigenSystem, es_e: EigenSystem, burn: float, cutoff: float) -> list[ClassAssignment]:
-    """``enumerate_classes`` from the ground and excited eigensystems at the field."""
+def _energies(site: SiteModel, fields: np.ndarray) -> tuple[list, list]:
+    """Ground and excited energies at the fields (N, 3): two lists of N lists of 4 floats.
+
+    The uniform intensity model needs no eigenvectors, and each matrix of
+    a stacked ``eigh`` gives the same energies as ``eigensystem`` at its field.
+    """
+    return tuple(np.linalg.eigh(hamiltonian_batch(sys, fields))[0].tolist() for sys in (site.ground, site.excited))
+
+
+def _classes(site: SiteModel, eg: list, ee: list, burn: float, cutoff: float) -> list[ClassAssignment]:
+    """``enumerate_classes`` from the ground and excited energies at the field."""
     if not 0.0 < cutoff <= 1.0:
         raise ValueError("cutoff must be in (0, 1]")
     fwhm_ghz = site.fwhm_mhz * 1e-3
     out = []
-    for line in _optical_lines(es_g, es_e, "uniform"):
-        offset = burn - line.detuning_ghz
-        w = float(lorentzian_amplitude(offset, fwhm_ghz)) * line.strength
-        if w >= cutoff:
-            out.append(ClassAssignment(line.ground_level, line.excited_level, offset, w))
+    for i in range(4):
+        for j in range(4):
+            offset = burn - (ee[j] - eg[i])
+            w = float(lorentzian_amplitude(offset, fwhm_ghz))
+            if w >= cutoff:
+                out.append(ClassAssignment(i, j, offset, w))
     return out
 
 
@@ -216,14 +228,43 @@ def _relative_population_changes(
     return (p - THERMAL_POPULATION) / THERMAL_POPULATION
 
 
+def _entries(site: SiteModel, eg: list, ee: list, burn: float, rates, cutoff: float, changes: dict) -> list:
+    """The holes, antiholes and pseudo-holes at one field, from its ground
+    and excited energies: (detuning, class, probe, polarity, weight) tuples
+    sorted by (detuning, class, probe), which no two entries share.
+
+    ``changes`` memoizes the relative population changes per pumped level;
+    they depend on ``rates`` alone, so the fields of one map share them.
+    """
+    entries = []
+    for cls in _classes(site, eg, ee, burn, cutoff):
+        i, j = cls.ground_level, cls.excited_level
+        if i not in changes:
+            changes[i] = _relative_population_changes(rates, i).tolist()
+        delta = changes[i]
+        for jp in range(4):
+            hole_shift = ee[jp] - ee[j]
+            entries.append((hole_shift, (i, j), (i, jp), HOLE, cls.weight * (-delta[i])))
+            for ip in range(4):
+                if ip == i:
+                    continue
+                if delta[ip] >= 0.0:
+                    polarity, w = ANTIHOLE, delta[ip]
+                elif -delta[ip] > PSEUDO_EPSILON:
+                    polarity, w = PSEUDO_HOLE, -delta[ip]
+                else:
+                    continue  # sub-threshold depletion: negligible amplitude
+                entries.append((hole_shift + (eg[i] - eg[ip]), (i, j), (ip, jp), polarity, cls.weight * w))
+    entries.sort()
+    return entries
+
+
 def hole_pattern(
     site: SiteModel,
     B,
     burn_detuning_ghz: float = 0.0,
     rates: RateMatrix | None = None,
     cutoff: float = DEFAULT_CLASS_CUTOFF,
-    *,
-    changes: dict | None = None,
 ) -> HolePattern:
     """Predict the hole/antihole spectrum for one burn configuration.
 
@@ -234,52 +275,30 @@ def hole_pattern(
     the probed ground level.  When a rate model is given, ground levels
     whose post-burn population falls more than ``PSEUDO_EPSILON`` below
     thermal re-label their antiholes as pseudo-holes.
-
-    ``changes`` memoizes the relative population changes per pumped level;
-    they depend on ``rates`` alone, so calls with the same rates can share
-    one dict and solve the rate equations once per level.
     """
-    if changes is None:
-        changes = {}
     B = as_field(B)
-    es_g, es_e = eigensystem(site.ground, B), eigensystem(site.excited, B)
-    eg, ee = es_g.energies, es_e.energies
-    entries: list[HoleEntry] = []
-    for cls in _classes(site, es_g, es_e, burn_detuning_ghz, cutoff):
-        i, j = cls.ground_level, cls.excited_level
-        if i not in changes:
-            changes[i] = _relative_population_changes(rates, i)
-        delta = changes[i]
-        for jp in range(4):
-            hole_shift = ee[jp] - ee[j]
-            entries.append(
-                HoleEntry(float(hole_shift), HOLE, cls.weight * (-delta[i]), (i, j), (i, jp))
-            )
-            for ip in range(4):
-                if ip == i:
-                    continue
-                detuning = (ee[jp] - ee[j]) + (eg[i] - eg[ip])
-                if delta[ip] >= 0.0:
-                    polarity, w = ANTIHOLE, delta[ip]
-                elif -delta[ip] > PSEUDO_EPSILON:
-                    polarity, w = PSEUDO_HOLE, -delta[ip]
-                else:
-                    continue  # sub-threshold depletion: negligible amplitude
-                entries.append(
-                    HoleEntry(float(detuning), polarity, cls.weight * w, (i, j), (ip, jp))
-                )
-    entries.sort(key=lambda e: (e.detuning_ghz, e.class_label, e.probe))
-    return HolePattern(tuple(entries), burn_detuning_ghz, tuple(B))
+    (eg,), (ee,) = _energies(site, B[None])
+    entries = _entries(site, eg, ee, burn_detuning_ghz, rates, cutoff, {})
+    return HolePattern(tuple(HoleEntry(d, polarity, w, cls, probe) for d, cls, probe, polarity, w in entries),
+                       burn_detuning_ghz, tuple(B))
+
+
+def _render(lines, detunings: np.ndarray, hole_width_mhz: float, out: np.ndarray) -> np.ndarray:
+    """Add to ``out`` the Lorentzian of each (detuning, signed weight) line,
+    in order; lines sorted by detuning share one line shape per detuning."""
+    width_ghz = hole_width_mhz * 1e-3
+    last = None
+    for detuning, weight in lines:
+        if detuning != last:
+            shape, last = lorentzian_amplitude(detunings - detuning, width_ghz), detuning
+        out += weight * shape
+    return out
 
 
 def render_pattern(pattern: HolePattern, detunings: np.ndarray, hole_width_mhz: float = DEFAULT_HOLE_WIDTH_MHZ) -> np.ndarray:
     """Signed spectrum on a detuning grid: holes negative, antiholes positive."""
-    width_ghz = hole_width_mhz * 1e-3
-    amp = np.zeros_like(detunings, dtype=float)
-    for e in pattern.entries:
-        sign = 1.0 if e.polarity == ANTIHOLE else -1.0
-        amp += sign * e.weight * lorentzian_amplitude(detunings - e.detuning_ghz, width_ghz)
-    return amp
+    lines = [(e.detuning_ghz, e.weight if e.polarity == ANTIHOLE else -e.weight) for e in pattern.entries]
+    return _render(lines, detunings, hole_width_mhz, np.zeros_like(detunings, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,9 +324,10 @@ def shb_field_map(
 ) -> FieldMap:
     """Render hole patterns for a monotone list of field magnitudes.
 
-    Rows are computed one field at a time and assembled in field order, so
-    the output is deterministic for fixed inputs.  The rate equations are
-    solved once per pumped level for the whole map.
+    Each row is the ``render_pattern`` of its field's ``hole_pattern``, bit
+    for bit: the energies come FIELD_CHUNK fields per stacked ``eigh``,
+    and the rate equations are solved once per pumped level for the whole
+    map.
     """
     d = unit_direction(direction)
     mags = np.asarray(magnitudes_mt, dtype=float).ravel()
@@ -315,13 +335,17 @@ def shb_field_map(
         raise ValueError("empty magnitude list")
     if np.any(np.diff(mags) < 0):
         raise ValueError("field magnitudes must be monotone non-decreasing")
+    if not np.all(np.isfinite(mags)):
+        raise ValueError("field components must be finite")
     lo, hi = detuning_range_ghz
     detunings = np.arange(lo, hi + 0.5 * detuning_step_ghz, detuning_step_ghz)
 
     changes: dict = {}
-    amplitudes = np.vstack([
-        render_pattern(hole_pattern(site, mag * d, burn_detuning_ghz, rates, cutoff, changes=changes),
-                       detunings, hole_width_mhz)
-        for mag in mags
-    ])
+    amplitudes = np.zeros((mags.size, detunings.size))
+    for start in range(0, mags.size, FIELD_CHUNK):
+        energies = _energies(site, mags[start:start + FIELD_CHUNK, None] * d)
+        for row, eg, ee in zip(amplitudes[start:], *energies):
+            entries = _entries(site, eg, ee, burn_detuning_ghz, rates, cutoff, changes)
+            _render([(x, w if polarity == ANTIHOLE else -w) for x, _, _, polarity, w in entries],
+                    detunings, hole_width_mhz, row)
     return FieldMap(tuple(d), mags, detunings, amplitudes)

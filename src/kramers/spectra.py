@@ -12,10 +12,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hamiltonian import EigenSystem, SpinSystem, eigensystem, zero_field_levels
+from .hamiltonian import SpinSystem, eigensystem, zero_field_levels
 from .tensors import decompose_tensor
 
 INTENSITY_MODELS = ("overlap", "uniform")
+OFFSET_CHUNK = 1 << 18  # elements of the seeds x peaks x lines distances per sweep
 
 
 def flip_sign_class(values) -> tuple[float, float, float]:
@@ -85,22 +86,14 @@ def optical_lines(site: SiteModel, B=(0.0, 0.0, 0.0), intensity_model: str = "ov
     """
     if intensity_model not in INTENSITY_MODELS:
         raise ValueError(f"unknown intensity model {intensity_model!r}")
-    return _optical_lines(eigensystem(site.ground, B), eigensystem(site.excited, B), intensity_model)
-
-
-def _optical_lines(es_g: EigenSystem, es_e: EigenSystem, intensity_model: str) -> list[OpticalLine]:
-    """``optical_lines`` from the ground and excited eigensystems at the field."""
+    es_g, es_e = eigensystem(site.ground, B), eigensystem(site.excited, B)
     if intensity_model == "overlap":
         raw = np.abs(es_e.states.conj().T @ es_g.states) ** 2  # [j, i]
         raw = raw / raw.max()
     else:
         raw = np.ones((4, 4))
-    lines = [
-        OpticalLine(i, j, float(es_e.energies[j] - es_g.energies[i]), float(raw[j, i]))
-        for i in range(4)
-        for j in range(4)
-    ]
-    return lines
+    return [OpticalLine(i, j, float(es_e.energies[j] - es_g.energies[i]), float(raw[j, i]))
+            for i in range(4) for j in range(4)]
 
 
 def lorentzian_amplitude(x, fwhm: float):
@@ -182,18 +175,24 @@ def _offset_fit(peaks: np.ndarray, lines: np.ndarray) -> tuple[float, float]:
 
     Seeds the 1-D least-squares fit from every peak-line pairing and
     iterates the nearest-line assignment to a fixed point; returns
-    (rms, offset).
+    (rms, offset).  The seeds go OFFSET_CHUNK elements of their
+    (seeds, peaks, lines) distances at a time.
     """
+    seeds = (peaks[:, None] - lines[None, :]).ravel()
+    rms = np.empty_like(seeds)
+    step = max(1, OFFSET_CHUNK // (peaks.size * lines.size))
+    for start in range(0, seeds.size, step):
+        t = seeds[start:start + step]
+        for _ in range(4):
+            shifted = peaks[None, :] - t[:, None]
+            assigned = lines[np.argmin(np.abs(lines[None, None, :] - shifted[:, :, None]), axis=2)]
+            t = np.mean(peaks[None, :] - assigned, axis=1)
+        seeds[start:start + step] = t
+        rms[start:start + step] = np.sqrt(np.mean((peaks[None, :] - t[:, None] - assigned) ** 2, axis=1))
     best_rms, best_offset = np.inf, 0.0
-    for p in peaks:
-        for l in lines:
-            t = p - l
-            for _ in range(4):
-                assigned = lines[np.argmin(np.abs(lines[None, :] - (peaks - t)[:, None]), axis=1)]
-                t = float(np.mean(peaks - assigned))
-            rms = float(np.sqrt(np.mean((peaks - t - assigned) ** 2)))
-            if rms < best_rms - 1e-15 or (abs(rms - best_rms) <= 1e-15 and t < best_offset):
-                best_rms, best_offset = rms, t
+    for r, t in zip(rms.tolist(), seeds.tolist()):
+        if r < best_rms - 1e-15 or (abs(r - best_rms) <= 1e-15 and t < best_offset):
+            best_rms, best_offset = r, t
     return best_rms, best_offset
 
 
@@ -211,7 +210,8 @@ def ordering_search(site: SiteModel, peaks_ghz) -> list[OrderingResult]:
     Each combination fixes all 16 line spacings; only a global center offset
     is fitted (1-D least squares against nearest-line assignments).  Results
     are sorted by RMS residual; combinations whose residuals agree within
-    1 kHz are flagged as tied.
+    1 kHz are flagged as tied.  Peaks so far apart that a residual
+    overflows raise ValueError.
     """
     peaks = np.sort(np.asarray(peaks_ghz, dtype=float).ravel())
     if peaks.size < 4:
@@ -220,7 +220,10 @@ def ordering_search(site: SiteModel, peaks_ghz) -> list[OrderingResult]:
     for cg in (1, -1):
         for ce in (1, -1):
             lines = _zero_field_line_positions(site, (cg, ce))
-            rms, offset = _offset_fit(peaks, lines)
+            with np.errstate(over="ignore", invalid="ignore"):
+                rms, offset = _offset_fit(peaks, lines)
+            if not np.isfinite(rms):
+                raise ValueError(f"the offset fit's rms is {rms}: the peaks span more than a double can hold")
             results.append(OrderingResult((cg, ce), rms, offset))
     results.sort(key=lambda r: (r.rms_ghz, r.ordering))
     tie_tol = 1e-6  # 1 kHz

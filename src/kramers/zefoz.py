@@ -149,9 +149,12 @@ def _descend(sys: SpinSystem, i: int, j: int, b: np.ndarray, project) -> np.ndar
         size = np.linalg.norm(trial - b[a], axis=1)
         active[a[size <= STEP_TOL]] = False
         # no fall predicted (the projection bent the step, or the minimum is
-        # near): a shorter step is tried instead of evaluating this one
+        # near): a shorter step is tried instead of evaluating this one.  A
+        # seed stops when rounding keeps its radius from shrinking
         short = predicted <= COST_RTOL * cost[a]
-        radius[a[short]] = 0.25 * size[short]
+        shorter = 0.25 * size[short]
+        active[a[short][~(shorter < radius[a[short]])]] = False
+        radius[a[short]] = shorter
         go = (size > STEP_TOL) & ~short
         a, lam, predicted, size, trial = a[go], lam[go], predicted[go], size[go], trial[go]
         if not a.size:

@@ -317,6 +317,18 @@ epr,ground,1,0,0,80.4,0.5,
 epr,ground,0,1,1,300,0.5,
 """
 
+# the fastest of the benchmark's four rates variants: its drained levels write pseudo-holes
+PINNED_RATES = """[rates]
+r12 = 2000
+r13 = 147.433
+r14 = 60.4911
+r23 = 60.4911
+r24 = 147.433
+r34 = 2000
+pump_rate = 100
+duration_s = 0.3
+"""
+
 
 class TestPinnedBytes:
     """sha256 of outputs whose bytes stay fixed while their code is reworked.
@@ -344,6 +356,48 @@ class TestPinnedBytes:
             "61a24e28606b8ace9d6b9384463ac5f1f4cadc7f2cb8e5332d63a00c0c5fe8b3")
         assert hashlib.sha256(report.read_bytes()).hexdigest() == (
             "e6ee628f22a99dcc98c2ffc1bd620f2a343dd3c763ad1d6c926fa3bef0a36538")
+
+    @pytest.mark.parametrize("rates, csv_hash, pgm_hash", [
+        (None, "d00f2570d933e10f815e1b059246907f9809fd8c2ece7f1e3056770beb5ec32e",
+         "2c0193d5099d431baf8376a4416dbfbd85027e3eda390a87afb8dbd38022db23"),
+        (PINNED_RATES, "59de2a0007f2d9677b980a177307620d3ce2982b91b1534e51efd22c4e4ca62d",
+         "b0cffeafe6a18f2471c894f3bdf9dd6743aca5a75944caa9b7b47f0b097c6356"),
+    ])
+    def test_shb_map_csv_and_pgm(self, tmp_path, capsys, rates, csv_hash, pgm_hash):
+        out = tmp_path / "shb-map.csv"
+        argv = ["shb-map", "--magnitudes", "0:150:15", "--span=-5:5:0.02", "--no-stamp", "--out", str(out)]
+        if rates is not None:
+            (tmp_path / "rates.ini").write_text(rates)
+            argv += ["--rates", str(tmp_path / "rates.ini")]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_hash
+        assert hashlib.sha256((tmp_path / "shb-map.pgm").read_bytes()).hexdigest() == pgm_hash
+
+    def test_absorption_peaks_and_ordering_csv(self, tmp_path, capsys):
+        spectrum, peaks, out = tmp_path / "absorption.csv", tmp_path / "peaks.csv", tmp_path / "ordering.csv"
+        code, _, _ = run(capsys, "absorption", "--model", "uniform", "--peaks-out", str(peaks), "--no-stamp",
+                         "--out", str(spectrum))
+        assert code == 0
+        code, _, _ = run(capsys, "ordering", "--peaks-file", str(peaks), "--no-stamp", "--out", str(out))
+        assert code == 0
+        assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (spectrum, peaks, out)] == [
+            "6ca930fe0de1555c8eaed4eaec3be5076cf33c696602e9106a5b81093480e508",
+            "d6ff36d81937ad1a217ed10cb36aa162fab5cfd767866088102418ec78bc6e10",
+            "b489c0a7a95f655dc3e4ea98ab4334e6204dba71a1f0e4662f2874686d85af4e"]
+
+    def test_zefoz_csv(self, tmp_path, capsys):
+        out = tmp_path / "zefoz.csv"
+        code, _, _ = run(capsys, "zefoz", "--transition", "1,2", "--radius", "100", "--no-stamp", "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "301d09634a9c0f2e9bd3fd481cbc606ef601d2faa1361639599daf9e14a20bd7")
+
+    def test_selftest_stdout(self, capsys):
+        code, stdout, _ = run(capsys, "selftest")
+        assert code == 0
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "f7b569219c57ec58139b96d0553e4677a26f1207fa525e86eabb2e9b07d57404")
 
 
 class TestConfigIntegration:

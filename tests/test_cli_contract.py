@@ -6,14 +6,18 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import kramers
 from kramers import fitting, magres
 from kramers.cli import main
 from kramers.config import MAX_POINTS, ConfigError, check_points, grid
@@ -151,6 +155,38 @@ def test_defect_exits_2_with_one_record(argv, expected, tmp_path, monkeypatch):
     if expected == "fit-failed":
         assert record["message"] == "all 2 restarts failed (first: ValueError: injected failure)"
     assert set(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("argv,key", [
+    # the squared half-width underflows to 0 (a 0/0 line) or overflows
+    (["shb-map", "--magnitudes", "0:1:1", "--width", "1e-300", "--span=-0.01:0.01:0.002"], "width"),
+    (["shb-map", "--magnitudes", "0:1:1", "--width", "1e300", "--span=-0.01:0.01:0.002"], "width"),
+    # the offset fit's residuals overflow: rms inf
+    (["ordering", "--peaks", "1e308,-1e308,0,1"], "peaks"),
+    (["zefoz", "--radius", "1e300"], "radius"),
+])
+def test_non_finite_arithmetic_is_bad_value(argv, key, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = _run([*argv, "--out", "out.csv"])
+    assert _assert_one_record(code, err, "bad-value")["key"] == key
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("radius", ["1e12", "1e300"])
+def test_zefoz_at_a_huge_radius_ends(radius, tmp_path):
+    # a fresh interpreter, so that a descent that never ends fails on the timeout
+    src = str(Path(kramers.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "kramers.cli", "zefoz", "--radius", radius, "--out", "z.csv"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    if proc.returncode == 0:
+        assert proc.stderr == ""
+        assert "nan" not in (tmp_path / "z.csv").read_text().lower()
+    else:
+        _assert_one_record(proc.returncode, proc.stderr)
+        assert not (tmp_path / "z.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -175,6 +175,42 @@ class TestOutput:
                             zip(itertools.product(*columns[:axes]), zip(*columns[axes:]))]
                     assert csv_text(header, columns, stamp, grid=axes) == row_csv(header, rows, stamp), name
 
+    def test_block_template_matches_format_on_random_doubles(self, monkeypatch):
+        # every float64 bit pattern (NaNs, infinities, subnormals, -0 among
+        # them) and text holding '%', in axes and values, against format(x, ".9g")
+        rng = np.random.default_rng(9)
+
+        def doubles(n):
+            return rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(np.float64)
+
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -2.2e-308, 1.7976931348623157e308])
+        text = ["50%", "%s", "%%", "%.9g", "a%d,b", ""]
+
+        def strings(n):
+            return [text[k] for k in rng.integers(0, len(text), n)]
+
+        tables = [
+            [np.concatenate([special, doubles(300)])],
+            [doubles(50), strings(50), np.arange(50), doubles(50) > 0],
+        ]
+        grids = [  # (axes, columns): 1, 2 and 3 axes, text among them, then the value columns
+            (1, [doubles(7), doubles(7), strings(7)]),
+            (2, [strings(3), doubles(5), doubles(15)]),
+            (3, [doubles(2), np.array([-1, 3]), strings(3), doubles(12), doubles(12)]),
+            (2, [strings(2), doubles(4)]),  # axes alone
+        ]
+        for size in (output.BLOCK_ROWS, 3, 1):
+            monkeypatch.setattr(output, "BLOCK_ROWS", size)
+            for columns in tables:
+                header = [f"c{k}" for k in range(len(columns))]
+                assert csv_text(header, columns) == row_csv(header, list(zip(*columns)))
+            for axes, columns in grids:
+                header = [f"c{k}" for k in range(len(columns))]
+                rows = [(*point, *values) for point, values in
+                        zip(itertools.product(*columns[:axes]),
+                            zip(*columns[axes:]) if len(columns) > axes else itertools.repeat(()))]
+                assert csv_text(header, columns, grid=axes) == row_csv(header, rows), axes
+
     def test_columns_of_unequal_length_rejected(self):
         with pytest.raises(ValueError):
             csv_text(["a", "b"], [np.zeros(2), np.zeros(3)])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import benchmark_rate_variants, reference_hole_entries, reference_render
 from kramers.hamiltonian import eigensystem
 from kramers.presets import SITE_I, SITE_II
 from kramers.selftest import fast_pair_rates
@@ -298,3 +299,49 @@ class TestFieldMap:
         )
         center = np.argmin(np.abs(fmap.detunings_ghz))
         assert fmap.amplitudes[0, center] < 0  # central hole renders dark
+
+
+def _bits(entries):
+    """Entries as comparable tuples that tell every double apart by its bits."""
+    return [(float(e.detuning_ghz).hex(), e.polarity, float(e.weight).hex(), e.class_label, e.probe)
+            for e in entries]
+
+
+class TestEnumerationOracle:
+    """One hole enumeration, from stacked energies and Python floats, against
+    the per-field eigensystem loop with numpy scalars, bit for bit."""
+
+    RATES = [None, *benchmark_rate_variants()]
+
+    @pytest.mark.parametrize("rates", RATES, ids=["none", "r2", "r20", "r200", "r2000"])
+    def test_hole_pattern_matches_loop(self, rates):
+        rng = np.random.default_rng(5)
+        for site in (SITE_I, SITE_II):
+            for _ in range(6):
+                direction = rng.normal(size=3)
+                field = rng.uniform(0.0, 300.0) * direction / np.linalg.norm(direction)
+                burn = float(rng.uniform(-1.0, 1.0))
+                pattern = hole_pattern(site, field, burn, rates)
+                reference = reference_hole_entries(site, field, burn, rates)
+                assert _bits(pattern.entries) == _bits(reference)
+
+    @pytest.mark.parametrize("rates", RATES, ids=["none", "r2", "r20", "r200", "r2000"])
+    def test_map_rows_match_loop(self, rates, monkeypatch):
+        from kramers import shb
+
+        monkeypatch.setattr(shb, "FIELD_CHUNK", 4)  # several stacked eigh calls, the last one partial
+        mags = np.sort(np.random.default_rng(6).uniform(0.0, 300.0, 9))
+        direction = np.array([1.0, 2.0, 2.0]) / 3.0
+        fmap = shb_field_map(SITE_I, (1.0, 2.0, 2.0), mags, 0.1, rates,
+                             detuning_range_ghz=(-3.0, 3.0), detuning_step_ghz=0.01, hole_width_mhz=8.0)
+        for mag, row in zip(mags, fmap.amplitudes):
+            reference = reference_hole_entries(SITE_I, mag * direction, 0.1, rates)
+            assert np.array_equal(row, reference_render(reference, fmap.detunings_ghz, 8.0))
+
+    def test_render_matches_one_line_per_entry(self):
+        grid = np.arange(-5.0, 5.001, 0.002)
+        for rates in self.RATES:
+            pattern = hole_pattern(SITE_II, (0.0, 30.0, 40.0), 0.0, rates)
+            shared = sum(a.detuning_ghz == b.detuning_ghz for a, b in zip(pattern.entries, pattern.entries[1:]))
+            assert shared > 0  # lines that share a detuning share a shape
+            assert np.array_equal(render_pattern(pattern, grid), reference_render(pattern.entries, grid))

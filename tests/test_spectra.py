@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_offset_fit
 from kramers.hamiltonian import zero_field_levels
 from kramers.presets import SITE_I, SITE_II
 from kramers.spectra import (
+    _offset_fit,
+    _zero_field_line_positions,
     absorption_spectrum,
     find_peaks,
     flip_sign_class,
@@ -229,3 +232,44 @@ class TestFindPeaks:
         _, amp = absorption_spectrum(site, (0, 0, 0), (-5.0, 5.0, 0.005), intensity_model=model)
         for fraction in (0.0, 0.01, 0.05, 0.2):
             assert np.array_equal(find_peaks(amp, fraction), scipy_peaks(amp, fraction))
+
+
+class TestOffsetFitOracle:
+    """The stacked offset fit against the one-seed-at-a-time loop, bit for bit."""
+
+    ORDERINGS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+    def peak_sets(self):
+        rng = np.random.default_rng(12)
+        yield np.array([1.0, 1.0, 1.0, 1.0])  # every seed ties
+        yield np.array([-1.0, -1.0, 1.0, 1.0])
+        for n in range(20):
+            size = int(rng.integers(4, 41))
+            kind = n % 4
+            if kind == 0:
+                yield np.sort(rng.uniform(-5.0, 5.0, size))
+            elif kind == 1:  # repeated peaks on a coarse grid: tied offsets
+                yield np.sort(np.round(rng.uniform(-4.0, 4.0, size), 1))
+            elif kind == 2:  # model lines shifted, some duplicated
+                lines = _zero_field_line_positions(SITE_I, self.ORDERINGS[n % 4])
+                yield np.sort(lines[rng.integers(0, 16, size)] + 0.25)
+            else:
+                yield np.full(size, rng.uniform(-3.0, 3.0))
+
+    @pytest.mark.parametrize("site", [SITE_I, SITE_II], ids=["I", "II"])
+    def test_matches_per_seed_loop(self, site):
+        for peaks in self.peak_sets():
+            for ordering in self.ORDERINGS:
+                lines = _zero_field_line_positions(site, ordering)
+                rms, offset = _offset_fit(peaks, lines)
+                ref_rms, ref_offset = reference_offset_fit(peaks, lines)
+                assert (rms.hex(), offset.hex()) == (ref_rms.hex(), ref_offset.hex()), (peaks, ordering)
+
+    def test_chunked_seeds_match(self, monkeypatch):
+        from kramers import spectra
+
+        peaks = np.sort(np.random.default_rng(3).uniform(-4.0, 4.0, 9))
+        lines = _zero_field_line_positions(SITE_I, (1, 1))
+        for chunk in (1, 16 * 9 * 5, 16 * 9 * 7 + 3):  # one seed, and partial chunks
+            monkeypatch.setattr(spectra, "OFFSET_CHUNK", chunk)
+            assert _offset_fit(peaks, lines) == reference_offset_fit(peaks, lines)
