@@ -399,6 +399,36 @@ class TestPinnedBytes:
         assert hashlib.sha256(stdout.encode()).hexdigest() == (
             "f7b569219c57ec58139b96d0553e4677a26f1207fa525e86eabb2e9b07d57404")
 
+    def test_invert_csv_and_stdout(self, tmp_path, capsys):
+        out = tmp_path / "invert.csv"
+        code, stdout, _ = run(capsys, "invert", "--lines", "2046,2385,2869,3208", "--no-stamp", "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "f39da535d8f19bdab4523e4ff2c2b3acb6ff5c53a70c65778ca57143522599a9")
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "3c8f85e4d427380b2d1158c091bcc04b72eb18a1e1b115cd8114067a24374c31")
+
+    @pytest.mark.parametrize("argv, csv_hash", [
+        (["levels", "--B", "0"], "855d2976968b9e15bbc5531567cd7e97154bdccd59fa00382739d53b189e1558"),
+        (["transitions", "--site", "II", "--B", "100,0,0"],
+         "27bacc85d2e2fa7de5e500fc500b481cc2960e50fd8fa88e1784fd52fdcb16f2"),
+        (["odmr", "--B", "0"], "b0c8e93a8a36627d8dd6b85e1fb9c5d6416881597472c6090c02130a28f0740f"),
+    ])
+    def test_field_command_csv(self, tmp_path, capsys, argv, csv_hash):
+        out = tmp_path / "out.csv"
+        code, _, _ = run(capsys, *argv, "--no-stamp", "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_hash
+
+    @pytest.mark.parametrize("lines, err_hash", [
+        ("1,2", "ff4704475fff0264918877f70790a9502c5604b28d516c770ef3f7bd05460f64"),
+        ("500,900,1700,2900", "5a3457873fa5d982a5d52afded556f2545db867b8ffbd21936d1067db572593c"),
+    ])
+    def test_invert_error_record(self, capsys, lines, err_hash):
+        code, _, err = run(capsys, "invert", "--lines", lines)
+        assert code == 2
+        assert hashlib.sha256(err.encode()).hexdigest() == err_hash
+
 
 class TestConfigIntegration:
     def test_cli_with_config_file(self, tmp_path, capsys):
