@@ -12,7 +12,6 @@ field points.
 __version__ = "0.1.0"
 
 from .config import ConfigError, load_config, parse_config
-from .fitting import DataPoint, FitProblem, FitResult, fit, invert_and_seed, residuals
 from .hamiltonian import (
     EigenSystem,
     SpinSystem,
@@ -49,4 +48,21 @@ from .tensors import (
     rotation_matrix,
     subsite_transform,
 )
-from .zefoz import ZefozCandidate, sensitivity, zefoz_search
+
+# the fitting and ZEFOZ names load their module on first use (PEP 562), so
+# that importing the package, or a command that runs neither, compiles
+# neither module
+_DEFERRED = {
+    **dict.fromkeys(("DataPoint", "FitProblem", "FitResult", "fit", "invert_and_seed", "residuals"), "fitting"),
+    **dict.fromkeys(("ZefozCandidate", "sensitivity", "zefoz_search"), "zefoz"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_DEFERRED[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -16,15 +16,17 @@ import sys as _sys
 
 import numpy as np
 
-from . import fitting, magres, shb, spectra, zefoz
+# fitting, zefoz and selftest are imported by the commands that run them,
+# so that the other commands start without compiling them
+from . import magres, shb, spectra
 from .config import (
     ConfigError, check_points, grid, integer, integers, level_pair, load_config, load_rates, number,
     number_list, read_text, samples, vector,
 )
-from .hamiltonian import PAIR_HI, PAIR_LO, PAIRS, eigensystem, transition_frequencies
+from .hamiltonian import (PAIR_HI, PAIR_LO, PAIRS, eigensystem, invert_zero_field, reconstruct_levels,
+                          transition_frequencies)
 from .output import write_csv, write_pgm
 from .presets import get_site
-from .selftest import run_selftest
 
 
 class _Parser(argparse.ArgumentParser):
@@ -176,12 +178,11 @@ def _build_parser() -> _Parser:
                    help="search ball radius (mT)")
     p.add_argument("--grid", type=_typed(integers, "grid", 2), default="64,11",
                    help="directions,magnitudes of the coarse scan")
-    p.add_argument("--refine-tol", type=_typed(number, "refine-tol", "positive"),
-                   default=zefoz.DEFAULT_REFINE_TOL_MHZ_PER_MT)
+    p.add_argument("--refine-tol", type=_typed(number, "refine-tol", "positive"))
 
     p = sub.add_parser("selftest", help="run the embedded regression suite")
     p.add_argument("--schema", action=_SchemaAction, help="print the CSV schema and exit")
-    p.set_defaults(run=lambda args: 0 if run_selftest() else 1)
+    p.set_defaults(run=_cmd_selftest)
 
     return top
 
@@ -291,7 +292,10 @@ def _csv_rows(path) -> list[list[str]]:
     return [r for r in reader if r and not r[0].lstrip().startswith("#")]
 
 
-def _read_data_csv(path) -> list[fitting.DataPoint]:
+def _read_data_csv(path) -> list:
+    """The ``fitting.DataPoint`` rows of a fit data CSV."""
+    from . import fitting
+
     points = []
     rows = _csv_rows(path)
     if not rows:
@@ -326,6 +330,8 @@ def _read_data_csv(path) -> list[fitting.DataPoint]:
 
 
 def _cmd_fit(args) -> int:
+    from . import fitting
+
     site = _resolve_site(args)
     free = {f.strip().lower() for f in args.free.split(",") if f.strip()}
     unknown = free - {"ground", "excited", "misalignment", "eigenvalues"}
@@ -390,8 +396,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    site = _resolve_site(args)
-    mags, _problem = fitting.invert_and_seed(np.asarray(args.lines) * 1e-3, site)
+    _resolve_site(args)  # an unknown --site or a bad --config is an error here too
+    mags = invert_zero_field(reconstruct_levels(np.asarray(args.lines) * 1e-3))
     write_csv(args.out, ["axis", "magnitude_ghz"], [np.arange(1, 4), np.array(mags)], stamp=not args.no_stamp)
     for n, m in enumerate(mags, start=1):
         print(f"|A{n}| = {m:.6f} GHz")
@@ -426,13 +432,16 @@ def _cmd_ordering(args) -> int:
 
 
 def _cmd_zefoz(args) -> int:
+    from . import zefoz
+
     site = _resolve_site(args)
     check_points("grid", *args.grid)
     if not (2.0 * args.radius) * (2.0 * args.radius) < np.inf:  # squared distances between minima
         raise ConfigError("bad-value", f"radius: {args.radius:g} mT: twice it has no finite square", "radius")
     candidates = zefoz.zefoz_search(
         getattr(site, args.state), args.transition,
-        region=args.radius, grid=args.grid, refine_tol_mhz_per_mt=args.refine_tol,
+        region=args.radius, grid=args.grid,
+        refine_tol_mhz_per_mt=zefoz.DEFAULT_REFINE_TOL_MHZ_PER_MT if args.refine_tol is None else args.refine_tol,
     )
     fields = np.array([c.field_mt for c in candidates]).reshape(-1, 3)
     pairs = np.array([c.transition for c in candidates]).reshape(-1, 2) + 1
@@ -446,6 +455,12 @@ def _cmd_zefoz(args) -> int:
         print(f"B = ({c.field_mt[0]:8.3f}, {c.field_mt[1]:8.3f}, {c.field_mt[2]:8.3f}) mT  "
               f"|grad| = {c.grad_norm_mhz_per_mt:.3e} MHz/mT  {c.classification}")
     return 0
+
+
+def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
+    return 0 if run_selftest() else 1
 
 
 # options whose values may legitimately start with "-" (ranges, vectors);

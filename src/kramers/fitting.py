@@ -20,7 +20,6 @@ rotations (inf for a coordinate the data do not depend on).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -30,10 +29,10 @@ import numpy as np
 from .hamiltonian import (
     PAIR_HI,
     PAIR_LO,
-    PAIRS,
     field_gradients,
     hamiltonian_stack,
     invert_zero_field,
+    reconstruct_levels,
     spin_expectations,
     unit_direction,
 )
@@ -52,6 +51,7 @@ from .tensors import (
     subsite_matrices,
     subsite_transform,
 )
+from .trust_region import COST_RTOL, MAX_EVALUATIONS, STEP_TOL, _trust_radius, _unbounded_step
 
 KINDS = ("shb", "odmr", "epr")
 STATES = ("ground", "excited")
@@ -65,17 +65,12 @@ GATE_FREQ_GHZ = 0.5
 GATE_FIELD_MT = 50.0
 MISALIGNMENT_BOUND_DEG = 5.0
 EIGENVALUE_BOUND_GHZ = 0.05
-# largest RMS misfit (GHz) of the zero-field lines a level ladder may leave
-LEVEL_TOL_GHZ = 2e-3
 
-# Levenberg-Marquardt: restarts advanced together (a chunk's arrays grow
+# Levenberg-Marquardt restarts advanced together (a chunk's arrays grow
 # with restarts x points x parameters; 32 restarts of a 600-point fit of
-# one orientation peak near 15 MB), the evaluations one restart may spend,
-# and its stopping rules (a relative cost change, or a step in degrees or GHz)
+# one orientation peak near 15 MB); a restart stops by the rules of
+# ``trust_region``, its steps measured in degrees or GHz
 RESTART_CHUNK = 32
-MAX_EVALUATIONS = 250
-COST_RTOL = 1e-12
-STEP_TOL = 1e-6
 
 # each 3-wide block of a fit parameter vector, by kind: the name suffixes of
 # its entries, those of its covariance coordinates, and the +/- bound on
@@ -649,11 +644,6 @@ def _levenberg_marquardt(problem: FitProblem, data: CompiledData, rotations, fla
     return _Run(rotations, flat, cost, res, gated, iterations, evaluations)
 
 
-def _trust_radius(radius, ratio, size, lam) -> np.ndarray:
-    """Moré's radius after a step of length ``size`` whose cost fell ``ratio`` times the predicted fall."""
-    return np.where(ratio < 0.25, 0.25 * size, np.where((ratio > 0.75) | (lam == 0), np.maximum(radius, 2.0 * size), radius))
-
-
 def _trust_region_step(J, r, radius, lower, upper) -> tuple[np.ndarray, np.ndarray]:
     """(p, lambda): ``_unbounded_step`` with the last coordinates of p kept
     within [lower, upper], for a batch.
@@ -677,36 +667,6 @@ def _trust_region_step(J, r, radius, lower, upper) -> tuple[np.ndarray, np.ndarr
         pinned[:, first:] = np.where(past, np.clip(tail, lower, upper), pinned[:, first:])
         fixed[:, first:] |= past
     return p, lam
-
-
-def _unbounded_step(J: np.ndarray, r: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, lambda): the least ||r + J p|| with ||p|| <= radius, for a batch.
-
-    From the eigensystem of J^T J: the minimum-norm Gauss-Newton step when
-    it fits (lambda = 0), else the lambda of (J^T J + lambda) p = -J^T r
-    that brings ||p|| within 10% of the radius, by Newton steps on
-    1/||p(lambda)||, which approach it from below (Hebden; Moré 1978).
-    """
-    curv, q = np.linalg.eigh(J.swapaxes(1, 2) @ J)
-    # directions flat to rounding are dropped, as a pseudo-inverse drops them
-    c = np.where(curv > 1e-14 * curv[:, -1:], np.einsum("bpi,bnp,bn->bi", q, J, r), 0.0)
-
-    def step(lam):
-        denominator = np.where(c != 0, curv + lam[:, None], 1.0)
-        t = c / denominator
-        return t, np.linalg.norm(t, axis=1), np.sum(t * t / denominator, axis=1)
-
-    lam = np.zeros(len(r))
-    t, norm, slope = step(lam)
-    outside = norm > radius
-    lam[outside] = np.maximum(np.linalg.norm(c, axis=1) / radius - curv[:, -1], 0.0)[outside]
-    for _ in range(20):
-        t, norm, slope = step(lam)
-        far = outside & (norm > 1.1 * radius)
-        if not far.any():
-            break
-        lam[far] += ((norm / radius - 1.0) * norm**2 / slope)[far]
-    return -np.einsum("bpi,bi->bp", q, t), lam
 
 
 def canonical_orientation(tensor: SymmetricTensor3) -> tuple[EulerAngles, int]:
@@ -884,60 +844,6 @@ def _canonical_report(problem: FitProblem, params: np.ndarray) -> dict:
         report["excited"] = {"angles_deg": angles.as_tuple(), "subsite": subsite,
                              "values_ghz": decompose_tensor(site.excited.A).values}
     return report
-
-
-# the six pairwise differences expressed in the gap basis (d1, d2, d3):
-# E_j - E_i spans the gaps d_k with i <= k < j
-_GAP_COMBOS = np.array([[int(i <= k < j) for k in range(3)] for i, j in PAIRS], dtype=float)
-# the 8 sets of gaps a least-squares candidate leaves free; the rest are 0
-_FREE_GAPS = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
-
-
-def reconstruct_levels(lines_ghz) -> np.ndarray:
-    """Four zero-field levels (sum 0) consistent with measured splittings.
-
-    Measured lines are assigned injectively to the six pairwise differences
-    of an ascending four-level ladder; each assignment is solved for the
-    non-negative level gaps by least squares and the best-fitting assignment
-    wins.  An incomplete line set can admit several exact ladders; ties are
-    broken in favour of the largest central gap (the doublet-dominant
-    structure of a large-|A3| hyperfine tensor), then lexicographically,
-    all compared to 1e-12 GHz.  Raises if even the best assignment misses
-    by more than LEVEL_TOL_GHZ.
-
-    The non-negative least squares is solved by enumerating active sets
-    (Lawson & Hanson 1974, ch. 23): the minimum-norm least-squares gaps of
-    every assignment with every set of gaps held at 0, in one batched
-    ``pinv``; the non-negative candidate of least residual is each
-    assignment's solution.
-    """
-    lines = np.sort(np.asarray(lines_ghz, dtype=float).ravel())
-    if lines.size < 3:
-        raise ValueError("need at least 3 zero-field splittings")
-    if lines.size > 6:
-        raise ValueError("a four-level system has at most 6 distinct splittings")
-    assignments = np.array(list(itertools.permutations(range(6), lines.size)))
-    # (assignment, free set, line, gap)
-    C = _GAP_COMBOS[assignments][:, None] * _FREE_GAPS[None, :, None, :]
-    d = np.einsum("afgn,n->afg", np.linalg.pinv(C), lines)
-    rms = np.linalg.norm(np.einsum("afng,afg->afn", C, d) - lines, axis=-1) / np.sqrt(lines.size)
-    rms = np.where(np.all(d >= 0.0, axis=-1), rms, np.inf)
-    pick = np.argmin(rms, axis=1)  # each assignment's non-negative least squares
-    rows = np.arange(len(assignments))
-    d, rms = d[rows, pick], rms[rows, pick]
-    # key (rms, -central gap, gaps), each to 1e-12 GHz, least first
-    rms, key = np.round(rms / 1e-12) * 1e-12, np.round(d / 1e-12)
-    best = np.lexsort((*key.T[::-1], -key[:, 1], rms))[0]
-    best_rms, best_d = rms[best], d[best]
-    levels = np.cumsum(np.concatenate(([0.0], best_d)))
-    levels -= levels.mean()
-    if best_rms > LEVEL_TOL_GHZ:
-        fitted = np.sort([levels[j] - levels[i] for i, j in PAIRS])
-        raise ValueError(
-            f"no consistent 4-level solution within {LEVEL_TOL_GHZ * 1e3:.1f} MHz "
-            f"(best RMS {best_rms * 1e3:.2f} MHz; closest splittings {fitted})"
-        )
-    return levels
 
 
 def invert_and_seed(

@@ -12,6 +12,7 @@ GHz/mT internally.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -26,6 +27,8 @@ MU_N_GHZ_PER_T = 7.6225932e-3
 G_N_DEFAULT = 0.987
 
 DEGENERACY_GAP_GHZ = 1e-6
+# largest RMS misfit (GHz) of the zero-field lines a level ladder may leave
+LEVEL_TOL_GHZ = 2e-3
 
 _SIGMA_HALF = (
     np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex),
@@ -112,7 +115,7 @@ class SpinSystem:
     @cached_property
     def hyperfine_matrix(self) -> np.ndarray:
         """The field-independent term sum_kl A_kl I_k S_l (GHz), 4x4."""
-        h = _hyperfine(self.A.matrix)
+        h = hyperfine_stack(self.A.matrix)
         h.setflags(write=False)
         return h
 
@@ -161,8 +164,8 @@ def build_hamiltonian(sys: SpinSystem, B) -> np.ndarray:
 
 def hamiltonian_batch(sys: SpinSystem, fields: np.ndarray) -> np.ndarray:
     """Hamiltonians for a stack of field vectors, shape (N, 3) mT -> (N, 4, 4)."""
-    return _add_zeeman(sys.hyperfine_matrix, sys.g.matrix, np.asarray(fields, dtype=float),
-                       sys.g_n, sys.mu_b, sys.mu_n)
+    return zeeman_stack(sys.hyperfine_matrix, sys.g.matrix, np.asarray(fields, dtype=float),
+                        sys.g_n, sys.mu_b, sys.mu_n)
 
 
 def hamiltonian_stack(A, g, fields, g_n: float, mu_b: float, mu_n: float) -> np.ndarray:
@@ -171,10 +174,11 @@ def hamiltonian_stack(A, g, fields, g_n: float, mu_b: float, mu_n: float) -> np.
 
     The leading axes broadcast, so one call can cover many tensor pairs
     times many fields.  For one A and g it is ``hamiltonian_batch``, bit
-    for bit.
+    for bit.  It is ``zeeman_stack`` of ``hyperfine_stack``: a caller that
+    puts many fields on one A can build the hyperfine term once.
     """
     A, g, fields = (np.asarray(x, dtype=float) for x in (A, g, fields))
-    return _add_zeeman(_hyperfine(A), g, fields, g_n, mu_b, mu_n)
+    return zeeman_stack(hyperfine_stack(A), g, fields, g_n, mu_b, mu_n)
 
 
 def field_gradients(states: np.ndarray, g, g_n: float, mu_b: float, mu_n: float) -> np.ndarray:
@@ -194,13 +198,15 @@ def degenerate_levels(energies: np.ndarray, gap_ghz: float = DEGENERACY_GAP_GHZ)
     return np.minimum(gaps[..., :-1], gaps[..., 1:]) < gap_ghz
 
 
-def _hyperfine(A: np.ndarray) -> np.ndarray:
-    """sum_kl A_kl I_k S_l for a stack of A (..., 3, 3) -> (..., 4, 4)."""
+def hyperfine_stack(A: np.ndarray) -> np.ndarray:
+    """The field-independent term sum_kl A_kl I_k S_l (GHz) for a stack of
+    A (..., 3, 3) -> (..., 4, 4)."""
     return sum(A[..., k, l, None, None] * (I_STACK[k] @ S_STACK[l]) for k in range(3) for l in range(3))
 
 
-def _add_zeeman(h0, g, fields, g_n: float, mu_b: float, mu_n: float) -> np.ndarray:
-    """The field-independent h0 (..., 4, 4) plus the Zeeman terms at fields (..., N, 3)."""
+def zeeman_stack(h0, g, fields, g_n: float, mu_b: float, mu_n: float) -> np.ndarray:
+    """Hamiltonians (..., N, 4, 4): the field-independent terms h0 (..., 4, 4)
+    plus the Zeeman terms of g tensors (..., 3, 3) at fields (..., N, 3) mT."""
     # effective electron field b_eff_l = sum_k B_k g_kl; magnetons GHz/T -> GHz/mT
     h_el = np.einsum("...nl,lab->...nab", (fields @ g) * (mu_b * 1e-3), S_STACK)
     h_nuc = np.einsum("...nk,kab->...nab", fields * (mu_n * 1e-3 * g_n), I_STACK)
@@ -295,6 +301,60 @@ def invert_zero_field(levels) -> tuple[float, float, float]:
     if np.any(a3 < 0) or np.any(a2 < 0):
         raise ValueError("inconsistent level set: negative magnitudes")
     return (a1, a2, a3)
+
+
+# the six pairwise differences expressed in the gap basis (d1, d2, d3):
+# E_j - E_i spans the gaps d_k with i <= k < j
+_GAP_COMBOS = np.array([[int(i <= k < j) for k in range(3)] for i, j in PAIRS], dtype=float)
+# the 8 sets of gaps a least-squares candidate leaves free; the rest are 0
+_FREE_GAPS = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
+
+
+def reconstruct_levels(lines_ghz) -> np.ndarray:
+    """Four zero-field levels (sum 0) consistent with measured splittings.
+
+    Measured lines are assigned injectively to the six pairwise differences
+    of an ascending four-level ladder; each assignment is solved for the
+    non-negative level gaps by least squares and the best-fitting assignment
+    wins.  An incomplete line set can admit several exact ladders; ties are
+    broken in favour of the largest central gap (the doublet-dominant
+    structure of a large-|A3| hyperfine tensor), then lexicographically,
+    all compared to 1e-12 GHz.  Raises if even the best assignment misses
+    by more than LEVEL_TOL_GHZ.
+
+    The non-negative least squares is solved by enumerating active sets
+    (Lawson & Hanson 1974, ch. 23): the minimum-norm least-squares gaps of
+    every assignment with every set of gaps held at 0, in one batched
+    ``pinv``; the non-negative candidate of least residual is each
+    assignment's solution.
+    """
+    lines = np.sort(np.asarray(lines_ghz, dtype=float).ravel())
+    if lines.size < 3:
+        raise ValueError("need at least 3 zero-field splittings")
+    if lines.size > 6:
+        raise ValueError("a four-level system has at most 6 distinct splittings")
+    assignments = np.array(list(itertools.permutations(range(6), lines.size)))
+    # (assignment, free set, line, gap)
+    C = _GAP_COMBOS[assignments][:, None] * _FREE_GAPS[None, :, None, :]
+    d = np.einsum("afgn,n->afg", np.linalg.pinv(C), lines)
+    rms = np.linalg.norm(np.einsum("afng,afg->afn", C, d) - lines, axis=-1) / np.sqrt(lines.size)
+    rms = np.where(np.all(d >= 0.0, axis=-1), rms, np.inf)
+    pick = np.argmin(rms, axis=1)  # each assignment's non-negative least squares
+    rows = np.arange(len(assignments))
+    d, rms = d[rows, pick], rms[rows, pick]
+    # key (rms, -central gap, gaps), each to 1e-12 GHz, least first
+    rms, key = np.round(rms / 1e-12) * 1e-12, np.round(d / 1e-12)
+    best = np.lexsort((*key.T[::-1], -key[:, 1], rms))[0]
+    best_rms, best_d = rms[best], d[best]
+    levels = np.cumsum(np.concatenate(([0.0], best_d)))
+    levels -= levels.mean()
+    if best_rms > LEVEL_TOL_GHZ:
+        fitted = np.sort([levels[j] - levels[i] for i, j in PAIRS])
+        raise ValueError(
+            f"no consistent 4-level solution within {LEVEL_TOL_GHZ * 1e3:.1f} MHz "
+            f"(best RMS {best_rms * 1e3:.2f} MHz; closest splittings {fitted})"
+        )
+    return levels
 
 
 def transition_frequencies(es: EigenSystem) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import (PAIR_HI, PAIR_LO, PAIRS, EigenSystem, SpinSystem, eigensystem, field_gradients,
-                          hamiltonian_stack, unit_direction)
+                          hyperfine_stack, unit_direction, zeeman_stack)
 
 B_AXIS = (0.0, 0.0, 1.0)
 STRONG_MOMENT_FRACTION = 0.01
@@ -113,14 +113,16 @@ def resonance_search(A, g, directions, b_max, nu_mw_ghz: float, g_n: float, mu_b
     """
     shape = np.broadcast_shapes(np.shape(A)[:-2], np.shape(g)[:-2], np.shape(directions)[:-1],
                                 np.shape(b_max))
-    A, g = np.broadcast_to(A, shape + (3, 3)), np.broadcast_to(g, shape + (3, 3))
+    # the hyperfine term of each ray, built once and gathered per field sample
+    h0 = np.broadcast_to(hyperfine_stack(np.asarray(A, dtype=float)), shape + (4, 4))
+    g = np.broadcast_to(np.asarray(g, dtype=float), shape + (3, 3))
     directions = np.broadcast_to(directions, shape + (3,))
 
     def detunings(ray, mags, slopes=False):
         """nu - nu_mw of the six branches (K, 6) of ray ``ray[k]`` at field
         ``mags[k]``; with ``slopes``, also their Hellmann-Feynman d nu/dB."""
         at = np.unravel_index(ray, shape)
-        H = hamiltonian_stack(A[at], g[at], (mags[:, None] * directions[at])[:, None], g_n, mu_b, mu_n)[:, 0]
+        H = zeeman_stack(h0[at], g[at], (mags[:, None] * directions[at])[:, None], g_n, mu_b, mu_n)[:, 0]
         if not slopes:
             e = np.linalg.eigvalsh(H)
             return e[:, PAIR_HI] - e[:, PAIR_LO] - nu_mw_ghz

@@ -14,6 +14,7 @@ from .hamiltonian import (
     eigensystem,
     energies_sweep,
     invert_zero_field,
+    reconstruct_levels,
     transition_frequencies,
     zero_field_levels,
 )
@@ -99,8 +100,6 @@ def check_zero_field_inversion():
     if missed.size:
         return False, f"round trip failed for {a[missed[0]]}"
     lines_ghz = np.array(ODMR_LINES_SITE_I) * 1e-3
-    from .fitting import reconstruct_levels
-
     mags = np.array(invert_zero_field(reconstruct_levels(lines_ghz)))
     canonical = np.array([0.484, 1.162, 5.254])
     err = np.abs(mags - canonical).max() * 1e3

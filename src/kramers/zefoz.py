@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import COST_RTOL, MAX_EVALUATIONS, STEP_TOL, _trust_radius, _unbounded_step
 from .hamiltonian import SpinSystem, transition_gradients
+from .trust_region import COST_RTOL, MAX_EVALUATIONS, STEP_TOL, _trust_radius, _unbounded_step
 
 DEFAULT_REGION_RADIUS_MT = 100.0
 DEFAULT_REFINE_TOL_MHZ_PER_MT = 1e-3

@@ -507,3 +507,41 @@ def test_commands_that_need_no_scipy_do_not_import_it(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_commands_load_only_the_modules_they_run(tmp_path):
+    # one fresh interpreter runs the commands that need neither the fit, the
+    # ZEFOZ search nor the regression suite, then the three that do
+    (tmp_path / "fit-data.csv").write_text(PINNED_FIT_DATA)
+    light = [
+        ["levels", "--B", "0"], ["transitions", "--B", "100,0,0"], ["odmr", "--B", "0"],
+        ["absorption", "--model", "uniform", "--peaks-out", "peaks.csv"], ["ordering", "--peaks-file", "peaks.csv"],
+        ["invert", "--lines", "2046,2385,2869,3208"], ["shb-map", "--magnitudes", "0,10", "--span=-1:1:0.1"],
+        ["epr-map", "--step", "90"],
+    ]
+    heavy = [(["fit", "--data", "fit-data.csv", "--restarts", "2"], 0),
+             (["zefoz", "--transition", "1,2", "--radius", "100"], 0), (["selftest"], 0)]
+    deferred = ["kramers.fitting", "kramers.zefoz", "kramers.selftest"]
+    script = (
+        "import sys\n"
+        "import kramers.cli as cli\n"
+        f"for argv in {light!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        f"print('loaded:', [m for m in {deferred!r} if m in sys.modules])\n"
+        f"for argv, code in {heavy!r}:\n"
+        "    assert cli.main(argv) == code, argv\n"
+        "from kramers import DataPoint, fit, invert_and_seed, zefoz_search\n"
+        "import kramers\n"
+        "try:\n"
+        "    kramers.no_such_name\n"
+        "except AttributeError:\n"
+        "    print('AttributeError')\n"
+    )
+    src = str(Path(kramers.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "loaded: []" in lines
+    assert lines[-1] == "AttributeError"

@@ -952,14 +952,16 @@ class TestInvertAndSeed:
         """Levels by one SciPy NNLS per assignment, or None past LEVEL_TOL_GHZ."""
         from scipy.optimize import nnls
 
+        from kramers import hamiltonian
+
         lines = np.sort(np.asarray(lines_ghz, dtype=float))
         best = None
         for combo in itertools.permutations(range(6), lines.size):
-            d, rnorm = nnls(fitting._GAP_COMBOS[list(combo)], lines)
+            d, rnorm = nnls(hamiltonian._GAP_COMBOS[list(combo)], lines)
             key = (round(rnorm / np.sqrt(lines.size) / 1e-12) * 1e-12, -d[1], tuple(d))
             best = key if best is None or key < best else best
         levels = np.cumsum([0.0, *best[2]])
-        return None if best[0] > fitting.LEVEL_TOL_GHZ else levels - levels.mean()
+        return None if best[0] > hamiltonian.LEVEL_TOL_GHZ else levels - levels.mean()
 
     def test_levels_match_scipy_nnls(self):
         # every line set the tests, selftest and the CLI examples invert
