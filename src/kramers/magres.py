@@ -115,7 +115,7 @@ def resonance_search(A, g, directions, b_max, nu_mw_ghz: float, g_n: float, mu_b
                                 np.shape(b_max))
     # the hyperfine term of each ray, built once and gathered per field sample
     h0 = np.broadcast_to(hyperfine_stack(np.asarray(A, dtype=float)), shape + (4, 4))
-    g = np.broadcast_to(np.asarray(g, dtype=float), shape + (3, 3))
+    g = np.broadcast_to(g, shape + (3, 3))
     directions = np.broadcast_to(directions, shape + (3,))
 
     def detunings(ray, mags, slopes=False):
