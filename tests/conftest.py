@@ -49,6 +49,22 @@ def benchmark_rate_variants():
                                   (200.0, 14.7433, 6.04911), (2000.0, 147.433, 60.4911))]
 
 
+def reference_generator(rates, pumped_level):
+    """``shb._generator`` one matrix element at a time."""
+    r = rates.rates
+    m = np.zeros((4, 4))
+    for k in range(4):
+        for l in range(4):
+            if k != l:
+                m[l, k] += r[k, l]
+                m[k, k] -= r[k, l]
+    m[pumped_level, pumped_level] -= rates.pump_rate
+    for l in range(4):
+        if l != pumped_level:
+            m[l, pumped_level] += rates.pump_rate / 3.0
+    return m
+
+
 def reference_offset_fit(peaks, lines):
     """``spectra._offset_fit`` one seed at a time: (rms, offset)."""
     best_rms, best_offset = np.inf, 0.0

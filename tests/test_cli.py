@@ -329,6 +329,33 @@ pump_rate = 100
 duration_s = 0.3
 """
 
+# site II's preset parameters given as explicit tensors
+PINNED_SITE_CONFIG = """[site]
+name = explicit-II
+center_nm = 978.854
+fwhm_mhz = 560
+
+[ground.a]
+unit = GHz
+values = -0.1259, 1.1835, 4.8668
+angles_deg = 45.86, 11.13, 2.97
+
+[ground.g]
+unit = dimensionless
+values = 0.13, 1.50, 6.06
+angles_deg = 59.10, 11.8, -12.6
+
+[excited.a]
+unit = GHz
+values = 2.34, 2.90, 6.49
+angles_deg = 51.07, 14.11, -0.67
+
+[excited.g]
+unit = dimensionless
+values = 1.0, 1.4, 3.3
+angles_deg = 54.0, 23.0, -10.0
+"""
+
 
 class TestPinnedBytes:
     """sha256 of outputs whose bytes stay fixed while their code is reworked.
@@ -385,6 +412,39 @@ class TestPinnedBytes:
             "6ca930fe0de1555c8eaed4eaec3be5076cf33c696602e9106a5b81093480e508",
             "d6ff36d81937ad1a217ed10cb36aa162fab5cfd767866088102418ec78bc6e10",
             "b489c0a7a95f655dc3e4ea98ab4334e6204dba71a1f0e4662f2874686d85af4e"]
+
+    def test_absorption_overlap_csv_and_peaks(self, tmp_path, capsys):
+        spectrum, peaks = tmp_path / "absorption.csv", tmp_path / "peaks.csv"
+        code, _, _ = run(capsys, "absorption", "--range=-4.5:4.5:0.005", "--peaks-out", str(peaks), "--no-stamp",
+                         "--out", str(spectrum))
+        assert code == 0
+        assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (spectrum, peaks)] == [
+            "094aa5eb7c1e78b5a5611e3e0303f09efc8e17f7b846da4abfc91bdfec1f556f",
+            "200b8a1c8688d19cad11abd923c17bf2ec26442fd7493bdfaafb38e85f72da8c"]
+
+    @pytest.mark.parametrize("state, csv_hash", [
+        ("ground", "f3f0c6426d0fbd8611697b213f477be74d63ccf229391c72dfb5ae43be99fe49"),
+        ("excited", "ee01796364feea966945b358d64495404acb80f615d1e8503187f5fa2e5f046f"),
+    ])
+    def test_transitions_through_explicit_config(self, tmp_path, capsys, state, csv_hash):
+        cfg, out = tmp_path / "site.ini", tmp_path / "t.csv"
+        cfg.write_text(PINNED_SITE_CONFIG)
+        code, _, _ = run(capsys, "transitions", "--config", str(cfg), "--state", state, "--B", "30,0,0",
+                         "--no-stamp", "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_hash
+
+    def test_fit_two_orientations_csv_and_report(self, tmp_path, capsys):
+        # the report has one canonical-angle line per fitted orientation
+        data, out, report = tmp_path / "data.csv", tmp_path / "fit.csv", tmp_path / "report.txt"
+        data.write_text(PINNED_FIT_DATA)
+        code, _, _ = run(capsys, "fit", "--data", str(data), "--free", "ground,excited", "--restarts", "2",
+                         "--seed", "0", "--no-stamp", "--out", str(out), "--report", str(report))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "61a24e28606b8ace9d6b9384463ac5f1f4cadc7f2cb8e5332d63a00c0c5fe8b3")
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+            "4e2fd627f2074a1d16e419d8702aab1db41cea77081237860544861400c1268e")
 
     def test_zefoz_csv(self, tmp_path, capsys):
         out = tmp_path / "zefoz.csv"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kramers import output
-from kramers.config import ConfigError, parse_config
+from kramers.config import ConfigError, load_rates, parse_config
 from kramers.hamiltonian import eigensystem, transition_frequencies
 from kramers.output import STAMP, csv_text, format_number, pgm_bytes
 from kramers.presets import SITE_I
@@ -59,9 +59,22 @@ class TestConfig:
         assert site.fwhm_mhz == 800.0
 
     def test_explicit_tensors_match_preset(self):
+        # the config spells out site I's four tensors: each is built bit for bit as the preset's
         site = parse_config(EXPLICIT_CONFIG)
-        assert np.abs(site.ground.A.matrix - SITE_I.ground.A.matrix).max() < 1e-12
+        for state in ("ground", "excited"):
+            for kind in ("A", "g"):
+                built, preset = (getattr(getattr(s, state), kind).matrix for s in (site, SITE_I))
+                assert np.array_equal(built, preset), (state, kind)
         assert site.label == "my-crystal"
+
+    def test_later_of_a_rate_pair_wins(self, tmp_path):
+        path = tmp_path / "rates.ini"
+        path.write_text("[rates]\nr12 = 5\nr34 = 7\nr21 = 3\n")
+        rates = load_rates(path).rates
+        assert rates[0, 1] == rates[1, 0] == 3.0
+        assert rates[2, 3] == rates[3, 2] == 7.0
+        path.write_text("[rates]\nr21 = 3\nr12 = 5\n")
+        assert load_rates(path).rates[1, 0] == 5.0
 
     def test_constants_override_propagates(self):
         site = parse_config(PRESET_CONFIG + "\n[constants]\nmu_b_ghz_per_t = 14.0\ng_n = 1.0\n")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import benchmark_rate_variants, reference_hole_entries, reference_render
+from conftest import benchmark_rate_variants, reference_generator, reference_hole_entries, reference_render
 from kramers.hamiltonian import eigensystem
 from kramers.presets import SITE_I, SITE_II
 from kramers.selftest import fast_pair_rates
@@ -179,6 +179,18 @@ class TestPopulations:
         no_pump = RateMatrix.symmetric({(0, 1): 10.0, (1, 2): 10.0, (2, 3): 10.0}, pump_rate=0.0)
         p0 = populations_after_burn(no_pump, 1, duration_s=np.inf)
         assert np.abs(p0 - 0.25).max() < 1e-12
+
+    def test_generator_matches_reference_loop(self):
+        # bit for bit, signs of zero included; the generator ignores the diagonal of the rates
+        rng = np.random.default_rng(41)
+        for _ in range(2000):
+            r = rng.uniform(0.0, 1.0, (4, 4)) * 10.0 ** rng.uniform(-3, 3, (4, 4))
+            r[rng.random((4, 4)) < 0.2] = 0.0
+            r[rng.random((4, 4)) < 0.2] = -0.0
+            np.fill_diagonal(r, rng.normal(0.0, 10.0, 4))
+            rates = RateMatrix(r, pump_rate=rng.choice([0.0, -0.0, rng.uniform(0.0, 300.0)]))
+            for level in range(4):
+                assert _generator(rates, level).tobytes() == reference_generator(rates, level).tobytes()
 
     def test_rejects_negative_rates(self):
         r = np.zeros((4, 4))
