@@ -187,6 +187,11 @@ def _build_parser() -> _Parser:
     return top
 
 
+def _write(args, columns, grid: int = 0) -> None:
+    """Write the command's CSV to --out, its header the first word of the command's schema."""
+    write_csv(args.out, SCHEMAS[args.command].split()[0].split(","), columns, stamp=not args.no_stamp, grid=grid)
+
+
 def _field_from_args(args) -> np.ndarray:
     vec = np.asarray(args.field, dtype=float)
     if args.magnitude is not None:
@@ -200,7 +205,7 @@ def _field_from_args(args) -> np.ndarray:
 def _cmd_levels(args) -> int:
     site = _resolve_site(args)
     energies = eigensystem(getattr(site, args.state), _field_from_args(args)).energies
-    write_csv(args.out, ["level", "energy_ghz"], [np.arange(1, 5), energies], stamp=not args.no_stamp)
+    _write(args, [np.arange(1, 5), energies])
     for n, e in enumerate(energies, start=1):
         print(f"level {n}: {e:+.6f} GHz")
     return 0
@@ -210,8 +215,7 @@ def _cmd_transitions(args) -> int:
     site = _resolve_site(args)
     field = _field_from_args(args)
     freqs = transition_frequencies(eigensystem(getattr(site, args.state), field))
-    write_csv(args.out, ["lower", "upper", "frequency_ghz"], [PAIR_LO + 1, PAIR_HI + 1, freqs],
-              stamp=not args.no_stamp)
+    _write(args, [PAIR_LO + 1, PAIR_HI + 1, freqs])
     for (i, j), f in zip(PAIRS, freqs.tolist()):
         print(f"{i + 1} -> {j + 1}: {f * 1e3:9.3f} MHz")
     return 0
@@ -223,7 +227,7 @@ def _cmd_absorption(args) -> int:
         detunings, amp = spectra.absorption_spectrum(site, args.field, args.range, intensity_model=args.model)
     except ValueError as exc:  # the step resolves the site's FWHM: known only now
         raise ConfigError("bad-range", f"range: {exc}", "range")
-    write_csv(args.out, ["detuning_ghz", "amplitude"], [detunings, amp], stamp=not args.no_stamp)
+    _write(args, [detunings, amp])
     print(f"wrote {len(detunings)} samples to {args.out}")
     if args.peaks_out:
         peaks = spectra.find_peaks(amp, args.prominence * amp.max())
@@ -245,8 +249,7 @@ def _cmd_shb_map(args) -> int:
         detuning_range_ghz=(args.span.start, args.span.stop), detuning_step_ghz=args.span.step,
         hole_width_mhz=args.width,
     )
-    write_csv(args.out, ["field_mt", "detuning_ghz", "amplitude"],
-              [fmap.magnitudes_mt, fmap.detunings_ghz, fmap.amplitudes.ravel()], stamp=not args.no_stamp, grid=2)
+    _write(args, [fmap.magnitudes_mt, fmap.detunings_ghz, fmap.amplitudes.ravel()], grid=2)
     pgm_path = args.out.rsplit(".", 1)[0] + ".pgm"
     write_pgm(pgm_path, fmap.amplitudes, stamp=not args.no_stamp)
     print(f"wrote {fmap.amplitudes.shape[0]}x{fmap.amplitudes.shape[1]} map to {args.out} and {pgm_path}")
@@ -259,9 +262,8 @@ def _cmd_odmr(args) -> int:
         getattr(site, args.state), _field_from_args(args), ac_axis=args.ac_axis
     )
     pairs = np.array([l.transition for l in lines]).reshape(-1, 2) + 1
-    write_csv(args.out, ["frequency_mhz", "lower", "upper", "moment", "strong"],
-              [np.array([l.frequency_mhz for l in lines]), *pairs.T, np.array([l.moment for l in lines]),
-               np.array([l.strong for l in lines])], stamp=not args.no_stamp)
+    _write(args, [np.array([l.frequency_mhz for l in lines]), *pairs.T, np.array([l.moment for l in lines]),
+                  np.array([l.strong for l in lines])])
     for l in lines:
         lo, up = l.transition
         print(f"{l.frequency_mhz:9.3f} MHz  ({lo + 1}->{up + 1})  moment {l.moment:.4f}{'  strong' if l.strong else ''}")
@@ -278,10 +280,8 @@ def _cmd_epr_map(args) -> int:
     found = [r for _, resonances in swept for r in resonances]
     angles = np.repeat([angle for angle, _ in swept], [len(resonances) for _, resonances in swept])
     pairs = np.array([r.transition for r in found]).reshape(-1, 2) + 1
-    write_csv(args.out, ["angle_deg", "field_mt", "lower", "upper", "subsite", "moment"],
-              [angles, np.array([r.field_mt for r in found]), *pairs.T,
-               np.array([r.subsite for r in found]), np.array([r.moment for r in found])],
-              stamp=not args.no_stamp)
+    _write(args, [angles, np.array([r.field_mt for r in found]), *pairs.T,
+                  np.array([r.subsite for r in found]), np.array([r.moment for r in found])])
     print(f"wrote {len(found)} resonances to {args.out}")
     return 0
 
@@ -348,16 +348,13 @@ def _cmd_fit(args) -> int:
     )
     try:
         result = fitting.fit(problem, data, restarts=args.restarts, seed=args.seed)
-    except RuntimeError as exc:  # every restart failed
-        raise ConfigError("fit-failed", str(exc))
     except ValueError as exc:  # no points, or fewer points than free parameters
         raise ConfigError("bad-data", str(exc), "data")
 
     excluded = np.isin(np.arange(len(data)), result.excluded)
-    write_csv(args.out, ["index", "kind", "state", "value", "sigma", "model", "residual", "excluded"],
-              [np.arange(1, len(data) + 1), [p.kind for p in data], [p.state for p in data],
-               np.array([p.value for p in data]), np.array([p.sigma for p in data]),
-               result.model_values, result.residuals, excluded], stamp=not args.no_stamp)
+    _write(args, [np.arange(1, len(data) + 1), [p.kind for p in data], [p.state for p in data],
+                  np.array([p.value for p in data]), np.array([p.sigma for p in data]),
+                  result.model_values, result.residuals, excluded])
 
     lines = [
         f"status: {'ok' if result.success else 'fit-failed'} ({result.message})",
@@ -366,9 +363,7 @@ def _cmd_fit(args) -> int:
         ),
         f"gated outliers: {[n + 1 for n in result.excluded] or 'none'}",
         f"restart RMS spread (MHz): min {result.restart_rms_mhz[0]:.4f}, "
-        f"max {result.restart_rms_mhz[-1]:.4f} over {len(result.restart_rms_mhz)} restarts" + (
-            f", {len(result.restart_errors)} failed ({result.restart_errors[0]})" if result.restart_errors else ""
-        ),
+        f"max {result.restart_rms_mhz[-1]:.4f} over {len(result.restart_rms_mhz)} restarts",
     ]
     runs = len(result.restart_iterations)
     lines.append(
@@ -398,7 +393,7 @@ def _cmd_fit(args) -> int:
 def _cmd_invert(args) -> int:
     _resolve_site(args)  # an unknown --site or a bad --config is an error here too
     mags = invert_zero_field(reconstruct_levels(np.asarray(args.lines) * 1e-3))
-    write_csv(args.out, ["axis", "magnitude_ghz"], [np.arange(1, 4), np.array(mags)], stamp=not args.no_stamp)
+    _write(args, [np.arange(1, 4), np.array(mags)])
     for n, m in enumerate(mags, start=1):
         print(f"|A{n}| = {m:.6f} GHz")
     return 0
@@ -421,10 +416,8 @@ def _cmd_ordering(args) -> int:
     except ValueError as exc:  # peaks so far apart that the fit overflows
         raise ConfigError("bad-value", str(exc), "peaks")
     classes = np.array([r.ordering for r in ranked]).reshape(-1, 2)
-    write_csv(args.out, ["rank", "ground_class", "excited_class", "rms_mhz", "offset_ghz", "tied"],
-              [np.arange(1, len(ranked) + 1), *classes.T, np.array([r.rms_ghz * 1e3 for r in ranked]),
-               np.array([r.offset_ghz for r in ranked]), np.array([r.tied for r in ranked])],
-              stamp=not args.no_stamp)
+    _write(args, [np.arange(1, len(ranked) + 1), *classes.T, np.array([r.rms_ghz * 1e3 for r in ranked]),
+                  np.array([r.offset_ghz for r in ranked]), np.array([r.tied for r in ranked])])
     best = ranked[0]
     print(f"best ordering classes (ground, excited) = {best.ordering}, "
           f"rms {best.rms_ghz * 1e3:.3f} MHz{'  [TIED]' if best.tied else ''}")
@@ -446,11 +439,8 @@ def _cmd_zefoz(args) -> int:
     fields = np.array([c.field_mt for c in candidates]).reshape(-1, 3)
     pairs = np.array([c.transition for c in candidates]).reshape(-1, 2) + 1
     curvatures = np.array([c.curvature_eigs_mhz_per_mt2 for c in candidates]).reshape(-1, 3)
-    write_csv(args.out, ["bx_mt", "by_mt", "bz_mt", "lower", "upper", "grad_norm_mhz_per_mt",
-                         "curv_eig1", "curv_eig2", "curv_eig3", "classification", "stationary"],
-              [*fields.T, *pairs.T, np.array([c.grad_norm_mhz_per_mt for c in candidates]), *curvatures.T,
-               [c.classification for c in candidates], np.array([c.stationary for c in candidates])],
-              stamp=not args.no_stamp)
+    _write(args, [*fields.T, *pairs.T, np.array([c.grad_norm_mhz_per_mt for c in candidates]), *curvatures.T,
+                  [c.classification for c in candidates], np.array([c.stationary for c in candidates])])
     for c in candidates[:5]:
         print(f"B = ({c.field_mt[0]:8.3f}, {c.field_mt[1]:8.3f}, {c.field_mt[2]:8.3f}) mT  "
               f"|grad| = {c.grad_norm_mhz_per_mt:.3e} MHz/mT  {c.classification}")

@@ -20,11 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hamiltonian import G_N_DEFAULT, MU_B_GHZ_PER_T, MU_N_GHZ_PER_T, SpinSystem
-from .presets import get_site, principal
+from .hamiltonian import G_N_DEFAULT, MU_B_GHZ_PER_T, MU_N_GHZ_PER_T
+from .presets import get_site, site_from_parameters
 from .shb import RateMatrix
 from .spectra import SiteModel
-from .tensors import assemble_tensor
 
 MAX_POINTS = 10**7  # samples one command may allocate (the defaults stay below 1e6)
 
@@ -167,7 +166,8 @@ def _read_ini(text: str, known: dict[str, set[str]]) -> configparser.ConfigParse
     return parser
 
 
-_TENSOR_SECTIONS = ("ground.a", "ground.g", "excited.a", "excited.g")
+# each tensor section and its key in ``presets.site_from_parameters``
+_TENSOR_SECTIONS = {"ground.a": "ground_A", "ground.g": "ground_g", "excited.a": "excited_A", "excited.g": "excited_g"}
 _KNOWN_KEYS = {
     "site": {"preset", "name", "center_nm", "fwhm_mhz", "ordering_ground", "ordering_excited"},
     "constants": {"mu_b_ghz_per_t", "mu_n_ghz_per_t", "g_n"},
@@ -213,8 +213,8 @@ def parse_config(text: str) -> SiteModel:
             if need not in site_section:
                 raise ConfigError("missing-key", f"site.{need} is required", f"site.{need}")
 
-        tensors = {}
-        for section in _TENSOR_SECTIONS:
+        params = {}
+        for section, name in _TENSOR_SECTIONS.items():
             sec = parser[section]
             for need in ("unit", "values", "angles_deg"):
                 if need not in sec:
@@ -226,17 +226,11 @@ def parse_config(text: str) -> SiteModel:
                     f"{section}.unit must be one of {sorted(_TENSOR_UNITS[section[-1]])}, got {unit!r}",
                     f"{section}.unit",
                 )
-            values = triple(sec["values"], f"{section}.values")
-            angles = triple(sec["angles_deg"], f"{section}.angles_deg")
-            tensors[section] = assemble_tensor(principal(values, angles))
-
-        site = SiteModel(
-            ground=SpinSystem(A=tensors["ground.a"], g=tensors["ground.g"]),
-            excited=SpinSystem(A=tensors["excited.a"], g=tensors["excited.g"]),
-            center_nm=number(site_section["center_nm"], "site.center_nm", "positive"),
-            fwhm_mhz=number(site_section["fwhm_mhz"], "site.fwhm_mhz", "positive"),
-            label=site_section.get("name", "custom"),
-        )
+            params[name] = (triple(sec["values"], f"{section}.values"),
+                            triple(sec["angles_deg"], f"{section}.angles_deg"))
+        for key in ("center_nm", "fwhm_mhz"):
+            params[key] = number(site_section[key], f"site.{key}", "positive")
+        site = site_from_parameters(params, site_section.get("name", "custom"))
 
     ordering = list(site.ordering)
     for n, key in enumerate(("ordering_ground", "ordering_excited")):
@@ -274,12 +268,11 @@ def load_rates(path) -> RateMatrix:
     parser = _read_ini(read_text(path), {"rates": _RATE_KEYS})
     if not parser.has_section("rates"):
         raise ConfigError("bad-rates", f"{path}: expected a [rates] section", "rates")
-    rates, settings = np.zeros((4, 4)), {}
+    pairs, settings = {}, {}
     for key, raw in parser["rates"].items():
         value = number(raw, f"rates.{key}", "nonneg", "bad-rates")
         if key in ("pump_rate", "duration_s"):
             settings[key] = value
         else:
-            k, l = int(key[1]) - 1, int(key[2]) - 1
-            rates[k, l] = rates[l, k] = value
-    return RateMatrix(rates, **settings)
+            pairs[int(key[1]) - 1, int(key[2]) - 1] = value
+    return RateMatrix.symmetric(pairs, **settings)

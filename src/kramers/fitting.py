@@ -310,16 +310,6 @@ def _points(problem: FitProblem, params) -> tuple[np.ndarray, np.ndarray]:
     return rotations, x[:, n_angles:].reshape(len(x), -1)
 
 
-def start_point(problem: FitProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The point one restart starts from, for its seed ``x``.
-
-    ``fit`` calls it once per restart, in seed order; an exception fails
-    that restart alone.
-    """
-    rotations, flat = _points(problem, x[None])
-    return rotations[0], flat[0]
-
-
 def _parameters(problem: FitProblem, rotations: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """Parameter vectors (B, P) of fit points: canonical Euler angles of each rotation."""
     angles = [[principal_axes_orientation(r).as_tuple() for r in row] for row in rotations]
@@ -697,8 +687,7 @@ class FitResult:
     excluded: tuple[int, ...]
     covariance_names: tuple[str, ...]
     covariance: np.ndarray
-    restart_rms_mhz: tuple[float, ...]   # one per completed restart, ascending
-    restart_errors: tuple[str, ...] = ()  # one per failed restart, in seed order
+    restart_rms_mhz: tuple[float, ...]   # one per restart, ascending
     # LM iterations (accepted steps) and evaluations, one per restart in seed order
     restart_iterations: tuple[int, ...] = ()
     restart_evaluations: tuple[int, ...] = ()
@@ -733,7 +722,7 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
         return FitResult(
             *_status(len(excl), total), tuple(names), x0,
             _canonical_report(problem, x0), rms, rms_field,
-            res, model, tuple(excl), (), np.zeros((0, 0)), (rms,), (), (0,), (1,),
+            res, model, tuple(excl), (), np.zeros((0, 0)), (rms,), (0,), (1,),
         )
 
     if total < len(names):
@@ -742,7 +731,7 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
     lo, hi = problem.bounds()
     rng = np.random.default_rng(seed)
     best = None
-    restart_rms_list, errors, iterations, evaluations = [], [], [], []
+    restart_rms_list, iterations, evaluations = [], [], []
     restarts = max(1, restarts)
     for first in range(0, restarts, RESTART_CHUNK):
         count = min(RESTART_CHUNK, restarts - first)
@@ -750,26 +739,14 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
         seeds = rng.uniform(lo, hi, size=(count - (first == 0), len(names)))
         if first == 0:
             seeds = np.concatenate([x0[None], seeds])
-        starts, started = [], np.ones(count, dtype=bool)
-        for n, x in enumerate(seeds):
-            try:
-                starts.append(start_point(problem, x))
-            except Exception as exc:  # a failed restart is counted, and the others go on
-                errors.append(f"{type(exc).__name__}: {exc}")
-                started[n] = False
-        spent = np.zeros((2, count), dtype=int)  # iterations, evaluations
-        if starts:
-            run = _levenberg_marquardt(problem, compiled, *(np.array(c) for c in zip(*starts)))
-            spent[:, started] = run.iterations, run.evaluations
-            for m, x in enumerate(_parameters(problem, run.rotations, run.flat)):
-                restart_rms_list.append(_split_rms(compiled, run.residuals[m], run.gated[m])[0])
-                if best is None or (run.cost[m], tuple(x)) < best:
-                    best = (run.cost[m], tuple(x))
-        iterations += spent[0].tolist()
-        evaluations += spent[1].tolist()
+        run = _levenberg_marquardt(problem, compiled, *_points(problem, seeds))
+        for m, x in enumerate(_parameters(problem, run.rotations, run.flat)):
+            restart_rms_list.append(_split_rms(compiled, run.residuals[m], run.gated[m])[0])
+            if best is None or (run.cost[m], tuple(x)) < best:
+                best = (run.cost[m], tuple(x))
+        iterations += run.iterations.tolist()
+        evaluations += run.evaluations.tolist()
 
-    if best is None:
-        raise RuntimeError(f"all {len(errors)} restarts failed (first: {errors[0]})")
     x = np.array(best[1])
     ev = evaluate(problem, *_points(problem, x[None]), compiled, jac=True)
     res, model, gated = ev.residuals[0], ev.model[0], ev.gated[0]
@@ -794,7 +771,7 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
         *_status(len(excl), total), tuple(names), x,
         _canonical_report(problem, x), rms, rms_field,
         res, model, tuple(excl), tuple(problem.covariance_names()), cov,
-        tuple(sorted(restart_rms_list)), tuple(errors), tuple(iterations), tuple(evaluations),
+        tuple(sorted(restart_rms_list)), tuple(iterations), tuple(evaluations),
     )
 
 
@@ -835,14 +812,12 @@ def _canonical_report(problem: FitProblem, params: np.ndarray) -> dict:
     """Each fitted state's A as canonical angles, subsite and principal values."""
     site = problem.realized_site(params)
     report = {}
-    if problem.fit_ground:
-        angles, subsite = canonical_orientation(site.ground.A)
-        report["ground"] = {"angles_deg": angles.as_tuple(), "subsite": subsite,
-                            "values_ghz": decompose_tensor(site.ground.A).values}
-    if problem.fit_excited:
-        angles, subsite = canonical_orientation(site.excited.A)
-        report["excited"] = {"angles_deg": angles.as_tuple(), "subsite": subsite,
-                             "values_ghz": decompose_tensor(site.excited.A).values}
+    for kind, state in problem.blocks:
+        if kind == "angles":
+            A = getattr(site, state).A
+            angles, subsite = canonical_orientation(A)
+            report[state] = {"angles_deg": angles.as_tuple(), "subsite": subsite,
+                             "values_ghz": decompose_tensor(A).values}
     return report
 
 
@@ -859,16 +834,11 @@ def invert_and_seed(
         raise ValueError(f"unknown state {state!r}")
     levels = reconstruct_levels(lines_ghz)
     mags = invert_zero_field(levels)
-    sys = site.ground if state == "ground" else site.excited
+    sys = getattr(site, state)
     signs = [1.0 if v >= 0 else -1.0 for v in decompose_tensor(sys.A).values]
     new_sys = sys.with_principal(tuple(s * m for s, m in zip(signs, mags)))
-    new_site = replace(
-        site,
-        ground=new_sys if state == "ground" else site.ground,
-        excited=new_sys if state == "excited" else site.excited,
-    )
     problem = FitProblem(
-        site=new_site,
+        site=replace(site, **{state: new_sys}),
         fit_ground=(state == "ground"),
         fit_excited=(state == "excited"),
     )

@@ -218,9 +218,9 @@ def _bisect(detunings, ray, lo, hi, flo, col) -> np.ndarray:
 def _resonances(sys: SpinSystem, directions, nu_mw_ghz: float, b_max_mt: float) -> list[list[EprResonance]]:
     """The resonances of both subsites of ``sys`` along each direction: one
     ``resonance_search`` over directions x 2 rays, one sorted list each."""
-    if nu_mw_ghz <= 0:
+    if not 0 < nu_mw_ghz < np.inf:
         raise ValueError("microwave frequency must be positive")
-    if b_max_mt <= 0:
+    if not 0 < b_max_mt < np.inf:
         raise ValueError("b_max must be positive")
     directions = np.array([unit_direction(d) for d in directions])
     systems = (sys.with_subsite(1), sys.with_subsite(2))

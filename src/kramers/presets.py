@@ -39,29 +39,20 @@ def principal(values, angles) -> PrincipalTensor:
     return PrincipalTensor(tuple(values), EulerAngles(*angles))
 
 
-def _build_site(name: str) -> SiteModel:
-    p = _SITE_PARAMS[name]
-    ground = SpinSystem(
-        A=assemble_tensor(principal(*p["ground_A"])),
-        g=assemble_tensor(principal(*p["ground_g"])),
-        g_n=G_N_DEFAULT,
+def site_from_parameters(params: dict, label: str) -> SiteModel:
+    """A site from the (values, angles) pairs ``ground_A``, ``ground_g``,
+    ``excited_A``, ``excited_g`` and the ``center_nm`` and ``fwhm_mhz`` of ``params``."""
+    ground, excited = (
+        SpinSystem(A=assemble_tensor(principal(*params[f"{state}_A"])),
+                   g=assemble_tensor(principal(*params[f"{state}_g"])), g_n=G_N_DEFAULT)
+        for state in ("ground", "excited")
     )
-    excited = SpinSystem(
-        A=assemble_tensor(principal(*p["excited_A"])),
-        g=assemble_tensor(principal(*p["excited_g"])),
-        g_n=G_N_DEFAULT,
-    )
-    return SiteModel(
-        ground=ground,
-        excited=excited,
-        center_nm=p["center_nm"],
-        fwhm_mhz=p["fwhm_mhz"],
-        label=f"site-{name}",
-    )
+    return SiteModel(ground=ground, excited=excited, center_nm=params["center_nm"],
+                     fwhm_mhz=params["fwhm_mhz"], label=label)
 
 
-SITE_I = _build_site("I")
-SITE_II = _build_site("II")
+SITE_I = site_from_parameters(_SITE_PARAMS["I"], "site-I")
+SITE_II = site_from_parameters(_SITE_PARAMS["II"], "site-II")
 
 _ALIASES = {
     "i": "I", "1": "I", "site-i": "I", "site1": "I", "site-1": "I",
@@ -69,17 +60,18 @@ _ALIASES = {
 }
 
 
-def get_site(name: str) -> SiteModel:
-    """Look up a built-in site preset by name ("I", "II", "site-I", ...)."""
+def _preset_key(name: str) -> str:
     key = _ALIASES.get(str(name).strip().lower())
     if key is None:
         raise KeyError(f"unknown site preset {name!r} (expected site-I or site-II)")
-    return SITE_I if key == "I" else SITE_II
+    return key
+
+
+def get_site(name: str) -> SiteModel:
+    """Look up a built-in site preset by name ("I", "II", "site-I", ...)."""
+    return SITE_I if _preset_key(name) == "I" else SITE_II
 
 
 def site_parameters(name: str) -> dict:
     """The raw (values, angles) parameter dictionary behind a preset."""
-    key = _ALIASES.get(str(name).strip().lower())
-    if key is None:
-        raise KeyError(f"unknown site preset {name!r}")
-    return dict(_SITE_PARAMS[key])
+    return dict(_SITE_PARAMS[_preset_key(name)])

@@ -16,6 +16,7 @@ from .hamiltonian import (
     invert_zero_field,
     reconstruct_levels,
     transition_frequencies,
+    unit_direction,
     zero_field_levels,
 )
 from .presets import SITE_I, SITE_II, principal, site_parameters
@@ -146,9 +147,7 @@ def check_slope_ratio():
 def adapted_axes(sys, direction):
     """Field-adapted quantization axes: electron along g^T B-hat, nucleus
     along the hyperfine field A e-hat of the polarized electron."""
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    e_ax = sys.g.matrix.T @ d
+    e_ax = sys.g.matrix.T @ unit_direction(direction)
     e_ax = e_ax / np.linalg.norm(e_ax)
     n_ax = sys.A.matrix @ e_ax
     return e_ax, n_ax / np.linalg.norm(n_ax)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import as_field, hamiltonian_batch, unit_direction
-from .spectra import SiteModel, lorentzian_amplitude
+from .spectra import SiteModel, _lorentzian_sum, lorentzian_amplitude
 
 HOLE = "hole"
 ANTIHOLE = "antihole"
@@ -74,8 +74,8 @@ class RateMatrix:
         if r.shape != (4, 4):
             raise ValueError("rate matrix must be 4x4")
         off = r[~np.eye(4, dtype=bool)]
-        if np.any(off < 0) or self.pump_rate < 0 or self.duration_s < 0:
-            raise ValueError("rates, pump rate and duration must be non-negative")
+        if not (np.all(np.isfinite(r)) and np.all(off >= 0) and 0 <= self.pump_rate < np.inf and self.duration_s >= 0):
+            raise ValueError("rates and pump rate must be finite and non-negative, and duration non-negative")
         r = r.copy()
         r.setflags(write=False)
         object.__setattr__(self, "rates", r)
@@ -133,16 +133,12 @@ def _classes(site: SiteModel, eg: list, ee: list, burn: float, cutoff: float) ->
 def _generator(rates: RateMatrix, pumped_level: int) -> np.ndarray:
     """Column-stochastic generator of the pumped rate equations (columns sum to 0)."""
     r = rates.rates
-    m = np.zeros((4, 4))
-    for k in range(4):
-        for l in range(4):
-            if k != l:
-                m[l, k] += r[k, l]
-                m[k, k] -= r[k, l]
+    out = r[~np.eye(4, dtype=bool)].reshape(4, 3)  # the rates out of each level, in order
+    m = 0.0 + r.T
+    # bit for bit the same as subtracting each outgoing rate from 0 in turn
+    m[np.diag_indices(4)] = 0.0 - (out[:, 0] + out[:, 1] + out[:, 2])
     m[pumped_level, pumped_level] -= rates.pump_rate
-    for l in range(4):
-        if l != pumped_level:
-            m[l, pumped_level] += rates.pump_rate / 3.0
+    m[np.arange(4) != pumped_level, pumped_level] += rates.pump_rate / 3.0
     return m
 
 
@@ -283,22 +279,10 @@ def hole_pattern(
                        burn_detuning_ghz, tuple(B))
 
 
-def _render(lines, detunings: np.ndarray, hole_width_mhz: float, out: np.ndarray) -> np.ndarray:
-    """Add to ``out`` the Lorentzian of each (detuning, signed weight) line,
-    in order; lines sorted by detuning share one line shape per detuning."""
-    width_ghz = hole_width_mhz * 1e-3
-    last = None
-    for detuning, weight in lines:
-        if detuning != last:
-            shape, last = lorentzian_amplitude(detunings - detuning, width_ghz), detuning
-        out += weight * shape
-    return out
-
-
 def render_pattern(pattern: HolePattern, detunings: np.ndarray, hole_width_mhz: float = DEFAULT_HOLE_WIDTH_MHZ) -> np.ndarray:
     """Signed spectrum on a detuning grid: holes negative, antiholes positive."""
     lines = [(e.detuning_ghz, e.weight if e.polarity == ANTIHOLE else -e.weight) for e in pattern.entries]
-    return _render(lines, detunings, hole_width_mhz, np.zeros_like(detunings, dtype=float))
+    return _lorentzian_sum(lines, detunings, hole_width_mhz, np.zeros_like(detunings, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,6 +330,6 @@ def shb_field_map(
         energies = _energies(site, mags[start:start + FIELD_CHUNK, None] * d)
         for row, eg, ee in zip(amplitudes[start:], *energies):
             entries = _entries(site, eg, ee, burn_detuning_ghz, rates, cutoff, changes)
-            _render([(x, w if polarity == ANTIHOLE else -w) for x, _, _, polarity, w in entries],
-                    detunings, hole_width_mhz, row)
+            _lorentzian_sum([(x, w if polarity == ANTIHOLE else -w) for x, _, _, polarity, w in entries],
+                            detunings, hole_width_mhz, row)
     return FieldMap(tuple(d), mags, detunings, amplitudes)

@@ -102,6 +102,18 @@ def lorentzian_amplitude(x, fwhm: float):
     return hw * hw / (np.square(x) + hw * hw)
 
 
+def _lorentzian_sum(lines, detunings: np.ndarray, fwhm_mhz: float, out: np.ndarray) -> np.ndarray:
+    """Add to ``out`` the unit-peak Lorentzian of each (detuning, weight)
+    line, in order; lines in a row at one detuning share one line shape."""
+    fwhm_ghz = fwhm_mhz * 1e-3
+    last = None
+    for detuning, weight in lines:
+        if detuning != last:
+            shape, last = lorentzian_amplitude(detunings - detuning, fwhm_ghz), detuning
+        out += weight * shape
+    return out
+
+
 def absorption_spectrum(site: SiteModel, B, grid, intensity_model: str = "overlap"):
     """Sampled inhomogeneous absorption profile, normalized to peak 1.
 
@@ -120,9 +132,8 @@ def absorption_spectrum(site: SiteModel, B, grid, intensity_model: str = "overla
     if detunings.size > 1 and step >= fwhm_ghz / 10.0:
         raise ValueError(f"grid step {step:g} GHz too coarse for FWHM {fwhm_ghz:g} GHz")
 
-    amp = np.zeros_like(detunings)
-    for line in optical_lines(site, B, intensity_model):
-        amp += line.strength * lorentzian_amplitude(detunings - line.detuning_ghz, fwhm_ghz)
+    lines = [(line.detuning_ghz, line.strength) for line in optical_lines(site, B, intensity_model)]
+    amp = _lorentzian_sum(lines, detunings, site.fwhm_mhz, np.zeros_like(detunings))
     peak = amp.max()
     if peak > 0:
         amp = amp / peak

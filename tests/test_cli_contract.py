@@ -18,7 +18,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import kramers
-from kramers import fitting, magres
+from kramers import magres
 from kramers.cli import main
 from kramers.config import MAX_POINTS, ConfigError, check_points, grid
 
@@ -53,8 +53,6 @@ INPUTS = {
     "ordering.ini": "[site]\npreset = site-I\nordering_ground = 1.9\n",
     "fwhm_nan.ini": EXPLICIT_SITE.format(fwhm="nan"),
     "rates_nan.ini": "[rates]\nr12 = nan\nr34 = 1000\n",
-    "points.csv": "kind,state,bx_mt,by_mt,bz_mt,value,sigma\n"
-                  + "".join(f"shb,ground,{b},0,0,0.5,\n" for b in (10, 20, 30)),
     "two_points.csv": "kind,state,bx_mt,by_mt,bz_mt,value,sigma\nshb,ground,10,0,0,0.9,\nshb,ground,20,0,0,1.1,\n",
     "epr_negative.csv": "kind,state,bx_mt,by_mt,bz_mt,value,sigma\n"
                         + "".join(f"shb,ground,{b},0,0,0.9,\n" for b in (10, 20, 30)) + "epr,ground,1,0,0,-100,\n",
@@ -121,7 +119,6 @@ DEFECTS = [
     (["shb-map", "--magnitudes", "0:20:10", "--span=-1:1:0.01", "--rates", "undecodable.ini"], "bad-encoding"),
     (["fit", "--data", "undecodable.csv"], "bad-encoding"),
     (["ordering", "--peaks-file", "undecodable.csv"], "bad-encoding"),
-    (["fit", "--data", "points.csv", "--restarts", "2"], "fit-failed"),  # every restart raises
     (["fit", "--data", "epr_negative.csv"], "bad-data"),
     (["fit", "--data", "epr_no_direction.csv"], "bad-data"),
     (["fit", "--data", "two_points.csv", "--free", "ground"], "bad-data"),  # 2 points, 3 parameters
@@ -131,11 +128,7 @@ DEFECTS = [
 
 @pytest.mark.parametrize("argv,expected", DEFECTS, ids=[" ".join(a) for a, _ in DEFECTS])
 def test_defect_exits_2_with_one_record(argv, expected, tmp_path, monkeypatch):
-    def failing_restart(*args, **kwargs):
-        raise ValueError("injected failure")
-
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(fitting, "start_point", failing_restart)  # only the fit-failed row gets this far
     for name, text in INPUTS.items():
         (tmp_path / name).write_text(text)
     for name in ("undecodable.ini", "undecodable.csv"):
@@ -152,8 +145,6 @@ def test_defect_exits_2_with_one_record(argv, expected, tmp_path, monkeypatch):
         assert record["key"] == "range"
     if expected == "bad-data":
         assert record["key"] == ("data" if argv[2] in ("two_points.csv", "data.csv") else "line 5")
-    if expected == "fit-failed":
-        assert record["message"] == "all 2 restarts failed (first: ValueError: injected failure)"
     assert set(os.listdir(tmp_path)) == before
 
 

@@ -790,65 +790,36 @@ class TestCovarianceAndRestarts:
         assert "excited_rot1=inf, excited_rot2=inf, excited_rot3=inf" in sigmas
         assert "ground_rot1=inf" not in sigmas
 
-    def test_failed_restart_is_counted_and_reported(self, monkeypatch, tmp_path, capsys):
-        from kramers.cli import main
-
-        real = fitting.start_point
-        calls = []
-
-        def fails_on_second_seed(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == 2:
-                raise ValueError("injected failure")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(fitting, "start_point", fails_on_second_seed)
-        data = ground_data([(1, 0, 0), (0, 1, 0)], step_mt=20.0, noise=2e-3, seed=9)
-        result = fit(perturbed_problem(10.0, seed=9), data, restarts=3, seed=9)
-        assert len(result.restart_rms_mhz) == 2
-        assert result.restart_errors == ("ValueError: injected failure",)
-
-        write_data_csv(tmp_path / "data.csv", data)
-        calls.clear()
-        report = tmp_path / "report.txt"
-        main(["fit", "--data", str(tmp_path / "data.csv"), "--restarts", "3", "--seed", "9",
-              "--out", str(tmp_path / "r.csv"), "--report", str(report)])
-        assert "over 2 restarts, 1 failed (ValueError: injected failure)" in report.read_text()
-
     def test_restart_seeds_drawn_one_at_a_time(self, monkeypatch):
         # a huge restart count allocates nothing up front, and the seeds are a normal run's
         class Stop(BaseException):
             pass
 
-        def recorder(stop_at, then=None):
-            starts = []
+        real, calls = fitting._points, []
 
-            def start_point(problem, x):
-                starts.append(np.array(x))
-                if len(starts) == stop_at:
-                    raise Stop
-                if then is None:
-                    raise ValueError("injected failure")
-                return then(problem, x)
+        def stop(problem, params):
+            calls.append(np.array(params))
+            raise Stop
 
-            return starts, start_point
+        def record(problem, params):
+            calls.append(np.array(params))
+            return real(problem, params)
 
         data = ground_data([(1, 0, 0)], step_mt=25.0)
         problem = perturbed_problem(10.0, seed=9)
-        real = fitting.start_point
-
-        starts, stub = recorder(stop_at=4)
-        monkeypatch.setattr(fitting, "start_point", stub)
+        monkeypatch.setattr(fitting, "_points", stop)  # the first call gets the first chunk's seeds
         with pytest.raises(Stop):
             fit(problem, data, restarts=10**5, seed=9)
-        normal, recording = recorder(stop_at=None, then=real)
-        monkeypatch.setattr(fitting, "start_point", recording)
+        (first_chunk,) = calls
+        calls.clear()
+        monkeypatch.setattr(fitting, "_points", record)
         assert len(fit(problem, data, restarts=4, seed=9).restart_rms_mhz) == 4
-        np.testing.assert_array_equal(np.array(starts), np.array(normal))
+        assert first_chunk.shape == (fitting.RESTART_CHUNK, 3)
+        np.testing.assert_array_equal(first_chunk[:4], calls[0])
 
         # traced after the calls above, so one-time import and cache costs are paid
-        starts, stub = recorder(stop_at=1)
-        monkeypatch.setattr(fitting, "start_point", stub)
+        calls.clear()
+        monkeypatch.setattr(fitting, "_points", stop)
         tracemalloc.start()
         try:
             with pytest.raises(Stop):
@@ -856,7 +827,7 @@ class TestCovarianceAndRestarts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(starts) == 1
+        assert len(calls) == 1
         assert peak < 1e6
 
     def test_work_counts_are_positive_and_add_up(self, monkeypatch):
@@ -880,11 +851,6 @@ class TestCovarianceAndRestarts:
         assert [len(r.iterations) for r in runs] == [3, 2]
         assert result.restart_iterations == tuple(int(n) for r in runs for n in r.iterations)
         assert result.restart_evaluations == tuple(int(n) for r in runs for n in r.evaluations)
-
-    def test_no_failed_restarts_no_failure_text(self):
-        data = ground_data([(1, 0, 0), (0, 1, 0)], step_mt=20.0, noise=2e-3, seed=9)
-        result = fit(perturbed_problem(10.0, seed=9), data, restarts=2, seed=9)
-        assert result.restart_errors == ()
 
 
 class TestCanonicalization:

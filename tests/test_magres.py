@@ -146,6 +146,9 @@ class TestEprResonances:
             epr_resonance_fields(SITE_I.ground, (1, 0, 0), -1.0, 100.0)
         with pytest.raises(ValueError):
             epr_resonance_fields(SITE_I.ground, (0, 0, 0), 9.7, 100.0)
+        for nu, b_max in [(np.nan, 100.0), (np.inf, 100.0), (9.7, np.nan), (9.7, np.inf), (9.7, 0.0)]:
+            with pytest.raises(ValueError, match="must be positive"):
+                epr_resonance_fields(SITE_I.ground, (1, 0, 0), nu, b_max)
 
 
 def recursive_brackets(freq_at, grid, values, depth=8):

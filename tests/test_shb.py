@@ -193,10 +193,17 @@ class TestPopulations:
                 assert _generator(rates, level).tobytes() == reference_generator(rates, level).tobytes()
 
     def test_rejects_negative_rates(self):
-        r = np.zeros((4, 4))
-        r[0, 1] = -1.0
-        with pytest.raises(ValueError):
-            RateMatrix(r)
+        negative, infinite = np.zeros((4, 4)), np.zeros((4, 4))
+        negative[0, 1], infinite[2, 3] = -1.0, np.inf
+        for rates, settings in [(negative, {}), (np.full((4, 4), np.nan), {}), (infinite, {}),
+                                (np.zeros((4, 4)), {"pump_rate": np.nan}), (np.zeros((4, 4)), {"pump_rate": np.inf}),
+                                (np.zeros((4, 4)), {"duration_s": np.nan}),
+                                (np.zeros((4, 4)), {"duration_s": -np.inf})]:
+            with pytest.raises(ValueError):
+                RateMatrix(rates, **settings)
+        # an infinite burn is the stationary distribution
+        rates = RateMatrix.symmetric({(0, 1): 10.0, (1, 2): 10.0, (2, 3): 10.0}, pump_rate=0.0, duration_s=np.inf)
+        assert np.abs(populations_after_burn(rates, 1) - 0.25).max() < 1e-12
 
 
 def benchmark_rates(base: float) -> RateMatrix:
