@@ -50,6 +50,7 @@ from .tensors import (
     rz,
     subsite_matrices,
     subsite_transform,
+    _C2,
 )
 from .trust_region import COST_RTOL, MAX_EVALUATIONS, STEP_TOL, _trust_radius, _unbounded_step
 
@@ -88,9 +89,6 @@ _GENERATORS = np.array([
     [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
     [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
 ])
-# subsite 2 is the C2-about-b image of subsite 1: its levels at B are those
-# of subsite 1 at C2 B
-_C2 = np.array([-1.0, -1.0, 1.0])
 
 
 @dataclass(frozen=True)

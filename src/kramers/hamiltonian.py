@@ -191,11 +191,31 @@ def field_gradients(states: np.ndarray, g, g_n: float, mu_b: float, mu_n: float)
     return spin_expectations(states, mix)
 
 
-def degenerate_levels(energies: np.ndarray, gap_ghz: float = DEGENERACY_GAP_GHZ) -> np.ndarray:
-    """Which of the ascending levels (..., 4) lie within ``gap_ghz`` of a
-    neighbour, where Hellmann-Feynman derivatives are not defined."""
+def field_hessians(energies: np.ndarray, states: np.ndarray, derivatives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d2E_n/dB_k dB_l GHz/mT^2 (..., 4, 3, 3), rounding bound (..., 4)) of
+    the levels (..., 4) with eigenvector columns (..., 4, 4) of Hamiltonians
+    linear in B with dH/dB_k = ``derivatives`` (3, 4, 4).
+
+    Second-order perturbation theory: the Hessian of level n is
+    2 Re sum_{m != n} <n|D_k|m><m|D_l|n> / (E_n - E_m), exact because H has
+    no second derivative in B.  The sum loses precision next to a
+    degeneracy; its rounding bound is eps max|E| sum_m 2 |D_nm|^2 / (E_n - E_m)^2.
+    Exactly equal levels contribute nothing to either: ``degenerate_levels``
+    flags them.
+    """
+    d = np.einsum("...an,kab,...bm->...knm", states.conj(), derivatives, states)
+    gaps = energies[..., :, None] - energies[..., None, :]
+    inv = np.divide(1.0, gaps, out=np.zeros_like(gaps), where=gaps != 0.0)
+    hessians = 2.0 * np.einsum("...knm,...lmn,...nm->...nkl", d, d, inv).real
+    scale = np.finfo(float).eps * np.abs(energies).max(axis=-1, keepdims=True)
+    return hessians, scale * np.einsum("...nm,...nm->...n", (np.abs(d) ** 2).sum(axis=-3), 2.0 * inv * inv)
+
+
+def degenerate_levels(energies: np.ndarray) -> np.ndarray:
+    """Which of the ascending levels (..., 4) lie within DEGENERACY_GAP_GHZ
+    of a neighbour, where Hellmann-Feynman derivatives are not defined."""
     gaps = np.diff(energies, axis=-1, prepend=-np.inf, append=np.inf)
-    return np.minimum(gaps[..., :-1], gaps[..., 1:]) < gap_ghz
+    return np.minimum(gaps[..., :-1], gaps[..., 1:]) < DEGENERACY_GAP_GHZ
 
 
 def hyperfine_stack(A: np.ndarray) -> np.ndarray:

@@ -219,9 +219,9 @@ def _resonances(sys: SpinSystem, directions, nu_mw_ghz: float, b_max_mt: float) 
     """The resonances of both subsites of ``sys`` along each direction: one
     ``resonance_search`` over directions x 2 rays, one sorted list each."""
     if not 0 < nu_mw_ghz < np.inf:
-        raise ValueError("microwave frequency must be positive")
+        raise ValueError("microwave frequency must be positive and finite")
     if not 0 < b_max_mt < np.inf:
-        raise ValueError("b_max must be positive")
+        raise ValueError("b_max must be positive and finite")
     directions = np.array([unit_direction(d) for d in directions])
     systems = (sys.with_subsite(1), sys.with_subsite(2))
     ray, fields, cols = resonance_search(

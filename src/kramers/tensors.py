@@ -19,8 +19,11 @@ import numpy as np
 # relative eigenvalue spacing below which the principal-axis pairing is
 # not unique and decompose_tensor flags the result
 _DEGENERACY_RTOL = 1e-8
-# the entry signs of Rz(pi) conjugation: (1,3) and (2,3) flip
-_C2_SIGNS = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+# Rz(pi), the C2 about b: subsite 2 is the image of subsite 1, so its levels
+# at B are those of subsite 1 at C2 B.  Conjugation by it flips the entries
+# (1,3) and (2,3) of a tensor
+_C2 = np.array([-1.0, -1.0, 1.0])
+_C2_SIGNS = np.outer(_C2, _C2)
 
 
 def _wrap_half_open(angle: float) -> float:

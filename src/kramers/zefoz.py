@@ -1,14 +1,14 @@
 """Search for field points where a transition's first-order Zeeman
 sensitivity vanishes (ZEFOZ) or is locally minimal.
 
-The gradient g(B) is Hellmann-Feynman (``hamiltonian.transition_gradients``);
-the curvature is a Richardson-refined central difference of it, its
-13-field stencil in one stacked ``eigh``.  A scan of |g| over the region,
-SCAN_CHUNK points per ``eigh``, picks seeds for a lockstep
-Levenberg-Marquardt on g(B) with the curvature as Jacobian, its trial
-points projected onto the region.  Minima are deduplicated and ranked by
-|g|.  Kramers symmetry makes candidates come in +/-B pairs; only the
-canonical half-space representative is reported.
+The gradient g(B) is Hellmann-Feynman (``hamiltonian.field_gradients``)
+and the curvature, its Jacobian, is second-order perturbation theory
+(``hamiltonian.field_hessians``), both from one ``eigh`` per field.  A
+scan of |g| over the region, SCAN_CHUNK points per ``eigh``, picks seeds
+for a lockstep Levenberg-Marquardt on g(B) with the curvature as Jacobian,
+its trial points projected onto the region.  Minima are deduplicated and
+ranked by |g|.  Kramers symmetry makes candidates come in +/-B pairs; only
+the canonical half-space representative is reported.
 """
 
 from __future__ import annotations
@@ -17,44 +17,58 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import SpinSystem, transition_gradients
+from .hamiltonian import (
+    SpinSystem,
+    degenerate_levels,
+    field_gradients,
+    field_hessians,
+    hamiltonian_batch,
+    transition_gradients,
+)
 from .trust_region import COST_RTOL, MAX_EVALUATIONS, STEP_TOL, _trust_radius, _unbounded_step
 
 DEFAULT_REGION_RADIUS_MT = 100.0
 DEFAULT_REFINE_TOL_MHZ_PER_MT = 1e-3
 DEDUP_DISTANCE_MT = 0.1
-CURVATURE_STEP_MT = 0.1
 SCAN_CHUNK = 4096  # scan points per stacked eigh
+# the relative curvature error a point may carry: the descent's cost test
+# (COST_RTOL) needs its Jacobian to about the square root of it
+CURVATURE_RTOL = np.sqrt(COST_RTOL)
 
 EXACT = "exact-ZEFOZ"
 NEAR = "near-ZEFOZ"
 
-# the stencil of one point B: B itself, B +/- h e_k, then B +/- (h/2) e_k
-_STENCIL = CURVATURE_STEP_MT * np.concatenate([np.zeros((1, 3)), np.eye(3), -np.eye(3), np.eye(3) / 2, -np.eye(3) / 2])
 _MARGINS = DEDUP_DISTANCE_MT * np.concatenate([np.eye(3), -np.eye(3)])
 
 
-def _stencil(sys: SpinSystem, fields: np.ndarray, i: int, j: int):
-    """(gradient MHz/mT, curvature MHz/mT^2, degenerate) at the fields (..., 3);
-    a point is degenerate when any field of its stencil is."""
-    grads, degenerate = transition_gradients(sys, fields[..., None, :] + _STENCIL, i, j)
-    c1 = (grads[..., 1:4, :] - grads[..., 4:7, :]) / (2.0 * CURVATURE_STEP_MT) * 1e3
-    c2 = (grads[..., 7:10, :] - grads[..., 10:13, :]) / CURVATURE_STEP_MT * 1e3
-    curv = (4.0 * c2 - c1) / 3.0
-    return grads[..., 0, :] * 1e3, 0.5 * (curv + np.swapaxes(curv, -1, -2)), degenerate.any(axis=-1)
+def _derivatives(sys: SpinSystem, fields: np.ndarray, i: int, j: int):
+    """(gradient MHz/mT, curvature MHz/mT^2, unresolved) at the fields
+    (..., 3), from one stacked ``eigh``.  A point is unresolved when level i
+    or j is degenerate, or when the curvature's rounding bound exceeds
+    CURVATURE_RTOL of its norm."""
+    fields = np.asarray(fields, dtype=float)
+    w, v = np.linalg.eigh(hamiltonian_batch(sys, fields.reshape(-1, 3)))
+    grads = field_gradients(v, sys.g.matrix, sys.g_n, sys.mu_b, sys.mu_n)
+    hessians, rounding = field_hessians(w, v, sys.zeeman_derivatives)
+    curv = (hessians[:, j] - hessians[:, i]) * 1e3
+    unresolved = degenerate_levels(w)[:, [i, j]].any(axis=1) | (
+        (rounding[:, i] + rounding[:, j]) * 1e3 > CURVATURE_RTOL * np.linalg.norm(curv, axis=(1, 2)))
+    return ((grads[:, j] - grads[:, i]).reshape(fields.shape) * 1e3, curv.reshape(fields.shape + (3,)),
+            unresolved.reshape(fields.shape[:-1]))
 
 
 def sensitivity(sys: SpinSystem, B, i: int, j: int):
     """(gradient MHz/mT, curvature matrix MHz/mT^2) of transition (i, j) at
     a field B (3,) or at each of a stack (..., 3).
 
-    Curvature is computed from central differences of the analytic gradient
-    (steps CURVATURE_STEP_MT and half of it) with one step of Richardson
-    extrapolation and symmetrized.  Degenerate levels raise ValueError.
+    The gradient is Hellmann-Feynman and the curvature second-order
+    perturbation theory, exact for a Hamiltonian linear in B.  A field where
+    level i or j is degenerate, or so nearly so that the curvature is not
+    resolved to CURVATURE_RTOL, raises ValueError.
     """
-    grad, curv, degenerate = _stencil(sys, np.asarray(B, dtype=float), i, j)
-    if degenerate.any():
-        raise ValueError(f"levels {i} or {j} are degenerate near this field: no Hellmann-Feynman gradient")
+    grad, curv, unresolved = _derivatives(sys, B, i, j)
+    if unresolved.any():
+        raise ValueError(f"levels {i} or {j} are degenerate near this field: no resolved curvature")
     return grad, curv
 
 
@@ -136,7 +150,7 @@ def _descend(sys: SpinSystem, i: int, j: int, b: np.ndarray, project) -> np.ndar
     trust-region step (the first Gauss-Newton), projected onto the region,
     with the cost fall predicted for the projected step.  Seeds stop as the
     fit's restarts do (COST_RTOL, STEP_TOL, MAX_EVALUATIONS)."""
-    g, J, bad = _stencil(sys, b, i, j)
+    g, J, bad = _derivatives(sys, b, i, j)
     cost = np.where(bad, np.inf, np.einsum("kc,kc->k", g, g))
     radius, evaluations = np.full(len(b), np.inf), np.ones(len(b), dtype=int)
     active = np.isfinite(cost) & (cost > 0)
@@ -160,7 +174,7 @@ def _descend(sys: SpinSystem, i: int, j: int, b: np.ndarray, project) -> np.ndar
         if not a.size:
             continue
 
-        g_t, J_t, bad_t = _stencil(sys, trial, i, j)
+        g_t, J_t, bad_t = _derivatives(sys, trial, i, j)
         evaluations[a] += 1
         cost_t = np.where(bad_t, np.inf, np.einsum("kc,kc->k", g_t, g_t))
         ratio = np.where(np.isfinite(cost_t), (cost[a] - cost_t) / predicted, -np.inf)
@@ -193,7 +207,7 @@ def zefoz_search(
     count, points, project = _region(region, grid)
     seeds = _seeds(sys, i, j, count, points, max(1, n_seeds))
     minima = _canonical_half_space(_descend(sys, i, j, seeds, project))
-    grad, curv, degenerate = _stencil(sys, minima, i, j)
+    grad, curv, degenerate = _derivatives(sys, minima, i, j)
     norms = np.linalg.norm(grad, axis=1)
     kept: list[int] = []
     for k in sorted(np.flatnonzero(~degenerate), key=lambda k: (norms[k], tuple(minima[k]))):

@@ -37,6 +37,21 @@ def closest_subsite_representative(tensor: SymmetricTensor3, reference: Symmetri
     return tensor if d_direct <= d_flipped else flipped
 
 
+def reference_curvature(sys, fields, i, j):
+    """The curvature (MHz/mT^2) of transition (i, j) at the fields (..., 3)
+    from finite differences: central differences of the Hellmann-Feynman
+    gradient with steps h = 0.1 mT and h/2, one Richardson step, symmetrized."""
+    from kramers.hamiltonian import transition_gradients
+
+    fields = np.asarray(fields, dtype=float)
+    h, e = 0.1, np.eye(3)
+    grads, _ = transition_gradients(sys, fields[..., None, :] + h * np.concatenate([e, -e, e / 2, -e / 2]), i, j)
+    c1 = (grads[..., 0:3, :] - grads[..., 3:6, :]) / (2.0 * h)
+    c2 = (grads[..., 6:9, :] - grads[..., 9:12, :]) / h
+    curv = (4.0 * c2 - c1) / 3.0 * 1e3
+    return 0.5 * (curv + np.swapaxes(curv, -1, -2))
+
+
 # Test-only references: the plain per-item loops that the package's stacked
 # code must reproduce bit for bit.
 

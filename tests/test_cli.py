@@ -451,7 +451,7 @@ class TestPinnedBytes:
         code, _, _ = run(capsys, "zefoz", "--transition", "1,2", "--radius", "100", "--no-stamp", "--out", str(out))
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "301d09634a9c0f2e9bd3fd481cbc606ef601d2faa1361639599daf9e14a20bd7")
+            "fd55604b3e856d9408f32635234ad16c38cab842de4455abf3578a61e14a9aee")
 
     def test_selftest_stdout(self, capsys):
         code, stdout, _ = run(capsys, "selftest")

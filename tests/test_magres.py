@@ -149,6 +149,9 @@ class TestEprResonances:
         for nu, b_max in [(np.nan, 100.0), (np.inf, 100.0), (9.7, np.nan), (9.7, np.inf), (9.7, 0.0)]:
             with pytest.raises(ValueError, match="must be positive"):
                 epr_resonance_fields(SITE_I.ground, (1, 0, 0), nu, b_max)
+        for nu, b_max in [(np.nan, 100.0), (np.inf, 100.0), (9.7, np.nan), (9.7, np.inf)]:
+            with pytest.raises(ValueError, match="finite"):
+                epr_resonance_fields(SITE_I.ground, (1, 0, 0), nu, b_max)
 
 
 def recursive_brackets(freq_at, grid, values, depth=8):

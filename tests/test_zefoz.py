@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kramers.hamiltonian import SpinSystem, zeeman_gradient
-from kramers.presets import SITE_I
+from conftest import reference_curvature
+from kramers.hamiltonian import PAIRS, SpinSystem, zeeman_gradient
+from kramers.presets import SITE_I, SITE_II
 from kramers.tensors import SymmetricTensor3
 from kramers.zefoz import EXACT, NEAR, fibonacci_directions, sensitivity, zefoz_search
 
@@ -42,6 +43,23 @@ class TestSensitivity:
             e[k] = h
             second = (nu(B + e) - 2 * nu(B) + nu(B - e)) / h**2
             assert curv[k, k] == pytest.approx(second, rel=1e-4, abs=1e-6)
+
+    def test_curvature_matches_reference_stencil(self):
+        # the perturbation-theory Hessian against the finite-difference one
+        fields = np.random.default_rng(44).uniform(-150.0, 150.0, (50, 3))
+        for sys in (SITE_I.ground, SITE_I.excited, SITE_II.ground, SITE_II.excited):
+            for i, j in PAIRS:
+                _, curv = sensitivity(sys, fields, i, j)
+                ref = reference_curvature(sys, fields, i, j)
+                err = np.abs(curv - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+                assert err.max() <= 1e-5, (i, j)
+
+    def test_preset_curvature_always_resolved(self):
+        # sensitivity raises where the degeneracy and rounding mask flags a field
+        fields = np.random.default_rng(45).uniform(-150.0, 150.0, (5000, 3))
+        for sys in (SITE_I.ground, SITE_I.excited, SITE_II.ground, SITE_II.excited):
+            for i, j in PAIRS:
+                sensitivity(sys, fields, i, j)
 
     def test_isotropic_high_field_gradient_norm(self):
         # closed form: electron-flip slope = mu_B g (nuclear term cancels in
@@ -89,6 +107,16 @@ class TestAnalyticOracle:
             # singlet is level 0; triplet m0 branch is level 2 at these fields
             nu = es.energies[2] - es.energies[0]
             assert nu == pytest.approx(self.nu_exact(b), rel=1e-10)
+
+    def test_transverse_curvature_at_large_fields(self):
+        # the curvature of nu across B is c^2 / nu: at these fields a fixed
+        # finite-difference step is lost in the rounding of B itself
+        direction = np.array([1.0, -2.0, 2.0]) / 3.0
+        for b in (1e5, 1e7, 1e9, 1e12):
+            _, curv = sensitivity(self.sys, b * direction, 0, 3)
+            expected = 1e3 * self.c**2 / self.nu_exact(b)
+            transverse = np.linalg.eigvalsh(curv)[1:]
+            assert np.abs(transverse / expected - 1.0).max() <= 1e-12, b
 
     def test_zefoz_at_zero_with_curvature(self):
         candidates = zefoz_search(
