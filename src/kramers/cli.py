@@ -272,8 +272,8 @@ def _cmd_odmr(args) -> int:
 
 def _cmd_epr_map(args) -> int:
     site = _resolve_site(args)
-    # angles x field samples per ray
-    check_points("step,bmax", 180.0 / args.step + 1.0, args.bmax / magres.EPR_GRID_STEP_MT + 2.0)
+    # angles x (bmax / 1 mT + 2): the cap bounds the angle count and the field range in 1 mT steps
+    check_points("step,bmax", 180.0 / args.step + 1.0, args.bmax / 1.0 + 2.0)
     swept = magres.epr_angular_map(
         getattr(site, args.state), args.plane, args.step, args.freq, args.bmax
     )

@@ -8,7 +8,8 @@ angles and at uniformly sampled Euler triples, and one Levenberg-Marquardt
 with Moré's (1978) column scaling advances a chunk of them in lockstep:
 each iteration diagonalizes (restarts x distinct fields x 2 subsites) in
 one stacked ``eigh``, and searches (restarts x EPR points x 2 subsites)
-in one ``magres.resonance_search`` per state.  An orientation is a
+in one ``magres.resonance_search`` per state, whose eigenfield roots are
+exact: one ``eigh`` at them gives the EPR slopes.  An orientation is a
 rotation R, stepped by a body-frame rotation vector and re-anchored after
 every accepted step (Absil, Mahony & Sepulchre 2008, ch. 4), so it has no
 Euler box and no double cover.  Every Jacobian column comes from the eigenvectors of that
@@ -36,7 +37,7 @@ from .hamiltonian import (
     spin_expectations,
     unit_direction,
 )
-from .magres import EPR_FIELD_TOL_MT, resonance_search
+from .magres import resonance_search
 from .spectra import SiteModel
 from .tensors import (
     EulerAngles,
@@ -420,10 +421,10 @@ def evaluate(problem: FitProblem, rotations, flat, data: CompiledData, jac: bool
     Labeled points compare against their own transition on the nearer of
     the two magnetic subsites; unlabeled points against the nearest of all
     twelve subsite transitions.  EPR points compare against the nearest
-    resonance field at nu_mw, searched up to value + GATE_FIELD_MT and
-    refined by Newton steps; a point with no resonance there is beyond its
-    gate.  Each residual is clipped to +/- its gate.  All shb/odmr
-    levels of all points come from one stacked ``eigh`` per state, and
+    resonance field at nu_mw, searched up to value + GATE_FIELD_MT; a
+    point with no resonance there is beyond its gate.  Each residual is
+    clipped to +/- its gate.  All shb/odmr levels of all points come from
+    one stacked ``eigh`` per state, and
     the Jacobian from its eigenvectors: an EPR field moves by
     dB/d theta = -(d nu/d theta) / (d nu/dB) at the resonance.
     """
@@ -507,21 +508,14 @@ def _epr_residuals(problem: FitProblem, tensors: dict, data: CompiledData, raw, 
         point, bs, sub, fields, col = (x[order[first]] for x in (point, bs, sub, field, col))
         img = np.where(sub[:, None] == 0, directions[point], directions[point] * _C2)
         pts, up, lo, k = idx[point], PAIR_HI[col], PAIR_LO[col], np.arange(point.size)
-        # two Newton steps from the bisection midpoint, each kept only
-        # within the bisection tolerance; the derivatives come from the last
-        for _ in range(2):
-            w, v = np.linalg.eigh(hamiltonian_stack(A[bs], g[bs], (fields[:, None] * img)[:, None],
-                                                    base.g_n, base.mu_b, base.mu_n)[:, 0])
-            slopes = (field_gradients(v, g[bs], base.g_n, base.mu_b, base.mu_n) @ img[..., None])[..., 0]
-            slope = slopes[k, up] - slopes[k, lo]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                shift = (w[k, up] - w[k, lo] - problem.nu_mw_ghz) / slope
-            fields = np.where(np.abs(shift) <= EPR_FIELD_TOL_MT, fields - shift, fields)
         model[bs, pts] = fields
         raw[bs, pts] = values[point] - fields
         if J is not None:
-            mix = _derivative_mix((fields[:, None] * img)[:, None], dA[bs],
-                                  None if dg is None else dg[bs], base.mu_b)
+            at = (fields[:, None] * img)[:, None]
+            _, v = np.linalg.eigh(hamiltonian_stack(A[bs], g[bs], at, base.g_n, base.mu_b, base.mu_n)[:, 0])
+            slopes = (field_gradients(v, g[bs], base.g_n, base.mu_b, base.mu_n) @ img[..., None])[..., 0]
+            slope = slopes[k, up] - slopes[k, lo]
+            mix = _derivative_mix(at, dA[bs], None if dg is None else dg[bs], base.mu_b)
             dE = spin_expectations(v, mix[:, 0])
             with np.errstate(divide="ignore", invalid="ignore"):
                 rows = (dE[k, up] - dE[k, lo]) / slope[:, None]

@@ -10,9 +10,10 @@ One search finds them for every caller (``resonance_search``): it takes a
 stack of rays, each an (A, g) pair swept along a unit direction up to its
 own b_max; subsite 2 is a ray of its own, with the C2-flipped tensors.
 ``epr_angular_map`` searches all angles x 2 rays at once, the fit all
-restarts x EPR points x 2.  Each branch is sampled on a field grid and its
-sign changes bisected; beside a sampled branch extremum, a descent guided
-by the Hellmann-Feynman slope d nu/dB catches grazing crossings.
+restarts x EPR points x 2.  The search is the eigenfield method: the
+resonances of a ray are the real eigenvalues of one 16 x 16 problem in
+Liouville space, taken at a shifted field that is not itself a resonance,
+and one ``eigh`` at the roots labels each from its eigenvector |b><a|.
 """
 
 from __future__ import annotations
@@ -21,15 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import (PAIR_HI, PAIR_LO, PAIRS, EigenSystem, SpinSystem, eigensystem, field_gradients,
-                          hyperfine_stack, unit_direction, zeeman_stack)
+from .hamiltonian import (PAIR_HI, PAIR_LO, PAIRS, SpinSystem, eigensystem, hamiltonian_stack, hyperfine_stack,
+                          unit_direction, zeeman_stack)
 
 B_AXIS = (0.0, 0.0, 1.0)
 STRONG_MOMENT_FRACTION = 0.01
-EPR_FIELD_TOL_MT = 1e-3
-EPR_GRID_STEP_MT = 1.0  # field sampling of each ray before bracketing
-EPR_HALVING_DEPTH = 8  # halving levels around a sampled branch extremum
-RAY_SAMPLES = 1024  # field samples of the rays searched together
+EPR_FIELD_TOL_MT = 1e-3  # a root nearer the real axis is real, one nearer zero field is at B = 0
+# roots of one ray closer than this x b_max are one field where branches cross:
+# rounding splits such roots by ~1e-14 of it, a grazing double root by ~1e-8
+CROSSING_TOL = 1e-10
+RAY_CHUNK = 64  # rays solved together
+SHIFTS = np.linspace(0.0, -1.0, 17)  # candidate pencil shifts, in units of b_max
 
 PLANES = {
     "D1-D2": ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
@@ -61,18 +64,11 @@ def _moment_operator(sys: SpinSystem, ac_axis) -> np.ndarray:
     return np.einsum("k,kab->ab", unit_direction(ac_axis), sys.zeeman_derivatives) / (sys.mu_b * 1e-3)
 
 
-def transition_moments(sys: SpinSystem, B, ac_axis=B_AXIS) -> dict[tuple[int, int], float]:
-    """|<f| M |i>|^2 for the six transitions at a field."""
-    return _moments(sys, eigensystem(sys, B), ac_axis)
-
-
-def _moments(sys: SpinSystem, es: EigenSystem, ac_axis) -> dict[tuple[int, int], float]:
-    """``transition_moments`` from the eigensystem at the field."""
-    op = _moment_operator(sys, ac_axis)
-    return {
-        (i, j): float(abs(es.states[:, j].conj() @ op @ es.states[:, i]) ** 2)
-        for i, j in PAIRS
-    }
+def transition_moments(op: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """|<j| op |i>|^2 of the six transitions (i, j) of PAIRS: operators
+    (..., 4, 4) and eigenvector columns (..., 4, 4) -> (..., 6)."""
+    m = np.swapaxes(states, -1, -2).conj() @ op @ states
+    return np.abs(m[..., PAIR_HI, PAIR_LO]) ** 2
 
 
 def odmr_lines(sys: SpinSystem, B=(0.0, 0.0, 0.0), ac_axis=B_AXIS) -> list[OdmrLine]:
@@ -82,16 +78,16 @@ def odmr_lines(sys: SpinSystem, B=(0.0, 0.0, 0.0), ac_axis=B_AXIS) -> list[OdmrL
     flagged ``strong`` (the observability heuristic).
     """
     es = eigensystem(sys, B)
-    moments = _moments(sys, es, ac_axis)
-    max_moment = max(moments.values())
+    moments = transition_moments(_moment_operator(sys, ac_axis), es.states).tolist()
+    max_moment = max(moments)
     lines = [
         OdmrLine(
             frequency_mhz=float((es.energies[j] - es.energies[i]) * 1e3),
             transition=(i, j),
-            moment=moments[(i, j)],
-            strong=bool(max_moment > 0 and moments[(i, j)] >= STRONG_MOMENT_FRACTION * max_moment),
+            moment=moment,
+            strong=bool(max_moment > 0 and moment >= STRONG_MOMENT_FRACTION * max_moment),
         )
-        for i, j in PAIRS
+        for (i, j), moment in zip(PAIRS, moments)
     ]
     lines.sort(key=lambda l: l.frequency_mhz)
     return lines
@@ -102,117 +98,83 @@ def resonance_search(A, g, directions, b_max, nu_mw_ghz: float, g_n: float, mu_b
     """Every resonance on a stack of rays, as (ray, field_mt, col) arrays.
 
     A ray is a system with tensors A and g (..., 3, 3) swept along a unit
-    direction (..., 3) over (0, b_max] mT (...); the four broadcast to the
-    ray shape, and ``ray`` is a flat index into it.  Branch ``col`` (of
-    PAIRS) meets nu_mw at ``field_mt``.  Each ray's branches are sampled
-    every EPR_GRID_STEP_MT, bracketed (``_brackets``) and bisected to
-    EPR_FIELD_TOL_MT.  Rays go through in groups of about RAY_SAMPLES field
-    samples, so memory does not grow with the number of rays, and a long
-    ray keeps its branch values but not its Hamiltonians.  Results come ray
-    by ray, then by branch and field.
+    direction (..., 3) over (EPR_FIELD_TOL_MT, b_max] mT (...); the four
+    broadcast to the ray shape, and ``ray`` is a flat index into it.
+    Branch ``col`` (of PAIRS) meets nu_mw at ``field_mt``.
+
+    Along a ray H(B) = F + B G, and E_b - E_a = nu_mw exactly when
+    rho = |b><a| solves (nu_mw - F^x) rho = B G^x rho, with the commutator
+    superoperators X^x of ``_liouville`` (Belford, Belford & Burkhalter,
+    J. Magn. Reson. 11, 251, 1973).  Shifted to B = B0 + 1/mu, the fields
+    are the real eigenvalues mu of (nu_mw - F^x - B0 G^x)^-1 G^x: one
+    16 x 16 ``solve`` and ``eig`` per ray, whatever its length.  The shift
+    B0 is the one of SHIFTS x b_max whose transitions lie farthest from
+    nu_mw; that distance is the least singular value of the shifted
+    matrix, and it is not zero because the pencil has at most 16
+    eigenvalues.  A root within EPR_FIELD_TOL_MT of the real axis is real
+    (a grazing double root comes out as a pair), one within it of zero
+    field is the root at B = 0 that a zero-field gap equal to nu_mw leaves.
+
+    One ``eigh`` at all roots labels each root's transition from its
+    eigenvector rho: in the eigenbasis there, |b><a| is the element (b, a).
+    Branches crossing at a root share one field, and the pairs of such a
+    cluster of roots go to its roots by their summed weight.  Rays go
+    through RAY_CHUNK at a time, so memory grows with neither the number
+    nor the length of the rays.  Results come ray by ray, then by branch
+    and field.
     """
     shape = np.broadcast_shapes(np.shape(A)[:-2], np.shape(g)[:-2], np.shape(directions)[:-1],
                                 np.shape(b_max))
-    # the hyperfine term of each ray, built once and gathered per field sample
-    h0 = np.broadcast_to(hyperfine_stack(np.asarray(A, dtype=float)), shape + (4, 4))
-    g = np.broadcast_to(g, shape + (3, 3))
-    directions = np.broadcast_to(directions, shape + (3,))
-
-    def detunings(ray, mags, slopes=False):
-        """nu - nu_mw of the six branches (K, 6) of ray ``ray[k]`` at field
-        ``mags[k]``; with ``slopes``, also their Hellmann-Feynman d nu/dB."""
+    A, g = (np.broadcast_to(x, shape + (3, 3)) for x in (A, g))
+    directions, b_max = np.broadcast_to(directions, shape + (3,)), np.broadcast_to(b_max, shape)
+    found = [(np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int))]
+    for start in range(0, b_max.size, RAY_CHUNK):
+        ray = np.arange(start, min(start + RAY_CHUNK, b_max.size))
         at = np.unravel_index(ray, shape)
-        H = zeeman_stack(h0[at], g[at], (mags[:, None] * directions[at])[:, None], g_n, mu_b, mu_n)[:, 0]
-        if not slopes:
-            e = np.linalg.eigvalsh(H)
-            return e[:, PAIR_HI] - e[:, PAIR_LO] - nu_mw_ghz
-        e, v = np.linalg.eigh(H)
-        s = (field_gradients(v, g[at], g_n, mu_b, mu_n) @ directions[at][..., None])[..., 0]
-        return e[:, PAIR_HI] - e[:, PAIR_LO] - nu_mw_ghz, s[:, PAIR_HI] - s[:, PAIR_LO]
-
-    b_max = np.broadcast_to(b_max, shape).ravel()
-    found, group, size = [(np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int))], [], 0
-    for r, b in enumerate(b_max):
-        mags = np.arange(0.0, b + 0.5 * EPR_GRID_STEP_MT, EPR_GRID_STEP_MT)
-        group.append((r, np.append(mags, b) if mags[-1] < b else mags))
-        size += group[-1][1].size
-        if size < RAY_SAMPLES and r < b_max.size - 1:
-            continue
-        ray = np.concatenate([np.full(m.size, q) for q, m in group])
-        mags = np.concatenate([m for _, m in group])
-        values = np.concatenate([detunings(ray[n : n + RAY_SAMPLES], mags[n : n + RAY_SAMPLES])
-                                 for n in range(0, mags.size, RAY_SAMPLES)])
-        lo, hi, flo, col, ray = _brackets(detunings, ray, mags, values)
-        fields = _bisect(detunings, ray, lo, hi, flo, col)
-        keep = (fields > 0.0) & (fields <= b_max[ray])
-        found.append((ray[keep], fields[keep], col[keep]))
-        group, size = [], 0
+        k, fields, col = _eigenfields(A[at], g[at], directions[at], b_max[at], nu_mw_ghz, g_n, mu_b, mu_n)
+        found.append((ray[k], fields, col))
     ray, fields, col = (np.concatenate(parts) for parts in zip(*found))
-    return ray, fields, col
+    order = np.lexsort((fields, col, ray))
+    return ray[order], fields[order], col[order]
 
 
-def _brackets(detunings, ray, mags, values):
-    """Sign-change brackets on the sampled branches ``values`` (S x 6) of
-    rays ``ray`` at fields ``mags``, as (lo, hi, flo, col, ray) arrays
-    ordered by ray, branch, then field.
-
-    A cell between two samples of one ray brackets a root when its end
-    values differ in sign (<= 0 counts as negative).  A cell beside a
-    sampled local extremum may hide a grazing crossing, so a descent halves
-    it level by level (up to EPR_HALVING_DEPTH levels, down to the field
-    tolerance): each level evaluates the midpoint of the part that holds
-    the extremum and keeps the half its Hellmann-Feynman slope points to.
-    When the midpoint changes sign, both halves are brackets: those that
-    halving every half would find, where the cell holds one extremum.
-    """
-    same = (ray[:-1] == ray[1:])[:, None]  # cell n spans samples n, n + 1 of one ray
-    neg = values <= 0.0
-    change = (neg[:-1] != neg[1:]) & same
-    slopes = np.diff(values, axis=0)
-    # local extremum at interior sample n, when cell n brackets no root
-    extremum = np.zeros_like(change)
-    extremum[1:] = (slopes[:-1] * slopes[1:] < 0) & ~change[1:] & same[:-1] & same[1:]
-    halve = extremum.copy()
-    halve[:-1] |= extremum[1:]
-    halve &= ~change
-
-    cell, col = np.nonzero(change)
-    found = [(mags[cell], mags[cell + 1], values[cell, col], col, ray[cell])]
-    cell, col = np.nonzero(halve)
-    lo, hi, flo, ray = mags[cell], mags[cell + 1], values[cell, col], ray[cell]
-    for _ in range(EPR_HALVING_DEPTH):
-        wide = hi - lo > EPR_FIELD_TOL_MT
-        lo, hi, flo, col, ray = lo[wide], hi[wide], flo[wide], col[wide], ray[wide]
-        if lo.size == 0:
-            break
-        mid = 0.5 * (lo + hi)
-        fmid, slope = (x[np.arange(col.size), col] for x in detunings(ray, mid, slopes=True))
-        root = (flo <= 0.0) != (fmid <= 0.0)
-        found.append((lo[root], mid[root], flo[root], col[root], ray[root]))
-        found.append((mid[root], hi[root], fmid[root], col[root], ray[root]))
-        # the extremum lies left of mid where the branch climbs away from zero
-        left = (fmid > 0.0) == (slope > 0.0)
-        lo, hi, flo = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fmid)
-        lo, hi, flo, col, ray = lo[~root], hi[~root], flo[~root], col[~root], ray[~root]
-
-    lo, hi, flo, col, ray = (np.concatenate(parts) for parts in zip(*found))
-    order = np.lexsort((lo, col, ray))
-    return lo[order], hi[order], flo[order], col[order], ray[order]
+def _liouville(X: np.ndarray) -> np.ndarray:
+    """The commutator superoperators X^x = X (x) I - I (x) X^T (..., 16, 16)
+    of X (..., 4, 4): X^x vec(rho) = vec(X rho - rho X), rows of rho end to end."""
+    eye = np.eye(4)
+    return (np.einsum("...ac,bd->...abcd", X, eye)
+            - np.einsum("ac,...db->...abcd", eye, X)).reshape(X.shape[:-2] + (16, 16))
 
 
-def _bisect(detunings, ray, lo, hi, flo, col) -> np.ndarray:
-    """Bisect every bracket to EPR_FIELD_TOL_MT; one evaluation per step for all of them."""
-    lo, hi, flo = lo.copy(), hi.copy(), flo.copy()
-    active = hi - lo > EPR_FIELD_TOL_MT
-    while active.any():
-        a = np.nonzero(active)[0]
-        mid = 0.5 * (lo[a] + hi[a])
-        fmid = detunings(ray[a], mid)[np.arange(a.size), col[a]]
-        same = (flo[a] <= 0.0) == (fmid <= 0.0)
-        lo[a[same]], flo[a[same]] = mid[same], fmid[same]
-        hi[a[~same]] = mid[~same]
-        active[a] = hi[a] - lo[a] > EPR_FIELD_TOL_MT
-    return 0.5 * (lo + hi)
+def _eigenfields(A, g, directions, b_max, nu_mw_ghz, g_n, mu_b, mu_n):
+    """``resonance_search`` on rays (R,): (ray, field_mt, col) arrays, unordered."""
+    F = hyperfine_stack(A)
+    G = zeeman_stack(np.zeros_like(F), g, directions[:, None], g_n, mu_b, mu_n)[:, 0]  # dH/dB
+    shifts = b_max[:, None] * SHIFTS
+    e = np.linalg.eigvalsh(F[:, None] + shifts[..., None, None] * G[:, None])
+    distance = np.abs(e[..., PAIR_HI] - e[..., PAIR_LO] - nu_mw_ghz).min(axis=-1)
+    b0 = shifts[np.arange(b_max.size), np.argmax(distance, axis=1)]
+    shifted = nu_mw_ghz * np.eye(16) - _liouville(F + b0[:, None, None] * G)
+    mu, rho = np.linalg.eig(np.linalg.solve(shifted, _liouville(G)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # mu = 0: a root at infinite field
+        roots = b0[:, None] + 1.0 / mu
+    ray, n = np.nonzero((np.abs(roots.imag) <= EPR_FIELD_TOL_MT) & (roots.real > EPR_FIELD_TOL_MT)
+                        & (roots.real <= b_max[:, None]))
+    if not ray.size:
+        return ray, np.zeros(0), ray
+    roots, fields = roots[ray, n], roots.real[ray, n]
+    _, states = np.linalg.eigh(F[ray] + fields[:, None, None] * G[ray])
+    rho = np.einsum("kab,kac,kcd->kbd", states.conj(), rho[ray, :, n].reshape(-1, 4, 4), states)
+    weight = np.abs(rho[:, PAIR_HI, PAIR_LO]) ** 2
+    # a cluster: roots of one ray that agree to rounding, where branches cross
+    order = np.lexsort((fields, ray))
+    ray, roots, fields, weight = ray[order], roots[order], fields[order], weight[order]
+    new = np.ones(ray.size, dtype=bool)
+    new[1:] = (ray[1:] != ray[:-1]) | (np.abs(np.diff(roots)) > CROSSING_TOL * b_max[ray[1:]])
+    first, cluster = np.flatnonzero(new), np.cumsum(new) - 1
+    ranked = np.argsort(-np.add.reduceat(weight, first, axis=0), axis=1, kind="stable")
+    rank = np.minimum(np.arange(ray.size) - first[cluster], len(PAIRS) - 1)
+    return ray, fields, ranked[cluster, rank]
 
 
 def _resonances(sys: SpinSystem, directions, nu_mw_ghz: float, b_max_mt: float) -> list[list[EprResonance]]:
@@ -224,24 +186,29 @@ def _resonances(sys: SpinSystem, directions, nu_mw_ghz: float, b_max_mt: float) 
         raise ValueError("b_max must be positive and finite")
     directions = np.array([unit_direction(d) for d in directions])
     systems = (sys.with_subsite(1), sys.with_subsite(2))
-    ray, fields, cols = resonance_search(
-        np.stack([s.A.matrix for s in systems]), np.stack([s.g.matrix for s in systems]),
-        directions[:, None], b_max_mt, nu_mw_ghz, sys.g_n, sys.mu_b, sys.mu_n,
-    )
+    A, g = np.stack([s.A.matrix for s in systems]), np.stack([s.g.matrix for s in systems])
+    ray, fields, cols = resonance_search(A, g, directions[:, None], b_max_mt, nu_mw_ghz,
+                                         sys.g_n, sys.mu_b, sys.mu_n)
+    n, s = np.divmod(ray, 2)
+    _, states = np.linalg.eigh(hamiltonian_stack(A[s], g[s], (fields[:, None] * directions[n])[:, None],
+                                                 sys.g_n, sys.mu_b, sys.mu_n)[:, 0])
+    ops = np.stack([_moment_operator(x, B_AXIS) for x in systems])
+    moments = transition_moments(ops[s], states)[np.arange(cols.size), cols]
     out = [[] for _ in directions]
-    for r, b_res, col in zip(ray, fields, cols):
-        n, s = divmod(int(r), 2)
-        moment = transition_moments(systems[s], b_res * directions[n])[PAIRS[col]]
-        out[n].append(EprResonance(float(b_res), tuple(directions[n]), PAIRS[col], s + 1, moment))
+    for k, b_res, col, sub, moment in zip(n.tolist(), fields.tolist(), cols.tolist(), s.tolist(), moments.tolist()):
+        out[k].append(EprResonance(b_res, tuple(directions[k]), PAIRS[col], sub + 1, moment))
     for resonances in out:
-        resonances.sort(key=lambda r: (r.field_mt, r.subsite, r.transition))
+        # fields equal to 9 significant digits, as subsites' are on a symmetry
+        # plane up to rounding, order by subsite
+        resonances.sort(key=lambda r: (float(f"{r.field_mt:.9g}"), r.subsite, r.transition))
     return out
 
 
 def epr_resonance_fields(sys: SpinSystem, direction, nu_mw_ghz: float, b_max_mt: float) -> list[EprResonance]:
-    """All field magnitudes in (0, b_max] where a transition of either
-    subsite meets nu_mw, ordered by field, subsite, then transition, with
-    the moments of a drive along b (``transition_moments``)."""
+    """All field magnitudes in (EPR_FIELD_TOL_MT, b_max] where a transition
+    of either subsite meets nu_mw, ordered by field (to 9 significant
+    digits), subsite, then transition, with the moments of a drive along b
+    (``transition_moments``)."""
     return _resonances(sys, [direction], nu_mw_ghz, b_max_mt)[0]
 
 

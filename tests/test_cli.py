@@ -371,7 +371,7 @@ class TestPinnedBytes:
                          "--bmax", "1000", "--no-stamp", "--out", str(out))
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "5695255c0a8973cba79b6652d0dd7def723e08d92c0dd63880287530d6e98085")
+            "cc594b993407f10b91804eaf13a582ae16677dba034c6ec3e1805398dfef2fe2")
 
     def test_fit_residual_csv_and_report(self, tmp_path, capsys):
         data, out, report = tmp_path / "data.csv", tmp_path / "fit.csv", tmp_path / "report.txt"

@@ -3,15 +3,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kramers.hamiltonian import PAIRS, MU_B_GHZ_PER_T, SpinSystem, eigensystem, energies_sweep
+from kramers.hamiltonian import PAIRS, MU_B_GHZ_PER_T, SpinSystem, eigensystem, energies_sweep, zeeman_gradient
 from kramers.magres import (
+    B_AXIS,
     EPR_FIELD_TOL_MT,
     PLANES,
+    RAY_CHUNK,
     EprResonance,
     _moment_operator,
     epr_angular_map,
     epr_resonance_fields,
     odmr_lines,
+    resonance_search,
     transition_moments,
 )
 from kramers.presets import SITE_I, SITE_II
@@ -132,14 +135,14 @@ class TestEprResonances:
         assert np.abs(fields - expected_center).min() < 5e-3
 
     def test_resonance_frequency_matches_nu_mw(self):
-        # refined roots satisfy |nu(B*) - nu_mw| < 1e-4 GHz
+        # the eigenfield roots are exact: |nu(B*) - nu_mw| < 1e-11 GHz
         out = epr_resonance_fields(SITE_I.ground, (1, 0, 0), 9.7, 1000.0)
         assert out
         for r in out:
             sys = SITE_I.ground.with_subsite(r.subsite)
             es = eigensystem(sys, r.field_mt * np.asarray(r.direction))
             nu = es.energies[r.transition[1]] - es.energies[r.transition[0]]
-            assert abs(nu - 9.7) < 1e-4
+            assert abs(nu - 9.7) < 1e-11
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -183,8 +186,30 @@ def recursive_brackets(freq_at, grid, values, depth=8):
     return uniq
 
 
+def newton_root(freq_at, slope_at, lo, hi, flo):
+    """The root of a branch in its bracket [lo, hi]: bisected to
+    EPR_FIELD_TOL_MT, then Newton steps from the midpoint until a step no
+    longer shrinks, which is the root to rounding."""
+    while hi - lo > EPR_FIELD_TOL_MT:
+        mid = 0.5 * (lo + hi)
+        fmid = freq_at(mid)
+        if (flo <= 0.0) == (fmid <= 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    b, step = 0.5 * (lo + hi), np.inf
+    while b > EPR_FIELD_TOL_MT:
+        new = freq_at(b) / slope_at(b)
+        if not abs(new) < abs(step):
+            break
+        b, step = b - new, new
+    return b
+
+
 def scalar_resonances(sys, direction, nu, b_max):
-    """Reference: per-branch recursive bracketing and one-field-at-a-time bisection."""
+    """Reference: per-branch recursive bracketing on a 1 mT grid and
+    Newton to rounding in each bracket, one field at a time.  A root within
+    EPR_FIELD_TOL_MT of zero field is the zero-field root and is left out."""
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
     mags = np.arange(0.0, b_max + 0.5, 1.0)
@@ -200,20 +225,32 @@ def scalar_resonances(sys, direction, nu, b_max):
                 eb = energies_sweep(ssys, np.array([b * d]))[0]
                 return eb[j] - eb[i] - nu
 
+            def slope_at(b):
+                return zeeman_gradient(ssys, b * d, i, j) @ d
+
             for lo, hi, flo, _ in recursive_brackets(freq_at, mags, (e[:, j] - e[:, i]) - nu):
-                while hi - lo > EPR_FIELD_TOL_MT:
-                    mid = 0.5 * (lo + hi)
-                    fmid = freq_at(mid)
-                    if (flo <= 0.0) == (fmid <= 0.0):
-                        lo, flo = mid, fmid
-                    else:
-                        hi = mid
-                b = 0.5 * (lo + hi)
-                if 0.0 < b <= b_max:
-                    moment = transition_moments(ssys, b * d)[(i, j)]
-                    out.append(EprResonance(float(b), tuple(d), (i, j), subsite, moment))
+                b = newton_root(freq_at, slope_at, lo, hi, flo)
+                if EPR_FIELD_TOL_MT < b <= b_max:
+                    states = eigensystem(ssys, b * d).states
+                    moment = transition_moments(_moment_operator(ssys, B_AXIS), states)[PAIRS.index((i, j))]
+                    out.append(EprResonance(float(b), tuple(d), (i, j), subsite, float(moment)))
     out.sort(key=lambda r: (r.field_mt, r.subsite, r.transition))
     return out
+
+
+def assert_matches_reference(found, reference):
+    """The same resonances, subsite and transition as the reference, its
+    fields to 1e-6 mT and its moments to 1e-6 of the largest."""
+    order = [(float(f"{r.field_mt:.9g}"), r.subsite, r.transition) for r in found]
+    assert order == sorted(order)
+    key = lambda r: (r.subsite, r.transition, r.field_mt)
+    found, reference = sorted(found, key=key), sorted(reference, key=key)
+    assert [(r.subsite, r.transition, r.direction) for r in found] == [
+        (r.subsite, r.transition, r.direction) for r in reference]
+    if found:
+        assert np.abs(np.subtract([r.field_mt for r in found], [r.field_mt for r in reference])).max() < 1e-6
+        moments = np.array([[r.moment for r in found], [r.moment for r in reference]])
+        assert np.abs(moments[0] - moments[1]).max() <= 1e-6 * moments.max()
 
 
 def tangent_frequency(pair, lo, hi):
@@ -238,18 +275,18 @@ class TestBatchedBracketing:
         t = np.radians(theta)
         d = np.cos(t) * e1 + np.sin(t) * e2
         for sys in (SITE_I.ground, SITE_II.excited):
-            batched = epr_resonance_fields(sys, d, nu, b_max)
-            assert batched == scalar_resonances(sys, d, nu, b_max)
-        assert {r.subsite for r in batched} == {1, 2}
+            found = epr_resonance_fields(sys, d, nu, b_max)
+            assert_matches_reference(found, scalar_resonances(sys, d, nu, b_max))
+        assert {r.subsite for r in found} == {1, 2}
 
     # the grazing minimum lies after (60 mT) or before (23 mT) its lowest sample
     @pytest.mark.parametrize("pair,cell", [((1, 2), 60.0), ((0, 2), 22.0)])
     def test_near_tangent_crossing_matches_reference(self, pair, cell):
         nu = tangent_frequency(pair, cell - 10.0, cell + 10.0)
-        batched = epr_resonance_fields(SITE_I.ground, (0, 1, 0), nu, 100.0)
-        assert batched == scalar_resonances(SITE_I.ground, (0, 1, 0), nu, 100.0)
+        found = epr_resonance_fields(SITE_I.ground, (0, 1, 0), nu, 100.0)
+        assert_matches_reference(found, scalar_resonances(SITE_I.ground, (0, 1, 0), nu, 100.0))
         # both roots of the grazing branch lie between two grid samples
-        grazing = [r.field_mt for r in batched if r.transition == pair and r.subsite == 1]
+        grazing = [r.field_mt for r in found if r.transition == pair and r.subsite == 1]
         assert len(grazing) == 2 and cell < grazing[0] < grazing[1] < cell + 1.0
 
     # both planes pass D2 at 90 degrees, where the branch grazes nu between two samples
@@ -259,27 +296,67 @@ class TestBatchedBracketing:
         e1, e2 = (np.asarray(v) for v in PLANES[plane])
         swept = epr_angular_map(SITE_I.ground, plane, 15.0, nu, 100.0)
         assert len(swept) == 13
-        for theta, batched in swept:
+        for theta, found in swept:
             t = np.radians(theta)
-            assert batched == scalar_resonances(SITE_I.ground, np.cos(t) * e1 + np.sin(t) * e2, nu, 100.0)
+            assert_matches_reference(found, scalar_resonances(SITE_I.ground, np.cos(t) * e1 + np.sin(t) * e2, nu, 100.0))
         grazing = [r.field_mt for r in dict(swept)[90.0] if r.transition == pair and r.subsite == 1]
         assert len(grazing) == 2 and cell < grazing[0] < grazing[1] < cell + 1.0
+
+    # nu equal to a zero-field gap makes nu - F^x singular, and puts a root at B = 0
+    @pytest.mark.parametrize("gap", [(0, 3), (1, 2)])
+    def test_zero_field_gap(self, gap):
+        levels = eigensystem(SITE_I.ground, ZERO).energies
+        nu = levels[gap[1]] - levels[gap[0]]
+        found = epr_resonance_fields(SITE_I.ground, (1, 0, 0), nu, 1000.0)
+        assert len(found) == 6 and min(r.field_mt for r in found) > 1.0
+        assert_matches_reference(found, scalar_resonances(SITE_I.ground, (1, 0, 0), nu, 1000.0))
+
+    def test_crossing_branches_take_their_own_pairs(self):
+        # with no hyperfine the electron flips (0, 2) and (1, 3) meet nu at one
+        # field: a double eigenvalue of the pencil, whose eigenvectors may mix
+        # the two pairs.  The roots of the crossing still take one pair each
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            g = assemble_tensor(PrincipalTensor(tuple(rng.uniform(1.0, 6.0, 3)), EulerAngles(*rng.uniform(0.0, 90.0, 3))))
+            sys = SpinSystem(A=SymmetricTensor3(np.zeros((3, 3))), g=g)
+            d = rng.normal(size=3)
+            found = epr_resonance_fields(sys, d, 9.7, 1000.0)
+            assert_matches_reference(found, scalar_resonances(sys, d, 9.7, 1000.0))
+            flips = [r for r in found if r.transition in ((0, 2), (1, 3))]
+            assert len(flips) == 4 and np.ptp([r.field_mt for r in flips if r.subsite == 1]) < 1e-9
 
 
 class TestSearchMemory:
     def test_long_ray_memory_is_bounded(self):
-        # a 20,000 mT ray has 20,001 field samples, whose Hamiltonians and
-        # eigenvalue work space take about 17 MB at once; the search keeps
-        # their branch values and diagonalizes RAY_SAMPLES at a time
+        # a ray costs one 16 x 16 eigenvalue problem at any length
         epr_resonance_fields(SITE_I.ground, (1, 0, 0), 9.7, 100.0)  # warm caches
-        tracemalloc.start()
-        try:
-            out = epr_resonance_fields(SITE_I.ground, (1, 0, 0), 9.7, 20000.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert out
-        assert peak < 8e6
+        for b_max in (20000.0, 1e6):
+            tracemalloc.start()
+            try:
+                out = epr_resonance_fields(SITE_I.ground, (1, 0, 0), 9.7, b_max)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out
+            assert peak < 8e6
+
+    def test_memory_is_flat_in_the_ray_count(self):
+        sys = SITE_I.ground
+
+        def peak(rays):
+            t = np.linspace(0.0, np.pi, rays)
+            directions = np.stack([np.cos(t), np.zeros_like(t), np.sin(t)], axis=1)
+            tracemalloc.start()
+            try:
+                ray, _, _ = resonance_search(sys.A.matrix, sys.g.matrix, directions, 1000.0, 9.7,
+                                             sys.g_n, sys.mu_b, sys.mu_n)
+                assert ray.size > 3 * rays
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(RAY_CHUNK)  # warm caches
+        assert peak(4 * RAY_CHUNK) < 1.1 * peak(2 * RAY_CHUNK)
 
 
 class TestAngularMap:
