@@ -53,7 +53,7 @@ from .tensors import (
     subsite_transform,
     _C2,
 )
-from .trust_region import COST_RTOL, MAX_EVALUATIONS, STEP_TOL, _trust_radius, _unbounded_step
+from .trust_region import COST_RTOL, MAX_EVALUATIONS, STEP_TOL, _bounded_step, _trust_radius
 
 KINDS = ("shb", "odmr", "epr")
 STATES = ("ground", "excited")
@@ -591,7 +591,8 @@ def _levenberg_marquardt(problem: FitProblem, data: CompiledData, rotations, fla
         d = np.where(d > 0, d, 1.0)
         radius[a] = np.where(np.isnan(radius[a]), np.sqrt(cost[a]), radius[a])
         scaled_bounds = ((bound - flat[a]) * d[:, 3 * n_angles :] for bound in (lo, hi))
-        scaled_step, lam = _trust_region_step(Ja / d[:, None, :], ra, radius[a], *scaled_bounds)
+        Js = Ja / d[:, None, :]
+        scaled_step, lam = _bounded_step(Js.swapaxes(1, 2) @ Js, Js, ra, radius[a], *scaled_bounds)
         step = scaled_step / d
 
         # the step already keeps to the box; the clip only absorbs rounding
@@ -624,31 +625,6 @@ def _levenberg_marquardt(problem: FitProblem, data: CompiledData, rotations, fla
         iterations[ok] += 1
         active[a[(cost[a] == 0) | (evaluations[a] >= MAX_EVALUATIONS)]] = False
     return _Run(rotations, flat, cost, res, gated, iterations, evaluations)
-
-
-def _trust_region_step(J, r, radius, lower, upper) -> tuple[np.ndarray, np.ndarray]:
-    """(p, lambda): ``_unbounded_step`` with the last coordinates of p kept
-    within [lower, upper], for a batch.
-
-    A coordinate that the step carries past a bound is put on that bound,
-    and the step is solved again for the coordinates still free, until none
-    is past its bound.
-    """
-    B, P = J.shape[0], J.shape[2]
-    first = P - lower.shape[1]
-    fixed = np.zeros((B, P), dtype=bool)
-    pinned = np.zeros((B, P))
-    for _ in range(P - first + 1):
-        free = np.where(fixed[:, None, :], 0.0, J)
-        p, lam = _unbounded_step(free, r + np.einsum("bnp,bp->bn", J, pinned), radius)
-        p = np.where(fixed, pinned, p)
-        tail = p[:, first:]
-        past = ~fixed[:, first:] & ((tail < lower) | (tail > upper))
-        if not past.any():
-            break
-        pinned[:, first:] = np.where(past, np.clip(tail, lower, upper), pinned[:, first:])
-        fixed[:, first:] |= past
-    return p, lam
 
 
 def canonical_orientation(tensor: SymmetricTensor3) -> tuple[EulerAngles, int]:

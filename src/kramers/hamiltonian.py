@@ -191,24 +191,36 @@ def field_gradients(states: np.ndarray, g, g_n: float, mu_b: float, mu_n: float)
     return spin_expectations(states, mix)
 
 
-def field_hessians(energies: np.ndarray, states: np.ndarray, derivatives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d2E_n/dB_k dB_l GHz/mT^2 (..., 4, 3, 3), rounding bound (..., 4)) of
-    the levels (..., 4) with eigenvector columns (..., 4, 4) of Hamiltonians
-    linear in B with dH/dB_k = ``derivatives`` (3, 4, 4).
+def field_hessians(energies: np.ndarray, states: np.ndarray,
+                   derivatives: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d2E_n/dB_k dB_l GHz/mT^2 (..., 4, 3, 3), rounding bound (..., 4),
+    d3E_n/dB_a dB_b dB_c GHz/mT^3 (..., 4, 3, 3, 3)) of the levels (..., 4)
+    with eigenvector columns (..., 4, 4) of Hamiltonians linear in B with
+    dH/dB_k = ``derivatives`` (3, 4, 4).
 
-    Second-order perturbation theory: the Hessian of level n is
-    2 Re sum_{m != n} <n|D_k|m><m|D_l|n> / (E_n - E_m), exact because H has
-    no second derivative in B.  The sum loses precision next to a
-    degeneracy; its rounding bound is eps max|E| sum_m 2 |D_nm|^2 / (E_n - E_m)^2.
-    Exactly equal levels contribute nothing to either: ``degenerate_levels``
-    flags them.
+    Perturbation theory in the matrix elements D^k_nm = <n|D_k|m> and the
+    gaps E_nm = E_n - E_m, exact because H has no second derivative in B.
+    The Hessian of level n is 2 Re sum_{m != n} D^k_nm D^l_mn / E_nm.  The
+    third derivative is the sum over the six orders (p, q, r) of (a, b, c)
+    of sum_{m, l != n} D^p_nm D^q_ml D^r_ln / (E_nm E_nl)
+    - D^p_nn sum_{m != n} D^q_nm D^r_mn / E_nm^2 (Rayleigh-Schroedinger
+    third order).  The sums lose precision next to a degeneracy; the
+    Hessian's rounding bound is eps max|E| sum_m 2 |D_nm|^2 / E_nm^2.
+    Exactly equal levels contribute nothing: ``degenerate_levels`` flags them.
     """
     d = np.einsum("...an,kab,...bm->...knm", states.conj(), derivatives, states)
     gaps = energies[..., :, None] - energies[..., None, :]
     inv = np.divide(1.0, gaps, out=np.zeros_like(gaps), where=gaps != 0.0)
     hessians = 2.0 * np.einsum("...knm,...lmn,...nm->...nkl", d, d, inv).real
     scale = np.finfo(float).eps * np.abs(energies).max(axis=-1, keepdims=True)
-    return hessians, scale * np.einsum("...nm,...nm->...n", (np.abs(d) ** 2).sum(axis=-3), 2.0 * inv * inv)
+    rounding = scale * np.einsum("...nm,...nm->...n", (np.abs(d) ** 2).sum(axis=-3), 2.0 * inv * inv)
+    # x[p, n, m] = D^p_nm / E_nm, so D^r_ln / E_nl = conj(x[r, n, l])
+    x = d * inv[..., None, :, :]
+    diagonal = np.einsum("...knn->...nk", d)
+    terms = (np.einsum("...pnm,...qml,...rnl->...npqr", x, d, x.conj())
+             - np.einsum("...np,...qnm,...rnm->...npqr", diagonal, x, x.conj()))
+    thirds = sum(np.einsum("...npqr->...n" + "".join(order), terms) for order in itertools.permutations("pqr")).real
+    return hessians, rounding, thirds
 
 
 def degenerate_levels(energies: np.ndarray) -> np.ndarray:

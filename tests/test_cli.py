@@ -451,7 +451,7 @@ class TestPinnedBytes:
         code, _, _ = run(capsys, "zefoz", "--transition", "1,2", "--radius", "100", "--no-stamp", "--out", str(out))
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "fd55604b3e856d9408f32635234ad16c38cab842de4455abf3578a61e14a9aee")
+            "b22bcfe1a95013208c7bd6d3713fcebe4f733bc8707f96a0f319546232ee7b19")
 
     def test_selftest_stdout(self, capsys):
         code, stdout, _ = run(capsys, "selftest")

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import reference_curvature
-from kramers.hamiltonian import PAIRS, SpinSystem, zeeman_gradient
+from kramers import zefoz
+from kramers.hamiltonian import PAIRS, SpinSystem, field_hessians, hamiltonian_batch, zeeman_gradient
 from kramers.presets import SITE_I, SITE_II
 from kramers.tensors import SymmetricTensor3
+from kramers.trust_region import MAX_EVALUATIONS
 from kramers.zefoz import EXACT, NEAR, fibonacci_directions, sensitivity, zefoz_search
+
+PRESET_STATES = (SITE_I.ground, SITE_I.excited, SITE_II.ground, SITE_II.excited)
 
 
 def isotropic_system(a_ghz, g):
@@ -47,17 +51,39 @@ class TestSensitivity:
     def test_curvature_matches_reference_stencil(self):
         # the perturbation-theory Hessian against the finite-difference one
         fields = np.random.default_rng(44).uniform(-150.0, 150.0, (50, 3))
-        for sys in (SITE_I.ground, SITE_I.excited, SITE_II.ground, SITE_II.excited):
+        for sys in PRESET_STATES:
             for i, j in PAIRS:
                 _, curv = sensitivity(sys, fields, i, j)
                 ref = reference_curvature(sys, fields, i, j)
                 err = np.abs(curv - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
                 assert err.max() <= 1e-5, (i, j)
 
+    def test_third_derivative_matches_central_differences(self):
+        # the third-order perturbation sum against central differences of
+        # the second-order Hessian, for every transition
+        fields = np.random.default_rng(46).uniform(-150.0, 150.0, (20, 3))
+        h = 1e-3
+        for sys in PRESET_STATES:
+            def derivatives(f):
+                w, v = np.linalg.eigh(hamiltonian_batch(sys, f.reshape(-1, 3)))
+                return field_hessians(w, v, sys.zeeman_derivatives)
+
+            thirds = derivatives(fields)[2]
+            # (field, step axis, level, 3, 3)
+            steps = fields[:, None, :] + h * np.eye(3)
+            plus = derivatives(steps)[0].reshape(20, 3, 4, 3, 3)
+            minus = derivatives(steps - 2.0 * h * np.eye(3))[0].reshape(20, 3, 4, 3, 3)
+            differences = (plus - minus) / (2.0 * h)
+            for i, j in PAIRS:
+                ref = differences[:, :, j] - differences[:, :, i]
+                third = np.moveaxis(thirds[:, j] - thirds[:, i], -1, 1)
+                err = np.abs(third - ref).max(axis=(1, 2, 3)) / np.abs(ref).max(axis=(1, 2, 3))
+                assert err.max() <= 1e-5, (i, j)
+
     def test_preset_curvature_always_resolved(self):
         # sensitivity raises where the degeneracy and rounding mask flags a field
         fields = np.random.default_rng(45).uniform(-150.0, 150.0, (5000, 3))
-        for sys in (SITE_I.ground, SITE_I.excited, SITE_II.ground, SITE_II.excited):
+        for sys in PRESET_STATES:
             for i, j in PAIRS:
                 sensitivity(sys, fields, i, j)
 
@@ -199,6 +225,54 @@ class TestSearch:
         candidates = zefoz_search(SITE_I.ground, (0, 3), region=box, grid=(1, 1, 1))
         assert len(candidates) == 1
         assert candidates[0].classification == EXACT
+
+    @pytest.mark.parametrize("region", [
+        -50.0, np.nan, np.inf,
+        ((30.0, 10.0), (-5.0, 5.0), (-5.0, 5.0)),
+        ((np.nan, 10.0), (-5.0, 5.0), (-5.0, 5.0)),
+    ])
+    def test_invalid_region_rejected(self, region):
+        with pytest.raises(ValueError, match="region"):
+            zefoz_search(SITE_I.ground, (1, 2), region=region)
+
+    def test_descent_census(self, monkeypatch):
+        # every preset state and transition in the default ball: B = 0 comes
+        # back exact, every candidate lies in the ball (to rounding), and no
+        # seed runs to the evaluation cap
+        counts = []
+        descend = zefoz._descend
+
+        def recording(*args):
+            end, evaluations = descend(*args)
+            counts.append(evaluations)
+            return end, evaluations
+
+        monkeypatch.setattr(zefoz, "_descend", recording)
+        for sys in PRESET_STATES:
+            for pair in PAIRS:
+                candidates = zefoz_search(sys, pair, region=100.0)
+                at_zero = [c for c in candidates if c.field_mt == (0.0, 0.0, 0.0)]
+                assert [c.classification for c in at_zero] == [EXACT], pair
+                assert all(np.linalg.norm(c.field_mt) <= 100.0 * (1.0 + 1e-12) for c in candidates), pair
+                assert counts[-1].max() < MAX_EVALUATIONS, pair
+
+    def test_boundary_valley_gives_one_candidate(self):
+        # the (0, 1) gradient is least along one valley on the sphere: its
+        # seeds end at one point there, reported once beside B = 0
+        candidates = zefoz_search(SITE_I.ground, (0, 1), region=100.0)
+        assert len(candidates) == 2
+        assert candidates[0].field_mt == (0.0, 0.0, 0.0)
+        assert np.linalg.norm(candidates[1].field_mt) == pytest.approx(100.0, rel=1e-12)
+        assert candidates[1].classification == NEAR and not candidates[1].stationary
+
+    def test_corner_seed_steps_into_the_box(self):
+        # at this corner the gradient points out of the B_D1 and B_b faces
+        # and into the box along B_D2, while the Newton step points out along
+        # B_D2 and B_b: pinned by the step alone, no coordinate would move
+        box = np.array([[30.0, 120.0], [15.0, 70.0], [-90.0, 2.0]])
+        end, evaluations = zefoz._descend(SITE_II.ground, 1, 3, np.array([[30.0, 15.0, 2.0]]), box)
+        grad, _ = sensitivity(SITE_II.ground, end[0], 1, 3)
+        assert evaluations[0] > 1 and np.linalg.norm(grad) < 0.2
 
     def test_scan_memory_does_not_grow_with_grid(self):
         def peak(grid):
