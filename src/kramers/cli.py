@@ -346,6 +346,8 @@ def _cmd_fit(args) -> int:
         refine_eigenvalues="eigenvalues" in free,
         nu_mw_ghz=args.freq,
     )
+    # a restart chunk's Jacobian holds restarts x points x parameters values
+    check_points("data", min(args.restarts, fitting.RESTART_CHUNK), len(data), max(1, len(problem.parameter_names())))
     try:
         result = fitting.fit(problem, data, restarts=args.restarts, seed=args.seed)
     except ValueError as exc:  # no points, or fewer points than free parameters

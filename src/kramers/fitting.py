@@ -7,13 +7,14 @@ rotation and eigenvalue refinements.  Restarts begin at the problem's own
 angles and at uniformly sampled Euler triples, and one Levenberg-Marquardt
 with Moré's (1978) column scaling advances a chunk of them in lockstep:
 each iteration diagonalizes (restarts x distinct fields x 2 subsites) in
-one stacked ``eigh``, and searches (restarts x EPR points x 2 subsites)
-in one ``magres.resonance_search`` per state, whose eigenfield roots are
-exact: one ``eigh`` at them gives the EPR slopes.  An orientation is a
-rotation R, stepped by a body-frame rotation vector and re-anchored after
-every accepted step (Absil, Mahony & Sepulchre 2008, ch. 4), so it has no
-Euler box and no double cover.  Every Jacobian column comes from the eigenvectors of that
-same ``eigh`` by Hellmann-Feynman.  Misalignment and eigenvalue shifts
+stacked ``eigh`` calls of at most EIGH_BLOCK Hamiltonians, and searches
+(restarts x EPR points x 2 subsites) in one ``magres.resonance_search``
+per state, whose eigenfield roots are exact: one ``eigh`` at them gives
+the EPR slopes.  An orientation is a rotation R, stepped by a body-frame
+rotation vector and re-anchored after every accepted step (Absil, Mahony &
+Sepulchre 2008, ch. 4), so it has no Euler box and no double cover.  Every
+Jacobian column comes from the eigenvectors of those ``eigh`` calls by
+Hellmann-Feynman.  Misalignment and eigenvalue shifts
 stay in their box.  The best optimum is reported as canonical Euler
 angles, with the restart spread and a covariance over small body-frame
 rotations (inf for a coordinate the data do not depend on).
@@ -32,10 +33,12 @@ from .hamiltonian import (
     PAIR_LO,
     field_gradients,
     hamiltonian_stack,
+    hyperfine_stack,
     invert_zero_field,
     reconstruct_levels,
     spin_expectations,
     unit_direction,
+    zeeman_stack,
 )
 from .magres import resonance_search
 from .spectra import SiteModel
@@ -68,11 +71,18 @@ GATE_FIELD_MT = 50.0
 MISALIGNMENT_BOUND_DEG = 5.0
 EIGENVALUE_BOUND_GHZ = 0.05
 
-# Levenberg-Marquardt restarts advanced together (a chunk's arrays grow
-# with restarts x points x parameters; 32 restarts of a 600-point fit of
-# one orientation peak near 15 MB); a restart stops by the rules of
-# ``trust_region``, its steps measured in degrees or GHz
+# Levenberg-Marquardt restarts advanced together; a restart stops by the
+# rules of ``trust_region``, its steps measured in degrees or GHz.  The
+# chunk bounds the arrays that grow with restarts x points x parameters:
+# the Jacobians, the levels and derivatives at every field, and the EPR
+# rays (32 restarts of a 606-point fit of one orientation peak near 7 MB)
 RESTART_CHUNK = 32
+# Hamiltonians built, diagonalized and differentiated at once in
+# ``evaluate``: with their eigenvectors and density matrices they take
+# about 4 KB each, so a block's temporaries stay near 2 MB, half of a 4 MB
+# L2.  It is the smallest block at which the benchmark's 16-restart fit is
+# no slower than one unbounded stack (128 and 256 took 15% and 11% longer)
+EIGH_BLOCK = 512
 
 # each 3-wide block of a fit parameter vector, by kind: the name suffixes of
 # its entries, those of its covariance coordinates, and the +/- bound on
@@ -400,6 +410,16 @@ def _derivative_mix(fields: np.ndarray, dA: np.ndarray, dg, mu_b: float) -> np.n
     return mix
 
 
+def _hamiltonian_blocks(restarts: int, fields: int):
+    """(restart slice, field slice) pairs that tile restarts x fields with
+    at most EIGH_BLOCK Hamiltonians each: whole restarts while one
+    restart's fields fit in a block, else one restart in field blocks."""
+    step, width = max(1, EIGH_BLOCK // fields), min(fields, EIGH_BLOCK)
+    for b in range(0, restarts, step):
+        for f in range(0, fields, width):
+            yield slice(b, b + step), slice(f, f + width)
+
+
 class Evaluation(NamedTuple):
     """Residuals of a batch of B fit points over N data points.
 
@@ -423,10 +443,14 @@ def evaluate(problem: FitProblem, rotations, flat, data: CompiledData, jac: bool
     twelve subsite transitions.  EPR points compare against the nearest
     resonance field at nu_mw, searched up to value + GATE_FIELD_MT; a
     point with no resonance there is beyond its gate.  Each residual is
-    clipped to +/- its gate.  All shb/odmr levels of all points come from
-    one stacked ``eigh`` per state, and
-    the Jacobian from its eigenvectors: an EPR field moves by
-    dB/d theta = -(d nu/d theta) / (d nu/dB) at the resonance.
+    clipped to +/- its gate.  The shb/odmr levels of each state come from
+    stacked ``eigh`` calls over blocks of at most EIGH_BLOCK (restart,
+    field) Hamiltonians, and the Jacobian from their eigenvectors by
+    Hellmann-Feynman; only the levels and their derivatives outlive a
+    block, so the Hamiltonians, eigenvectors and density matrices take the
+    same memory at any number of restarts and fields.  An EPR field moves
+    by dB/d theta = -(d nu/d theta) / (d nu/dB) at the resonance, and its
+    Jacobian rows are taken EIGH_BLOCK resonances at a time.
     """
     rotations, flat = np.asarray(rotations, dtype=float), np.asarray(flat, dtype=float)
     B, N, P = len(flat), len(data.points), 3 * len(problem.blocks)
@@ -439,11 +463,19 @@ def evaluate(problem: FitProblem, rotations, flat, data: CompiledData, jac: bool
     for rows in data.states:
         A, g, dA, dg = tensors[rows.state]
         base = getattr(problem.site, rows.state)
-        H = hamiltonian_stack(A, g, rows.fields, base.g_n, base.mu_b, base.mu_n)
-        if jac:
-            w, v = np.linalg.eigh(H)
-        else:
-            w = np.linalg.eigvalsh(H)
+        # the levels (and their derivatives) of every (restart, field row),
+        # one block of Hamiltonians at a time
+        w = np.empty((B, len(rows.fields), 4))
+        dE = np.empty(w.shape + (P,)) if jac else None
+        h0 = hyperfine_stack(A)
+        for b, f in _hamiltonian_blocks(B, len(rows.fields)):
+            H = zeeman_stack(h0[b], g[b], rows.fields[f], base.g_n, base.mu_b, base.mu_n)
+            if jac:
+                w[b, f], v = np.linalg.eigh(H)
+                mix = _derivative_mix(rows.fields[f], dA[b], None if dg is None else dg[b], base.mu_b)
+                dE[b, f] = spin_expectations(v, mix)
+            else:
+                w[b, f] = np.linalg.eigvalsh(H)
         values = rows.values
         # the chosen (field row, upper, lower) of every point of this state
         row = np.empty((B, rows.idx.size), dtype=int)
@@ -464,7 +496,6 @@ def evaluate(problem: FitProblem, rotations, flat, data: CompiledData, jac: bool
         model[:, rows.idx] = w[batch, row, upper] - w[batch, row, lower]
         raw[:, rows.idx] = values - model[:, rows.idx]
         if jac:
-            dE = spin_expectations(v, _derivative_mix(rows.fields, dA, dg, base.mu_b))
             J[:, rows.idx] = dE[batch, row, lower] - dE[batch, row, upper]
 
     if data.epr:
@@ -507,19 +538,24 @@ def _epr_residuals(problem: FitProblem, tensors: dict, data: CompiledData, raw, 
         _, first = np.unique((point * len(A) + bs)[order], return_index=True)
         point, bs, sub, fields, col = (x[order[first]] for x in (point, bs, sub, field, col))
         img = np.where(sub[:, None] == 0, directions[point], directions[point] * _C2)
-        pts, up, lo, k = idx[point], PAIR_HI[col], PAIR_LO[col], np.arange(point.size)
+        pts, up, lo = idx[point], PAIR_HI[col], PAIR_LO[col]
         model[bs, pts] = fields
         raw[bs, pts] = values[point] - fields
-        if J is not None:
-            at = (fields[:, None] * img)[:, None]
-            _, v = np.linalg.eigh(hamiltonian_stack(A[bs], g[bs], at, base.g_n, base.mu_b, base.mu_n)[:, 0])
-            slopes = (field_gradients(v, g[bs], base.g_n, base.mu_b, base.mu_n) @ img[..., None])[..., 0]
-            slope = slopes[k, up] - slopes[k, lo]
-            mix = _derivative_mix(at, dA[bs], None if dg is None else dg[bs], base.mu_b)
+        if J is None:
+            continue
+        # the Jacobian rows, EIGH_BLOCK resonances at a time
+        for start in range(0, point.size, EIGH_BLOCK):
+            r = slice(start, start + EIGH_BLOCK)
+            b, k = bs[r], np.arange(bs[r].size)
+            at = (fields[r, None] * img[r])[:, None]
+            _, v = np.linalg.eigh(hamiltonian_stack(A[b], g[b], at, base.g_n, base.mu_b, base.mu_n)[:, 0])
+            slopes = (field_gradients(v, g[b], base.g_n, base.mu_b, base.mu_n) @ img[r, :, None])[..., 0]
+            slope = slopes[k, up[r]] - slopes[k, lo[r]]
+            mix = _derivative_mix(at, dA[b], None if dg is None else dg[b], base.mu_b)
             dE = spin_expectations(v, mix[:, 0])
             with np.errstate(divide="ignore", invalid="ignore"):
-                rows = (dE[k, up] - dE[k, lo]) / slope[:, None]
-            J[bs, pts] = np.where(np.isfinite(rows), rows, 0.0)
+                rows = (dE[k, up[r]] - dE[k, lo[r]]) / slope[:, None]
+            J[b, pts[r]] = np.where(np.isfinite(rows), rows, 0.0)
 
 
 def residuals(problem: FitProblem, params, data, full: bool = False):

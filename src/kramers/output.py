@@ -74,14 +74,22 @@ def csv_text(header: list[str], columns, stamp: bool = True, grid: int = 0) -> s
     their outer product, the last axis fastest, and every other column
     holds one value per row.  Each axis value is formatted once.
     """
-    head = [STAMP] if stamp else []
-    head.append(",".join(header))
-    return "\n".join(head) + "\n" + "".join(_blocks(columns, grid))
+    return _head(header, stamp) + "".join(_blocks(columns, grid))
+
+
+def _head(header: list[str], stamp: bool) -> str:
+    return "\n".join(([STAMP] if stamp else []) + [",".join(header)]) + "\n"
 
 
 def write_csv(path, header: list[str], columns, stamp: bool = True, grid: int = 0) -> None:
+    """Write ``csv_text`` block by block, so memory does not grow with the
+    row count; the first block is formatted before the file is opened, so
+    columns of unequal length leave no file."""
+    blocks = _blocks(columns, grid)
+    first = next(blocks, "")
     with open(path, "w", newline="\n") as fh:
-        fh.write(csv_text(header, columns, stamp, grid))
+        fh.write(_head(header, stamp) + first)
+        fh.writelines(blocks)
 
 
 def pgm_bytes(amplitudes: np.ndarray, stamp: bool = True) -> bytes:

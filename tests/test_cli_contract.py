@@ -195,6 +195,33 @@ def test_epr_map_size_cap_rejects_before_allocating(argv, tmp_path, monkeypatch)
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv, samples", [
+    (["--restarts", "64"], 32 * 21 * 3),   # a restart chunk's Jacobian: restarts x points x parameters
+    (["--restarts", "2", "--free", "ground,misalignment"], 2 * 21 * 6),
+    (["--free", ""], 32 * 21 * 1),   # no free parameter still counts one value per point
+])
+def test_fit_size_cap_rejects_before_fitting(argv, samples, tmp_path, monkeypatch):
+    from kramers import config, fitting
+    from test_cli import PINNED_FIT_DATA
+
+    class Fitted(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Fitted
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text(PINNED_FIT_DATA)
+    monkeypatch.setattr(fitting, "fit", reached)
+    monkeypatch.setattr(config, "MAX_POINTS", samples - 1)
+    code, _, err = _run(["fit", "--data", "data.csv", *argv])
+    assert _assert_one_record(code, err, "too-large")["key"] == "data"
+    assert os.listdir(tmp_path) == ["data.csv"]
+    monkeypatch.setattr(config, "MAX_POINTS", samples)  # at the cap the fit runs
+    with pytest.raises(Fitted):
+        _run(["fit", "--data", "data.csv", *argv])
+
+
 @pytest.mark.parametrize("text", ["-5:5:0.002", "0:150:1", "-4.5:4.5:0.005", "0:0:1", "0:1:0.3", "-1:1:0.7"])
 def test_grid_point_count_matches_arange(text):
     g = grid(text, "span")

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from kramers import output
 from kramers.config import ConfigError, load_rates, parse_config
 from kramers.hamiltonian import eigensystem, transition_frequencies
-from kramers.output import STAMP, csv_text, format_number, pgm_bytes
+from kramers.output import STAMP, csv_text, format_number, pgm_bytes, write_csv
 from kramers.presets import SITE_I
 
 
@@ -229,6 +230,27 @@ class TestOutput:
             csv_text(["a", "b"], [np.zeros(2), np.zeros(3)])
         with pytest.raises(ValueError):
             csv_text(["a", "b", "c"], [np.zeros(2), np.zeros(3), np.zeros(5)], grid=2)
+
+    def test_write_csv_memory_flat_past_block_rows(self, tmp_path, monkeypatch):
+        # the file gets one block at a time, never the whole text
+        monkeypatch.setattr(output, "BLOCK_ROWS", 500)
+        peaks = []
+        for rows in (2000, 32000):  # cells of one width, so every block is as long
+            columns = [np.arange(rows) % 10, np.linspace(1.0, 2.0, rows) / 3.0]
+            out = tmp_path / f"{rows}.csv"
+            tracemalloc.start()
+            try:
+                write_csv(out, ["n", "x"], columns)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert out.read_text() == csv_text(["n", "x"], columns)
+        assert peaks[1] < 1.1 * peaks[0], peaks
+
+    def test_write_csv_of_unequal_columns_leaves_no_file(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "x.csv", ["a", "b"], [np.zeros(2), np.zeros(3)])
+        assert not (tmp_path / "x.csv").exists()
 
     def test_shb_map_csv_matches_row_formatter(self, tmp_path):
         from kramers.cli import main

@@ -718,6 +718,104 @@ class TestEprStack:
             np.testing.assert_allclose(ev.jacobian[0], -fd, rtol=1e-4, atol=1e-6)
 
 
+def traced_peak(call):
+    """The tracemalloc peak (bytes) of one call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def random_field_data(n, seed=5):
+    """n labeled ground SHB points, each at its own random field (2n field rows)."""
+    rng = np.random.default_rng(seed)
+    return compile_data([DataPoint("shb", "ground", tuple(rng.uniform(-150.0, 150.0, 3)), 1.0, 2e-3,
+                                   PAIRS[k % 6]) for k in range(n)])
+
+
+class TestHamiltonianBlocks:
+    """``evaluate`` diagonalizes at most EIGH_BLOCK Hamiltonians at a time."""
+
+    @pytest.mark.parametrize("restarts, fields, block", [(5, 7, 1), (5, 7, 13), (3, 40, 16), (64, 100, 512),
+                                                          (2, 1, 512), (1, 2048, 512)])
+    def test_blocks_tile_restarts_by_fields_once(self, monkeypatch, restarts, fields, block):
+        monkeypatch.setattr(fitting, "EIGH_BLOCK", block)
+        seen = np.zeros((restarts, fields), dtype=int)
+        for b, f in fitting._hamiltonian_blocks(restarts, fields):
+            seen[b, f] += 1
+            assert seen[b, f].size <= block
+        assert (seen == 1).all()
+
+    @staticmethod
+    def pinned_data(tmp_path):
+        from kramers.cli import _read_data_csv
+        from test_cli import PINNED_FIT_DATA
+
+        (tmp_path / "data.csv").write_text(PINNED_FIT_DATA)
+        return compile_data(_read_data_csv(tmp_path / "data.csv"))
+
+    @pytest.mark.parametrize("data, flags, jac", [
+        ("pinned", dict(), True),
+        ("pinned", dict(), False),
+        ("mixed", FULL_FLAGS, True),
+        ("mixed", FULL_FLAGS, False),
+    ])
+    def test_bit_identical_at_any_block_size(self, tmp_path, monkeypatch, data, flags, jac):
+        # PINNED_FIT_DATA holds EPR points; with misalignment free, dg mixes in the field
+        data = self.pinned_data(tmp_path) if data == "pinned" else compile_data(mixed_data())
+        problem = FitProblem(site=SITE_I, **flags)
+        lo, hi = problem.bounds()
+        x = np.concatenate([problem.initial_parameters()[None],
+                            np.random.default_rng(2).uniform(lo, hi, (4, lo.size))])
+        runs = []
+        # one block per state, one Hamiltonian per block, and ragged tilings
+        # that split one restart's fields (3) or group 2-4 restarts (9)
+        for block in (10**9, 1, 3, 9):
+            monkeypatch.setattr(fitting, "EIGH_BLOCK", block)
+            runs.append(fitting.evaluate(problem, *fitting._points(problem, x), data, jac=jac))
+        fields = [len(rows.fields) for rows in data.states]
+        assert max(fields) > 3 and 2 <= 9 // min(fields) < len(x)
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0]):
+                assert (got is None and want is None) or np.array_equal(got, want, equal_nan=True)
+
+    def test_memory_grows_only_by_the_outputs(self):
+        # w and dE (B, F, 4, 1 + P), the Jacobian, residuals, model and raw
+        # residuals (B, N, P + 3) as float64, and the gated flags (B, N)
+        problem = FitProblem(site=SITE_I)
+        lo, hi = problem.bounds()
+        P = lo.size
+
+        def peak_and_outputs(n, restarts):
+            data = random_field_data(n)
+            F = len(data.states[0].fields)
+            pts = fitting._points(problem, np.random.default_rng(1).uniform(lo, hi, (restarts, P)))
+            fitting.evaluate(problem, *pts, data, jac=True)  # warm caches
+            peak = traced_peak(lambda: fitting.evaluate(problem, *pts, data, jac=True))
+            return peak, 8 * restarts * (4 * F * (1 + P) + n * (P + 3)) + restarts * n
+
+        block = fitting.EIGH_BLOCK
+        for small, large in [((50, 8), (50, 64)), ((block // 2, 8), (2 * block, 8))]:
+            (peak0, out0), (peak1, out1) = peak_and_outputs(*small), peak_and_outputs(*large)
+            assert peak1 - peak0 <= 1.1 * (out1 - out0), (small, large, peak0, peak1)
+
+    def test_epr_jacobian_costs_its_size_plus_one_block(self):
+        # about 4 KB of temporaries per Hamiltonian, for one block of them
+        problem = FitProblem(site=SITE_I)
+        lo, hi = problem.bounds()
+        rng = np.random.default_rng(0)
+        data = compile_data([DataPoint("epr", "ground", tuple(rng.normal(size=3)), rng.uniform(50.0, 400.0), 0.5)
+                             for _ in range(100)])
+        pts = fitting._points(problem, rng.uniform(lo, hi, (32, lo.size)))
+        J = fitting.evaluate(problem, *pts, data, jac=True).jacobian  # warm caches
+        assert np.count_nonzero(J.any(axis=2)) > 2 * fitting.EIGH_BLOCK
+        plain = traced_peak(lambda: fitting.evaluate(problem, *pts, data))
+        full = traced_peak(lambda: fitting.evaluate(problem, *pts, data, jac=True))
+        assert full - plain <= 1.1 * J.nbytes + 4096 * fitting.EIGH_BLOCK, (plain, full)
+
+
 def write_data_csv(path, points):
     """The `fit --data` CSV of labeled shb points."""
     lines = ["kind,state,bx_mt,by_mt,bz_mt,value,sigma,label"]
