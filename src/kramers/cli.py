@@ -23,8 +23,8 @@ from .config import (
     ConfigError, check_points, grid, integer, integers, level_pair, load_config, load_rates, number,
     number_list, read_text, samples, vector,
 )
-from .hamiltonian import (PAIR_HI, PAIR_LO, PAIRS, eigensystem, invert_zero_field, reconstruct_levels,
-                          transition_frequencies)
+from .hamiltonian import (PAIR_HI, PAIR_LO, PAIRS, build_hamiltonian, diagonalize, invert_zero_field,
+                          reconstruct_levels, transition_frequencies)
 from .output import write_csv, write_pgm
 from .presets import get_site
 
@@ -192,19 +192,26 @@ def _write(args, columns, grid: int = 0) -> None:
     write_csv(args.out, SCHEMAS[args.command].split()[0].split(","), columns, stamp=not args.no_stamp, grid=grid)
 
 
-def _field_from_args(args) -> np.ndarray:
-    vec = np.asarray(args.field, dtype=float)
+def _field_levels(args, unit: float = 1.0):
+    """(state, field, eigensystem) of --state at --B, or at --field scaled to
+    --magnitude; a bad value where the Hamiltonian, or the levels' spread in
+    GHz times ``unit``, overflows."""
+    sys, vec, key = getattr(_resolve_site(args), args.state), np.asarray(args.field, dtype=float), "field"
     if args.magnitude is not None:
-        norm = np.linalg.norm(vec)
+        norm, key = np.linalg.norm(vec), "magnitude"
         if norm == 0:
             raise ConfigError("bad-vector", "cannot scale a zero direction", "field")
         vec = vec / norm * args.magnitude
-    return vec
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = build_hamiltonian(sys, vec)
+        es = diagonalize(H) if np.isfinite(H).all() else None
+        if es is None or not np.ptp(es.energies) * unit < np.inf:
+            raise ConfigError("bad-value", f"{key}: the levels at this field overflow", key)
+    return sys, vec, es
 
 
 def _cmd_levels(args) -> int:
-    site = _resolve_site(args)
-    energies = eigensystem(getattr(site, args.state), _field_from_args(args)).energies
+    energies = _field_levels(args)[2].energies
     _write(args, [np.arange(1, 5), energies])
     for n, e in enumerate(energies, start=1):
         print(f"level {n}: {e:+.6f} GHz")
@@ -212,9 +219,7 @@ def _cmd_levels(args) -> int:
 
 
 def _cmd_transitions(args) -> int:
-    site = _resolve_site(args)
-    field = _field_from_args(args)
-    freqs = transition_frequencies(eigensystem(getattr(site, args.state), field))
+    freqs = transition_frequencies(_field_levels(args)[2])
     _write(args, [PAIR_LO + 1, PAIR_HI + 1, freqs])
     for (i, j), f in zip(PAIRS, freqs.tolist()):
         print(f"{i + 1} -> {j + 1}: {f * 1e3:9.3f} MHz")
@@ -257,10 +262,8 @@ def _cmd_shb_map(args) -> int:
 
 
 def _cmd_odmr(args) -> int:
-    site = _resolve_site(args)
-    lines = magres.odmr_lines(
-        getattr(site, args.state), _field_from_args(args), ac_axis=args.ac_axis
-    )
+    sys, field, _ = _field_levels(args, unit=1e3)  # lines in MHz
+    lines = magres.odmr_lines(sys, field, ac_axis=args.ac_axis)
     pairs = np.array([l.transition for l in lines]).reshape(-1, 2) + 1
     _write(args, [np.array([l.frequency_mhz for l in lines]), *pairs.T, np.array([l.moment for l in lines]),
                   np.array([l.strong for l in lines])])

@@ -4,8 +4,8 @@ The g tensors and the A eigenvalue magnitudes (obtained analytically from
 zero-field splittings) stay fixed; the free parameters are the orientation
 of the ground and/or excited A tensor, optionally a small lab-misalignment
 rotation and eigenvalue refinements.  Restarts begin at the problem's own
-angles and at uniformly sampled Euler triples, and one Levenberg-Marquardt
-with Moré's (1978) column scaling advances a chunk of them in lockstep:
+angles and at uniformly sampled Euler triples; ``trust_region.minimize``
+takes a chunk of them in lockstep by Moré's (1978) scaled LM steps:
 each iteration diagonalizes (restarts x distinct fields x 2 subsites) in
 stacked ``eigh`` calls of at most EIGH_BLOCK Hamiltonians, and searches
 (restarts x EPR points x 2 subsites) in one ``magres.resonance_search``
@@ -56,7 +56,7 @@ from .tensors import (
     subsite_transform,
     _C2,
 )
-from .trust_region import COST_RTOL, MAX_EVALUATIONS, STEP_TOL, _bounded_step, _trust_radius
+from .trust_region import Run, _bounded_step, minimize
 
 KINDS = ("shb", "odmr", "epr")
 STATES = ("ground", "excited")
@@ -576,20 +576,10 @@ def residuals(problem: FitProblem, params, data, full: bool = False):
     return ev.residuals[0]
 
 
-class _Run(NamedTuple):
-    """Where the restarts of one chunk ended, and what each spent."""
-
-    rotations: np.ndarray
-    flat: np.ndarray
-    cost: np.ndarray
-    residuals: np.ndarray
-    gated: np.ndarray
-    iterations: np.ndarray
-    evaluations: np.ndarray
-
-
-def _levenberg_marquardt(problem: FitProblem, data: CompiledData, rotations, flat) -> _Run:
-    """Minimize the weighted cost from a batch of starting points, in lockstep.
+def _levenberg_marquardt(problem: FitProblem, data: CompiledData, rotations, flat) -> Run:
+    """``trust_region.minimize`` of the weighted cost from a batch of
+    starts; a restart's state is its (rotations, flat, weighted residuals,
+    weighted Jacobian, residuals, gated).
 
     Moré's (1978) trust-region form: D holds the largest column norms of
     J seen so far (one per rotation block, so a turn is measured by its
@@ -600,67 +590,40 @@ def _levenberg_marquardt(problem: FitProblem, data: CompiledData, rotations, fla
     rotates each orientation by exp([w]x) in its body frame and keeps the
     other coordinates in their box: a coordinate it would carry past a
     bound is put on the bound and the step is solved again for the rest,
-    so a restart that stops on a bound stops at a minimum there.  A
-    restart stops when its next step would change its cost by less than
-    COST_RTOL (relative, as predicted), when that step is below STEP_TOL,
-    or after MAX_EVALUATIONS evaluations.
+    so a restart that stops on a bound stops at a minimum there.
     """
-    rotations, flat = np.array(rotations, dtype=float), np.array(flat, dtype=float)
-    B, P, n_angles = len(flat), 3 * len(problem.blocks), rotations.shape[1]
+    n_angles = rotations.shape[1]
     lo, hi = (bound[3 * n_angles :] for bound in problem.bounds())
-    weights = data.weights
 
-    ev = evaluate(problem, rotations, flat, data, jac=True)
-    r, J = ev.residuals * weights, ev.jacobian * weights[:, None]
-    cost = np.einsum("bn,bn->b", r, r)
-    res, gated = ev.residuals, ev.gated
-    scale = np.zeros((B, P))
-    radius = np.full(B, np.nan)
-    iterations, evaluations = np.zeros(B, dtype=int), np.ones(B, dtype=int)
-    active = cost > 0
-    while active.any():
-        a = np.flatnonzero(active)
-        Ja, ra = J[a], r[a]
+    def at(rotations, flat):
+        ev = evaluate(problem, rotations, flat, data, jac=True)
+        r = ev.residuals * data.weights
+        rows = (rotations, flat, r, ev.jacobian * data.weights[:, None], ev.residuals, ev.gated)
+        return rows, np.einsum("bn,bn->b", r, r)
+
+    state, cost = at(np.array(rotations, dtype=float), np.array(flat, dtype=float))
+    rotations, flat, r, J = state[:4]
+    scale = np.zeros((len(flat), J.shape[2]))
+
+    def propose(a, radius):
+        Ja = J[a]
         scale[a] = np.maximum(scale[a], np.linalg.norm(Ja, axis=1))
         turns = scale[a, : 3 * n_angles].reshape(a.size, n_angles, 3)
         d = np.concatenate([np.repeat(turns.max(axis=2), 3, axis=1), scale[a, 3 * n_angles :]], axis=1)
         d = np.where(d > 0, d, 1.0)
-        radius[a] = np.where(np.isnan(radius[a]), np.sqrt(cost[a]), radius[a])
         scaled_bounds = ((bound - flat[a]) * d[:, 3 * n_angles :] for bound in (lo, hi))
         Js = Ja / d[:, None, :]
-        scaled_step, lam = _bounded_step(Js.swapaxes(1, 2) @ Js, Js, ra, radius[a], *scaled_bounds)
+        scaled_step, lam = _bounded_step(Js.swapaxes(1, 2) @ Js, Js, r[a], radius, *scaled_bounds)
         step = scaled_step / d
-
         # the step already keeps to the box; the clip only absorbs rounding
         trial_flat = np.clip(flat[a] + step[:, 3 * n_angles :], lo, hi)
         taken = np.concatenate([step[:, : 3 * n_angles], trial_flat - flat[a]], axis=1)
-        lin = ra + np.einsum("bnp,bp->bn", Ja, taken)
-        predicted = cost[a] - np.einsum("bn,bn->b", lin, lin)
-        # converged: the step would change little, so it is not evaluated
-        go = (predicted > COST_RTOL * cost[a]) & (np.linalg.norm(taken, axis=1) > STEP_TOL)
-        active[a[~go]] = False
-        a, d, lam, predicted, taken, trial_flat = a[go], d[go], lam[go], predicted[go], taken[go], trial_flat[go]
-        if not a.size:
-            break
-
+        lin = r[a] + np.einsum("bnp,bp->bn", Ja, taken)
         turn = _rotations(taken[:, : 3 * n_angles].reshape(a.size, n_angles, 3) * _DEG)
-        trial_rot = rotations[a] @ turn
-        trial = evaluate(problem, trial_rot, trial_flat, data, jac=True)
-        evaluations[a] += 1
-        r_t = trial.residuals * weights
-        cost_t = np.einsum("bn,bn->b", r_t, r_t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(np.isfinite(cost_t), (cost[a] - cost_t) / predicted, -np.inf)
-        radius[a] = _trust_radius(radius[a], ratio, np.linalg.norm(taken * d, axis=1), lam)
+        return ((rotations[a] @ turn, trial_flat), cost[a] - np.einsum("bn,bn->b", lin, lin),
+                np.linalg.norm(taken, axis=1), np.linalg.norm(taken * d, axis=1), lam)
 
-        accept = ratio > 1e-4
-        ok = a[accept]
-        rotations[ok], flat[ok] = trial_rot[accept], trial_flat[accept]
-        r[ok], J[ok], cost[ok] = r_t[accept], trial.jacobian[accept] * weights[:, None], cost_t[accept]
-        res[ok], gated[ok] = trial.residuals[accept], trial.gated[accept]
-        iterations[ok] += 1
-        active[a[(cost[a] == 0) | (evaluations[a] >= MAX_EVALUATIONS)]] = False
-    return _Run(rotations, flat, cost, res, gated, iterations, evaluations)
+    return minimize(state, cost, np.sqrt(cost), propose, at)
 
 
 def canonical_orientation(tensor: SymmetricTensor3) -> tuple[EulerAngles, int]:
@@ -744,8 +707,9 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
         if first == 0:
             seeds = np.concatenate([x0[None], seeds])
         run = _levenberg_marquardt(problem, compiled, *_points(problem, seeds))
-        for m, x in enumerate(_parameters(problem, run.rotations, run.flat)):
-            restart_rms_list.append(_split_rms(compiled, run.residuals[m], run.gated[m])[0])
+        rotations, flat, _, _, res, gated = run.state
+        for m, x in enumerate(_parameters(problem, rotations, flat)):
+            restart_rms_list.append(_split_rms(compiled, res[m], gated[m])[0])
             if best is None or (run.cost[m], tuple(x)) < best:
                 best = (run.cost[m], tuple(x))
         iterations += run.iterations.tolist()

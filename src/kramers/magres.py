@@ -156,7 +156,7 @@ def _eigenfields(A, g, directions, b_max, nu_mw_ghz, g_n, mu_b, mu_n):
     b0 = shifts[np.arange(b_max.size), np.argmax(distance, axis=1)]
     shifted = nu_mw_ghz * np.eye(16) - _liouville(F + b0[:, None, None] * G)
     mu, rho = np.linalg.eig(np.linalg.solve(shifted, _liouville(G)))
-    with np.errstate(divide="ignore", invalid="ignore"):  # mu = 0: a root at infinite field
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # mu (near) 0: a root at infinite field
         roots = b0[:, None] + 1.0 / mu
     ray, n = np.nonzero((np.abs(roots.imag) <= EPR_FIELD_TOL_MT) & (roots.real > EPR_FIELD_TOL_MT)
                         & (roots.real <= b_max[:, None]))

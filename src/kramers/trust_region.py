@@ -1,30 +1,25 @@
-"""The trust-region steps shared by the tensor fit and the ZEFOZ descent.
+"""The trust-region minimization shared by the tensor fit and the ZEFOZ descent.
 
 Both minimize a sum of squares |r|^2 / 2 from a batch of starting points
 in lockstep, with Moré's (1978) trust region on a quadratic model of it,
 the gradient J^T r and a symmetric Hessian H: the fit's is Gauss-Newton,
 H = J^T J, the ZEFOZ descent's exact Newton, which may be indefinite.
-``_unbounded_step`` solves for the step within a radius, ``_bounded_step``
-does so with coordinates kept in a box, ``_trust_radius`` updates the
-radius from the cost fall a step achieved, and a start stops by the same
-rules in both (a predicted relative cost change below COST_RTOL, a step
-below STEP_TOL, or MAX_EVALUATIONS evaluations).
+``minimize`` is the one loop, with the stopping, acceptance and radius
+rules; a caller gives it its model, whose step ``_unbounded_step`` solves
+within a radius and ``_bounded_step`` with coordinates kept in a box.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 # the evaluations one start may spend, and its stopping rules (a relative
-# cost change, or a step in the caller's scaled coordinates)
+# cost change, or a step length in the caller's coordinates)
 MAX_EVALUATIONS = 250
 COST_RTOL = 1e-12
 STEP_TOL = 1e-6
-
-
-def _trust_radius(radius, ratio, size, lam) -> np.ndarray:
-    """Moré's radius after a step of length ``size`` whose cost fell ``ratio`` times the predicted fall."""
-    return np.where(ratio < 0.25, 0.25 * size, np.where((ratio > 0.75) | (lam == 0), np.maximum(radius, 2.0 * size), radius))
 
 
 def _unbounded_step(H: np.ndarray, J: np.ndarray, r: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -96,3 +91,55 @@ def _bounded_step(H, J, r, radius, lower, upper) -> tuple[np.ndarray, np.ndarray
         pinned[:, first:] = np.where(past, np.clip(tail, lower, upper), pinned[:, first:])
         fixed[:, first:] |= past
     return p, lam
+
+
+class Run(NamedTuple):
+    """Where the starts of a ``minimize`` ended, and what each spent."""
+
+    state: tuple
+    cost: np.ndarray
+    iterations: np.ndarray
+    evaluations: np.ndarray
+
+
+def minimize(state: tuple, cost: np.ndarray, radius: np.ndarray, propose, evaluate) -> Run:
+    """Advance a batch of starts in lockstep until each stops; ``state``
+    (arrays of one row per start), ``cost`` and ``radius`` change in place.
+
+    Each round, ``propose(a, radius[a])`` gives the active starts ``a``
+    their trial points (a tuple of row arrays), predicted cost fall, step
+    length, scaled step length and lambda.  A step predicted to fall by at
+    most COST_RTOL of the cost, or no longer than STEP_TOL, has converged
+    and is not evaluated; at the others ``evaluate(*trial)`` gives the
+    state rows and costs, and a step whose fall exceeds 1e-4 of the
+    predicted one is accepted (an iteration).  A start runs from a finite
+    cost above 0 and a radius above 0, and stops at cost 0 or after
+    MAX_EVALUATIONS evaluations, the first one included.
+    """
+    iterations, evaluations = np.zeros(len(cost), dtype=int), np.ones(len(cost), dtype=int)
+    active = np.isfinite(cost) & (cost > 0) & (radius > 0)
+    while active.any():
+        a = np.flatnonzero(active)
+        trial, predicted, length, scaled, lam = propose(a, radius[a])
+        # converged: the step would change little, so it is not evaluated
+        go = (predicted > COST_RTOL * cost[a]) & (length > STEP_TOL)
+        active[a[~go]] = False
+        a = a[go]
+        if not a.size:
+            break
+
+        rows, cost_t = evaluate(*(t[go] for t in trial))
+        evaluations[a] += 1
+        ratio = np.where(np.isfinite(cost_t), (cost[a] - cost_t) / predicted[go], -np.inf)
+        # Moré's radius: a quarter of a step that fell short, at least twice one that did well or was unshifted
+        size, lam = scaled[go], lam[go]
+        radius[a] = np.where(ratio < 0.25, 0.25 * size,
+                             np.where((ratio > 0.75) | (lam == 0), np.maximum(radius[a], 2.0 * size), radius[a]))
+        accept = ratio > 1e-4
+        ok = a[accept]
+        for rows_all, rows_t in zip(state, rows):
+            rows_all[ok] = rows_t[accept]
+        cost[ok] = cost_t[accept]
+        iterations[ok] += 1
+        active[a[(cost[a] == 0) | (evaluations[a] >= MAX_EVALUATIONS)]] = False
+    return Run(state, cost, iterations, evaluations)

@@ -27,7 +27,7 @@ from .hamiltonian import (
     hamiltonian_batch,
     transition_gradients,
 )
-from .trust_region import COST_RTOL, MAX_EVALUATIONS, STEP_TOL, _bounded_step, _trust_radius, _unbounded_step
+from .trust_region import COST_RTOL, STEP_TOL, _bounded_step, _unbounded_step, minimize
 
 DEFAULT_REGION_RADIUS_MT = 100.0
 DEFAULT_REFINE_TOL_MHZ_PER_MT = 1e-3
@@ -180,33 +180,33 @@ def _ball_step(b, hess, J, g, delta, radius):
 
 def _descend(sys: SpinSystem, i: int, j: int, b: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray]:
     """(end points, evaluations per seed) of trust-region Newton on
-    |g(B)|^2 / 2 from the seeds b (K, 3) in lockstep, with the exact Hessian
-    J^T J + sum_c g_c T_c (J the curvature, T its derivative).  In a box,
-    a step is cut where it first meets a face, and a coordinate on a face
-    stays there if the gradient pushes it out or the step would carry it out
-    (``_bounded_step``, which keeps the fit to its box); in a ball, as
-    ``_ball_step`` says.  The first trust radius is the region's diameter.
-    Seeds stop as the fit's restarts do (COST_RTOL, STEP_TOL,
-    MAX_EVALUATIONS).
+    |g(B)|^2 / 2 from the seeds b (K, 3) with ``trust_region.minimize``,
+    with the exact Hessian J^T J + sum_c g_c T_c (J the curvature, T its
+    derivative).  In a box, a step is cut where it first meets a face, and
+    a coordinate on a face stays there if the gradient pushes it out or the
+    step would carry it out (``_bounded_step``, which keeps the fit to its
+    box); in a ball, as ``_ball_step`` says.  The first trust radius is the
+    region's diameter.
     """
-    g, J, T, bad = _derivatives(sys, b, i, j)
-    cost = np.where(bad, np.inf, 0.5 * np.einsum("kc,kc->k", g, g))
+    def at(b):
+        g, J, T, bad = _derivatives(sys, b, i, j)
+        return (b, g, J, T), np.where(bad, np.inf, 0.5 * np.einsum("kc,kc->k", g, g))
+
+    state, cost = at(b)
+    b, g, J, T = state
     ball = np.ndim(bounds) == 0
-    radius = np.full(len(b), 2.0 * bounds if ball else np.linalg.norm(bounds[:, 1] - bounds[:, 0]))
-    evaluations = np.ones(len(b), dtype=int)
-    active = np.isfinite(cost) & (cost > 0) & (radius > 0)
-    while active.any():
-        a = np.flatnonzero(active)
+
+    def propose(a, radius):
         grad = np.einsum("kcd,kc->kd", J[a], g[a])
         hess = np.einsum("kcd,kce->kde", J[a], J[a]) + np.einsum("kc,kcde->kde", g[a], T[a])
         if ball:
-            trial, p, hess, lam = _ball_step(b[a], hess, J[a], g[a], radius[a], bounds)
+            trial, p, hess, lam = _ball_step(b[a], hess, J[a], g[a], radius, bounds)
         else:
             lo, hi = b[a] == bounds[:, 0], b[a] == bounds[:, 1]
             # a coordinate on a face that the gradient pushes out stays there,
             # and one that the step would carry out is pinned to it
             free = ~((lo & (grad > 0)) | (hi & (grad < 0)))
-            p, lam = _bounded_step(hess * (free[:, :, None] & free[:, None, :]), J[a] * free[:, None, :], g[a], radius[a],
+            p, lam = _bounded_step(hess * (free[:, :, None] & free[:, None, :]), J[a] * free[:, None, :], g[a], radius,
                                    np.where(lo, 0.0, -np.inf), np.where(hi, 0.0, np.inf))
             # the step is cut where it first meets a face, and puts that coordinate on it
             face = np.where(p < 0, bounds[:, 0], bounds[:, 1])
@@ -214,25 +214,11 @@ def _descend(sys: SpinSystem, i: int, j: int, b: np.ndarray, bounds) -> tuple[np
             cut = np.minimum(reach.min(axis=1, keepdims=True), 1.0)
             trial = np.where(reach <= cut, face, np.clip(b[a] + cut * p, bounds[:, 0], bounds[:, 1]))
             p = trial - b[a]
-        predicted = -np.einsum("kc,kc->k", grad, p) - 0.5 * np.einsum("kc,kcd,kd->k", p, hess, p)
         size = np.linalg.norm(trial - b[a], axis=1)
-        # converged: the step would change little, so it is not evaluated
-        go = (predicted > COST_RTOL * cost[a]) & (size > STEP_TOL)
-        active[a[~go]] = False
-        a, lam, predicted, size, trial = a[go], lam[go], predicted[go], size[go], trial[go]
-        if not a.size:
-            break
+        return (trial,), -np.einsum("kc,kc->k", grad, p) - 0.5 * np.einsum("kc,kcd,kd->k", p, hess, p), size, size, lam
 
-        g_t, J_t, T_t, bad_t = _derivatives(sys, trial, i, j)
-        evaluations[a] += 1
-        cost_t = np.where(bad_t, np.inf, 0.5 * np.einsum("kc,kc->k", g_t, g_t))
-        ratio = np.where(np.isfinite(cost_t), (cost[a] - cost_t) / predicted, -np.inf)
-        radius[a] = _trust_radius(radius[a], ratio, size, lam)
-        accept = ratio > 1e-4
-        ok = a[accept]
-        b[ok], g[ok], J[ok], T[ok], cost[ok] = trial[accept], g_t[accept], J_t[accept], T_t[accept], cost_t[accept]
-        active[a[(cost[a] == 0) | (evaluations[a] >= MAX_EVALUATIONS)]] = False
-    return b, evaluations
+    radius = np.full(len(b), 2.0 * bounds if ball else np.linalg.norm(bounds[:, 1] - bounds[:, 0]))
+    return b, minimize(state, cost, radius, propose, at).evaluations
 
 
 def zefoz_search(

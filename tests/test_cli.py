@@ -11,6 +11,8 @@ import pytest
 import kramers
 from conftest import read_csv
 from kramers.cli import SCHEMAS, main
+from kramers.presets import SITE_II
+from kramers.zefoz import zefoz_search
 
 
 def run(capsys, *argv):
@@ -446,12 +448,40 @@ class TestPinnedBytes:
         assert hashlib.sha256(report.read_bytes()).hexdigest() == (
             "4e2fd627f2074a1d16e419d8702aab1db41cea77081237860544861400c1268e")
 
+    def test_fit_bounded_csv_and_report(self, tmp_path, capsys):
+        # misalignment and eigenvalue shifts, the fit's coordinates kept to a box
+        data, out, report = tmp_path / "data.csv", tmp_path / "fit.csv", tmp_path / "report.txt"
+        data.write_text(PINNED_FIT_DATA)
+        code, _, _ = run(capsys, "fit", "--data", str(data), "--free", "ground,misalignment,eigenvalues",
+                         "--restarts", "8", "--seed", "0", "--no-stamp", "--out", str(out), "--report", str(report))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "6c9783bdb249c750376cf494617a73d7b612966e0d62b8a09dc9a8ad9fd73cda")
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+            "c0bc2966cf849ba3d95cd33db58652f0587cd6aead01a25584459d7d51d2f112")
+
     def test_zefoz_csv(self, tmp_path, capsys):
         out = tmp_path / "zefoz.csv"
         code, _, _ = run(capsys, "zefoz", "--transition", "1,2", "--radius", "100", "--no-stamp", "--out", str(out))
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "b22bcfe1a95013208c7bd6d3713fcebe4f733bc8707f96a0f319546232ee7b19")
+
+    def test_zefoz_wide_ball_csv(self, tmp_path, capsys):
+        out = tmp_path / "zefoz.csv"
+        code, _, _ = run(capsys, "zefoz", "--transition", "1,2", "--radius", "1000", "--no-stamp", "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "2e87dd5228437e7c916deb6c21410303e89cb8da557766491a18a81666e8d913")
+
+    @pytest.mark.parametrize("box, candidates_hash", [
+        (((-50, 50), (-50, 50), (-50, 50)), "6dfe1e1428b095b15e9779c0f97b6e7697f986e908f870ede54930284b6d34b9"),
+        (((10, 60), (-20, 20), (0, 40)), "8a464dfc2f9d8f40e4b34b11c38678fcd0a8d0675d552f40ba99ef858ca5621d"),
+    ])
+    def test_zefoz_box_candidates(self, box, candidates_hash):
+        # the CLI searches a ball only: the box descent is pinned through the API
+        candidates = zefoz_search(SITE_II.ground, (1, 2), region=np.array(box, dtype=float), grid=6)
+        assert hashlib.sha256(repr(candidates).encode()).hexdigest() == candidates_hash
 
     def test_selftest_stdout(self, capsys):
         code, stdout, _ = run(capsys, "selftest")

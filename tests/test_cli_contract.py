@@ -155,6 +155,15 @@ def test_defect_exits_2_with_one_record(argv, expected, tmp_path, monkeypatch):
     # the offset fit's residuals overflow: rms inf
     (["ordering", "--peaks", "1e308,-1e308,0,1"], "peaks"),
     (["zefoz", "--radius", "1e300"], "radius"),
+    # the lines in MHz overflow, or the Hamiltonian itself does
+    (["odmr", "--B", "1e307,0,0"], "field"),
+    (["odmr", "--field", "D1", "--magnitude", "1e307"], "magnitude"),
+    (["levels", "--B", "1e308,0,0"], "field"),
+    (["transitions", "--B", "1e308,0,0"], "field"),
+    (["odmr", "--B", "1e308,0,0"], "field"),
+    (["levels", "--field", "D1", "--magnitude", "1e308"], "magnitude"),
+    (["transitions", "--field", "D1", "--magnitude", "1e308"], "magnitude"),
+    (["odmr", "--field", "D1", "--magnitude", "1e308"], "magnitude"),
 ])
 def test_non_finite_arithmetic_is_bad_value(argv, key, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -178,6 +187,16 @@ def test_zefoz_at_a_huge_radius_ends(radius, tmp_path):
     else:
         _assert_one_record(proc.returncode, proc.stderr)
         assert not (tmp_path / "z.csv").exists()
+
+
+def test_epr_map_at_a_huge_frequency_finds_nothing_quietly(tmp_path, monkeypatch):
+    # every root's 1 / mu overflows to an infinite field, beyond --bmax
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = _run(["epr-map", "--freq", "1e300", "--step", "90", "--no-stamp", "--out", "out.csv"])
+    assert (code, err) == (0, "")
+    assert (tmp_path / "out.csv").read_text() == "angle_deg,field_mt,lower,upper,subsite,moment\n"
 
 
 @pytest.mark.parametrize("argv", [
