@@ -24,7 +24,7 @@ from .config import (
     number_list, read_text, samples, vector,
 )
 from .hamiltonian import (PAIR_HI, PAIR_LO, PAIRS, build_hamiltonian, diagonalize, invert_zero_field,
-                          reconstruct_levels, transition_frequencies)
+                          reconstruct_levels, transition_frequencies, unit_direction)
 from .output import write_csv, write_pgm
 from .presets import get_site
 
@@ -198,10 +198,9 @@ def _field_levels(args, unit: float = 1.0):
     GHz times ``unit``, overflows."""
     sys, vec, key = getattr(_resolve_site(args), args.state), np.asarray(args.field, dtype=float), "field"
     if args.magnitude is not None:
-        norm, key = np.linalg.norm(vec), "magnitude"
-        if norm == 0:
+        if not vec.any():
             raise ConfigError("bad-vector", "cannot scale a zero direction", "field")
-        vec = vec / norm * args.magnitude
+        vec, key = unit_direction(vec) * args.magnitude, "magnitude"
     with np.errstate(over="ignore", invalid="ignore"):
         H = build_hamiltonian(sys, vec)
         es = diagonalize(H) if np.isfinite(H).all() else None

@@ -22,8 +22,7 @@ rotations (inf for a coordinate the data do not depend on).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -149,8 +148,14 @@ class FitProblem:
     fit_misalignment: bool = False
     refine_eigenvalues: bool = False
     nu_mw_ghz: float = 9.7
+    # the decomposed A of each state of the base site, made once for every residual call
+    base_principal: dict[str, PrincipalTensor] = field(init=False, repr=False, compare=False)
 
-    @cached_property
+    def __post_init__(self):
+        object.__setattr__(self, "base_principal",
+                           {state: decompose_tensor(getattr(self.site, state).A) for state in STATES})
+
+    @property
     def blocks(self) -> tuple[tuple[str, str], ...]:
         """The parameter vector as (kind, owner) blocks of three, in order.
 
@@ -164,11 +169,6 @@ class FitProblem:
         if self.refine_eigenvalues:
             blocks += [("deltas", state) for state in states]
         return tuple(blocks)
-
-    @cached_property
-    def base_principal(self) -> dict[str, PrincipalTensor]:
-        """The decomposed A of each state of the base site."""
-        return {state: decompose_tensor(getattr(self.site, state).A) for state in STATES}
 
     def parameter_names(self) -> list[str]:
         return [f"{owner}_{suffix}" for kind, owner in self.blocks for suffix in _BLOCK_KINDS[kind][0]]
@@ -230,10 +230,12 @@ class CompiledData:
 
     ``fit`` compiles its data once instead of on every evaluation; ``epr``
     holds each EPR point's position, its unit sweep direction, and that
-    direction as the resonance search normalizes it (once more, which can
-    move the last bit).
+    direction normalized once more (which can move the last bit).  The
+    resonance search takes the second; it is kept so that the bytes of
+    fit outputs stay fixed.
     ``gates`` and ``weights`` (1/sigma, 0 for an infinite sigma) have one
-    entry per point.
+    entry per point; their largest weighted cost, sum (gate/sigma)^2, is
+    finite.
     """
 
     points: tuple[DataPoint, ...]
@@ -280,21 +282,18 @@ def compile_data(data) -> CompiledData:
     for n, p in enumerate(points):
         if p.kind != "epr":
             continue
-        direction = np.asarray(p.field_mt, dtype=float)
-        norm = np.linalg.norm(direction)
-        if norm == 0:
-            raise ValueError("EPR point needs a nonzero direction")
+        direction = unit_direction(p.field_mt)
         if not p.value > 0:
             raise ValueError("EPR resonance field must be positive")
-        direction = direction / norm
         epr.append((n, direction, unit_direction(direction)))
     is_epr = np.array([p.kind == "epr" for p in points])
     sigmas = np.array([p.sigma for p in points], dtype=float)
-    return CompiledData(
-        points, tuple(states), tuple(epr), is_epr,
-        gates=np.where(is_epr, GATE_FIELD_MT, GATE_FREQ_GHZ),
-        weights=np.where(np.isfinite(sigmas), 1.0 / sigmas, 0.0),
-    )
+    gates = np.where(is_epr, GATE_FIELD_MT, GATE_FREQ_GHZ)
+    with np.errstate(over="ignore"):
+        weights = np.where(np.isfinite(sigmas), 1.0 / sigmas, 0.0)
+        if not np.isfinite(np.sum(np.square(gates * weights))):
+            raise ValueError("the sigmas are so small that the weighted cost can overflow")
+    return CompiledData(points, tuple(states), tuple(epr), is_epr, gates, weights)
 
 
 def _rotations(omega: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +26,7 @@ MU_N_GHZ_PER_T = 7.6225932e-3
 G_N_DEFAULT = 0.987
 
 DEGENERACY_GAP_GHZ = 1e-6
+_NORM_FLOOR = np.sqrt(np.finfo(float).tiny)  # below it a norm's squares are subnormal
 # largest RMS misfit (GHz) of the zero-field lines a level ladder may leave
 LEVEL_TOL_GHZ = 2e-3
 
@@ -110,22 +110,11 @@ class SpinSystem:
         orientation = p.orientation if orientation is None else orientation
         return replace(self, A=assemble_tensor(PrincipalTensor(values, orientation)))
 
-    # Derived matrices, computed on first use.  Safe on a frozen instance:
-    # the tensor matrices are read-only and replace() builds a new object.
-    @cached_property
-    def hyperfine_matrix(self) -> np.ndarray:
-        """The field-independent term sum_kl A_kl I_k S_l (GHz), 4x4."""
-        h = hyperfine_stack(self.A.matrix)
-        h.setflags(write=False)
-        return h
-
-    @cached_property
+    @property
     def zeeman_derivatives(self) -> np.ndarray:
         """dH/dB_k for the three Cartesian components, shape (3, 4, 4), GHz/mT."""
-        d = np.einsum("kl,lab->kab", self.g.matrix * (self.mu_b * 1e-3), S_STACK)
-        d -= (self.mu_n * 1e-3 * self.g_n) * I_STACK
-        d.setflags(write=False)
-        return d
+        return (np.einsum("kl,lab->kab", self.g.matrix * (self.mu_b * 1e-3), S_STACK)
+                - (self.mu_n * 1e-3 * self.g_n) * I_STACK)
 
 
 def as_field(B) -> np.ndarray:
@@ -137,11 +126,18 @@ def as_field(B) -> np.ndarray:
 
 
 def unit_direction(direction) -> np.ndarray:
-    """A nonzero direction (3,) as a unit vector."""
+    """A finite nonzero direction (3,) as a unit vector.  A norm that overflows
+    or loses precision is taken after an exact division by the largest
+    |component|, so (1e200, 1e200, 0) gives the bytes of (1, 1, 0)."""
     d = np.asarray(direction, dtype=float).reshape(3)
-    norm = np.linalg.norm(d)
-    if norm == 0:
-        raise ValueError("direction must be a nonzero vector")
+    scale = np.abs(d).max()
+    if not 0.0 < scale < np.inf:
+        raise ValueError("need a finite nonzero direction")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(d)
+    if not _NORM_FLOOR <= norm < np.inf:
+        d = d / scale
+        norm = np.linalg.norm(d)
     return d / norm
 
 
@@ -163,19 +159,17 @@ def build_hamiltonian(sys: SpinSystem, B) -> np.ndarray:
 
 
 def hamiltonian_batch(sys: SpinSystem, fields: np.ndarray) -> np.ndarray:
-    """Hamiltonians for a stack of field vectors, shape (N, 3) mT -> (N, 4, 4)."""
-    return zeeman_stack(sys.hyperfine_matrix, sys.g.matrix, np.asarray(fields, dtype=float),
-                        sys.g_n, sys.mu_b, sys.mu_n)
+    """``hamiltonian_stack`` of one spin system's tensors at fields (N, 3) mT -> (N, 4, 4)."""
+    return hamiltonian_stack(sys.A.matrix, sys.g.matrix, fields, sys.g_n, sys.mu_b, sys.mu_n)
 
 
 def hamiltonian_stack(A, g, fields, g_n: float, mu_b: float, mu_n: float) -> np.ndarray:
     """Hamiltonians for stacks of A and g tensors (..., 3, 3), each at the
-    fields (..., N, 3) mT; returns (..., N, 4, 4).
+    fields (..., N, 3) mT; returns (..., N, 4, 4): the only assembly of them.
 
     The leading axes broadcast, so one call can cover many tensor pairs
-    times many fields.  For one A and g it is ``hamiltonian_batch``, bit
-    for bit.  It is ``zeeman_stack`` of ``hyperfine_stack``: a caller that
-    puts many fields on one A can build the hyperfine term once.
+    times many fields.  It is ``zeeman_stack`` of ``hyperfine_stack``: a
+    caller that puts many fields on one A can build the hyperfine term once.
     """
     A, g, fields = (np.asarray(x, dtype=float) for x in (A, g, fields))
     return zeeman_stack(hyperfine_stack(A), g, fields, g_n, mu_b, mu_n)
@@ -440,12 +434,11 @@ def transition_gradients(sys: SpinSystem, fields, i: int, j: int) -> tuple[np.nd
 def zeeman_gradient(sys: SpinSystem, B, i: int, j: int) -> np.ndarray:
     """Hellmann-Feynman gradient of the (i, j) transition, GHz/mT.
 
-    Valid only when both levels are separated from their neighbours by more
-    than the degeneracy threshold; otherwise a ValueError points the caller
-    to a finite-difference fallback.
+    Raises ValueError where level i or j lies within DEGENERACY_GAP_GHZ of
+    a neighbour: the sorted levels have a kink there, so the transition has
+    no gradient (a finite difference across it would average two slopes).
     """
     grad, degenerate = transition_gradients(sys, as_field(B), i, j)
     if degenerate:
-        raise ValueError(f"levels {i} or {j} are degenerate at this field; "
-                         "use finite differences instead of Hellmann-Feynman")
+        raise ValueError(f"levels {i} or {j} are degenerate at this field, where the transition has no gradient")
     return grad

@@ -147,10 +147,8 @@ def check_slope_ratio():
 def adapted_axes(sys, direction):
     """Field-adapted quantization axes: electron along g^T B-hat, nucleus
     along the hyperfine field A e-hat of the polarized electron."""
-    e_ax = sys.g.matrix.T @ unit_direction(direction)
-    e_ax = e_ax / np.linalg.norm(e_ax)
-    n_ax = sys.A.matrix @ e_ax
-    return e_ax, n_ax / np.linalg.norm(n_ax)
+    e_ax = unit_direction(sys.g.matrix.T @ unit_direction(direction))
+    return e_ax, unit_direction(sys.A.matrix @ e_ax)
 
 
 def check_overlap_swap():

@@ -119,11 +119,13 @@ def _classes(site: SiteModel, eg: list, ee: list, burn: float, cutoff: float) ->
     """``enumerate_classes`` from the ground and excited energies at the field."""
     if not 0.0 < cutoff <= 1.0:
         raise ValueError("cutoff must be in (0, 1]")
-    fwhm_ghz = site.fwhm_mhz * 1e-3
+    fwhm_ghz, burn = site.fwhm_mhz * 1e-3, float(burn)
     out = []
     for i in range(4):
         for j in range(4):
             offset = burn - (ee[j] - eg[i])
+            if offset * offset == np.inf:  # its envelope amplitude is exactly 0
+                continue
             w = float(lorentzian_amplitude(offset, fwhm_ghz))
             if w >= cutoff:
                 out.append(ClassAssignment(i, j, offset, w))

@@ -104,10 +104,17 @@ def lorentzian_amplitude(x, fwhm: float):
 
 def _lorentzian_sum(lines, detunings: np.ndarray, fwhm_mhz: float, out: np.ndarray) -> np.ndarray:
     """Add to ``out`` the unit-peak Lorentzian of each (detuning, weight)
-    line, in order; lines in a row at one detuning share one line shape."""
-    fwhm_ghz = fwhm_mhz * 1e-3
+    line, in order; lines in a row at one detuning share one line shape.
+    A line whose squared distance to every sample overflows has a line
+    shape of exactly 0, and is skipped."""
+    fwhm_ghz, positions = fwhm_mhz * 1e-3, np.array([detuning for detuning, _ in lines])
+    with np.errstate(over="ignore"):  # the nearest sample to a line outside the grid is an end
+        near = np.clip(positions, detunings.min(initial=np.inf), detunings.max(initial=-np.inf))
+        far = np.square(near - positions) == np.inf
     last = None
-    for detuning, weight in lines:
+    for (detuning, weight), skip in zip(lines, far.tolist()):
+        if skip:
+            continue
         if detuning != last:
             shape, last = lorentzian_amplitude(detunings - detuning, fwhm_ghz), detuning
         out += weight * shape

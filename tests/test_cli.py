@@ -247,6 +247,18 @@ class TestFitCommand:
         assert table["excluded"][3] == 1
         assert table["residual"][3] == 50.0
 
+    @pytest.mark.parametrize("extreme, twin", [("1e200,1e200,0", "1,1,0"), ("1e-200,0,0", "1,0,0")])
+    def test_epr_direction_at_the_extremes_fits_as_its_twin(self, tmp_path, capsys, extreme, twin):
+        written = []
+        for name, direction in (("extreme", extreme), ("twin", twin)):
+            data, out, report = (tmp_path / f"{name}-{suffix}" for suffix in ("data.csv", "fit.csv", "report.txt"))
+            data.write_text(PINNED_FIT_DATA + f"epr,ground,{direction},150,0.5,\n")
+            code, _, err = run(capsys, "fit", "--data", str(data), "--free", "ground", "--restarts", "2",
+                               "--seed", "0", "--no-stamp", "--out", str(out), "--report", str(report))
+            assert (code, err) == (0, "")
+            written.append((out.read_bytes(), report.read_bytes()))
+        assert written[0] == written[1]
+
     def test_sigma_defaults_by_kind(self, tmp_path):
         from kramers.cli import _read_data_csv
 
@@ -403,6 +415,16 @@ class TestPinnedBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_hash
         assert hashlib.sha256((tmp_path / "shb-map.pgm").read_bytes()).hexdigest() == pgm_hash
 
+    def test_shb_map_along_a_direction_csv_and_pgm(self, tmp_path, capsys):
+        out = tmp_path / "shb-map.csv"
+        code, _, _ = run(capsys, "shb-map", "--direction", "1,2,2", "--magnitudes", "0:60:5", "--span=-2:2:0.01",
+                         "--no-stamp", "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "1401007a3dce1390e0a2846b5293c77f0409197c332fbba249615a6e17cd3539")
+        assert hashlib.sha256((tmp_path / "shb-map.pgm").read_bytes()).hexdigest() == (
+            "831ccaaa7723f5d44f67baff8d9a0988e63340662d1d3039dd1d0b3b142183ae")
+
     def test_absorption_peaks_and_ordering_csv(self, tmp_path, capsys):
         spectrum, peaks, out = tmp_path / "absorption.csv", tmp_path / "peaks.csv", tmp_path / "ordering.csv"
         code, _, _ = run(capsys, "absorption", "--model", "uniform", "--peaks-out", str(peaks), "--no-stamp",
@@ -503,6 +525,9 @@ class TestPinnedBytes:
         (["transitions", "--site", "II", "--B", "100,0,0"],
          "27bacc85d2e2fa7de5e500fc500b481cc2960e50fd8fa88e1784fd52fdcb16f2"),
         (["odmr", "--B", "0"], "b0c8e93a8a36627d8dd6b85e1fb9c5d6416881597472c6090c02130a28f0740f"),
+        (["odmr", "--ac-axis", "1,1,0"], "16a016b48e6e1ad710edc79850975e42631755ba0879e247fb0f1a821ee8be74"),
+        (["levels", "--field", "1,2,2", "--magnitude", "7"],
+         "9618c96b8cc35864dbd5bafc595c5398b801d28f81a929cf42f0672b259141f7"),
     ])
     def test_field_command_csv(self, tmp_path, capsys, argv, csv_hash):
         out = tmp_path / "out.csv"
