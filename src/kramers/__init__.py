@@ -27,17 +27,7 @@ from .hamiltonian import (
     zeeman_gradient,
     zero_field_levels,
 )
-from .magres import EprResonance, OdmrLine, epr_angular_map, epr_resonance_fields, odmr_lines
 from .presets import SITE_I, SITE_II, get_site
-from .shb import (
-    ClassAssignment,
-    HolePattern,
-    RateMatrix,
-    enumerate_classes,
-    hole_pattern,
-    populations_after_burn,
-    shb_field_map,
-)
 from .spectra import OpticalLine, SiteModel, absorption_spectrum, optical_lines, ordering_search
 from .tensors import (
     EulerAngles,
@@ -49,12 +39,15 @@ from .tensors import (
     subsite_transform,
 )
 
-# the fitting and ZEFOZ names load their module on first use (PEP 562), so
-# that importing the package, or a command that runs neither, compiles
-# neither module
+# the fitting, ZEFOZ, resonance and hole-burning names load their module on
+# first use (PEP 562), so that importing the package, or a command that runs
+# none of them, compiles none of those modules
 _DEFERRED = {
     **dict.fromkeys(("DataPoint", "FitProblem", "FitResult", "fit", "invert_and_seed", "residuals"), "fitting"),
     **dict.fromkeys(("ZefozCandidate", "sensitivity", "zefoz_search"), "zefoz"),
+    **dict.fromkeys(("EprResonance", "OdmrLine", "epr_angular_map", "epr_resonance_fields", "odmr_lines"), "magres"),
+    **dict.fromkeys(("ClassAssignment", "HolePattern", "RateMatrix", "enumerate_classes", "hole_pattern",
+                     "populations_after_burn", "shb_field_map"), "shb"),
 }
 
 

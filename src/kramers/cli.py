@@ -9,16 +9,13 @@ via --schema and writes byte-identical outputs for identical inputs
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys as _sys
 
 import numpy as np
 
-# fitting, zefoz and selftest are imported by the commands that run them,
-# so that the other commands start without compiling them
-from . import magres, shb, spectra
+# fitting, zefoz, selftest, magres and shb are imported by the commands that
+# run them, so that the other commands start without compiling them
+from . import spectra
 from .config import (
     ConfigError, check_points, grid, integer, integers, level_pair, load_config, load_rates, number,
     number_list, read_text, samples, vector,
@@ -100,89 +97,101 @@ def _add_field(p: argparse.ArgumentParser):
     p.add_argument("--magnitude", type=_typed(number, "magnitude"), help="scale a direction by this many mT")
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: list[str]) -> _Parser:
+    """The parser of every subcommand, with options only for the one argparse
+    dispatches to: the first token of ``argv`` that names a subcommand."""
     top = _Parser(prog="kramers", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
+    named = next((tok for tok in argv if tok in SCHEMAS), None)
 
-    p = sub.add_parser("levels", help="hyperfine level energies at a field")
-    _add_common(p, "levels.csv", _cmd_levels)
-    _add_field(p)
+    def add(command: str, help_text: str):
+        """List the subcommand with its help line; its parser if it is the named one."""
+        p = sub.add_parser(command, help=help_text)
+        return p if command == named else None
 
-    p = sub.add_parser("transitions", help="all six transition frequencies at a field")
-    _add_common(p, "transitions.csv", _cmd_transitions)
-    _add_field(p)
+    if p := add("levels", "hyperfine level energies at a field"):
+        _add_common(p, "levels.csv", _cmd_levels)
+        _add_field(p)
 
-    p = sub.add_parser("absorption", help="inhomogeneous absorption spectrum")
-    _add_common(p, "absorption.csv", _cmd_absorption)
-    p.add_argument("--field", "--B", dest="field", type=_typed(vector, "field"), default="0,0,0")
-    p.add_argument("--range", type=_typed(grid, "range"), default="-5:5:0.005",
-                   help="detuning grid start:stop:step (GHz)")
-    p.add_argument("--model", choices=spectra.INTENSITY_MODELS, default="overlap")
-    p.add_argument("--peaks-out", help="also write detected peaks (local maxima + prominence rule)")
-    p.add_argument("--prominence", type=_typed(number, "prominence", "nonneg"), default=0.05,
-                   help="peak prominence threshold as a fraction of the maximum")
+    if p := add("transitions", "all six transition frequencies at a field"):
+        _add_common(p, "transitions.csv", _cmd_transitions)
+        _add_field(p)
 
-    p = sub.add_parser("shb-map", help="hole/antihole map over a field sweep")
-    _add_common(p, "shb-map.csv", _cmd_shb_map)
-    p.add_argument("--direction", type=_typed(vector, "direction", nonzero=True), default="D1")
-    p.add_argument("--magnitudes", type=_typed(samples, "magnitudes"), default="0:150:1",
-                   help="field magnitudes mT, range or list")
-    p.add_argument("--burn", type=_typed(number, "burn"), default=0.0, help="burn detuning (GHz)")
-    p.add_argument("--span", type=_typed(grid, "span"), default="-5:5:0.002", help="probe detuning grid (GHz)")
-    p.add_argument("--width", type=_typed(number, "width", "positive"), default=shb.DEFAULT_HOLE_WIDTH_MHZ,
-                   help="hole width (MHz)")
-    p.add_argument("--rates", help="rate file with a [rates] section (rNM, pump_rate, duration_s)")
+    if p := add("absorption", "inhomogeneous absorption spectrum"):
+        _add_common(p, "absorption.csv", _cmd_absorption)
+        p.add_argument("--field", "--B", dest="field", type=_typed(vector, "field"), default="0,0,0")
+        p.add_argument("--range", type=_typed(grid, "range"), default="-5:5:0.005",
+                       help="detuning grid start:stop:step (GHz)")
+        p.add_argument("--model", choices=spectra.INTENSITY_MODELS, default="overlap")
+        p.add_argument("--peaks-out", help="also write detected peaks (local maxima + prominence rule)")
+        p.add_argument("--prominence", type=_typed(number, "prominence", "nonneg"), default=0.05,
+                       help="peak prominence threshold as a fraction of the maximum")
 
-    p = sub.add_parser("odmr", help="spin transition lines with drive moments")
-    _add_common(p, "odmr.csv", _cmd_odmr)
-    _add_field(p)
-    p.add_argument("--ac-axis", type=_typed(vector, "ac-axis", nonzero=True), default="b",
-                   help="oscillating-field direction")
+    if p := add("shb-map", "hole/antihole map over a field sweep"):
+        from .shb import DEFAULT_HOLE_WIDTH_MHZ
 
-    p = sub.add_parser("epr-map", help="resonance fields over a crystallographic plane")
-    _add_common(p, "epr-map.csv", _cmd_epr_map)
-    p.add_argument("--state", choices=("ground", "excited"), default="ground")
-    p.add_argument("--plane", choices=sorted(magres.PLANES), default="D1-D2")
-    p.add_argument("--step", type=_typed(number, "step", "positive"), default=5.0, help="angle step (degrees)")
-    p.add_argument("--freq", type=_typed(number, "freq", "positive"), default=9.7,
-                   help="microwave frequency (GHz)")
-    p.add_argument("--bmax", type=_typed(number, "bmax", "positive"), default=1000.0, help="maximum field (mT)")
+        _add_common(p, "shb-map.csv", _cmd_shb_map)
+        p.add_argument("--direction", type=_typed(vector, "direction", nonzero=True), default="D1")
+        p.add_argument("--magnitudes", type=_typed(samples, "magnitudes"), default="0:150:1",
+                       help="field magnitudes mT, range or list")
+        p.add_argument("--burn", type=_typed(number, "burn"), default=0.0, help="burn detuning (GHz)")
+        p.add_argument("--span", type=_typed(grid, "span"), default="-5:5:0.002", help="probe detuning grid (GHz)")
+        p.add_argument("--width", type=_typed(number, "width", "positive"), default=DEFAULT_HOLE_WIDTH_MHZ,
+                       help="hole width (MHz)")
+        p.add_argument("--rates", help="rate file with a [rates] section (rNM, pump_rate, duration_s)")
 
-    p = sub.add_parser("fit", help="fit tensor orientation angles to transition data")
-    _add_common(p, "fit-residuals.csv", _cmd_fit)
-    p.add_argument("--data", required=True, help="CSV: kind,state,bx_mt,by_mt,bz_mt,value,sigma[,label]")
-    p.add_argument("--free", default="ground", help="comma list: ground,excited,misalignment,eigenvalues")
-    p.add_argument("--restarts", type=_typed(integer, "restarts"), default=64)
-    p.add_argument("--seed", type=_typed(integer, "seed", minimum=0), default=0)
-    p.add_argument("--freq", type=_typed(number, "freq", "positive"), default=9.7,
-                   help="microwave frequency for EPR points (GHz)")
-    p.add_argument("--report", default="fit-report.txt")
+    if p := add("odmr", "spin transition lines with drive moments"):
+        _add_common(p, "odmr.csv", _cmd_odmr)
+        _add_field(p)
+        p.add_argument("--ac-axis", type=_typed(vector, "ac-axis", nonzero=True), default="b",
+                       help="oscillating-field direction")
 
-    p = sub.add_parser("invert", help="A eigenvalue magnitudes from zero-field lines")
-    _add_common(p, "invert.csv", _cmd_invert)
-    p.add_argument("--lines", required=True, type=_typed(number_list, "lines", "positive"),
-                   help="zero-field splittings in MHz, comma list")
+    if p := add("epr-map", "resonance fields over a crystallographic plane"):
+        from .magres import PLANES
 
-    p = sub.add_parser("ordering", help="rank level-ordering sign classes against peaks")
-    _add_common(p, "ordering.csv", _cmd_ordering)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--peaks", type=_typed(number_list, "peaks"), help="peak detunings in GHz, comma list")
-    group.add_argument("--peaks-file", help="CSV with a detuning_ghz column")
+        _add_common(p, "epr-map.csv", _cmd_epr_map)
+        p.add_argument("--state", choices=("ground", "excited"), default="ground")
+        p.add_argument("--plane", choices=sorted(PLANES), default="D1-D2")
+        p.add_argument("--step", type=_typed(number, "step", "positive"), default=5.0, help="angle step (degrees)")
+        p.add_argument("--freq", type=_typed(number, "freq", "positive"), default=9.7,
+                       help="microwave frequency (GHz)")
+        p.add_argument("--bmax", type=_typed(number, "bmax", "positive"), default=1000.0, help="maximum field (mT)")
 
-    p = sub.add_parser("zefoz", help="low-field-sensitivity points of one transition")
-    _add_common(p, "zefoz.csv", _cmd_zefoz)
-    p.add_argument("--state", choices=("ground", "excited"), default="ground")
-    p.add_argument("--transition", type=_typed(level_pair, "transition"), default="1,2",
-                   help="1-based level pair, e.g. 1,2")
-    p.add_argument("--radius", type=_typed(number, "radius", "positive"), default=100.0,
-                   help="search ball radius (mT)")
-    p.add_argument("--grid", type=_typed(integers, "grid", 2), default="64,11",
-                   help="directions,magnitudes of the coarse scan")
-    p.add_argument("--refine-tol", type=_typed(number, "refine-tol", "positive"))
+    if p := add("fit", "fit tensor orientation angles to transition data"):
+        _add_common(p, "fit-residuals.csv", _cmd_fit)
+        p.add_argument("--data", required=True, help="CSV: kind,state,bx_mt,by_mt,bz_mt,value,sigma[,label]")
+        p.add_argument("--free", default="ground", help="comma list: ground,excited,misalignment,eigenvalues")
+        p.add_argument("--restarts", type=_typed(integer, "restarts"), default=64)
+        p.add_argument("--seed", type=_typed(integer, "seed", minimum=0), default=0)
+        p.add_argument("--freq", type=_typed(number, "freq", "positive"), default=9.7,
+                       help="microwave frequency for EPR points (GHz)")
+        p.add_argument("--report", default="fit-report.txt")
 
-    p = sub.add_parser("selftest", help="run the embedded regression suite")
-    p.add_argument("--schema", action=_SchemaAction, help="print the CSV schema and exit")
-    p.set_defaults(run=_cmd_selftest)
+    if p := add("invert", "A eigenvalue magnitudes from zero-field lines"):
+        _add_common(p, "invert.csv", _cmd_invert)
+        p.add_argument("--lines", required=True, type=_typed(number_list, "lines", "positive"),
+                       help="zero-field splittings in MHz, comma list")
+
+    if p := add("ordering", "rank level-ordering sign classes against peaks"):
+        _add_common(p, "ordering.csv", _cmd_ordering)
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--peaks", type=_typed(number_list, "peaks"), help="peak detunings in GHz, comma list")
+        group.add_argument("--peaks-file", help="CSV with a detuning_ghz column")
+
+    if p := add("zefoz", "low-field-sensitivity points of one transition"):
+        _add_common(p, "zefoz.csv", _cmd_zefoz)
+        p.add_argument("--state", choices=("ground", "excited"), default="ground")
+        p.add_argument("--transition", type=_typed(level_pair, "transition"), default="1,2",
+                       help="1-based level pair, e.g. 1,2")
+        p.add_argument("--radius", type=_typed(number, "radius", "positive"), default=100.0,
+                       help="search ball radius (mT)")
+        p.add_argument("--grid", type=_typed(integers, "grid", 2), default="64,11",
+                       help="directions,magnitudes of the coarse scan")
+        p.add_argument("--refine-tol", type=_typed(number, "refine-tol", "positive"))
+
+    if p := add("selftest", "run the embedded regression suite"):
+        p.add_argument("--schema", action=_SchemaAction, help="print the CSV schema and exit")
+        p.set_defaults(run=_cmd_selftest)
 
     return top
 
@@ -218,7 +227,7 @@ def _cmd_levels(args) -> int:
 
 
 def _cmd_transitions(args) -> int:
-    freqs = transition_frequencies(_field_levels(args)[2])
+    freqs = transition_frequencies(_field_levels(args, unit=1e3)[2])  # printed in MHz
     _write(args, [PAIR_LO + 1, PAIR_HI + 1, freqs])
     for (i, j), f in zip(PAIRS, freqs.tolist()):
         print(f"{i + 1} -> {j + 1}: {f * 1e3:9.3f} MHz")
@@ -241,6 +250,8 @@ def _cmd_absorption(args) -> int:
 
 
 def _cmd_shb_map(args) -> int:
+    from . import shb
+
     site = _resolve_site(args)
     check_points("magnitudes,span", args.magnitudes.size, args.span.points)
     half_width = 0.5e-3 * args.width  # GHz
@@ -261,6 +272,8 @@ def _cmd_shb_map(args) -> int:
 
 
 def _cmd_odmr(args) -> int:
+    from . import magres
+
     sys, field, _ = _field_levels(args, unit=1e3)  # lines in MHz
     lines = magres.odmr_lines(sys, field, ac_axis=args.ac_axis)
     pairs = np.array([l.transition for l in lines]).reshape(-1, 2) + 1
@@ -273,6 +286,8 @@ def _cmd_odmr(args) -> int:
 
 
 def _cmd_epr_map(args) -> int:
+    from . import magres
+
     site = _resolve_site(args)
     # angles x (bmax / 1 mT + 2): the cap bounds the angle count and the field range in 1 mT steps
     check_points("step,bmax", 180.0 / args.step + 1.0, args.bmax / 1.0 + 2.0)
@@ -290,6 +305,9 @@ def _cmd_epr_map(args) -> int:
 
 def _csv_rows(path) -> list[list[str]]:
     """The non-empty rows of a UTF-8 CSV file, without '#' comment lines."""
+    import csv
+    import io
+
     reader = csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
     return [r for r in reader if r and not r[0].lstrip().startswith("#")]
 
@@ -479,7 +497,8 @@ def main(argv=None) -> int:
     if argv is None:
         argv = _sys.argv[1:]
     try:
-        args = _build_parser().parse_args(_fold_dash_values(list(argv)))
+        argv = _fold_dash_values(list(argv))
+        args = _build_parser(argv).parse_args(argv)
         return args.run(args)
     except _SchemaRequested as schema:
         print(schema)
@@ -490,6 +509,8 @@ def main(argv=None) -> int:
         record = ConfigError("io-error", str(exc), str(exc.filename or "")).record()
     except (ValueError, KeyError) as exc:
         record = {"code": "error", "message": str(exc), "key": ""}
+    import json
+
     print(json.dumps(record), file=_sys.stderr)
     return 2
 

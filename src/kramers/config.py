@@ -13,7 +13,6 @@ sections and keys are rejected before any computation.
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import replace
 from typing import NamedTuple
@@ -22,7 +21,6 @@ import numpy as np
 
 from .hamiltonian import G_N_DEFAULT, MU_B_GHZ_PER_T, MU_N_GHZ_PER_T
 from .presets import get_site, site_from_parameters
-from .shb import RateMatrix
 from .spectra import SiteModel
 
 MAX_POINTS = 10**7  # samples one command may allocate (the defaults stay below 1e6)
@@ -151,7 +149,10 @@ def samples(text: str, key: str) -> np.ndarray:
     return np.array(values)
 
 
-def _read_ini(text: str, known: dict[str, set[str]]) -> configparser.ConfigParser:
+def _read_ini(text: str, known: dict[str, set[str]]):
+    """A ``configparser.ConfigParser`` of ``text`` whose sections and keys are all in ``known``."""
+    import configparser
+
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
@@ -263,8 +264,10 @@ def load_config(path) -> SiteModel:
 _RATE_KEYS = {"pump_rate", "duration_s"} | {f"r{k}{l}" for k in range(1, 5) for l in range(1, 5) if k != l}
 
 
-def load_rates(path) -> RateMatrix:
-    """A [rates] file: symmetric pair rates rNM (1/s), pump_rate and duration_s."""
+def load_rates(path):
+    """The ``shb.RateMatrix`` of a [rates] file: symmetric pair rates rNM (1/s), pump_rate and duration_s."""
+    from .shb import RateMatrix
+
     parser = _read_ini(read_text(path), {"rates": _RATE_KEYS})
     if not parser.has_section("rates"):
         raise ConfigError("bad-rates", f"{path}: expected a [rates] section", "rates")

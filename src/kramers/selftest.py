@@ -94,8 +94,10 @@ def check_reference_matrices():
 
 
 def check_zero_field_inversion():
-    rng = np.random.default_rng(7)
-    a = np.sort(rng.uniform(0.0, 8.0, (1000, 3)), axis=1)  # |A3| >= |A2| >= |A1| >= 0
+    # 1,000 points 0.5 + n * (1/g, 1/g^2, 1/g^3) mod 1 with g^4 = g + 1 (Roberts' R3 sequence): a fixed,
+    # even cover of [0, 8)^3 that needs no numpy.random; sorted, |A3| >= |A2| >= |A1| >= 0
+    g = 1.2207440846057596
+    a = np.sort(8.0 * ((0.5 + np.arange(1, 1001)[:, None] * g ** -np.arange(1.0, 4.0)) % 1.0), axis=1)
     rec = np.stack(invert_zero_field(zero_field_levels(*a.T).sorted()), axis=1)
     missed = np.flatnonzero(np.abs(rec - a).max(axis=1) > 1e-12)
     if missed.size:

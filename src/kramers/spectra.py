@@ -96,28 +96,26 @@ def optical_lines(site: SiteModel, B=(0.0, 0.0, 0.0), intensity_model: str = "ov
             for i in range(4) for j in range(4)]
 
 
-def lorentzian_amplitude(x, fwhm: float):
-    """Unit-peak Lorentzian; x and fwhm in the same units."""
+def lorentzian_amplitude(x, fwhm: float, out=None):
+    """Unit-peak Lorentzian; x and fwhm in the same units.  With ``out``
+    (which may be ``x``) the values are written there and no temporary is made."""
     hw = 0.5 * fwhm
-    return hw * hw / (np.square(x) + hw * hw)
+    return np.divide(hw * hw, np.add(np.square(x, out=out), hw * hw, out=out), out=out)
 
 
 def _lorentzian_sum(lines, detunings: np.ndarray, fwhm_mhz: float, out: np.ndarray) -> np.ndarray:
     """Add to ``out`` the unit-peak Lorentzian of each (detuning, weight)
     line, in order; lines in a row at one detuning share one line shape.
-    A line whose squared distance to every sample overflows has a line
-    shape of exactly 0, and is skipped."""
-    fwhm_ghz, positions = fwhm_mhz * 1e-3, np.array([detuning for detuning, _ in lines])
-    with np.errstate(over="ignore"):  # the nearest sample to a line outside the grid is an end
-        near = np.clip(positions, detunings.min(initial=np.inf), detunings.max(initial=-np.inf))
-        far = np.square(near - positions) == np.inf
-    last = None
-    for (detuning, weight), skip in zip(lines, far.tolist()):
-        if skip:
-            continue
-        if detuning != last:
-            shape, last = lorentzian_amplitude(detunings - detuning, fwhm_ghz), detuning
-        out += weight * shape
+    At a sample whose squared distance to a line overflows, that line's
+    shape is exactly 0."""
+    fwhm_ghz, last = fwhm_mhz * 1e-3, None
+    shape, term = np.empty(out.shape), np.empty(out.shape)  # float64 buffers shared by every line
+    with np.errstate(over="ignore"):
+        for detuning, weight in lines:
+            if detuning != last:
+                lorentzian_amplitude(np.subtract(detunings, detuning, out=shape, dtype=float), fwhm_ghz, out=shape)
+                last = detuning
+            out += np.multiply(weight, shape, out=term)
     return out
 
 

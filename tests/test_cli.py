@@ -574,6 +574,16 @@ class TestSelftestCommand:
         assert all(l.startswith("PASS") for l in lines)
 
 
+def _fresh_interpreter(script: str, cwd) -> list[str]:
+    """The stdout lines of ``script`` run by a new interpreter that imports this package."""
+    src = str(Path(kramers.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 def test_commands_that_need_no_scipy_do_not_import_it(tmp_path):
     # one fresh interpreter runs every subcommand, then lists the SciPy modules it loaded
     from kramers.hamiltonian import PAIRS, eigensystem
@@ -616,47 +626,89 @@ def test_commands_that_need_no_scipy_do_not_import_it(tmp_path):
         "                  shb.RateMatrix(rates.rates, rates.pump_rate, np.inf), (-1.0, 1.0), 0.1)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    src = str(Path(kramers.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert _fresh_interpreter(script, tmp_path)[-1] == "[]"
+
+
+# the kramers modules every command loads: the CLI, its input and output layers and what they build on
+CORE_MODULES = {"kramers", *(f"kramers.{m}" for m in
+                             ("cli", "config", "hamiltonian", "output", "presets", "spectra", "tensors"))}
 
 
 def test_commands_load_only_the_modules_they_run(tmp_path):
-    # one fresh interpreter runs the commands that need neither the fit, the
-    # ZEFOZ search nor the regression suite, then the three that do
+    # each command runs in a fresh interpreter, which then lists the modules it loaded beyond the core
     (tmp_path / "fit-data.csv").write_text(PINNED_FIT_DATA)
-    light = [
-        ["levels", "--B", "0"], ["transitions", "--B", "100,0,0"], ["odmr", "--B", "0"],
-        ["absorption", "--model", "uniform", "--peaks-out", "peaks.csv"], ["ordering", "--peaks-file", "peaks.csv"],
-        ["invert", "--lines", "2046,2385,2869,3208"], ["shb-map", "--magnitudes", "0,10", "--span=-1:1:0.1"],
-        ["epr-map", "--step", "90"],
+    commands = [
+        (["levels", "--B", "0"], set()), (["transitions", "--B", "100,0,0"], set()),
+        (["absorption", "--model", "uniform", "--peaks-out", "peaks.csv"], set()),
+        (["ordering", "--peaks-file", "peaks.csv"], set()), (["invert", "--lines", "2046,2385,2869,3208"], set()),
+        (["odmr", "--B", "0"], {"magres"}), (["epr-map", "--step", "90"], {"magres"}),
+        (["shb-map", "--magnitudes", "0,10", "--span=-1:1:0.1"], {"shb"}), (["selftest"], {"selftest", "shb"}),
+        (["zefoz", "--transition", "1,2", "--radius", "100"], {"zefoz", "trust_region"}),
+        (["fit", "--data", "fit-data.csv", "--restarts", "2"], {"fitting", "magres", "trust_region"}),
     ]
-    heavy = [(["fit", "--data", "fit-data.csv", "--restarts", "2"], 0),
-             (["zefoz", "--transition", "1,2", "--radius", "100"], 0), (["selftest"], 0)]
-    deferred = ["kramers.fitting", "kramers.zefoz", "kramers.selftest"]
+    assert {argv[0] for argv, _ in commands} == set(SCHEMAS)
+    for argv, extra in commands:
+        script = (
+            "import sys\n"
+            "import kramers.cli as cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            f"print(sorted(set(m for m in sys.modules if m.split('.')[0] == 'kramers') - {CORE_MODULES!r}))\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        loaded = _fresh_interpreter(script, tmp_path)[-2:]
+        assert loaded == [repr(sorted(f"kramers.{m}" for m in extra)), str(argv[0] == "fit")], argv
+
+
+def test_package_import_defers_the_command_modules(tmp_path):
     script = (
         "import sys\n"
-        "import kramers.cli as cli\n"
-        f"for argv in {light!r}:\n"
-        "    assert cli.main(argv) == 0, argv\n"
-        f"print('loaded:', [m for m in {deferred!r} if m in sys.modules])\n"
-        f"for argv, code in {heavy!r}:\n"
-        "    assert cli.main(argv) == code, argv\n"
-        "from kramers import DataPoint, fit, invert_and_seed, zefoz_search\n"
         "import kramers\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'kramers'))\n"
+        "from kramers import RateMatrix, hole_pattern, epr_angular_map, odmr_lines\n"
+        "from kramers import DataPoint, fit, invert_and_seed, zefoz_search\n"
+        "assert RateMatrix.__module__ == 'kramers.shb' and odmr_lines.__module__ == 'kramers.magres'\n"
         "try:\n"
         "    kramers.no_such_name\n"
         "except AttributeError:\n"
         "    print('AttributeError')\n"
     )
-    src = str(Path(kramers.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert "loaded: []" in lines
-    assert lines[-1] == "AttributeError"
+    lines = _fresh_interpreter(script, tmp_path)
+    assert lines[-2:] == [repr(sorted(CORE_MODULES - {"kramers.cli", "kramers.output"})), "AttributeError"]
+
+
+# help texts and usage errors, which must not depend on which subcommand's options the parser
+# builds: exit code and sha256 of the one non-empty stream (stdout on exit 0, stderr on exit 2)
+SURFACE = [
+    (["--help"], 0, "074488532b423acdf1611473113efc682b320df6f8e98a506f7e5535b12fc15f"),
+    (["absorption", "--help"], 0, "73fd64e23c7493af07c4cbe70d85fbad6c126ab5e7c173bb151a8d667491f21a"),
+    (["epr-map", "--help"], 0, "86dba729c28bf220a16852711263d2e1c31e73f2e7f363ed37482230df0b1e3e"),
+    (["fit", "--help"], 0, "48f348a0fbf22277b7465de40e2f5486e5923c9ef9bd27cc0f4c91fb800cf1ea"),
+    (["invert", "--help"], 0, "fef373934862392cc43d50ef3a33604aa2fe346a6cc65e4d9146d0b7936c7ab3"),
+    (["levels", "--help"], 0, "524313a5bbe1944df87367264a04f623a38b95bf58ad1c3039c434363e50ac99"),
+    (["odmr", "--help"], 0, "75d163430128b51f86e606fd9c8d28781fb08bf18e01fc42fa901314bcf6977d"),
+    (["ordering", "--help"], 0, "86711814332f52f7a249640b402196d77302ac401aae49bae5f14fe501e8ff67"),
+    (["selftest", "--help"], 0, "08a0b7df41c4c76d99fabc2b43b6989972ea41d45541df4e278b3a83594c6578"),
+    (["shb-map", "--help"], 0, "0706f67beb5fcff4ac1497cba876a6d1de4793eee1c6e440b13f4e6ea61f3211"),
+    (["transitions", "--help"], 0, "3a241d746da285dade3aea4ff6ad3069938f72e53701f649a9c7d2b971cd411a"),
+    (["zefoz", "--help"], 0, "a51201be0002dc387e32b751fe7376e2de4eb4576f45fcc4a333d520a32bb85b"),
+    ([], 2, "969cad57b9330316409620522b653c2c6592a3c53e40719e658cf97f5eacb1e0"),
+    (["bogus"], 2, "493999568e6313bba5127cf700deffc3da0f1de8a540e9b8e0398e9093efedcf"),
+    (["--bogus", "fit"], 2, "2135fce6a4ec953636206ea30565edf4da87559a1deb17fcf6f333836cca5387"),
+    (["levels", "--bogus"], 2, "7ef2a78cfd27b44286d4f182fa43f65bbd1f75bd66372a5cc9a769e1b0e953c3"),
+    (["fit"], 2, "2135fce6a4ec953636206ea30565edf4da87559a1deb17fcf6f333836cca5387"),
+    (["epr-map", "--plane", "X-Y"], 2, "6c1029a3560cbfccc5d8a708aed357c858ade3ed53741ca8d69c8c9a3374e5be"),
+    (["ordering"], 2, "2e9d2d4487849188c2714220efe4f45a1b8057f374bdeedcaded9b47b4d0dd51"),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse words its help and errors per Python version")
+@pytest.mark.parametrize("argv, code, digest", SURFACE, ids=[" ".join(argv) or "no-argv" for argv, _, _ in SURFACE])
+def test_help_and_usage_errors_are_pinned(argv, code, digest, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # --help exits from inside argparse
+        got = exc.code
+    captured = capsys.readouterr()
+    shown, silent = (captured.out, captured.err) if code == 0 else (captured.err, captured.out)
+    assert (got, hashlib.sha256(shown.encode()).hexdigest(), silent) == (code, digest, "")

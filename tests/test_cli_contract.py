@@ -170,6 +170,9 @@ def test_defect_exits_2_with_one_record(argv, expected, tmp_path, monkeypatch):
     (["levels", "--field", "D1", "--magnitude", "1e308"], "magnitude"),
     (["transitions", "--field", "D1", "--magnitude", "1e308"], "magnitude"),
     (["odmr", "--field", "D1", "--magnitude", "1e308"], "magnitude"),
+    # printed in MHz, the lines overflow: the CSV in GHz would be finite
+    (["transitions", "--B", "1e307,0,0"], "field"),
+    (["transitions", "--field", "D1", "--magnitude", "1e307"], "magnitude"),
 ])
 def test_non_finite_arithmetic_is_bad_value(argv, key, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -326,6 +329,10 @@ def test_extreme_direction_writes_its_twin(argv, extreme, twin, tmp_path):
     (["shb-map", "--magnitudes", "5", "--span=-1:1:0.1", "--burn", "1e300"],
      {"out.csv": "1859463be18b5bd7aa6bdb6303a129ab681b2dee27163438c206c09508335210",
       "out.pgm": "5d94e6c2c7a8dbb31002d718cf8552edba4686b48ecd573bb843f86a1f4b2e5f"}),
+    # the lines lie inside the grid, but the squared distances to its far samples overflow
+    (["shb-map", "--magnitudes", "5", "--span=-1e160:1e160:1e159"],
+     {"out.csv": "91a1a119687d08790559136039cd13a1418a835facf4c6871c597d9f442b4907",
+      "out.pgm": "9b0289e93c3740f8c2e81671f4213bcccd23fecf92df22c9a8a38b7fa3607f2c"}),
 ])
 def test_lines_beyond_overflow_render_quietly(argv, hashes, tmp_path):
     code, _, err, written = _quiet_run(tmp_path, "run", [*argv, "--no-stamp", "--out", "out.csv"])
