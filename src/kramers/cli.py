@@ -9,6 +9,8 @@ via --schema and writes byte-identical outputs for identical inputs
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import sys as _sys
 
 import numpy as np
@@ -493,7 +495,16 @@ def _fold_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+_freeze_at_exit = False  # gc.freeze is registered to run at exit
+
+
 def main(argv=None) -> int:
+    global _freeze_at_exit
+    if not _freeze_at_exit:
+        # the process leaves its heap to the OS: the interpreter's final
+        # collections skip frozen objects
+        atexit.register(gc.freeze)
+        _freeze_at_exit = True
     if argv is None:
         argv = _sys.argv[1:]
     try:

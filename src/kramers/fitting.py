@@ -67,6 +67,9 @@ DEFAULT_SIGMA_MT = 0.5
 # EPR point at GATE_FIELD_MT
 GATE_FREQ_GHZ = 0.5
 GATE_FIELD_MT = 50.0
+# the weighted cost bound sum (gate / sigma)^2 times this must be finite: the
+# squared weighted Jacobian norms and trust radius exceed the bound itself
+COST_HEADROOM = 2.0**64
 MISALIGNMENT_BOUND_DEG = 5.0
 EIGENVALUE_BOUND_GHZ = 0.05
 
@@ -291,7 +294,7 @@ def compile_data(data) -> CompiledData:
     gates = np.where(is_epr, GATE_FIELD_MT, GATE_FREQ_GHZ)
     with np.errstate(over="ignore"):
         weights = np.where(np.isfinite(sigmas), 1.0 / sigmas, 0.0)
-        if not np.isfinite(np.sum(np.square(gates * weights))):
+        if not np.isfinite(np.sum(np.square(gates * weights)) * COST_HEADROOM):
             raise ValueError("the sigmas are so small that the weighted cost can overflow")
     return CompiledData(points, tuple(states), tuple(epr), is_epr, gates, weights)
 

@@ -16,6 +16,7 @@ from . import __version__
 STAMP = f"# kramers {__version__}"
 FLOAT_FORMAT = ".9g"
 BLOCK_ROWS = 1 << 16  # rows formatted together: bounds the memory of a large CSV
+PGM_BLOCK = 1 << 16  # map samples scaled together: bounds the memory of a large PGM
 
 
 def format_number(x) -> str:
@@ -92,6 +93,26 @@ def write_csv(path, header: list[str], columns, stamp: bool = True, grid: int = 
         fh.writelines(blocks)
 
 
+def _pgm_blocks(amplitudes: np.ndarray, stamp: bool):
+    """The PGM header, then the pixels of at most PGM_BLOCK samples' rows at
+    a time; the map is checked and its peak taken before the header."""
+    a = np.asarray(amplitudes, dtype=float)
+    if a.ndim != 2:
+        raise ValueError("expected a 2-D map")
+    peak = np.maximum(a.max(), -a.min())  # max |a| without a map-sized temporary
+    header = "P5\n"
+    if stamp:
+        header += STAMP + "\n"
+    yield (header + f"{a.shape[1]} {a.shape[0]}\n255\n").encode("ascii")
+    rows = max(1, PGM_BLOCK // max(a.shape[1], 1))
+    for start in range(0, a.shape[0], rows):
+        block = a[start:start + rows]
+        if peak == 0:
+            yield b"\x80" * block.size
+        else:
+            yield np.clip(np.rint(128.0 + 127.0 * block / peak), 0, 255).astype(np.uint8).tobytes()
+
+
 def pgm_bytes(amplitudes: np.ndarray, stamp: bool = True) -> bytes:
     """8-bit binary PGM of a signed map; 0 maps to mid-gray (128).
 
@@ -99,21 +120,13 @@ def pgm_bytes(amplitudes: np.ndarray, stamp: bool = True) -> bytes:
     the maximum absolute amplitude, so holes (negative) render dark and
     antiholes (positive) render bright.
     """
-    a = np.asarray(amplitudes, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-D map")
-    peak = np.abs(a).max()
-    if peak == 0:
-        pixels = np.full(a.shape, 128, dtype=np.uint8)
-    else:
-        pixels = np.clip(np.rint(128.0 + 127.0 * a / peak), 0, 255).astype(np.uint8)
-    header = "P5\n"
-    if stamp:
-        header += STAMP + "\n"
-    header += f"{a.shape[1]} {a.shape[0]}\n255\n"
-    return header.encode("ascii") + pixels.tobytes()
+    return b"".join(_pgm_blocks(amplitudes, stamp))
 
 
 def write_pgm(path, amplitudes: np.ndarray, stamp: bool = True) -> None:
+    """Write ``pgm_bytes`` block by block; a map that is not 2-D leaves no file."""
+    blocks = _pgm_blocks(amplitudes, stamp)
+    first = next(blocks)
     with open(path, "wb") as fh:
-        fh.write(pgm_bytes(amplitudes, stamp))
+        fh.write(first)
+        fh.writelines(blocks)

@@ -17,6 +17,7 @@ from .tensors import decompose_tensor
 
 INTENSITY_MODELS = ("overlap", "uniform")
 OFFSET_CHUNK = 1 << 18  # elements of the seeds x peaks x lines distances per sweep
+SHAPE_BLOCK = 1 << 16  # samples of the line shapes computed in one buffer
 
 
 def flip_sign_class(values) -> tuple[float, float, float]:
@@ -105,17 +106,24 @@ def lorentzian_amplitude(x, fwhm: float, out=None):
 
 def _lorentzian_sum(lines, detunings: np.ndarray, fwhm_mhz: float, out: np.ndarray) -> np.ndarray:
     """Add to ``out`` the unit-peak Lorentzian of each (detuning, weight)
-    line, in order; lines in a row at one detuning share one line shape.
-    At a sample whose squared distance to a line overflows, that line's
-    shape is exactly 0."""
-    fwhm_ghz, last = fwhm_mhz * 1e-3, None
-    shape, term = np.empty(out.shape), np.empty(out.shape)  # float64 buffers shared by every line
+    line of the sequence ``lines``, in order; lines in a row at one detuning
+    share one line shape.  The shapes of up to SHAPE_BLOCK // out.size such
+    runs are computed together, by the same elementwise ufuncs, so each has
+    the bits it has alone.  At a sample whose squared distance to a line
+    overflows, that line's shape is exactly 0."""
+    fwhm_ghz = fwhm_mhz * 1e-3
+    starts = [n for n in range(len(lines)) if n == 0 or lines[n][0] != lines[n - 1][0]] + [len(lines)]
+    rows = max(1, SHAPE_BLOCK // max(out.size, 1))
+    shapes, term = np.empty((rows, *out.shape)), np.empty(out.shape)  # float64 buffers shared by every line
     with np.errstate(over="ignore"):
-        for detuning, weight in lines:
-            if detuning != last:
-                lorentzian_amplitude(np.subtract(detunings, detuning, out=shape, dtype=float), fwhm_ghz, out=shape)
-                last = detuning
-            out += np.multiply(weight, shape, out=term)
+        for first in range(0, len(starts) - 1, rows):
+            runs = starts[first:first + rows + 1]
+            centers = np.array([lines[n][0] for n in runs[:-1]], dtype=float).reshape(-1, *[1] * out.ndim)
+            block = shapes[:len(centers)]
+            lorentzian_amplitude(np.subtract(detunings, centers, out=block, dtype=float), fwhm_ghz, out=block)
+            for shape, start, stop in zip(block, runs, runs[1:]):
+                for _, weight in lines[start:stop]:
+                    out += np.multiply(weight, shape, out=term)
     return out
 
 

@@ -574,12 +574,16 @@ class TestSelftestCommand:
         assert all(l.startswith("PASS") for l in lines)
 
 
+def _package_env() -> dict:
+    """The environment of a new interpreter that imports this package."""
+    src = str(Path(kramers.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _fresh_interpreter(script: str, cwd) -> list[str]:
     """The stdout lines of ``script`` run by a new interpreter that imports this package."""
-    src = str(Path(kramers.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True,
-                          timeout=300)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=_package_env(), capture_output=True,
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -674,6 +678,46 @@ def test_package_import_defers_the_command_modules(tmp_path):
     )
     lines = _fresh_interpreter(script, tmp_path)
     assert lines[-2:] == [repr(sorted(CORE_MODULES - {"kramers.cli", "kramers.output"})), "AttributeError"]
+
+
+def test_main_registers_the_exit_freeze_once(tmp_path):
+    # main hands the heap to the OS at exit (gc.freeze, so the final collections skip it),
+    # registering it once however often it runs
+    script = (
+        "import atexit, gc\n"
+        "import kramers.cli as cli\n"
+        "before = atexit._ncallbacks()\n"
+        "assert cli.main(['levels', '--B', '0']) == 0\n"
+        "once = atexit._ncallbacks()\n"
+        "assert cli.main(['levels', '--B', '0']) == 0\n"
+        "print(once - before, atexit._ncallbacks() - before, gc.get_freeze_count())\n"
+        "atexit._run_exitfuncs()\n"
+        "print(gc.get_freeze_count() > 0)\n"
+    )
+    assert _fresh_interpreter(script, tmp_path)[-2:] == ["1 1 0", "True"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["shb-map", "--magnitudes", "0:40:10", "--span=-1:1:0.01", "--rates", "rates.ini"],
+    ["fit", "--data", "fit-data.csv", "--free", "ground", "--restarts", "2", "--report", "report.txt"],
+])
+def test_cli_process_exits_cleanly_with_the_in_process_bytes(argv, tmp_path, monkeypatch, capsys):
+    # the console script's call in its own process, which exits past the frozen heap
+    rates = "[rates]\nr12 = 20\nr13 = 1.5\nr14 = 0.6\nr23 = 0.6\nr24 = 1.5\nr34 = 20\npump_rate = 100\n"
+    for where in ("process", "here"):
+        (tmp_path / where).mkdir()
+        (tmp_path / where / "rates.ini").write_text(rates + "duration_s = 0.3\n")
+        (tmp_path / where / "fit-data.csv").write_text(PINNED_FIT_DATA)
+    proc = subprocess.run([sys.executable, "-c", "import sys; from kramers.cli import main; sys.exit(main())",
+                           *argv], cwd=tmp_path / "process", env=_package_env(), capture_output=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    monkeypatch.chdir(tmp_path / "here")
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
+    files = {where: {p.name: p.read_bytes() for p in sorted((tmp_path / where).iterdir())}
+             for where in ("process", "here")}
+    assert files["process"] == files["here"]
+    assert len(files["here"]) > 2
 
 
 # help texts and usage errors, which must not depend on which subcommand's options the parser

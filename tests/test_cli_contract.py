@@ -346,9 +346,10 @@ def _sigma_reproducer(sigma):
             f"shb,ground,20,0,0,0.9,{sigma}\nshb,ground,30,0,0,1.1,\nodmr,ground,0,0,0,0.339,\n")
 
 
-@pytest.mark.parametrize("sigma", [f"1e-{e}" for e in range(140, 161)] + ["3.7e-155", "1e-200", pytest.param(
-    "4e-155", marks=pytest.mark.xfail(strict=True, reason="the cost bound (0.5/sigma)^2 is finite, but the "
-                                      "squared trust radius and weighted Jacobian norms overflow"))])
+# sigmas from 3.74e-155 to about 5e-155 keep (0.5/sigma)^2 finite, but the squared trust radius and
+# weighted Jacobian norms overflow; 1.7e-145 is just above the bound with its headroom
+@pytest.mark.parametrize("sigma", [f"1e-{e}" for e in range(140, 161)]
+                         + ["3.7e-155", "4e-155", "5e-155", "1.6e-145", "1.7e-145", "1e-200"])
 def test_fit_with_overflowing_weights_is_bad_data(sigma, tmp_path):
     (tmp_path / "data.csv").write_text(_sigma_reproducer(sigma))
     argv = ["fit", "--data", str(tmp_path / "data.csv"), "--free", "ground",

@@ -7,7 +7,7 @@ import pytest
 from kramers import output
 from kramers.config import ConfigError, load_rates, parse_config
 from kramers.hamiltonian import eigensystem, transition_frequencies
-from kramers.output import STAMP, csv_text, format_number, pgm_bytes, write_csv
+from kramers.output import STAMP, csv_text, format_number, pgm_bytes, write_csv, write_pgm
 from kramers.presets import SITE_I
 
 
@@ -276,6 +276,48 @@ class TestOutput:
     def test_pgm_all_zero_map(self):
         raw = pgm_bytes(np.zeros((2, 3)), stamp=False)
         assert raw.endswith(bytes([128] * 6))
+
+    @staticmethod
+    def whole_map_pgm(a, stamp=True):
+        """The PGM of a map scaled in one piece: the bytes the row blocks keep."""
+        peak = np.abs(a).max()
+        pixels = (np.full(a.shape, 128, dtype=np.uint8) if peak == 0
+                  else np.clip(np.rint(128.0 + 127.0 * a / peak), 0, 255).astype(np.uint8))
+        header = "P5\n" + (STAMP + "\n" if stamp else "") + f"{a.shape[1]} {a.shape[0]}\n255\n"
+        return header.encode("ascii") + pixels.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (40, 5001), (1, 70000), (9000, 7)])
+    def test_pgm_row_blocks_keep_the_whole_map_bytes(self, shape, tmp_path):
+        rng = np.random.default_rng(sum(shape))
+        for a in (rng.normal(size=shape), -rng.uniform(size=shape), np.zeros(shape), 1e-300 * rng.normal(size=shape)):
+            for stamp in (True, False):
+                assert pgm_bytes(a, stamp) == self.whole_map_pgm(a, stamp), shape
+            write_pgm(tmp_path / "map.pgm", a)
+            assert (tmp_path / "map.pgm").read_bytes() == self.whole_map_pgm(a)
+
+    def test_pgm_of_a_map_that_is_not_2d_leaves_no_file(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_pgm(tmp_path / "map.pgm", np.zeros(3))
+        assert not (tmp_path / "map.pgm").exists()
+
+    def test_pgm_memory_flat_in_map_size(self, tmp_path, monkeypatch):
+        # the map is scaled PGM_BLOCK samples at a time: the file gets one
+        # block at a time, and pgm_bytes holds the pixels and their bytes
+        monkeypatch.setattr(output, "PGM_BLOCK", 10_000)
+        file_peaks = []
+        for rows in (100, 1600):
+            a = np.random.default_rng(rows).normal(size=(rows, 1000))
+            tracemalloc.start()
+            try:
+                write_pgm(tmp_path / "map.pgm", a)
+                file_peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+                raw = pgm_bytes(a)
+                assert tracemalloc.get_traced_memory()[1] <= 2 * a.size + 32 * output.PGM_BLOCK
+            finally:
+                tracemalloc.stop()
+            assert raw == (tmp_path / "map.pgm").read_bytes() == self.whole_map_pgm(a)
+        assert file_peaks[1] < 1.1 * file_peaks[0], file_peaks
 
     def test_threaded_field_map_bit_identical(self):
         # each map row equals its own pattern rendered alone, bit for bit

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,14 @@ from conftest import reference_offset_fit
 from kramers.hamiltonian import zero_field_levels
 from kramers.presets import SITE_I, SITE_II
 from kramers.spectra import (
+    SHAPE_BLOCK,
+    _lorentzian_sum,
     _offset_fit,
     _zero_field_line_positions,
     absorption_spectrum,
     find_peaks,
     flip_sign_class,
+    lorentzian_amplitude,
     optical_lines,
     ordering_search,
 )
@@ -115,6 +120,98 @@ class TestAbsorptionSpectrum:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             absorption_spectrum(SITE_I, (0, 0, 0), np.array([]))
+
+
+def per_line_sum(lines, detunings, fwhm_mhz, out):
+    """The Lorentzian sum one line at a time, each shape computed alone: the
+    reference whose bits the block render keeps."""
+    fwhm_ghz, last = fwhm_mhz * 1e-3, None
+    shape, term = np.empty(out.shape), np.empty(out.shape)
+    with np.errstate(over="ignore"):
+        for detuning, weight in lines:
+            if detuning != last:
+                lorentzian_amplitude(np.subtract(detunings, detuning, out=shape, dtype=float), fwhm_ghz, out=shape)
+                last = detuning
+            out += np.multiply(weight, shape, out=term)
+    return out
+
+
+GRID = np.linspace(-1.0, 1.0, 5001)
+ROWS = SHAPE_BLOCK // GRID.size  # shapes per block on GRID (13)
+
+
+def _lines(detunings, seed=0):
+    weights = np.random.default_rng(seed).normal(size=len(detunings))
+    return [(float(d), float(w)) for d, w in zip(detunings, weights)]
+
+
+def _distinct(n, seed=0):
+    return np.random.default_rng(seed).uniform(-1.2, 1.2, n)
+
+
+def _straddling(seed=1):
+    # runs of equal detunings across every block boundary, of one to 2 ROWS + 1 lines
+    rng = np.random.default_rng(seed)
+    return np.repeat(rng.uniform(-1.0, 1.0, 12), [1, ROWS - 1, 2, ROWS, ROWS + 1, 3, 1, 2 * ROWS + 1, 1, 5, 1, 1])
+
+
+class TestLorentzianSum:
+    """``_lorentzian_sum`` computes its shapes in blocks and keeps, bit for
+    bit, the sum of the lines taken one at a time."""
+
+    @staticmethod
+    def assert_bits_kept(lines, detunings, fwhm_mhz=50.0, seed=0):
+        start = np.random.default_rng(seed).normal(size=np.shape(detunings))
+        got = _lorentzian_sum(lines, detunings, fwhm_mhz, start.copy())
+        want = per_line_sum(lines, detunings, fwhm_mhz, start.copy())
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("count", [0, 1, ROWS - 1, ROWS, ROWS + 1, 300])
+    def test_distinct_detunings(self, count):
+        assert ROWS == 13
+        self.assert_bits_kept(_lines(_distinct(count)), GRID)
+
+    def test_runs_straddle_block_boundaries(self):
+        detunings = _straddling()
+        self.assert_bits_kept(_lines(detunings), GRID)
+        # a detuning that comes back after another starts a new run
+        self.assert_bits_kept(_lines(np.tile(detunings[:ROWS + 3], 3)), GRID)
+
+    def test_overflowing_distances_give_shape_zero(self):
+        grid = np.linspace(-1e160, 1e160, 4001)
+        lines = _lines([1e300, -1e300, 1e300, 0.0, -1e300, 5e159, 5e159, -1e300] * 4)
+        self.assert_bits_kept(lines, grid)
+        alone = _lorentzian_sum([(1e300, 1.0), (-1e300, 1.0)], grid, 50.0, np.zeros_like(grid))
+        assert not alone.any()
+
+    def test_float32_grid(self):
+        grid = GRID.astype(np.float32)
+        self.assert_bits_kept(_lines(np.r_[_distinct(40), _straddling()]), grid)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from([-1e300, -0.75, -0.1, -0.0, 0.0, 1e-9, 0.1, 0.5, 1e300]), max_size=60),
+           st.sampled_from([20.0, 50.0, 1e-3]), st.integers(0, 3))
+    def test_generated_line_lists(self, detunings, fwhm_mhz, seed):
+        self.assert_bits_kept(_lines(detunings, seed), GRID[::3] if seed % 2 else GRID, fwhm_mhz, seed)
+
+    @staticmethod
+    def peak(lines, grid):
+        out = np.zeros_like(grid)
+        tracemalloc.start()
+        try:
+            _lorentzian_sum(lines, grid, 50.0, out)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_flat_in_line_count(self):
+        # a grid above SHAPE_BLOCK takes one shape at a time: two grid-sized buffers
+        grid = np.linspace(-1.0, 1.0, 2_000_000)
+        peaks = [self.peak(_lines(_distinct(n)), grid) for n in (1, 40)]
+        assert max(peaks) <= 2 * grid.nbytes + 8 * SHAPE_BLOCK + 65536, peaks
+        assert peaks[1] < 1.01 * peaks[0], peaks
+        # a small grid adds at most one SHAPE_BLOCK of shapes to its term buffer
+        assert self.peak(_lines(_distinct(300)), GRID) <= GRID.nbytes + 8 * SHAPE_BLOCK + 65536
 
 
 class TestOrderingSearch:
