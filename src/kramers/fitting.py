@@ -22,6 +22,7 @@ rotations (inf for a coordinate the data do not depend on).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -670,12 +671,78 @@ class FitResult:
         return sum(self.restart_evaluations)
 
 
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, multiplier: int):
+    """SeedSequence's hashmix: each call mixes in the next of its 32-bit constants."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * multiplier & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+class _RestartStream:
+    """The draws of numpy's ``default_rng(seed).uniform``, in Python ints.
+
+    numpy's ``SeedSequence(seed)`` mixes the seed's 32-bit words into a pool
+    of four and hashes it out to PCG64's 128-bit state and increment; PCG64
+    (O'Neill 2014) steps a 128-bit LCG and outputs its XSL-RR 64-bit hash.
+    A double is the top 53 bits times 2^-53.  ``numpy.random`` would load
+    its bit-generator extensions, and OpenSSL through ``secrets``, for the
+    few dozen draws a fit makes.
+    """
+
+    def __init__(self, seed: int):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+        hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+        pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+
+        def mix(dst: int, value: int) -> None:
+            m = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(value)) & _MASK32
+            pool[dst] = m ^ m >> 16
+
+        # every pool word into each other one, then each word beyond the pool into all four
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    mix(dst, pool[src])
+        for word in entropy[4:]:
+            for dst in range(4):
+                mix(dst, word)
+        hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
+        words = [hashmix(pool[i % 4]) for i in range(8)]
+        state, increment = (words[i + 1] << 96 | words[i] << 64 | words[i + 3] << 32 | words[i + 2] for i in (0, 4))
+        self.increment = (increment << 1 | 1) & _MASK128
+        self.state = ((self.increment + state) * _PCG64_MULTIPLIER + self.increment) & _MASK128
+
+    def uniform(self, lo: np.ndarray, hi: np.ndarray, rows: int) -> np.ndarray:
+        """``rows`` x len(lo) draws of uniform(lo, hi), filled in C order as numpy's are."""
+        top = np.empty(rows * len(lo))
+        state = self.state
+        for n in range(top.size):
+            state = (state * _PCG64_MULTIPLIER + self.increment) & _MASK128
+            rot, x = state >> 122, (state >> 64 ^ state) & _MASK64
+            top[n] = ((x >> rot | x << 64 - rot) & _MASK64) >> 11
+        self.state = state
+        return lo + (hi - lo) * (top.reshape(rows, len(lo)) * 2.0**-53)
+
+
 def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResult:
     """Multistart weighted least squares over the problem's free parameters.
 
     Restart seeds are the problem's own starting angles plus uniformly
     sampled parameter vectors, drawn one chunk of RESTART_CHUNK at a time
-    (the same stream as one at a time); each chunk is refined by
+    (the same stream as one at a time).  The stream is that of numpy's
+    ``default_rng(seed).uniform`` for a non-negative integer ``seed``,
+    computed in this module (``_RestartStream``).  Each chunk is refined by
     ``_levenberg_marquardt`` and the best local optimum wins (ties broken by
     lexicographically smaller parameters).  The result is a success when
     at most half of the points are gated.
@@ -698,14 +765,14 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
         raise ValueError(f"{total} points cannot determine {len(names)} parameters")
 
     lo, hi = problem.bounds()
-    rng = np.random.default_rng(seed)
+    stream = _RestartStream(seed)
     best = None
     restart_rms_list, iterations, evaluations = [], [], []
     restarts = max(1, restarts)
     for first in range(0, restarts, RESTART_CHUNK):
         count = min(RESTART_CHUNK, restarts - first)
         # only one chunk of seeds at a time: memory does not grow with ``restarts``
-        seeds = rng.uniform(lo, hi, size=(count - (first == 0), len(names)))
+        seeds = stream.uniform(lo, hi, count - (first == 0))
         if first == 0:
             seeds = np.concatenate([x0[None], seeds])
         run = _levenberg_marquardt(problem, compiled, *_points(problem, seeds))

@@ -109,8 +109,14 @@ def _lorentzian_sum(lines, detunings: np.ndarray, fwhm_mhz: float, out: np.ndarr
     line of the sequence ``lines``, in order; lines in a row at one detuning
     share one line shape.  The shapes of up to SHAPE_BLOCK // out.size such
     runs are computed together, by the same elementwise ufuncs, so each has
-    the bits it has alone.  At a sample whose squared distance to a line
-    overflows, that line's shape is exactly 0."""
+    the bits it has alone.  A 1-D grid longer than SHAPE_BLOCK is summed
+    SHAPE_BLOCK samples at a time; each sample still adds its lines in
+    order.  At a sample whose squared distance to a line overflows, that
+    line's shape is exactly 0."""
+    if out.ndim == 1 and out.size > SHAPE_BLOCK:
+        for start in range(0, out.size, SHAPE_BLOCK):
+            _lorentzian_sum(lines, detunings[start:start + SHAPE_BLOCK], fwhm_mhz, out[start:start + SHAPE_BLOCK])
+        return out
     fwhm_ghz = fwhm_mhz * 1e-3
     starts = [n for n in range(len(lines)) if n == 0 or lines[n][0] != lines[n - 1][0]] + [len(lines)]
     rows = max(1, SHAPE_BLOCK // max(out.size, 1))
@@ -149,7 +155,7 @@ def absorption_spectrum(site: SiteModel, B, grid, intensity_model: str = "overla
     amp = _lorentzian_sum(lines, detunings, site.fwhm_mhz, np.zeros_like(detunings))
     peak = amp.max()
     if peak > 0:
-        amp = amp / peak
+        amp /= peak
     return detunings, amp
 
 

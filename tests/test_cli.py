@@ -470,6 +470,18 @@ class TestPinnedBytes:
         assert hashlib.sha256(report.read_bytes()).hexdigest() == (
             "4e2fd627f2074a1d16e419d8702aab1db41cea77081237860544861400c1268e")
 
+    def test_fit_across_a_restart_chunk_csv_and_report(self, tmp_path, capsys):
+        # 40 restarts draw 31 seed rows, then 8 more in a second chunk; the seed 2**64 + 5 is three words
+        data, out, report = tmp_path / "data.csv", tmp_path / "fit.csv", tmp_path / "report.txt"
+        data.write_text(PINNED_FIT_DATA)
+        code, _, _ = run(capsys, "fit", "--data", str(data), "--free", "ground", "--restarts", "40",
+                         "--seed", "18446744073709551621", "--no-stamp", "--out", str(out), "--report", str(report))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "5127ed44d6d8f0c28b90a63bec99f8f7a7f3c9eeaff846955de6db59340dc14b")
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+            "7511f95f361fc40c13ce51ce5f57d3d7be7b5b81e9af310ffc36d19b590acb0a")
+
     def test_fit_bounded_csv_and_report(self, tmp_path, capsys):
         # misalignment and eigenvalue shifts, the fit's coordinates kept to a box
         data, out, report = tmp_path / "data.csv", tmp_path / "fit.csv", tmp_path / "report.txt"
@@ -639,7 +651,8 @@ CORE_MODULES = {"kramers", *(f"kramers.{m}" for m in
 
 
 def test_commands_load_only_the_modules_they_run(tmp_path):
-    # each command runs in a fresh interpreter, which then lists the modules it loaded beyond the core
+    # each command runs in a fresh interpreter, which then lists the modules it loaded beyond the core;
+    # none loads numpy.random or what it imports for OS entropy (secrets -> hashlib -> OpenSSL)
     (tmp_path / "fit-data.csv").write_text(PINNED_FIT_DATA)
     commands = [
         (["levels", "--B", "0"], set()), (["transitions", "--B", "100,0,0"], set()),
@@ -657,10 +670,10 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
             "import kramers.cli as cli\n"
             f"assert cli.main({argv!r}) == 0\n"
             f"print(sorted(set(m for m in sys.modules if m.split('.')[0] == 'kramers') - {CORE_MODULES!r}))\n"
-            "print('numpy.random' in sys.modules)\n"
+            "print([m for m in ('numpy.random', 'secrets', 'hashlib') if m in sys.modules])\n"
         )
         loaded = _fresh_interpreter(script, tmp_path)[-2:]
-        assert loaded == [repr(sorted(f"kramers.{m}" for m in extra)), str(argv[0] == "fit")], argv
+        assert loaded == [repr(sorted(f"kramers.{m}" for m in extra)), "[]"], argv
 
 
 def test_package_import_defers_the_command_modules(tmp_path):

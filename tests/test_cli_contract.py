@@ -378,14 +378,17 @@ def _grids(*good):
     return _values(*good, bad=BAD + BAD_GRIDS)
 
 
+# directions whose norm overflows or underflows, and magnitudes at the ends of the doubles
 FIELD = {"--state": st.sampled_from(["ground", "excited"]),
-         "--field": _values("0", "D1", "b", "10,0,5", "0,0,0", bad=["1,2", "1,nan,2", *BAD]),
-         "--magnitude": _values("5", "0.5")}
+         "--field": _values("0", "D1", "b", "10,0,5", "0,0,0", "1e200,1e200,0", "1e-300,0,0",
+                            bad=["1,2", "1,nan,2", *BAD]),
+         "--magnitude": _values("5", "0.5", "1e300", "5e-324")}
 
 # command -> (required options, optional options)
 COMMANDS = {
     "levels": ({}, FIELD),
     "transitions": ({}, FIELD),
+    "odmr": ({}, FIELD),
     "absorption": ({}, {"--field": FIELD["--field"],
                         "--range": _grids("-1:1:0.01", "0:0.5:0.05"),
                         "--model": st.sampled_from(["uniform", "overlap"]),
@@ -440,6 +443,9 @@ def test_generated_argv_contract(argv):
         _assert_one_record(code, err)
         assert not written
     else:
+        assert err == "", (argv, err)
         assert written
         for name, text in written.items():
             assert "nan" not in text.lower(), (argv, name)
+            cells = text.replace("\n", ",").split(",")
+            assert not any(c.strip().lower().lstrip("+-") in ("inf", "infinity") for c in cells), (argv, name)

@@ -951,6 +951,42 @@ class TestCovarianceAndRestarts:
         assert result.restart_evaluations == tuple(int(n) for r in runs for n in r.evaluations)
 
 
+class TestRestartStream:
+    """``fitting._RestartStream`` draws the stream of numpy's ``default_rng(seed).uniform``
+    without loading ``numpy.random``."""
+
+    SEEDS = [*range(200), 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1, 2**130 + 17, 10**40]
+
+    def test_draws_equal_numpys_bit_for_bit(self):
+        # every block kind's box, in two chunks of seed rows: the stream continues across them
+        lo, hi = FitProblem(site=SITE_I, fit_excited=True, fit_misalignment=True, refine_eigenvalues=True).bounds()
+        for seed in self.SEEDS:
+            rng, stream = np.random.default_rng(seed), fitting._RestartStream(seed)
+            for rows in (31, 32):
+                want = rng.uniform(lo, hi, size=(rows, lo.size))
+                got = stream.uniform(lo, hi, rows)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (seed, rows)
+
+    @pytest.mark.parametrize("seed, first", [
+        (0, [0.6369616873214543, 0.2697867137638703, 0.04097352393619469]),
+        (2**128 + 1, [0.4757645185899906, 0.6005884039084781, 0.24508622403606528]),
+    ])
+    def test_first_draws_are_pinned(self, seed, first):
+        # the stream itself, whatever a later numpy does
+        got = fitting._RestartStream(seed).uniform(np.zeros(3), np.ones(3), 1)
+        assert got.tolist() == [first]
+
+    def test_integer_types_and_negative_seed(self):
+        lo, hi = FitProblem(site=SITE_I).bounds()
+        for seed in (np.int64(7), np.uint64(2**64 - 1)):
+            want = np.random.default_rng(seed).uniform(lo, hi, size=(2, 3))
+            assert np.array_equal(fitting._RestartStream(seed).uniform(lo, hi, 2), want)
+        with pytest.raises(ValueError, match="non-negative"):
+            fit(FitProblem(site=SITE_I), ground_data([(1, 0, 0)], step_mt=25.0), restarts=2, seed=-1)
+        with pytest.raises(TypeError):
+            fitting._RestartStream(1.5)
+
+
 class TestCanonicalization:
     def test_canonical_orientation_subsite_pick_deterministic(self):
         angles, subsite = canonical_orientation(SITE_I.ground.A)

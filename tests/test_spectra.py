@@ -113,6 +113,17 @@ class TestAbsorptionSpectrum:
         doubled /= doubled.max()
         assert np.abs(doubled - y1).max() < 1e-12
 
+    def test_memory_within_one_grid(self):
+        # the spectrum itself, normalized in place, and the sum's two slice buffers
+        grid = np.linspace(-4.5, 4.5, 2_000_000)
+        tracemalloc.start()
+        try:
+            absorption_spectrum(SITE_I, (0, 0, 0), grid, intensity_model="uniform")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= grid.nbytes + 16 * SHAPE_BLOCK + 65536, peak
+
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError):
             absorption_spectrum(SITE_I, (0, 0, 0), (-1, 1, 0.5))
@@ -184,6 +195,11 @@ class TestLorentzianSum:
         alone = _lorentzian_sum([(1e300, 1.0), (-1e300, 1.0)], grid, 50.0, np.zeros_like(grid))
         assert not alone.any()
 
+    def test_long_grid_in_slices(self):
+        # a 1-D grid longer than SHAPE_BLOCK is summed in SHAPE_BLOCK-sample slices, the last one short
+        grid = np.linspace(-1.0, 1.0, 3 * SHAPE_BLOCK + 17)
+        self.assert_bits_kept(_lines(np.r_[_distinct(20), _straddling()]), grid)
+
     def test_float32_grid(self):
         grid = GRID.astype(np.float32)
         self.assert_bits_kept(_lines(np.r_[_distinct(40), _straddling()]), grid)
@@ -205,10 +221,10 @@ class TestLorentzianSum:
             tracemalloc.stop()
 
     def test_memory_flat_in_line_count(self):
-        # a grid above SHAPE_BLOCK takes one shape at a time: two grid-sized buffers
+        # a grid above SHAPE_BLOCK is summed a slice at a time: one shape and one term buffer of a slice
         grid = np.linspace(-1.0, 1.0, 2_000_000)
         peaks = [self.peak(_lines(_distinct(n)), grid) for n in (1, 40)]
-        assert max(peaks) <= 2 * grid.nbytes + 8 * SHAPE_BLOCK + 65536, peaks
+        assert max(peaks) <= 16 * SHAPE_BLOCK + 65536, peaks
         assert peaks[1] < 1.01 * peaks[0], peaks
         # a small grid adds at most one SHAPE_BLOCK of shapes to its term buffer
         assert self.peak(_lines(_distinct(300)), GRID) <= GRID.nbytes + 8 * SHAPE_BLOCK + 65536
