@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -367,6 +368,9 @@ def test_fit_with_overflowing_weights_is_bad_data(sigma, tmp_path):
 
 BAD = ["nan", "inf", "-1", "0", "abc", ""]
 BAD_GRIDS = ["1:-1:0.01", "-1:1", "-1:1:0", "1:2:3:4", "0:1:nan", ":"]
+# finite values at the ends of the doubles
+EXTREME = ["1e300", "1e308", "1e-300", "5e-324"]
+EXTREME_GRIDS = [g for x in EXTREME for g in (f"0:{x}:{x}", f"-{x}:{x}:{x}", f"{x}:{x}:1")]
 
 
 def _values(*good, bad=BAD):
@@ -375,7 +379,12 @@ def _values(*good, bad=BAD):
 
 
 def _grids(*good):
-    return _values(*good, bad=BAD + BAD_GRIDS)
+    return _values(*good, *EXTREME_GRIDS, bad=BAD + BAD_GRIDS)
+
+
+def _csv_file(header, rows, min_size, max_size):
+    """The text of a CSV file: ``header`` and ``min_size`` to ``max_size`` drawn rows."""
+    return st.lists(rows, min_size=min_size, max_size=max_size).map(lambda r: "\n".join([header, *r]) + "\n")
 
 
 # directions whose norm overflows or underflows, and magnitudes at the ends of the doubles
@@ -384,7 +393,20 @@ FIELD = {"--state": st.sampled_from(["ground", "excited"]),
                             bad=["1,2", "1,nan,2", *BAD]),
          "--magnitude": _values("5", "0.5", "1e300", "5e-324")}
 
-# command -> (required options, optional options)
+PEAKS_FILE = _csv_file("detuning_ghz", st.sampled_from(["-1.2", "0.3", "2.5", "-3", "4.1", *EXTREME, "-1e300", "nan"]),
+                       3, 6)
+# three ordinary points (enough for the three ground angles), then rows whose
+# fields, values and sigmas reach the ends of the doubles
+FIT_ROWS = ["shb,ground,20,0,0,0.9,", "shb,ground,30,0,0,1.1,", "odmr,ground,0,0,0,0.339,"]
+FIT_NUMBERS = ["0", "10", "-10", *EXTREME, "-1e300"]
+FIT_ROW = st.tuples(st.sampled_from(["shb", "odmr", "epr"]), st.just("ground"),
+                    *[st.sampled_from(FIT_NUMBERS)] * 3,
+                    st.sampled_from(["0.9", "150", *EXTREME]), st.sampled_from(["", "0.002", *EXTREME]),
+                    st.sampled_from(["", "1-2"])).map(",".join)
+FIT_DATA = _csv_file("\n".join(["kind,state,bx_mt,by_mt,bz_mt,value,sigma,label", *FIT_ROWS]), FIT_ROW, 1, 2)
+
+# command -> (required options, optional options); a strategy of a tuple
+# (file name, text) writes that file and passes its name
 COMMANDS = {
     "levels": ({}, FIELD),
     "transitions": ({}, FIELD),
@@ -392,60 +414,84 @@ COMMANDS = {
     "absorption": ({}, {"--field": FIELD["--field"],
                         "--range": _grids("-1:1:0.01", "0:0.5:0.05"),
                         "--model": st.sampled_from(["uniform", "overlap"]),
-                        "--prominence": _values("0.05", "0.5"),
+                        "--prominence": _values("0.05", "0.5", *EXTREME),
                         "--peaks-out": st.just("peaks.csv")}),
-    "shb-map": ({"--magnitudes": _values("0:20:10", "0,5", "5", bad=["5,0", *BAD, *BAD_GRIDS]),
+    "shb-map": ({"--magnitudes": _values("0:20:10", "0,5", "5", *EXTREME, *EXTREME_GRIDS,
+                                         bad=["5,0", *BAD, *BAD_GRIDS]),
                  "--span": _grids("-0.5:0.5:0.05", "0:0.2:0.1")},
                 {"--direction": _values("D1", "b", "1,1,0", bad=["0,0,0", *BAD]),
-                 "--burn": _values("0.1"),
-                 "--width": _values("50")}),
-    "epr-map": ({"--step": _values("60", "90"), "--bmax": _values("200", "50")},
+                 "--burn": _values("0.1", *EXTREME),
+                 "--width": _values("50", *EXTREME)}),
+    "epr-map": ({"--step": _values("60", "90"), "--bmax": _values("200", "50", *EXTREME)},
                 {"--state": st.sampled_from(["ground", "excited"]),
                  "--plane": st.sampled_from(["D1-D2", "b-D1"]),
-                 "--freq": _values("9.7", "5")}),
-    "zefoz": ({"--grid": _values("1,1", "2,1", "1,2", bad=["8", "0,0", "a,b", "1,-1", *BAD])},
+                 "--freq": _values("9.7", "5", *EXTREME)}),
+    "zefoz": ({"--grid": _values("1,1", "2,1", "1,2", bad=["8", "0,0", "a,b", "1,-1", *BAD,
+                                                           *(f"{x},1" for x in EXTREME)])},
               {"--transition": _values("1,2", "2,3", "0,5", "2,1", "1"),
-               "--radius": _values("5", "20"),
+               "--radius": _values("5", "20", *EXTREME),
                "--refine-tol": _values("1e-3")}),
-    "invert": ({"--lines": _values("2046,2385,2869,3208", "339,823,1162", "1,2,,3")}, {}),
+    "invert": ({"--lines": _values("2046,2385,2869,3208", "339,823,1162", "1,2,,3", "1e300,1e300,1e300,1e300",
+                                   "339,823,1162e300", "2046e160,2385e160,2869e160,3208e160")}, {}),
+    "ordering": ({"--peaks-file": st.tuples(st.just("in-peaks.csv"), PEAKS_FILE)}, {}),
+    "fit": ({"--data": st.tuples(st.just("in-data.csv"), FIT_DATA)},
+            {"--restarts": _values("1"), "--free": st.just("ground")}),
 }
 
 
 @st.composite
 def _argv(draw):
+    """(argv, {input file name: text})."""
     command = draw(st.sampled_from(sorted(COMMANDS)))
     required, optional = COMMANDS[command]
     options = draw(st.fixed_dictionaries(required, optional=optional))
-    argv = [command, "--out", "out.csv"]
+    argv, files = [command, "--out", "out.csv"], {}
     for name, value in options.items():
+        if isinstance(value, tuple):
+            value, files[value] = value
         # both spellings: "--opt=value", and "--opt value" where a value that
         # starts with "-" may be read as an option name (a usage error)
         argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
-    return argv
+    return argv, files
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+def _non_finite_cells(text):
+    """The cells of a written CSV that read nan or inf, but for the ``model``
+    of a fit's EPR row, which reads nan when no resonance is in reach."""
+    rows = [r.split(",") for r in text.splitlines() if r and not r.startswith("#")]
+    header = rows[0] if rows else []
+    skip = header.index("model") if "kind" in header else None
+    return [c for row in rows[1:] for n, c in enumerate(row)
+            if c.strip().lower().lstrip("+-") in ("nan", "inf", "infinity")
+            and not (n == skip and row[header.index("kind")] == "epr")]
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
 @given(_argv())
-def test_generated_argv_contract(argv):
+def test_generated_argv_contract(drawn):
+    argv, files = drawn
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
+            for name, text in files.items():
+                Path(name).write_text(text)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                code, _, err = _run(argv)
-            written = {name: open(name).read() for name in os.listdir(tmp) if name.endswith(".csv")}
+                code, stdout, err = _run(argv)
+            written = {name: open(name).read() for name in os.listdir(tmp)
+                       if name.endswith(".csv") and name not in files}
         finally:
             os.chdir(cwd)
     event(f"{argv[0]} exit {code}")
-    assert code in (0, 2), (argv, code, err)
+    assert code in (0, 2), (argv, files, code, err)
     if code == 2:
         _assert_one_record(code, err)
         assert not written
     else:
-        assert err == "", (argv, err)
+        assert err == "", (argv, files, err)
         assert written
         for name, text in written.items():
-            assert "nan" not in text.lower(), (argv, name)
-            cells = text.replace("\n", ",").split(",")
-            assert not any(c.strip().lower().lstrip("+-") in ("inf", "infinity") for c in cells), (argv, name)
+            assert not _non_finite_cells(text), (argv, files, name)
+        # nor a value printed with hundreds of digits
+        assert not re.search(r"\d{40}", stdout + "".join(written.values())), (argv, files, stdout)
