@@ -22,8 +22,8 @@ from .config import (
     ConfigError, check_points, grid, integer, integers, level_pair, load_config, load_rates, number,
     number_list, read_text, samples, vector,
 )
-from .hamiltonian import (PAIR_HI, PAIR_LO, PAIRS, build_hamiltonian, diagonalize, invert_zero_field,
-                          reconstruct_levels, transition_frequencies, unit_direction)
+from .hamiltonian import (PAIR_HI, PAIR_LO, PAIRS, eigensystem, invert_zero_field, reconstruct_levels,
+                          transition_frequencies, unit_direction)
 from .output import write_csv, write_pgm
 from .presets import get_site
 
@@ -96,7 +96,8 @@ def _add_field(p: argparse.ArgumentParser):
     p.add_argument("--state", choices=("ground", "excited"), default="ground")
     p.add_argument("--field", "--B", dest="field", type=_typed(vector, "field"), default="0,0,0",
                    help="B vector in mT (crystal frame) or D1|D2|b")
-    p.add_argument("--magnitude", type=_typed(number, "magnitude"), help="scale a direction by this many mT")
+    p.add_argument("--magnitude", type=_typed(number, "magnitude", "field_mt"),
+                   help="scale a direction by this many mT")
 
 
 def _build_parser(argv: list[str]) -> _Parser:
@@ -121,12 +122,12 @@ def _build_parser(argv: list[str]) -> _Parser:
 
     if p := add("absorption", "inhomogeneous absorption spectrum"):
         _add_common(p, "absorption.csv", _cmd_absorption)
-        p.add_argument("--field", "--B", dest="field", type=_typed(vector, "field"), default="0,0,0")
-        p.add_argument("--range", type=_typed(grid, "range"), default="-5:5:0.005",
+        p.add_argument("--field", "--B", dest="field", type=_typed(vector, "field", "field_mt"), default="0,0,0")
+        p.add_argument("--range", type=_typed(grid, "range", "frequency_ghz"), default="-5:5:0.005",
                        help="detuning grid start:stop:step (GHz)")
         p.add_argument("--model", choices=spectra.INTENSITY_MODELS, default="overlap")
         p.add_argument("--peaks-out", help="also write detected peaks (local maxima + prominence rule)")
-        p.add_argument("--prominence", type=_typed(number, "prominence", "nonneg"), default=0.05,
+        p.add_argument("--prominence", type=_typed(number, "prominence", "prominence"), default=0.05,
                        help="peak prominence threshold as a fraction of the maximum")
 
     if p := add("shb-map", "hole/antihole map over a field sweep"):
@@ -134,11 +135,12 @@ def _build_parser(argv: list[str]) -> _Parser:
 
         _add_common(p, "shb-map.csv", _cmd_shb_map)
         p.add_argument("--direction", type=_typed(vector, "direction", nonzero=True), default="D1")
-        p.add_argument("--magnitudes", type=_typed(samples, "magnitudes"), default="0:150:1",
+        p.add_argument("--magnitudes", type=_typed(samples, "magnitudes", "field_mt"), default="0:150:1",
                        help="field magnitudes mT, range or list")
-        p.add_argument("--burn", type=_typed(number, "burn"), default=0.0, help="burn detuning (GHz)")
-        p.add_argument("--span", type=_typed(grid, "span"), default="-5:5:0.002", help="probe detuning grid (GHz)")
-        p.add_argument("--width", type=_typed(number, "width", "positive"), default=DEFAULT_HOLE_WIDTH_MHZ,
+        p.add_argument("--burn", type=_typed(number, "burn", "frequency_ghz"), default=0.0, help="burn detuning (GHz)")
+        p.add_argument("--span", type=_typed(grid, "span", "frequency_ghz"), default="-5:5:0.002",
+                       help="probe detuning grid (GHz)")
+        p.add_argument("--width", type=_typed(number, "width", "width_mhz"), default=DEFAULT_HOLE_WIDTH_MHZ,
                        help="hole width (MHz)")
         p.add_argument("--rates", help="rate file with a [rates] section (rNM, pump_rate, duration_s)")
 
@@ -154,10 +156,10 @@ def _build_parser(argv: list[str]) -> _Parser:
         _add_common(p, "epr-map.csv", _cmd_epr_map)
         p.add_argument("--state", choices=("ground", "excited"), default="ground")
         p.add_argument("--plane", choices=sorted(PLANES), default="D1-D2")
-        p.add_argument("--step", type=_typed(number, "step", "positive"), default=5.0, help="angle step (degrees)")
-        p.add_argument("--freq", type=_typed(number, "freq", "positive"), default=9.7,
+        p.add_argument("--step", type=_typed(number, "step", "step"), default=5.0, help="angle step (degrees)")
+        p.add_argument("--freq", type=_typed(number, "freq", "microwave_ghz"), default=9.7,
                        help="microwave frequency (GHz)")
-        p.add_argument("--bmax", type=_typed(number, "bmax", "positive"), default=1000.0, help="maximum field (mT)")
+        p.add_argument("--bmax", type=_typed(number, "bmax", "sweep_mt"), default=1000.0, help="maximum field (mT)")
 
     if p := add("fit", "fit tensor orientation angles to transition data"):
         _add_common(p, "fit-residuals.csv", _cmd_fit)
@@ -165,19 +167,20 @@ def _build_parser(argv: list[str]) -> _Parser:
         p.add_argument("--free", default="ground", help="comma list: ground,excited,misalignment,eigenvalues")
         p.add_argument("--restarts", type=_typed(integer, "restarts"), default=64)
         p.add_argument("--seed", type=_typed(integer, "seed", minimum=0), default=0)
-        p.add_argument("--freq", type=_typed(number, "freq", "positive"), default=9.7,
+        p.add_argument("--freq", type=_typed(number, "freq", "microwave_ghz"), default=9.7,
                        help="microwave frequency for EPR points (GHz)")
         p.add_argument("--report", default="fit-report.txt")
 
     if p := add("invert", "A eigenvalue magnitudes from zero-field lines"):
         _add_common(p, "invert.csv", _cmd_invert)
-        p.add_argument("--lines", required=True, type=_typed(number_list, "lines", "positive"),
+        p.add_argument("--lines", required=True, type=_typed(number_list, "lines", "line_mhz"),
                        help="zero-field splittings in MHz, comma list")
 
     if p := add("ordering", "rank level-ordering sign classes against peaks"):
         _add_common(p, "ordering.csv", _cmd_ordering)
         group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--peaks", type=_typed(number_list, "peaks"), help="peak detunings in GHz, comma list")
+        group.add_argument("--peaks", type=_typed(number_list, "peaks", "frequency_ghz"),
+                           help="peak detunings in GHz, comma list")
         group.add_argument("--peaks-file", help="CSV with a detuning_ghz column")
 
     if p := add("zefoz", "low-field-sensitivity points of one transition"):
@@ -185,11 +188,11 @@ def _build_parser(argv: list[str]) -> _Parser:
         p.add_argument("--state", choices=("ground", "excited"), default="ground")
         p.add_argument("--transition", type=_typed(level_pair, "transition"), default="1,2",
                        help="1-based level pair, e.g. 1,2")
-        p.add_argument("--radius", type=_typed(number, "radius", "positive"), default=100.0,
+        p.add_argument("--radius", type=_typed(number, "radius", "radius_mt"), default=100.0,
                        help="search ball radius (mT)")
         p.add_argument("--grid", type=_typed(integers, "grid", 2), default="64,11",
                        help="directions,magnitudes of the coarse scan")
-        p.add_argument("--refine-tol", type=_typed(number, "refine-tol", "positive"))
+        p.add_argument("--refine-tol", type=_typed(number, "refine-tol", "refine_tol_mhz_per_mt"))
 
     if p := add("selftest", "run the embedded regression suite"):
         p.add_argument("--schema", action=_SchemaAction, help="print the CSV schema and exit")
@@ -203,21 +206,16 @@ def _write(args, columns, grid: int = 0) -> None:
     write_csv(args.out, SCHEMAS[args.command].split()[0].split(","), columns, stamp=not args.no_stamp, grid=grid)
 
 
-def _field_levels(args, unit: float = 1.0):
-    """(state, field, eigensystem) of --state at --B, or at --field scaled to
-    --magnitude; a bad value where the Hamiltonian, or the levels' spread in
-    GHz times ``unit``, overflows."""
-    sys, vec, key = getattr(_resolve_site(args), args.state), np.asarray(args.field, dtype=float), "field"
-    if args.magnitude is not None:
-        if not vec.any():
-            raise ConfigError("bad-vector", "cannot scale a zero direction", "field")
-        vec, key = unit_direction(vec) * args.magnitude, "magnitude"
-    with np.errstate(over="ignore", invalid="ignore"):
-        H = build_hamiltonian(sys, vec)
-        es = diagonalize(H) if np.isfinite(H).all() else None
-        if es is None or not np.ptp(es.energies) * unit < np.inf:
-            raise ConfigError("bad-value", f"{key}: the levels at this field overflow", key)
-    return sys, vec, es
+def _field_levels(args):
+    """(state, field, eigensystem) of --state at --B, or at --field (then a direction) scaled to --magnitude."""
+    sys, vec = getattr(_resolve_site(args), args.state), np.asarray(args.field, dtype=float)
+    if args.magnitude is None:
+        vec = np.array([number(x, "field", "field_mt") for x in vec])
+    elif not vec.any():
+        raise ConfigError("bad-vector", "cannot scale a zero direction", "field")
+    else:
+        vec = unit_direction(vec) * args.magnitude
+    return sys, vec, eigensystem(sys, vec)
 
 
 def _cmd_levels(args) -> int:
@@ -229,7 +227,7 @@ def _cmd_levels(args) -> int:
 
 
 def _cmd_transitions(args) -> int:
-    freqs = transition_frequencies(_field_levels(args, unit=1e3)[2])  # printed in MHz
+    freqs = transition_frequencies(_field_levels(args)[2])
     _write(args, [PAIR_LO + 1, PAIR_HI + 1, freqs])
     for (i, j), f in zip(PAIRS, freqs.tolist()):
         print(f"{i + 1} -> {j + 1}: {f * 1e3:9.3f} MHz")
@@ -256,10 +254,6 @@ def _cmd_shb_map(args) -> int:
 
     site = _resolve_site(args)
     check_points("magnitudes,span", args.magnitudes.size, args.span.points)
-    half_width = 0.5e-3 * args.width  # GHz
-    if not 0.0 < half_width * half_width < np.inf:  # the Lorentzian would read 0/0 or inf/inf
-        raise ConfigError("bad-value", f"width: {args.width:g} MHz has no finite nonzero squared half-width",
-                          "width")
     rates = load_rates(args.rates) if args.rates else None
     fmap = shb.shb_field_map(
         site, args.direction, args.magnitudes, args.burn, rates,
@@ -276,7 +270,7 @@ def _cmd_shb_map(args) -> int:
 def _cmd_odmr(args) -> int:
     from . import magres
 
-    sys, field, _ = _field_levels(args, unit=1e3)  # lines in MHz
+    sys, field, _ = _field_levels(args)
     lines = magres.odmr_lines(sys, field, ac_axis=args.ac_axis)
     pairs = np.array([l.transition for l in lines]).reshape(-1, 2) + 1
     _write(args, [np.array([l.frequency_mhz for l in lines]), *pairs.T, np.array([l.moment for l in lines]),
@@ -331,13 +325,13 @@ def _read_data_csv(path) -> list:
         key = f"line {n}"
         try:
             kind, state = row[0].strip().lower(), row[1].strip().lower()
-            bx, by, bz = (number(x, key, code="bad-data") for x in row[2:5])
-            # an EPR value is a resonance field along the row's direction
-            value = number(row[5], key, "positive" if kind == "epr" else "any", "bad-data")
+            # an EPR row's field is a direction, its value a resonance field along it
+            bx, by, bz = (number(x, key, "direction" if kind == "epr" else "field_mt", "bad-data") for x in row[2:5])
+            value = number(row[5], key, "sweep_mt" if kind == "epr" else "frequency_ghz", "bad-data")
             if kind == "epr" and not any((bx, by, bz)):
                 raise ConfigError("bad-data", f"{path}:{n}: an EPR point needs a nonzero direction", key)
             if row[6].strip():
-                sigma = number(row[6], key, "positive", "bad-data")
+                sigma = number(row[6], key, "sigma", "bad-data")
             else:
                 # per-kind defaults: hole width scale for SHB, narrow ODMR
                 # lines, field accuracy for EPR
@@ -431,14 +425,11 @@ def _cmd_ordering(args) -> int:
         if not rows or "detuning_ghz" not in rows[0]:
             raise ConfigError("bad-data", f"{args.peaks_file}: need a detuning_ghz column", "peaks-file")
         col = rows[0].index("detuning_ghz")
-        peaks = [number(r[col] if col < len(r) else "", "peaks-file", code="bad-data") for r in rows[1:]]
+        peaks = [number(r[col] if col < len(r) else "", "peaks-file", "frequency_ghz", "bad-data") for r in rows[1:]]
     if len(peaks) < 4:
         raise ConfigError("too-few-peaks", f"{len(peaks)} peak(s) given; the ordering search needs at least 4"
                           " (try absorption --model uniform or a lower --prominence)", "peaks")
-    try:
-        ranked = spectra.ordering_search(site, peaks)
-    except ValueError as exc:  # peaks so far apart that the fit overflows
-        raise ConfigError("bad-value", str(exc), "peaks")
+    ranked = spectra.ordering_search(site, peaks)
     classes = np.array([r.ordering for r in ranked]).reshape(-1, 2)
     _write(args, [np.arange(1, len(ranked) + 1), *classes.T, np.array([r.rms_ghz * 1e3 for r in ranked]),
                   np.array([r.offset_ghz for r in ranked]), np.array([r.tied for r in ranked])])
@@ -453,8 +444,6 @@ def _cmd_zefoz(args) -> int:
 
     site = _resolve_site(args)
     check_points("grid", *args.grid)
-    if not (2.0 * args.radius) * (2.0 * args.radius) < np.inf:  # squared distances between minima
-        raise ConfigError("bad-value", f"radius: {args.radius:g} mT: twice it has no finite square", "radius")
     candidates = zefoz.zefoz_search(
         getattr(site, args.state), args.transition,
         region=args.radius, grid=args.grid,

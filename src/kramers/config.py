@@ -1,10 +1,10 @@
 """Input layer: validated parsers for every number that enters from outside.
 
 Command-line values, the site and rates INI files and the fit-data and
-peaks CSV files all go through the parsers below.  Every accepted number is
-finite and sign-checked, every grid is ordered and every command's sample
-count is capped by ``MAX_POINTS``; each rejection is a ``ConfigError`` with
-a machine-readable (code, message, key) record.
+peaks CSV files all go through the parsers below.  Every accepted number
+lies in its quantity's row of ``hamiltonian.RANGES``, every grid is ordered
+and every command's sample count is capped by ``MAX_POINTS``; each rejection
+is a ``ConfigError`` with a machine-readable (code, message, key) record.
 
 A site config file either names a built-in preset or fully specifies the
 four tensors (the README's Configuration section shows both forms); unknown
@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hamiltonian import G_N_DEFAULT, MU_B_GHZ_PER_T, MU_N_GHZ_PER_T
+from .hamiltonian import G_N_DEFAULT, MU_B_GHZ_PER_T, MU_N_GHZ_PER_T, RANGES
 from .presets import get_site, site_from_parameters
 from .spectra import SiteModel
 
@@ -39,52 +39,48 @@ class ConfigError(Exception):
         return {"code": self.code, "message": self.message, "key": self.key}
 
 
-_SIGNS = {"any": (lambda x: True, ""), "positive": (lambda x: x > 0, " > 0"),
-          "nonneg": (lambda x: x >= 0, " >= 0")}
-
-
-def number(text: str, key: str, sign: str = "any", code: str = "bad-value") -> float:
-    """A finite float; ``sign`` is "any", "positive" or "nonneg"."""
-    accept, bound = _SIGNS[sign]
+def number(text, key: str, quantity: str, code: str = "bad-value") -> float:
+    """``text`` (or a float) as a finite float in the ``RANGES`` row of ``quantity``."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and accept(value)):
-        raise ConfigError(code, f"{key}: expected a finite number{bound}, got {text!r}", key)
+    low, high = RANGES[quantity]
+    if not (math.isfinite(value) and low <= value <= high):
+        raise ConfigError(code, f"{key}: expected a finite number in [{low:g}, {high:g}], got {text!r}", key)
     return value
 
 
 def integer(text: str, key: str, minimum: int = 1, code: str = "bad-value") -> int:
-    value = number(text, key, code=code)
+    value = number(text, key, "integer", code)
     if value != int(value) or value < minimum:
         raise ConfigError(code, f"{key}: expected an integer >= {minimum}, got {text!r}", key)
     return int(value)
 
 
-def number_list(text: str, key: str, sign: str = "any", code: str = "bad-value") -> list[float]:
+def number_list(text: str, key: str, quantity: str, code: str = "bad-value") -> list[float]:
     """Comma-separated numbers; empty items are skipped."""
-    return [number(p, key, sign, code) for p in text.split(",") if p.strip()]
+    return [number(p, key, quantity, code) for p in text.split(",") if p.strip()]
 
 
-def triple(text: str, key: str, code: str = "bad-value") -> tuple[float, float, float]:
+def triple(text: str, key: str, quantity: str, code: str = "bad-value") -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ConfigError(code, f"{key}: expected three comma-separated numbers, got {text!r}", key)
-    return tuple(number(p, key, code=code) for p in parts)
+    return tuple(number(p, key, quantity, code) for p in parts)
 
 
 _DIRECTIONS = {"d1": (1.0, 0.0, 0.0), "d2": (0.0, 1.0, 0.0), "b": (0.0, 0.0, 1.0)}
 
 
-def vector(text: str, key: str, nonzero: bool = False) -> tuple[float, float, float]:
+def vector(text: str, key: str, quantity: str = "direction", nonzero: bool = False) -> tuple[float, float, float]:
     """A field or direction: D1|D2|b, three numbers, or 0 for the zero vector."""
     vec = _DIRECTIONS.get(text.strip().lower())
     if vec is None:
-        if "," not in text and number(text, key, code="bad-vector") == 0.0:
+        if "," not in text and number(text, key, quantity, "bad-vector") == 0.0:
             vec = (0.0, 0.0, 0.0)
         else:
-            vec = triple(text, key, code="bad-vector")
+            vec = triple(text, key, quantity, "bad-vector")
     if nonzero and not any(vec):
         raise ConfigError("bad-vector", f"{key}: expected a nonzero direction", key)
     return vec
@@ -126,24 +122,24 @@ class Grid(NamedTuple):
         return (self.stop + 0.5 * self.step - self.start) / self.step
 
 
-def grid(text: str, key: str) -> Grid:
+def grid(text: str, key: str, quantity: str) -> Grid:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError("bad-range", f"{key}: expected start:stop:step, got {text!r}", key)
-    start, stop = (number(p, key, code="bad-range") for p in parts[:2])
-    g = Grid(start, stop, number(parts[2], key, "positive", "bad-range"))
+    start, stop = (number(p, key, quantity, "bad-range") for p in parts[:2])
+    g = Grid(start, stop, number(parts[2], key, "step", "bad-range"))
     if not (stop >= start and g.points > 0):
         raise ConfigError("bad-range", f"{key}: expected start <= stop (a non-empty grid), got {text!r}", key)
     check_points(key, g.points)
     return g
 
 
-def samples(text: str, key: str) -> np.ndarray:
-    """A start:stop:step grid or a non-empty, non-decreasing comma list."""
+def samples(text: str, key: str, quantity: str) -> np.ndarray:
+    """A start:stop:step grid or a non-empty, non-decreasing comma list of ``quantity``."""
     if ":" in text:
-        start, stop, step = grid(text, key)
+        start, stop, step = grid(text, key, quantity)
         return np.arange(start, stop + 0.5 * step, step)
-    values = number_list(text, key, code="bad-range")
+    values = number_list(text, key, quantity, "bad-range")
     if not values or any(b < a for a, b in zip(values, values[1:])):
         raise ConfigError("bad-range", f"{key}: expected a non-empty non-decreasing list, got {text!r}", key)
     return np.array(values)
@@ -183,11 +179,11 @@ def parse_config(text: str) -> SiteModel:
 
     constants = parser["constants"] if parser.has_section("constants") else {}
     magnetons = {
-        name: number(constants[key], f"constants.{key}", sign) if key in constants else default
-        for name, key, default, sign in (
-            ("mu_b", "mu_b_ghz_per_t", MU_B_GHZ_PER_T, "positive"),
-            ("mu_n", "mu_n_ghz_per_t", MU_N_GHZ_PER_T, "positive"),
-            ("g_n", "g_n", G_N_DEFAULT, "any"),
+        name: number(constants[key], f"constants.{key}", quantity) if key in constants else default
+        for name, key, default, quantity in (
+            ("mu_b", "mu_b_ghz_per_t", MU_B_GHZ_PER_T, "magneton_ghz_per_t"),
+            ("mu_n", "mu_n_ghz_per_t", MU_N_GHZ_PER_T, "magneton_ghz_per_t"),
+            ("g_n", "g_n", G_N_DEFAULT, "g"),
         )
     }
 
@@ -227,16 +223,16 @@ def parse_config(text: str) -> SiteModel:
                     f"{section}.unit must be one of {sorted(_TENSOR_UNITS[section[-1]])}, got {unit!r}",
                     f"{section}.unit",
                 )
-            params[name] = (triple(sec["values"], f"{section}.values"),
-                            triple(sec["angles_deg"], f"{section}.angles_deg"))
+            params[name] = (triple(sec["values"], f"{section}.values", "g" if section[-1] == "g" else "a_ghz"),
+                            triple(sec["angles_deg"], f"{section}.angles_deg", "angle_deg"))
         for key in ("center_nm", "fwhm_mhz"):
-            params[key] = number(site_section[key], f"site.{key}", "positive")
+            params[key] = number(site_section[key], f"site.{key}", key)
         site = site_from_parameters(params, site_section.get("name", "custom"))
 
     ordering = list(site.ordering)
     for n, key in enumerate(("ordering_ground", "ordering_excited")):
         if key in site_section:
-            value = number(site_section[key], f"site.{key}")
+            value = number(site_section[key], f"site.{key}", "integer")
             if value not in (1.0, -1.0):
                 raise ConfigError("bad-value", f"site.{key}: ordering classes must be +1 or -1", f"site.{key}")
             ordering[n] = int(value)
@@ -273,7 +269,7 @@ def load_rates(path):
         raise ConfigError("bad-rates", f"{path}: expected a [rates] section", "rates")
     pairs, settings = {}, {}
     for key, raw in parser["rates"].items():
-        value = number(raw, f"rates.{key}", "nonneg", "bad-rates")
+        value = number(raw, f"rates.{key}", "duration_s" if key == "duration_s" else "rate_per_s", "bad-rates")
         if key in ("pump_rate", "duration_s"):
             settings[key] = value
         else:

@@ -31,6 +31,7 @@ import numpy as np
 from .hamiltonian import (
     PAIR_HI,
     PAIR_LO,
+    RANGES,
     field_gradients,
     hamiltonian_stack,
     hyperfine_stack,
@@ -68,9 +69,6 @@ DEFAULT_SIGMA_MT = 0.5
 # EPR point at GATE_FIELD_MT
 GATE_FREQ_GHZ = 0.5
 GATE_FIELD_MT = 50.0
-# the weighted cost bound sum (gate / sigma)^2 times this must be finite: the
-# squared weighted Jacobian norms and trust radius exceed the bound itself
-COST_HEADROOM = 2.0**64
 MISALIGNMENT_BOUND_DEG = 5.0
 EIGENVALUE_BOUND_GHZ = 0.05
 
@@ -112,7 +110,7 @@ class DataPoint:
     For shb/odmr points ``field_mt`` is the applied field vector and
     ``value`` the transition frequency; for epr points ``field_mt`` fixes
     the sweep direction (its magnitude is ignored) and ``value`` is the
-    observed resonance field magnitude.
+    observed resonance field magnitude.  ``sigma`` is inf for a point without weight.
     """
 
     kind: str
@@ -127,8 +125,8 @@ class DataPoint:
             raise ValueError(f"unknown data kind {self.kind!r}")
         if self.state not in STATES:
             raise ValueError(f"unknown state tag {self.state!r}")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not (RANGES["sigma"][0] <= self.sigma <= RANGES["sigma"][1] or self.sigma == np.inf):
+            raise ValueError("sigma must lie in its RANGES row or be inf")
         object.__setattr__(self, "field_mt", tuple(float(x) for x in self.field_mt))
 
 
@@ -238,8 +236,7 @@ class CompiledData:
     resonance search takes the second; it is kept so that the bytes of
     fit outputs stay fixed.
     ``gates`` and ``weights`` (1/sigma, 0 for an infinite sigma) have one
-    entry per point; their largest weighted cost, sum (gate/sigma)^2, is
-    finite.
+    entry per point.
     """
 
     points: tuple[DataPoint, ...]
@@ -291,12 +288,8 @@ def compile_data(data) -> CompiledData:
             raise ValueError("EPR resonance field must be positive")
         epr.append((n, direction, unit_direction(direction)))
     is_epr = np.array([p.kind == "epr" for p in points])
-    sigmas = np.array([p.sigma for p in points], dtype=float)
+    weights = 1.0 / np.array([p.sigma for p in points], dtype=float)
     gates = np.where(is_epr, GATE_FIELD_MT, GATE_FREQ_GHZ)
-    with np.errstate(over="ignore"):
-        weights = np.where(np.isfinite(sigmas), 1.0 / sigmas, 0.0)
-        if not np.isfinite(np.sum(np.square(gates * weights)) * COST_HEADROOM):
-            raise ValueError("the sigmas are so small that the weighted cost can overflow")
     return CompiledData(points, tuple(states), tuple(epr), is_epr, gates, weights)
 
 

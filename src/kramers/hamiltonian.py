@@ -25,6 +25,32 @@ MU_B_GHZ_PER_T = 13.996245
 MU_N_GHZ_PER_T = 7.6225932e-3
 G_N_DEFAULT = 0.987
 
+# The inclusive range (low, high) of every finite number read from outside the program, by quantity.
+# config.number checks each number of argv and the site, rates, fit-data and peaks files, and DataPoint,
+# SiteModel and RateMatrix check their own.  The bounds lie far beyond any experiment (100 T is 1e5 mT)
+# and keep every square, cube and perturbation sum finite: |B| < 2e5 mT, |A|, |g|, |g_n| <= 1e3 and
+# magnetons <= 1e3 GHz/T put each level below 1e9 GHz (its cube in MHz below 1e36) and dH/dB below
+# 1e3 GHz/mT, whose cube over two gaps (ZEFOZ's third order) overflows only at gaps under 1e-140 GHz;
+# frequencies to 1e5 GHz and widths of 1e-3 to 1e6 MHz keep a Lorentzian's squared distance below 4e18
+# and its squared half-width in [2.5e-13, 2.5e5] GHz^2; lines to 1e8 MHz keep invert's RMS / 1e-12
+# finite; sigmas from 1e-9 keep the fit's cost, squared trust radius and weighted Jacobian norms below
+# 1e29 over 1e7 points; radii, sweeps and microwave frequencies from 1e-3 keep ||J^T r|| / radius
+# finite, and rates to 1e9 /s over 1e6 s take the rate equations' expm 51 squarings at most.
+RANGES = {
+    **dict.fromkeys(("field_mt", "frequency_ghz"), (-1e5, 1e5)),  # fields; detunings, burn, peaks, line values
+    **dict.fromkeys(("sweep_mt", "radius_mt", "microwave_ghz"), (1e-3, 1e5)),  # EPR fields, ZEFOZ radius
+    "line_mhz": (1e-3, 1e8),  # invert's zero-field splittings
+    **dict.fromkeys(("width_mhz", "fwhm_mhz"), (1e-3, 1e6)),  # SHB hole width, inhomogeneous linewidth
+    "sigma": (1e-9, 1e5),  # a fit point's, in its value's unit (GHz or mT)
+    **dict.fromkeys(("a_ghz", "g"), (-1e3, 1e3)),  # principal values, and g_n
+    "magneton_ghz_per_t": (1e-6, 1e3),
+    "rate_per_s": (0.0, 1e9),  # relaxation and pump rates
+    "duration_s": (0.0, 1e6),
+    **dict.fromkeys(("direction", "angle_deg", "integer"), (-np.inf, np.inf)),  # not physical: any finite value
+    **dict.fromkeys(("step", "center_nm", "refine_tol_mhz_per_mt"), (5e-324, np.inf)),  # any positive one
+    "prominence": (0.0, np.inf),
+}
+
 DEGENERACY_GAP_GHZ = 1e-6
 _NORM_FLOOR = np.sqrt(np.finfo(float).tiny)  # below it a norm's squares are subnormal
 # largest RMS misfit (GHz) of the zero-field lines a level ladder may leave

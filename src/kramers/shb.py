@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import as_field, hamiltonian_batch, unit_direction
+from .hamiltonian import RANGES, as_field, hamiltonian_batch, unit_direction
 from .spectra import SiteModel, _lorentzian_sum, lorentzian_amplitude
 
 HOLE = "hole"
@@ -73,9 +73,11 @@ class RateMatrix:
         r = np.asarray(self.rates, dtype=float)
         if r.shape != (4, 4):
             raise ValueError("rate matrix must be 4x4")
-        off = r[~np.eye(4, dtype=bool)]
-        if not (np.all(np.isfinite(r)) and np.all(off >= 0) and 0 <= self.pump_rate < np.inf and self.duration_s >= 0):
-            raise ValueError("rates and pump rate must be finite and non-negative, and duration non-negative")
+        (low, high), (shortest, longest) = RANGES["rate_per_s"], RANGES["duration_s"]
+        rates = np.append(r[~np.eye(4, dtype=bool)], self.pump_rate)
+        if not (np.isfinite(r).all() and low <= rates.min() and rates.max() <= high
+                and (shortest <= self.duration_s <= longest or self.duration_s == np.inf)):
+            raise ValueError("rates, pump rate and duration must lie in their RANGES rows (the duration may be inf)")
         r = r.copy()
         r.setflags(write=False)
         object.__setattr__(self, "rates", r)
@@ -124,7 +126,7 @@ def _classes(site: SiteModel, eg: list, ee: list, burn: float, cutoff: float) ->
     for i in range(4):
         for j in range(4):
             offset = burn - (ee[j] - eg[i])
-            if offset * offset == np.inf:  # its envelope amplitude is exactly 0
+            if offset * offset == np.inf:  # amplitude exactly 0; only a burn beyond RANGES, from Python
                 continue
             w = float(lorentzian_amplitude(offset, fwhm_ghz))
             if w >= cutoff:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hamiltonian import SpinSystem, eigensystem, zero_field_levels
+from .hamiltonian import RANGES, SpinSystem, eigensystem, zero_field_levels
 from .tensors import decompose_tensor
 
 INTENSITY_MODELS = ("overlap", "uniform")
@@ -47,8 +47,8 @@ class SiteModel:
     label: str = ""
 
     def __post_init__(self):
-        if self.fwhm_mhz <= 0:
-            raise ValueError("inhomogeneous FWHM must be positive")
+        if not RANGES["fwhm_mhz"][0] <= self.fwhm_mhz <= RANGES["fwhm_mhz"][1]:
+            raise ValueError("inhomogeneous FWHM must lie in its RANGES row")
         if tuple(self.ordering) not in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
             raise ValueError("ordering must be a pair of +/-1 sign classes")
 
@@ -111,8 +111,8 @@ def _lorentzian_sum(lines, detunings: np.ndarray, fwhm_mhz: float, out: np.ndarr
     runs are computed together, by the same elementwise ufuncs, so each has
     the bits it has alone.  A 1-D grid longer than SHAPE_BLOCK is summed
     SHAPE_BLOCK samples at a time; each sample still adds its lines in
-    order.  At a sample whose squared distance to a line overflows, that
-    line's shape is exactly 0."""
+    order.  At a sample whose squared distance to a line overflows (only
+    beyond ``RANGES``, from Python), that line's shape is exactly 0."""
     if out.ndim == 1 and out.size > SHAPE_BLOCK:
         for start in range(0, out.size, SHAPE_BLOCK):
             _lorentzian_sum(lines, detunings[start:start + SHAPE_BLOCK], fwhm_mhz, out[start:start + SHAPE_BLOCK])
@@ -241,7 +241,7 @@ def ordering_search(site: SiteModel, peaks_ghz) -> list[OrderingResult]:
     is fitted (1-D least squares against nearest-line assignments).  Results
     are sorted by RMS residual; combinations whose residuals agree within
     1 kHz are flagged as tied.  Peaks so far apart that a residual
-    overflows raise ValueError.
+    overflows (only beyond ``RANGES``, from Python) raise ValueError.
     """
     peaks = np.sort(np.asarray(peaks_ghz, dtype=float).ravel())
     if peaks.size < 4:

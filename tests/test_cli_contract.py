@@ -2,7 +2,6 @@
 error record on stderr and no output file."""
 
 import contextlib
-import hashlib
 import io
 import json
 import math
@@ -22,7 +21,8 @@ from hypothesis import strategies as st
 import kramers
 from kramers import magres
 from kramers.cli import main
-from kramers.config import MAX_POINTS, ConfigError, check_points, grid
+from kramers.config import MAX_POINTS, ConfigError, check_points, grid, parse_config as load_config_text
+from kramers.hamiltonian import RANGES, hamiltonian_batch
 
 EXPLICIT_SITE = """
 [site]
@@ -200,18 +200,22 @@ def test_zefoz_at_a_huge_radius_ends(radius, tmp_path):
 
 
 def test_epr_map_at_a_huge_frequency_finds_nothing_quietly(tmp_path, monkeypatch):
-    # every root's 1 / mu overflows to an infinite field, beyond --bmax
+    # at the table's highest frequency every resonance lies beyond --bmax;
+    # above it (1e300 GHz, where every root's 1 / mu overflowed) is a bad value
     monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, _, err = _run(["epr-map", "--freq", "1e300", "--step", "90", "--no-stamp", "--out", "out.csv"])
-    assert (code, err) == (0, "")
-    assert (tmp_path / "out.csv").read_text() == "angle_deg,field_mt,lower,upper,subsite,moment\n"
+        code, _, err = _run(["epr-map", "--freq", "1e5", "--step", "90", "--no-stamp", "--out", "out.csv"])
+        assert (code, err) == (0, "")
+        assert (tmp_path / "out.csv").read_text() == "angle_deg,field_mt,lower,upper,subsite,moment\n"
+        code, _, err = _run(["epr-map", "--freq", "1e300", "--step", "90", "--no-stamp", "--out", "huge.csv"])
+    assert _assert_one_record(code, err, "bad-value")["key"] == "freq"
+    assert os.listdir(tmp_path) == ["out.csv"]
 
 
 @pytest.mark.parametrize("argv", [
     ["epr-map", "--step", "1e-9"],
-    ["epr-map", "--bmax", "1e12"],
+    ["epr-map", "--step", "0.1", "--bmax", "1e5"],  # 1,801 angles x 100,002 fields
 ])
 def test_epr_map_size_cap_rejects_before_allocating(argv, tmp_path, monkeypatch):
     def never(*args, **kwargs):
@@ -253,13 +257,13 @@ def test_fit_size_cap_rejects_before_fitting(argv, samples, tmp_path, monkeypatc
 
 @pytest.mark.parametrize("text", ["-5:5:0.002", "0:150:1", "-4.5:4.5:0.005", "0:0:1", "0:1:0.3", "-1:1:0.7"])
 def test_grid_point_count_matches_arange(text):
-    g = grid(text, "span")
+    g = grid(text, "span", "frequency_ghz")
     assert math.ceil(g.points) == np.arange(g.start, g.stop + 0.5 * g.step, g.step).size
 
 
 def test_point_cap():
     # the largest default (shb-map: 151 fields x 5001 detunings) stays far below the cap
-    check_points("magnitudes,span", 151, grid("-5:5:0.002", "span").points)
+    check_points("magnitudes,span", 151, grid("-5:5:0.002", "span", "frequency_ghz").points)
     for counts in ((MAX_POINTS + 1,), (180.0 / 1e-300, 1e308), (1e5, 1e3)):
         with pytest.raises(ConfigError) as err:
             check_points("step,bmax", *counts)
@@ -283,10 +287,14 @@ def test_readme_pipeline_hint(tmp_path, monkeypatch):
     assert "best ordering" in stdout
 
 
-def _quiet_run(tmp_path, name, argv):
-    """Run argv in its own directory with warnings as errors: (code, stdout, stderr, {file: bytes})."""
+def _quiet_run(tmp_path, name, argv, files=None):
+    """Run argv in its own directory, after writing its input ``files`` {name:
+    text} there, with warnings as errors: (code, stdout, stderr, {written file: bytes})."""
     where = tmp_path / name
     where.mkdir()
+    files = files or {}
+    for file, text in files.items():
+        (where / file).write_text(text)
     cwd = os.getcwd()
     os.chdir(where)
     try:
@@ -295,7 +303,7 @@ def _quiet_run(tmp_path, name, argv):
             code, stdout, err = _run(argv)
     finally:
         os.chdir(cwd)
-    return code, stdout, err, {p.name: p.read_bytes() for p in sorted(where.iterdir())}
+    return code, stdout, err, {p.name: p.read_bytes() for p in sorted(where.iterdir()) if p.name not in files}
 
 
 SHB_SMALL = ["shb-map", "--magnitudes", "0:60:20", "--span=-1:1:0.01"]
@@ -317,28 +325,21 @@ def test_extreme_direction_writes_its_twin(argv, extreme, twin, tmp_path):
     assert runs[0][1:] == runs[1][1:]
 
 
-# each printed "overflow encountered in square" from the Lorentzian line
-# shape; the bytes are those written before that was mended
-@pytest.mark.parametrize("argv, hashes", [
-    (["absorption", "--B", "1e300,0,0", "--model", "uniform"],
-     {"out.csv": "ebcf8b9b93dcf531803e79d09dc276b6ece2f017a2036e2de08b00f12f9d2c09"}),
-    (["absorption", "--B", "1e300,0,0"],
-     {"out.csv": "ebcf8b9b93dcf531803e79d09dc276b6ece2f017a2036e2de08b00f12f9d2c09"}),
-    (["shb-map", "--magnitudes", "1e300", "--span=-1:1:0.1"],
-     {"out.csv": "f380c9a5789238e37104b69df17428446bc154cc24cbf68ea4f2937f717692bf",
-      "out.pgm": "5d94e6c2c7a8dbb31002d718cf8552edba4686b48ecd573bb843f86a1f4b2e5f"}),
-    (["shb-map", "--magnitudes", "5", "--span=-1:1:0.1", "--burn", "1e300"],
-     {"out.csv": "1859463be18b5bd7aa6bdb6303a129ab681b2dee27163438c206c09508335210",
-      "out.pgm": "5d94e6c2c7a8dbb31002d718cf8552edba4686b48ecd573bb843f86a1f4b2e5f"}),
-    # the lines lie inside the grid, but the squared distances to its far samples overflow
-    (["shb-map", "--magnitudes", "5", "--span=-1e160:1e160:1e159"],
-     {"out.csv": "91a1a119687d08790559136039cd13a1418a835facf4c6871c597d9f442b4907",
-      "out.pgm": "9b0289e93c3740f8c2e81671f4213bcccd23fecf92df22c9a8a38b7fa3607f2c"}),
+# each rendered a spectrum of lines whose squared distances to the samples
+# overflow; the fields, burn and span lie beyond the table
+@pytest.mark.parametrize("argv, record", [
+    (["absorption", "--B", "1e300,0,0", "--model", "uniform"], ("bad-vector", "field")),
+    (["absorption", "--B", "1e300,0,0"], ("bad-vector", "field")),
+    (["shb-map", "--magnitudes", "1e300", "--span=-1:1:0.1"], ("bad-range", "magnitudes")),
+    (["shb-map", "--magnitudes", "5", "--span=-1:1:0.1", "--burn", "1e300"], ("bad-value", "burn")),
+    # the lines lay inside the grid, but the squared distances to its far samples overflowed
+    (["shb-map", "--magnitudes", "5", "--span=-1e160:1e160:1e159"], ("bad-range", "span")),
 ])
-def test_lines_beyond_overflow_render_quietly(argv, hashes, tmp_path):
+def test_lines_beyond_the_table_are_rejected(argv, record, tmp_path):
     code, _, err, written = _quiet_run(tmp_path, "run", [*argv, "--no-stamp", "--out", "out.csv"])
-    assert (code, err) == (0, "")
-    assert {name: hashlib.sha256(data).hexdigest() for name, data in written.items()} == hashes
+    rejected = _assert_one_record(code, err)
+    assert (rejected["code"], rejected["key"]) == record
+    assert not written
 
 
 def _sigma_reproducer(sigma):
@@ -347,8 +348,8 @@ def _sigma_reproducer(sigma):
             f"shb,ground,20,0,0,0.9,{sigma}\nshb,ground,30,0,0,1.1,\nodmr,ground,0,0,0,0.339,\n")
 
 
-# sigmas from 3.74e-155 to about 5e-155 keep (0.5/sigma)^2 finite, but the squared trust radius and
-# weighted Jacobian norms overflow; 1.7e-145 is just above the bound with its headroom
+# sigmas from 3.74e-155 to about 5e-155 kept (0.5/sigma)^2 finite, but the squared trust radius and
+# weighted Jacobian norms overflowed; every one of these lies below the table's least sigma, 1e-9
 @pytest.mark.parametrize("sigma", [f"1e-{e}" for e in range(140, 161)]
                          + ["3.7e-155", "4e-155", "5e-155", "1.6e-145", "1.7e-145", "1e-200"])
 def test_fit_with_overflowing_weights_is_bad_data(sigma, tmp_path):
@@ -356,12 +357,112 @@ def test_fit_with_overflowing_weights_is_bad_data(sigma, tmp_path):
     argv = ["fit", "--data", str(tmp_path / "data.csv"), "--free", "ground",
             "--report", "report.txt", "--out", "out.csv"]
     code, _, err, written = _quiet_run(tmp_path, "run", argv)
-    if code == 2:
-        assert _assert_one_record(code, err, "bad-data")["key"] == "data"
-        assert not written
-    else:
-        assert (code, err) == (0, "")
-        assert b"nan" not in written["report.txt"]
+    assert _assert_one_record(code, err, "bad-data")["key"] == "line 2"
+    assert not written
+
+
+# each broke the contract: a traceback, a warning, a NaN file or a 300-digit value
+@pytest.mark.parametrize("argv, files, record", [
+    (["shb-map", "--magnitudes", "0:20:10", "--span=-1:1:0.01", "--rates", "rates.ini"],
+     {"rates.ini": "[rates]\nr12 = 1e300\nduration_s = 1e300\n"}, ("bad-rates", "rates.r12")),
+    (["absorption", "--config", "site.ini"], {"site.ini": EXPLICIT_SITE.format(fwhm="1e300")},
+     ("bad-value", "site.fwhm_mhz")),
+    (["zefoz", "--grid", "2,2", "--config", "site.ini"],
+     {"site.ini": EXPLICIT_SITE.format(fwhm="560").replace("0.31, 1.60, 6.53", "0.31, 1.60, 1e300")},
+     ("bad-value", "ground.g.values")),
+    (["invert", "--lines", "1e300,1e300,1e300,1e300"], {}, ("bad-value", "lines")),
+    (["invert", "--lines", "339,823,1162e300"], {}, ("bad-value", "lines")),
+    (["invert", "--lines", "2046e160,2385e160,2869e160,3208e160"], {}, ("bad-value", "lines")),
+    (["zefoz", "--grid", "1,1", "--radius", "5e-324"], {}, ("bad-value", "radius")),
+    (["fit", "--data", "data.csv", "--restarts", "1"],
+     {"data.csv": _sigma_reproducer("") + "shb,ground,1e308,10,1e308,150,1e300,1-2\n"}, ("bad-data", "line 5")),
+])
+def test_file_and_argv_extremes_are_bad_values(argv, files, record, tmp_path):
+    code, _, err, written = _quiet_run(tmp_path, "run", [*argv, "--out", "out.csv"], files)
+    rejected = _assert_one_record(code, err)
+    assert (rejected["code"], rejected["key"]) == record
+    assert not written
+
+
+NARROW = {"fwhm_mhz", "width_mhz", "sigma"}
+
+
+def _end(side, quantity, k=0):
+    """The ``k``-th value of ``quantity`` at a corner of RANGES, as text: every
+    value at the low end (``side`` 0) or at the high end (1), or (2) the
+    widths and sigmas low and everything else high, the k-th component of a
+    vector alternating from high to low."""
+    end = side if side < 2 else (k % 2 == 0) != (quantity in NARROW)
+    return repr(float(RANGES[quantity][end]))
+
+
+def _corner_site(side):
+    """A site config whose tensors, g_n, magnetons and linewidth sit at a corner of their RANGES rows."""
+    tensor = "[{}]\nunit = {}\nvalues = {}\nangles_deg = 72.25, 92.11, 63.92\n"
+    a, g = (", ".join(_end(side, q, k) for k in range(3)) for q in ("a_ghz", "g"))
+    return "".join([
+        f"[site]\ncenter_nm = 981.463\nfwhm_mhz = {_end(side, 'fwhm_mhz')}\n[constants]\n",
+        f"mu_b_ghz_per_t = {_end(side, 'magneton_ghz_per_t')}\nmu_n_ghz_per_t = {_end(side, 'magneton_ghz_per_t')}\n",
+        f"g_n = {_end(side, 'g')}\n",
+        *(tensor.format(f"{state}.a", "GHz", a) + tensor.format(f"{state}.g", "1", g) for state in ("ground", "excited")),
+    ])
+
+
+def _corner_runs(side):
+    """(argv, {input file: text}) of every command with each physical
+    quantity it reads at a corner of its RANGES row."""
+    def v(quantity, k=0):
+        return _end(side, quantity, k)
+
+    def vec(quantity, n=3):
+        return ",".join(v(quantity, k) for k in range(n))
+
+    site = {"site.ini": _corner_site(side)}
+    b = ["--config", "site.ini", "--B", vec("field_mt")]
+    # grids that start or stop at an end of the frequency row, finer than a tenth of the line width
+    span = ["-1e5:-99999.99999:1e-8", "99990:1e5:10"][v("fwhm_mhz") != "0.001"]
+    rates = "[rates]\n" + "".join(f"r{k}{l} = {v('rate_per_s')}\n" for k in range(1, 5) for l in range(k + 1, 5))
+    rates += f"pump_rate = {v('rate_per_s')}\nduration_s = {v('duration_s')}\n"
+    # three points the site itself gives at zero field keep the fit from gating more than half
+    levels = np.linalg.eigvalsh(hamiltonian_batch(load_config_text(site["site.ini"]).ground, np.zeros((1, 3))))[0]
+    sigma = v("sigma")
+    data = "kind,state,bx_mt,by_mt,bz_mt,value,sigma,label\n" + "".join(
+        f"shb,ground,0,0,0,{float(levels[up] - levels[0])!r},{sigma},1-{up + 1}\n" for up in (1, 2, 3))
+    data += (f"shb,ground,{vec('field_mt')},{v('frequency_ghz')},{sigma},\n"
+             f"odmr,ground,0,0,0,{v('frequency_ghz', 1)},{sigma},\nepr,ground,1,0,0,{v('sweep_mt')},{sigma},\n")
+    return [
+        (["levels", *b], site),
+        (["levels", "--config", "site.ini", "--field", "D1", "--magnitude", v("field_mt")], site),
+        (["transitions", *b], site),
+        (["odmr", *b], site),
+        (["absorption", *b, f"--range={span}", "--peaks-out", "peaks.csv"], site),
+        (["shb-map", "--config", "site.ini", "--magnitudes", v("field_mt"), "--burn", v("frequency_ghz"),
+          f"--span={span}", "--width", v("width_mhz"), "--rates", "rates.ini"], {**site, "rates.ini": rates}),
+        (["epr-map", "--config", "site.ini", "--step", "90", "--freq", v("microwave_ghz"), "--bmax", v("sweep_mt")],
+         site),
+        (["fit", "--config", "site.ini", "--data", "data.csv", "--restarts", "1", "--freq", v("microwave_ghz")],
+         {**site, "data.csv": data}),
+        (["invert", "--config", "site.ini", "--lines", vec("line_mhz")], site),
+        (["ordering", "--config", "site.ini", "--peaks", vec("frequency_ghz", 4)], site),
+        (["zefoz", "--config", "site.ini", "--radius", v("radius_mt"), "--grid", "4,3"], site),
+    ]
+
+
+CORNER_RUNS = ["levels", "levels-magnitude", "transitions", "odmr", "absorption", "shb-map", "epr-map", "fit",
+               "invert", "ordering", "zefoz"]
+
+
+@pytest.mark.parametrize("side", [0, 1, 2], ids=["low", "high", "mixed"])
+@pytest.mark.parametrize("run", range(len(CORNER_RUNS)), ids=CORNER_RUNS)
+def test_every_command_runs_quietly_at_the_table_corners(side, run, tmp_path):
+    # the derivation of RANGES, executed: at either end of every row, nothing overflows
+    argv, files = _corner_runs(side)[run]
+    code, stdout, err, written = _quiet_run(tmp_path, "run", [*argv, "--out", "out.csv"], files)
+    assert (code, err) == (0, ""), (argv, stdout)
+    outputs = {name: data.decode() for name, data in written.items() if name.endswith((".csv", ".txt"))}
+    assert "out.csv" in outputs
+    for name, text in outputs.items():
+        assert not _non_finite_cells(text) if name.endswith(".csv") else "nan" not in text, (argv, name, text)
 
 
 # --- generated argv ---------------------------------------------------------
@@ -434,8 +535,8 @@ COMMANDS = {
     "invert": ({"--lines": _values("2046,2385,2869,3208", "339,823,1162", "1,2,,3", "1e300,1e300,1e300,1e300",
                                    "339,823,1162e300", "2046e160,2385e160,2869e160,3208e160")}, {}),
     "ordering": ({"--peaks-file": st.tuples(st.just("in-peaks.csv"), PEAKS_FILE)}, {}),
-    "fit": ({"--data": st.tuples(st.just("in-data.csv"), FIT_DATA)},
-            {"--restarts": _values("1"), "--free": st.just("ground")}),
+    "fit": ({"--data": st.tuples(st.just("in-data.csv"), FIT_DATA), "--restarts": _values("1", "2")},
+            {"--free": st.just("ground")}),
 }
 
 
