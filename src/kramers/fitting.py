@@ -110,7 +110,8 @@ class DataPoint:
     For shb/odmr points ``field_mt`` is the applied field vector and
     ``value`` the transition frequency; for epr points ``field_mt`` fixes
     the sweep direction (its magnitude is ignored) and ``value`` is the
-    observed resonance field magnitude.  ``sigma`` is inf for a point without weight.
+    observed resonance field magnitude.  ``sigma`` is inf for a point
+    without weight.
     """
 
     kind: str

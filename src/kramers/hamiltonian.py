@@ -38,7 +38,7 @@ G_N_DEFAULT = 0.987
 # finite, and rates to 1e9 /s over 1e6 s take the rate equations' expm 51 squarings at most.
 RANGES = {
     **dict.fromkeys(("field_mt", "frequency_ghz"), (-1e5, 1e5)),  # fields; detunings, burn, peaks, line values
-    **dict.fromkeys(("sweep_mt", "radius_mt", "microwave_ghz"), (1e-3, 1e5)),  # EPR fields, ZEFOZ radius
+    **dict.fromkeys(("sweep_mt", "radius_mt", "microwave_ghz"), (1e-3, 1e5)),  # EPR fields, --radius, --freq
     "line_mhz": (1e-3, 1e8),  # invert's zero-field splittings
     **dict.fromkeys(("width_mhz", "fwhm_mhz"), (1e-3, 1e6)),  # SHB hole width, inhomogeneous linewidth
     "sigma": (1e-9, 1e5),  # a fit point's, in its value's unit (GHz or mT)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import kramers
 from kramers import magres
 from kramers.cli import main
-from kramers.config import MAX_POINTS, ConfigError, check_points, grid, parse_config as load_config_text
+from kramers.config import MAX_POINTS, ConfigError, check_points, grid, parse_config
 from kramers.hamiltonian import RANGES, hamiltonian_batch
 
 EXPLICIT_SITE = """
@@ -419,12 +419,13 @@ def _corner_runs(side):
 
     site = {"site.ini": _corner_site(side)}
     b = ["--config", "site.ini", "--B", vec("field_mt")]
-    # grids that start or stop at an end of the frequency row, finer than a tenth of the line width
-    span = ["-1e5:-99999.99999:1e-8", "99990:1e5:10"][v("fwhm_mhz") != "0.001"]
+    # a grid that starts or stops at an end of the frequency row, finer than a tenth of the line width
+    low, high = RANGES["frequency_ghz"]
+    span = f"{low!r}:{low + 1e-5!r}:1e-8" if float(v("fwhm_mhz")) < 1e-2 else f"{high - 10!r}:{high!r}:10"
     rates = "[rates]\n" + "".join(f"r{k}{l} = {v('rate_per_s')}\n" for k in range(1, 5) for l in range(k + 1, 5))
     rates += f"pump_rate = {v('rate_per_s')}\nduration_s = {v('duration_s')}\n"
     # three points the site itself gives at zero field keep the fit from gating more than half
-    levels = np.linalg.eigvalsh(hamiltonian_batch(load_config_text(site["site.ini"]).ground, np.zeros((1, 3))))[0]
+    levels = np.linalg.eigvalsh(hamiltonian_batch(parse_config(site["site.ini"]).ground, np.zeros((1, 3))))[0]
     sigma = v("sigma")
     data = "kind,state,bx_mt,by_mt,bz_mt,value,sigma,label\n" + "".join(
         f"shb,ground,0,0,0,{float(levels[up] - levels[0])!r},{sigma},1-{up + 1}\n" for up in (1, 2, 3))
@@ -455,7 +456,7 @@ CORNER_RUNS = ["levels", "levels-magnitude", "transitions", "odmr", "absorption"
 @pytest.mark.parametrize("side", [0, 1, 2], ids=["low", "high", "mixed"])
 @pytest.mark.parametrize("run", range(len(CORNER_RUNS)), ids=CORNER_RUNS)
 def test_every_command_runs_quietly_at_the_table_corners(side, run, tmp_path):
-    # the derivation of RANGES, executed: at either end of every row, nothing overflows
+    # the derivation of RANGES, executed: at the corners of the table nothing overflows
     argv, files = _corner_runs(side)[run]
     code, stdout, err, written = _quiet_run(tmp_path, "run", [*argv, "--out", "out.csv"], files)
     assert (code, err) == (0, ""), (argv, stdout)
