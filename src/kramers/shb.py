@@ -11,7 +11,7 @@ antiholes are expected ("pseudo-holes").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -190,17 +190,18 @@ def _null_space(a: np.ndarray) -> np.ndarray:
 def populations_after_burn(rates: RateMatrix, pumped_level: int, duration_s=None) -> np.ndarray:
     """Ground populations after burning, starting from the thermal 1/4 each.
 
-    Propagates the linear rate equations with the matrix exponential;
-    ``duration_s=inf`` returns the stationary distribution of the pumped
-    generator, and raises if it has none or more than one (rates that
-    split the levels into separate closed sets).  The four populations
-    always sum to 1.
+    Propagates the linear rate equations with the matrix exponential; a
+    ``duration_s`` given here must lie in the duration row, as that of
+    ``rates`` does.  ``duration_s=inf`` returns the stationary distribution
+    of the pumped generator, and raises if it has none or more than one
+    (rates that split the levels into separate closed sets).  The four
+    populations always sum to 1.
     """
     if pumped_level not in range(4):
         raise ValueError("pumped level must be 0..3")
     m = _generator(rates, pumped_level)
     p0 = np.full(4, THERMAL_POPULATION)
-    t = rates.duration_s if duration_s is None else float(duration_s)
+    t = (rates if duration_s is None else replace(rates, duration_s=float(duration_s))).duration_s
     if np.isinf(t):
         ns = _null_space(m)
         if ns.shape[1] != 1:

@@ -204,6 +204,10 @@ class TestPopulations:
         # an infinite burn is the stationary distribution
         rates = RateMatrix.symmetric({(0, 1): 10.0, (1, 2): 10.0, (2, 3): 10.0}, pump_rate=0.0, duration_s=np.inf)
         assert np.abs(populations_after_burn(rates, 1) - 0.25).max() < 1e-12
+        # a duration given to the burn obeys the same row (1e300 s overflowed the exponential's scaling)
+        for duration in (1e300, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                populations_after_burn(rates, 1, duration_s=duration)
 
 
 def benchmark_rates(base: float) -> RateMatrix:
