@@ -33,9 +33,9 @@ G_N_DEFAULT = 0.987
 # 1e3 GHz/mT, whose cube over two gaps (ZEFOZ's third order) overflows only at gaps under 1e-140 GHz;
 # frequencies to 1e5 GHz and widths of 1e-3 to 1e6 MHz keep a Lorentzian's squared distance below 4e18
 # and its squared half-width in [2.5e-13, 2.5e5] GHz^2; lines to 1e8 MHz keep invert's RMS / 1e-12
-# finite; sigmas from 1e-9 keep the fit's cost, squared trust radius and weighted Jacobian norms below
-# 1e29 over 1e7 points; radii, sweeps and microwave frequencies from 1e-3 keep ||J^T r|| / radius
-# finite, and rates to 1e9 /s over 1e6 s take the rate equations' expm 51 squarings at most.
+# finite; sigmas from 1e-9 keep the fit's cost, its first squared trust radius, below 1e29 over 1e7
+# points; a ZEFOZ radius from 1e-3 mT keeps ||J^T r|| / radius finite (EPR sweeps and microwave
+# frequencies share its row); rates to 1e9 /s over 1e6 s take the rate equations' expm 51 squarings.
 RANGES = {
     **dict.fromkeys(("field_mt", "frequency_ghz"), (-1e5, 1e5)),  # fields; detunings, burn, peaks, line values
     **dict.fromkeys(("sweep_mt", "radius_mt", "microwave_ghz"), (1e-3, 1e5)),  # EPR fields, --radius, --freq
