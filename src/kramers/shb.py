@@ -126,7 +126,7 @@ def _classes(site: SiteModel, eg: list, ee: list, burn: float, cutoff: float) ->
     for i in range(4):
         for j in range(4):
             offset = burn - (ee[j] - eg[i])
-            if offset * offset == np.inf:  # amplitude exactly 0: a Python caller's burn beyond RANGES
+            if offset * offset == np.inf:  # amplitude exactly 0: a Python caller's burn or field beyond RANGES
                 continue
             w = float(lorentzian_amplitude(offset, fwhm_ghz))
             if w >= cutoff:
