@@ -437,6 +437,19 @@ class TestPinnedBytes:
             "d6ff36d81937ad1a217ed10cb36aa162fab5cfd767866088102418ec78bc6e10",
             "b489c0a7a95f655dc3e4ea98ab4334e6204dba71a1f0e4662f2874686d85af4e"]
 
+    def test_site_ii_absorption_peaks_and_ordering_csv(self, tmp_path, capsys):
+        # (1, 1) and (-1, 1) tie at 45.4525096 MHz: the tie rule decides which ranks first
+        spectrum, peaks, out = tmp_path / "absorption.csv", tmp_path / "peaks.csv", tmp_path / "ordering.csv"
+        code, _, _ = run(capsys, "absorption", "--site", "II", "--range=-4.5:4.5:0.005", "--model", "uniform",
+                         "--peaks-out", str(peaks), "--no-stamp", "--out", str(spectrum))
+        assert code == 0
+        code, _, _ = run(capsys, "ordering", "--site", "II", "--peaks-file", str(peaks), "--no-stamp", "--out", str(out))
+        assert code == 0
+        assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (spectrum, peaks, out)] == [
+            "77c9dc6cb390f31448209dc38c8256b169d844493fa2946c8bfbe980d47186d9",
+            "a86a560d8ab0fb6ae757fc2c869096c634c08484e139f52a79990d941c9acfc9",
+            "62ad9f44d0d68eb40c01f867837dae6fbf6ea8f2e05b9fa177c21342c2a45946"]
+
     def test_absorption_overlap_csv_and_peaks(self, tmp_path, capsys):
         spectrum, peaks = tmp_path / "absorption.csv", tmp_path / "peaks.csv"
         code, _, _ = run(capsys, "absorption", "--range=-4.5:4.5:0.005", "--peaks-out", str(peaks), "--no-stamp",
@@ -494,6 +507,18 @@ class TestPinnedBytes:
         assert hashlib.sha256(report.read_bytes()).hexdigest() == (
             "c0bc2966cf849ba3d95cd33db58652f0587cd6aead01a25584459d7d51d2f112")
 
+    def test_fit_bounded_epr_rows_csv_and_report(self, tmp_path, capsys):
+        # rows 17-18 move in the 9th digit if an EPR search ray is normalized only once
+        data, out, report = tmp_path / "data.csv", tmp_path / "fit.csv", tmp_path / "report.txt"
+        data.write_text(PINNED_FIT_DATA)
+        code, _, _ = run(capsys, "fit", "--data", str(data), "--free", "ground,misalignment,eigenvalues",
+                         "--restarts", "4", "--seed", "3", "--no-stamp", "--out", str(out), "--report", str(report))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "f914abdfcbe6917eeb00143d19de6fead18e63efc10e8f06a5cf96ac0607a965")
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+            "2cf3bc5e116b4e3f2c2e9dc941131a5813d852e2235fdcf274d9109bf4501105")
+
     def test_zefoz_csv(self, tmp_path, capsys):
         out = tmp_path / "zefoz.csv"
         code, _, _ = run(capsys, "zefoz", "--transition", "1,2", "--radius", "100", "--no-stamp", "--out", str(out))
@@ -507,6 +532,14 @@ class TestPinnedBytes:
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "2e87dd5228437e7c916deb6c21410303e89cb8da557766491a18a81666e8d913")
+
+    def test_zefoz_site_ii_excited_csv(self, tmp_path, capsys):
+        out = tmp_path / "zefoz.csv"
+        code, _, _ = run(capsys, "zefoz", "--site", "II", "--state", "excited", "--transition", "1,2", "--radius", "300",
+                         "--no-stamp", "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "5ed2b5bd4432c069d3efef741d02f69523e4fb8f7fe0f3460916cbcea88c8dc3")
 
     @pytest.mark.parametrize("box, candidates_hash", [
         (((-50, 50), (-50, 50), (-50, 50)), "6dfe1e1428b095b15e9779c0f97b6e7697f986e908f870ede54930284b6d34b9"),
@@ -540,6 +573,8 @@ class TestPinnedBytes:
         (["odmr", "--ac-axis", "1,1,0"], "16a016b48e6e1ad710edc79850975e42631755ba0879e247fb0f1a821ee8be74"),
         (["levels", "--field", "1,2,2", "--magnitude", "7"],
          "9618c96b8cc35864dbd5bafc595c5398b801d28f81a929cf42f0672b259141f7"),
+        (["odmr", "--site", "II", "--state", "excited", "--B", "30,10,-5", "--ac-axis", "1,1,0"],
+         "2aca851514860a94ce7a5b5cde61f7514d1380a596c63182b72c9301f835c31f"),
     ])
     def test_field_command_csv(self, tmp_path, capsys, argv, csv_hash):
         out = tmp_path / "out.csv"
