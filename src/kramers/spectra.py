@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hamiltonian import RANGES, SpinSystem, eigensystem, zero_field_levels
+from .hamiltonian import RANGES, SpinSystem, eigensystem
 from .tensors import decompose_tensor
 
 INTENSITY_MODELS = ("overlap", "uniform")
@@ -187,19 +187,6 @@ def find_peaks(y, prominence: float) -> np.ndarray:
     return peaks[keep]
 
 
-def _zero_field_line_positions(site: SiteModel, ordering) -> np.ndarray:
-    """16 zero-field line detunings for an ordering class pair (positions only)."""
-    vg = decompose_tensor(site.ground.A).values
-    ve = decompose_tensor(site.excited.A).values
-    if ordering[0] != site.ordering[0]:
-        vg = flip_sign_class(vg)
-    if ordering[1] != site.ordering[1]:
-        ve = flip_sign_class(ve)
-    eg = zero_field_levels(*vg).sorted()
-    ee = zero_field_levels(*ve).sorted()
-    return np.sort(np.array([e - g for g in eg for e in ee]))
-
-
 def _offset_fit(peaks: np.ndarray, lines: np.ndarray) -> tuple[float, float]:
     """Best global offset aligning peaks to their nearest model lines.
 
@@ -237,25 +224,26 @@ class OrderingResult:
 def ordering_search(site: SiteModel, peaks_ghz) -> list[OrderingResult]:
     """Rank the four sign-class combinations against measured peak detunings.
 
-    Each combination fixes all 16 line spacings; only a global center offset
-    is fitted (1-D least squares against nearest-line assignments).  Results
-    are sorted by RMS residual; combinations whose residuals agree within
-    1 kHz are flagged as tied.  Peaks so far apart that a residual
-    overflows (only beyond ``RANGES``, from Python) raise ValueError.
+    Each combination fixes all 16 line spacings, its zero-field
+    ``optical_lines``; only a global center offset is fitted (1-D least
+    squares against nearest-line assignments).  Results are sorted by RMS
+    residual rounded to 1e-12 GHz, then the site's own classes first, then
+    by class; combinations whose residuals agree within 1 kHz are flagged
+    as tied.  Peaks so far apart that a residual overflows (only beyond
+    ``RANGES``, from Python) raise ValueError.
     """
     peaks = np.sort(np.asarray(peaks_ghz, dtype=float).ravel())
     if peaks.size < 4:
         raise ValueError("ordering search needs at least 4 measured peaks")
     results = []
-    for cg in (1, -1):
-        for ce in (1, -1):
-            lines = _zero_field_line_positions(site, (cg, ce))
-            with np.errstate(over="ignore", invalid="ignore"):
-                rms, offset = _offset_fit(peaks, lines)
-            if not np.isfinite(rms):
-                raise ValueError(f"the offset fit's rms is {rms}: the peaks span more than a double can hold")
-            results.append(OrderingResult((cg, ce), rms, offset))
-    results.sort(key=lambda r: (r.rms_ghz, r.ordering))
+    for ordering in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        lines = np.sort([l.detuning_ghz for l in optical_lines(site.with_ordering(ordering), intensity_model="uniform")])
+        with np.errstate(over="ignore", invalid="ignore"):
+            rms, offset = _offset_fit(peaks, lines)
+        if not np.isfinite(rms):
+            raise ValueError(f"the offset fit's rms is {rms}: the peaks span more than a double can hold")
+        results.append(OrderingResult(ordering, rms, offset))
+    results.sort(key=lambda r: (round(r.rms_ghz / 1e-12), r.ordering != site.ordering, r.ordering))
     tie_tol = 1e-6  # 1 kHz
     flagged = []
     for r in results:

@@ -450,6 +450,19 @@ class TestPinnedBytes:
             "a86a560d8ab0fb6ae757fc2c869096c634c08484e139f52a79990d941c9acfc9",
             "62ad9f44d0d68eb40c01f867837dae6fbf6ea8f2e05b9fa177c21342c2a45946"]
 
+    def test_ordering_tie_ranks_the_sites_own_classes_first(self, tmp_path, capsys):
+        # (-1, -1) and (-1, 1) tie at 20.5574804 MHz on site I with ordering_ground = -1: its own (-1, 1) first
+        cfg, peaks, out = tmp_path / "site.ini", tmp_path / "peaks.csv", tmp_path / "ordering.csv"
+        cfg.write_text("[site]\npreset = site-I\nordering_ground = -1\n")
+        code, _, _ = run(capsys, "absorption", "--config", str(cfg), "--model", "uniform", "--peaks-out", str(peaks),
+                         "--no-stamp", "--out", str(tmp_path / "absorption.csv"))
+        assert code == 0
+        code, _, _ = run(capsys, "ordering", "--config", str(cfg), "--peaks-file", str(peaks), "--no-stamp",
+                         "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "91b40c71b20a82eb0d67cb66bd37cedf52b05fed6a01c9b825a07f20f2c21305")
+
     def test_absorption_overlap_csv_and_peaks(self, tmp_path, capsys):
         spectrum, peaks = tmp_path / "absorption.csv", tmp_path / "peaks.csv"
         code, _, _ = run(capsys, "absorption", "--range=-4.5:4.5:0.005", "--peaks-out", str(peaks), "--no-stamp",

@@ -12,7 +12,6 @@ from kramers.spectra import (
     SHAPE_BLOCK,
     _lorentzian_sum,
     _offset_fit,
-    _zero_field_line_positions,
     absorption_spectrum,
     find_peaks,
     flip_sign_class,
@@ -21,6 +20,11 @@ from kramers.spectra import (
     ordering_search,
 )
 from kramers.tensors import decompose_tensor
+
+
+def zero_field_lines(site, ordering):
+    """The 16 sorted zero-field line detunings of an ordering class pair, as ``ordering_search`` takes them."""
+    return np.sort([l.detuning_ghz for l in optical_lines(site.with_ordering(ordering), intensity_model="uniform")])
 
 
 def zero_field_span_oracle(site):
@@ -297,6 +301,11 @@ class TestOrderingSearch:
         ranked = ordering_search(site, peaks)
         assert all(r.tied for r in ranked)
         assert all(r.rms_ghz < 1e-9 for r in ranked)
+        # the RMS values differ only in rounding (below 1e-12 GHz): the site's
+        # own classes rank first, then the others by class
+        for own in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            ranked = ordering_search(site.with_ordering(own), peaks)
+            assert [r.ordering for r in ranked] == [own] + sorted({(1, 1), (1, -1), (-1, 1), (-1, -1)} - {own})
 
     def test_generating_class_never_beaten_with_noise(self):
         rng = np.random.default_rng(21)
@@ -364,7 +373,7 @@ class TestOffsetFitOracle:
             elif kind == 1:  # repeated peaks on a coarse grid: tied offsets
                 yield np.sort(np.round(rng.uniform(-4.0, 4.0, size), 1))
             elif kind == 2:  # model lines shifted, some duplicated
-                lines = _zero_field_line_positions(SITE_I, self.ORDERINGS[n % 4])
+                lines = zero_field_lines(SITE_I, self.ORDERINGS[n % 4])
                 yield np.sort(lines[rng.integers(0, 16, size)] + 0.25)
             else:
                 yield np.full(size, rng.uniform(-3.0, 3.0))
@@ -373,7 +382,7 @@ class TestOffsetFitOracle:
     def test_matches_per_seed_loop(self, site):
         for peaks in self.peak_sets():
             for ordering in self.ORDERINGS:
-                lines = _zero_field_line_positions(site, ordering)
+                lines = zero_field_lines(site, ordering)
                 rms, offset = _offset_fit(peaks, lines)
                 ref_rms, ref_offset = reference_offset_fit(peaks, lines)
                 assert (rms.hex(), offset.hex()) == (ref_rms.hex(), ref_offset.hex()), (peaks, ordering)
@@ -382,7 +391,7 @@ class TestOffsetFitOracle:
         from kramers import spectra
 
         peaks = np.sort(np.random.default_rng(3).uniform(-4.0, 4.0, 9))
-        lines = _zero_field_line_positions(SITE_I, (1, 1))
+        lines = zero_field_lines(SITE_I, (1, 1))
         for chunk in (1, 16 * 9 * 5, 16 * 9 * 7 + 3):  # one seed, and partial chunks
             monkeypatch.setattr(spectra, "OFFSET_CHUNK", chunk)
             assert _offset_fit(peaks, lines) == reference_offset_fit(peaks, lines)
