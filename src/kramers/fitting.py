@@ -197,7 +197,7 @@ class FitProblem:
     def realized_site(self, params: np.ndarray) -> SiteModel:
         """The base site with a parameter vector applied: the A and g
         tensors the residuals at ``params`` see (``_realize``)."""
-        realized = _realize(self, *_points(self, np.asarray(params, dtype=float)[None]), jac=False)
+        realized = _realize(self, *_points(self, np.asarray(params, dtype=float)[None]))
         return replace(self.site, **{
             state: replace(getattr(self.site, state), A=SymmetricTensor3(A[0]), g=SymmetricTensor3(g[0]))
             for state, (A, g, _, _) in realized.items()
@@ -322,9 +322,10 @@ def _parameters(problem: FitProblem, rotations: np.ndarray, flat: np.ndarray) ->
     return np.concatenate([np.array(angles, dtype=float).reshape(len(flat), -1), flat], axis=1)
 
 
-def _realize(problem: FitProblem, rotations: np.ndarray, flat: np.ndarray, jac: bool) -> dict:
+def _realize(problem: FitProblem, rotations: np.ndarray, flat: np.ndarray) -> dict:
     """Each state's realized (A, g) for a batch of points, (B, 3, 3) each,
-    with dA and dg (B, P, 3, 3) over the tangent coordinates when ``jac``.
+    with dA and dg (B, P, 3, 3) over the tangent coordinates (dg is None
+    without a misalignment block).
 
     A fitted orientation is R diag(a + delta) R^T; moving R to R exp([w]x)
     gives dA/dw_k = R [K_k, diag] R^T, and dA/d delta_i = r_i r_i^T for the
@@ -355,7 +356,7 @@ def _realize(problem: FitProblem, rotations: np.ndarray, flat: np.ndarray, jac: 
     out = {}
     for state in STATES:
         base = getattr(problem.site, state)
-        dA = np.zeros((B, P, 3, 3)) if jac else None
+        dA = np.zeros((B, P, 3, 3))
         dg = None
         if ("angles", state) in where:
             n = where[("angles", state)]
@@ -365,25 +366,23 @@ def _realize(problem: FitProblem, rotations: np.ndarray, flat: np.ndarray, jac: 
                 d = d + coords(where[("deltas", state)])
             d = np.broadcast_to(d, (B, 3))
             A = _symmetric((R * d[:, None, :]) @ Rt)
-            if jac:
-                # [K_k, diag(d)]_ij = (K_k)_ij (d_j - d_i)
-                comm = _GENERATORS * (d[:, None, None, :] - d[:, None, :, None])
-                dA[:, 3 * n : 3 * n + 3] = R[:, None] @ comm @ Rt[:, None] * _DEG
-                if ("deltas", state) in where:
-                    m = where[("deltas", state)]
-                    dA[:, 3 * m : 3 * m + 3] = Rt[:, :, :, None] * Rt[:, :, None, :]
+            # [K_k, diag(d)]_ij = (K_k)_ij (d_j - d_i)
+            comm = _GENERATORS * (d[:, None, None, :] - d[:, None, :, None])
+            dA[:, 3 * n : 3 * n + 3] = R[:, None] @ comm @ Rt[:, None] * _DEG
+            if ("deltas", state) in where:
+                m = where[("deltas", state)]
+                dA[:, 3 * m : 3 * m + 3] = Rt[:, :, :, None] * Rt[:, :, None, :]
         else:
             A = np.broadcast_to(base.A.matrix, (B, 3, 3))
         g = np.broadcast_to(base.g.matrix, (B, 3, 3))
         if mis is not None:
             Mt = M.swapaxes(1, 2)
             A, g = _symmetric(M @ A @ Mt), _symmetric(M @ g @ Mt)
-            if jac:
-                dA = M[:, None] @ dA @ Mt[:, None]
-                dg = np.zeros((B, P, 3, 3))
-                for k, om in enumerate(omegas):
-                    dA[:, 3 * mis + k] = om @ A - A @ om
-                    dg[:, 3 * mis + k] = om @ g - g @ om
+            dA = M[:, None] @ dA @ Mt[:, None]
+            dg = np.zeros((B, P, 3, 3))
+            for k, om in enumerate(omegas):
+                dA[:, 3 * mis + k] = om @ A - A @ om
+                dg[:, 3 * mis + k] = om @ g - g @ om
         out[state] = (A, g, dA, dg)
     return out
 
@@ -422,18 +421,18 @@ class Evaluation(NamedTuple):
 
     ``residuals`` (B, N) are observed minus model, clipped at the gates;
     ``model`` is NaN where a point has no model value; ``gated`` flags
-    the points beyond their gates.  ``jacobian`` (B, N, P), when asked
-    for, is d residual / d tangent coordinate, zero on a gated row.
+    the points beyond their gates.  ``jacobian`` (B, N, P) is d residual /
+    d tangent coordinate, zero on a gated row.
     """
 
     residuals: np.ndarray
     model: np.ndarray
     gated: np.ndarray
-    jacobian: np.ndarray | None = None
+    jacobian: np.ndarray
 
 
-def evaluate(problem: FitProblem, rotations, flat, data: CompiledData, jac: bool = False) -> Evaluation:
-    """Residuals (and their Jacobian) at a batch of fit points.
+def evaluate(problem: FitProblem, rotations, flat, data: CompiledData) -> Evaluation:
+    """Residuals and their Jacobian at a batch of fit points.
 
     Labeled points compare against their own transition on the nearer of
     the two magnetic subsites; unlabeled points against the nearest of all
@@ -451,10 +450,10 @@ def evaluate(problem: FitProblem, rotations, flat, data: CompiledData, jac: bool
     """
     rotations, flat = np.asarray(rotations, dtype=float), np.asarray(flat, dtype=float)
     B, N, P = len(flat), len(data.points), 3 * len(problem.blocks)
-    tensors = _realize(problem, rotations, flat, jac)
+    tensors = _realize(problem, rotations, flat)
     raw = np.full((B, N), np.inf)
     model = np.full((B, N), np.nan)
-    J = np.zeros((B, N, P)) if jac else None
+    J = np.zeros((B, N, P))
     batch = np.arange(B)[:, None]
 
     for rows in data.states:
@@ -463,16 +462,12 @@ def evaluate(problem: FitProblem, rotations, flat, data: CompiledData, jac: bool
         # the levels (and their derivatives) of every (restart, field row),
         # one block of Hamiltonians at a time
         w = np.empty((B, len(rows.fields), 4))
-        dE = np.empty(w.shape + (P,)) if jac else None
+        dE = np.empty(w.shape + (P,))
         h0 = hyperfine_stack(A)
         for b, f in _hamiltonian_blocks(B, len(rows.fields)):
-            H = zeeman_stack(h0[b], g[b], rows.fields[f], base.g_n, base.mu_b, base.mu_n)
-            if jac:
-                w[b, f], v = np.linalg.eigh(H)
-                mix = _derivative_mix(rows.fields[f], dA[b], None if dg is None else dg[b], base.mu_b)
-                dE[b, f] = spin_expectations(v, mix)
-            else:
-                w[b, f] = np.linalg.eigvalsh(H)
+            w[b, f], v = np.linalg.eigh(zeeman_stack(h0[b], g[b], rows.fields[f], base.g_n, base.mu_b, base.mu_n))
+            mix = _derivative_mix(rows.fields[f], dA[b], None if dg is None else dg[b], base.mu_b)
+            dE[b, f] = spin_expectations(v, mix)
         values = rows.values
         # the chosen (field row, upper, lower) of every point of this state
         row = np.empty((B, rows.idx.size), dtype=int)
@@ -492,15 +487,13 @@ def evaluate(problem: FitProblem, rotations, flat, data: CompiledData, jac: bool
             row[:, un], upper[:, un], lower[:, un] = u[np.arange(un.size), subsite], PAIR_HI[pair], PAIR_LO[pair]
         model[:, rows.idx] = w[batch, row, upper] - w[batch, row, lower]
         raw[:, rows.idx] = values - model[:, rows.idx]
-        if jac:
-            J[:, rows.idx] = dE[batch, row, lower] - dE[batch, row, upper]
+        J[:, rows.idx] = dE[batch, row, lower] - dE[batch, row, upper]
 
     if data.epr:
         _epr_residuals(problem, tensors, data, raw, model, J)
     res = np.clip(raw, -data.gates, data.gates)
     gated = ~(np.abs(raw) <= data.gates)
-    if jac:
-        J[gated] = 0.0
+    J[gated] = 0.0
     return Evaluation(res, model, gated, J)
 
 
@@ -538,8 +531,6 @@ def _epr_residuals(problem: FitProblem, tensors: dict, data: CompiledData, raw, 
         pts, up, lo = idx[point], PAIR_HI[col], PAIR_LO[col]
         model[bs, pts] = fields
         raw[bs, pts] = values[point] - fields
-        if J is None:
-            continue
         # the Jacobian rows, EIGH_BLOCK resonances at a time
         for start in range(0, point.size, EIGH_BLOCK):
             r = slice(start, start + EIGH_BLOCK)
@@ -593,7 +584,7 @@ def _levenberg_marquardt(problem: FitProblem, data: CompiledData, rotations, fla
     lo, hi = (bound[3 * n_angles :] for bound in problem.bounds())
 
     def at(rotations, flat):
-        ev = evaluate(problem, rotations, flat, data, jac=True)
+        ev = evaluate(problem, rotations, flat, data)
         r = ev.residuals * data.weights
         rows = (rotations, flat, r, ev.jacobian * data.weights[:, None], ev.residuals, ev.gated)
         return rows, np.einsum("bn,bn->b", r, r)
@@ -744,25 +735,16 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
     compiled = compile_data(data)
     total = len(compiled.points)
     names = problem.parameter_names()
-    x0 = problem.initial_parameters()
-
-    if len(names) == 0:
-        res, model, excl = residuals(problem, x0, compiled, full=True)
-        rms, rms_field = _split_rms(compiled, res, excl)
-        return FitResult(
-            *_status(len(excl), total), tuple(names), x0,
-            _canonical_report(problem, x0), rms, rms_field,
-            res, model, tuple(excl), (), np.zeros((0, 0)), (rms,), (0,), (1,),
-        )
-
     if total < len(names):
         raise ValueError(f"{total} points cannot determine {len(names)} parameters")
 
+    x0 = problem.initial_parameters()
     lo, hi = problem.bounds()
     stream = _RestartStream(seed)
-    best = None
+    # with nothing free, the problem's own parameters are the one evaluation, below
+    best = None if names else (0.0, tuple(x0))
     restart_rms_list, iterations, evaluations = [], [], []
-    restarts = max(1, restarts)
+    restarts = max(1, restarts) if names else 0
     for first in range(0, restarts, RESTART_CHUNK):
         count = min(RESTART_CHUNK, restarts - first)
         # only one chunk of seeds at a time: memory does not grow with ``restarts``
@@ -779,7 +761,7 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
         evaluations += run.evaluations.tolist()
 
     x = np.array(best[1])
-    ev = evaluate(problem, *_points(problem, x[None]), compiled, jac=True)
+    ev = evaluate(problem, *_points(problem, x[None]), compiled)
     res, model, gated = ev.residuals[0], ev.model[0], ev.gated[0]
     excl = np.flatnonzero(gated).tolist()
     rms, rms_field = _split_rms(compiled, res, excl)
@@ -802,7 +784,7 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
         *_status(len(excl), total), tuple(names), x,
         _canonical_report(problem, x), rms, rms_field,
         res, model, tuple(excl), tuple(problem.covariance_names()), cov,
-        tuple(sorted(restart_rms_list)), tuple(iterations), tuple(evaluations),
+        tuple(sorted(restart_rms_list or [rms])), tuple(iterations or [0]), tuple(evaluations or [1]),
     )
 
 

@@ -532,6 +532,18 @@ class TestPinnedBytes:
         assert hashlib.sha256(report.read_bytes()).hexdigest() == (
             "2cf3bc5e116b4e3f2c2e9dc941131a5813d852e2235fdcf274d9109bf4501105")
 
+    def test_fit_with_nothing_free_csv_and_report(self, tmp_path, capsys):
+        # the one evaluation at the site's own tensors, by the path the restarts take
+        data, out, report = tmp_path / "data.csv", tmp_path / "fit.csv", tmp_path / "report.txt"
+        data.write_text(PINNED_FIT_DATA)
+        code, _, _ = run(capsys, "fit", "--data", str(data), "--free", "", "--no-stamp", "--out", str(out),
+                         "--report", str(report))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "5b4b513a2540530b1b43f3ca3887fc63d217c70b478117138a628ca4139f6b08")
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+            "850582e440682ab93f6feaa3e6cd2470746c60273cf05939518448bbf017be42")
+
     def test_zefoz_csv(self, tmp_path, capsys):
         out = tmp_path / "zefoz.csv"
         code, _, _ = run(capsys, "zefoz", "--transition", "1,2", "--radius", "100", "--no-stamp", "--out", str(out))

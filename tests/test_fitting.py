@@ -478,7 +478,7 @@ class TestFit:
         lo, hi = problem.bounds()
         bound = hi[coordinate] if truth[coordinate] > hi[coordinate] else lo[coordinate]
         assert result.parameters[coordinate] == bound
-        ev = fitting.evaluate(problem, *fitting._points(problem, result.parameters[None]), data, jac=True)
+        ev = fitting.evaluate(problem, *fitting._points(problem, result.parameters[None]), data)
         # half the gradient of the cost; the residuals are observed minus model
         grad = ev.jacobian[0].T @ (ev.residuals[0] * data.weights**2)
         assert np.sign(grad[coordinate]) == -np.sign(bound)
@@ -618,7 +618,7 @@ class TestAnalyticJacobian:
             if state == unlabeled_state:
                 data.append(DataPoint("shb", state, field, freqs[state][0, 0] + 1e-4, 2e-3))
         compiled = compile_data(data)
-        ev = fitting.evaluate(problem, *fitting._points(problem, x[None]), compiled, jac=True)
+        ev = fitting.evaluate(problem, *fitting._points(problem, x[None]), compiled)
         assert not ev.gated.any()
         fd = central_differences(problem, x, compiled)
         for c, name in enumerate(problem.covariance_names()):
@@ -640,7 +640,7 @@ class TestAnalyticJacobian:
         assume(all(abs(f - hit.field_mt) > 5.0 for f in same) and hit.field_mt > 5.0)
         point = DataPoint("epr", state, tuple(direction), hit.field_mt, 0.5, hit.transition)
         compiled = compile_data([point])
-        ev = fitting.evaluate(problem, *fitting._points(problem, x[None]), compiled, jac=True)
+        ev = fitting.evaluate(problem, *fitting._points(problem, x[None]), compiled)
         assert abs(ev.residuals[0, 0]) < fitting.GATE_FIELD_MT / 1e4  # the same resonance
         fd = central_differences(problem, x, compiled)
         for c, name in enumerate(problem.covariance_names()):
@@ -691,12 +691,12 @@ class TestEprStack:
 
         search = fitting.resonance_search
         monkeypatch.setattr(fitting, "resonance_search", counted)
-        stack = fitting.evaluate(self.PROBLEM, *fitting._points(self.PROBLEM, xs), data, jac=True)
+        stack = fitting.evaluate(self.PROBLEM, *fitting._points(self.PROBLEM, xs), data)
         assert searches == [(5, 2, 3, 3)] * 2  # one per state, for all 5 points at once
         assert stack.gated[:, 3].all() and np.isnan(stack.model[:, 3]).all()
         assert np.isfinite(stack.model[0, [1, 2, 4, 5]]).all()
         for b, x in enumerate(xs):
-            one = fitting.evaluate(self.PROBLEM, *fitting._points(self.PROBLEM, x[None]), data, jac=True)
+            one = fitting.evaluate(self.PROBLEM, *fitting._points(self.PROBLEM, x[None]), data)
             for got, want in zip(one, stack):
                 np.testing.assert_array_equal(got[0], want[b])
         assert len(searches) == 2 + 2 * len(xs)
@@ -710,7 +710,7 @@ class TestEprStack:
         assert {hits[0].subsite, hits[-1].subsite} == {1, 2}
         for hit in (hits[0], hits[-1]):
             data = compile_data([DataPoint("epr", "ground", direction, hit.field_mt + 0.1, 0.5, hit.transition)])
-            ev = fitting.evaluate(problem, *fitting._points(problem, x[None]), data, jac=True)
+            ev = fitting.evaluate(problem, *fitting._points(problem, x[None]), data)
             sys1 = SITE_I.ground.with_subsite(hit.subsite)
             e = energies_sweep(sys1, ev.model[0, 0] * np.array([direction]) / np.linalg.norm(direction))[0]
             assert abs(e[hit.transition[1]] - e[hit.transition[0]] - 9.7) < 1e-9
@@ -756,13 +756,8 @@ class TestHamiltonianBlocks:
         (tmp_path / "data.csv").write_text(PINNED_FIT_DATA)
         return compile_data(_read_data_csv(tmp_path / "data.csv"))
 
-    @pytest.mark.parametrize("data, flags, jac", [
-        ("pinned", dict(), True),
-        ("pinned", dict(), False),
-        ("mixed", FULL_FLAGS, True),
-        ("mixed", FULL_FLAGS, False),
-    ])
-    def test_bit_identical_at_any_block_size(self, tmp_path, monkeypatch, data, flags, jac):
+    @pytest.mark.parametrize("data, flags", [("pinned", dict()), ("mixed", FULL_FLAGS)])
+    def test_bit_identical_at_any_block_size(self, tmp_path, monkeypatch, data, flags):
         # PINNED_FIT_DATA holds EPR points; with misalignment free, dg mixes in the field
         data = self.pinned_data(tmp_path) if data == "pinned" else compile_data(mixed_data())
         problem = FitProblem(site=SITE_I, **flags)
@@ -774,12 +769,12 @@ class TestHamiltonianBlocks:
         # that split one restart's fields (3) or group 2-4 restarts (9)
         for block in (10**9, 1, 3, 9):
             monkeypatch.setattr(fitting, "EIGH_BLOCK", block)
-            runs.append(fitting.evaluate(problem, *fitting._points(problem, x), data, jac=jac))
+            runs.append(fitting.evaluate(problem, *fitting._points(problem, x), data))
         fields = [len(rows.fields) for rows in data.states]
         assert max(fields) > 3 and 2 <= 9 // min(fields) < len(x)
         for run in runs[1:]:
             for got, want in zip(run, runs[0]):
-                assert (got is None and want is None) or np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(got, want, equal_nan=True)
 
     def test_memory_grows_only_by_the_outputs(self):
         # w and dE (B, F, 4, 1 + P), the Jacobian, residuals, model and raw
@@ -792,8 +787,8 @@ class TestHamiltonianBlocks:
             data = random_field_data(n)
             F = len(data.states[0].fields)
             pts = fitting._points(problem, np.random.default_rng(1).uniform(lo, hi, (restarts, P)))
-            fitting.evaluate(problem, *pts, data, jac=True)  # warm caches
-            peak = traced_peak(lambda: fitting.evaluate(problem, *pts, data, jac=True))
+            fitting.evaluate(problem, *pts, data)  # warm caches
+            peak = traced_peak(lambda: fitting.evaluate(problem, *pts, data))
             return peak, 8 * restarts * (4 * F * (1 + P) + n * (P + 3)) + restarts * n
 
         block = fitting.EIGH_BLOCK
@@ -801,7 +796,9 @@ class TestHamiltonianBlocks:
             (peak0, out0), (peak1, out1) = peak_and_outputs(*small), peak_and_outputs(*large)
             assert peak1 - peak0 <= 1.1 * (out1 - out0), (small, large, peak0, peak1)
 
-    def test_epr_jacobian_costs_its_size_plus_one_block(self):
+    def test_epr_jacobian_costs_its_size_plus_one_block(self, monkeypatch):
+        # J is allocated before the resonance search; past the search, the
+        # Jacobian rows add the chosen resonances' index and value arrays and
         # about 4 KB of temporaries per Hamiltonian, for one block of them
         problem = FitProblem(site=SITE_I)
         lo, hi = problem.bounds()
@@ -809,11 +806,20 @@ class TestHamiltonianBlocks:
         data = compile_data([DataPoint("epr", "ground", tuple(rng.normal(size=3)), rng.uniform(50.0, 400.0), 0.5)
                              for _ in range(100)])
         pts = fitting._points(problem, rng.uniform(lo, hi, (32, lo.size)))
-        J = fitting.evaluate(problem, *pts, data, jac=True).jacobian  # warm caches
+        J = fitting.evaluate(problem, *pts, data).jacobian  # warm caches
         assert np.count_nonzero(J.any(axis=2)) > 2 * fitting.EIGH_BLOCK
-        plain = traced_peak(lambda: fitting.evaluate(problem, *pts, data))
-        full = traced_peak(lambda: fitting.evaluate(problem, *pts, data, jac=True))
-        assert full - plain <= 1.1 * J.nbytes + 4096 * fitting.EIGH_BLOCK, (plain, full)
+        search, marks = fitting.resonance_search, []
+
+        def marked_search(*args):
+            found = search(*args)
+            marks.append((tracemalloc.get_traced_memory()[0], found[0].size))
+            tracemalloc.reset_peak()  # from here on the peak is the Jacobian rows'
+            return found
+
+        monkeypatch.setattr(fitting, "resonance_search", marked_search)
+        peak = traced_peak(lambda: fitting.evaluate(problem, *pts, data))
+        (current, resonances), = marks
+        assert peak - current <= 80 * resonances + 4096 * fitting.EIGH_BLOCK, (peak, current, resonances)
 
 
 def write_data_csv(path, points):
@@ -832,7 +838,7 @@ class TestCovarianceAndRestarts:
         """The analytic weighted Jacobian (over the covariance coordinates)
         and weighted residuals at the reported parameters."""
         compiled = compile_data(data)
-        ev = fitting.evaluate(problem, *fitting._points(problem, result.parameters[None]), compiled, jac=True)
+        ev = fitting.evaluate(problem, *fitting._points(problem, result.parameters[None]), compiled)
         return ev.jacobian[0] * compiled.weights[:, None], result.residuals * compiled.weights
 
     @staticmethod
