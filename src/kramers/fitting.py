@@ -55,6 +55,7 @@ from .tensors import (
     rz,
     subsite_matrices,
     subsite_transform,
+    symmetric_matrices,
     _C2,
 )
 from .trust_region import Run, _bounded_step, minimize
@@ -228,21 +229,37 @@ class _StateRows:
 
 
 @dataclass(frozen=True, eq=False)
+class _EprRows:
+    """The EPR points of one electronic state, as arrays.
+
+    ``idx`` are the points' positions in the data list; ``directions``
+    their unit sweep directions and ``rays`` those normalized once more
+    (which can move the last bit), the rays the resonance search takes, so
+    that the bytes of fit outputs stay fixed; ``values`` the observed
+    fields; ``lower``/``upper`` the level labels, -1 for an unlabeled point.
+    """
+
+    state: str
+    idx: np.ndarray
+    directions: np.ndarray
+    rays: np.ndarray
+    values: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class CompiledData:
     """A data list in the array form ``evaluate`` works on.
 
-    ``fit`` compiles its data once instead of on every evaluation; ``epr``
-    holds each EPR point's position, its unit sweep direction, and that
-    direction normalized once more (which can move the last bit).  The
-    resonance search takes the second; it is kept so that the bytes of
-    fit outputs stay fixed.
-    ``gates`` and ``weights`` (1/sigma, 0 for an infinite sigma) have one
-    entry per point.
+    ``fit`` compiles its data once instead of on every evaluation: the
+    shb/odmr points and the EPR points of each state.  ``gates`` and
+    ``weights`` (1/sigma, 0 for an infinite sigma) have one entry per point.
     """
 
     points: tuple[DataPoint, ...]
     states: tuple[_StateRows, ...]
-    epr: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+    epr: tuple[_EprRows, ...]
     is_epr: np.ndarray
     gates: np.ndarray
     weights: np.ndarray
@@ -281,13 +298,17 @@ def compile_data(data) -> CompiledData:
             unlabeled=np.array([r for r, l in enumerate(labels) if l is None], dtype=int),
         ))
     epr = []
-    for n, p in enumerate(points):
-        if p.kind != "epr":
+    for state in STATES:
+        idx = np.array([n for n, p in enumerate(points) if p.kind == "epr" and p.state == state], dtype=int)
+        if idx.size == 0:
             continue
-        direction = unit_direction(p.field_mt)
-        if not p.value > 0:
+        directions = np.array([unit_direction(points[n].field_mt) for n in idx])
+        values = np.array([points[n].value for n in idx])
+        if not np.all(values > 0):
             raise ValueError("EPR resonance field must be positive")
-        epr.append((n, direction, unit_direction(direction)))
+        lower, upper = np.array([points[n].label or (-1, -1) for n in idx]).T
+        epr.append(_EprRows(state, idx, directions, np.array([unit_direction(d) for d in directions]), values,
+                            lower, upper))
     is_epr = np.array([p.kind == "epr" for p in points])
     weights = 1.0 / np.array([p.sigma for p in points], dtype=float)
     gates = np.where(is_epr, GATE_FIELD_MT, GATE_FREQ_GHZ)
@@ -334,8 +355,8 @@ def _realize(problem: FitProblem, rotations: np.ndarray, flat: np.ndarray) -> di
     commutators [Omega_i, A] and [Omega_i, g].  Angles are in degrees.
     A and M are built with the arithmetic of ``tensors.assemble_tensor``
     and ``rx``/``ry``/``rz``, and every realized tensor is made symmetric
-    as ``SymmetricTensor3`` makes it, so at Euler angles the realized
-    tensors are those of the tensors module bit for bit.
+    by ``symmetric_matrices``, as ``SymmetricTensor3`` is, so at Euler
+    angles the realized tensors are those of the tensors module bit for bit.
     """
     B, P = len(flat), 3 * len(problem.blocks)
     n_angles = rotations.shape[1]
@@ -365,7 +386,7 @@ def _realize(problem: FitProblem, rotations: np.ndarray, flat: np.ndarray) -> di
             if ("deltas", state) in where:
                 d = d + coords(where[("deltas", state)])
             d = np.broadcast_to(d, (B, 3))
-            A = _symmetric((R * d[:, None, :]) @ Rt)
+            A = symmetric_matrices((R * d[:, None, :]) @ Rt)
             # [K_k, diag(d)]_ij = (K_k)_ij (d_j - d_i)
             comm = _GENERATORS * (d[:, None, None, :] - d[:, None, :, None])
             dA[:, 3 * n : 3 * n + 3] = R[:, None] @ comm @ Rt[:, None] * _DEG
@@ -377,7 +398,7 @@ def _realize(problem: FitProblem, rotations: np.ndarray, flat: np.ndarray) -> di
         g = np.broadcast_to(base.g.matrix, (B, 3, 3))
         if mis is not None:
             Mt = M.swapaxes(1, 2)
-            A, g = _symmetric(M @ A @ Mt), _symmetric(M @ g @ Mt)
+            A, g = symmetric_matrices(M @ A @ Mt), symmetric_matrices(M @ g @ Mt)
             dA = M[:, None] @ dA @ Mt[:, None]
             dg = np.zeros((B, P, 3, 3))
             for k, om in enumerate(omegas):
@@ -385,11 +406,6 @@ def _realize(problem: FitProblem, rotations: np.ndarray, flat: np.ndarray) -> di
                 dg[:, 3 * mis + k] = om @ g - g @ om
         out[state] = (A, g, dA, dg)
     return out
-
-
-def _symmetric(m: np.ndarray) -> np.ndarray:
-    """A stack of matrices rebuilt from their upper triangles, as ``SymmetricTensor3`` does."""
-    return np.triu(m) + np.triu(m, 1).swapaxes(-1, -2)
 
 
 def _derivative_mix(fields: np.ndarray, dA: np.ndarray, dg, mu_b: float) -> np.ndarray:
@@ -504,19 +520,14 @@ def _epr_residuals(problem: FitProblem, tensors: dict, data: CompiledData, raw, 
     subsites; each point takes the resonance nearest its value (of its own
     transition, when labeled), ties going to the lower field, then subsite 1.
     """
-    for state in STATES:
-        epr = [entry for entry in data.epr if data.points[entry[0]].state == state]
-        if not epr:
-            continue
-        idx, directions, rays = (np.array(c) for c in zip(*epr))
-        values = np.array([data.points[n].value for n in idx])
-        lower, upper = np.array([data.points[n].label or (-1, -1) for n in idx]).T
-        A, g, dA, dg = tensors[state]
-        base = getattr(problem.site, state)
+    for rows in data.epr:
+        idx, values, lower, upper = rows.idx, rows.values, rows.lower, rows.upper
+        A, g, dA, dg = tensors[rows.state]
+        base = getattr(problem.site, rows.state)
         # ray (point, restart, subsite); subsite 2 has the C2-flipped tensors
         ray, field, col = resonance_search(
             np.stack([A, subsite_matrices(A)], axis=1), np.stack([g, subsite_matrices(g)], axis=1),
-            rays[:, None, None], (values + GATE_FIELD_MT)[:, None, None],
+            rows.rays[:, None, None], (values + GATE_FIELD_MT)[:, None, None],
             problem.nu_mw_ghz, base.g_n, base.mu_b, base.mu_n,
         )
         point, bs, sub = np.unravel_index(ray, (idx.size, len(A), 2))
@@ -527,7 +538,7 @@ def _epr_residuals(problem: FitProblem, tensors: dict, data: CompiledData, raw, 
         order = np.lexsort((PAIR_HI[col], PAIR_LO[col], sub, field, np.abs(field - values[point]), bs, point))
         _, first = np.unique((point * len(A) + bs)[order], return_index=True)
         point, bs, sub, fields, col = (x[order[first]] for x in (point, bs, sub, field, col))
-        img = np.where(sub[:, None] == 0, directions[point], directions[point] * _C2)
+        img = np.where(sub[:, None] == 0, rows.directions[point], rows.directions[point] * _C2)
         pts, up, lo = idx[point], PAIR_HI[col], PAIR_LO[col]
         model[bs, pts] = fields
         raw[bs, pts] = values[point] - fields

@@ -138,9 +138,9 @@ class SpinSystem:
 
     @property
     def zeeman_derivatives(self) -> np.ndarray:
-        """dH/dB_k for the three Cartesian components, shape (3, 4, 4), GHz/mT."""
-        return (np.einsum("kl,lab->kab", self.g.matrix * (self.mu_b * 1e-3), S_STACK)
-                - (self.mu_n * 1e-3 * self.g_n) * I_STACK)
+        """dH/dB_k for the three Cartesian components, shape (3, 4, 4), GHz/mT:
+        the Zeeman terms of ``zeeman_stack`` at unit fields along D1, D2 and b."""
+        return zeeman_stack(np.zeros((4, 4)), self.g.matrix, np.eye(3), self.g_n, self.mu_b, self.mu_n)
 
 
 def as_field(B) -> np.ndarray:

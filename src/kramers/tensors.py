@@ -98,8 +98,7 @@ class SymmetricTensor3:
             raise ValueError("expected a 3x3 matrix")
         if np.abs(m - m.T).max() > 1e-9 * max(1.0, np.abs(m).max()):
             raise ValueError("matrix is not symmetric")
-        # rebuild from the upper triangle so symmetry is exact by construction
-        sym = np.triu(m) + np.triu(m, 1).T
+        sym = symmetric_matrices(m)
         sym.setflags(write=False)
         object.__setattr__(self, "matrix", sym)
 
@@ -192,6 +191,11 @@ def principal_axes_orientation(axes: np.ndarray) -> EulerAngles:
     if np.linalg.det(v) < 0:
         v[:, 2] = -v[:, 2]
     return _euler_from_rotation(v)
+
+
+def symmetric_matrices(m: np.ndarray) -> np.ndarray:
+    """A stack of matrices (..., 3, 3) rebuilt from their upper triangles, so symmetry is exact by construction."""
+    return np.triu(m) + np.triu(m, 1).swapaxes(-1, -2)
 
 
 def subsite_matrices(m: np.ndarray) -> np.ndarray:
