@@ -230,14 +230,11 @@ class _StateRows:
 
 @dataclass(frozen=True, eq=False)
 class _EprRows:
-    """The EPR points of one electronic state, as arrays.
-
-    ``idx`` are the points' positions in the data list; ``directions``
-    their unit sweep directions and ``rays`` those normalized once more
-    (which can move the last bit), the rays the resonance search takes, so
-    that the bytes of fit outputs stay fixed; ``values`` the observed
-    fields; ``lower``/``upper`` the level labels, -1 for an unlabeled point.
-    """
+    """The EPR points of one electronic state, as arrays: positions in the
+    data list, unit sweep directions, the rays the resonance search takes
+    (each direction normalized once more, which can move the last bit; kept
+    so that fit outputs keep their bytes), observed fields and level labels,
+    -1 for an unlabeled point."""
 
     state: str
     idx: np.ndarray
@@ -270,11 +267,18 @@ def compile_data(data) -> CompiledData:
     points = tuple(data)
     if not points:
         raise ValueError("no data points")
-    states = []
+    states, epr = [], []
     for state in STATES:
-        idx = np.array(
-            [n for n, p in enumerate(points) if p.kind != "epr" and p.state == state], dtype=int
-        )
+        idx = np.array([n for n, p in enumerate(points) if p.kind == "epr" and p.state == state], dtype=int)
+        if idx.size:
+            directions = np.array([unit_direction(points[n].field_mt) for n in idx])
+            values = np.array([points[n].value for n in idx])
+            if not np.all(values > 0):
+                raise ValueError("EPR resonance field must be positive")
+            lower, upper = np.array([points[n].label or (-1, -1) for n in idx]).T
+            rays = np.array([unit_direction(d) for d in directions])
+            epr.append(_EprRows(state, idx, directions, rays, values, lower, upper))
+        idx = np.array([n for n, p in enumerate(points) if p.kind != "epr" and p.state == state], dtype=int)
         if idx.size == 0:
             continue
         fields = np.array([points[n].field_mt for n in idx], dtype=float)
@@ -297,18 +301,6 @@ def compile_data(data) -> CompiledData:
             upper=np.array([labels[r][1] for r in labeled], dtype=int),
             unlabeled=np.array([r for r, l in enumerate(labels) if l is None], dtype=int),
         ))
-    epr = []
-    for state in STATES:
-        idx = np.array([n for n, p in enumerate(points) if p.kind == "epr" and p.state == state], dtype=int)
-        if idx.size == 0:
-            continue
-        directions = np.array([unit_direction(points[n].field_mt) for n in idx])
-        values = np.array([points[n].value for n in idx])
-        if not np.all(values > 0):
-            raise ValueError("EPR resonance field must be positive")
-        lower, upper = np.array([points[n].label or (-1, -1) for n in idx]).T
-        epr.append(_EprRows(state, idx, directions, np.array([unit_direction(d) for d in directions]), values,
-                            lower, upper))
     is_epr = np.array([p.kind == "epr" for p in points])
     weights = 1.0 / np.array([p.sigma for p in points], dtype=float)
     gates = np.where(is_epr, GATE_FIELD_MT, GATE_FREQ_GHZ)

@@ -237,18 +237,13 @@ def ordering_search(site: SiteModel, peaks_ghz) -> list[OrderingResult]:
         raise ValueError("ordering search needs at least 4 measured peaks")
     results = []
     for ordering in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        lines = np.sort([l.detuning_ghz for l in optical_lines(site.with_ordering(ordering), intensity_model="uniform")])
+        zero_field = optical_lines(site.with_ordering(ordering), intensity_model="uniform")
+        lines = np.sort([line.detuning_ghz for line in zero_field])
         with np.errstate(over="ignore", invalid="ignore"):
             rms, offset = _offset_fit(peaks, lines)
         if not np.isfinite(rms):
             raise ValueError(f"the offset fit's rms is {rms}: the peaks span more than a double can hold")
         results.append(OrderingResult(ordering, rms, offset))
     results.sort(key=lambda r: (round(r.rms_ghz / 1e-12), r.ordering != site.ordering, r.ordering))
-    tie_tol = 1e-6  # 1 kHz
-    flagged = []
-    for r in results:
-        tied = any(
-            o is not r and abs(o.rms_ghz - r.rms_ghz) < tie_tol for o in results
-        )
-        flagged.append(replace(r, tied=tied))
-    return flagged
+    # tied: another combination's residual lies within 1 kHz
+    return [replace(r, tied=any(o is not r and abs(o.rms_ghz - r.rms_ghz) < 1e-6 for o in results)) for r in results]
