@@ -52,10 +52,14 @@ def number(text, key: str, quantity: str, code: str = "bad-value") -> float:
 
 
 def integer(text: str, key: str, minimum: int = 1, code: str = "bad-value") -> int:
+    """An integral number >= ``minimum``; an integer literal keeps every digit (a float has 53 bits)."""
     value = number(text, key, "integer", code)
     if value != int(value) or value < minimum:
         raise ConfigError(code, f"{key}: expected an integer >= {minimum}, got {text!r}", key)
-    return int(value)
+    try:
+        return int(text)
+    except ValueError:  # an integral form such as 1e3
+        return int(value)
 
 
 def number_list(text: str, key: str, quantity: str, code: str = "bad-value") -> list[float]:

@@ -197,6 +197,18 @@ class TestFitCommand:
         table = read_csv(out)
         assert table["residual"].size == len(rows) - 1
 
+    @pytest.mark.parametrize("seed", ["9007199254740993", "18446744073709551621"])
+    def test_seed_reaches_the_fit_with_every_digit(self, tmp_path, capsys, monkeypatch, seed):
+        # both used to reach the fit rounded through a float: 2**53 and 2**64
+        from kramers import fitting
+
+        seeds, fit = [], fitting.fit
+        monkeypatch.setattr(fitting, "fit", lambda *args, seed, **kw: seeds.append(seed) or fit(*args, seed=seed, **kw))
+        (tmp_path / "data.csv").write_text(PINNED_FIT_DATA)
+        code, _, _ = run(capsys, "fit", "--data", str(tmp_path / "data.csv"), "--restarts", "2", "--seed", seed,
+                         "--out", str(tmp_path / "fit.csv"), "--report", str(tmp_path / "report.txt"))
+        assert code == 0 and seeds == [int(seed)]
+
     def test_bad_data_header(self, tmp_path, capsys):
         f = tmp_path / "bad.csv"
         f.write_text("a,b\n1,2\n")
@@ -504,9 +516,9 @@ class TestPinnedBytes:
                          "--seed", "18446744073709551621", "--no-stamp", "--out", str(out), "--report", str(report))
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "5127ed44d6d8f0c28b90a63bec99f8f7a7f3c9eeaff846955de6db59340dc14b")
+            "9ed4708b5d464163c1a77ddea3d0e2104b8a3a94e0dfc8ed4ffcea54acba1809")
         assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-            "7511f95f361fc40c13ce51ce5f57d3d7be7b5b81e9af310ffc36d19b590acb0a")
+            "ca530862fd8ab2f86d3f900040ba80a424bdc4f0e3ff0a7f7891ac6d738d2976")
 
     def test_fit_bounded_csv_and_report(self, tmp_path, capsys):
         # misalignment and eigenvalue shifts, the fit's coordinates kept to a box

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kramers import output
-from kramers.config import ConfigError, load_rates, parse_config
+from kramers.config import ConfigError, integer, load_rates, parse_config
 from kramers.hamiltonian import eigensystem, transition_frequencies
 from kramers.output import STAMP, csv_text, format_number, pgm_bytes, write_csv, write_pgm
 from kramers.presets import SITE_I
@@ -130,6 +130,20 @@ class TestConfig:
         lv_base = np.sort(eigensystem(SITE_I.ground, (0, 0, 0)).energies)
         lv_flip = np.sort(eigensystem(site.ground, (0, 0, 0)).energies)
         assert np.abs(lv_base + lv_flip[::-1]).max() < 1e-9  # mirrored levels
+
+    @pytest.mark.parametrize("text, value", [
+        ("9007199254740993", 2**53 + 1), ("18446744073709551621", 2**64 + 5), (" 12 ", 12), ("1e3", 1000),
+        ("0", 0), ("-0", 0),
+    ])
+    def test_integer_keeps_every_digit_of_a_literal(self, text, value):
+        # a literal above 2**53 used to come back rounded through a float
+        assert integer(text, "seed", 0) == value and type(integer(text, "seed", 0)) is int
+
+    @pytest.mark.parametrize("text", ["2.5", "-1", "nan", "1e400", "9" * 400, "0x10", ""])
+    def test_integer_rejects(self, text):
+        with pytest.raises(ConfigError) as err:
+            integer(text, "seed", 0)
+        assert err.value.code == "bad-value"
 
 
 class TestOutput:
