@@ -31,6 +31,7 @@ import numpy as np
 from .hamiltonian import (
     PAIR_HI,
     PAIR_LO,
+    PAIRS,
     RANGES,
     field_gradients,
     hamiltonian_stack,
@@ -112,7 +113,7 @@ class DataPoint:
     ``value`` the transition frequency; for epr points ``field_mt`` fixes
     the sweep direction (its magnitude is ignored) and ``value`` is the
     observed resonance field magnitude.  ``sigma`` is inf for a point
-    without weight.
+    without weight.  A ``label`` is a 0-based (lower, upper) of ``PAIRS``.
     """
 
     kind: str
@@ -129,6 +130,8 @@ class DataPoint:
             raise ValueError(f"unknown state tag {self.state!r}")
         if not (RANGES["sigma"][0] <= self.sigma <= RANGES["sigma"][1] or self.sigma == np.inf):
             raise ValueError("sigma must lie in its RANGES row or be inf")
+        if self.label is not None and tuple(self.label) not in PAIRS:
+            raise ValueError(f"label must be a 0-based level pair (lower, upper) of PAIRS, got {self.label!r}")
         object.__setattr__(self, "field_mt", tuple(float(x) for x in self.field_mt))
 
 

@@ -1096,3 +1096,14 @@ class TestDataPoint:
             DataPoint("shb", "middle", (0, 0, 0), 1.0, 1.0)
         with pytest.raises(ValueError):
             DataPoint("shb", "ground", (0, 0, 0), 1.0, 0.0)
+
+    @pytest.mark.parametrize("label", [(1, 0), (0, 7), (0, 0), (-1, 2), (0, 4), (1,)])
+    def test_rejects_a_label_outside_the_pairs(self, label):
+        # (1, 0) was compared against -2.613 GHz and silently gated; (0, 7) raised IndexError in evaluate
+        with pytest.raises(ValueError, match="level pair"):
+            DataPoint("shb", "ground", (30.0, 0.0, 0.0), 2.613, 2e-3, label)
+
+    @pytest.mark.parametrize("kind", ["shb", "odmr", "epr"])
+    def test_accepts_every_pair(self, kind):
+        for label in PAIRS:
+            assert DataPoint(kind, "ground", (30.0, 0.0, 0.0), 2.613, 2e-3, label).label == label
