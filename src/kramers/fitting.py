@@ -608,7 +608,10 @@ def _levenberg_marquardt(problem: FitProblem, data: CompiledData, rotations, fla
         scaled_bounds = ((bound - flat[a]) * d[:, 3 * n_angles :] for bound in (lo, hi))
         Js = Ja / d[:, None, :]
         scaled_step, lam = _bounded_step(Js.swapaxes(1, 2) @ Js, Js, r[a], radius, *scaled_bounds)
-        step = scaled_step / d
+        # a column norm near 0 (data that barely depend on a parameter, as with A values of 1e-150 GHz)
+        # asks for a huge step: one beyond 1e150 is cut to it, so that its squares stay finite
+        with np.errstate(over="ignore"):
+            step = np.clip(scaled_step / d, -1e150, 1e150)
         # the step already keeps to the box; the clip only absorbs rounding
         trial_flat = np.clip(flat[a] + step[:, 3 * n_angles :], lo, hi)
         taken = np.concatenate([step[:, : 3 * n_angles], trial_flat - flat[a]], axis=1)
@@ -797,13 +800,18 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
 def _scaled_inverse(jac: np.ndarray, scale: float) -> np.ndarray:
     """scale (J^T J)^+, from the SVD of J.
 
-    A singular value at most max(N, P) eps times the largest is zero.
+    A singular value at most max(N, P) eps times the largest is zero.  An
+    entry beyond the double range is inf: 1 / s^2 overflows only where
+    every singular value is below 1e-138, so every variance exceeds 1e276
+    times the scale.
     """
     _, s, vt = np.linalg.svd(jac, full_matrices=False)
     null = s <= max(jac.shape) * np.finfo(float).eps * s.max(initial=0.0)
-    inverse = np.where(null, 0.0, 1.0 / np.where(null, 1.0, s * s))
-    cov = (vt.T * inverse) @ vt * scale
-    return 0.5 * (cov + cov.T)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inverse = np.where(null, 0.0, 1.0 / np.where(null, 1.0, s * s))
+        cov = (vt.T * inverse) @ vt * scale
+        cov = 0.5 * (cov + cov.T)
+    return np.where(np.isnan(cov), np.inf, cov)
 
 
 def _status(gated: int, total: int) -> tuple[bool, str]:

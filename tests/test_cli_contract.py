@@ -361,6 +361,21 @@ def test_fit_with_overflowing_weights_is_bad_data(sigma, tmp_path):
     assert not written
 
 
+# tiny nonzero A values lie inside the table but make the data barely depend on the orientation: the
+# first printed "divide by zero" from the covariance, the second "overflow" from the LM step's rotation
+@pytest.mark.parametrize("values", ["1e-300, 2e-300, 5e-300", "1e-145, 2e-150, 5e-160", "1e-100, 2e-100, 5e-100"])
+def test_fit_with_tiny_tensor_values_reports_quietly(values, tmp_path):
+    files = {"site.ini": EXPLICIT_SITE.format(fwhm="560").replace("0.484, 1.162, 5.254", values),
+             "data.csv": _sigma_reproducer("")}
+    argv = ["fit", "--config", "site.ini", "--data", "data.csv", "--restarts", "2", "--report", "report.txt",
+            "--out", "out.csv"]
+    code, stdout, err, written = _quiet_run(tmp_path, "run", argv, files)
+    assert (code, err) == (1, "")
+    report = written["report.txt"].decode()
+    assert stdout == report and report.startswith("status: fit-failed") and "nan" not in report
+    assert "values [0. 0. 0.] GHz" in report
+
+
 # each broke the contract: a traceback, a warning, a NaN file or a 300-digit value
 @pytest.mark.parametrize("argv, files, record", [
     (["shb-map", "--magnitudes", "0:20:10", "--span=-1:1:0.01", "--rates", "rates.ini"],

@@ -849,6 +849,19 @@ class TestCovarianceAndRestarts:
         cov = (vt.T * np.where(kept, 1.0 / np.where(kept, s * s, 1.0), 0.0)) @ vt * scale
         return 0.5 * (cov + cov.T)
 
+    @pytest.mark.parametrize("jac, scale", [
+        (np.diag([1e-300, 2e-300, 5e-300]), 1.0), (np.full((4, 2), 1e-160), 1.0),
+        (np.array([[1e-150, 3e-151], [2e-151, 1e-149], [0.0, 1e-152]]), 1e10),
+    ])
+    def test_covariance_beyond_the_double_range_is_inf(self, jac, scale):
+        # 1 / s^2 or its product with the scale overflows: the covariance is inf there, quietly, never NaN
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cov = fitting._scaled_inverse(jac, scale)
+        assert np.isinf(np.diag(cov)).all() and not np.isnan(cov).any()
+
     def test_constrained_fit_covariance_unchanged(self):
         # full-rank Jacobian: the scaled inverse of J^T J, bit for bit
         data = ground_data([(1, 0, 0), (0, 0, 1)], step_mt=10.0, noise=1e-3, seed=5, sigma=1e-3)
