@@ -608,8 +608,7 @@ def _levenberg_marquardt(problem: FitProblem, data: CompiledData, rotations, fla
         scaled_bounds = ((bound - flat[a]) * d[:, 3 * n_angles :] for bound in (lo, hi))
         Js = Ja / d[:, None, :]
         scaled_step, lam = _bounded_step(Js.swapaxes(1, 2) @ Js, Js, r[a], radius, *scaled_bounds)
-        # a column norm near 0 (data that barely depend on a parameter, as with A values of 1e-150 GHz)
-        # asks for a huge step: one beyond 1e150 is cut to it, so that its squares stay finite
+        # a column norm near 0 (data that barely see a parameter) asks for a huge step; 1e150 keeps its squares finite
         with np.errstate(over="ignore"):
             step = np.clip(scaled_step / d, -1e150, 1e150)
         # the step already keeps to the box; the clip only absorbs rounding
@@ -747,13 +746,10 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
     if total < len(names):
         raise ValueError(f"{total} points cannot determine {len(names)} parameters")
 
-    x0 = problem.initial_parameters()
-    lo, hi = problem.bounds()
-    stream = _RestartStream(seed)
+    x0, (lo, hi), stream = problem.initial_parameters(), problem.bounds(), _RestartStream(seed)
     # with nothing free, the problem's own parameters are the one evaluation, below
-    best = None if names else (0.0, tuple(x0))
+    best, restarts = (None, max(1, restarts)) if names else ((0.0, tuple(x0)), 0)
     restart_rms_list, iterations, evaluations = [], [], []
-    restarts = max(1, restarts) if names else 0
     for first in range(0, restarts, RESTART_CHUNK):
         count = min(RESTART_CHUNK, restarts - first)
         # only one chunk of seeds at a time: memory does not grow with ``restarts``
@@ -801,9 +797,8 @@ def _scaled_inverse(jac: np.ndarray, scale: float) -> np.ndarray:
     """scale (J^T J)^+, from the SVD of J.
 
     A singular value at most max(N, P) eps times the largest is zero.  An
-    entry beyond the double range is inf: 1 / s^2 overflows only where
-    every singular value is below 1e-138, so every variance exceeds 1e276
-    times the scale.
+    entry beyond the double range is inf (1 / s^2 overflows only where every
+    s is below 1e-138, so every variance exceeds 1e276 times the scale).
     """
     _, s, vt = np.linalg.svd(jac, full_matrices=False)
     null = s <= max(jac.shape) * np.finfo(float).eps * s.max(initial=0.0)

@@ -138,8 +138,7 @@ class SpinSystem:
 
     @property
     def zeeman_derivatives(self) -> np.ndarray:
-        """dH/dB_k for the three Cartesian components, shape (3, 4, 4), GHz/mT:
-        the Zeeman terms of ``zeeman_stack`` at unit fields along D1, D2 and b."""
+        """dH/dB_k (3, 4, 4) GHz/mT: the Zeeman terms of ``zeeman_stack`` at unit fields along D1, D2, b."""
         return zeeman_stack(np.zeros((4, 4)), self.g.matrix, np.eye(3), self.g_n, self.mu_b, self.mu_n)
 
 

@@ -224,13 +224,12 @@ class OrderingResult:
 def ordering_search(site: SiteModel, peaks_ghz) -> list[OrderingResult]:
     """Rank the four sign-class combinations against measured peak detunings.
 
-    Each combination fixes all 16 line spacings, its zero-field
-    ``optical_lines``; only a global center offset is fitted (1-D least
-    squares against nearest-line assignments).  Results are sorted by RMS
-    residual rounded to 1e-12 GHz, then the site's own classes first, then
-    by class; combinations whose residuals agree within 1 kHz are flagged
-    as tied.  Peaks so far apart that a residual overflows (only beyond
-    ``RANGES``, from Python) raise ValueError.
+    Each combination fixes its 16 zero-field ``optical_lines``; only a
+    global center offset is fitted (1-D least squares against nearest-line
+    assignments).  Results are sorted by RMS residual to 1e-12 GHz, then the
+    site's own classes first, then by class; residuals within 1 kHz of
+    another are flagged as tied.  Peaks so far apart that a residual
+    overflows (only beyond ``RANGES``, from Python) raise ValueError.
     """
     peaks = np.sort(np.asarray(peaks_ghz, dtype=float).ravel())
     if peaks.size < 4:
