@@ -746,9 +746,12 @@ def fit(problem: FitProblem, data, restarts: int = 64, seed: int = 0) -> FitResu
     if total < len(names):
         raise ValueError(f"{total} points cannot determine {len(names)} parameters")
 
-    x0, (lo, hi), stream = problem.initial_parameters(), problem.bounds(), _RestartStream(seed)
+    x0 = problem.initial_parameters()
+    lo, hi = problem.bounds()
+    stream = _RestartStream(seed)
     # with nothing free, the problem's own parameters are the one evaluation, below
-    best, restarts = (None, max(1, restarts)) if names else ((0.0, tuple(x0)), 0)
+    best = None if names else (0.0, tuple(x0))
+    restarts = max(1, restarts) if names else 0
     restart_rms_list, iterations, evaluations = [], [], []
     for first in range(0, restarts, RESTART_CHUNK):
         count = min(RESTART_CHUNK, restarts - first)

@@ -199,7 +199,7 @@ class TestFitCommand:
 
     @pytest.mark.parametrize("seed", ["9007199254740993", "18446744073709551621"])
     def test_seed_reaches_the_fit_with_every_digit(self, tmp_path, capsys, monkeypatch, seed):
-        # both used to reach the fit rounded through a float: 2**53 and 2**64
+        # through a float (53 bits) they would reach the fit as 2**53 and 2**64
         from kramers import fitting
 
         seeds, fit = [], fitting.fit

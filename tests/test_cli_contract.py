@@ -362,7 +362,7 @@ def test_fit_with_overflowing_weights_is_bad_data(sigma, tmp_path):
 
 
 # tiny nonzero A values lie inside the table but make the data barely depend on the orientation: the
-# first printed "divide by zero" from the covariance, the second "overflow" from the LM step's rotation
+# covariance's 1 / s^2 leaves the double range, and so would the squares of the scaled LM step
 @pytest.mark.parametrize("values", ["1e-300, 2e-300, 5e-300", "1e-145, 2e-150, 5e-160", "1e-100, 2e-100, 5e-100"])
 def test_fit_with_tiny_tensor_values_reports_quietly(values, tmp_path):
     files = {"site.ini": EXPLICIT_SITE.format(fwhm="560").replace("0.484, 1.162, 5.254", values),

@@ -136,7 +136,7 @@ class TestConfig:
         ("0", 0), ("-0", 0),
     ])
     def test_integer_keeps_every_digit_of_a_literal(self, text, value):
-        # a literal above 2**53 used to come back rounded through a float
+        # a float holds 53 bits: a literal above 2**53 must not pass through one
         assert integer(text, "seed", 0) == value and type(integer(text, "seed", 0)) is int
 
     @pytest.mark.parametrize("text", ["2.5", "-1", "nan", "1e400", "9" * 400, "0x10", ""])

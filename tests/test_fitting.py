@@ -1112,11 +1112,6 @@ class TestDataPoint:
 
     @pytest.mark.parametrize("label", [(1, 0), (0, 7), (0, 0), (-1, 2), (0, 4), (1,)])
     def test_rejects_a_label_outside_the_pairs(self, label):
-        # (1, 0) was compared against -2.613 GHz and silently gated; (0, 7) raised IndexError in evaluate
+        # a reversed pair would meet a negative transition and be gated, a level past 4 an IndexError in evaluate
         with pytest.raises(ValueError, match="level pair"):
             DataPoint("shb", "ground", (30.0, 0.0, 0.0), 2.613, 2e-3, label)
-
-    @pytest.mark.parametrize("kind", ["shb", "odmr", "epr"])
-    def test_accepts_every_pair(self, kind):
-        for label in PAIRS:
-            assert DataPoint(kind, "ground", (30.0, 0.0, 0.0), 2.613, 2e-3, label).label == label
