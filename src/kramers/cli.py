@@ -362,8 +362,8 @@ def _cmd_fit(args) -> int:
         refine_eigenvalues="eigenvalues" in free,
         nu_mw_ghz=args.freq,
     )
-    # a restart chunk's Jacobian holds restarts x points x parameters values
-    check_points("data", min(args.restarts, fitting.RESTART_CHUNK), len(data), max(1, len(problem.parameter_names())))
+    # the fit's work and a restart chunk's Jacobian both grow with restarts x points x parameters
+    check_points("data", args.restarts, len(data), max(1, len(problem.parameter_names())))
     try:
         result = fitting.fit(problem, data, restarts=args.restarts, seed=args.seed)
     except ValueError as exc:  # no points, or fewer points than free parameters
@@ -393,9 +393,12 @@ def _cmd_fit(args) -> int:
         lines.append(f"  {name} = {value:.6f}")
     for state, rep in result.canonical_angles.items():
         a = rep["angles_deg"]
+        # to 1e-6 GHz, but a value that rounds to 0 is shown as it is
+        values = np.asarray(rep["values_ghz"])
+        rounded = np.round(values, 6)
         lines.append(
             f"canonical {state} angles (subsite {rep['subsite']}): "
-            f"({a[0]:.4f}, {a[1]:.4f}, {a[2]:.4f}) deg; values {np.round(rep['values_ghz'], 6)} GHz"
+            f"({a[0]:.4f}, {a[1]:.4f}, {a[2]:.4f}) deg; values {np.where(rounded == 0, values, rounded)} GHz"
         )
     if result.covariance.size:
         sigmas = np.sqrt(np.clip(np.diag(result.covariance), 0, None))

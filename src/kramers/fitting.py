@@ -35,12 +35,10 @@ from .hamiltonian import (
     RANGES,
     field_gradients,
     hamiltonian_stack,
-    hyperfine_stack,
     invert_zero_field,
     reconstruct_levels,
     spin_expectations,
     unit_direction,
-    zeeman_stack,
 )
 from .magres import resonance_search
 from .spectra import SiteModel
@@ -417,6 +415,124 @@ def _derivative_mix(fields: np.ndarray, dA: np.ndarray, dg, mu_b: float) -> np.n
     return mix
 
 
+def _hellmann_feynman(A, g, dA, dg, fields, base) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Levels (n, 4), eigenvectors (n, 4, 4) and Hellmann-Feynman derivatives
+    (n, 4, P) of one Hamiltonian per row: tensors (n, 3, 3), dA and dg
+    (n, P, 3, 3) (dg None without misalignment) at fields (n, 3)."""
+    w, v = np.linalg.eigh(hamiltonian_stack(A, g, fields[:, None], base.g_n, base.mu_b, base.mu_n)[:, 0])
+    return w, v, spin_expectations(v, _derivative_mix(fields[:, None], dA, dg, base.mu_b)[:, 0])
+
+
+# a 3x3 cofactor takes rows and columns (i + 1, i + 2) mod 3
+_NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
+# the other three levels of each level
+_OTHERS = np.array([[m for m in range(4) if m != n] for n in range(4)])
+
+
+def _mixed_cofactor(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """G(X, Y) of 3x3 stacks, the part of cof(X + Y) bilinear in X and Y: cof X = G(X, X) / 2."""
+    x1, x2, y1, y2 = X[..., _NEXT, :], X[..., _AFTER, :], Y[..., _NEXT, :], Y[..., _AFTER, :]
+    return (x1[..., _NEXT] * y2[..., _AFTER] + y1[..., _NEXT] * x2[..., _AFTER]
+            - x1[..., _AFTER] * y2[..., _NEXT] - y1[..., _AFTER] * x2[..., _NEXT])
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis of 3-vectors, in one fixed order."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def _apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v for 3x3 stacks (..., 3, 3) and 3-vectors (..., 3), in one fixed order."""
+    return M[..., 0] * v[..., 0, None] + M[..., 1] * v[..., 1, None] + M[..., 2] * v[..., 2, None]
+
+
+def _hyperfine_parts(A: np.ndarray, dA: np.ndarray, dg) -> tuple:
+    """The field-independent parts of ``_closed_form`` for restarts (B, ...):
+    M = A^T / 4, C = cof M, det M, |M|^2, |C|^2; per parameter (B, P),
+    M:dM, C:dM and C:G with dM = dA^T / 4 and G = G(M, dM); and dM, G and
+    dg (None without misalignment) as (B, P, 9)."""
+    M = np.swapaxes(A, -1, -2) / 4.0
+    C = _mixed_cofactor(M, M) / 2.0
+    dM = np.swapaxes(dA, -1, -2) / 4.0
+    G = _mixed_cofactor(M[:, None], dM)
+    flat = [None if d is None else d.reshape(d.shape[:2] + (9,)) for d in (dM, G, dg)]
+    return (M, C, _dot(M[:, 0], C[:, 0]), (M * M).sum(axis=(1, 2)), (C * C).sum(axis=(1, 2)),
+            (M[:, None] * dM).sum(axis=(2, 3)), (C[:, None] * dM).sum(axis=(2, 3)),
+            (C[:, None] * G).sum(axis=(2, 3)), *flat)
+
+
+def _closed_form(parts: tuple, g: np.ndarray, fields: np.ndarray, base) -> tuple:
+    """Levels (B, F, 4) ascending, their derivatives (B, F, 4, P) and the
+    rows (B, F) they hold for, of restarts (``_hyperfine_parts``, g (B, 3, 3))
+    at fields (F, 3), with no matrix and no eigenvector.
+
+    With Pauli matrices s, H = sum M_lk s_l (x) s_k + x.s (x) 1 + 1 (x) y.s
+    for x = mu_B B g / 2 and y = -mu_n g_n B / 2 (GHz), so its power sums
+    tr H^k are p2 = 4c, p3 = 24 (x^T M y - det M) and
+    p4 = 4 (c^2 + 4 |My|^2 + 4 |M^T x|^2 + |2 x y^T - 2C|^2) with
+    c = |M|^2 + |x|^2 + |y|^2.  The levels are the roots of
+    P(l) = l^4 - 2c l^2 - (p3 / 3) l + c^2 - e, e = c^2 - (p2^2 / 2 - p4) / 4:
+    Euler's resolvent z^3 - 4c z^2 + 4e z - (p3 / 3)^2 solved by the
+    trigonometric form gives l = (+-sqrt z0 +- sqrt z1 +- sqrt z2) / 2, in
+    ascending order by construction, and one Newton step on P refines them.
+    A level moves by dl = -dP(l) / P'(l), and P'(l_n) is the product of its
+    gaps: dl_n = ((l_n^2 / 2 - c) dp2 + (l_n / 3) dp3 + dp4 / 4) / P'(l_n),
+    with dp2 = 8 M:dM, dp3 = 24 (x^T dM y - C:dM) and
+    dp4 / 4 = 4c M:dM + 8 ((My)^T dM y + x^T dM (M^T x) - x^T G y + C:G),
+    plus the x terms of dg.  A row holds where, for every level, the Newton
+    correction plus the rounding of P over P'(l) (16 eps times the sum of
+    the magnitudes of P's terms, plus one tiny for underflow) stays below
+    sqrt(eps) of the smallest gap: the correction then had converged
+    quadratically, and every gap and derivative keeps half of its digits.
+    """
+    M, C, det, mm, cc, m, k, h, dM, G, dg = parts
+    x = (fields[:, 0, None] * g[:, None, 0] + fields[:, 1, None] * g[:, None, 1]
+         + fields[:, 2, None] * g[:, None, 2]) * (base.mu_b * 5e-4)
+    y = fields * (-base.mu_n * base.g_n * 5e-4)
+    My, Mtx, Cy = _apply(M[:, None], y), _apply(np.swapaxes(M, 1, 2)[:, None], x), _apply(C[:, None], y)
+    xx, yy = _dot(x, x), _dot(y, y)
+    c = mm[:, None] + xx + yy
+    q = 8.0 * (_dot(x, My) - det[:, None])  # p3 / 3
+    e = 4.0 * (_dot(My, My) + _dot(Mtx, Mtx) + xx * yy - 2.0 * _dot(x, Cy) + cc[:, None])
+    # z = 4c/3 + 2 rho cos(phi - 2 pi n / 3), cos 3 phi = -Q / (2 rho^3)
+    rho = np.sqrt(np.maximum(16.0 / 9.0 * c * c - 4.0 / 3.0 * e, 0.0))
+    Q = 16.0 / 3.0 * c * e - 128.0 / 27.0 * c * c * c - q * q
+    phi = np.arccos(np.clip(-Q / (2.0 * rho * rho * rho), -1.0, 1.0)) / 3.0
+    cos, sin = rho * np.cos(phi), rho * np.sin(phi)
+    z0, z1 = 4.0 / 3.0 * c + 2.0 * cos, 4.0 / 3.0 * c - cos + np.sqrt(3.0) * sin
+    # the smallest root from the product z0 z1 z2 = q^2; sqrt z0 sqrt z1 sqrt z2 = q
+    s0, s1, s2 = np.sqrt(z0), np.sqrt(z1), np.copysign(np.sqrt(q * q / (z0 * z1)), q)
+    lam = 0.5 * np.stack([s2 - s0 - s1, s1 - s0 - s2, s0 - s1 - s2, s0 + s1 + s2], axis=-1)
+    c, q, e = c[..., None], q[..., None], e[..., None]
+    l2 = lam * lam
+    step = (((l2 - 2.0 * c) * lam - q) * lam + c * c - e) / ((4.0 * l2 - 4.0 * c) * lam - q)
+    lam = lam - step
+    l2 = lam * lam
+    den = np.prod(lam[..., None] - lam[..., _OTHERS], axis=-1)
+    terms = l2 * l2 + 2.0 * c * l2 + np.abs(q * lam) + c * c + e
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    gap = np.minimum(np.minimum(lam[..., 1] - lam[..., 0], lam[..., 2] - lam[..., 1]), lam[..., 3] - lam[..., 2])
+    error = 3.0 * step * step / np.abs(gap[..., None]) + (16.0 * eps * terms + tiny) / np.abs(den)
+    holds = error.max(axis=-1) <= np.sqrt(eps) * gap
+    # the field matrices contracted with dM: x y^T and (My) y^T + x (M^T x)^T; with G: x y^T
+    Q = x[..., :, None] * y[:, None, :]
+    W = My[..., :, None] * y[:, None, :] + x[..., :, None] * Mtx[..., None, :]
+    shape = x.shape[:2] + (-1, 1, 9)
+    T = (np.stack([Q, W], axis=2).reshape(shape) * dM[:, None, None]).sum(axis=-1)
+    dp2, dp3 = 8.0 * m[:, None], 24.0 * (T[:, :, 0] - k[:, None])
+    dq4 = 4.0 * c * m[:, None] + 8.0 * (T[:, :, 1] - (Q.reshape(shape)[:, :, 0] * G[:, None]).sum(axis=-1) + h[:, None])
+    if dg is not None:
+        # x.dx, (My).dx and (dp4 / 4 / dx).dx, as B v^T : dg for dx = mu_B B dg / 2
+        g4 = 4.0 * c * x + 8.0 * _apply(M[:, None], Mtx) + 8.0 * yy[:, None] * x - 8.0 * Cy
+        Z = np.stack([fields[:, :, None] * v[..., None, :] for v in (x, My, g4)], axis=2) * (base.mu_b * 5e-4)
+        T = (Z.reshape(shape) * dg[:, None, None]).sum(axis=-1)
+        dp2, dp3, dq4 = dp2 + 8.0 * T[:, :, 0], dp3 + 24.0 * T[:, :, 1], dq4 + T[:, :, 2]
+    d = (0.5 * l2 - c) / den
+    dE = (d[..., None] * dp2[:, :, None] + (lam / (3.0 * den))[..., None] * dp3[:, :, None]
+          + (1.0 / den)[..., None] * dq4[:, :, None])
+    return lam, dE, holds
+
+
 def _hamiltonian_blocks(restarts: int, fields: int):
     """(restart slice, field slice) pairs that tile restarts x fields with
     at most EIGH_BLOCK Hamiltonians each: whole restarts while one
@@ -471,14 +587,19 @@ def evaluate(problem: FitProblem, rotations, flat, data: CompiledData) -> Evalua
         A, g, dA, dg = tensors[rows.state]
         base = getattr(problem.site, rows.state)
         # the levels (and their derivatives) of every (restart, field row),
-        # one block of Hamiltonians at a time
+        # one block at a time; rows the closed form does not hold for take eigh
         w = np.empty((B, len(rows.fields), 4))
         dE = np.empty(w.shape + (P,))
-        h0 = hyperfine_stack(A)
+        parts = _hyperfine_parts(A, dA, dg)
         for b, f in _hamiltonian_blocks(B, len(rows.fields)):
-            w[b, f], v = np.linalg.eigh(zeeman_stack(h0[b], g[b], rows.fields[f], base.g_n, base.mu_b, base.mu_n))
-            mix = _derivative_mix(rows.fields[f], dA[b], None if dg is None else dg[b], base.mu_b)
-            dE[b, f] = spin_expectations(v, mix)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w[b, f], dE[b, f], holds = _closed_form([p if p is None else p[b] for p in parts], g[b],
+                                                        rows.fields[f], base)
+            if not holds.all():
+                bi, fi = np.nonzero(~holds)
+                r = bi + b.start
+                w[b, f][bi, fi], _, dE[b, f][bi, fi] = _hellmann_feynman(
+                    A[r], g[r], dA[r], None if dg is None else dg[r], rows.fields[f][fi], base)
         values = rows.values
         # the chosen (field row, upper, lower) of every point of this state
         row = np.empty((B, rows.idx.size), dtype=int)
@@ -498,7 +619,10 @@ def evaluate(problem: FitProblem, rotations, flat, data: CompiledData) -> Evalua
             row[:, un], upper[:, un], lower[:, un] = u[np.arange(un.size), subsite], PAIR_HI[pair], PAIR_LO[pair]
         model[:, rows.idx] = w[batch, row, upper] - w[batch, row, lower]
         raw[:, rows.idx] = values - model[:, rows.idx]
-        J[:, rows.idx] = dE[batch, row, lower] - dE[batch, row, upper]
+        # in place: the chosen rows' derivatives are as large as J's share of this state
+        chosen = dE[batch, row, lower]
+        chosen -= dE[batch, row, upper]
+        J[:, rows.idx] = chosen
 
     if data.epr:
         _epr_residuals(problem, tensors, data, raw, model, J)
@@ -541,12 +665,9 @@ def _epr_residuals(problem: FitProblem, tensors: dict, data: CompiledData, raw, 
         for start in range(0, point.size, EIGH_BLOCK):
             r = slice(start, start + EIGH_BLOCK)
             b, k = bs[r], np.arange(bs[r].size)
-            at = (fields[r, None] * img[r])[:, None]
-            _, v = np.linalg.eigh(hamiltonian_stack(A[b], g[b], at, base.g_n, base.mu_b, base.mu_n)[:, 0])
+            _, v, dE = _hellmann_feynman(A[b], g[b], dA[b], None if dg is None else dg[b], fields[r, None] * img[r], base)
             slopes = (field_gradients(v, g[b], base.g_n, base.mu_b, base.mu_n) @ img[r, :, None])[..., 0]
             slope = slopes[k, up[r]] - slopes[k, lo[r]]
-            mix = _derivative_mix(at, dA[b], None if dg is None else dg[b], base.mu_b)
-            dE = spin_expectations(v, mix[:, 0])
             with np.errstate(divide="ignore", invalid="ignore"):
                 rows = (dE[k, up[r]] - dE[k, lo[r]]) / slope[:, None]
             J[b, pts[r]] = np.where(np.isfinite(rows), rows, 0.0)

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -229,9 +230,10 @@ def test_epr_map_size_cap_rejects_before_allocating(argv, tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("argv, samples", [
-    (["--restarts", "64"], 32 * 21 * 3),   # a restart chunk's Jacobian: restarts x points x parameters
+    (["--restarts", "32"], 32 * 21 * 3),   # restarts x points x parameters
     (["--restarts", "2", "--free", "ground,misalignment"], 2 * 21 * 6),
-    (["--free", ""], 32 * 21 * 1),   # no free parameter still counts one value per point
+    (["--free", "", "--restarts", "32"], 32 * 21 * 1),   # no free parameter still counts one value per point
+    (["--restarts", "64"], 64 * 21 * 3),   # every restart counts, not one chunk of them
 ])
 def test_fit_size_cap_rejects_before_fitting(argv, samples, tmp_path, monkeypatch):
     from kramers import config, fitting
@@ -253,6 +255,19 @@ def test_fit_size_cap_rejects_before_fitting(argv, samples, tmp_path, monkeypatc
     monkeypatch.setattr(config, "MAX_POINTS", samples)  # at the cap the fit runs
     with pytest.raises(Fitted):
         _run(["fit", "--data", "data.csv", *argv])
+
+
+def test_fit_restarts_without_end_are_too_large(tmp_path, monkeypatch):
+    # 1e9 restarts of 21 points would take years: one record, at once
+    from test_cli import PINNED_FIT_DATA
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text(PINNED_FIT_DATA)
+    start = time.perf_counter()
+    code, _, err = _run(["fit", "--data", "data.csv", "--restarts", "1e9"])
+    assert _assert_one_record(code, err, "too-large")["key"] == "data"
+    assert time.perf_counter() - start < 10.0
+    assert os.listdir(tmp_path) == ["data.csv"]
 
 
 @pytest.mark.parametrize("text", ["-5:5:0.002", "0:150:1", "-4.5:4.5:0.005", "0:0:1", "0:1:0.3", "-1:1:0.7"])
@@ -373,7 +388,9 @@ def test_fit_with_tiny_tensor_values_reports_quietly(values, tmp_path):
     assert (code, err) == (1, "")
     report = written["report.txt"].decode()
     assert stdout == report and report.startswith("status: fit-failed") and "nan" not in report
-    assert "values [0. 0. 0.] GHz" in report
+    # no principal value is shown rounded to 0
+    shown = re.search(r"values \[(.*)\] GHz", report).group(1).split()
+    assert len(shown) == 3 and all(float(v) != 0.0 for v in shown), report
 
 
 # each broke the contract: a traceback, a warning, a NaN file or a 300-digit value
