@@ -5,17 +5,21 @@ zero-field splittings) stay fixed; the free parameters are the orientation
 of the ground and/or excited A tensor, optionally a small lab-misalignment
 rotation and eigenvalue refinements.  Restarts begin at the problem's own
 angles and at uniformly sampled Euler triples; ``trust_region.minimize``
-takes a chunk of them in lockstep by Moré's (1978) scaled LM steps:
-each iteration diagonalizes (restarts x distinct fields x 2 subsites) in
-stacked ``eigh`` calls of at most EIGH_BLOCK Hamiltonians, and searches
-(restarts x EPR points x 2 subsites) in one ``magres.resonance_search``
-per state, whose eigenfield roots are exact: one ``eigh`` at them gives
-the EPR slopes.  An orientation is a rotation R, stepped by a body-frame
-rotation vector and re-anchored after every accepted step (Absil, Mahony &
-Sepulchre 2008, ch. 4), so it has no Euler box and no double cover.  Every
-Jacobian column comes from the eigenvectors of those ``eigh`` calls by
-Hellmann-Feynman.  Misalignment and eigenvalue shifts
-stay in their box.  The best optimum is reported as canonical Euler
+takes a chunk of them in lockstep by Moré's (1978) scaled LM steps.
+Each iteration takes the levels of (restarts x distinct fields x 2
+subsites) Hamiltonians, at most EIGH_BLOCK at a time, in closed form from
+real 3-vectors and 3x3 matrices (``_closed_form``: the power sums of the
+two-spin quartic, Euler's resolvent and one Newton step), and their
+derivatives by implicit differentiation of the same quartic; a row whose
+smallest gap is too small for that rounding takes ``eigh`` and
+Hellmann-Feynman instead.  It searches (restarts x EPR points x 2
+subsites) in one ``magres.resonance_search`` per state, whose eigenfield
+roots are exact: one ``eigh`` at them gives the EPR slopes and, by
+Hellmann-Feynman, their Jacobian rows.  An orientation is a rotation R,
+stepped by a body-frame rotation vector and re-anchored after every
+accepted step (Absil, Mahony & Sepulchre 2008, ch. 4), so it has no Euler
+box and no double cover.  Misalignment and eigenvalue shifts stay in
+their box.  The best optimum is reported as canonical Euler
 angles, with the restart spread and a covariance over small body-frame
 rotations (inf for a coordinate the data do not depend on).
 """
@@ -78,11 +82,13 @@ EIGENVALUE_BOUND_GHZ = 0.05
 # the Jacobians, the levels and derivatives at every field, and the EPR
 # rays (32 restarts of a 606-point fit of one orientation peak near 7 MB)
 RESTART_CHUNK = 32
-# Hamiltonians built, diagonalized and differentiated at once in
-# ``evaluate``: with their eigenvectors and density matrices they take
-# about 4 KB each, so a block's temporaries stay near 2 MB, half of a 4 MB
-# L2.  It is the smallest block at which the benchmark's 16-restart fit is
-# no slower than one unbounded stack (128 and 256 took 15% and 11% longer)
+# (restart, field) rows solved at once in ``evaluate``, and EPR resonances
+# whose Jacobian rows are taken at once: a closed-form row's temporaries
+# take about 1.3 KB at three parameters, and an EPR row's Hamiltonian,
+# eigenvectors and density matrices about 4 KB, so a block stays within
+# 2 MB, half of a 4 MB L2.  It was the smallest block at which the
+# benchmark's 16-restart fit was no slower than one unbounded stack when
+# every row took ``eigh`` (128 and 256 took 15% and 11% longer)
 EIGH_BLOCK = 512
 
 # each 3-wide block of a fit parameter vector, by kind: the name suffixes of
@@ -425,8 +431,6 @@ def _hellmann_feynman(A, g, dA, dg, fields, base) -> tuple[np.ndarray, np.ndarra
 
 # a 3x3 cofactor takes rows and columns (i + 1, i + 2) mod 3
 _NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
-# the other three levels of each level
-_OTHERS = np.array([[m for m in range(4) if m != n] for n in range(4)])
 
 
 def _mixed_cofactor(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -437,13 +441,21 @@ def _mixed_cofactor(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a . b over the last axis of 3-vectors, in one fixed order."""
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+    """a . b of 3-vectors stacked on their first axis, in one fixed order."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M v for 3x3 stacks (..., 3, 3) and 3-vectors (..., 3), in one fixed order."""
-    return M[..., 0] * v[..., 0, None] + M[..., 1] * v[..., 1, None] + M[..., 2] * v[..., 2, None]
+    """M v for a matrix (3, 3, ...) and vectors (3, ...), in one fixed order."""
+    return M[:, 0] * v[0] + M[:, 1] * v[1] + M[:, 2] * v[2]
+
+
+def _sum9(terms: np.ndarray) -> np.ndarray:
+    """The sum over the first axis of (9, ...) terms, in one fixed order."""
+    total = terms[0] + terms[1]
+    for term in terms[2:]:
+        total += term
+    return total
 
 
 def _hyperfine_parts(A: np.ndarray, dA: np.ndarray, dg) -> tuple:
@@ -456,7 +468,7 @@ def _hyperfine_parts(A: np.ndarray, dA: np.ndarray, dg) -> tuple:
     dM = np.swapaxes(dA, -1, -2) / 4.0
     G = _mixed_cofactor(M[:, None], dM)
     flat = [None if d is None else d.reshape(d.shape[:2] + (9,)) for d in (dM, G, dg)]
-    return (M, C, _dot(M[:, 0], C[:, 0]), (M * M).sum(axis=(1, 2)), (C * C).sum(axis=(1, 2)),
+    return (M, C, _dot(M[:, 0].T, C[:, 0].T), (M * M).sum(axis=(1, 2)), (C * C).sum(axis=(1, 2)),
             (M[:, None] * dM).sum(axis=(2, 3)), (C[:, None] * dM).sum(axis=(2, 3)),
             (C[:, None] * G).sum(axis=(2, 3)), *flat)
 
@@ -479,17 +491,21 @@ def _closed_form(parts: tuple, g: np.ndarray, fields: np.ndarray, base) -> tuple
     gaps: dl_n = ((l_n^2 / 2 - c) dp2 + (l_n / 3) dp3 + dp4 / 4) / P'(l_n),
     with dp2 = 8 M:dM, dp3 = 24 (x^T dM y - C:dM) and
     dp4 / 4 = 4c M:dM + 8 ((My)^T dM y + x^T dM (M^T x) - x^T G y + C:G),
-    plus the x terms of dg.  A row holds where, for every level, the Newton
-    correction plus the rounding of P over P'(l) (16 eps times the sum of
-    the magnitudes of P's terms, plus one tiny for underflow) stays below
-    sqrt(eps) of the smallest gap: the correction then had converged
-    quadratically, and every gap and derivative keeps half of its digits.
+    plus the x terms of dg.  A row holds where every level's error, the
+    Newton step's own (3 step^2 / gap) plus the rounding of P over P'(l)
+    (16 eps times the sum of the magnitudes of P's terms, plus one tiny for
+    underflow), stays below sqrt(eps) of the row's smallest gap: every gap
+    and derivative then keeps half of its digits.  Every sum is written out
+    in one order, so a row's values do not depend on the block around it.
     """
     M, C, det, mm, cc, m, k, h, dM, G, dg = parts
-    x = (fields[:, 0, None] * g[:, None, 0] + fields[:, 1, None] * g[:, None, 1]
-         + fields[:, 2, None] * g[:, None, 2]) * (base.mu_b * 5e-4)
-    y = fields * (-base.mu_n * base.g_n * 5e-4)
-    My, Mtx, Cy = _apply(M[:, None], y), _apply(np.swapaxes(M, 1, 2)[:, None], x), _apply(C[:, None], y)
+    # vectors are (3, B, F) and matrices (3, 3, B, 1)
+    M, C = np.moveaxis(M, 0, -1)[..., None], np.moveaxis(C, 0, -1)[..., None]
+    f = fields.T
+    gb = np.moveaxis(g, 0, -1)[..., None] * (base.mu_b * 5e-4)
+    x = gb[0] * f[0] + gb[1] * f[1] + gb[2] * f[2]
+    y = f[:, None] * (-base.mu_n * base.g_n * 5e-4)
+    My, Mtx, Cy = _apply(M, y), _apply(M.swapaxes(0, 1), x), _apply(C, y)
     xx, yy = _dot(x, x), _dot(y, y)
     c = mm[:, None] + xx + yy
     q = 8.0 * (_dot(x, My) - det[:, None])  # p3 / 3
@@ -502,35 +518,36 @@ def _closed_form(parts: tuple, g: np.ndarray, fields: np.ndarray, base) -> tuple
     z0, z1 = 4.0 / 3.0 * c + 2.0 * cos, 4.0 / 3.0 * c - cos + np.sqrt(3.0) * sin
     # the smallest root from the product z0 z1 z2 = q^2; sqrt z0 sqrt z1 sqrt z2 = q
     s0, s1, s2 = np.sqrt(z0), np.sqrt(z1), np.copysign(np.sqrt(q * q / (z0 * z1)), q)
-    lam = 0.5 * np.stack([s2 - s0 - s1, s1 - s0 - s2, s0 - s1 - s2, s0 + s1 + s2], axis=-1)
-    c, q, e = c[..., None], q[..., None], e[..., None]
+    lam = 0.5 * np.stack([s2 - s0 - s1, s1 - s0 - s2, s0 - s1 - s2, s0 + s1 + s2])  # (4, B, F)
     l2 = lam * lam
     step = (((l2 - 2.0 * c) * lam - q) * lam + c * c - e) / ((4.0 * l2 - 4.0 * c) * lam - q)
     lam = lam - step
     l2 = lam * lam
-    den = np.prod(lam[..., None] - lam[..., _OTHERS], axis=-1)
-    terms = l2 * l2 + 2.0 * c * l2 + np.abs(q * lam) + c * c + e
+    d01, d02, d03, d12, d13, d23 = (lam[j] - lam[i] for i, j in PAIRS)
+    den = np.stack([-d01 * d02 * d03, d01 * d12 * d13, -d02 * d12 * d23, d03 * d13 * d23])
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-    gap = np.minimum(np.minimum(lam[..., 1] - lam[..., 0], lam[..., 2] - lam[..., 1]), lam[..., 3] - lam[..., 2])
-    error = 3.0 * step * step / np.abs(gap[..., None]) + (16.0 * eps * terms + tiny) / np.abs(den)
-    holds = error.max(axis=-1) <= np.sqrt(eps) * gap
-    # the field matrices contracted with dM: x y^T and (My) y^T + x (M^T x)^T; with G: x y^T
-    Q = x[..., :, None] * y[:, None, :]
-    W = My[..., :, None] * y[:, None, :] + x[..., :, None] * Mtx[..., None, :]
-    shape = x.shape[:2] + (-1, 1, 9)
-    T = (np.stack([Q, W], axis=2).reshape(shape) * dM[:, None, None]).sum(axis=-1)
-    dp2, dp3 = 8.0 * m[:, None], 24.0 * (T[:, :, 0] - k[:, None])
-    dq4 = 4.0 * c * m[:, None] + 8.0 * (T[:, :, 1] - (Q.reshape(shape)[:, :, 0] * G[:, None]).sum(axis=-1) + h[:, None])
+    gap = np.minimum(np.minimum(d01, d12), d23)
+    terms = l2 * l2 + 2.0 * c * l2 + np.abs(q * lam) + c * c + e
+    error = 3.0 * step * step / np.abs(gap) + (16.0 * eps * terms + tiny) / np.abs(den)
+    holds = error.max(axis=0) <= np.sqrt(eps) * gap
+    # each term's field matrix, (9, 1, B, F): x y^T and (My) y^T + x (M^T x)^T with dM, x y^T with G;
+    # parameter terms are (P, B, F), so every product runs along the fields
+    xy = (x[:, None] * y[None, :]).reshape(9, 1, *x.shape[1:])
+    W = (My[:, None] * y[None, :] + x[:, None] * Mtx[None, :]).reshape(xy.shape)
+    dM, G = (d.transpose(2, 1, 0)[..., None] for d in (dM, G))  # (9, P, B, 1)
+    m, k, h = (v.T[..., None] for v in (m, k, h))
+    T = _sum9(np.stack([xy, W], axis=1) * dM[:, None])  # (2, P, B, F)
+    dp2, dp3 = 8.0 * m, 24.0 * (T[0] - k)
+    dq4 = 4.0 * c * m + 8.0 * (T[1] - _sum9(xy * G) + h)
     if dg is not None:
         # x.dx, (My).dx and (dp4 / 4 / dx).dx, as B v^T : dg for dx = mu_B B dg / 2
-        g4 = 4.0 * c * x + 8.0 * _apply(M[:, None], Mtx) + 8.0 * yy[:, None] * x - 8.0 * Cy
-        Z = np.stack([fields[:, :, None] * v[..., None, :] for v in (x, My, g4)], axis=2) * (base.mu_b * 5e-4)
-        T = (Z.reshape(shape) * dg[:, None, None]).sum(axis=-1)
-        dp2, dp3, dq4 = dp2 + 8.0 * T[:, :, 0], dp3 + 24.0 * T[:, :, 1], dq4 + T[:, :, 2]
-    d = (0.5 * l2 - c) / den
-    dE = (d[..., None] * dp2[:, :, None] + (lam / (3.0 * den))[..., None] * dp3[:, :, None]
-          + (1.0 / den)[..., None] * dq4[:, :, None])
-    return lam, dE, holds
+        g4 = 4.0 * c * x + 8.0 * _apply(M, Mtx) + 8.0 * yy * x - 8.0 * Cy
+        B_v = np.stack([(f[:, None, None] * v[None, :]).reshape(xy.shape) for v in (x, My, g4)], axis=1)
+        T = _sum9(B_v * dg.transpose(2, 1, 0)[:, None, ..., None]) * (base.mu_b * 5e-4)
+        dp2, dp3, dq4 = dp2 + 8.0 * T[0], dp3 + 24.0 * T[1], dq4 + T[2]
+    inv = (1.0 / den)[:, None]
+    dE = ((0.5 * l2 - c)[:, None] * dp2 + (lam / 3.0)[:, None] * dp3 + dq4) * inv
+    return np.moveaxis(lam, 0, -1), dE.transpose(2, 3, 0, 1), holds
 
 
 def _hamiltonian_blocks(restarts: int, fields: int):
@@ -566,14 +583,15 @@ def evaluate(problem: FitProblem, rotations, flat, data: CompiledData) -> Evalua
     twelve subsite transitions.  EPR points compare against the nearest
     resonance field at nu_mw, searched up to value + GATE_FIELD_MT; a
     point with no resonance there is beyond its gate.  Each residual is
-    clipped to +/- its gate.  The shb/odmr levels of each state come from
-    stacked ``eigh`` calls over blocks of at most EIGH_BLOCK (restart,
-    field) Hamiltonians, and the Jacobian from their eigenvectors by
-    Hellmann-Feynman; only the levels and their derivatives outlive a
-    block, so the Hamiltonians, eigenvectors and density matrices take the
-    same memory at any number of restarts and fields.  An EPR field moves
-    by dB/d theta = -(d nu/d theta) / (d nu/dB) at the resonance, and its
-    Jacobian rows are taken EIGH_BLOCK resonances at a time.
+    clipped to +/- its gate.  The shb/odmr levels of each state and their
+    derivatives come from ``_closed_form`` over blocks of at most
+    EIGH_BLOCK (restart, field) rows; the rows of a block it does not hold
+    for take ``eigh`` and Hellmann-Feynman (``_hellmann_feynman``).  Only
+    the levels and their derivatives outlive a block, so its temporaries
+    take the same memory at any number of restarts and fields.  An EPR
+    field moves by dB/d theta = -(d nu/d theta) / (d nu/dB) at the
+    resonance, and its Jacobian rows are taken EIGH_BLOCK resonances at a
+    time by the same ``_hellmann_feynman``.
     """
     rotations, flat = np.asarray(rotations, dtype=float), np.asarray(flat, dtype=float)
     B, N, P = len(flat), len(data.points), 3 * len(problem.blocks)
