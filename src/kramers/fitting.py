@@ -407,26 +407,21 @@ def _realize(problem: FitProblem, rotations: np.ndarray, flat: np.ndarray) -> di
     return out
 
 
-def _derivative_mix(fields: np.ndarray, dA: np.ndarray, dg, mu_b: float) -> np.ndarray:
-    """dH/d theta in the basis of SPIN_OPERATORS, (B, F, 15, P) for fields (F, 3) or (B, F, 3).
-
-    dH/dA_kl = I_k S_l and dH/dg_kl = mu_B B_k S_l; without dg, F is 1.
-    """
-    B, P = dA.shape[:2]
-    mix = np.zeros((B, 1 if dg is None else fields.shape[-2], 15, P))
-    mix[..., :9, :] = dA.reshape(B, 1, P, 9).swapaxes(-1, -2)
-    if dg is not None:
-        fields = np.broadcast_to(fields, (B,) + fields.shape[-2:]) * (mu_b * 1e-3)
-        mix[..., 9:12, :] = np.einsum("bfk,bpkl->bflp", fields, dg)
-    return mix
-
-
 def _hellmann_feynman(A, g, dA, dg, fields, base) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Levels (n, 4), eigenvectors (n, 4, 4) and Hellmann-Feynman derivatives
     (n, 4, P) of one Hamiltonian per row: tensors (n, 3, 3), dA and dg
-    (n, P, 3, 3) (dg None without misalignment) at fields (n, 3)."""
+    (n, P, 3, 3) (dg None without misalignment) at fields (n, 3).
+
+    dH/d theta in the basis of SPIN_OPERATORS: dH/dA_kl = I_k S_l and
+    dH/dg_kl = mu_B B_k S_l.
+    """
     w, v = np.linalg.eigh(hamiltonian_stack(A, g, fields[:, None], base.g_n, base.mu_b, base.mu_n)[:, 0])
-    return w, v, spin_expectations(v, _derivative_mix(fields[:, None], dA, dg, base.mu_b)[:, 0])
+    n, P = dA.shape[:2]
+    mix = np.zeros((n, 15, P))
+    mix[:, :9] = dA.reshape(n, P, 9).swapaxes(1, 2)
+    if dg is not None:
+        mix[:, 9:12] = np.einsum("nk,npkl->nlp", fields * (base.mu_b * 1e-3), dg)
+    return w, v, spin_expectations(v, mix)
 
 
 # a 3x3 cofactor takes rows and columns (i + 1, i + 2) mod 3

@@ -876,7 +876,7 @@ class TestClosedForm:
         fields = rng.uniform(-1.0, 1.0, (300, 3)) * 2000.0 * rng.uniform(0.0, 1.0, (300, 1)) ** 3
         base = getattr(site, state)
         lam, dlam, holds = closed_form(A, g, dA, dg, fields, base)
-        w, dE = hellmann_feynman(A, g, dA, dg, fields, base)
+        _, dE = hellmann_feynman(A, g, dA, dg, fields, base)
         assert holds.all()
         levels = np.linalg.eigvalsh(fitting.hamiltonian_stack(A, g, fields, base.g_n, base.mu_b, base.mu_n))
         np.testing.assert_array_less(np.abs(lam - levels).max(axis=-1), 1e-13 * np.abs(levels).max(axis=-1))
