@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import ast
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -120,7 +121,7 @@ def bench_inputs(tree: Path, seed: int) -> dict[str, str]:
             f"json.dump([inputs.fit_data_csv({seed}), inputs.rates_ini({seed})], sys.stdout)")
     out = subprocess.run([sys.executable, "-c", code], cwd=tree / "perfbench", capture_output=True, text=True,
                          check=True).stdout
-    data, rates = ast.literal_eval(out)
+    data, rates = json.loads(out)
     return {"bench-data.csv": data, "bench-rates.ini": rates}
 
 
@@ -149,10 +150,9 @@ def csv_moves(old: bytes, new: bytes) -> list[str]:
     absolute and relative difference with its row (1 = the first row after the header)."""
     a, b = _rows(old), _rows(new)
     lines = [] if len(a) == len(b) else [f"rows {len(a) - 1} -> {len(b) - 1}"]
-    header = a[0] if a else []
     if not a or not b or a[0] != b[0]:
         return lines + ["header differs"]
-    for col, name in enumerate(header):
+    for col, name in enumerate(a[0]):
         moved, text, big_abs, big_rel = 0, 0, (0.0, 0, "", ""), (0.0, 0, "", "")
         for n, (ra, rb) in enumerate(zip(a[1:], b[1:]), start=1):
             x, y = (r[col] if col < len(r) else "" for r in (ra, rb))
