@@ -383,250 +383,184 @@ angles_deg = 54.0, 23.0, -10.0
 """
 
 
-class TestPinnedBytes:
-    """sha256 of outputs whose bytes stay fixed while their code is reworked.
+# site I with its ground ordering class set to -1
+PINNED_TIE_SITE = """[site]
+preset = site-I
+ordering_ground = -1
+"""
 
-    The hashes were recorded with numpy 2.4 on x86-64; another numpy or
-    BLAS may round the last digit of a printed value differently.
-    """
+# Outputs whose bytes stay fixed while their code is reworked.  Each run: its name, the argv of each step, the exit
+# code of each step, and the sha256 of outputs, keyed by file name or by "stdout"/"stderr" (each joined over the
+# steps).  The steps share one directory that holds the texts above as data.csv, rates.ini, site.ini and tie.ini.
+# tools/census.py reads this table as literals.  The hashes were recorded with numpy 2.4 on x86-64; another numpy
+# or BLAS may round the last digit of a printed value differently.
+PINNED_RUNS = [
+    # the epr-map run of the benchmark's epr-angular part
+    ("epr-map",
+     [("epr-map", "--site", "I", "--plane", "b-D1", "--step", "15", "--freq", "9.7", "--bmax", "1000", "--no-stamp",
+       "--out", "epr-map.csv")], [0],
+     {"epr-map.csv": "cc594b993407f10b91804eaf13a582ae16677dba034c6ec3e1805398dfef2fe2"}),
+    ("fit-residual",
+     [("fit", "--data", "data.csv", "--free", "ground", "--restarts", "2", "--seed", "0", "--no-stamp", "--out",
+       "fit.csv", "--report", "report.txt")], [0],
+     {"fit.csv": "61a24e28606b8ace9d6b9384463ac5f1f4cadc7f2cb8e5332d63a00c0c5fe8b3",
+      "report.txt": "e6ee628f22a99dcc98c2ffc1bd620f2a343dd3c763ad1d6c926fa3bef0a36538"}),
+    ("shb-map",
+     [("shb-map", "--magnitudes", "0:150:15", "--span=-5:5:0.02", "--no-stamp", "--out", "shb-map.csv")], [0],
+     {"shb-map.csv": "d00f2570d933e10f815e1b059246907f9809fd8c2ece7f1e3056770beb5ec32e",
+      "shb-map.pgm": "2c0193d5099d431baf8376a4416dbfbd85027e3eda390a87afb8dbd38022db23"}),
+    ("shb-map-rates",
+     [("shb-map", "--magnitudes", "0:150:15", "--span=-5:5:0.02", "--no-stamp", "--out", "shb-map.csv", "--rates",
+       "rates.ini")], [0],
+     {"shb-map.csv": "59de2a0007f2d9677b980a177307620d3ce2982b91b1534e51efd22c4e4ca62d",
+      "shb-map.pgm": "b0cffeafe6a18f2471c894f3bdf9dd6743aca5a75944caa9b7b47f0b097c6356"}),
+    ("shb-map-direction",
+     [("shb-map", "--direction", "1,2,2", "--magnitudes", "0:60:5", "--span=-2:2:0.01", "--no-stamp", "--out",
+       "shb-map.csv")], [0],
+     {"shb-map.csv": "1401007a3dce1390e0a2846b5293c77f0409197c332fbba249615a6e17cd3539",
+      "shb-map.pgm": "831ccaaa7723f5d44f67baff8d9a0988e63340662d1d3039dd1d0b3b142183ae"}),
+    ("absorption+ordering",
+     [("absorption", "--model", "uniform", "--peaks-out", "peaks.csv", "--no-stamp", "--out", "absorption.csv"),
+      ("ordering", "--peaks-file", "peaks.csv", "--no-stamp", "--out", "ordering.csv")], [0, 0],
+     {"absorption.csv": "6ca930fe0de1555c8eaed4eaec3be5076cf33c696602e9106a5b81093480e508",
+      "peaks.csv": "d6ff36d81937ad1a217ed10cb36aa162fab5cfd767866088102418ec78bc6e10",
+      "ordering.csv": "b489c0a7a95f655dc3e4ea98ab4334e6204dba71a1f0e4662f2874686d85af4e"}),
+    # (1, 1) and (-1, 1) tie at 45.4525096 MHz: the tie rule decides which ranks first
+    ("site-ii-absorption+ordering",
+     [("absorption", "--site", "II", "--range=-4.5:4.5:0.005", "--model", "uniform", "--peaks-out", "peaks.csv",
+       "--no-stamp", "--out", "absorption.csv"),
+      ("ordering", "--site", "II", "--peaks-file", "peaks.csv", "--no-stamp", "--out", "ordering.csv")], [0, 0],
+     {"absorption.csv": "77c9dc6cb390f31448209dc38c8256b169d844493fa2946c8bfbe980d47186d9",
+      "peaks.csv": "a86a560d8ab0fb6ae757fc2c869096c634c08484e139f52a79990d941c9acfc9",
+      "ordering.csv": "62ad9f44d0d68eb40c01f867837dae6fbf6ea8f2e05b9fa177c21342c2a45946"}),
+    # (-1, -1) and (-1, 1) tie at 20.5574804 MHz on site I with ordering_ground = -1: its own (-1, 1) first
+    ("ordering-tie",
+     [("absorption", "--config", "tie.ini", "--model", "uniform", "--peaks-out", "peaks.csv", "--no-stamp",
+       "--out", "absorption.csv"),
+      ("ordering", "--config", "tie.ini", "--peaks-file", "peaks.csv", "--no-stamp", "--out", "ordering.csv")],
+     [0, 0], {"ordering.csv": "91b40c71b20a82eb0d67cb66bd37cedf52b05fed6a01c9b825a07f20f2c21305"}),
+    ("absorption-overlap",
+     [("absorption", "--range=-4.5:4.5:0.005", "--peaks-out", "peaks.csv", "--no-stamp", "--out",
+       "absorption.csv")], [0],
+     {"absorption.csv": "094aa5eb7c1e78b5a5611e3e0303f09efc8e17f7b846da4abfc91bdfec1f556f",
+      "peaks.csv": "200b8a1c8688d19cad11abd923c17bf2ec26442fd7493bdfaafb38e85f72da8c"}),
+    ("transitions-config-ground",
+     [("transitions", "--config", "site.ini", "--state", "ground", "--B", "30,0,0", "--no-stamp", "--out",
+       "t.csv")], [0], {"t.csv": "f3f0c6426d0fbd8611697b213f477be74d63ccf229391c72dfb5ae43be99fe49"}),
+    ("transitions-config-excited",
+     [("transitions", "--config", "site.ini", "--state", "excited", "--B", "30,0,0", "--no-stamp", "--out",
+       "t.csv")], [0], {"t.csv": "ee01796364feea966945b358d64495404acb80f615d1e8503187f5fa2e5f046f"}),
+    # the report has one canonical-angle line per fitted orientation
+    ("fit-two-orientations",
+     [("fit", "--data", "data.csv", "--free", "ground,excited", "--restarts", "2", "--seed", "0", "--no-stamp",
+       "--out", "fit.csv", "--report", "report.txt")], [0],
+     {"fit.csv": "61a24e28606b8ace9d6b9384463ac5f1f4cadc7f2cb8e5332d63a00c0c5fe8b3",
+      "report.txt": "4e2fd627f2074a1d16e419d8702aab1db41cea77081237860544861400c1268e"}),
+    # 40 restarts draw 31 seed rows, then 8 more in a second chunk; the seed 2**64 + 5 is three words
+    ("fit-restart-chunk",
+     [("fit", "--data", "data.csv", "--free", "ground", "--restarts", "40", "--seed", "18446744073709551621",
+       "--no-stamp", "--out", "fit.csv", "--report", "report.txt")], [0],
+     {"fit.csv": "6caf226f9719434445eeac8542e00ff10a3e0ba1acb98a522461cd9f2ec5e6b7",
+      "report.txt": "0d5f6d6345ee771a3565bf9896786a37fe45649823470f7e1ca0ed6edf5c20bf"}),
+    # misalignment and eigenvalue shifts, the fit's coordinates kept to a box
+    ("fit-bounded",
+     [("fit", "--data", "data.csv", "--free", "ground,misalignment,eigenvalues", "--restarts", "8", "--seed", "0",
+       "--no-stamp", "--out", "fit.csv", "--report", "report.txt")], [0],
+     {"fit.csv": "6c9783bdb249c750376cf494617a73d7b612966e0d62b8a09dc9a8ad9fd73cda",
+      "report.txt": "ba45ed0705154fe1ba20ddb165a96a11836ede03835b1f65c0c49de2a1c42020"}),
+    # rows 17-18 move in the 9th digit if an EPR search ray is normalized only once
+    ("fit-bounded-epr-rows",
+     [("fit", "--data", "data.csv", "--free", "ground,misalignment,eigenvalues", "--restarts", "4", "--seed", "3",
+       "--no-stamp", "--out", "fit.csv", "--report", "report.txt")], [0],
+     {"fit.csv": "dce674d630641dc2660642308ba0ad286d8377a3168fed7fa5af30eb2df2403c",
+      "report.txt": "2cf3bc5e116b4e3f2c2e9dc941131a5813d852e2235fdcf274d9109bf4501105"}),
+    # the one evaluation at the site's own tensors, by the path the restarts take
+    ("fit-nothing-free",
+     [("fit", "--data", "data.csv", "--free", "", "--no-stamp", "--out", "fit.csv", "--report", "report.txt")], [0],
+     {"fit.csv": "1ed84c065991f7f0ec4a9f5bc6debcfa88f016d236151d4236e51b38382beac5",
+      "report.txt": "850582e440682ab93f6feaa3e6cd2470746c60273cf05939518448bbf017be42"}),
+    ("zefoz",
+     [("zefoz", "--transition", "1,2", "--radius", "100", "--no-stamp", "--out", "zefoz.csv")], [0],
+     {"zefoz.csv": "b22bcfe1a95013208c7bd6d3713fcebe4f733bc8707f96a0f319546232ee7b19"}),
+    ("zefoz-wide-ball",
+     [("zefoz", "--transition", "1,2", "--radius", "1000", "--no-stamp", "--out", "zefoz.csv")], [0],
+     {"zefoz.csv": "2e87dd5228437e7c916deb6c21410303e89cb8da557766491a18a81666e8d913"}),
+    ("zefoz-site-ii-excited",
+     [("zefoz", "--site", "II", "--state", "excited", "--transition", "1,2", "--radius", "300", "--no-stamp",
+       "--out", "zefoz.csv")], [0],
+     {"zefoz.csv": "5ed2b5bd4432c069d3efef741d02f69523e4fb8f7fe0f3460916cbcea88c8dc3"}),
+    ("selftest", [("selftest",)], [0],
+     {"stdout": "f7b569219c57ec58139b96d0553e4677a26f1207fa525e86eabb2e9b07d57404"}),
+    ("invert",
+     [("invert", "--lines", "2046,2385,2869,3208", "--no-stamp", "--out", "invert.csv")], [0],
+     {"invert.csv": "f39da535d8f19bdab4523e4ff2c2b3acb6ff5c53a70c65778ca57143522599a9",
+      "stdout": "3c8f85e4d427380b2d1158c091bcc04b72eb18a1e1b115cd8114067a24374c31"}),
+    # the commands of a field: at --B, or along --field scaled to --magnitude
+    ("levels-zero-field", [("levels", "--B", "0", "--no-stamp", "--out", "out.csv")], [0],
+     {"out.csv": "855d2976968b9e15bbc5531567cd7e97154bdccd59fa00382739d53b189e1558"}),
+    ("transitions-site-ii", [("transitions", "--site", "II", "--B", "100,0,0", "--no-stamp", "--out", "out.csv")],
+     [0], {"out.csv": "27bacc85d2e2fa7de5e500fc500b481cc2960e50fd8fa88e1784fd52fdcb16f2"}),
+    ("odmr-zero-field", [("odmr", "--B", "0", "--no-stamp", "--out", "out.csv")], [0],
+     {"out.csv": "b0c8e93a8a36627d8dd6b85e1fb9c5d6416881597472c6090c02130a28f0740f"}),
+    ("odmr-ac-axis", [("odmr", "--ac-axis", "1,1,0", "--no-stamp", "--out", "out.csv")], [0],
+     {"out.csv": "16a016b48e6e1ad710edc79850975e42631755ba0879e247fb0f1a821ee8be74"}),
+    ("levels-direction", [("levels", "--field", "1,2,2", "--magnitude", "7", "--no-stamp", "--out", "out.csv")],
+     [0], {"out.csv": "9618c96b8cc35864dbd5bafc595c5398b801d28f81a929cf42f0672b259141f7"}),
+    ("odmr-site-ii-excited",
+     [("odmr", "--site", "II", "--state", "excited", "--B", "30,10,-5", "--ac-axis", "1,1,0", "--no-stamp",
+       "--out", "out.csv")], [0],
+     {"out.csv": "2aca851514860a94ce7a5b5cde61f7514d1380a596c63182b72c9301f835c31f"}),
+    # error records: one JSON line on stderr, exit 2
+    ("invert-too-few-lines", [("invert", "--lines", "1,2")], [2],
+     {"stderr": "ff4704475fff0264918877f70790a9502c5604b28d516c770ef3f7bd05460f64"}),
+    ("invert-inconsistent", [("invert", "--lines", "500,900,1700,2900")], [2],
+     {"stderr": "5a3457873fa5d982a5d52afded556f2545db867b8ffbd21936d1067db572593c"}),
+    # finite values beyond the table of input ranges
+    ("invert-huge-lines", [("invert", "--lines", "1e300,1e300,1e300,1e300")], [2],
+     {"stderr": "5169257243291cda739bb4a8b8b7029d6304c95bd5f629d30c414c988eef605a"}),
+    ("zefoz-tiny-radius", [("zefoz", "--grid", "1,1", "--radius", "5e-324")], [2],
+     {"stderr": "1b41d3634137ce1e78b8c569574e3f95f5068bfbd87562544acddba8801633a8"}),
+    ("absorption-huge-field", [("absorption", "--B", "1e300,0,0")], [2],
+     {"stderr": "ae26e8a208ed18a4f373aafe5fd33bae29009ac3b0475fffb5255b224b41bd6b"}),
+    ("shb-map-huge-magnitude", [("shb-map", "--magnitudes", "1e300")], [2],
+     {"stderr": "942378bd27cebc9591ba406fd141bc136f1ad51b32adc0383f5f29c186d05037"}),
+    ("epr-map-huge-bmax", [("epr-map", "--bmax", "1e300")], [2],
+     {"stderr": "93013bfe113e54263b2a61b457dd97ef4a836f2a38df5f59ec723a4f950569c8"}),
+    ("odmr-huge-field", [("odmr", "--B", "1e300,0,0")], [2],
+     {"stderr": "3cc0d01d4ae5c0fcad3e842046650b9f7936a1447410dab67ec637dd87ebcef4"}),
+    # 1e400 is not a double
+    ("levels-infinite-field", [("levels", "--B", "1e400,0,0")], [2],
+     {"stderr": "fbfbaa94eb0df566fd0c2270b006e59eda67b1c0c7828f96a0c5815a62b49b99"}),
+    ("levels-zero-direction", [("levels", "--field", "0", "--magnitude", "5")], [2],
+     {"stderr": "40df2e1ba680ba7aa0d14a11b37c3f6a8b2d448e3b2beae66c81845e86a5a12f"}),
+]
 
-    def test_epr_map_csv(self, tmp_path, capsys):
-        # the epr-map run of the benchmark's epr-angular part
-        out = tmp_path / "epr-map.csv"
-        code, _, _ = run(capsys, "epr-map", "--site", "I", "--plane", "b-D1", "--step", "15", "--freq", "9.7",
-                         "--bmax", "1000", "--no-stamp", "--out", str(out))
-        assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "cc594b993407f10b91804eaf13a582ae16677dba034c6ec3e1805398dfef2fe2")
 
-    def test_fit_residual_csv_and_report(self, tmp_path, capsys):
-        data, out, report = tmp_path / "data.csv", tmp_path / "fit.csv", tmp_path / "report.txt"
-        data.write_text(PINNED_FIT_DATA)
-        code, _, _ = run(capsys, "fit", "--data", str(data), "--free", "ground", "--restarts", "2", "--seed", "0",
-                         "--no-stamp", "--out", str(out), "--report", str(report))
-        assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "61a24e28606b8ace9d6b9384463ac5f1f4cadc7f2cb8e5332d63a00c0c5fe8b3")
-        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-            "e6ee628f22a99dcc98c2ffc1bd620f2a343dd3c763ad1d6c926fa3bef0a36538")
+@pytest.mark.parametrize("steps, codes, digests", [run[1:] for run in PINNED_RUNS], ids=[run[0] for run in PINNED_RUNS])
+def test_pinned_run(steps, codes, digests, tmp_path, monkeypatch, capsys):
+    for name, text in (("data.csv", PINNED_FIT_DATA), ("rates.ini", PINNED_RATES), ("site.ini", PINNED_SITE_CONFIG),
+                       ("tie.ini", PINNED_TIE_SITE)):
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    got, stdout, stderr = [], "", ""
+    for argv in steps:
+        got.append(main(list(argv)))
+        captured = capsys.readouterr()
+        stdout, stderr = stdout + captured.out, stderr + captured.err
+    streams = {"stdout": stdout.encode(), "stderr": stderr.encode()}
+    assert got == codes
+    assert {name: hashlib.sha256(streams[name] if name in streams else (tmp_path / name).read_bytes()).hexdigest()
+            for name in digests} == digests
 
-    @pytest.mark.parametrize("rates, csv_hash, pgm_hash", [
-        (None, "d00f2570d933e10f815e1b059246907f9809fd8c2ece7f1e3056770beb5ec32e",
-         "2c0193d5099d431baf8376a4416dbfbd85027e3eda390a87afb8dbd38022db23"),
-        (PINNED_RATES, "59de2a0007f2d9677b980a177307620d3ce2982b91b1534e51efd22c4e4ca62d",
-         "b0cffeafe6a18f2471c894f3bdf9dd6743aca5a75944caa9b7b47f0b097c6356"),
-    ])
-    def test_shb_map_csv_and_pgm(self, tmp_path, capsys, rates, csv_hash, pgm_hash):
-        out = tmp_path / "shb-map.csv"
-        argv = ["shb-map", "--magnitudes", "0:150:15", "--span=-5:5:0.02", "--no-stamp", "--out", str(out)]
-        if rates is not None:
-            (tmp_path / "rates.ini").write_text(rates)
-            argv += ["--rates", str(tmp_path / "rates.ini")]
-        code, _, _ = run(capsys, *argv)
-        assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_hash
-        assert hashlib.sha256((tmp_path / "shb-map.pgm").read_bytes()).hexdigest() == pgm_hash
 
-    def test_shb_map_along_a_direction_csv_and_pgm(self, tmp_path, capsys):
-        out = tmp_path / "shb-map.csv"
-        code, _, _ = run(capsys, "shb-map", "--direction", "1,2,2", "--magnitudes", "0:60:5", "--span=-2:2:0.01",
-                         "--no-stamp", "--out", str(out))
-        assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "1401007a3dce1390e0a2846b5293c77f0409197c332fbba249615a6e17cd3539")
-        assert hashlib.sha256((tmp_path / "shb-map.pgm").read_bytes()).hexdigest() == (
-            "831ccaaa7723f5d44f67baff8d9a0988e63340662d1d3039dd1d0b3b142183ae")
-
-    def test_absorption_peaks_and_ordering_csv(self, tmp_path, capsys):
-        spectrum, peaks, out = tmp_path / "absorption.csv", tmp_path / "peaks.csv", tmp_path / "ordering.csv"
-        code, _, _ = run(capsys, "absorption", "--model", "uniform", "--peaks-out", str(peaks), "--no-stamp",
-                         "--out", str(spectrum))
-        assert code == 0
-        code, _, _ = run(capsys, "ordering", "--peaks-file", str(peaks), "--no-stamp", "--out", str(out))
-        assert code == 0
-        assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (spectrum, peaks, out)] == [
-            "6ca930fe0de1555c8eaed4eaec3be5076cf33c696602e9106a5b81093480e508",
-            "d6ff36d81937ad1a217ed10cb36aa162fab5cfd767866088102418ec78bc6e10",
-            "b489c0a7a95f655dc3e4ea98ab4334e6204dba71a1f0e4662f2874686d85af4e"]
-
-    def test_site_ii_absorption_peaks_and_ordering_csv(self, tmp_path, capsys):
-        # (1, 1) and (-1, 1) tie at 45.4525096 MHz: the tie rule decides which ranks first
-        spectrum, peaks, out = tmp_path / "absorption.csv", tmp_path / "peaks.csv", tmp_path / "ordering.csv"
-        code, _, _ = run(capsys, "absorption", "--site", "II", "--range=-4.5:4.5:0.005", "--model", "uniform",
-                         "--peaks-out", str(peaks), "--no-stamp", "--out", str(spectrum))
-        assert code == 0
-        code, _, _ = run(capsys, "ordering", "--site", "II", "--peaks-file", str(peaks), "--no-stamp", "--out", str(out))
-        assert code == 0
-        assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (spectrum, peaks, out)] == [
-            "77c9dc6cb390f31448209dc38c8256b169d844493fa2946c8bfbe980d47186d9",
-            "a86a560d8ab0fb6ae757fc2c869096c634c08484e139f52a79990d941c9acfc9",
-            "62ad9f44d0d68eb40c01f867837dae6fbf6ea8f2e05b9fa177c21342c2a45946"]
-
-    def test_ordering_tie_ranks_the_sites_own_classes_first(self, tmp_path, capsys):
-        # (-1, -1) and (-1, 1) tie at 20.5574804 MHz on site I with ordering_ground = -1: its own (-1, 1) first
-        cfg, peaks, out = tmp_path / "site.ini", tmp_path / "peaks.csv", tmp_path / "ordering.csv"
-        cfg.write_text("[site]\npreset = site-I\nordering_ground = -1\n")
-        code, _, _ = run(capsys, "absorption", "--config", str(cfg), "--model", "uniform", "--peaks-out", str(peaks),
-                         "--no-stamp", "--out", str(tmp_path / "absorption.csv"))
-        assert code == 0
-        code, _, _ = run(capsys, "ordering", "--config", str(cfg), "--peaks-file", str(peaks), "--no-stamp",
-                         "--out", str(out))
-        assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "91b40c71b20a82eb0d67cb66bd37cedf52b05fed6a01c9b825a07f20f2c21305")
-
-    def test_absorption_overlap_csv_and_peaks(self, tmp_path, capsys):
-        spectrum, peaks = tmp_path / "absorption.csv", tmp_path / "peaks.csv"
-        code, _, _ = run(capsys, "absorption", "--range=-4.5:4.5:0.005", "--peaks-out", str(peaks), "--no-stamp",
-                         "--out", str(spectrum))
-        assert code == 0
-        assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (spectrum, peaks)] == [
-            "094aa5eb7c1e78b5a5611e3e0303f09efc8e17f7b846da4abfc91bdfec1f556f",
-            "200b8a1c8688d19cad11abd923c17bf2ec26442fd7493bdfaafb38e85f72da8c"]
-
-    @pytest.mark.parametrize("state, csv_hash", [
-        ("ground", "f3f0c6426d0fbd8611697b213f477be74d63ccf229391c72dfb5ae43be99fe49"),
-        ("excited", "ee01796364feea966945b358d64495404acb80f615d1e8503187f5fa2e5f046f"),
-    ])
-    def test_transitions_through_explicit_config(self, tmp_path, capsys, state, csv_hash):
-        cfg, out = tmp_path / "site.ini", tmp_path / "t.csv"
-        cfg.write_text(PINNED_SITE_CONFIG)
-        code, _, _ = run(capsys, "transitions", "--config", str(cfg), "--state", state, "--B", "30,0,0",
-                         "--no-stamp", "--out", str(out))
-        assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_hash
-
-    def test_fit_two_orientations_csv_and_report(self, tmp_path, capsys):
-        # the report has one canonical-angle line per fitted orientation
-        data, out, report = tmp_path / "data.csv", tmp_path / "fit.csv", tmp_path / "report.txt"
-        data.write_text(PINNED_FIT_DATA)
-        code, _, _ = run(capsys, "fit", "--data", str(data), "--free", "ground,excited", "--restarts", "2",
-                         "--seed", "0", "--no-stamp", "--out", str(out), "--report", str(report))
-        assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "61a24e28606b8ace9d6b9384463ac5f1f4cadc7f2cb8e5332d63a00c0c5fe8b3")
-        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-            "4e2fd627f2074a1d16e419d8702aab1db41cea77081237860544861400c1268e")
-
-    def test_fit_across_a_restart_chunk_csv_and_report(self, tmp_path, capsys):
-        # 40 restarts draw 31 seed rows, then 8 more in a second chunk; the seed 2**64 + 5 is three words
-        data, out, report = tmp_path / "data.csv", tmp_path / "fit.csv", tmp_path / "report.txt"
-        data.write_text(PINNED_FIT_DATA)
-        code, _, _ = run(capsys, "fit", "--data", str(data), "--free", "ground", "--restarts", "40",
-                         "--seed", "18446744073709551621", "--no-stamp", "--out", str(out), "--report", str(report))
-        assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "6caf226f9719434445eeac8542e00ff10a3e0ba1acb98a522461cd9f2ec5e6b7")
-        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-            "0d5f6d6345ee771a3565bf9896786a37fe45649823470f7e1ca0ed6edf5c20bf")
-
-    def test_fit_bounded_csv_and_report(self, tmp_path, capsys):
-        # misalignment and eigenvalue shifts, the fit's coordinates kept to a box
-        data, out, report = tmp_path / "data.csv", tmp_path / "fit.csv", tmp_path / "report.txt"
-        data.write_text(PINNED_FIT_DATA)
-        code, _, _ = run(capsys, "fit", "--data", str(data), "--free", "ground,misalignment,eigenvalues",
-                         "--restarts", "8", "--seed", "0", "--no-stamp", "--out", str(out), "--report", str(report))
-        assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "6c9783bdb249c750376cf494617a73d7b612966e0d62b8a09dc9a8ad9fd73cda")
-        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-            "ba45ed0705154fe1ba20ddb165a96a11836ede03835b1f65c0c49de2a1c42020")
-
-    def test_fit_bounded_epr_rows_csv_and_report(self, tmp_path, capsys):
-        # rows 17-18 move in the 9th digit if an EPR search ray is normalized only once
-        data, out, report = tmp_path / "data.csv", tmp_path / "fit.csv", tmp_path / "report.txt"
-        data.write_text(PINNED_FIT_DATA)
-        code, _, _ = run(capsys, "fit", "--data", str(data), "--free", "ground,misalignment,eigenvalues",
-                         "--restarts", "4", "--seed", "3", "--no-stamp", "--out", str(out), "--report", str(report))
-        assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "dce674d630641dc2660642308ba0ad286d8377a3168fed7fa5af30eb2df2403c")
-        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-            "2cf3bc5e116b4e3f2c2e9dc941131a5813d852e2235fdcf274d9109bf4501105")
-
-    def test_fit_with_nothing_free_csv_and_report(self, tmp_path, capsys):
-        # the one evaluation at the site's own tensors, by the path the restarts take
-        data, out, report = tmp_path / "data.csv", tmp_path / "fit.csv", tmp_path / "report.txt"
-        data.write_text(PINNED_FIT_DATA)
-        code, _, _ = run(capsys, "fit", "--data", str(data), "--free", "", "--no-stamp", "--out", str(out),
-                         "--report", str(report))
-        assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "1ed84c065991f7f0ec4a9f5bc6debcfa88f016d236151d4236e51b38382beac5")
-        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-            "850582e440682ab93f6feaa3e6cd2470746c60273cf05939518448bbf017be42")
-
-    def test_zefoz_csv(self, tmp_path, capsys):
-        out = tmp_path / "zefoz.csv"
-        code, _, _ = run(capsys, "zefoz", "--transition", "1,2", "--radius", "100", "--no-stamp", "--out", str(out))
-        assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "b22bcfe1a95013208c7bd6d3713fcebe4f733bc8707f96a0f319546232ee7b19")
-
-    def test_zefoz_wide_ball_csv(self, tmp_path, capsys):
-        out = tmp_path / "zefoz.csv"
-        code, _, _ = run(capsys, "zefoz", "--transition", "1,2", "--radius", "1000", "--no-stamp", "--out", str(out))
-        assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "2e87dd5228437e7c916deb6c21410303e89cb8da557766491a18a81666e8d913")
-
-    def test_zefoz_site_ii_excited_csv(self, tmp_path, capsys):
-        out = tmp_path / "zefoz.csv"
-        code, _, _ = run(capsys, "zefoz", "--site", "II", "--state", "excited", "--transition", "1,2", "--radius", "300",
-                         "--no-stamp", "--out", str(out))
-        assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "5ed2b5bd4432c069d3efef741d02f69523e4fb8f7fe0f3460916cbcea88c8dc3")
-
-    @pytest.mark.parametrize("box, candidates_hash", [
-        (((-50, 50), (-50, 50), (-50, 50)), "6dfe1e1428b095b15e9779c0f97b6e7697f986e908f870ede54930284b6d34b9"),
-        (((10, 60), (-20, 20), (0, 40)), "8a464dfc2f9d8f40e4b34b11c38678fcd0a8d0675d552f40ba99ef858ca5621d"),
-    ])
-    def test_zefoz_box_candidates(self, box, candidates_hash):
-        # the CLI searches a ball only: the box descent is pinned through the API
-        candidates = zefoz_search(SITE_II.ground, (1, 2), region=np.array(box, dtype=float), grid=6)
-        assert hashlib.sha256(repr(candidates).encode()).hexdigest() == candidates_hash
-
-    def test_selftest_stdout(self, capsys):
-        code, stdout, _ = run(capsys, "selftest")
-        assert code == 0
-        assert hashlib.sha256(stdout.encode()).hexdigest() == (
-            "f7b569219c57ec58139b96d0553e4677a26f1207fa525e86eabb2e9b07d57404")
-
-    def test_invert_csv_and_stdout(self, tmp_path, capsys):
-        out = tmp_path / "invert.csv"
-        code, stdout, _ = run(capsys, "invert", "--lines", "2046,2385,2869,3208", "--no-stamp", "--out", str(out))
-        assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "f39da535d8f19bdab4523e4ff2c2b3acb6ff5c53a70c65778ca57143522599a9")
-        assert hashlib.sha256(stdout.encode()).hexdigest() == (
-            "3c8f85e4d427380b2d1158c091bcc04b72eb18a1e1b115cd8114067a24374c31")
-
-    @pytest.mark.parametrize("argv, csv_hash", [
-        (["levels", "--B", "0"], "855d2976968b9e15bbc5531567cd7e97154bdccd59fa00382739d53b189e1558"),
-        (["transitions", "--site", "II", "--B", "100,0,0"],
-         "27bacc85d2e2fa7de5e500fc500b481cc2960e50fd8fa88e1784fd52fdcb16f2"),
-        (["odmr", "--B", "0"], "b0c8e93a8a36627d8dd6b85e1fb9c5d6416881597472c6090c02130a28f0740f"),
-        (["odmr", "--ac-axis", "1,1,0"], "16a016b48e6e1ad710edc79850975e42631755ba0879e247fb0f1a821ee8be74"),
-        (["levels", "--field", "1,2,2", "--magnitude", "7"],
-         "9618c96b8cc35864dbd5bafc595c5398b801d28f81a929cf42f0672b259141f7"),
-        (["odmr", "--site", "II", "--state", "excited", "--B", "30,10,-5", "--ac-axis", "1,1,0"],
-         "2aca851514860a94ce7a5b5cde61f7514d1380a596c63182b72c9301f835c31f"),
-    ])
-    def test_field_command_csv(self, tmp_path, capsys, argv, csv_hash):
-        out = tmp_path / "out.csv"
-        code, _, _ = run(capsys, *argv, "--no-stamp", "--out", str(out))
-        assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_hash
-
-    @pytest.mark.parametrize("lines, err_hash", [
-        ("1,2", "ff4704475fff0264918877f70790a9502c5604b28d516c770ef3f7bd05460f64"),
-        ("500,900,1700,2900", "5a3457873fa5d982a5d52afded556f2545db867b8ffbd21936d1067db572593c"),
-    ])
-    def test_invert_error_record(self, capsys, lines, err_hash):
-        code, _, err = run(capsys, "invert", "--lines", lines)
-        assert code == 2
-        assert hashlib.sha256(err.encode()).hexdigest() == err_hash
+@pytest.mark.parametrize("box, candidates_hash", [
+    (((-50, 50), (-50, 50), (-50, 50)), "6dfe1e1428b095b15e9779c0f97b6e7697f986e908f870ede54930284b6d34b9"),
+    (((10, 60), (-20, 20), (0, 40)), "8a464dfc2f9d8f40e4b34b11c38678fcd0a8d0675d552f40ba99ef858ca5621d"),
+])
+def test_zefoz_box_candidates(box, candidates_hash):
+    # the CLI searches a ball only: the box descent is pinned through the API
+    candidates = zefoz_search(SITE_II.ground, (1, 2), region=np.array(box, dtype=float), grid=6)
+    assert hashlib.sha256(repr(candidates).encode()).hexdigest() == candidates_hash
 
 
 class TestConfigIntegration:

@@ -9,11 +9,13 @@ identical; for a CSV that differs, the change in its row count and, per numeric 
 cells moved and the largest absolute and relative difference, with the row where each occurs.  The
 last line sums it up.  Exit status: 0 when every command is identical, 1 otherwise.
 
-The list: the README commands, the benchmark's four parts (``perfbench/workloads.py``, full size)
-and the argv of every ``TestPinnedBytes`` case in ``tests/test_cli.py``.  The input files are the
-pinned texts of ``tests/test_cli.py`` and the benchmark's fit data and rates for ``--seed``
-(default 1), all taken from OLD_TREE.  ``--match`` keeps the commands whose name holds one of the
-texts.  This script needs only the standard library; the commands need numpy.
+The list: the README commands (``README_COMMANDS`` below), the steps of the benchmark's four parts
+at full size (``part_steps`` of ``perfbench/workloads.py``), every run of ``PINNED_RUNS`` and every
+help/usage argv of ``SURFACE`` in ``tests/test_cli.py``.  The pinned runs read the ``PINNED_*``
+texts of ``tests/test_cli.py`` as data.csv, rates.ini, site.ini and tie.ini, the README's and the
+benchmark's commands the benchmark's fit data and rates for ``--seed`` (default 1); all of these
+are taken from OLD_TREE.  ``--match`` keeps the commands whose name holds one of the texts.  This
+script needs only the standard library; the commands and the benchmark's modules need numpy.
 """
 
 from __future__ import annotations
@@ -28,101 +30,51 @@ import sys
 import tempfile
 from pathlib import Path
 
-TIE_SITE = "[site]\npreset = site-I\nordering_ground = -1\n"
-FIT = ("fit", "--data", "data.csv", "--no-stamp", "--out", "fit.csv", "--report", "report.txt")
-
-# (name, argv of each step); the steps of one command share its directory, so a later one reads
-# what an earlier one wrote.  readme/ and bench/ commands write the default stamped files.
-COMMANDS = (
-    ("readme/levels", (("levels", "--site", "I", "--state", "ground", "--B", "0"),)),
-    ("readme/transitions", (("transitions", "--site", "II", "--B", "100,0,0"),)),
-    ("readme/absorption+ordering", (
+# the README's commands, each with its steps (a later step reads what an earlier one wrote); they write the default
+# stamped files, and read the benchmark's inputs for the README's data.csv and rates.ini
+README_COMMANDS = (
+    ("levels", (("levels", "--site", "I", "--state", "ground", "--B", "0"),)),
+    ("transitions", (("transitions", "--site", "II", "--B", "100,0,0"),)),
+    ("absorption+ordering", (
         ("absorption", "--site", "I", "--range=-4.5:4.5:0.005", "--model", "uniform", "--peaks-out", "peaks.csv"),
         ("ordering", "--site", "I", "--peaks-file", "peaks.csv"))),
-    ("readme/shb-map", (("shb-map", "--site", "I", "--direction", "D1", "--magnitudes", "0:150:1",
-                         "--span=-5:5:0.002", "--rates", "bench-rates.ini", "--out", "map.csv"),)),
-    ("readme/odmr", (("odmr", "--site", "I", "--state", "ground", "--B", "0"),)),
-    ("readme/epr-map", (("epr-map", "--site", "I", "--plane", "b-D1", "--step", "5", "--freq", "9.7",
-                         "--bmax", "1000"),)),
-    ("readme/invert", (("invert", "--lines", "2046,2385,2869,3208"),)),
-    ("readme/fit", (("fit", "--data", "bench-data.csv", "--free", "ground", "--restarts", "64", "--seed", "0"),)),
-    ("readme/zefoz", (("zefoz", "--site", "I", "--state", "ground", "--transition", "2,3", "--radius", "100"),)),
-    ("readme/selftest", (("selftest",),)),
-    ("bench/epr-angular", (("epr-map", "--site", "I", "--plane", "b-D1", "--step", "15", "--freq", "9.7",
-                            "--bmax", "1000"),)),
-    ("bench/fit-multistart", (("fit", "--data", "bench-data.csv", "--free", "ground", "--restarts", "16",
-                               "--seed", "{seed}"),)),
-    ("bench/site-survey", (
-        ("levels", "--B", "0"), ("transitions", "--site", "II", "--B", "100,0,0"), ("odmr", "--B", "0"),
-        ("absorption", "--range=-4.5:4.5:0.005", "--model", "uniform", "--peaks-out", "peaks.csv"),
-        ("ordering", "--peaks-file", "peaks.csv"), ("invert", "--lines", "2046,2385,2869,3208"),
-        ("zefoz", "--transition", "1,2", "--radius", "100", "--out", "zefoz-1-2.csv"), ("selftest",))),
-    # the shb-map part is readme/shb-map
-    ("pinned/epr-map", (("epr-map", "--site", "I", "--plane", "b-D1", "--step", "15", "--freq", "9.7",
-                         "--bmax", "1000", "--no-stamp", "--out", "epr-map.csv"),)),
-    ("pinned/fit-residual", ((*FIT, "--free", "ground", "--restarts", "2", "--seed", "0"),)),
-    ("pinned/shb-map", (("shb-map", "--magnitudes", "0:150:15", "--span=-5:5:0.02", "--no-stamp",
-                         "--out", "shb-map.csv"),)),
-    ("pinned/shb-map-rates", (("shb-map", "--magnitudes", "0:150:15", "--span=-5:5:0.02", "--no-stamp",
-                               "--out", "shb-map.csv", "--rates", "rates.ini"),)),
-    ("pinned/shb-map-direction", (("shb-map", "--direction", "1,2,2", "--magnitudes", "0:60:5",
-                                   "--span=-2:2:0.01", "--no-stamp", "--out", "shb-map.csv"),)),
-    ("pinned/absorption+ordering", (
-        ("absorption", "--model", "uniform", "--peaks-out", "peaks.csv", "--no-stamp", "--out", "absorption.csv"),
-        ("ordering", "--peaks-file", "peaks.csv", "--no-stamp", "--out", "ordering.csv"))),
-    ("pinned/site-ii-absorption+ordering", (
-        ("absorption", "--site", "II", "--range=-4.5:4.5:0.005", "--model", "uniform", "--peaks-out", "peaks.csv",
-         "--no-stamp", "--out", "absorption.csv"),
-        ("ordering", "--site", "II", "--peaks-file", "peaks.csv", "--no-stamp", "--out", "ordering.csv"))),
-    ("pinned/ordering-tie", (
-        ("absorption", "--config", "tie.ini", "--model", "uniform", "--peaks-out", "peaks.csv", "--no-stamp",
-         "--out", "absorption.csv"),
-        ("ordering", "--config", "tie.ini", "--peaks-file", "peaks.csv", "--no-stamp", "--out", "ordering.csv"))),
-    ("pinned/absorption-overlap", (("absorption", "--range=-4.5:4.5:0.005", "--peaks-out", "peaks.csv",
-                                    "--no-stamp", "--out", "absorption.csv"),)),
-    *((f"pinned/transitions-config-{state}", (("transitions", "--config", "site.ini", "--state", state,
-                                               "--B", "30,0,0", "--no-stamp", "--out", "t.csv"),))
-      for state in ("ground", "excited")),
-    ("pinned/fit-two-orientations", ((*FIT, "--free", "ground,excited", "--restarts", "2", "--seed", "0"),)),
-    ("pinned/fit-restart-chunk", ((*FIT, "--free", "ground", "--restarts", "40", "--seed", "18446744073709551621"),)),
-    ("pinned/fit-bounded", ((*FIT, "--free", "ground,misalignment,eigenvalues", "--restarts", "8", "--seed", "0"),)),
-    ("pinned/fit-bounded-epr-rows", ((*FIT, "--free", "ground,misalignment,eigenvalues", "--restarts", "4",
-                                      "--seed", "3"),)),
-    ("pinned/fit-nothing-free", ((*FIT, "--free", ""),)),
-    ("pinned/zefoz", (("zefoz", "--transition", "1,2", "--radius", "100", "--no-stamp", "--out", "zefoz.csv"),)),
-    ("pinned/zefoz-wide-ball", (("zefoz", "--transition", "1,2", "--radius", "1000", "--no-stamp",
-                                 "--out", "zefoz.csv"),)),
-    ("pinned/zefoz-site-ii-excited", (("zefoz", "--site", "II", "--state", "excited", "--transition", "1,2",
-                                       "--radius", "300", "--no-stamp", "--out", "zefoz.csv"),)),
-    ("pinned/selftest", (("selftest",),)),
-    ("pinned/invert", (("invert", "--lines", "2046,2385,2869,3208", "--no-stamp", "--out", "invert.csv"),)),
-    *((f"pinned/field-{'-'.join(argv).replace(',', '_')}", ((*argv, "--no-stamp", "--out", "out.csv"),))
-      for argv in (("levels", "--B", "0"), ("transitions", "--site", "II", "--B", "100,0,0"), ("odmr", "--B", "0"),
-                   ("odmr", "--ac-axis", "1,1,0"), ("levels", "--field", "1,2,2", "--magnitude", "7"),
-                   ("odmr", "--site", "II", "--state", "excited", "--B", "30,10,-5", "--ac-axis", "1,1,0"))),
-    *((f"pinned/invert-error-{lines.replace(',', '_')}", (("invert", "--lines", lines),))
-      for lines in ("1,2", "500,900,1700,2900")),
+    ("shb-map", (("shb-map", "--site", "I", "--direction", "D1", "--magnitudes", "0:150:1", "--span=-5:5:0.002",
+                  "--rates", "bench-rates.ini", "--out", "map.csv"),)),
+    ("odmr", (("odmr", "--site", "I", "--state", "ground", "--B", "0"),)),
+    ("epr-map", (("epr-map", "--site", "I", "--plane", "b-D1", "--step", "5", "--freq", "9.7", "--bmax", "1000"),)),
+    ("invert", (("invert", "--lines", "2046,2385,2869,3208"),)),
+    ("fit", (("fit", "--data", "bench-data.csv", "--free", "ground", "--restarts", "64", "--seed", "0"),)),
+    ("zefoz", (("zefoz", "--site", "I", "--state", "ground", "--transition", "2,3", "--radius", "100"),)),
+    ("selftest", (("selftest",),)),
 )
 
 RUNNER = "import sys\nfrom kramers.cli import main\nsys.exit(main(sys.argv[1:]))"
 
 
-def pinned_texts(tree: Path) -> dict[str, str]:
-    """The module-level string constants of the tree's tests/test_cli.py, read without importing it."""
-    module = ast.parse((tree / "tests" / "test_cli.py").read_text())
-    return {node.targets[0].id: node.value.value for node in module.body
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
-            and isinstance(node.value.value, str) and isinstance(node.targets[0], ast.Name)}
+def test_cli_literals(tree: Path) -> dict:
+    """The module-level literals of the tree's tests/test_cli.py (its pinned texts, PINNED_RUNS and SURFACE),
+    read without importing it."""
+    found = {}
+    for node in ast.parse((tree / "tests" / "test_cli.py").read_text()).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            try:
+                found[node.targets[0].id] = ast.literal_eval(node.value)
+            except ValueError:  # not a literal
+                pass
+    return found
 
 
-def bench_inputs(tree: Path, seed: int) -> dict[str, str]:
-    """The benchmark's fit data and rates for a seed, from the tree's perfbench/inputs.py."""
-    code = ("import json, sys, inputs\n"
-            f"json.dump([inputs.fit_data_csv({seed}), inputs.rates_ini({seed})], sys.stdout)")
+def bench(tree: Path, seed: int) -> tuple[dict[str, str], dict[str, list]]:
+    """The benchmark's fit data and rates for a seed, and the argv of each part's steps at full size, from
+    the tree's perfbench/inputs.py and perfbench/workloads.py."""
+    code = ("import json, sys, inputs, workloads as w\n"
+            f"i = w.Inputs({seed}, inputs.rate_variant({seed}), 'bench-data.csv', 'bench-rates.ini')\n"
+            "json.dump([{i.fit_data: inputs.fit_data_csv(i.seed), i.rates: inputs.rates_ini(i.seed)},\n"
+            "           {part: [s.argv for s in w.part_steps(part, 'full', i)] for part in w.PARTS}], sys.stdout)")
     out = subprocess.run([sys.executable, "-c", code], cwd=tree / "perfbench", capture_output=True, text=True,
                          check=True).stdout
-    data, rates = json.loads(out)
-    return {"bench-data.csv": data, "bench-rates.ini": rates}
+    inputs, parts = json.loads(out)
+    return inputs, parts
 
 
 def run(tree: Path, steps, inputs: dict[str, str], workdir: Path) -> dict:
@@ -130,7 +82,8 @@ def run(tree: Path, steps, inputs: dict[str, str], workdir: Path) -> dict:
     workdir.mkdir(parents=True)
     for name, text in inputs.items():
         (workdir / name).write_text(text)
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+    # argparse wraps help to COLUMNS, as the pinned help texts are
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), COLUMNS="80",
                **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
     codes, stdout, stderr = [], b"", b""
     for argv in steps:
@@ -213,11 +166,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="the benchmark seed of the fit data and rates")
     args = parser.parse_args(argv)
     old, new = args.old.resolve(), args.new.resolve()
-    texts = pinned_texts(old)
-    inputs = {"data.csv": texts["PINNED_FIT_DATA"], "rates.ini": texts["PINNED_RATES"],
-              "site.ini": texts["PINNED_SITE_CONFIG"], "tie.ini": TIE_SITE, **bench_inputs(old, args.seed)}
-    commands = [(name, [[a.format(seed=args.seed) for a in argv] for argv in steps]) for name, steps in COMMANDS
-                if not args.match or any(text in name for text in args.match)]
+    texts = test_cli_literals(old)
+    inputs, parts = bench(old, args.seed)
+    inputs.update({"data.csv": texts["PINNED_FIT_DATA"], "rates.ini": texts["PINNED_RATES"],
+                   "site.ini": texts["PINNED_SITE_CONFIG"], "tie.ini": texts["PINNED_TIE_SITE"]})
+    commands = [*((f"readme/{name}", steps) for name, steps in README_COMMANDS),
+                *((f"bench/{part}", steps) for part, steps in parts.items()),
+                *((f"pinned/{name}", steps) for name, steps, _, _ in texts["PINNED_RUNS"]),
+                *((f"surface/{' '.join(argv) or 'no-argv'}", [argv]) for argv, _, _ in texts["SURFACE"])]
+    commands = [(name, steps) for name, steps in commands if not args.match or any(t in name for t in args.match)]
     moved = []
     with tempfile.TemporaryDirectory(prefix="census-") as tmp:
         for n, (name, steps) in enumerate(commands):
