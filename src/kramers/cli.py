@@ -94,8 +94,7 @@ def _add_common(p: argparse.ArgumentParser, default_out: str, run):
 
 def _add_field(p: argparse.ArgumentParser):
     p.add_argument("--state", choices=("ground", "excited"), default="ground")
-    p.add_argument("--field", "--B", dest="field", type=_typed(vector, "field"), default="0,0,0",
-                   help="B vector in mT (crystal frame) or D1|D2|b")
+    p.add_argument("--field", "--B", dest="field", default="0,0,0", help="B vector in mT (crystal frame) or D1|D2|b")
     p.add_argument("--magnitude", type=_typed(number, "magnitude", "field_mt"),
                    help="scale a direction by this many mT")
 
@@ -206,20 +205,17 @@ def _write(args, columns, grid: int = 0) -> None:
     write_csv(args.out, SCHEMAS[args.command].split()[0].split(","), columns, stamp=not args.no_stamp, grid=grid)
 
 
-def _field_levels(args):
-    """(state, field, eigensystem) of --state at --B, or at --field (then a direction) scaled to --magnitude."""
-    sys, vec = getattr(_resolve_site(args), args.state), np.asarray(args.field, dtype=float)
+def _field(args):
+    """(state, field) of --state at --B, or at --field (then a nonzero direction) scaled to --magnitude."""
     if args.magnitude is None:
-        vec = np.array([number(x, "field", "field_mt") for x in vec])
-    elif not vec.any():
-        raise ConfigError("bad-vector", "cannot scale a zero direction", "field")
+        field = np.array(vector(args.field, "field", "field_mt"))
     else:
-        vec = unit_direction(vec) * args.magnitude
-    return sys, vec, eigensystem(sys, vec)
+        field = unit_direction(vector(args.field, "field", nonzero=True)) * args.magnitude
+    return getattr(_resolve_site(args), args.state), field
 
 
 def _cmd_levels(args) -> int:
-    energies = _field_levels(args)[2].energies
+    energies = eigensystem(*_field(args)).energies
     _write(args, [np.arange(1, 5), energies])
     for n, e in enumerate(energies, start=1):
         print(f"level {n}: {e:+.6f} GHz")
@@ -227,7 +223,7 @@ def _cmd_levels(args) -> int:
 
 
 def _cmd_transitions(args) -> int:
-    freqs = transition_frequencies(_field_levels(args)[2])
+    freqs = transition_frequencies(eigensystem(*_field(args)))
     _write(args, [PAIR_LO + 1, PAIR_HI + 1, freqs])
     for (i, j), f in zip(PAIRS, freqs.tolist()):
         print(f"{i + 1} -> {j + 1}: {f * 1e3:9.3f} MHz")
@@ -270,8 +266,7 @@ def _cmd_shb_map(args) -> int:
 def _cmd_odmr(args) -> int:
     from . import magres
 
-    sys, field, _ = _field_levels(args)
-    lines = magres.odmr_lines(sys, field, ac_axis=args.ac_axis)
+    lines = magres.odmr_lines(*_field(args), ac_axis=args.ac_axis)
     pairs = np.array([l.transition for l in lines]).reshape(-1, 2) + 1
     _write(args, [np.array([l.frequency_mhz for l in lines]), *pairs.T, np.array([l.moment for l in lines]),
                   np.array([l.strong for l in lines])])
