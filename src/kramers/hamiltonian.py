@@ -264,17 +264,14 @@ def zeeman_stack(h0, g, fields, g_n: float, mu_b: float, mu_n: float) -> np.ndar
     return h0[..., None, :, :] + h_el - h_nuc
 
 
-def spin_expectations(states: np.ndarray, mix: np.ndarray | None = None) -> np.ndarray:
-    """<n|O|n> for every O of SPIN_OPERATORS: eigenvector columns (..., 4, 4) -> (..., 4, 15).
-
-    With ``mix`` (..., 15, P) it gives sum_o <n|O_o|n> mix[o, p] instead,
-    (..., 4, P): Hellmann-Feynman derivatives, when ``mix`` holds dH/dp in
-    the operator basis.
+def spin_expectations(states: np.ndarray, mix: np.ndarray) -> np.ndarray:
+    """sum_o <n|O_o|n> mix[o, p] over the O_o of SPIN_OPERATORS: eigenvector
+    columns (..., 4, 4) and ``mix`` (..., 15, P) -> (..., 4, P).  These are
+    Hellmann-Feynman derivatives when ``mix`` holds dH/dp in the operator basis.
     """
     v = np.ascontiguousarray(np.swapaxes(states, -1, -2))
     rho = v.conj()[..., :, :, None] * v[..., :, None, :]
-    weights = _EXPECTATION_WEIGHTS if mix is None else _EXPECTATION_WEIGHTS @ mix
-    return rho.reshape(rho.shape[:-2] + (16,)).view(np.float64) @ weights
+    return rho.reshape(rho.shape[:-2] + (16,)).view(np.float64) @ (_EXPECTATION_WEIGHTS @ mix)
 
 
 def diagonalize(H: np.ndarray) -> EigenSystem:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .hamiltonian import (PAIR_HI, PAIR_LO, PAIRS, SpinSystem, eigensystem, hamiltonian_stack, hyperfine_stack,
                           unit_direction, zeeman_stack)
+from .output import FLOAT_FORMAT
 
 B_AXIS = (0.0, 0.0, 1.0)
 STRONG_MOMENT_FRACTION = 0.01
@@ -198,16 +199,16 @@ def _resonances(sys: SpinSystem, directions, nu_mw_ghz: float, b_max_mt: float) 
     for k, b_res, col, sub, moment in zip(n.tolist(), fields.tolist(), cols.tolist(), s.tolist(), moments.tolist()):
         out[k].append(EprResonance(b_res, tuple(directions[k]), PAIRS[col], sub + 1, moment))
     for resonances in out:
-        # fields equal to 9 significant digits, as subsites' are on a symmetry
+        # fields equal as the CSV prints them, as subsites' are on a symmetry
         # plane up to rounding, order by subsite
-        resonances.sort(key=lambda r: (float(f"{r.field_mt:.9g}"), r.subsite, r.transition))
+        resonances.sort(key=lambda r: (float(format(r.field_mt, FLOAT_FORMAT)), r.subsite, r.transition))
     return out
 
 
 def epr_resonance_fields(sys: SpinSystem, direction, nu_mw_ghz: float, b_max_mt: float) -> list[EprResonance]:
     """All field magnitudes in (EPR_FIELD_TOL_MT, b_max] where a transition
-    of either subsite meets nu_mw, ordered by field (to 9 significant
-    digits), subsite, then transition, with the moments of a drive along b
+    of either subsite meets nu_mw, ordered by field (at the CSV's
+    precision), subsite, then transition, with the moments of a drive along b
     (``transition_moments``)."""
     return _resonances(sys, [direction], nu_mw_ghz, b_max_mt)[0]
 

@@ -1,5 +1,7 @@
-"""tools/census.py against a copy of the source with one digit changed."""
+"""tools/census.py: its README commands, and a run against a copy of the source with one digit changed."""
 
+import importlib.util
+import shlex
 import shutil
 import subprocess
 import sys
@@ -27,3 +29,17 @@ def test_census_names_the_moved_cells_and_nothing_else(tmp_path):
         "max rel 0.000277 at row 2",
         "identical readme/invert (exit 0)"]
     assert lines[-1] == "census: 2 commands, 1 identical, 1 differ: readme/levels"
+
+
+def test_census_runs_every_readme_command():
+    # the README's CLI block; the census reads the benchmark's inputs as its data.csv and rates.ini
+    spec = importlib.util.spec_from_file_location("census", ROOT / "tools" / "census.py")
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    text = (ROOT / "README.md").read_text()
+    block = text[text.index("```sh\nkramers levels") + len("```sh\n"):]
+    block = block[:block.index("```")].replace("\\\n", " ")
+    readme = [shlex.split(line, comments=True) for line in block.splitlines()]
+    listed = [["kramers", *(a.removeprefix("bench-") for a in argv)] for _, steps in census.README_COMMANDS
+              for argv in steps]
+    assert sorted(readme) == sorted(listed)

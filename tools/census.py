@@ -9,13 +9,13 @@ identical; for a CSV that differs, the change in its row count and, per numeric 
 cells moved and the largest absolute and relative difference, with the row where each occurs.  The
 last line sums it up.  Exit status: 0 when every command is identical, 1 otherwise.
 
-The list: the README commands (``README_COMMANDS`` below), the steps of the benchmark's four parts
-at full size (``part_steps`` of ``perfbench/workloads.py``), every run of ``PINNED_RUNS`` and every
-help/usage argv of ``SURFACE`` in ``tests/test_cli.py``.  The pinned runs read the ``PINNED_*``
-texts of ``tests/test_cli.py`` as data.csv, rates.ini, site.ini and tie.ini, the README's and the
-benchmark's commands the benchmark's fit data and rates for ``--seed`` (default 1); all of these
-are taken from OLD_TREE.  ``--match`` keeps the commands whose name holds one of the texts.  This
-script needs only the standard library; the commands and the benchmark's modules need numpy.
+The list: the README commands (``README_COMMANDS``), the steps of the benchmark's four parts at full
+size (``perfbench/workloads.py``), and every run of ``PINNED_RUNS`` and help/usage argv of ``SURFACE``
+(``tests/test_cli.py``).  Every command's directory holds the ``PINNED_*`` texts of
+``tests/test_cli.py`` as data.csv, rates.ini, site.ini and tie.ini, and the benchmark's fit data and
+rates for ``--seed`` (default 1) as bench-data.csv and bench-rates.ini.  The lists and the inputs are
+read from OLD_TREE.  ``--match`` keeps the commands whose name holds one of the texts.  This script
+needs only the standard library; the commands and the benchmark's modules need numpy.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-# the README's commands, each with its steps (a later step reads what an earlier one wrote); they write the default
-# stamped files, and read the benchmark's inputs for the README's data.csv and rates.ini
+# the README's commands by name, each with its steps (a later step reads what an earlier one wrote); they write the
+# default stamped files and read the benchmark's inputs as the README's data.csv and rates.ini
 README_COMMANDS = (
     ("levels", (("levels", "--site", "I", "--state", "ground", "--B", "0"),)),
     ("transitions", (("transitions", "--site", "II", "--B", "100,0,0"),)),
@@ -51,7 +51,7 @@ README_COMMANDS = (
 RUNNER = "import sys\nfrom kramers.cli import main\nsys.exit(main(sys.argv[1:]))"
 
 
-def test_cli_literals(tree: Path) -> dict:
+def pinned_literals(tree: Path) -> dict:
     """The module-level literals of the tree's tests/test_cli.py (its pinned texts, PINNED_RUNS and SURFACE),
     read without importing it."""
     found = {}
@@ -73,8 +73,7 @@ def bench(tree: Path, seed: int) -> tuple[dict[str, str], dict[str, list]]:
             "           {part: [s.argv for s in w.part_steps(part, 'full', i)] for part in w.PARTS}], sys.stdout)")
     out = subprocess.run([sys.executable, "-c", code], cwd=tree / "perfbench", capture_output=True, text=True,
                          check=True).stdout
-    inputs, parts = json.loads(out)
-    return inputs, parts
+    return tuple(json.loads(out))
 
 
 def run(tree: Path, steps, inputs: dict[str, str], workdir: Path) -> dict:
@@ -82,7 +81,7 @@ def run(tree: Path, steps, inputs: dict[str, str], workdir: Path) -> dict:
     workdir.mkdir(parents=True)
     for name, text in inputs.items():
         (workdir / name).write_text(text)
-    # argparse wraps help to COLUMNS, as the pinned help texts are
+    # argparse wraps help to COLUMNS; SURFACE pins it at 80
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), COLUMNS="80",
                **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
     codes, stdout, stderr = [], b"", b""
@@ -166,7 +165,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="the benchmark seed of the fit data and rates")
     args = parser.parse_args(argv)
     old, new = args.old.resolve(), args.new.resolve()
-    texts = test_cli_literals(old)
+    texts = pinned_literals(old)
     inputs, parts = bench(old, args.seed)
     inputs.update({"data.csv": texts["PINNED_FIT_DATA"], "rates.ini": texts["PINNED_RATES"],
                    "site.ini": texts["PINNED_SITE_CONFIG"], "tie.ini": texts["PINNED_TIE_SITE"]})
