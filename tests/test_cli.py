@@ -519,7 +519,6 @@ PINNED_RUNS = [
      [("odmr", "--site", "II", "--state", "excited", "--B", "30,10,-5", "--ac-axis", "1,1,0", "--no-stamp",
        "--out", "out.csv")], [0],
      {"out.csv": "2aca851514860a94ce7a5b5cde61f7514d1380a596c63182b72c9301f835c31f"}),
-    # error records: one JSON line on stderr, exit 2
     ("invert-too-few-lines", [("invert", "--lines", "1,2")], [2],
      {"stderr": "ff4704475fff0264918877f70790a9502c5604b28d516c770ef3f7bd05460f64"}),
     ("invert-inconsistent", [("invert", "--lines", "500,900,1700,2900")], [2],
