@@ -118,11 +118,11 @@ class TestOdmrEpr:
     def test_odmr_diagonalizes_its_field_once(self, tmp_path, capsys, monkeypatch):
         from kramers import cli, hamiltonian, magres
 
-        fields = []
+        seen = []
         for module in (cli, magres):
-            monkeypatch.setattr(module, "eigensystem", lambda sys, B: fields.append(B) or hamiltonian.eigensystem(sys, B))
+            monkeypatch.setattr(module, "eigensystem", lambda sys, B: seen.append(B) or hamiltonian.eigensystem(sys, B))
         assert run(capsys, "odmr", "--B", "30,10,-5", "--out", str(tmp_path / "odmr.csv"))[0] == 0
-        assert np.array_equal(fields, [[30, 10, -5]])
+        assert np.array_equal(seen, [[30, 10, -5]])
 
     def test_epr_map_output(self, tmp_path, capsys):
         out = tmp_path / "epr.csv"
@@ -539,12 +539,13 @@ PINNED_RUNS = [
     # 1e400 is not a double
     ("levels-infinite-field", [("levels", "--B", "1e400,0,0")], [2],
      {"stderr": "128ac1481ef361e493b0fa1aa2d78cb9e6c527931b42b5cadbfffb9b875182b8"}),
+    # a zero direction has no scale
     ("levels-zero-direction", [("levels", "--field", "0", "--magnitude", "5")], [2],
      {"stderr": "5611a5d9aad8067148d3f58a7c0874ce8b0a951ba54b0934d2955a79d6c5e6f3"}),
 ]
 
 
-@pytest.mark.parametrize("steps, codes, digests", [run[1:] for run in PINNED_RUNS], ids=[run[0] for run in PINNED_RUNS])
+@pytest.mark.parametrize("steps, codes, digests", [r[1:] for r in PINNED_RUNS], ids=[r[0] for r in PINNED_RUNS])
 def test_pinned_run(steps, codes, digests, tmp_path, monkeypatch, capsys):
     for name, text in (("data.csv", PINNED_FIT_DATA), ("rates.ini", PINNED_RATES), ("site.ini", PINNED_SITE_CONFIG),
                        ("tie.ini", PINNED_TIE_SITE)):
