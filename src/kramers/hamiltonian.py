@@ -55,6 +55,12 @@ DEGENERACY_GAP_GHZ = 1e-6
 _NORM_FLOOR = np.sqrt(np.finfo(float).tiny)  # below it a norm's squares are subnormal
 # largest RMS misfit (GHz) of the zero-field lines a level ladder may leave
 LEVEL_TOL_GHZ = 2e-3
+# Hamiltonians whose levels ``level_derivatives`` solves at once, and EPR rows the fit takes at once:
+# a closed-form row's temporaries take about 1.3 KB at three parameters, and an EPR row's Hamiltonian,
+# eigenvectors and density matrices about 4 KB, so a block stays within 2 MB, half of a 4 MB L2.  It was
+# the smallest block at which the benchmark's 16-restart fit was no slower than one unbounded stack
+# when every row took ``eigh`` (128 and 256 took 15% and 11% longer)
+EIGH_BLOCK = 512
 
 _SIGMA_HALF = (
     np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex),
@@ -272,6 +278,169 @@ def spin_expectations(states: np.ndarray, mix: np.ndarray) -> np.ndarray:
     v = np.ascontiguousarray(np.swapaxes(states, -1, -2))
     rho = v.conj()[..., :, :, None] * v[..., :, None, :]
     return rho.reshape(rho.shape[:-2] + (16,)).view(np.float64) @ (_EXPECTATION_WEIGHTS @ mix)
+
+
+def hellmann_feynman(A, g, dA, dg, fields, g_n: float, mu_b: float, mu_n: float) -> tuple:
+    """Levels (n, 4), eigenvectors (n, 4, 4) and Hellmann-Feynman derivatives (n, 4, P) by ``eigh``,
+    one Hamiltonian per row: tensors (n, 3, 3) with parameter derivatives dA, dg (n, P, 3, 3) (dg None
+    where g is fixed) at fields (n, 3) mT.
+
+    dH/d theta in the basis of SPIN_OPERATORS: dH/dA_kl = I_k S_l and
+    dH/dg_kl = mu_B B_k S_l.
+    """
+    w, v = np.linalg.eigh(hamiltonian_stack(A, g, fields[:, None], g_n, mu_b, mu_n)[:, 0])
+    n, P = dA.shape[:2]
+    mix = np.zeros((n, 15, P))
+    mix[:, :9] = dA.reshape(n, P, 9).swapaxes(1, 2)
+    if dg is not None:
+        mix[:, 9:12] = np.einsum("nk,npkl->nlp", fields * (mu_b * 1e-3), dg)
+    return w, v, spin_expectations(v, mix)
+
+
+# a 3x3 cofactor takes rows and columns (i + 1, i + 2) mod 3
+_NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
+
+
+def _mixed_cofactor(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """G(X, Y) of 3x3 stacks, the part of cof(X + Y) bilinear in X and Y: cof X = G(X, X) / 2."""
+    x1, x2, y1, y2 = X[..., _NEXT, :], X[..., _AFTER, :], Y[..., _NEXT, :], Y[..., _AFTER, :]
+    return (x1[..., _NEXT] * y2[..., _AFTER] + y1[..., _NEXT] * x2[..., _AFTER]
+            - x1[..., _AFTER] * y2[..., _NEXT] - y1[..., _AFTER] * x2[..., _NEXT])
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b of 3-vectors stacked on their first axis, in one fixed order."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v for a matrix (3, 3, ...) and vectors (3, ...), in one fixed order."""
+    return M[:, 0] * v[0] + M[:, 1] * v[1] + M[:, 2] * v[2]
+
+
+def _sum9(terms: np.ndarray) -> np.ndarray:
+    """The sum over the first axis of (9, ...) terms, in one fixed order."""
+    total = terms[0] + terms[1]
+    for term in terms[2:]:
+        total += term
+    return total
+
+
+def _hyperfine_parts(A: np.ndarray, dA: np.ndarray, dg) -> tuple:
+    """The field-independent parts of ``_closed_form`` for tensors (B, ...):
+    M = A^T / 4, C = cof M, det M, |M|^2, |C|^2; per parameter (B, P),
+    M:dM, C:dM and C:G with dM = dA^T / 4 and G = G(M, dM); and dM, G and
+    dg (None without misalignment) as (B, P, 9)."""
+    M = np.swapaxes(A, -1, -2) / 4.0
+    C = _mixed_cofactor(M, M) / 2.0
+    dM = np.swapaxes(dA, -1, -2) / 4.0
+    G = _mixed_cofactor(M[:, None], dM)
+    flat = [None if d is None else d.reshape(d.shape[:2] + (9,)) for d in (dM, G, dg)]
+    return (M, C, _dot(M[:, 0].T, C[:, 0].T), (M * M).sum(axis=(1, 2)), (C * C).sum(axis=(1, 2)),
+            (M[:, None] * dM).sum(axis=(2, 3)), (C[:, None] * dM).sum(axis=(2, 3)),
+            (C[:, None] * G).sum(axis=(2, 3)), *flat)
+
+
+def _closed_form(parts: tuple, g: np.ndarray, fields: np.ndarray, g_n: float, mu_b: float, mu_n: float) -> tuple:
+    """Levels (B, F, 4) ascending, their derivatives (B, F, 4, P) and the
+    rows (B, F) they hold for, of tensors (``_hyperfine_parts``, g (B, 3, 3))
+    at fields (F, 3), with no matrix and no eigenvector.
+
+    With Pauli matrices s, H = sum M_lk s_l (x) s_k + x.s (x) 1 + 1 (x) y.s
+    for x = mu_B B g / 2 and y = -mu_n g_n B / 2 (GHz), so its power sums
+    tr H^k are p2 = 4c, p3 = 24 (x^T M y - det M) and
+    p4 = 4 (c^2 + 4 |My|^2 + 4 |M^T x|^2 + |2 x y^T - 2C|^2) with
+    c = |M|^2 + |x|^2 + |y|^2.  The levels are the roots of
+    P(l) = l^4 - 2c l^2 - (p3 / 3) l + c^2 - e, e = c^2 - (p2^2 / 2 - p4) / 4:
+    Euler's resolvent z^3 - 4c z^2 + 4e z - (p3 / 3)^2 solved by the
+    trigonometric form gives l = (+-sqrt z0 +- sqrt z1 +- sqrt z2) / 2, in
+    ascending order by construction, and one Newton step on P refines them.
+    A level moves by dl = -dP(l) / P'(l), and P'(l_n) is the product of its
+    gaps: dl_n = ((l_n^2 / 2 - c) dp2 + (l_n / 3) dp3 + dp4 / 4) / P'(l_n),
+    with dp2 = 8 M:dM, dp3 = 24 (x^T dM y - C:dM) and
+    dp4 / 4 = 4c M:dM + 8 ((My)^T dM y + x^T dM (M^T x) - x^T G y + C:G),
+    plus the x terms of dg.  A row holds where every level's error, the
+    Newton step's own (3 step^2 / gap) plus the rounding of P over P'(l)
+    (16 eps times the sum of the magnitudes of P's terms, plus one tiny for
+    underflow), stays below sqrt(eps) of the row's smallest gap: every gap
+    and derivative then keeps half of its digits.  Every sum is written out
+    in one order, so a row's values do not depend on the block around it.
+    """
+    M, C, det, mm, cc, m, k, h, dM, G, dg = parts
+    # vectors are (3, B, F) and matrices (3, 3, B, 1)
+    M, C = np.moveaxis(M, 0, -1)[..., None], np.moveaxis(C, 0, -1)[..., None]
+    f = fields.T
+    gb = np.moveaxis(g, 0, -1)[..., None] * (mu_b * 5e-4)
+    x = gb[0] * f[0] + gb[1] * f[1] + gb[2] * f[2]
+    y = f[:, None] * (-mu_n * g_n * 5e-4)
+    My, Mtx, Cy = _apply(M, y), _apply(M.swapaxes(0, 1), x), _apply(C, y)
+    xx, yy = _dot(x, x), _dot(y, y)
+    c = mm[:, None] + xx + yy
+    q = 8.0 * (_dot(x, My) - det[:, None])  # p3 / 3
+    e = 4.0 * (_dot(My, My) + _dot(Mtx, Mtx) + xx * yy - 2.0 * _dot(x, Cy) + cc[:, None])
+    # z = 4c/3 + 2 rho cos(phi - 2 pi n / 3), cos 3 phi = -Q / (2 rho^3)
+    rho = np.sqrt(np.maximum(16.0 / 9.0 * c * c - 4.0 / 3.0 * e, 0.0))
+    Q = 16.0 / 3.0 * c * e - 128.0 / 27.0 * c * c * c - q * q
+    phi = np.arccos(np.clip(-Q / (2.0 * rho * rho * rho), -1.0, 1.0)) / 3.0
+    cos, sin = rho * np.cos(phi), rho * np.sin(phi)
+    z0, z1 = 4.0 / 3.0 * c + 2.0 * cos, 4.0 / 3.0 * c - cos + np.sqrt(3.0) * sin
+    # the smallest root from the product z0 z1 z2 = q^2; sqrt z0 sqrt z1 sqrt z2 = q
+    s0, s1, s2 = np.sqrt(z0), np.sqrt(z1), np.copysign(np.sqrt(q * q / (z0 * z1)), q)
+    lam = 0.5 * np.stack([s2 - s0 - s1, s1 - s0 - s2, s0 - s1 - s2, s0 + s1 + s2])  # (4, B, F)
+    l2 = lam * lam
+    step = (((l2 - 2.0 * c) * lam - q) * lam + c * c - e) / ((4.0 * l2 - 4.0 * c) * lam - q)
+    lam = lam - step
+    l2 = lam * lam
+    d01, d02, d03, d12, d13, d23 = (lam[j] - lam[i] for i, j in PAIRS)
+    den = np.stack([-d01 * d02 * d03, d01 * d12 * d13, -d02 * d12 * d23, d03 * d13 * d23])
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    gap = np.minimum(np.minimum(d01, d12), d23)
+    terms = l2 * l2 + 2.0 * c * l2 + np.abs(q * lam) + c * c + e
+    error = 3.0 * step * step / np.abs(gap) + (16.0 * eps * terms + tiny) / np.abs(den)
+    holds = error.max(axis=0) <= np.sqrt(eps) * gap
+    # each term's field matrix, (9, 1, B, F): x y^T and (My) y^T + x (M^T x)^T with dM, x y^T with G;
+    # parameter terms are (P, B, F), so every product runs along the fields
+    xy = (x[:, None] * y[None, :]).reshape(9, 1, *x.shape[1:])
+    W = (My[:, None] * y[None, :] + x[:, None] * Mtx[None, :]).reshape(xy.shape)
+    dM, G = (d.transpose(2, 1, 0)[..., None] for d in (dM, G))  # (9, P, B, 1)
+    m, k, h = (v.T[..., None] for v in (m, k, h))
+    T = _sum9(np.stack([xy, W], axis=1) * dM[:, None])  # (2, P, B, F)
+    dp2, dp3 = 8.0 * m, 24.0 * (T[0] - k)
+    dq4 = 4.0 * c * m + 8.0 * (T[1] - _sum9(xy * G) + h)
+    if dg is not None:
+        # x.dx, (My).dx and (dp4 / 4 / dx).dx, as B v^T : dg for dx = mu_B B dg / 2
+        g4 = 4.0 * c * x + 8.0 * _apply(M, Mtx) + 8.0 * yy * x - 8.0 * Cy
+        B_v = np.stack([(f[:, None, None] * v[None, :]).reshape(xy.shape) for v in (x, My, g4)], axis=1)
+        T = _sum9(B_v * dg.transpose(2, 1, 0)[:, None, ..., None]) * (mu_b * 5e-4)
+        dp2, dp3, dq4 = dp2 + 8.0 * T[0], dp3 + 24.0 * T[1], dq4 + T[2]
+    inv = (1.0 / den)[:, None]
+    dE = ((0.5 * l2 - c)[:, None] * dp2 + (lam / 3.0)[:, None] * dp3 + dq4) * inv
+    return np.moveaxis(lam, 0, -1), dE.transpose(2, 3, 0, 1), holds
+
+
+def level_derivatives(A, g, dA, dg, fields, g_n: float, mu_b: float, mu_n: float):
+    """Ascending levels and parameter derivatives of tensor pairs A, g (B, 3, 3)
+    with derivatives dA, dg (B, P, 3, 3) (dg None where g is fixed), each at
+    the fields (F, 3) mT: yields ((tensor slice, field slice), levels (b, f, 4),
+    derivatives (b, f, 4, P)) per block of at most EIGH_BLOCK Hamiltonians.
+    The blocks tile B x F once: whole pairs while one pair's fields fit, else
+    one pair in field blocks.  Rows ``_closed_form`` does not hold for take
+    ``hellmann_feynman``."""
+    parts = _hyperfine_parts(A, dA, dg)
+    step, width = max(1, EIGH_BLOCK // len(fields)), min(len(fields), EIGH_BLOCK)
+    for start in range(0, len(A), step):
+        for first in range(0, len(fields), width):
+            b, f = slice(start, start + step), slice(first, first + width)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w, dE, holds = _closed_form([p if p is None else p[b] for p in parts], g[b], fields[f],
+                                            g_n, mu_b, mu_n)
+            if not holds.all():
+                bi, fi = np.nonzero(~holds)
+                r = bi + start
+                w[bi, fi], _, dE[bi, fi] = hellmann_feynman(A[r], g[r], dA[r], None if dg is None else dg[r],
+                                                            fields[f][fi], g_n, mu_b, mu_n)
+            yield (b, f), w, dE
+            del w, dE  # before the next block's temporaries
 
 
 def diagonalize(H: np.ndarray) -> EigenSystem:

@@ -31,11 +31,16 @@ def test_census_names_the_moved_cells_and_nothing_else(tmp_path):
     assert lines[-1] == "census: 2 commands, 1 identical, 1 differ: readme/levels"
 
 
-def test_census_runs_every_readme_command():
-    # the README's CLI block; the census reads the benchmark's inputs as its data.csv and rates.ini
+def census_module():
     spec = importlib.util.spec_from_file_location("census", ROOT / "tools" / "census.py")
     census = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(census)
+    return census
+
+
+def test_census_runs_every_readme_command():
+    # the README's CLI block; the census reads the benchmark's inputs as its data.csv and rates.ini
+    census = census_module()
     text = (ROOT / "README.md").read_text()
     block = text[text.index("```sh\nkramers levels") + len("```sh\n"):]
     block = block[:block.index("```")].replace("\\\n", " ")
@@ -43,3 +48,11 @@ def test_census_runs_every_readme_command():
     listed = [["kramers", *(a.removeprefix("bench-") for a in argv)] for _, steps in census.README_COMMANDS
               for argv in steps]
     assert sorted(readme) == sorted(listed)
+
+
+def test_no_two_commands_are_equal_up_to_output_names():
+    # e.g. the README's shb-map and the benchmark's shb-map part, which differ only in --out map.csv
+    _, commands = census_module().command_list(ROOT, 1)
+    computed = [tuple(tuple(a for n, a in enumerate(argv) if "--out" not in argv[max(n - 1, 0):n + 1])
+                      for argv in steps) for _, steps in commands]
+    assert len(set(computed)) == len(computed)

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import closest_subsite_representative
-from kramers import fitting
+from kramers import fitting, hamiltonian
 from kramers.fitting import (
     DataPoint,
     FitProblem,
@@ -736,17 +736,7 @@ def random_field_data(n, seed=5):
 
 
 class TestHamiltonianBlocks:
-    """``evaluate`` diagonalizes at most EIGH_BLOCK Hamiltonians at a time."""
-
-    @pytest.mark.parametrize("restarts, fields, block", [(5, 7, 1), (5, 7, 13), (3, 40, 16), (64, 100, 512),
-                                                          (2, 1, 512), (1, 2048, 512)])
-    def test_blocks_tile_restarts_by_fields_once(self, monkeypatch, restarts, fields, block):
-        monkeypatch.setattr(fitting, "EIGH_BLOCK", block)
-        seen = np.zeros((restarts, fields), dtype=int)
-        for b, f in fitting._hamiltonian_blocks(restarts, fields):
-            seen[b, f] += 1
-            assert seen[b, f].size <= block
-        assert (seen == 1).all()
+    """``evaluate`` solves at most ``hamiltonian.EIGH_BLOCK`` Hamiltonians at a time."""
 
     @staticmethod
     def pinned_data(tmp_path):
@@ -764,14 +754,34 @@ class TestHamiltonianBlocks:
         lo, hi = problem.bounds()
         x = np.concatenate([problem.initial_parameters()[None],
                             np.random.default_rng(2).uniform(lo, hi, (4, lo.size))])
-        runs = []
+        # per block size, the rows of each block of levels and of EPR Jacobian rows
+        runs, sizes = [], []
+        closed_form, epr_rows = hamiltonian._closed_form, fitting.hellmann_feynman
+
+        def levels(parts, g, fields, *args):
+            sizes[-1][0].append(len(g) * len(fields))
+            return closed_form(parts, g, fields, *args)
+
+        def jacobian_rows(A, *args):
+            sizes[-1][1].append(len(A))
+            return epr_rows(A, *args)
+
+        monkeypatch.setattr(hamiltonian, "_closed_form", levels)
+        monkeypatch.setattr(fitting, "hellmann_feynman", jacobian_rows)
         # one block per state, one Hamiltonian per block, and ragged tilings
         # that split one restart's fields (3) or group 2-4 restarts (9)
-        for block in (10**9, 1, 3, 9):
-            monkeypatch.setattr(fitting, "EIGH_BLOCK", block)
+        blocks = (10**9, 1, 3, 9)
+        for block in blocks:
+            monkeypatch.setattr(hamiltonian, "EIGH_BLOCK", block)
+            sizes.append(([], []))
             runs.append(fitting.evaluate(problem, *fitting._points(problem, x), data))
         fields = [len(rows.fields) for rows in data.states]
         assert max(fields) > 3 and 2 <= 9 // min(fields) < len(x)
+        # the patched size reached both tilings: at size 1 every row is a block of its own
+        for block, (level_rows, jacobian) in zip(blocks, sizes):
+            assert max(level_rows) <= block and max(jacobian) <= block
+        assert len(sizes[0][0]) == len(fields) and len(sizes[1][0]) == len(x) * sum(fields)
+        assert len(sizes[1][1]) == sum(sizes[0][1]) > 1
         for run in runs[1:]:
             for got, want in zip(run, runs[0]):
                 assert np.array_equal(got, want, equal_nan=True)
@@ -791,7 +801,7 @@ class TestHamiltonianBlocks:
             peak = traced_peak(lambda: fitting.evaluate(problem, *pts, data))
             return peak, 8 * restarts * (4 * F * (1 + P) + n * (P + 3)) + restarts * n
 
-        block = fitting.EIGH_BLOCK
+        block = hamiltonian.EIGH_BLOCK
         for small, large in [((50, 8), (50, 64)), ((block // 2, 8), (2 * block, 8))]:
             (peak0, out0), (peak1, out1) = peak_and_outputs(*small), peak_and_outputs(*large)
             assert peak1 - peak0 <= 1.1 * (out1 - out0), (small, large, peak0, peak1)
@@ -807,7 +817,7 @@ class TestHamiltonianBlocks:
                              for _ in range(100)])
         pts = fitting._points(problem, rng.uniform(lo, hi, (32, lo.size)))
         J = fitting.evaluate(problem, *pts, data).jacobian  # warm caches
-        assert np.count_nonzero(J.any(axis=2)) > 2 * fitting.EIGH_BLOCK
+        assert np.count_nonzero(J.any(axis=2)) > 2 * hamiltonian.EIGH_BLOCK
         search, marks = fitting.resonance_search, []
 
         def marked_search(*args):
@@ -819,120 +829,7 @@ class TestHamiltonianBlocks:
         monkeypatch.setattr(fitting, "resonance_search", marked_search)
         peak = traced_peak(lambda: fitting.evaluate(problem, *pts, data))
         (current, resonances), = marks
-        assert peak - current <= 80 * resonances + 4096 * fitting.EIGH_BLOCK, (peak, current, resonances)
-
-
-def closed_form(A, g, dA, dg, fields, base):
-    """``fitting._closed_form`` of tensor stacks at fields (F, 3), as ``evaluate`` calls it."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return fitting._closed_form(fitting._hyperfine_parts(A, dA, dg), g, fields, base)
-
-
-def hellmann_feynman(A, g, dA, dg, fields, base):
-    """The eigh levels (B, F, 4) and Hellmann-Feynman derivatives (B, F, 4, P) of every (tensor, field)."""
-    B, F = len(A), len(fields)
-    r = np.repeat(np.arange(B), F)
-    w, _, dE = fitting._hellmann_feynman(A[r], g[r], dA[r], None if dg is None else dg[r], np.tile(fields, (B, 1)),
-                                         base)
-    return w.reshape(B, F, 4), dE.reshape(B, F, 4, -1)
-
-
-def crossing_tensors(state):
-    """A state's tensors turned to their principal frames, with every parameter's dA and dg a
-    random symmetric matrix: along a principal axis, H keeps |uu>, |dd> apart from |ud>, |du>,
-    so levels of the two pairs cross."""
-    base = getattr(state[0], state[1])
-    A = np.diag(decompose_tensor(base.A).values)[None]
-    g = np.diag(decompose_tensor(base.g).values)[None]
-    d = np.random.default_rng(4).normal(size=(1, 6, 3, 3))
-    d = d + d.swapaxes(-1, -2)
-    return base, A, g, d[:, :3], d[:, 3:]
-
-
-def bisect_gap_minimum(gap, lo, hi):
-    """The field magnitude in [lo, hi] where a gap with one minimum there is smallest, by
-    bisection on the sign of its slope."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        step = max(abs(mid) * 1e-15, 1e-300)
-        lo, hi = (lo, mid) if gap(mid + step) > gap(mid - step) else (mid, hi)
-    return 0.5 * (lo + hi)
-
-
-class TestClosedForm:
-    """The shb/odmr levels and derivatives without eigenvectors (``_closed_form``) against eigh
-    and Hellmann-Feynman; rows it does not hold for fall back to them in ``evaluate``."""
-
-    @pytest.mark.parametrize("site", [SITE_I, SITE_II], ids=["I", "II"])
-    @pytest.mark.parametrize("state", ["ground", "excited"])
-    def test_levels_and_derivatives_at_random_fields(self, site, state):
-        rng = np.random.default_rng(11)
-        problem = FitProblem(site=site, **FULL_FLAGS)
-        lo, hi = problem.bounds()
-        A, g, dA, dg = fitting._realize(problem, *fitting._points(problem, rng.uniform(lo, hi, (6, lo.size))))[state]
-        # magnitudes spread over 0-2000 mT, most of them small
-        fields = rng.uniform(-1.0, 1.0, (300, 3)) * 2000.0 * rng.uniform(0.0, 1.0, (300, 1)) ** 3
-        base = getattr(site, state)
-        lam, dlam, holds = closed_form(A, g, dA, dg, fields, base)
-        _, dE = hellmann_feynman(A, g, dA, dg, fields, base)
-        assert holds.all()
-        levels = np.linalg.eigvalsh(fitting.hamiltonian_stack(A, g, fields, base.g_n, base.mu_b, base.mu_n))
-        np.testing.assert_array_less(np.abs(lam - levels).max(axis=-1), 1e-13 * np.abs(levels).max(axis=-1))
-        # every column: orientations and deltas through dA, misalignment through dA and dg
-        np.testing.assert_array_less(np.abs(dlam - dE).max(axis=(-1, -2)), 1e-10 * np.abs(dE).max(axis=(-1, -2)))
-
-    @pytest.mark.parametrize("state", [(SITE_I, "ground"), (SITE_I, "excited"), (SITE_II, "ground"),
-                                       (SITE_II, "excited")], ids=["I-ground", "I-excited", "II-ground", "II-excited"])
-    def test_near_degenerate_fields_hold_to_their_bound_or_fall_back(self, state):
-        base, A, g, dA, dg = crossing_tensors(state)
-        args = (base.g_n, base.mu_b, base.mu_n)
-        eps, held_gaps, fell_back = np.finfo(float).eps, [], 0
-        for axis, tilt in itertools.product(range(3), (0.0, 1e-9, 1e-6)):
-            direction = np.eye(3)[axis] + tilt * np.eye(3)[(axis + 1) % 3]
-            direction /= np.linalg.norm(direction)
-            mags = np.linspace(0.0, 400.0, 801)
-            gaps = np.diff(np.linalg.eigvalsh(fitting.hamiltonian_stack(A[0], g[0], mags[:, None] * direction, *args)))
-            for k in range(3):
-                g_k = gaps[:, k]
-                for i in np.flatnonzero((g_k[1:-1] < g_k[:-2]) & (g_k[1:-1] <= g_k[2:])) + 1:
-                    def gap(b):
-                        return np.diff(np.linalg.eigvalsh(
-                            fitting.hamiltonian_stack(A[0], g[0], np.array([b * direction]), *args))[0])[k]
-
-                    b0 = bisect_gap_minimum(gap, mags[i - 1], mags[i + 1])
-                    fields = (b0 + np.array([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1e-1]))[:, None] * direction
-                    lam, dlam, holds = closed_form(A, g, dA, dg, fields, base)
-                    w, dE = hellmann_feynman(A, g, dA, dg, fields, base)
-                    smallest, scale = np.diff(w, axis=-1).min(axis=-1), np.abs(w).max(axis=-1)
-                    # a held row keeps half of the digits of its smallest gap, and so of its derivatives
-                    err = np.abs(lam - w).max(axis=-1)
-                    assert np.all(~holds | (err <= 1e-13 * scale + np.sqrt(eps) * smallest)), (b0, err, smallest)
-                    derr = np.abs(dlam - dE).max(axis=(-1, -2))
-                    assert np.all(~holds | (derr <= 4.0 * np.sqrt(eps) * np.abs(dE).max(axis=(-1, -2))))
-                    assert not holds[smallest < 1e-12 * scale].any()
-                    held_gaps += (smallest / scale)[holds].tolist()
-                    fell_back += np.count_nonzero(~holds)
-        # the bisection reaches gaps the closed form leaves to eigh, and gaps near them it holds
-        assert fell_back and min(held_gaps) < 1e-2
-
-    def test_all_degenerate_tensors_fall_back_quietly(self, recwarn):
-        # A of 1e-300 GHz at zero field: every level is 0 to the double range
-        base = SITE_I.ground
-        A = np.diag([1e-300, 2e-300, 5e-300])[None]
-        g = base.g.matrix[None]
-        dA = np.eye(3)[None, None] * np.ones((1, 3, 1, 1))
-        fields = np.array([[0.0, 0.0, 0.0], [1e-300, 0.0, 0.0]])
-        _, _, holds = closed_form(A, g, dA, None, fields, base)
-        assert not holds.any()
-        site = replace(SITE_I, ground=replace(base, A=SymmetricTensor3(A[0])))
-        problem = FitProblem(site=site)
-        data = compile_data([DataPoint("odmr", "ground", (0.0, 0.0, 0.0), 0.1, 1e-3, (0, 1)),
-                             DataPoint("odmr", "ground", (1e-300, 0.0, 0.0), 0.1, 1e-3, (0, 1))])
-        ev = fitting.evaluate(problem, *fitting._points(problem, problem.initial_parameters()[None]), data)
-        assert np.all(np.isfinite(ev.model)) and np.all(np.isfinite(ev.jacobian))
-        assert len(recwarn) == 0
+        assert peak - current <= 80 * resonances + 4096 * hamiltonian.EIGH_BLOCK, (peak, current, resonances)
 
 
 def write_data_csv(path, points):

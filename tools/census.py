@@ -11,7 +11,8 @@ last line sums it up.  Exit status: 0 when every command is identical, 1 otherwi
 
 The list: the README commands (``README_COMMANDS``), the steps of the benchmark's four parts at full
 size (``perfbench/workloads.py``), and every run of ``PINNED_RUNS`` and help/usage argv of ``SURFACE``
-(``tests/test_cli.py``).  Every command's directory holds the ``PINNED_*`` texts of
+(``tests/test_cli.py``); a command whose steps equal an earlier one's but for output names (``--out``) runs
+once, as the earlier.  Every command's directory holds the ``PINNED_*`` texts of
 ``tests/test_cli.py`` as data.csv, rates.ini, site.ini and tie.ini, and the benchmark's fit data and
 rates for ``--seed`` (default 1) as bench-data.csv and bench-rates.ini.  The lists and the inputs are
 read from OLD_TREE.  ``--match`` keeps the commands whose name holds one of the texts.  This script
@@ -74,6 +75,24 @@ def bench(tree: Path, seed: int) -> tuple[dict[str, str], dict[str, list]]:
     out = subprocess.run([sys.executable, "-c", code], cwd=tree / "perfbench", capture_output=True, text=True,
                          check=True).stdout
     return tuple(json.loads(out))
+
+
+def command_list(tree: Path, seed: int) -> tuple[dict[str, str], list]:
+    """The input files of every command's directory, and the (name, steps) of every command, both read from a
+    tree; of the commands whose steps are equal once each ``--out FILE`` is left out, only the first."""
+    texts = pinned_literals(tree)
+    inputs, parts = bench(tree, seed)
+    inputs.update({"data.csv": texts["PINNED_FIT_DATA"], "rates.ini": texts["PINNED_RATES"],
+                   "site.ini": texts["PINNED_SITE_CONFIG"], "tie.ini": texts["PINNED_TIE_SITE"]})
+    unique = {}
+    for name, steps in [*((f"readme/{name}", steps) for name, steps in README_COMMANDS),
+                        *((f"bench/{part}", steps) for part, steps in parts.items()),
+                        *((f"pinned/{name}", steps) for name, steps, _, _ in texts["PINNED_RUNS"]),
+                        *((f"surface/{' '.join(argv) or 'no-argv'}", [argv]) for argv, _, _ in texts["SURFACE"])]:
+        computed = tuple(tuple(a for a, before in zip(argv, ("", *argv)) if "--out" not in (a, before))
+                         for argv in steps)
+        unique.setdefault(computed, (name, steps))
+    return inputs, list(unique.values())
 
 
 def run(tree: Path, steps, inputs: dict[str, str], workdir: Path) -> dict:
@@ -165,14 +184,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="the benchmark seed of the fit data and rates")
     args = parser.parse_args(argv)
     old, new = args.old.resolve(), args.new.resolve()
-    texts = pinned_literals(old)
-    inputs, parts = bench(old, args.seed)
-    inputs.update({"data.csv": texts["PINNED_FIT_DATA"], "rates.ini": texts["PINNED_RATES"],
-                   "site.ini": texts["PINNED_SITE_CONFIG"], "tie.ini": texts["PINNED_TIE_SITE"]})
-    commands = [*((f"readme/{name}", steps) for name, steps in README_COMMANDS),
-                *((f"bench/{part}", steps) for part, steps in parts.items()),
-                *((f"pinned/{name}", steps) for name, steps, _, _ in texts["PINNED_RUNS"]),
-                *((f"surface/{' '.join(argv) or 'no-argv'}", [argv]) for argv, _, _ in texts["SURFACE"])]
+    inputs, commands = command_list(old, args.seed)
     commands = [(name, steps) for name, steps in commands if not args.match or any(t in name for t in args.match)]
     moved = []
     with tempfile.TemporaryDirectory(prefix="census-") as tmp:
