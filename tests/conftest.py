@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 
+from kramers import hamiltonian
+from kramers.hamiltonian import hellmann_feynman
 from kramers.tensors import SymmetricTensor3, subsite_transform
 
 
@@ -138,3 +140,18 @@ def reference_render(entries, detunings, hole_width_mhz=5.0):
         sign = 1.0 if e.polarity == ANTIHOLE else -1.0
         amp += sign * e.weight * lorentzian_amplitude(detunings - e.detuning_ghz, hole_width_mhz * 1e-3)
     return amp
+
+
+def eigh_reference(A, g, dA, dg, fields, base):
+    """``hellmann_feynman``'s levels (B, F, 4) and derivatives (B, F, 4, P) at every (tensor pair, field)."""
+    B, F = len(A), len(fields)
+    w, _, dE = hellmann_feynman(*(np.repeat(t, F, axis=0) for t in (A, g, dA, dg)), np.tile(fields, (B, 1)),
+                                base.g_n, base.mu_b, base.mu_n)
+    return w.reshape(B, F, 4), dE.reshape(B, F, 4, -1)
+
+
+def closed_form(A, g, dA, dg, fields, base):
+    """``_closed_form``'s levels, derivatives and held rows of tensor pairs at fields (F, 3)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return hamiltonian._closed_form(hamiltonian._hyperfine_parts(A, dA, dg), g, fields,
+                                        base.g_n, base.mu_b, base.mu_n)

@@ -8,7 +8,7 @@ from dataclasses import replace
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import closest_subsite_representative
+from conftest import closed_form, closest_subsite_representative, eigh_reference
 from kramers import fitting, hamiltonian
 from kramers.fitting import (
     DataPoint,
@@ -20,7 +20,7 @@ from kramers.fitting import (
     reconstruct_levels,
     residuals,
 )
-from kramers.hamiltonian import PAIR_HI, PAIR_LO, energies_sweep, eigensystem
+from kramers.hamiltonian import PAIR_HI, PAIR_LO, energies_sweep, eigensystem, hamiltonian_stack
 from kramers.magres import epr_resonance_fields
 from kramers.presets import SITE_I, SITE_II
 from kramers.tensors import (
@@ -830,6 +830,69 @@ class TestHamiltonianBlocks:
         peak = traced_peak(lambda: fitting.evaluate(problem, *pts, data))
         (current, resonances), = marks
         assert peak - current <= 80 * resonances + 4096 * hamiltonian.EIGH_BLOCK, (peak, current, resonances)
+
+
+def crossing_tensors(state):
+    """A state's tensors turned to their principal frames, with every parameter's dA and dg a
+    random symmetric matrix: along a principal axis, H keeps |uu>, |dd> apart from |ud>, |du>,
+    so levels of the two pairs cross."""
+    base = getattr(state[0], state[1])
+    A = np.diag(decompose_tensor(base.A).values)[None]
+    g = np.diag(decompose_tensor(base.g).values)[None]
+    d = np.random.default_rng(4).normal(size=(1, 6, 3, 3))
+    d = d + d.swapaxes(-1, -2)
+    return base, A, g, d[:, :3], d[:, 3:]
+
+
+def bisect_gap_minimum(gap, lo, hi):
+    """The field magnitude in [lo, hi] where a gap with one minimum there is smallest, by
+    bisection on the sign of its slope."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        step = max(abs(mid) * 1e-15, 1e-300)
+        lo, hi = (lo, mid) if gap(mid + step) > gap(mid - step) else (mid, hi)
+    return 0.5 * (lo + hi)
+
+
+class TestClosedForm:
+    """Near level crossings, the rows the fit's closed-form levels (``hamiltonian._closed_form``)
+    hold keep to their error bound, and the rest fall back to eigh and Hellmann-Feynman."""
+
+    @pytest.mark.parametrize("state", [(SITE_I, "ground"), (SITE_I, "excited"), (SITE_II, "ground"),
+                                       (SITE_II, "excited")], ids=["I-ground", "I-excited", "II-ground", "II-excited"])
+    def test_near_degenerate_fields_hold_to_their_bound_or_fall_back(self, state):
+        base, A, g, dA, dg = crossing_tensors(state)
+        args = (base.g_n, base.mu_b, base.mu_n)
+        eps, held_gaps, fell_back = np.finfo(float).eps, [], 0
+        for axis, tilt in itertools.product(range(3), (0.0, 1e-9, 1e-6)):
+            direction = np.eye(3)[axis] + tilt * np.eye(3)[(axis + 1) % 3]
+            direction /= np.linalg.norm(direction)
+            mags = np.linspace(0.0, 400.0, 801)
+            gaps = np.diff(np.linalg.eigvalsh(hamiltonian_stack(A[0], g[0], mags[:, None] * direction, *args)))
+            for k in range(3):
+                g_k = gaps[:, k]
+                for i in np.flatnonzero((g_k[1:-1] < g_k[:-2]) & (g_k[1:-1] <= g_k[2:])) + 1:
+                    def gap(b):
+                        return np.diff(np.linalg.eigvalsh(
+                            hamiltonian_stack(A[0], g[0], np.array([b * direction]), *args))[0])[k]
+
+                    b0 = bisect_gap_minimum(gap, mags[i - 1], mags[i + 1])
+                    fields = (b0 + np.array([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1e-1]))[:, None] * direction
+                    lam, dlam, holds = closed_form(A, g, dA, dg, fields, base)
+                    w, dE = eigh_reference(A, g, dA, dg, fields, base)
+                    smallest, scale = np.diff(w, axis=-1).min(axis=-1), np.abs(w).max(axis=-1)
+                    # a held row keeps half of the digits of its smallest gap, and so of its derivatives
+                    err = np.abs(lam - w).max(axis=-1)
+                    assert np.all(~holds | (err <= 1e-13 * scale + np.sqrt(eps) * smallest)), (b0, err, smallest)
+                    derr = np.abs(dlam - dE).max(axis=(-1, -2))
+                    assert np.all(~holds | (derr <= 4.0 * np.sqrt(eps) * np.abs(dE).max(axis=(-1, -2))))
+                    assert not holds[smallest < 1e-12 * scale].any()
+                    held_gaps += (smallest / scale)[holds].tolist()
+                    fell_back += np.count_nonzero(~holds)
+        # the bisection reaches gaps the closed form leaves to eigh, and gaps near them it holds
+        assert fell_back and min(held_gaps) < 1e-2
 
 
 def write_data_csv(path, points):

@@ -1,4 +1,3 @@
-import itertools
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,7 +22,6 @@ from kramers.hamiltonian import (
     eigensystem,
     hamiltonian_batch,
     hamiltonian_stack,
-    hellmann_feynman,
     invert_zero_field,
     level_derivatives,
     physical_constants,
@@ -44,6 +42,7 @@ from kramers.tensors import (
     decompose_tensor,
     rz,
 )
+from conftest import closed_form, eigh_reference
 from test_fitting import FULL_FLAGS
 
 D1 = np.array([1.0, 0.0, 0.0])
@@ -496,21 +495,6 @@ class TestSymmetryProperties:
         assert np.array_equal(sys2.g.matrix, subsite_transform(SITE_I.ground.g).matrix)
 
 
-def eigh_reference(A, g, dA, dg, fields, base):
-    """``hellmann_feynman``'s levels (B, F, 4) and derivatives (B, F, 4, P) at every (tensor pair, field)."""
-    B, F = len(A), len(fields)
-    w, _, dE = hellmann_feynman(*(np.repeat(t, F, axis=0) for t in (A, g, dA, dg)), np.tile(fields, (B, 1)),
-                                base.g_n, base.mu_b, base.mu_n)
-    return w.reshape(B, F, 4), dE.reshape(B, F, 4, -1)
-
-
-def closed_form(A, g, dA, dg, fields, base):
-    """``_closed_form``'s levels, derivatives and held rows of tensor pairs at fields (F, 3)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return hamiltonian._closed_form(hamiltonian._hyperfine_parts(A, dA, dg), g, fields,
-                                        base.g_n, base.mu_b, base.mu_n)
-
-
 @pytest.mark.parametrize("restarts, fields, block", [(5, 7, 1), (5, 7, 13), (3, 40, 16), (64, 100, 512),
                                                       (2, 1, 512), (1, 2048, 512)])
 def test_blocks_tile_restarts_by_fields_once(monkeypatch, restarts, fields, block):
@@ -525,30 +509,6 @@ def test_blocks_tile_restarts_by_fields_once(monkeypatch, restarts, fields, bloc
         assert seen[at].size <= block
         assert levels.shape == seen[at].shape + (4,) and derivatives.shape == seen[at].shape + (4, 1)
     assert (seen == 1).all()
-
-
-def crossing_tensors(state):
-    """A state's tensors turned to their principal frames, with every parameter's dA and dg a
-    random symmetric matrix: along a principal axis, H keeps |uu>, |dd> apart from |ud>, |du>,
-    so levels of the two pairs cross."""
-    base = getattr(state[0], state[1])
-    A = np.diag(decompose_tensor(base.A).values)[None]
-    g = np.diag(decompose_tensor(base.g).values)[None]
-    d = np.random.default_rng(4).normal(size=(1, 6, 3, 3))
-    d = d + d.swapaxes(-1, -2)
-    return base, A, g, d[:, :3], d[:, 3:]
-
-
-def bisect_gap_minimum(gap, lo, hi):
-    """The field magnitude in [lo, hi] where a gap with one minimum there is smallest, by
-    bisection on the sign of its slope."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        step = max(abs(mid) * 1e-15, 1e-300)
-        lo, hi = (lo, mid) if gap(mid + step) > gap(mid - step) else (mid, hi)
-    return 0.5 * (lo + hi)
 
 
 class TestClosedForm:
@@ -572,40 +532,6 @@ class TestClosedForm:
         np.testing.assert_array_less(np.abs(lam - levels).max(axis=-1), 1e-13 * np.abs(levels).max(axis=-1))
         # every column: orientations and deltas through dA, misalignment through dA and dg
         np.testing.assert_array_less(np.abs(dlam - dE).max(axis=(-1, -2)), 1e-10 * np.abs(dE).max(axis=(-1, -2)))
-
-    @pytest.mark.parametrize("state", [(SITE_I, "ground"), (SITE_I, "excited"), (SITE_II, "ground"),
-                                       (SITE_II, "excited")], ids=["I-ground", "I-excited", "II-ground", "II-excited"])
-    def test_near_degenerate_fields_hold_to_their_bound_or_fall_back(self, state):
-        base, A, g, dA, dg = crossing_tensors(state)
-        args = (base.g_n, base.mu_b, base.mu_n)
-        eps, held_gaps, fell_back = np.finfo(float).eps, [], 0
-        for axis, tilt in itertools.product(range(3), (0.0, 1e-9, 1e-6)):
-            direction = np.eye(3)[axis] + tilt * np.eye(3)[(axis + 1) % 3]
-            direction /= np.linalg.norm(direction)
-            mags = np.linspace(0.0, 400.0, 801)
-            gaps = np.diff(np.linalg.eigvalsh(hamiltonian_stack(A[0], g[0], mags[:, None] * direction, *args)))
-            for k in range(3):
-                g_k = gaps[:, k]
-                for i in np.flatnonzero((g_k[1:-1] < g_k[:-2]) & (g_k[1:-1] <= g_k[2:])) + 1:
-                    def gap(b):
-                        return np.diff(np.linalg.eigvalsh(
-                            hamiltonian_stack(A[0], g[0], np.array([b * direction]), *args))[0])[k]
-
-                    b0 = bisect_gap_minimum(gap, mags[i - 1], mags[i + 1])
-                    fields = (b0 + np.array([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1e-1]))[:, None] * direction
-                    lam, dlam, holds = closed_form(A, g, dA, dg, fields, base)
-                    w, dE = eigh_reference(A, g, dA, dg, fields, base)
-                    smallest, scale = np.diff(w, axis=-1).min(axis=-1), np.abs(w).max(axis=-1)
-                    # a held row keeps half of the digits of its smallest gap, and so of its derivatives
-                    err = np.abs(lam - w).max(axis=-1)
-                    assert np.all(~holds | (err <= 1e-13 * scale + np.sqrt(eps) * smallest)), (b0, err, smallest)
-                    derr = np.abs(dlam - dE).max(axis=(-1, -2))
-                    assert np.all(~holds | (derr <= 4.0 * np.sqrt(eps) * np.abs(dE).max(axis=(-1, -2))))
-                    assert not holds[smallest < 1e-12 * scale].any()
-                    held_gaps += (smallest / scale)[holds].tolist()
-                    fell_back += np.count_nonzero(~holds)
-        # the bisection reaches gaps the closed form leaves to eigh, and gaps near them it holds
-        assert fell_back and min(held_gaps) < 1e-2
 
     def test_all_degenerate_tensors_fall_back_quietly(self, recwarn):
         # A of 1e-300 GHz at zero field: every level is 0 to the double range
