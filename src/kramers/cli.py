@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
+import os
 import sys as _sys
 
 import numpy as np
@@ -257,7 +258,7 @@ def _cmd_shb_map(args) -> int:
         hole_width_mhz=args.width,
     )
     _write(args, [fmap.magnitudes_mt, fmap.detunings_ghz, fmap.amplitudes.ravel()], grid=2)
-    pgm_path = args.out.rsplit(".", 1)[0] + ".pgm"
+    pgm_path = os.path.splitext(args.out)[0] + ".pgm"
     write_pgm(pgm_path, fmap.amplitudes, stamp=not args.no_stamp)
     print(f"wrote {fmap.amplitudes.shape[0]}x{fmap.amplitudes.shape[1]} map to {args.out} and {pgm_path}")
     return 0

@@ -10,7 +10,8 @@ Each iteration takes the levels and derivatives of (restarts x distinct
 fields x 2 subsites) from ``hamiltonian.level_derivatives``.  It searches
 (restarts x EPR points x 2 subsites) in one ``magres.resonance_search``
 per state, whose eigenfield roots are exact: one ``eigh`` at them gives
-the EPR slopes and, by Hellmann-Feynman, their Jacobian rows.  An
+the EPR slopes and, by Hellmann-Feynman, their Jacobian rows.  Both take
+subsite 2 as subsite 1 at the C2 image of the field.  An
 orientation is a rotation R, stepped by a body-frame rotation vector and
 re-anchored after every accepted step (Absil, Mahony & Sepulchre 2008,
 ch. 4), so it has no Euler box and no double cover.  Misalignment and
@@ -27,7 +28,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import hamiltonian
 from .hamiltonian import (
     PAIR_HI,
     PAIR_LO,
@@ -38,6 +38,7 @@ from .hamiltonian import (
     invert_zero_field,
     level_derivatives,
     reconstruct_levels,
+    tiles,
     unit_direction,
 )
 from .magres import resonance_search
@@ -52,7 +53,6 @@ from .tensors import (
     rx,
     ry,
     rz,
-    subsite_matrices,
     subsite_transform,
     symmetric_matrices,
     _C2,
@@ -226,14 +226,12 @@ class _StateRows:
 @dataclass(frozen=True, eq=False)
 class _EprRows:
     """The EPR points of one electronic state, as arrays: positions in the
-    data list, unit sweep directions, the rays the resonance search takes
-    (each direction normalized once more, which can move the last bit; kept
-    so that fit outputs keep their bytes), observed fields and level labels,
-    -1 for an unlabeled point."""
+    data list, the rays (N, 2, 3) the resonance search takes on subsite 1
+    (each point's unit sweep direction and its C2 image, the direction of
+    subsite 2), observed fields and level labels, -1 for an unlabeled point."""
 
     state: str
     idx: np.ndarray
-    directions: np.ndarray
     rays: np.ndarray
     values: np.ndarray
     lower: np.ndarray
@@ -271,8 +269,7 @@ def compile_data(data) -> CompiledData:
             if not np.all(values > 0):
                 raise ValueError("EPR resonance field must be positive")
             lower, upper = np.array([points[n].label or (-1, -1) for n in idx]).T
-            rays = np.array([unit_direction(d) for d in directions])
-            epr.append(_EprRows(state, idx, directions, rays, values, lower, upper))
+            epr.append(_EprRows(state, idx, np.stack([directions, directions * _C2], axis=1), values, lower, upper))
         idx = np.array([n for n, p in enumerate(points) if p.kind != "epr" and p.state == state], dtype=int)
         if idx.size == 0:
             continue
@@ -421,8 +418,8 @@ def evaluate(problem: FitProblem, rotations, flat, data: CompiledData) -> Evalua
     clipped to +/- its gate.  The shb/odmr levels and derivatives of each
     state come from ``hamiltonian.level_derivatives``.  An EPR field moves
     by dB/d theta = -(d nu/d theta) / (d nu/dB) at the resonance, and its
-    Jacobian rows are taken ``hamiltonian.EIGH_BLOCK`` resonances at a time
-    by ``hamiltonian.hellmann_feynman``.
+    Jacobian rows come from ``hamiltonian.hellmann_feynman`` along the ray
+    the search took, one block of ``hamiltonian.tiles`` at a time.
     """
     rotations, flat = np.asarray(rotations, dtype=float), np.asarray(flat, dtype=float)
     B, N, P = len(flat), len(data.points), 3 * len(problem.blocks)
@@ -484,12 +481,10 @@ def _epr_residuals(problem: FitProblem, tensors: dict, data: CompiledData, raw, 
         idx, values, lower, upper = rows.idx, rows.values, rows.lower, rows.upper
         A, g, dA, dg = tensors[rows.state]
         base = getattr(problem.site, rows.state)
-        # ray (point, restart, subsite); subsite 2 has the C2-flipped tensors
-        ray, field, col = resonance_search(
-            np.stack([A, subsite_matrices(A)], axis=1), np.stack([g, subsite_matrices(g)], axis=1),
-            rows.rays[:, None, None], (values + GATE_FIELD_MT)[:, None, None],
-            problem.nu_mw_ghz, base.g_n, base.mu_b, base.mu_n,
-        )
+        # ray (point, restart, subsite)
+        ray, field, col = resonance_search(A[:, None], g[:, None], rows.rays[:, None],
+                                           (values + GATE_FIELD_MT)[:, None, None], problem.nu_mw_ghz,
+                                           base.g_n, base.mu_b, base.mu_n)
         point, bs, sub = np.unravel_index(ray, (idx.size, len(A), 2))
         keep = (lower[point] < 0) | ((PAIR_LO[col] == lower[point]) & (PAIR_HI[col] == upper[point]))
         if not keep.any():
@@ -498,22 +493,20 @@ def _epr_residuals(problem: FitProblem, tensors: dict, data: CompiledData, raw, 
         order = np.lexsort((PAIR_HI[col], PAIR_LO[col], sub, field, np.abs(field - values[point]), bs, point))
         _, first = np.unique((point * len(A) + bs)[order], return_index=True)
         point, bs, sub, fields, col = (x[order[first]] for x in (point, bs, sub, field, col))
-        img = np.where(sub[:, None] == 0, rows.directions[point], rows.directions[point] * _C2)
-        pts, up, lo = idx[point], PAIR_HI[col], PAIR_LO[col]
+        rays, pts, up, lo = rows.rays[point, sub], idx[point], PAIR_HI[col], PAIR_LO[col]
         model[bs, pts] = fields
         raw[bs, pts] = values[point] - fields
         # the Jacobian rows, one block of resonances at a time
         constants = base.g_n, base.mu_b, base.mu_n
-        for start in range(0, point.size, hamiltonian.EIGH_BLOCK):
-            r = slice(start, start + hamiltonian.EIGH_BLOCK)
+        for r, _ in tiles(point.size):
             b, k = bs[r], np.arange(bs[r].size)
-            _, v, dE = hellmann_feynman(A[b], g[b], dA[b], None if dg is None else dg[b], fields[r, None] * img[r],
+            _, v, dE = hellmann_feynman(A[b], g[b], dA[b], None if dg is None else dg[b], fields[r, None] * rays[r],
                                         *constants)
-            slopes = (field_gradients(v, g[b], *constants) @ img[r, :, None])[..., 0]
+            slopes = (field_gradients(v, g[b], *constants) @ rays[r, :, None])[..., 0]
             slope = slopes[k, up[r]] - slopes[k, lo[r]]
             with np.errstate(divide="ignore", invalid="ignore"):
-                rows = (dE[k, up[r]] - dE[k, lo[r]]) / slope[:, None]
-            J[b, pts[r]] = np.where(np.isfinite(rows), rows, 0.0)
+                jac = (dE[k, up[r]] - dE[k, lo[r]]) / slope[:, None]
+            J[b, pts[r]] = np.where(np.isfinite(jac), jac, 0.0)
 
 
 def residuals(problem: FitProblem, params, data, full: bool = False):

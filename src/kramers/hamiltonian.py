@@ -55,11 +55,11 @@ DEGENERACY_GAP_GHZ = 1e-6
 _NORM_FLOOR = np.sqrt(np.finfo(float).tiny)  # below it a norm's squares are subnormal
 # largest RMS misfit (GHz) of the zero-field lines a level ladder may leave
 LEVEL_TOL_GHZ = 2e-3
-# Hamiltonians whose levels ``level_derivatives`` solves at once, and EPR rows the fit takes at once:
-# a closed-form row's temporaries take about 1.3 KB at three parameters, and an EPR row's Hamiltonian,
-# eigenvectors and density matrices about 4 KB, so a block stays within 2 MB, half of a 4 MB L2.  It was
-# the smallest block at which the benchmark's 16-restart fit was no slower than one unbounded stack
-# when every row took ``eigh`` (128 and 256 took 15% and 11% longer)
+# Hamiltonians solved at once, in the blocks of ``tiles``: a closed-form row's temporaries take about
+# 1.3 KB at three parameters, and an EPR row's Hamiltonian, eigenvectors and density matrices about
+# 4 KB, so a block stays within 2 MB, half of a 4 MB L2.  It was the smallest block at which the
+# benchmark's 16-restart fit was no slower than one unbounded stack when every row took ``eigh`` (128
+# and 256 took 15% and 11% longer)
 EIGH_BLOCK = 512
 
 _SIGMA_HALF = (
@@ -418,29 +418,34 @@ def _closed_form(parts: tuple, g: np.ndarray, fields: np.ndarray, g_n: float, mu
     return np.moveaxis(lam, 0, -1), dE.transpose(2, 3, 0, 1), holds
 
 
+def tiles(rows: int, cols: int = 1):
+    """(row slice, col slice) blocks that tile a rows x cols grid of Hamiltonians once, each of at most
+    EIGH_BLOCK of them: whole rows while one row's cols fit, else one row in col blocks.  The level kernel,
+    the fit's EPR Jacobian rows, the ZEFOZ scan and the SHB map take their blocks from here, and EIGH_BLOCK
+    is read at each call, so one value sets them all."""
+    step, width = max(1, EIGH_BLOCK // max(cols, 1)), max(1, min(cols, EIGH_BLOCK))
+    for start in range(0, rows, step):
+        for first in range(0, cols, width):
+            yield slice(start, start + step), slice(first, first + width)
+
+
 def level_derivatives(A, g, dA, dg, fields, g_n: float, mu_b: float, mu_n: float):
     """Ascending levels and parameter derivatives of tensor pairs A, g (B, 3, 3)
     with derivatives dA, dg (B, P, 3, 3) (dg None where g is fixed), each at
     the fields (F, 3) mT: yields ((tensor slice, field slice), levels (b, f, 4),
-    derivatives (b, f, 4, P)) per block of at most EIGH_BLOCK Hamiltonians.
-    The blocks tile B x F once: whole pairs while one pair's fields fit, else
-    one pair in field blocks.  Rows ``_closed_form`` does not hold for take
-    ``hellmann_feynman``."""
+    derivatives (b, f, 4, P)) per block of ``tiles(B, F)``.  Rows
+    ``_closed_form`` does not hold for take ``hellmann_feynman``."""
     parts = _hyperfine_parts(A, dA, dg)
-    step, width = max(1, EIGH_BLOCK // len(fields)), min(len(fields), EIGH_BLOCK)
-    for start in range(0, len(A), step):
-        for first in range(0, len(fields), width):
-            b, f = slice(start, start + step), slice(first, first + width)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                w, dE, holds = _closed_form([p if p is None else p[b] for p in parts], g[b], fields[f],
-                                            g_n, mu_b, mu_n)
-            if not holds.all():
-                bi, fi = np.nonzero(~holds)
-                r = bi + start
-                w[bi, fi], _, dE[bi, fi] = hellmann_feynman(A[r], g[r], dA[r], None if dg is None else dg[r],
-                                                            fields[f][fi], g_n, mu_b, mu_n)
-            yield (b, f), w, dE
-            del w, dE  # before the next block's temporaries
+    for b, f in tiles(len(A), len(fields)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w, dE, holds = _closed_form([p if p is None else p[b] for p in parts], g[b], fields[f], g_n, mu_b, mu_n)
+        if not holds.all():
+            bi, fi = np.nonzero(~holds)
+            r = bi + b.start
+            w[bi, fi], _, dE[bi, fi] = hellmann_feynman(A[r], g[r], dA[r], None if dg is None else dg[r],
+                                                        fields[f][fi], g_n, mu_b, mu_n)
+        yield (b, f), w, dE
+        del w, dE  # before the next block's temporaries
 
 
 def diagonalize(H: np.ndarray) -> EigenSystem:

@@ -8,7 +8,8 @@ matches the microwave frequency; both magnetic subsites are included.
 
 One search finds them for every caller (``resonance_search``): it takes a
 stack of rays, each an (A, g) pair swept along a unit direction up to its
-own b_max; subsite 2 is a ray of its own, with the C2-flipped tensors.
+own b_max.  Subsite 2 is a ray of its own: subsite 1's tensors along the
+C2 image of the direction, as its levels at B are subsite 1's at C2 B.
 ``epr_angular_map`` searches all angles x 2 rays at once, the fit all
 restarts x EPR points x 2.  The search is the eigenfield method: the
 resonances of a ray are the real eigenvalues of one 16 x 16 problem in
@@ -25,6 +26,7 @@ import numpy as np
 from .hamiltonian import (PAIR_HI, PAIR_LO, PAIRS, SpinSystem, eigensystem, hamiltonian_stack, hyperfine_stack,
                           unit_direction, zeeman_stack)
 from .output import FLOAT_FORMAT
+from .tensors import _C2
 
 B_AXIS = (0.0, 0.0, 1.0)
 STRONG_MOMENT_FRACTION = 0.01
@@ -180,21 +182,22 @@ def _eigenfields(A, g, directions, b_max, nu_mw_ghz, g_n, mu_b, mu_n):
 
 def _resonances(sys: SpinSystem, directions, nu_mw_ghz: float, b_max_mt: float) -> list[list[EprResonance]]:
     """The resonances of both subsites of ``sys`` along each direction: one
-    ``resonance_search`` over directions x 2 rays, one sorted list each."""
+    ``resonance_search`` over directions x 2 rays, subsite 1's tensors along
+    each direction d and its C2 image, one sorted list each.  The moments
+    are subsite 1's along the ray, as the drive along b is its own C2 image."""
     if not 0 < nu_mw_ghz < np.inf:
         raise ValueError("microwave frequency must be positive and finite")
     if not 0 < b_max_mt < np.inf:
         raise ValueError("b_max must be positive and finite")
     directions = np.array([unit_direction(d) for d in directions])
-    systems = (sys.with_subsite(1), sys.with_subsite(2))
-    A, g = np.stack([s.A.matrix for s in systems]), np.stack([s.g.matrix for s in systems])
-    ray, fields, cols = resonance_search(A, g, directions[:, None], b_max_mt, nu_mw_ghz,
-                                         sys.g_n, sys.mu_b, sys.mu_n)
+    rays = np.stack([directions, directions * _C2], axis=1)
+    sys = sys.with_subsite(1)
+    A, g = sys.A.matrix, sys.g.matrix
+    ray, fields, cols = resonance_search(A, g, rays, b_max_mt, nu_mw_ghz, sys.g_n, sys.mu_b, sys.mu_n)
     n, s = np.divmod(ray, 2)
-    _, states = np.linalg.eigh(hamiltonian_stack(A[s], g[s], (fields[:, None] * directions[n])[:, None],
+    _, states = np.linalg.eigh(hamiltonian_stack(A, g, (fields[:, None] * rays[n, s])[:, None],
                                                  sys.g_n, sys.mu_b, sys.mu_n)[:, 0])
-    ops = np.stack([_moment_operator(x, B_AXIS) for x in systems])
-    moments = transition_moments(ops[s], states)[np.arange(cols.size), cols]
+    moments = transition_moments(_moment_operator(sys, B_AXIS), states)[np.arange(cols.size), cols]
     out = [[] for _ in directions]
     for k, b_res, col, sub, moment in zip(n.tolist(), fields.tolist(), cols.tolist(), s.tolist(), moments.tolist()):
         out[k].append(EprResonance(b_res, tuple(directions[k]), PAIRS[col], sub + 1, moment))

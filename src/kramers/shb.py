@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hamiltonian import RANGES, as_field, hamiltonian_batch, unit_direction
+from .hamiltonian import RANGES, as_field, hamiltonian_batch, tiles, unit_direction
 from .spectra import SiteModel, _lorentzian_sum, lorentzian_amplitude
 
 HOLE = "hole"
@@ -26,7 +26,6 @@ THERMAL_POPULATION = 0.25  # kT >> hyperfine splittings at a few kelvin
 DEFAULT_CLASS_CUTOFF = 1e-3
 PSEUDO_EPSILON = 0.10
 DEFAULT_HOLE_WIDTH_MHZ = 5.0
-FIELD_CHUNK = 4096  # fields of a map per stacked eigh
 
 
 @dataclass(frozen=True)
@@ -314,9 +313,9 @@ def shb_field_map(
     """Render hole patterns for a monotone list of field magnitudes.
 
     Each row is the ``render_pattern`` of its field's ``hole_pattern``, bit
-    for bit: the energies come FIELD_CHUNK fields per stacked ``eigh``,
-    and the rate equations are solved once per pumped level for the whole
-    map.
+    for bit: the energies come one block of ``hamiltonian.tiles`` per
+    stacked ``eigh``, and the rate equations are solved once per pumped
+    level for the whole map.
     """
     d = unit_direction(direction)
     mags = np.asarray(magnitudes_mt, dtype=float).ravel()
@@ -331,9 +330,9 @@ def shb_field_map(
 
     changes: dict = {}
     amplitudes = np.zeros((mags.size, detunings.size))
-    for start in range(0, mags.size, FIELD_CHUNK):
-        energies = _energies(site, mags[start:start + FIELD_CHUNK, None] * d)
-        for row, eg, ee in zip(amplitudes[start:], *energies):
+    for block, _ in tiles(mags.size):
+        energies = _energies(site, mags[block, None] * d)
+        for row, eg, ee in zip(amplitudes[block], *energies):
             entries = _entries(site, eg, ee, burn_detuning_ghz, rates, cutoff, changes)
             _lorentzian_sum([(x, w if polarity == ANTIHOLE else -w) for x, _, _, polarity, w in entries],
                             detunings, hole_width_mhz, row)

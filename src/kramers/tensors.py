@@ -198,12 +198,6 @@ def symmetric_matrices(m: np.ndarray) -> np.ndarray:
     return np.triu(m) + np.triu(m, 1).swapaxes(-1, -2)
 
 
-def subsite_matrices(m: np.ndarray) -> np.ndarray:
-    """``subsite_transform`` for a stack of symmetric matrices (..., 3, 3), bit for bit."""
-    # + 0.0 turns the -0.0 of a flipped zero into the +0.0 SymmetricTensor3 stores
-    return np.asarray(m, dtype=float) * _C2_SIGNS + 0.0
-
-
 def subsite_transform(t: SymmetricTensor3) -> SymmetricTensor3:
     """Conjugate a crystal-frame tensor by the C2 rotation about b.
 
@@ -211,4 +205,4 @@ def subsite_transform(t: SymmetricTensor3) -> SymmetricTensor3:
     the (1,3) and (2,3) entries; implemented as the exact sign flip so the
     transform is an exact involution.
     """
-    return SymmetricTensor3(subsite_matrices(t.matrix))
+    return SymmetricTensor3(t.matrix * _C2_SIGNS)

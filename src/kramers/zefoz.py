@@ -4,11 +4,11 @@ sensitivity vanishes (ZEFOZ) or is locally minimal.
 The gradient g(B) is Hellmann-Feynman (``hamiltonian.field_gradients``);
 the curvature, its Jacobian, and the curvature's own field derivative are
 second- and third-order perturbation theory (``hamiltonian.field_hessians``),
-all from one ``eigh`` per field.  A scan of |g| over the region, SCAN_CHUNK
-points per ``eigh``, picks seeds for a lockstep trust-region Newton descent
-of |g|^2 / 2 with its exact Hessian, which keeps to the region: a box's
-faces as the fit keeps to its bounds, a ball's sphere by steps in its
-tangent plane.  Minima are deduplicated and ranked by |g|.  Kramers
+all from one ``eigh`` per field.  A scan of |g| over the region, one
+block of ``hamiltonian.tiles`` per ``eigh``, picks seeds for a lockstep
+trust-region Newton descent of |g|^2 / 2 with its exact Hessian, which
+keeps to the region: a box's faces as the fit keeps to its bounds, a
+ball's sphere by steps in its tangent plane.  Minima are deduplicated and ranked by |g|.  Kramers
 symmetry makes candidates come in +/-B pairs; only the canonical
 half-space representative is reported.
 """
@@ -25,6 +25,7 @@ from .hamiltonian import (
     field_gradients,
     field_hessians,
     hamiltonian_batch,
+    tiles,
     transition_gradients,
 )
 from .trust_region import COST_RTOL, STEP_TOL, _bounded_step, _unbounded_step, minimize
@@ -32,7 +33,6 @@ from .trust_region import COST_RTOL, STEP_TOL, _bounded_step, _unbounded_step, m
 DEFAULT_REGION_RADIUS_MT = 100.0
 DEFAULT_REFINE_TOL_MHZ_PER_MT = 1e-3
 DEDUP_DISTANCE_MT = 0.1
-SCAN_CHUNK = 4096  # scan points per stacked eigh
 # the relative curvature error a point may carry: the descent's cost test
 # (COST_RTOL) needs its Jacobian to about the square root of it
 CURVATURE_RTOL = np.sqrt(COST_RTOL)
@@ -136,10 +136,10 @@ def _canonical_half_space(b: np.ndarray) -> np.ndarray:
 
 def _seeds(sys: SpinSystem, i: int, j: int, count: int, points, n: int) -> np.ndarray:
     """The n scan points of least gradient norm (ties to the earlier point),
-    without the degenerate ones; the scan goes SCAN_CHUNK points at a time."""
+    without the degenerate ones; the scan goes one block of ``tiles`` at a time."""
     norms, idx = np.zeros(0), np.zeros(0, dtype=int)
-    for start in range(0, count, SCAN_CHUNK):
-        chunk = np.arange(start, min(start + SCAN_CHUNK, count))
+    for block, _ in tiles(count):
+        chunk = np.arange(block.start, min(block.stop, count))
         grad, degenerate = transition_gradients(sys, points(chunk), i, j)
         norms = np.append(norms, np.where(degenerate, np.inf, np.linalg.norm(grad, axis=1)))
         idx = np.append(idx, chunk)

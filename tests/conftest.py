@@ -3,8 +3,8 @@ import csv
 import numpy as np
 
 from kramers import hamiltonian
-from kramers.hamiltonian import hellmann_feynman
-from kramers.tensors import SymmetricTensor3, subsite_transform
+from kramers.hamiltonian import SpinSystem, hellmann_feynman
+from kramers.tensors import EulerAngles, PrincipalTensor, SymmetricTensor3, assemble_tensor, subsite_transform
 
 
 def read_csv(path):
@@ -24,6 +24,22 @@ def read_csv(path):
         except ValueError:
             out[name] = np.array(col)
     return out
+
+
+def random_system(rng, g_n=0.987):
+    """A spin system with random A (principal values in [-8, 8] GHz) and g (in [0.1, 7]), each at random angles."""
+    def tensor(lo, hi):
+        values = tuple(rng.uniform(lo, hi, 3))
+        angles = EulerAngles(rng.uniform(-180, 180), rng.uniform(0, 180), rng.uniform(-180, 180))
+        return assemble_tensor(PrincipalTensor(values, angles))
+
+    return SpinSystem(A=tensor(-8.0, 8.0), g=tensor(0.1, 7.0), g_n=g_n)
+
+
+def isotropic_system(a_ghz, g=2.0, g_n=0.987):
+    return SpinSystem(
+        A=SymmetricTensor3(a_ghz * np.eye(3)), g=SymmetricTensor3(g * np.eye(3)), g_n=g_n
+    )
 
 
 def closest_subsite_representative(tensor: SymmetricTensor3, reference: SymmetricTensor3) -> SymmetricTensor3:

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import closest_subsite_representative
+from conftest import closest_subsite_representative, random_system
 from kramers.fitting import (
     DataPoint,
     FitProblem,
@@ -59,15 +59,6 @@ def _run(name, check):
     ok, detail = check()
     print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
     assert ok, detail
-
-
-def random_system(rng):
-    def tensor(lo, hi):
-        values = tuple(rng.uniform(lo, hi, 3))
-        angles = EulerAngles(rng.uniform(-180, 180), rng.uniform(0, 180), rng.uniform(-180, 180))
-        return assemble_tensor(PrincipalTensor(values, angles))
-
-    return SpinSystem(A=tensor(-8.0, 8.0), g=tensor(0.1, 7.0))
 
 
 def test_criterion_01_odmr_site_i():

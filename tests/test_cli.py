@@ -428,6 +428,12 @@ PINNED_RUNS = [
        "shb-map.csv")], [0],
      {"shb-map.csv": "1401007a3dce1390e0a2846b5293c77f0409197c332fbba249615a6e17cd3539",
       "shb-map.pgm": "831ccaaa7723f5d44f67baff8d9a0988e63340662d1d3039dd1d0b3b142183ae"}),
+    # an --out without an extension, after a dot in its path: the map goes beside it, as map.pgm, not to .pgm
+    ("shb-map-out-without-extension",
+     [("shb-map", "--magnitudes", "0:60:30", "--span=-1:1:0.1", "--no-stamp", "--out", "./map")], [0],
+     {"map": "eeae164ffde328f40ebddb8fe281b98a95ea0693895da2782b22421084b98f26",
+      "map.pgm": "279891baf1ea638e0de6822e795419a806ea2c9f7ced5a06d10950c80a49cff3",
+      "stdout": "df5a842e2c9d415af852cf2318297e8b86dc83e1212201c8479af6f52618d2fc"}),
     ("absorption+ordering",
      [("absorption", "--model", "uniform", "--peaks-out", "peaks.csv", "--no-stamp", "--out", "absorption.csv"),
       ("ordering", "--peaks-file", "peaks.csv", "--no-stamp", "--out", "ordering.csv")], [0, 0],
@@ -476,12 +482,12 @@ PINNED_RUNS = [
      [("fit", "--data", "data.csv", "--free", "ground,misalignment,eigenvalues", "--restarts", "8", "--seed", "0",
        "--no-stamp", "--out", "fit.csv", "--report", "report.txt")], [0],
      {"fit.csv": "6c9783bdb249c750376cf494617a73d7b612966e0d62b8a09dc9a8ad9fd73cda",
-      "report.txt": "ba45ed0705154fe1ba20ddb165a96a11836ede03835b1f65c0c49de2a1c42020"}),
-    # rows 17-18 move in the 9th digit if an EPR search ray is normalized only once
+      "report.txt": "c0bc2966cf849ba3d95cd33db58652f0587cd6aead01a25584459d7d51d2f112"}),
+    # EPR rows: residuals of rows 16-17 move in the 9th digit with the last bit of a search ray
     ("fit-bounded-epr-rows",
      [("fit", "--data", "data.csv", "--free", "ground,misalignment,eigenvalues", "--restarts", "4", "--seed", "3",
        "--no-stamp", "--out", "fit.csv", "--report", "report.txt")], [0],
-     {"fit.csv": "dce674d630641dc2660642308ba0ad286d8377a3168fed7fa5af30eb2df2403c",
+     {"fit.csv": "f995fb3d98892e074f131eab0896e8c49efffff45732167e250603e7b453de2e",
       "report.txt": "2cf3bc5e116b4e3f2c2e9dc941131a5813d852e2235fdcf274d9109bf4501105"}),
     # the one evaluation at the site's own tensors, by the path the restarts take
     ("fit-nothing-free",

@@ -686,13 +686,14 @@ class TestEprStack:
         searches = []
 
         def counted(*args, **kwargs):
-            searches.append(args[0].shape)
+            searches.append((args[0].shape, args[2].shape))
             return search(*args, **kwargs)
 
         search = fitting.resonance_search
         monkeypatch.setattr(fitting, "resonance_search", counted)
         stack = fitting.evaluate(self.PROBLEM, *fitting._points(self.PROBLEM, xs), data)
-        assert searches == [(5, 2, 3, 3)] * 2  # one per state, for all 5 points at once
+        # one per state: the 5 restarts' own tensors along each point's ray and its C2 image, for all points at once
+        assert searches == [((5, 1, 3, 3), (3, 1, 2, 3)), ((5, 1, 3, 3), (2, 1, 2, 3))]
         assert stack.gated[:, 3].all() and np.isnan(stack.model[:, 3]).all()
         assert np.isfinite(stack.model[0, [1, 2, 4, 5]]).all()
         for b, x in enumerate(xs):

@@ -42,25 +42,10 @@ from kramers.tensors import (
     decompose_tensor,
     rz,
 )
-from conftest import closed_form, eigh_reference
+from conftest import closed_form, eigh_reference, isotropic_system, random_system
 from test_fitting import FULL_FLAGS
 
 D1 = np.array([1.0, 0.0, 0.0])
-
-
-def random_system(rng, g_n=0.987):
-    def tensor(lo, hi):
-        values = tuple(rng.uniform(lo, hi, 3))
-        angles = EulerAngles(rng.uniform(-180, 180), rng.uniform(0, 180), rng.uniform(-180, 180))
-        return assemble_tensor(PrincipalTensor(values, angles))
-
-    return SpinSystem(A=tensor(-8.0, 8.0), g=tensor(0.1, 7.0), g_n=g_n)
-
-
-def isotropic_system(a_ghz, g=2.0, g_n=0.987):
-    return SpinSystem(
-        A=SymmetricTensor3(a_ghz * np.eye(3)), g=SymmetricTensor3(g * np.eye(3)), g_n=g_n
-    )
 
 
 def charpoly_eigenvalues(H):
@@ -509,6 +494,55 @@ def test_blocks_tile_restarts_by_fields_once(monkeypatch, restarts, fields, bloc
         assert seen[at].size <= block
         assert levels.shape == seen[at].shape + (4,) and derivatives.shape == seen[at].shape + (4, 1)
     assert (seen == 1).all()
+
+
+def test_one_block_size_reaches_every_tiled_solve(tmp_path, monkeypatch):
+    # the ZEFOZ scan, the SHB map, the fit's level kernel and its EPR rows
+    from kramers import shb, zefoz
+    from kramers.cli import _read_data_csv
+    from test_cli import PINNED_FIT_DATA
+
+    (tmp_path / "data.csv").write_text(PINNED_FIT_DATA)
+    data = compile_data(_read_data_csv(tmp_path / "data.csv"))
+    problem = FitProblem(site=SITE_I)
+    lo, hi = problem.bounds()
+    x = np.concatenate([problem.initial_parameters()[None], np.random.default_rng(2).uniform(lo, hi, (4, lo.size))])
+    sizes = []  # per block size, the Hamiltonians of every stacked solve, by site
+
+    def record(module, name, size):
+        call = getattr(module, name)
+
+        def recorded(*args):
+            sizes[-1].setdefault(name, []).append(size(*args))
+            return call(*args)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    record(zefoz, "transition_gradients", lambda sys, fields, i, j: len(fields))
+    record(shb, "_energies", lambda site, fields: len(fields))
+    record(hamiltonian, "_closed_form", lambda parts, g, fields, *args: len(g) * len(fields))
+    record(fitting, "hellmann_feynman", lambda A, *args: len(A))
+    runs, blocks = [], (1, 7, 10**9)
+    for block in blocks:
+        monkeypatch.setattr(hamiltonian, "EIGH_BLOCK", block)
+        sizes.append({})
+        runs.append((repr(zefoz.zefoz_search(SITE_I.ground, (1, 2))),
+                     shb.shb_field_map(SITE_I, (1.0, 2.0, 2.0), np.linspace(0.0, 150.0, 11), 0.1,
+                                       detuning_range_ghz=(-1.0, 1.0), detuning_step_ghz=0.01).amplitudes,
+                     *fitting.evaluate(problem, *fitting._points(problem, x), data)))
+    # unbounded, each site solves all its Hamiltonians at once: the default scan's 641 points, the 11 fields
+    whole = sizes[-1]
+    assert whole["transition_gradients"] == [641] and whole["_energies"] == [11]
+    assert len(whole["_closed_form"]) == 1 and len(whole["hellmann_feynman"]) == 1
+    assert min(n for site in whole.values() for n in site) > 7
+    for block, seen in zip(blocks, sizes):
+        assert seen.keys() == whole.keys()
+        for site, solved in seen.items():
+            assert max(solved) <= block and sum(solved) == sum(whole[site]), (block, site)
+    for run in runs[:-1]:
+        assert run[0] == runs[-1][0]
+        for got, want in zip(run[1:], runs[-1][1:]):
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestClosedForm:

@@ -134,6 +134,16 @@ class TestEprResonances:
         assert np.abs(fields - hi).min() < 5e-3
         assert np.abs(fields - expected_center).min() < 5e-3
 
+    @pytest.mark.parametrize("site", [SITE_I, SITE_II], ids=["I", "II"])
+    @pytest.mark.parametrize("state", ["ground", "excited"])
+    def test_results_do_not_depend_on_the_subsite_given(self, site, state):
+        # fields, pairs, subsite labels and moments, to the last bit
+        sys = getattr(site, state)
+        for direction in np.random.default_rng(8).normal(size=(4, 3)):
+            got = epr_resonance_fields(sys.with_subsite(2), direction, 9.7, 1000.0)
+            assert {r.subsite for r in got} == {1, 2}
+            assert repr(got) == repr(epr_resonance_fields(sys, direction, 9.7, 1000.0))
+
     def test_resonance_frequency_matches_nu_mw(self):
         # the eigenfield roots are exact: |nu(B*) - nu_mw| < 1e-11 GHz
         out = epr_resonance_fields(SITE_I.ground, (1, 0, 0), 9.7, 1000.0)

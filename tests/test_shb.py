@@ -350,9 +350,9 @@ class TestEnumerationOracle:
 
     @pytest.mark.parametrize("rates", RATES, ids=["none", "r2", "r20", "r200", "r2000"])
     def test_map_rows_match_loop(self, rates, monkeypatch):
-        from kramers import shb
+        from kramers import hamiltonian
 
-        monkeypatch.setattr(shb, "FIELD_CHUNK", 4)  # several stacked eigh calls, the last one partial
+        monkeypatch.setattr(hamiltonian, "EIGH_BLOCK", 4)  # several stacked eigh calls, the last one partial
         mags = np.sort(np.random.default_rng(6).uniform(0.0, 300.0, 9))
         direction = np.array([1.0, 2.0, 2.0]) / 3.0
         fmap = shb_field_map(SITE_I, (1.0, 2.0, 2.0), mags, 0.1, rates,

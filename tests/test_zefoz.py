@@ -3,21 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import reference_curvature
+from conftest import isotropic_system, reference_curvature
 from kramers import zefoz
-from kramers.hamiltonian import PAIRS, SpinSystem, field_hessians, hamiltonian_batch, zeeman_gradient
+from kramers.hamiltonian import PAIRS, field_hessians, hamiltonian_batch, zeeman_gradient
 from kramers.presets import SITE_I, SITE_II
-from kramers.tensors import SymmetricTensor3
 from kramers.trust_region import MAX_EVALUATIONS
 from kramers.zefoz import EXACT, NEAR, fibonacci_directions, sensitivity, zefoz_search
 
 PRESET_STATES = (SITE_I.ground, SITE_I.excited, SITE_II.ground, SITE_II.excited)
-
-
-def isotropic_system(a_ghz, g):
-    return SpinSystem(
-        A=SymmetricTensor3(a_ghz * np.eye(3)), g=SymmetricTensor3(g * np.eye(3)), g_n=0.987
-    )
 
 
 class TestSensitivity:
