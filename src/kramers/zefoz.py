@@ -8,9 +8,9 @@ all from one ``eigh`` per field.  A scan of |g| over the region, one
 block of ``hamiltonian.tiles`` per ``eigh``, picks seeds for a lockstep
 trust-region Newton descent of |g|^2 / 2 with its exact Hessian, which
 keeps to the region: a box's faces as the fit keeps to its bounds, a
-ball's sphere by steps in its tangent plane.  Minima are deduplicated and ranked by |g|.  Kramers
-symmetry makes candidates come in +/-B pairs; only the canonical
-half-space representative is reported.
+ball's sphere by steps in its tangent plane.  Minima are deduplicated
+and ranked by |g|.  Kramers symmetry makes candidates come in +/-B
+pairs; only the canonical half-space representative is reported.
 """
 
 from __future__ import annotations
