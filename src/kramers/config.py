@@ -135,6 +135,10 @@ def grid(text: str, key: str, quantity: str) -> Grid:
     if not (stop >= start and g.points > 0):
         raise ConfigError("bad-range", f"{key}: expected start <= stop (a non-empty grid), got {text!r}", key)
     check_points(key, g.points)
+    # the CSV prints 9 significant digits: a step below their spacing at the largest end prints samples alike
+    least = float(f"1e{int(format(max(abs(start), abs(stop)), '.8e').partition('e')[2]) - 8}")
+    if g.points > 1 and g.step < least:
+        raise ConfigError("bad-range", f"{key}: expected a step >= {least:g}, what 9 digits resolve, got {text!r}", key)
     return g
 
 

@@ -14,7 +14,7 @@ C2 image of the direction, as its levels at B are subsite 1's at C2 B.
 restarts x EPR points x 2.  The search is the eigenfield method: the
 resonances of a ray are the real eigenvalues of one 16 x 16 problem in
 Liouville space, taken at a shifted field that is not itself a resonance,
-and one ``eigh`` at the roots labels each from its eigenvector |b><a|.
+and each root belongs to the transition whose gap meets the frequency there.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def resonance_search(A, g, directions, b_max, nu_mw_ghz: float, g_n: float, mu_b
     superoperators X^x of ``_liouville`` (Belford, Belford & Burkhalter,
     J. Magn. Reson. 11, 251, 1973).  Shifted to B = B0 + 1/mu, the fields
     are the real eigenvalues mu of (nu_mw - F^x - B0 G^x)^-1 G^x: one
-    16 x 16 ``solve`` and ``eig`` per ray, whatever its length.  The shift
+    16 x 16 ``solve`` and ``eigvals`` per ray, whatever its length.  The shift
     B0 is the one of SHIFTS x b_max whose transitions lie farthest from
     nu_mw; that distance is the least singular value of the shifted
     matrix, and it is not zero because the pencil has at most 16
@@ -118,10 +118,10 @@ def resonance_search(A, g, directions, b_max, nu_mw_ghz: float, g_n: float, mu_b
     (a grazing double root comes out as a pair), one within it of zero
     field is the root at B = 0 that a zero-field gap equal to nu_mw leaves.
 
-    One ``eigh`` at all roots labels each root's transition from its
-    eigenvector rho: in the eigenbasis there, |b><a| is the element (b, a).
-    Branches crossing at a root share one field, and the pairs of such a
-    cluster of roots go to its roots by their summed weight.  Rays go
+    A root belongs to the pair whose detuning |E_b - E_a - nu_mw| is least
+    there.  Branches crossing at a root share one field, and such a cluster
+    of roots takes the pairs of least detuning at its first root, one
+    ``eigvalsh`` per cluster; no eigenvector is computed.  Rays go
     through RAY_CHUNK at a time, so memory grows with neither the number
     nor the length of the rays.  Results come ray by ray, then by branch
     and field.
@@ -158,24 +158,20 @@ def _eigenfields(A, g, directions, b_max, nu_mw_ghz, g_n, mu_b, mu_n):
     distance = np.abs(e[..., PAIR_HI] - e[..., PAIR_LO] - nu_mw_ghz).min(axis=-1)
     b0 = shifts[np.arange(b_max.size), np.argmax(distance, axis=1)]
     shifted = nu_mw_ghz * np.eye(16) - _liouville(F + b0[:, None, None] * G)
-    mu, rho = np.linalg.eig(np.linalg.solve(shifted, _liouville(G)))
+    mu = np.linalg.eigvals(np.linalg.solve(shifted, _liouville(G)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # mu (near) 0: a root at infinite field
         roots = b0[:, None] + 1.0 / mu
     ray, n = np.nonzero((np.abs(roots.imag) <= EPR_FIELD_TOL_MT) & (roots.real > EPR_FIELD_TOL_MT)
                         & (roots.real <= b_max[:, None]))
-    if not ray.size:
-        return ray, np.zeros(0), ray
     roots, fields = roots[ray, n], roots.real[ray, n]
-    _, states = np.linalg.eigh(F[ray] + fields[:, None, None] * G[ray])
-    rho = np.einsum("kab,kac,kcd->kbd", states.conj(), rho[ray, :, n].reshape(-1, 4, 4), states)
-    weight = np.abs(rho[:, PAIR_HI, PAIR_LO]) ** 2
     # a cluster: roots of one ray that agree to rounding, where branches cross
     order = np.lexsort((fields, ray))
-    ray, roots, fields, weight = ray[order], roots[order], fields[order], weight[order]
+    ray, roots, fields = ray[order], roots[order], fields[order]
     new = np.ones(ray.size, dtype=bool)
     new[1:] = (ray[1:] != ray[:-1]) | (np.abs(np.diff(roots)) > CROSSING_TOL * b_max[ray[1:]])
     first, cluster = np.flatnonzero(new), np.cumsum(new) - 1
-    ranked = np.argsort(-np.add.reduceat(weight, first, axis=0), axis=1, kind="stable")
+    e = np.linalg.eigvalsh(F[ray[first]] + fields[first, None, None] * G[ray[first]])
+    ranked = np.argsort(np.abs(e[:, PAIR_HI] - e[:, PAIR_LO] - nu_mw_ghz), axis=1, kind="stable")
     rank = np.minimum(np.arange(ray.size) - first[cluster], len(PAIRS) - 1)
     return ray, fields, ranked[cluster, rank]
 

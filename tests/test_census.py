@@ -1,4 +1,5 @@
-"""tools/census.py: its README commands, and a run against a copy of the source with one digit changed."""
+"""tools/census.py: its README commands, a run against a copy of the source with one digit changed, and one
+against a copy whose pinned runs gain one."""
 
 import importlib.util
 import shlex
@@ -10,9 +11,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_census_names_the_moved_cells_and_nothing_else(tmp_path):
+def tree_copy(tmp_path):
+    """A copy of what the census reads of a tree: the source, the benchmark and tests/test_cli.py."""
     copy = tmp_path / "tree"
-    shutil.copytree(ROOT / "src", copy / "src")
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__", ".perfbench_work"))
+    (copy / "tests").mkdir()
+    shutil.copy(ROOT / "tests" / "test_cli.py", copy / "tests")
+    return copy
+
+
+def test_census_names_the_moved_cells_and_nothing_else(tmp_path):
+    copy = tree_copy(tmp_path)
     presets = copy / "src" / "kramers" / "presets.py"
     text = presets.read_text()
     assert text.count("(0.484, 1.162, 5.254)") == 1
@@ -29,6 +39,20 @@ def test_census_names_the_moved_cells_and_nothing_else(tmp_path):
         "max rel 0.000277 at row 2",
         "identical readme/invert (exit 0)"]
     assert lines[-1] == "census: 2 commands, 1 identical, 1 differ: readme/levels"
+
+
+def test_census_runs_a_pin_that_one_tree_alone_lists(tmp_path):
+    # the union of both trees' lists: the pin runs with the copy as NEW_TREE and as OLD_TREE
+    copy = tree_copy(tmp_path)
+    text = (copy / "tests" / "test_cli.py").read_text()
+    pin = '    ("census-added-pin", [("levels", "--B", "1,2,3", "--no-stamp", "--out", "out.csv")], [0], {}),\n'
+    (copy / "tests" / "test_cli.py").write_text(text.replace("PINNED_RUNS = [\n", "PINNED_RUNS = [\n" + pin, 1))
+    for old, new, only in ((ROOT, copy, "new"), (copy, ROOT, "gone")):
+        proc = subprocess.run([sys.executable, str(ROOT / "tools" / "census.py"), str(old), str(new),
+                               "--match", "census-added-pin"], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [f"identical pinned/census-added-pin (exit 0) [{only}]",
+                                            f"census: 1 commands (1 {only}), 1 identical, 0 differ"]
 
 
 def census_module():

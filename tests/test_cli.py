@@ -538,6 +538,9 @@ PINNED_RUNS = [
      {"stderr": "ae26e8a208ed18a4f373aafe5fd33bae29009ac3b0475fffb5255b224b41bd6b"}),
     ("shb-map-huge-magnitude", [("shb-map", "--magnitudes", "1e300")], [2],
      {"stderr": "942378bd27cebc9591ba406fd141bc136f1ad51b32adc0383f5f29c186d05037"}),
+    # a step finer than 9 significant digits print at -1e5: its 1,001 detunings all printed -100000
+    ("absorption-grid-finer-than-print", [("absorption", "--range=-1e5:-99999.99999:1e-8")], [2],
+     {"stderr": "b9cf0b44b4dbd62bd883822c6937add8876ea8c3fa0edfd81d9e6c927e91226f"}),
     ("epr-map-huge-bmax", [("epr-map", "--bmax", "1e300")], [2],
      {"stderr": "93013bfe113e54263b2a61b457dd97ef4a836f2a38df5f59ec723a4f950569c8"}),
     ("odmr-huge-field", [("odmr", "--B", "1e300,0,0")], [2],

@@ -22,8 +22,9 @@ from hypothesis import strategies as st
 import kramers
 from kramers import magres
 from kramers.cli import main
-from kramers.config import MAX_POINTS, ConfigError, check_points, grid, parse_config
+from kramers.config import MAX_POINTS, ConfigError, check_points, grid, parse_config, samples
 from kramers.hamiltonian import RANGES, hamiltonian_batch
+from kramers.output import FLOAT_FORMAT
 
 EXPLICIT_SITE = """
 [site]
@@ -118,6 +119,10 @@ DEFECTS = [
     (["ordering", "--peaks-file", "missing.csv"], "io-error"),
     (["ordering", "--peaks", "1,2,3"], "too-few-peaks"),
     (["absorption", "--range=0:1:0.5"], "bad-range"),
+    # 1,001 detunings that all printed -100000
+    (["absorption", "--range=-1e5:-99999.99999:1e-8"], "bad-range"),
+    (["shb-map", "--span=1:1.0000001:1e-9"], "bad-range"),
+    (["shb-map", "--magnitudes", "99999:1e5:1e-4"], "bad-range"),
     (["levels", "--config", "undecodable.ini"], "bad-encoding"),
     (["shb-map", "--magnitudes", "0:20:10", "--span=-1:1:0.01", "--rates", "undecodable.ini"], "bad-encoding"),
     (["fit", "--data", "undecodable.csv"], "bad-encoding"),
@@ -275,6 +280,19 @@ def test_fit_restarts_without_end_are_too_large(tmp_path, monkeypatch):
 def test_grid_point_count_matches_arange(text):
     g = grid(text, "span", "frequency_ghz")
     assert math.ceil(g.points) == np.arange(g.start, g.stop + 0.5 * g.step, g.step).size
+
+
+# a step of the least spacing that 9 significant digits print at the grid's
+# largest end prints every sample apart; a step below it is rejected
+@pytest.mark.parametrize("start,stop,least", [(-1e5, -99999.99, 1e-3), (99999.0, 1e5, 1e-3), (1.0, 1.0000001, 1e-8),
+                                              (-0.5, -0.4999999, 1e-9), (0.0099999, 0.009999999999, 1e-10)])
+def test_grid_step_is_one_the_csv_prints(start, stop, least):
+    g = grid(f"{start!r}:{stop!r}:{least!r}", "span", "frequency_ghz")
+    printed = [float(format(x, FLOAT_FORMAT)) for x in np.arange(g.start, g.stop + 0.5 * g.step, g.step)]
+    assert len(printed) > 1 and all(a < b for a, b in zip(printed, printed[1:]))
+    with pytest.raises(ConfigError) as err:
+        grid(f"{start!r}:{stop!r}:{0.99 * least!r}", "span", "frequency_ghz")
+    assert (err.value.code, err.value.key) == ("bad-range", "span")
 
 
 def test_point_cap():
@@ -452,9 +470,10 @@ def _corner_runs(side):
 
     site = {"site.ini": _corner_site(side)}
     b = ["--config", "site.ini", "--B", vec("field_mt")]
-    # a grid that starts or stops at an end of the frequency row, finer than a tenth of the line width
+    # a grid that starts or stops at an end of the frequency row, finer than a tenth of the line width; a
+    # width below the 1e-3 GHz that 9 digits print there leaves the one sample at the end
     low, high = RANGES["frequency_ghz"]
-    span = f"{low!r}:{low + 1e-5!r}:1e-8" if float(v("fwhm_mhz")) < 1e-2 else f"{high - 10!r}:{high!r}:10"
+    span = f"{low!r}:{low!r}:1e-8" if float(v("fwhm_mhz")) < 1e-2 else f"{high - 10!r}:{high!r}:10"
     rates = "[rates]\n" + "".join(f"r{k}{l} = {v('rate_per_s')}\n" for k in range(1, 5) for l in range(k + 1, 5))
     rates += f"pump_rate = {v('rate_per_s')}\nduration_s = {v('duration_s')}\n"
     # three points the site itself gives at zero field keep the fit from gating more than half
@@ -502,7 +521,8 @@ def test_every_command_runs_quietly_at_the_table_corners(side, run, tmp_path):
 # --- generated argv ---------------------------------------------------------
 
 BAD = ["nan", "inf", "-1", "0", "abc", ""]
-BAD_GRIDS = ["1:-1:0.01", "-1:1", "-1:1:0", "1:2:3:4", "0:1:nan", ":"]
+# the last repeats its samples as 9 significant digits print them
+BAD_GRIDS = ["1:-1:0.01", "-1:1", "-1:1:0", "1:2:3:4", "0:1:nan", ":", "-1e5:-99999.99999:1e-8"]
 # finite values at the ends of the doubles
 EXTREME = ["1e300", "1e308", "1e-300", "5e-324"]
 EXTREME_GRIDS = [g for x in EXTREME for g in (f"0:{x}:{x}", f"-{x}:{x}:{x}", f"{x}:{x}:1")]
@@ -601,6 +621,28 @@ def _non_finite_cells(text):
             and not (n == skip and row[header.index("kind")] == "epr")]
 
 
+def _option(argv, name):
+    """The value of option ``name`` in ``argv``, given as "--opt=value" or "--opt value"."""
+    for n, arg in enumerate(argv):
+        if arg == name:
+            return argv[n + 1]
+        if arg.startswith(name + "="):
+            return arg.partition("=")[2]
+
+
+def _grid_columns(argv, text):
+    """The columns of a written absorption or shb-map CSV that hold a start:stop:step grid, one cell a
+    sample: the detunings (shb-map's at its first field) and shb-map's fields when --magnitudes is a grid."""
+    rows = [r.split(",") for r in text.splitlines() if r and not r.startswith("#")][1:]
+    if argv[0] == "absorption":
+        return [[r[0] for r in rows]]
+    if argv[0] != "shb-map":
+        return []
+    magnitudes = _option(argv, "--magnitudes")
+    run = len(rows) // samples(magnitudes, "magnitudes", "field_mt").size
+    return [[r[1] for r in rows[:run]], *([[r[0] for r in rows[::run]]] if ":" in magnitudes else [])]
+
+
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(_argv())
 def test_generated_argv_contract(drawn):
@@ -628,5 +670,8 @@ def test_generated_argv_contract(drawn):
         assert written
         for name, text in written.items():
             assert not _non_finite_cells(text), (argv, files, name)
+        # each sample of a grid prints apart from the next
+        for column in _grid_columns(argv, written["out.csv"]):
+            assert all(float(a) < float(b) for a, b in zip(column, column[1:])), (argv, column[:3])
         # nor a value printed with hundreds of digits
         assert not re.search(r"\d{40}", stdout + "".join(written.values())), (argv, files, stdout)

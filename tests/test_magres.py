@@ -3,13 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kramers.hamiltonian import PAIRS, MU_B_GHZ_PER_T, SpinSystem, eigensystem, energies_sweep, zeeman_gradient
+from kramers.hamiltonian import (PAIR_HI, PAIR_LO, PAIRS, MU_B_GHZ_PER_T, SpinSystem, eigensystem, energies_sweep,
+                                 hyperfine_stack, zeeman_gradient, zeeman_stack)
 from kramers.magres import (
     B_AXIS,
+    CROSSING_TOL,
     EPR_FIELD_TOL_MT,
     PLANES,
     RAY_CHUNK,
+    SHIFTS,
     EprResonance,
+    _liouville,
     _moment_operator,
     epr_angular_map,
     epr_resonance_fields,
@@ -334,6 +338,82 @@ class TestBatchedBracketing:
             assert_matches_reference(found, scalar_resonances(sys, d, 9.7, 1000.0))
             flips = [r for r in found if r.transition in ((0, 2), (1, 3))]
             assert len(flips) == 4 and np.ptp([r.field_mt for r in flips if r.subsite == 1]) < 1e-9
+
+
+def eigenvector_labels(A, g, directions, b_max, nu, g_n, mu_b, mu_n):
+    """Reference: ``resonance_search`` on rays (R,) labelled by eigenvectors.
+    ``eig`` of the shifted pencil gives each root its Liouville eigenvector
+    rho, one ``eigh`` at every root its eigenbasis there, and the pairs of a
+    cluster of roots go to its roots by their summed weights |rho_ba|^2."""
+    A, g = (np.broadcast_to(x, (b_max.size, 3, 3)) for x in (A, g))
+    F = hyperfine_stack(A)
+    G = zeeman_stack(np.zeros_like(F), g, directions[:, None], g_n, mu_b, mu_n)[:, 0]
+    shifts = b_max[:, None] * SHIFTS
+    e = np.linalg.eigvalsh(F[:, None] + shifts[..., None, None] * G[:, None])
+    distance = np.abs(e[..., PAIR_HI] - e[..., PAIR_LO] - nu).min(axis=-1)
+    b0 = shifts[np.arange(b_max.size), np.argmax(distance, axis=1)]
+    mu, rho = np.linalg.eig(np.linalg.solve(nu * np.eye(16) - _liouville(F + b0[:, None, None] * G), _liouville(G)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        roots = b0[:, None] + 1.0 / mu
+    ray, n = np.nonzero((np.abs(roots.imag) <= EPR_FIELD_TOL_MT) & (roots.real > EPR_FIELD_TOL_MT)
+                        & (roots.real <= b_max[:, None]))
+    roots, fields = roots[ray, n], roots.real[ray, n]
+    _, states = np.linalg.eigh(F[ray] + fields[:, None, None] * G[ray])
+    rho = np.einsum("kab,kac,kcd->kbd", states.conj(), rho[ray, :, n].reshape(-1, 4, 4), states)
+    weight = np.abs(rho[:, PAIR_HI, PAIR_LO]) ** 2
+    order = np.lexsort((fields, ray))
+    ray, roots, fields, weight = ray[order], roots[order], fields[order], weight[order]
+    new = np.ones(ray.size, dtype=bool)
+    new[1:] = (ray[1:] != ray[:-1]) | (np.abs(np.diff(roots)) > CROSSING_TOL * b_max[ray[1:]])
+    first, cluster = np.flatnonzero(new), np.cumsum(new) - 1
+    ranked = np.argsort(-np.add.reduceat(weight, first, axis=0), axis=1, kind="stable")
+    col = ranked[cluster, np.minimum(np.arange(ray.size) - first[cluster], len(PAIRS) - 1)]
+    order = np.lexsort((fields, col, ray))
+    return ray[order], fields[order], col[order]
+
+
+def random_rays(sys, nu, count, seed):
+    """``resonance_search``'s arguments for ``count`` random unit rays of
+    subsite 1 of ``sys``, each up to a b_max uniform in 100-1000 mT."""
+    rng = np.random.default_rng(seed)
+    directions = rng.normal(size=(count, 3))
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    sys = sys.with_subsite(1)
+    return sys.A.matrix, sys.g.matrix, directions, rng.uniform(100.0, 1000.0, count), nu, sys.g_n, sys.mu_b, sys.mu_n
+
+
+class TestLabelsFromDetunings:
+    # a root takes the pair whose gap meets nu there; the eigenvectors of the
+    # pencil and at the roots label every root alike, to the last bit
+    @pytest.mark.parametrize("site", [SITE_I, SITE_II], ids=["I", "II"])
+    @pytest.mark.parametrize("state", ["ground", "excited"])
+    def test_match_the_eigenvector_labels_on_random_rays(self, site, state):
+        sys = getattr(site, state)
+        levels = eigensystem(sys, ZERO).energies
+        gaps = levels[PAIR_HI] - levels[PAIR_LO]
+        # 9.7 GHz, just above the top zero-field gap, and at the gap of (1, 2)
+        for seed, nu in enumerate((9.7, 1.25 * gaps.max(), gaps[PAIRS.index((1, 2))])):
+            args = random_rays(sys, nu, 1000, seed)
+            got, want = resonance_search(*args), eigenvector_labels(*args)
+            assert got[0].size > 1000
+            for x, y in zip(got, want):
+                np.testing.assert_array_equal(x, y)
+
+    def test_the_search_computes_no_eigenvectors(self, monkeypatch):
+        levels = eigensystem(SITE_I.ground, ZERO).energies
+        for nu in (9.7, levels[2] - levels[1]):
+            args = random_rays(SITE_I.ground, nu, 200, 7)
+            want = eigenvector_labels(*args)
+
+            def refuse(*_, **__):
+                raise AssertionError("eigenvectors computed")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eig", refuse)
+                patch.setattr(np.linalg, "eigh", refuse)
+                got = resonance_search(*args)
+            for x, y in zip(got, want):
+                np.testing.assert_array_equal(x, y)
 
 
 class TestSearchMemory:

@@ -14,9 +14,11 @@ size (``perfbench/workloads.py``), and every run of ``PINNED_RUNS`` and help/usa
 (``tests/test_cli.py``); a command whose steps equal an earlier one's but for output names (``--out``) runs
 once, as the earlier.  Every command's directory holds the ``PINNED_*`` texts of
 ``tests/test_cli.py`` as data.csv, rates.ini, site.ini and tie.ini, and the benchmark's fit data and
-rates for ``--seed`` (default 1) as bench-data.csv and bench-rates.ini.  The lists and the inputs are
-read from OLD_TREE.  ``--match`` keeps the commands whose name holds one of the texts.  This script
-needs only the standard library; the commands and the benchmark's modules need numpy.
+rates for ``--seed`` (default 1) as bench-data.csv and bench-rates.ini.  The census runs the union of
+both trees' lists: a command that only NEW_TREE lists (a pin the change adds) is marked ``[new]``, one
+that only OLD_TREE lists ``[gone]``, and each command's inputs come from a tree that lists it, OLD_TREE
+when both do.  ``--match`` keeps the commands whose name holds one of the texts.  This script needs only
+the standard library; the commands and the benchmark's modules need numpy.
 """
 
 from __future__ import annotations
@@ -77,9 +79,14 @@ def bench(tree: Path, seed: int) -> tuple[dict[str, str], dict[str, list]]:
     return tuple(json.loads(out))
 
 
+def computed(steps) -> tuple:
+    """A command's steps with each ``--out FILE`` left out: what it computes."""
+    return tuple(tuple(a for a, before in zip(argv, ("", *argv)) if "--out" not in (a, before)) for argv in steps)
+
+
 def command_list(tree: Path, seed: int) -> tuple[dict[str, str], list]:
     """The input files of every command's directory, and the (name, steps) of every command, both read from a
-    tree; of the commands whose steps are equal once each ``--out FILE`` is left out, only the first."""
+    tree; of the commands that compute the same, only the first."""
     texts = pinned_literals(tree)
     inputs, parts = bench(tree, seed)
     inputs.update({"data.csv": texts["PINNED_FIT_DATA"], "rates.ini": texts["PINNED_RATES"],
@@ -89,10 +96,18 @@ def command_list(tree: Path, seed: int) -> tuple[dict[str, str], list]:
                         *((f"bench/{part}", steps) for part, steps in parts.items()),
                         *((f"pinned/{name}", steps) for name, steps, _, _ in texts["PINNED_RUNS"]),
                         *((f"surface/{' '.join(argv) or 'no-argv'}", [argv]) for argv, _, _ in texts["SURFACE"])]:
-        computed = tuple(tuple(a for a, before in zip(argv, ("", *argv)) if "--out" not in (a, before))
-                         for argv in steps)
-        unique.setdefault(computed, (name, steps))
+        unique.setdefault(computed(steps), (name, steps))
     return inputs, list(unique.values())
+
+
+def union(old: Path, new: Path, seed: int) -> list:
+    """(name, steps, inputs, only) of every command that either tree lists, OLD_TREE's first: ``inputs`` are
+    the input files of a tree that lists it, ``only`` is "new" or "gone" for a command that NEW_TREE or
+    OLD_TREE alone lists, else ""."""
+    (old_inputs, old_list), (new_inputs, new_list) = (command_list(tree, seed) for tree in (old, new))
+    old_keys, new_keys = ({computed(steps) for _, steps in listed} for listed in (old_list, new_list))
+    return ([(name, steps, old_inputs, "" if computed(steps) in new_keys else "gone") for name, steps in old_list]
+            + [(name, steps, new_inputs, "new") for name, steps in new_list if computed(steps) not in old_keys])
 
 
 def run(tree: Path, steps, inputs: dict[str, str], workdir: Path) -> dict:
@@ -184,21 +199,21 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="the benchmark seed of the fit data and rates")
     args = parser.parse_args(argv)
     old, new = args.old.resolve(), args.new.resolve()
-    inputs, commands = command_list(old, args.seed)
-    commands = [(name, steps) for name, steps in commands if not args.match or any(t in name for t in args.match)]
+    commands = [c for c in union(old, new, args.seed) if not args.match or any(t in c[0] for t in args.match)]
     moved = []
     with tempfile.TemporaryDirectory(prefix="census-") as tmp:
-        for n, (name, steps) in enumerate(commands):
+        for n, (name, steps, inputs, only) in enumerate(commands):
             runs = [run(tree, steps, inputs, Path(tmp) / f"{n}-{side}") for side, tree in (("old", old), ("new", new))]
             lines = compare(*runs)
             codes = "/".join(map(str, runs[1]["codes"]))
-            print(f"{'differs  ' if lines else 'identical'} {name} (exit {codes})")
+            print(f"{'differs  ' if lines else 'identical'} {name} (exit {codes})" + (f" [{only}]" if only else ""))
             for line in lines:
                 print(f"    {line}")
             if lines:
                 moved.append(name)
-    print(f"census: {len(commands)} commands, {len(commands) - len(moved)} identical, {len(moved)} differ"
-          + (f": {', '.join(moved)}" if moved else ""))
+    listed = ", ".join(f"{n} {only}" for only in ("new", "gone") if (n := sum(c[3] == only for c in commands)))
+    print(f"census: {len(commands)} commands{f' ({listed})' if listed else ''}, {len(commands) - len(moved)} "
+          f"identical, {len(moved)} differ" + (f": {', '.join(moved)}" if moved else ""))
     return 1 if moved else 0
 
 
