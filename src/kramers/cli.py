@@ -346,8 +346,7 @@ def _cmd_fit(args) -> int:
 
     site = _resolve_site(args)
     free = {f.strip().lower() for f in args.free.split(",") if f.strip()}
-    unknown = free - {"ground", "excited", "misalignment", "eigenvalues"}
-    if unknown:
+    if unknown := free - {"ground", "excited", "misalignment", "eigenvalues"}:
         raise ConfigError("bad-value", f"unknown free-parameter group(s): {sorted(unknown)}", "free")
     data = _read_data_csv(args.data)
     problem = fitting.FitProblem(
@@ -465,19 +464,18 @@ def _cmd_selftest(args) -> int:
     return 0 if run_selftest() else 1
 
 
-# options whose values may legitimately start with "-" (ranges, vectors);
-# argparse would read them as option names, so fold them into --opt=value
-_DASH_VALUE_OPTS = {
-    "--field", "--B", "--range", "--span", "--magnitudes", "--peaks", "--lines",
-    "--ac-axis", "--direction", "--burn", "--magnitude", "--transition",
-}
-
-
-def _fold_dash_values(argv: list[str]) -> list[str]:
+def _fold_dash_values(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    """``argv`` with each token that begins with a single "-" joined, as --opt=token, to an option before it
+    that takes a value, named in full or by a prefix argparse completes: argparse reads such a token as an
+    option name unless it looks like a negative number.  Which options take a value, the parser tells."""
+    parsers = [parser, *next(a.choices for a in parser._actions if isinstance(a.choices, dict)).values()]
+    options = {o: a.nargs != 0 for p in parsers for a in p._actions for o in a.option_strings}
     out = []
     for tok in argv:
-        if out and out[-1] in _DASH_VALUE_OPTS and tok.startswith("-"):
-            out[-1] = f"{out[-1]}={tok}"
+        opt = out[-1] if out else ""
+        named = [opt] if opt in options else [o for o in options if opt[:2] == "--" and o.startswith(opt)]
+        if tok[:1] == "-" and tok[:2] != "--" and named and all(options[o] for o in named):
+            out[-1] = f"{opt}={tok}"
         else:
             out.append(tok)
     return out
@@ -493,11 +491,10 @@ def main(argv=None) -> int:
         # collections skip frozen objects
         atexit.register(gc.freeze)
         _freeze_at_exit = True
-    if argv is None:
-        argv = _sys.argv[1:]
+    argv = list(_sys.argv[1:] if argv is None else argv)
     try:
-        argv = _fold_dash_values(list(argv))
-        args = _build_parser(argv).parse_args(argv)
+        parser = _build_parser(argv)
+        args = parser.parse_args(_fold_dash_values(argv, parser))
         return args.run(args)
     except _SchemaRequested as schema:
         print(schema)

@@ -2,9 +2,10 @@
 
 Command-line values, the site and rates INI files and the fit-data and
 peaks CSV files all go through the parsers below.  Every accepted number
-lies in its quantity's row of ``hamiltonian.RANGES``, every grid is ordered
-and every command's sample count is capped by ``MAX_POINTS``; each rejection
-is a ``ConfigError`` with a machine-readable (code, message, key) record.
+lies in its quantity's row of ``hamiltonian.RANGES``, the samples of a grid
+or a comma list increase as a CSV prints them (``printed``), and every
+command's sample count is capped by ``MAX_POINTS``; each rejection is a
+``ConfigError`` with a machine-readable (code, message, key) record.
 
 A site config file either names a built-in preset or fully specifies the
 four tensors (the README's Configuration section shows both forms); unknown
@@ -113,6 +114,16 @@ def check_points(key: str, *counts: float) -> None:
         raise ConfigError("too-large", f"{key}: {total:.3g} points exceed the limit of {MAX_POINTS}", key)
 
 
+def printed(x: float) -> tuple[float, float, int]:
+    """``x`` as a CSV prints it, the spacing of the printed numbers there, and the significant digits
+    of ``output.FLOAT_FORMAT`` that make both."""
+    from .output import FLOAT_FORMAT  # a module of the commands, not of the package
+
+    digits = int(FLOAT_FORMAT.strip(".g"))
+    text = format(x, f".{digits - 1}e")
+    return float(text), float(f"1e{int(text.partition('e')[2]) - digits + 1}"), digits
+
+
 class Grid(NamedTuple):
     """start:stop:step with start <= stop and step > 0."""
 
@@ -135,21 +146,23 @@ def grid(text: str, key: str, quantity: str) -> Grid:
     if not (stop >= start and g.points > 0):
         raise ConfigError("bad-range", f"{key}: expected start <= stop (a non-empty grid), got {text!r}", key)
     check_points(key, g.points)
-    # the CSV prints 9 significant digits: a step below their spacing at the largest end prints samples alike
-    least = float(f"1e{int(format(max(abs(start), abs(stop)), '.8e').partition('e')[2]) - 8}")
+    # a step below the spacing of the printed values at the grid's largest end prints samples alike
+    _, least, digits = printed(max(abs(start), abs(stop)))
     if g.points > 1 and g.step < least:
-        raise ConfigError("bad-range", f"{key}: expected a step >= {least:g}, what 9 digits resolve, got {text!r}", key)
+        raise ConfigError("bad-range", f"{key}: expected a step >= {least:g}, what {digits} digits resolve, got "
+                          f"{text!r}", key)
     return g
 
 
 def samples(text: str, key: str, quantity: str) -> np.ndarray:
-    """A start:stop:step grid or a non-empty, non-decreasing comma list of ``quantity``."""
+    """A start:stop:step grid or a non-empty comma list of ``quantity`` that increases as the CSV prints it."""
     if ":" in text:
         start, stop, step = grid(text, key, quantity)
         return np.arange(start, stop + 0.5 * step, step)
     values = number_list(text, key, quantity, "bad-range")
-    if not values or any(b < a for a, b in zip(values, values[1:])):
-        raise ConfigError("bad-range", f"{key}: expected a non-empty non-decreasing list, got {text!r}", key)
+    if not values or any(printed(b)[0] <= printed(a)[0] for a, b in zip(values, values[1:])):
+        raise ConfigError("bad-range", f"{key}: expected a non-empty list that increases as the CSV prints it,"
+                          f" got {text!r}", key)
     return np.array(values)
 
 
@@ -200,10 +213,7 @@ def parse_config(text: str) -> SiteModel:
 
     if preset is not None:
         if any(parser.has_section(s) for s in _TENSOR_SECTIONS):
-            raise ConfigError(
-                "conflict", "config may name a preset or specify tensors, not both",
-                "site.preset",
-            )
+            raise ConfigError("conflict", "config may name a preset or specify tensors, not both", "site.preset")
         try:
             site = get_site(preset)
         except KeyError as exc:
@@ -211,9 +221,7 @@ def parse_config(text: str) -> SiteModel:
     else:
         missing = [s for s in _TENSOR_SECTIONS if not parser.has_section(s)]
         if missing:
-            raise ConfigError(
-                "missing-section", f"tensor sections missing: {', '.join(missing)}", missing[0]
-            )
+            raise ConfigError("missing-section", f"tensor sections missing: {', '.join(missing)}", missing[0])
         for need in ("center_nm", "fwhm_mhz"):
             if need not in site_section:
                 raise ConfigError("missing-key", f"site.{need} is required", f"site.{need}")
@@ -226,11 +234,8 @@ def parse_config(text: str) -> SiteModel:
                     raise ConfigError("missing-key", f"{section}.{need} is required", f"{section}.{need}")
             unit = sec["unit"].strip().lower()
             if unit not in _TENSOR_UNITS[section[-1]]:
-                raise ConfigError(
-                    "bad-unit",
-                    f"{section}.unit must be one of {sorted(_TENSOR_UNITS[section[-1]])}, got {unit!r}",
-                    f"{section}.unit",
-                )
+                raise ConfigError("bad-unit", f"{section}.unit must be one of {sorted(_TENSOR_UNITS[section[-1]])},"
+                                  f" got {unit!r}", f"{section}.unit")
             params[name] = (triple(sec["values"], f"{section}.values", "g" if section[-1] == "g" else "a_ghz"),
                             triple(sec["angles_deg"], f"{section}.angles_deg", "angle_deg"))
         for key in ("center_nm", "fwhm_mhz"):
@@ -247,9 +252,7 @@ def parse_config(text: str) -> SiteModel:
     if tuple(ordering) != site.ordering:
         site = site.with_ordering(tuple(ordering))
 
-    return replace(
-        site, ground=replace(site.ground, **magnetons), excited=replace(site.excited, **magnetons)
-    )
+    return replace(site, ground=replace(site.ground, **magnetons), excited=replace(site.excited, **magnetons))
 
 
 def read_text(path, newline: str | None = None) -> str:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import (PAIR_HI, PAIR_LO, PAIRS, SpinSystem, eigensystem, hamiltonian_stack, hyperfine_stack,
-                          unit_direction, zeeman_stack)
+                          tiles, unit_direction, zeeman_stack)
 from .output import FLOAT_FORMAT
 from .tensors import _C2
 
@@ -176,11 +176,19 @@ def _eigenfields(A, g, directions, b_max, nu_mw_ghz, g_n, mu_b, mu_n):
     return ray, fields, ranked[cluster, rank]
 
 
+def _moments(sys: SpinSystem, op: np.ndarray, fields: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The ``transition_moments`` of ``op`` of branch ``cols`` (N,) of PAIRS at fields (N, 3) mT: one
+    stacked ``eigh``, whose rows each depend on their own Hamiltonian only."""
+    H = hamiltonian_stack(sys.A.matrix, sys.g.matrix, fields[:, None], sys.g_n, sys.mu_b, sys.mu_n)[:, 0]
+    return transition_moments(op, np.linalg.eigh(H)[1])[np.arange(cols.size), cols]
+
+
 def _resonances(sys: SpinSystem, directions, nu_mw_ghz: float, b_max_mt: float) -> list[list[EprResonance]]:
     """The resonances of both subsites of ``sys`` along each direction: one
     ``resonance_search`` over directions x 2 rays, subsite 1's tensors along
     each direction d and its C2 image, one sorted list each.  The moments
-    are subsite 1's along the ray, as the drive along b is its own C2 image."""
+    are subsite 1's along the ray, as the drive along b is its own C2 image,
+    taken ``hamiltonian.tiles`` resonances at a time."""
     if not 0 < nu_mw_ghz < np.inf:
         raise ValueError("microwave frequency must be positive and finite")
     if not 0 < b_max_mt < np.inf:
@@ -191,9 +199,9 @@ def _resonances(sys: SpinSystem, directions, nu_mw_ghz: float, b_max_mt: float) 
     A, g = sys.A.matrix, sys.g.matrix
     ray, fields, cols = resonance_search(A, g, rays, b_max_mt, nu_mw_ghz, sys.g_n, sys.mu_b, sys.mu_n)
     n, s = np.divmod(ray, 2)
-    _, states = np.linalg.eigh(hamiltonian_stack(A, g, (fields[:, None] * rays[n, s])[:, None],
-                                                 sys.g_n, sys.mu_b, sys.mu_n)[:, 0])
-    moments = transition_moments(_moment_operator(sys, B_AXIS), states)[np.arange(cols.size), cols]
+    op, moments = _moment_operator(sys, B_AXIS), np.empty(cols.size)
+    for block, _ in tiles(cols.size):
+        moments[block] = _moments(sys, op, fields[block, None] * rays[n[block], s[block]], cols[block])
     out = [[] for _ in directions]
     for k, b_res, col, sub, moment in zip(n.tolist(), fields.tolist(), cols.tolist(), s.tolist(), moments.tolist()):
         out[k].append(EprResonance(b_res, tuple(directions[k]), PAIRS[col], sub + 1, moment))

@@ -18,6 +18,7 @@ from .tensors import decompose_tensor
 INTENSITY_MODELS = ("overlap", "uniform")
 OFFSET_CHUNK = 1 << 18  # elements of the seeds x peaks x lines distances per sweep
 SHAPE_BLOCK = 1 << 16  # samples of the line shapes computed in one buffer
+PEAK_BLOCK = 1 << 16  # samples that find_peaks compares at a time
 
 
 def flip_sign_class(values) -> tuple[float, float, float]:
@@ -107,29 +108,29 @@ def lorentzian_amplitude(x, fwhm: float, out=None):
 def _lorentzian_sum(lines, detunings: np.ndarray, fwhm_mhz: float, out: np.ndarray) -> np.ndarray:
     """Add to ``out`` the unit-peak Lorentzian of each (detuning, weight)
     line of the sequence ``lines``, in order; lines in a row at one detuning
-    share one line shape.  The shapes of up to SHAPE_BLOCK // out.size such
-    runs are computed together, by the same elementwise ufuncs, so each has
-    the bits it has alone.  A 1-D grid longer than SHAPE_BLOCK is summed
-    SHAPE_BLOCK samples at a time; each sample still adds its lines in
-    order.  At a sample whose squared distance to a line overflows (only
+    share one line shape.  A 1-D grid is summed SHAPE_BLOCK samples at a
+    time, another whole, and each sample adds its lines in order.  The
+    shapes of up to SHAPE_BLOCK // slice size such runs are computed
+    together, by the same elementwise ufuncs, so each has the bits it has
+    alone.  At a sample whose squared distance to a line overflows (only
     beyond ``RANGES``, from Python), that line's shape is exactly 0."""
-    if out.ndim == 1 and out.size > SHAPE_BLOCK:
-        for start in range(0, out.size, SHAPE_BLOCK):
-            _lorentzian_sum(lines, detunings[start:start + SHAPE_BLOCK], fwhm_mhz, out[start:start + SHAPE_BLOCK])
-        return out
     fwhm_ghz = fwhm_mhz * 1e-3
     starts = [n for n in range(len(lines)) if n == 0 or lines[n][0] != lines[n - 1][0]] + [len(lines)]
-    rows = max(1, SHAPE_BLOCK // max(out.size, 1))
-    shapes, term = np.empty((rows, *out.shape)), np.empty(out.shape)  # float64 buffers shared by every line
+    pieces = [slice(s, s + SHAPE_BLOCK) for s in range(0, out.size or 1, SHAPE_BLOCK)] if out.ndim == 1 else [...]
+    term = np.empty(out[pieces[0]].shape)  # float64 buffers that every slice and line share
+    shapes = np.empty((max(1, SHAPE_BLOCK // max(term.size, 1)), *term.shape))
     with np.errstate(over="ignore"):
-        for first in range(0, len(starts) - 1, rows):
-            runs = starts[first:first + rows + 1]
-            centers = np.array([lines[n][0] for n in runs[:-1]], dtype=float).reshape(-1, *[1] * out.ndim)
-            block = shapes[:len(centers)]
-            lorentzian_amplitude(np.subtract(detunings, centers, out=block, dtype=float), fwhm_ghz, out=block)
-            for shape, start, stop in zip(block, runs, runs[1:]):
-                for _, weight in lines[start:stop]:
-                    out += np.multiply(weight, shape, out=term)
+        for piece in pieces:
+            part, grid = out[piece], detunings[piece]
+            fit = slice(len(part)) if out.ndim == 1 else ...  # the buffers' part that a short last slice takes
+            for first in range(0, len(starts) - 1, len(shapes)):
+                runs = starts[first:first + len(shapes) + 1]
+                centers = np.array([lines[n][0] for n in runs[:-1]], dtype=float).reshape(-1, *[1] * out.ndim)
+                block = shapes[:len(centers), fit]
+                lorentzian_amplitude(np.subtract(grid, centers, out=block, dtype=float), fwhm_ghz, out=block)
+                for shape, start, stop in zip(block, runs, runs[1:]):
+                    for _, weight in lines[start:stop]:
+                        part += np.multiply(weight, shape, out=term[fit])
     return out
 
 
@@ -159,6 +160,20 @@ def absorption_spectrum(site: SiteModel, B, grid, intensity_model: str = "overla
     return detunings, amp
 
 
+def _base(y: np.ndarray, k: int, step: int):
+    """The lowest sample from peak ``k`` on in direction ``step`` (1 or -1) up to the first sample that is not
+    <= y[k] (NaN too) or the array's end, searched in blocks that double from 16 samples to PEAK_BLOCK."""
+    low, edge, width = y[k], k, 16
+    while True:
+        block = y[edge + 1:edge + 1 + width] if step > 0 else y[max(edge - width, 0):edge][::-1]
+        beyond = ~(block <= y[k])
+        end = int(beyond.argmax()) if beyond.any() else block.size
+        low = min(low, block[:end].min(initial=low))
+        if end < width:  # a sample that ends the search, or the array's end
+            return low
+        edge, width = edge + step * width, min(2 * width, PEAK_BLOCK)
+
+
 def find_peaks(y, prominence: float) -> np.ndarray:
     """Indices of the local maxima of ``y`` whose prominence is >= ``prominence``.
 
@@ -168,22 +183,27 @@ def find_peaks(y, prominence: float) -> np.ndarray:
     (the left one of two).  Its prominence is its height minus the higher of
     the lowest samples on either side, each searched up to the first sample
     that is not <= the peak (or the array's end).
+
+    A run is a peak where a rise into it meets a fall out of it: the steps
+    y[i - 1] != y[i] (a NaN sample is one on either side) are taken
+    PEAK_BLOCK at a time, each paired with the one before, and each peak's
+    sides are searched outward a block at a time, so no array but the
+    candidate peaks and the result grows with the spectrum.
     """
     y = np.asarray(y, dtype=float).ravel()
-    if y.size < 3:
-        return np.zeros(0, dtype=np.intp)
-    starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])  # runs of equal samples
-    ends = np.r_[starts[1:] - 1, y.size - 1]
-    top = y[starts]
-    runs = np.flatnonzero((top[:-2] < top[1:-1]) & (top[2:] < top[1:-1])) + 1
-    peaks = (starts[runs] + ends[runs]) // 2
-    keep = np.zeros(peaks.size, dtype=bool)
-    for n, k in enumerate(peaks):
-        stop = np.flatnonzero(~(y <= y[k]))  # samples that end the search (NaN too)
-        lo, hi = stop[stop < k], stop[stop > k]
-        left = y[lo[-1] + 1 if lo.size else 0 : k + 1].min()
-        right = y[k : hi[0] if hi.size else y.size].min()
-        keep[n] = y[k] - max(left, right) >= prominence
+    found, last, rising = [np.zeros(0, dtype=np.intp)], 0, False  # the last step before a block: where, and if it rises
+    for start in range(1, y.size, PEAK_BLOCK):
+        after = y[start:start + PEAK_BLOCK]
+        before = y[start - 1:start - 1 + after.size]
+        at = np.flatnonzero(before != after)
+        up, runs = before[at] < after[at], at + start  # each step rises or not, and starts a run
+        # a fall whose step before rises ends a peak, which that step starts
+        top = np.concatenate(([rising], up))[:-1] & (before[at] > after[at])
+        found.append((np.concatenate(([last], runs))[:-1][top] + runs[top] - 1) // 2)
+        if at.size:
+            last, rising = runs[-1], bool(up[-1])
+    peaks = np.concatenate(found)
+    keep = np.fromiter((y[k] - max(_base(y, k, -1), _base(y, k, 1)) >= prominence for k in peaks), bool, peaks.size)
     return peaks[keep]
 
 

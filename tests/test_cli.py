@@ -541,6 +541,12 @@ PINNED_RUNS = [
     # a step finer than 9 significant digits print at -1e5: its 1,001 detunings all printed -100000
     ("absorption-grid-finer-than-print", [("absorption", "--range=-1e5:-99999.99999:1e-8")], [2],
      {"stderr": "b9cf0b44b4dbd62bd883822c6937add8876ea8c3fa0edfd81d9e6c927e91226f"}),
+    # a comma list whose fields print alike: it wrote two blocks whose field_mt both read 1
+    ("shb-map-magnitudes-printed-alike",
+     [("shb-map", "--magnitudes", "1,1.0000000001", "--span=-0.01:0.01:0.01", "--no-stamp", "--out", "m.csv")], [2],
+     {"stderr": "e1e674e3a9758925fe787da1c1304a43ca617a844f2bcea1f436d6b134360812"}),
+    ("shb-map-magnitudes-repeated", [("shb-map", "--magnitudes", "10,10")], [2],
+     {"stderr": "58fe10e4ec6a4d5ce84f3f91ea24f92a0d943fa6b54f074275bf63764ef45528"}),
     ("epr-map-huge-bmax", [("epr-map", "--bmax", "1e300")], [2],
      {"stderr": "93013bfe113e54263b2a61b457dd97ef4a836f2a38df5f59ec723a4f950569c8"}),
     ("odmr-huge-field", [("odmr", "--B", "1e300,0,0")], [2],

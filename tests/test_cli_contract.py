@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import kramers
 from kramers import magres
-from kramers.cli import main
+from kramers.cli import SCHEMAS, _build_parser, main
 from kramers.config import MAX_POINTS, ConfigError, check_points, grid, parse_config, samples
 from kramers.hamiltonian import RANGES, hamiltonian_batch
 from kramers.output import FLOAT_FORMAT
@@ -123,6 +123,9 @@ DEFECTS = [
     (["absorption", "--range=-1e5:-99999.99999:1e-8"], "bad-range"),
     (["shb-map", "--span=1:1.0000001:1e-9"], "bad-range"),
     (["shb-map", "--magnitudes", "99999:1e5:1e-4"], "bad-range"),
+    # two blocks whose field_mt both printed 1, and a repeated field
+    (["shb-map", "--magnitudes", "1,1.0000000001", "--span=-0.01:0.01:0.01"], "bad-range"),
+    (["shb-map", "--magnitudes", "10,10"], "bad-range"),
     (["levels", "--config", "undecodable.ini"], "bad-encoding"),
     (["shb-map", "--magnitudes", "0:20:10", "--span=-1:1:0.01", "--rates", "undecodable.ini"], "bad-encoding"),
     (["fit", "--data", "undecodable.csv"], "bad-encoding"),
@@ -156,9 +159,55 @@ def test_defect_exits_2_with_one_record(argv, expected, tmp_path, monkeypatch):
         assert record["key"].startswith("undecodable.")
     if argv[0] == "absorption" and expected == "bad-range":
         assert record["key"] == "range"
+    if "--magnitudes" in argv and expected == "bad-range":
+        assert record["key"] == "magnitudes"
     if expected == "bad-data":
         assert record["key"] == ("data" if argv[2] in ("two_points.csv", "data.csv") else "line 5")
     assert set(os.listdir(tmp_path)) == before
+
+
+def _value_options():
+    """(command, option string) of each option that takes a value, as the command's parser has it."""
+    found = []
+    for command in SCHEMAS:
+        top = _build_parser([command])
+        parser = next(a.choices for a in top._actions if isinstance(a.choices, dict))[command]
+        found += [(command, o) for a in parser._actions if a.nargs != 0 for o in a.option_strings]
+    return found
+
+
+VALUE_OPTIONS = _value_options()
+
+
+# small runs of each command; the option under test comes after these, and so overrides them
+DASH_BASE = {"absorption": ["--range=-1:1:0.01"], "shb-map": ["--magnitudes", "0:20:10", "--span=-0.5:0.5:0.05"],
+             "epr-map": ["--step", "90"], "fit": ["--data", "data.csv", "--restarts", "1"],
+             "invert": ["--lines", "2046,2385,2869,3208"], "ordering": ["--peaks=-3,-1.2,0.3,2.5"],
+             "zefoz": ["--grid", "4,3"]}
+
+
+@pytest.mark.parametrize("command, option", VALUE_OPTIONS, ids=[" ".join(c) for c in VALUE_OPTIONS])
+def test_a_dash_leading_value_reads_alike_in_both_spellings(command, option, tmp_path):
+    # argparse reads "-1e3" after "--opt" as an option name unless the CLI joins the two
+    base = [] if option.startswith("--peaks") else DASH_BASE.get(command, [])
+    files = {"data.csv": _sigma_reproducer("")} if command == "fit" else {}
+    spaced, joined = (_quiet_run(tmp_path, name, [command, "--out", "out.csv", *base, *value], files)
+                      for name, value in (("spaced", [option, "-1e3"]), ("joined", [f"{option}=-1e3"])))
+    assert spaced == joined
+    assert "expected one argument" not in spaced[2]
+
+
+# an option named by a prefix that argparse completes, and a prefix of three options (whose usage
+# message quotes the token as given)
+@pytest.mark.parametrize("argv, record", [(["epr-map", "--fre"], ("bad-value", "freq")),
+                                          (["shb-map", "--magnitude"], ("bad-range", "magnitudes")),
+                                          (["levels", "--s"], ("usage", ""))])
+def test_a_dash_leading_value_after_a_prefix_reads_alike(argv, record, tmp_path):
+    runs = [_quiet_run(tmp_path, name, [*argv[:-1], *value, "--out", "out.csv"])
+            for name, value in (("spaced", [argv[-1], "-1e300"]), ("joined", [f"{argv[-1]}=-1e300"]))]
+    got = [(code, _assert_one_record(code, err)["code"], json.loads(err)["key"], written)
+           for code, _, err, written in runs]
+    assert got == [(2, *record, {})] * 2
 
 
 @pytest.mark.parametrize("argv,key", [
@@ -572,7 +621,7 @@ COMMANDS = {
                         "--prominence": _values("0.05", "0.5", *EXTREME),
                         "--peaks-out": st.just("peaks.csv")}),
     "shb-map": ({"--magnitudes": _values("0:20:10", "0,5", "5", *EXTREME, *EXTREME_GRIDS,
-                                         bad=["5,0", *BAD, *BAD_GRIDS]),
+                                         bad=["5,0", "10,10", "1,1.0000000001", *BAD, *BAD_GRIDS]),
                  "--span": _grids("-0.5:0.5:0.05", "0:0.2:0.1")},
                 {"--direction": _values("D1", "b", "1,1,0", bad=["0,0,0", *BAD]),
                  "--burn": _values("0.1", *EXTREME),
@@ -604,8 +653,7 @@ def _argv(draw):
     for name, value in options.items():
         if isinstance(value, tuple):
             value, files[value] = value
-        # both spellings: "--opt=value", and "--opt value" where a value that
-        # starts with "-" may be read as an option name (a usage error)
+        # both spellings: "--opt=value" and "--opt value"
         argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
     return argv, files
 
@@ -630,17 +678,16 @@ def _option(argv, name):
             return arg.partition("=")[2]
 
 
-def _grid_columns(argv, text):
-    """The columns of a written absorption or shb-map CSV that hold a start:stop:step grid, one cell a
-    sample: the detunings (shb-map's at its first field) and shb-map's fields when --magnitudes is a grid."""
+def _sample_columns(argv, text):
+    """The columns of a written absorption or shb-map CSV that hold the samples of a grid or a comma list,
+    one cell a sample: the detunings (shb-map's at its first field) and shb-map's fields."""
     rows = [r.split(",") for r in text.splitlines() if r and not r.startswith("#")][1:]
     if argv[0] == "absorption":
         return [[r[0] for r in rows]]
     if argv[0] != "shb-map":
         return []
-    magnitudes = _option(argv, "--magnitudes")
-    run = len(rows) // samples(magnitudes, "magnitudes", "field_mt").size
-    return [[r[1] for r in rows[:run]], *([[r[0] for r in rows[::run]]] if ":" in magnitudes else [])]
+    run = len(rows) // samples(_option(argv, "--magnitudes"), "magnitudes", "field_mt").size
+    return [[r[1] for r in rows[:run]], [r[0] for r in rows[::run]]]
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
@@ -656,7 +703,7 @@ def test_generated_argv_contract(drawn):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 code, stdout, err = _run(argv)
-            written = {name: open(name).read() for name in os.listdir(tmp)
+            written = {name: Path(name).read_text() for name in os.listdir(tmp)
                        if name.endswith(".csv") and name not in files}
         finally:
             os.chdir(cwd)
@@ -670,8 +717,8 @@ def test_generated_argv_contract(drawn):
         assert written
         for name, text in written.items():
             assert not _non_finite_cells(text), (argv, files, name)
-        # each sample of a grid prints apart from the next
-        for column in _grid_columns(argv, written["out.csv"]):
+        # each sample of a grid or a comma list prints apart from the next
+        for column in _sample_columns(argv, written["out.csv"]):
             assert all(float(a) < float(b) for a, b in zip(column, column[1:])), (argv, column[:3])
         # nor a value printed with hundreds of digits
         assert not re.search(r"\d{40}", stdout + "".join(written.values())), (argv, files, stdout)

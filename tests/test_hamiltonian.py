@@ -497,8 +497,8 @@ def test_blocks_tile_restarts_by_fields_once(monkeypatch, restarts, fields, bloc
 
 
 def test_one_block_size_reaches_every_tiled_solve(tmp_path, monkeypatch):
-    # the ZEFOZ scan, the SHB map, the fit's level kernel and its EPR rows
-    from kramers import shb, zefoz
+    # the ZEFOZ scan, the SHB map, the fit's level kernel and its EPR rows, and the EPR map's moments
+    from kramers import magres, shb, zefoz
     from kramers.cli import _read_data_csv
     from test_cli import PINNED_FIT_DATA
 
@@ -522,17 +522,20 @@ def test_one_block_size_reaches_every_tiled_solve(tmp_path, monkeypatch):
     record(shb, "_energies", lambda site, fields: len(fields))
     record(hamiltonian, "_closed_form", lambda parts, g, fields, *args: len(g) * len(fields))
     record(fitting, "hellmann_feynman", lambda A, *args: len(A))
+    record(magres, "_moments", lambda sys, op, fields, cols: len(fields))
     runs, blocks = [], (1, 7, 10**9)
     for block in blocks:
         monkeypatch.setattr(hamiltonian, "EIGH_BLOCK", block)
         sizes.append({})
-        runs.append((repr(zefoz.zefoz_search(SITE_I.ground, (1, 2))),
+        runs.append(((repr(zefoz.zefoz_search(SITE_I.ground, (1, 2))),
+                      repr(magres.epr_angular_map(SITE_I.ground, "b-D1", 15.0, 9.7, 1000.0))),
                      shb.shb_field_map(SITE_I, (1.0, 2.0, 2.0), np.linspace(0.0, 150.0, 11), 0.1,
                                        detuning_range_ghz=(-1.0, 1.0), detuning_step_ghz=0.01).amplitudes,
                      *fitting.evaluate(problem, *fitting._points(problem, x), data)))
-    # unbounded, each site solves all its Hamiltonians at once: the default scan's 641 points, the 11 fields
+    # unbounded, each site solves all its Hamiltonians at once: the default scan's 641 points, the 11 fields,
+    # the map's 100 resonances
     whole = sizes[-1]
-    assert whole["transition_gradients"] == [641] and whole["_energies"] == [11]
+    assert whole["transition_gradients"] == [641] and whole["_energies"] == [11] and whole["_moments"] == [100]
     assert len(whole["_closed_form"]) == 1 and len(whole["hellmann_feynman"]) == 1
     assert min(n for site in whole.values() for n in site) > 7
     for block, seen in zip(blocks, sizes):

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import reference_offset_fit
 from kramers.hamiltonian import zero_field_levels
+from kramers import spectra
 from kramers.presets import SITE_I, SITE_II
 from kramers.spectra import (
+    PEAK_BLOCK,
     SHAPE_BLOCK,
     _lorentzian_sum,
     _offset_fit,
@@ -337,7 +339,68 @@ def _signals(draw):
     return y
 
 
+def whole_array_peaks(y, prominence):
+    """``find_peaks`` as it was before its blocks: run-start and run-end arrays over the whole spectrum, and a
+    full-length comparison per candidate peak.  The reference whose indices the block search keeps."""
+    y = np.asarray(y, dtype=float).ravel()
+    if y.size < 3:
+        return np.zeros(0, dtype=np.intp)
+    starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])  # runs of equal samples
+    ends = np.r_[starts[1:] - 1, y.size - 1]
+    top = y[starts]
+    runs = np.flatnonzero((top[:-2] < top[1:-1]) & (top[2:] < top[1:-1])) + 1
+    peaks = (starts[runs] + ends[runs]) // 2
+    keep = np.zeros(peaks.size, dtype=bool)
+    for n, k in enumerate(peaks):
+        stop = np.flatnonzero(~(y <= y[k]))  # samples that end the search (NaN too)
+        lo, hi = stop[stop < k], stop[stop > k]
+        left = y[lo[-1] + 1 if lo.size else 0 : k + 1].min()
+        right = y[k : hi[0] if hi.size else y.size].min()
+        keep[n] = y[k] - max(left, right) >= prominence
+    return peaks[keep]
+
+
+def _random_signal(rng):
+    """Plateaus and ties of a few levels, or a rounded random walk, with NaN and infinite samples now and then."""
+    n = int(rng.integers(0, 120))
+    if rng.random() < 0.6:
+        y = np.repeat(rng.integers(0, 5, n).astype(float), rng.integers(1, 5, n))
+    else:
+        y = np.round(np.cumsum(rng.normal(size=n * 3)), int(rng.integers(0, 3)))
+    for value, chance in ((np.nan, 0.4), (np.inf, 0.1), (-np.inf, 0.1)):
+        if y.size and rng.random() < chance:
+            y[rng.integers(0, y.size, rng.integers(1, 3))] = value
+    return y
+
+
 class TestFindPeaks:
+    # blocks of one sample, of a few that split plateaus and steps, and the default
+    @pytest.mark.parametrize("block", [1, 3, 7, PEAK_BLOCK])
+    def test_matches_the_whole_array_search(self, block, monkeypatch):
+        monkeypatch.setattr(spectra, "PEAK_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for _ in range(250):
+            y, prominence = _random_signal(rng), float(rng.choice([0.0, 0.5, 1.0, 2.0, 3.0, 10.0]))
+            got, want = find_peaks(y, prominence), whole_array_peaks(y, prominence)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (y.tolist(), prominence)
+
+    @pytest.mark.parametrize("kind, bound", [("absorption", 0.1), ("noise", 1.0)])
+    def test_memory_within_a_fraction_of_the_spectrum(self, kind, bound):
+        # a smooth 2e6-sample spectrum with 5 peaks, and noise whose every third sample is a candidate peak:
+        # one block's buffers, about 28 bytes a sample, then the candidates (the whole-array search peaked
+        # at 4.3 times the first spectrum)
+        if kind == "absorption":
+            _, y = absorption_spectrum(SITE_I, (0, 0, 0), np.linspace(-4.5, 4.5, 2_000_000), intensity_model="uniform")
+        else:
+            y = np.random.default_rng(5).normal(size=50_000)
+        tracemalloc.start()
+        try:
+            found = find_peaks(y, 0.05 if kind == "absorption" else 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found.size and peak <= bound * y.nbytes + 32 * PEAK_BLOCK, (peak, y.nbytes)
+
     @settings(derandomize=True, deadline=None, max_examples=500)
     @given(_signals(), st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), st.floats(0, 500)))
     def test_matches_scipy(self, y, prominence):
